@@ -6,9 +6,8 @@
 use crate::cost::ServerCostModel;
 use crate::message::{AppMsg, BaselineMsg, ZkOp, ZkResult};
 use crate::rtx::Connection;
-use netchain_sim::{
-    Context, LatencyStats, Node, NodeId, SimDuration, SimTime, ThroughputSeries, TimerToken,
-};
+use netchain_sim::{Context, Node, NodeId, SimDuration, SimTime, ThroughputSeries, TimerToken};
+use netchain_telemetry::{HistSnapshot, LatencyHistogram};
 use std::any::Any;
 use std::collections::HashMap;
 
@@ -74,8 +73,8 @@ pub struct BaselineClient {
     outstanding: HashMap<u64, OutstandingRequest>,
     next_request_id: u64,
     throughput: ThroughputSeries,
-    read_latency: LatencyStats,
-    write_latency: LatencyStats,
+    read_latency: LatencyHistogram,
+    write_latency: LatencyHistogram,
     issued: u64,
     completed: u64,
     errors: u64,
@@ -98,8 +97,8 @@ impl BaselineClient {
             outstanding: HashMap::new(),
             next_request_id: 1,
             throughput: ThroughputSeries::new(workload.throughput_bucket),
-            read_latency: LatencyStats::new(),
-            write_latency: LatencyStats::new(),
+            read_latency: LatencyHistogram::new(),
+            write_latency: LatencyHistogram::new(),
             issued: 0,
             completed: 0,
             errors: 0,
@@ -127,13 +126,13 @@ impl BaselineClient {
     }
 
     /// Read latency statistics.
-    pub fn read_latency(&mut self) -> &mut LatencyStats {
-        &mut self.read_latency
+    pub fn read_latency(&self) -> HistSnapshot {
+        self.read_latency.snapshot()
     }
 
     /// Write latency statistics.
-    pub fn write_latency(&mut self) -> &mut LatencyStats {
-        &mut self.write_latency
+    pub fn write_latency(&self) -> HistSnapshot {
+        self.write_latency.snapshot()
     }
 
     fn in_window(&self, now: SimTime) -> bool {
@@ -251,9 +250,9 @@ impl Node<BaselineMsg> for BaselineClient {
             // NetChain agent.
             let latency = ctx.now().since(outstanding.sent_at) + self.cost.client_overhead;
             if outstanding.is_write {
-                self.write_latency.record(latency);
+                self.write_latency.record(latency.as_nanos());
             } else {
-                self.read_latency.record(latency);
+                self.read_latency.record(latency.as_nanos());
             }
             self.throughput.record(ctx.now());
             if self.workload.rate_qps <= 0.0 && self.in_window(ctx.now()) {

@@ -122,14 +122,6 @@ impl BaselineCluster {
             .expect("client nodes are BaselineClient")
     }
 
-    /// Mutably borrow a client (latency percentiles need `&mut`).
-    pub fn client_mut(&mut self, index: usize) -> &mut BaselineClient {
-        let node = self.clients[index];
-        self.sim
-            .node_as_mut::<BaselineClient>(node)
-            .expect("client nodes are BaselineClient")
-    }
-
     /// Borrow a server for inspection.
     pub fn server(&self, index: usize) -> &ZkServer {
         self.sim
@@ -184,9 +176,11 @@ mod tests {
         let mut cluster = BaselineCluster::new(BaselineConfig::default(), workload);
         cluster.populate_store(50, 64);
         cluster.sim.run_for(SimDuration::from_millis(600));
-        let client = cluster.client_mut(0);
-        let read_p50 = client.read_latency().median().expect("reads completed");
-        let write_p50 = client.write_latency().median().expect("writes completed");
+        let client = cluster.client(0);
+        let p50 =
+            |h: netchain_telemetry::HistSnapshot| h.quantile(0.5).map(SimDuration::from_nanos);
+        let read_p50 = p50(client.read_latency()).expect("reads completed");
+        let write_p50 = p50(client.write_latency()).expect("writes completed");
         assert!(
             write_p50 > read_p50,
             "writes ({write_p50}) must be slower than reads ({read_p50})"

@@ -13,10 +13,10 @@ fn bench_ring(c: &mut Criterion) {
         b.iter(|| ring.chain_for_key(black_box(&key)))
     });
     c.bench_function("hashring/write_route", |b| {
-        b.iter(|| directory.write_route(black_box(&key)))
+        b.iter(|| directory.write_route_of(directory.locate(black_box(&key)).group))
     });
     c.bench_function("hashring/read_route", |b| {
-        b.iter(|| directory.read_route(black_box(&key)))
+        b.iter(|| directory.read_route_of(directory.locate(black_box(&key)).group))
     });
 }
 

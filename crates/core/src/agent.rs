@@ -7,11 +7,16 @@
 //! drives the discrete-event simulation ([`crate::client`]), the real UDP
 //! loopback deployment (`netchain-net`), and unit tests.
 
-use crate::directory::ChainDirectory;
-use crate::types::{CompletedQuery, KvOp};
-use netchain_sim::{LatencyStats, SimDuration, SimTime};
-use netchain_wire::{Ipv4Addr, NetChainPacket, OpCode, QueryStatus, Value};
-use std::collections::HashMap;
+use crate::directory::{ChainDirectory, KeyLocus, QueryRoute};
+use crate::types::{CompletedQuery, Completion, KvOp, OpRef};
+use netchain_sim::{SimDuration, SimTime};
+use netchain_telemetry::LatencyHistogram;
+use netchain_wire::{
+    encode_query, Ipv4Addr, Key, NetChainPacket, NetChainView, OpCode, QueryStatus, Value,
+    MAX_VALUE_LEN,
+};
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Static configuration of a client agent.
 #[derive(Debug, Clone, Copy)]
@@ -74,8 +79,10 @@ pub struct AgentStats {
     /// that were *concurrent* with the newer observation are exempt — two
     /// overlapping operations may legitimately complete in either order.
     pub version_regressions: u64,
-    /// Latency of completed queries (first transmission to reply).
-    pub latency: LatencyStats,
+    /// Latency of completed queries (first transmission to reply), in
+    /// nanoseconds: a fixed-size histogram, so a long run records in
+    /// constant memory.
+    pub latency: LatencyHistogram,
 }
 
 /// The result of a retry poll.
@@ -87,12 +94,70 @@ pub struct RetryOutcome {
     pub abandoned: Vec<CompletedQuery>,
 }
 
+/// One in-flight query. The operation is kept in wire form with its value
+/// inline, so recording a query never touches the heap.
 #[derive(Debug, Clone)]
 struct Outstanding {
-    op: KvOp,
+    op: OpCode,
+    key: Key,
+    /// `key.stable_hash()`, computed once at issue.
+    key_hash: u64,
     first_sent: SimTime,
     last_sent: SimTime,
     retries: u32,
+    value_len: u8,
+    value: [u8; MAX_VALUE_LEN],
+}
+
+impl Outstanding {
+    fn wire(&self) -> OpRef<'_> {
+        OpRef {
+            op: self.op,
+            key: self.key,
+            value: &self.value[..usize::from(self.value_len)],
+        }
+    }
+}
+
+/// Hasher for maps whose `u64` keys need no mixing — the keys' stable hashes
+/// are mixed already, and sequential request ids fall into distinct buckets
+/// as they are: passes the key through instead of hashing it again.
+#[derive(Debug, Clone, Copy, Default)]
+struct PassThroughHasher(u64);
+
+impl Hasher for PassThroughHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("only u64 keys are hashed");
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = v;
+    }
+}
+
+/// Both of the agent's maps. Entries are stored inline, so once the table
+/// has grown to the window, inserting and removing allocate nothing.
+type PassThroughMap<V> = HashMap<u64, V, BuildHasherDefault<PassThroughHasher>>;
+
+/// The newest version an agent has seen for one key, and when.
+#[derive(Debug, Clone, Copy)]
+struct Observed {
+    key: Key,
+    version: (u64, u64),
+    at: SimTime,
+}
+
+/// The fields of a reply the agent acts on, from either packet form.
+struct ReplyHead {
+    op: OpCode,
+    status: QueryStatus,
+    request_id: u64,
+    session: u16,
+    seq: u64,
 }
 
 /// The sans-IO client agent core.
@@ -101,9 +166,10 @@ pub struct AgentCore {
     config: AgentConfig,
     directory: ChainDirectory,
     next_request_id: u64,
-    outstanding: HashMap<u64, Outstanding>,
-    /// Per key: the newest `(session, seq)` observed and when it was observed.
-    observed: HashMap<netchain_wire::Key, ((u64, u64), SimTime)>,
+    /// In-flight queries by request id.
+    outstanding: PassThroughMap<Outstanding>,
+    /// Per key (by stable hash): the newest `(session, seq)` observed.
+    observed: PassThroughMap<Observed>,
     stats: AgentStats,
 }
 
@@ -114,8 +180,8 @@ impl AgentCore {
             config,
             directory,
             next_request_id: 1,
-            outstanding: HashMap::new(),
-            observed: HashMap::new(),
+            outstanding: HashMap::default(),
+            observed: HashMap::default(),
             stats: AgentStats::default(),
         }
     }
@@ -154,53 +220,108 @@ impl AgentCore {
 
     /// Starts a query: returns the request id and the packet to transmit.
     pub fn begin(&mut self, now: SimTime, op: KvOp) -> (u64, NetChainPacket) {
+        let locus = self.directory.locate(&op.key());
+        op.with_wire(|wire| self.begin_located(now, wire, locus))
+    }
+
+    /// [`Self::begin`] for an operation already in wire form whose key the
+    /// caller has located (`locus` must be `self.directory().locate(&op.key)`).
+    pub fn begin_located(
+        &mut self,
+        now: SimTime,
+        op: OpRef<'_>,
+        locus: KeyLocus,
+    ) -> (u64, NetChainPacket) {
+        debug_assert_eq!(locus, self.directory.locate(&op.key));
+        let request_id = self.admit(now, op, locus);
+        (request_id, self.build_packet(op, locus.group, request_id))
+    }
+
+    /// Starts a query and encodes it straight into `out` (a ring slot, a
+    /// send buffer) from the directory's cached route: no owned packet, no
+    /// allocation. `locus` must be `self.directory().locate(&op.key)` — the
+    /// caller has usually computed it already to steer the query. Returns
+    /// the request id and the encoded length; the bytes equal what
+    /// [`Self::begin`] would have returned, serialized.
+    ///
+    /// # Panics
+    /// If `out` is shorter than the encoded query
+    /// ([`netchain_wire::MAX_FRAME_LEN`] always suffices).
+    pub fn begin_into(
+        &mut self,
+        now: SimTime,
+        op: OpRef<'_>,
+        locus: KeyLocus,
+        out: &mut [u8],
+    ) -> (u64, usize) {
+        debug_assert_eq!(locus, self.directory.locate(&op.key));
+        let request_id = self.admit(now, op, locus);
+        let route = self.route(op.op, locus.group);
+        let len = encode_query(
+            out,
+            self.config.client_ip,
+            self.config.udp_port,
+            route.first_hop,
+            op.op,
+            &op.key,
+            op.value,
+            route.remaining.hops(),
+            request_id,
+        )
+        .expect("the buffer holds a maximal query");
+        (request_id, len)
+    }
+
+    /// Assigns the next request id to `op` and records it as outstanding.
+    fn admit(&mut self, now: SimTime, op: OpRef<'_>, locus: KeyLocus) -> u64 {
+        assert!(
+            op.value.len() <= MAX_VALUE_LEN,
+            "value of {} bytes exceeds the wire limit",
+            op.value.len()
+        );
         let request_id = self.next_request_id;
         self.next_request_id += 1;
-        let packet = self.build_packet(&op, request_id);
+        let mut value = [0; MAX_VALUE_LEN];
+        value[..op.value.len()].copy_from_slice(op.value);
         self.outstanding.insert(
             request_id,
             Outstanding {
-                op,
+                op: op.op,
+                key: op.key,
+                key_hash: locus.hash,
                 first_sent: now,
                 last_sent: now,
                 retries: 0,
+                value_len: op.value.len() as u8,
+                value,
             },
         );
         self.stats.issued += 1;
-        (request_id, packet)
+        request_id
     }
 
-    /// Builds the wire packet for `op` with the given request id, consulting
-    /// the directory for the chain route. Retries rebuild the packet so that
+    /// The cached route queries with opcode `op` take through `group`.
+    fn route(&self, op: OpCode, group: u32) -> &QueryRoute {
+        if op == OpCode::Read {
+            self.directory.read_route_of(group)
+        } else {
+            self.directory.write_route_of(group)
+        }
+    }
+
+    /// Builds the owned wire packet for `op` with the given request id, from
+    /// the directory's route for `group`. Retries rebuild the packet so that
     /// a directory update between attempts takes effect.
-    pub fn build_packet(&self, op: &KvOp, request_id: u64) -> NetChainPacket {
-        let key = op.key();
-        let (route, opcode, value) = match op {
-            KvOp::Read(_) => (
-                self.directory.read_route(&key),
-                OpCode::Read,
-                Value::empty(),
-            ),
-            KvOp::Write(_, v) => (self.directory.write_route(&key), OpCode::Write, v.clone()),
-            KvOp::Cas { expected, new, .. } => (
-                self.directory.write_route(&key),
-                OpCode::Cas,
-                netchain_switch::cas_value(*expected, *new),
-            ),
-            KvOp::Delete(_) => (
-                self.directory.write_route(&key),
-                OpCode::Delete,
-                Value::empty(),
-            ),
-        };
+    fn build_packet(&self, op: OpRef<'_>, group: u32, request_id: u64) -> NetChainPacket {
+        let route = self.route(op.op, group);
         NetChainPacket::query(
             self.config.client_ip,
             self.config.udp_port,
             route.first_hop,
-            opcode,
-            key,
-            value,
-            route.remaining,
+            op.op,
+            op.key,
+            Value::new(op.value).expect("admitted values are bounded"),
+            route.remaining.clone(),
             request_id,
         )
     }
@@ -208,51 +329,105 @@ impl AgentCore {
     /// Processes a reply packet. Returns the completed query if the reply
     /// matches an outstanding request, or `None` for duplicates/stale replies.
     pub fn on_reply(&mut self, now: SimTime, pkt: &NetChainPacket) -> Option<CompletedQuery> {
-        if !pkt.netchain.op.is_reply() {
+        let head = ReplyHead {
+            op: pkt.netchain.op,
+            status: pkt.netchain.status,
+            request_id: pkt.netchain.request_id,
+            session: pkt.netchain.session,
+            seq: pkt.netchain.seq,
+        };
+        self.retire(now, head, |entry, done| CompletedQuery {
+            request_id: done.request_id,
+            op: KvOp::from_wire(entry.wire()),
+            status: Some(done.status),
+            value: pkt.netchain.value.clone(),
+            seq: done.seq,
+            session: done.session,
+            latency: done.latency,
+            retries: done.retries,
+        })
+    }
+
+    /// [`Self::on_reply`] for a reply still in its receive buffer: matches it
+    /// from the borrowed view, copying nothing. The caller reads the value,
+    /// if it wants it, from `reply.value()`.
+    pub fn on_reply_view(&mut self, now: SimTime, reply: &NetChainView<'_>) -> Option<Completion> {
+        let head = ReplyHead {
+            op: reply.op(),
+            status: reply.status(),
+            request_id: reply.request_id(),
+            session: reply.session(),
+            seq: reply.seq(),
+        };
+        self.retire(now, head, |_, done| done)
+    }
+
+    /// Matches a reply to its outstanding query, updates the statistics and
+    /// the per-key version table, and frees the slot; `finish` sees the
+    /// entry just before it goes.
+    fn retire<R>(
+        &mut self,
+        now: SimTime,
+        reply: ReplyHead,
+        finish: impl FnOnce(&Outstanding, Completion) -> R,
+    ) -> Option<R> {
+        if !reply.op.is_reply() {
             return None;
         }
-        let request_id = pkt.netchain.request_id;
-        let Some(outstanding) = self.outstanding.remove(&request_id) else {
+        let Entry::Occupied(slot) = self.outstanding.entry(reply.request_id) else {
             self.stats.stale_replies += 1;
             return None;
         };
-        let latency = now.since(outstanding.first_sent);
+        let entry = slot.get();
+        let latency = now.since(entry.first_sent);
         self.stats.completed += 1;
-        if pkt.netchain.status == QueryStatus::Ok {
-            self.stats.ok += 1;
-        }
-        self.stats.latency.record(latency);
+        self.stats.latency.record(latency.as_nanos());
 
         // Version monotonicity check (per-key, session-guarantee form): a
         // query issued *after* a newer version was observed must never expose
         // an older (session, seq). Queries concurrent with the newer
         // observation are exempt — overlapping operations may complete in
         // either order.
-        if pkt.netchain.status == QueryStatus::Ok {
-            let version = (u64::from(pkt.netchain.session), pkt.netchain.seq);
-            let entry = self
-                .observed
-                .entry(pkt.netchain.key)
-                .or_insert((version, now));
-            if version < entry.0 {
-                if outstanding.first_sent >= entry.1 {
+        if reply.status == QueryStatus::Ok {
+            self.stats.ok += 1;
+            let version = (u64::from(reply.session), reply.seq);
+            let seen = self.observed.entry(entry.key_hash).or_insert(Observed {
+                key: entry.key,
+                version,
+                at: now,
+            });
+            if seen.key != entry.key {
+                // Two keys sharing a 64-bit hash: forget the other's history
+                // rather than judge this key against it.
+                *seen = Observed {
+                    key: entry.key,
+                    version,
+                    at: now,
+                };
+            } else if version < seen.version {
+                if entry.first_sent >= seen.at {
                     self.stats.version_regressions += 1;
                 }
             } else {
-                *entry = (version, now);
+                seen.version = version;
+                seen.at = now;
             }
         }
 
-        Some(CompletedQuery {
-            request_id,
-            op: outstanding.op,
-            status: Some(pkt.netchain.status),
-            value: pkt.netchain.value.clone(),
-            seq: pkt.netchain.seq,
-            session: u64::from(pkt.netchain.session),
-            latency,
-            retries: outstanding.retries,
-        })
+        let done = finish(
+            entry,
+            Completion {
+                request_id: reply.request_id,
+                op: entry.op,
+                status: reply.status,
+                seq: reply.seq,
+                session: u64::from(reply.session),
+                latency,
+                retries: entry.retries,
+            },
+        );
+        slot.remove();
+        Some(done)
     }
 
     /// Checks every outstanding query against the retransmission timeout.
@@ -269,11 +444,10 @@ impl AgentCore {
         for id in expired {
             let entry = self.outstanding.get_mut(&id).expect("id collected above");
             if entry.retries >= self.config.max_retries {
-                let entry = self.outstanding.remove(&id).expect("entry exists");
                 self.stats.abandoned += 1;
                 outcome.abandoned.push(CompletedQuery {
                     request_id: id,
-                    op: entry.op,
+                    op: KvOp::from_wire(entry.wire()),
                     status: None,
                     value: Value::empty(),
                     seq: 0,
@@ -281,12 +455,14 @@ impl AgentCore {
                     latency: now.since(entry.first_sent),
                     retries: entry.retries,
                 });
+                self.outstanding.remove(&id);
             } else {
                 entry.retries += 1;
                 entry.last_sent = now;
-                let op = entry.op.clone();
                 self.stats.retries += 1;
-                let pkt = self.build_packet(&op, id);
+                let entry = &self.outstanding[&id];
+                let group = self.directory.ring().group_of_hash(entry.key_hash);
+                let pkt = self.build_packet(entry.wire(), group, id);
                 outcome.retransmit.push(pkt);
             }
         }
@@ -448,6 +624,54 @@ mod tests {
             a.next_retry_deadline(),
             Some(SimTime::ZERO + a.config().timeout)
         );
+    }
+
+    #[test]
+    fn in_place_path_matches_the_owned_path() {
+        // Same op stream through both entry points: identical bytes out,
+        // identical completions in.
+        let (mut owned, mut direct) = (agent(), agent());
+        let ops = [
+            KvOp::Read(Key::from_u64(1)),
+            KvOp::Write(Key::from_u64(2), Value::from_u64(77)),
+            KvOp::Cas {
+                key: Key::from_u64(3),
+                expected: 0,
+                new: 9,
+            },
+            KvOp::Delete(Key::from_u64(4)),
+        ];
+        for op in ops {
+            let (id, pkt) = owned.begin(SimTime::ZERO, op.clone());
+            let mut buf = [0u8; netchain_wire::MAX_FRAME_LEN];
+            let locus = direct.directory().locate(&op.key());
+            let (id2, len) = op.with_wire(|w| direct.begin_into(SimTime::ZERO, w, locus, &mut buf));
+            assert_eq!(id, id2);
+            assert_eq!(&buf[..len], pkt.to_bytes().as_slice());
+
+            let reply = reply_to(pkt, 5);
+            let at = SimTime::ZERO + SimDuration::from_micros(3);
+            let done = owned.on_reply(at, &reply).expect("matches");
+            let bytes = reply.payload_bytes();
+            let (view, _) = NetChainView::parse(&bytes).unwrap();
+            let light = direct.on_reply_view(at, &view).expect("matches");
+            assert_eq!(done.op, op);
+            assert_eq!(
+                (done.request_id, done.status, done.seq, done.session),
+                (
+                    light.request_id,
+                    Some(light.status),
+                    light.seq,
+                    light.session
+                )
+            );
+            assert_eq!((done.latency, done.retries), (light.latency, light.retries));
+            assert!(direct.on_reply_view(at, &view).is_none(), "duplicate");
+        }
+        assert_eq!(direct.stats().stale_replies, 4);
+        assert_eq!(direct.stats().completed, owned.stats().completed);
+        assert_eq!(direct.stats().latency.count(), 4);
+        assert_eq!(direct.outstanding(), 0);
     }
 
     #[test]

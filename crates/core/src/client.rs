@@ -6,9 +6,8 @@ use crate::agent::{AgentConfig, AgentCore, AgentStats};
 use crate::directory::ChainDirectory;
 use crate::message::NetMsg;
 use crate::types::{CompletedQuery, KvOp};
-use netchain_sim::{
-    Context, LatencyStats, Node, NodeId, SimDuration, SimTime, ThroughputSeries, TimerToken,
-};
+use netchain_sim::{Context, Node, NodeId, SimDuration, SimTime, ThroughputSeries, TimerToken};
+use netchain_telemetry::{HistSnapshot, LatencyHistogram};
 use netchain_wire::{Key, Value};
 use std::any::Any;
 use std::collections::VecDeque;
@@ -72,8 +71,8 @@ pub struct WorkloadClient {
     gateway: NodeId,
     config: WorkloadConfig,
     throughput: ThroughputSeries,
-    read_latency: LatencyStats,
-    write_latency: LatencyStats,
+    read_latency: LatencyHistogram,
+    write_latency: LatencyHistogram,
     issued_in_window: u64,
     abandoned_ops: u64,
 }
@@ -92,8 +91,8 @@ impl WorkloadClient {
             gateway,
             config,
             throughput: ThroughputSeries::new(config.throughput_bucket),
-            read_latency: LatencyStats::new(),
-            write_latency: LatencyStats::new(),
+            read_latency: LatencyHistogram::new(),
+            write_latency: LatencyHistogram::new(),
             issued_in_window: 0,
             abandoned_ops: 0,
         }
@@ -110,13 +109,13 @@ impl WorkloadClient {
     }
 
     /// Latency of completed read queries.
-    pub fn read_latency(&mut self) -> &mut LatencyStats {
-        &mut self.read_latency
+    pub fn read_latency(&self) -> HistSnapshot {
+        self.read_latency.snapshot()
     }
 
     /// Latency of completed write queries.
-    pub fn write_latency(&mut self) -> &mut LatencyStats {
-        &mut self.write_latency
+    pub fn write_latency(&self) -> HistSnapshot {
+        self.write_latency.snapshot()
     }
 
     /// Queries abandoned after exhausting retries.
@@ -217,8 +216,8 @@ impl Node<NetMsg> for WorkloadClient {
         if let Some(done) = self.agent.on_reply(ctx.now(), &pkt) {
             self.throughput.record(ctx.now());
             match done.op {
-                KvOp::Read(_) => self.read_latency.record(done.latency),
-                _ => self.write_latency.record(done.latency),
+                KvOp::Read(_) => self.read_latency.record(done.latency.as_nanos()),
+                _ => self.write_latency.record(done.latency.as_nanos()),
             }
             if self.config.rate_qps <= 0.0 && self.in_window(ctx.now()) {
                 self.issue_one(ctx);

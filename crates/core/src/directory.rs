@@ -6,6 +6,7 @@ use crate::hashring::{ChainDescriptor, HashRing};
 use netchain_sim::NodeId;
 use netchain_wire::{ChainList, Ipv4Addr, Key};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Bidirectional mapping between IP addresses and simulator nodes.
 #[derive(Debug, Clone, Default)]
@@ -57,18 +58,57 @@ pub struct QueryRoute {
     pub remaining: ChainList,
 }
 
+/// Where a key lives: its stable hash and the virtual group that hash falls
+/// in. Computed once per query by [`ChainDirectory::locate`]; everything
+/// downstream (route lookup, shard steering, the agent's version table)
+/// reuses it instead of hashing the key again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyLocus {
+    /// [`Key::stable_hash`] of the key.
+    pub hash: u64,
+    /// The key's virtual group.
+    pub group: u32,
+}
+
+/// Both routes of one virtual group, built once per directory.
+#[derive(Debug)]
+struct GroupRoutes {
+    write: QueryRoute,
+    read: QueryRoute,
+}
+
 /// The key → chain directory a client agent consults. Thanks to consistent
-/// hashing this is just the ring itself — a few kilobytes of state — rather
-/// than a per-key table, exactly as the paper argues.
+/// hashing this is just the ring itself plus the two routes of every virtual
+/// group, precomputed at construction — a few kilobytes of state rather than
+/// a per-key table, exactly as the paper argues. Clones share the route
+/// table.
 #[derive(Debug, Clone)]
 pub struct ChainDirectory {
     ring: HashRing,
+    routes: Arc<[GroupRoutes]>,
 }
 
 impl ChainDirectory {
-    /// Wraps a hash ring.
+    /// Wraps a hash ring, precomputing the read and write route of every
+    /// virtual group.
     pub fn new(ring: HashRing) -> Self {
-        ChainDirectory { ring }
+        let routes = (0..ring.num_virtual_nodes() as u32)
+            .map(|group| {
+                let chain = ring.chain_for_group(group);
+                let route = |first_hop, rest: Vec<Ipv4Addr>| QueryRoute {
+                    first_hop,
+                    remaining: ChainList::new(rest)
+                        .expect("chains are far shorter than the header limit"),
+                };
+                let mut towards_head = chain.switches[..chain.len() - 1].to_vec();
+                towards_head.reverse();
+                GroupRoutes {
+                    write: route(chain.head(), chain.switches[1..].to_vec()),
+                    read: route(chain.tail(), towards_head),
+                }
+            })
+            .collect();
+        ChainDirectory { ring, routes }
     }
 
     /// The underlying ring.
@@ -86,32 +126,27 @@ impl ChainDirectory {
         self.ring.group_of(key)
     }
 
-    /// The route for a *write/mutation* query: addressed to the head, with
-    /// the rest of the chain (head → tail order) in the header (Figure 4).
-    pub fn write_route(&self, key: &Key) -> QueryRoute {
-        let chain = self.chain_for(key);
-        let first_hop = chain.head();
-        let remaining = ChainList::new(chain.switches[1..].to_vec())
-            .expect("chains are far shorter than the header limit");
-        QueryRoute {
-            first_hop,
-            remaining,
+    /// Hashes `key` once and places it in its virtual group.
+    pub fn locate(&self, key: &Key) -> KeyLocus {
+        let hash = key.stable_hash();
+        KeyLocus {
+            hash,
+            group: self.ring.group_of_hash(hash),
         }
     }
 
-    /// The route for a *read* query: addressed to the tail, with the other
-    /// chain switches in reverse order in the header — they are only used for
-    /// failure handling (§4.2).
-    pub fn read_route(&self, key: &Key) -> QueryRoute {
-        let chain = self.chain_for(key);
-        let first_hop = chain.tail();
-        let mut rest: Vec<Ipv4Addr> = chain.switches[..chain.len() - 1].to_vec();
-        rest.reverse();
-        let remaining = ChainList::new(rest).expect("chains are far shorter than the header limit");
-        QueryRoute {
-            first_hop,
-            remaining,
-        }
+    /// The route for *write/mutation* queries of virtual group `group`:
+    /// addressed to the head, with the rest of the chain (head → tail order)
+    /// in the header (Figure 4).
+    pub fn write_route_of(&self, group: u32) -> &QueryRoute {
+        &self.routes[group as usize].write
+    }
+
+    /// The route for *read* queries of virtual group `group`: addressed to
+    /// the tail, with the other chain switches in reverse order in the
+    /// header — they are only used for failure handling (§4.2).
+    pub fn read_route_of(&self, group: u32) -> &QueryRoute {
+        &self.routes[group as usize].read
     }
 }
 
@@ -142,7 +177,7 @@ mod tests {
         let dir = directory();
         let key = Key::from_name("foo");
         let chain = dir.chain_for(&key);
-        let route = dir.write_route(&key);
+        let route = dir.write_route_of(dir.group_of(&key));
         assert_eq!(route.first_hop, chain.head());
         assert_eq!(route.remaining.len(), chain.len() - 1);
         assert_eq!(route.remaining.hops(), &chain.switches[1..]);
@@ -153,7 +188,7 @@ mod tests {
         let dir = directory();
         let key = Key::from_name("foo");
         let chain = dir.chain_for(&key);
-        let route = dir.read_route(&key);
+        let route = dir.read_route_of(dir.group_of(&key));
         assert_eq!(route.first_hop, chain.tail());
         let mut expected: Vec<Ipv4Addr> = chain.switches[..chain.len() - 1].to_vec();
         expected.reverse();
@@ -167,6 +202,9 @@ mod tests {
             let key = Key::from_u64(i);
             let group = dir.group_of(&key);
             assert_eq!(dir.chain_for(&key), dir.ring().chain_for_group(group));
+            let locus = dir.locate(&key);
+            assert_eq!(locus.hash, key.stable_hash());
+            assert_eq!(locus.group, group);
         }
     }
 }

@@ -96,6 +96,19 @@ mod tests {
     }
 
     #[test]
+    fn sequential_workload_keys_fingerprint_distinctly() {
+        // The fabric workloads draw from `Key::from_u64(0..n)`; the auditors
+        // identify a key by its fingerprint alone, so two keys sharing one
+        // read as a single key with two version histories.
+        for n in [1024u64, 4096] {
+            let distinct: std::collections::HashSet<u32> = (0..n)
+                .map(|k| key_fingerprint(Key::from_u64(k).stable_hash()))
+                .collect();
+            assert_eq!(distinct.len() as u64, n, "collision among 0..{n}");
+        }
+    }
+
+    #[test]
     fn evidence_reads_the_register_before_execution() {
         let mut sw = NetChainSwitch::new(Ipv4Addr::for_switch(0), PipelineConfig::tiny(8));
         let key = Key::from_name("k");

@@ -146,7 +146,13 @@ impl HashRing {
 
     /// The virtual group a key belongs to.
     pub fn group_of(&self, key: &Key) -> u32 {
-        (key.stable_hash() % self.owner.len() as u64) as u32
+        self.group_of_hash(key.stable_hash())
+    }
+
+    /// The virtual group of the key whose [`Key::stable_hash`] is `hash`:
+    /// the one place the key → group decision is made.
+    pub fn group_of_hash(&self, hash: u64) -> u32 {
+        (hash % self.owner.len() as u64) as u32
     }
 
     /// The chain (head first) serving virtual group `group`: the owner of the

@@ -41,10 +41,10 @@ pub use agent::{AgentConfig, AgentCore, AgentStats};
 pub use client::{ScriptedClient, WorkloadClient, WorkloadConfig};
 pub use cluster::{ClusterConfig, ClusterLayout, NetChainCluster};
 pub use controller::{Controller, ControllerConfig};
-pub use directory::{AddressMap, ChainDirectory};
+pub use directory::{AddressMap, ChainDirectory, KeyLocus, QueryRoute};
 pub use evidence::{evidence_op, query_evidence};
 pub use failplan::{FailoverPlan, GroupRepair, RecoveryPlan};
 pub use hashring::{ChainDescriptor, HashRing};
 pub use message::{ControlMsg, NetMsg};
 pub use switch_node::SwitchNode;
-pub use types::{CompletedQuery, KvOp, NetChainError};
+pub use types::{CompletedQuery, Completion, KvOp, NetChainError, OpRef};

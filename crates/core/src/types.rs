@@ -2,8 +2,22 @@
 //! completed-query records, and error types.
 
 use netchain_sim::SimDuration;
-use netchain_wire::{Key, QueryStatus, Value};
+use netchain_wire::{Key, OpCode, QueryStatus, Value};
 use std::fmt;
+
+/// A key-value operation in wire form, borrowed: the query opcode, the key,
+/// and the value bytes the query carries (the 16-byte `(expected, new)` pair
+/// for a CAS, nothing for reads and deletes). The allocation-free twin of
+/// [`KvOp`] that the agent's hot path takes; [`KvOp::with_wire`] converts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OpRef<'a> {
+    /// Query opcode.
+    pub op: OpCode,
+    /// The key operated on.
+    pub key: Key,
+    /// Value bytes carried by the query.
+    pub value: &'a [u8],
+}
 
 /// A key-value operation as issued by an application through the client
 /// agent. This is the NetChain API surface (§3, "NetChain client").
@@ -42,6 +56,69 @@ impl KvOp {
     pub fn is_mutation(&self) -> bool {
         !matches!(self, KvOp::Read(_))
     }
+
+    /// Runs `f` on this operation's wire form.
+    pub fn with_wire<R>(&self, f: impl FnOnce(OpRef<'_>) -> R) -> R {
+        let cas;
+        let (op, value): (OpCode, &[u8]) = match self {
+            KvOp::Read(_) => (OpCode::Read, &[]),
+            KvOp::Delete(_) => (OpCode::Delete, &[]),
+            KvOp::Write(_, v) => (OpCode::Write, v.as_bytes()),
+            KvOp::Cas { expected, new, .. } => {
+                cas = netchain_switch::cas_bytes(*expected, *new);
+                (OpCode::Cas, &cas)
+            }
+        };
+        f(OpRef {
+            op,
+            key: self.key(),
+            value,
+        })
+    }
+
+    /// Rebuilds the operation from its wire form (the inverse of
+    /// [`Self::with_wire`]; opcodes clients never issue read back as a
+    /// write of the carried bytes).
+    pub fn from_wire(wire: OpRef<'_>) -> KvOp {
+        match wire.op {
+            OpCode::Read => KvOp::Read(wire.key),
+            OpCode::Delete => KvOp::Delete(wire.key),
+            OpCode::Cas if wire.value.len() == 16 => {
+                let word = |at: usize| {
+                    u64::from_be_bytes(wire.value[at..at + 8].try_into().expect("8 bytes"))
+                };
+                KvOp::Cas {
+                    key: wire.key,
+                    expected: word(0),
+                    new: word(8),
+                }
+            }
+            _ => KvOp::Write(
+                wire.key,
+                Value::new(wire.value).expect("wire values are bounded"),
+            ),
+        }
+    }
+}
+
+/// What a matched reply told the agent, without the value: the hot-path
+/// counterpart of [`CompletedQuery`] (nothing on the heap).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Completion {
+    /// The request id the agent assigned.
+    pub request_id: u64,
+    /// Opcode of the query that completed.
+    pub op: OpCode,
+    /// Status returned by the chain.
+    pub status: QueryStatus,
+    /// Sequence number of the replied version.
+    pub seq: u64,
+    /// Session number of the replied version.
+    pub session: u64,
+    /// Time from first transmission to completion.
+    pub latency: SimDuration,
+    /// Number of retransmissions that were needed.
+    pub retries: u32,
 }
 
 /// The outcome of one completed (replied or abandoned) query.
@@ -130,6 +207,32 @@ mod tests {
         assert!(!KvOp::Read(k).is_mutation());
         assert!(KvOp::Write(k, Value::empty()).is_mutation());
         assert!(KvOp::Delete(k).is_mutation());
+    }
+
+    #[test]
+    fn wire_form_round_trips() {
+        let k = Key::from_name("a");
+        for op in [
+            KvOp::Read(k),
+            KvOp::Delete(k),
+            KvOp::Write(k, Value::from_u64(9)),
+            KvOp::Cas {
+                key: k,
+                expected: 3,
+                new: 4,
+            },
+        ] {
+            assert_eq!(op.with_wire(KvOp::from_wire), op);
+        }
+        let cas = KvOp::Cas {
+            key: k,
+            expected: 3,
+            new: 4,
+        };
+        cas.with_wire(|w| {
+            assert_eq!(w.op, OpCode::Cas);
+            assert_eq!(w.value, netchain_switch::cas_value(3, 4).as_bytes());
+        });
     }
 
     #[test]

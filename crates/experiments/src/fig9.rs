@@ -275,15 +275,15 @@ pub fn fig9e(sim_duration: SimDuration) -> Vec<Series> {
         let host = cluster.layout.hosts[0];
         let client = cluster
             .sim
-            .node_as_mut::<netchain_core::WorkloadClient>(host)
+            .node_as::<netchain_core::WorkloadClient>(host)
             .expect("installed");
         let completed = client.agent_stats().completed;
-        let fabric_latency = client
-            .read_latency()
-            .mean()
-            .or_else(|| client.write_latency().mean())
-            .map(|d| d.as_micros_f64())
-            .unwrap_or(0.0);
+        let reads = client.read_latency();
+        let fabric_latency = if reads.count() > 0 {
+            reads.mean()
+        } else {
+            client.write_latency().mean()
+        } / 1e3;
         let latency = fabric_latency + calib::NETCHAIN_CLIENT_LATENCY.as_micros_f64();
         // Report the x axis at the *unscaled* equivalent: the measured point
         // demonstrates flatness; the plateau comes from Figure 9(a-c).
@@ -316,12 +316,14 @@ pub fn fig9e(sim_duration: SimDuration) -> Vec<Series> {
         let mut read_latency = Vec::new();
         let mut write_latency = Vec::new();
         for i in 0..4 {
-            let client = baseline.client_mut(i);
-            if let Some(l) = client.read_latency().mean() {
-                read_latency.push(l.as_micros_f64());
-            }
-            if let Some(l) = client.write_latency().mean() {
-                write_latency.push(l.as_micros_f64());
+            let client = baseline.client(i);
+            for (hist, means) in [
+                (client.read_latency(), &mut read_latency),
+                (client.write_latency(), &mut write_latency),
+            ] {
+                if hist.count() > 0 {
+                    means.push(hist.mean() / 1e3);
+                }
             }
         }
         if !read_latency.is_empty() {

@@ -18,8 +18,8 @@
 
 use crate::frame::Frame;
 use crate::loadgen::{ClientState, WorkloadSpec};
-use crate::ring::{ring, Consumer, Producer};
-use crate::shard::Shard;
+use crate::pump::connect;
+use crate::shard::{shard_of_group, Shard};
 use crate::stats::{CapacityReport, ClientReport, FabricReport, ShardStats};
 use netchain_core::HashRing;
 use netchain_sim::SimTime;
@@ -195,30 +195,7 @@ pub fn run_live(config: FabricConfig, workload: WorkloadSpec) -> FabricReport {
     );
     let ring_def = config.build_ring();
     let shards = build_shards(&config, &workload);
-
-    // Rings: query[c][s] (client → shard) and reply[s][c] (shard → client).
-    let mut query_tx: Vec<Vec<Producer<Frame>>> =
-        (0..config.num_clients).map(|_| Vec::new()).collect();
-    let mut query_rx: Vec<Vec<Consumer<Frame>>> =
-        (0..config.num_shards).map(|_| Vec::new()).collect();
-    let mut reply_tx: Vec<Vec<Producer<Frame>>> =
-        (0..config.num_shards).map(|_| Vec::new()).collect();
-    let mut reply_rx: Vec<Vec<Consumer<Frame>>> =
-        (0..config.num_clients).map(|_| Vec::new()).collect();
-    for client_rings in query_tx.iter_mut() {
-        for shard_rings in query_rx.iter_mut() {
-            let (tx, rx) = ring::<Frame>(config.ring_capacity);
-            client_rings.push(tx);
-            shard_rings.push(rx);
-        }
-    }
-    for shard_rings in reply_tx.iter_mut() {
-        for client_rings in reply_rx.iter_mut() {
-            let (tx, rx) = ring::<Frame>(config.ring_capacity);
-            shard_rings.push(tx);
-            client_rings.push(rx);
-        }
-    }
+    let (client_ports, shard_ports) = connect(&config);
 
     let done_clients = Arc::new(AtomicUsize::new(0));
     let pinned = Arc::new(AtomicUsize::new(0));
@@ -226,12 +203,9 @@ pub fn run_live(config: FabricConfig, workload: WorkloadSpec) -> FabricReport {
 
     // Shard workers.
     let mut shard_handles = Vec::new();
-    for (s, mut shard) in shards.into_iter().enumerate() {
-        let mut ingress = std::mem::take(&mut query_rx[s]);
-        let mut egress = std::mem::take(&mut reply_tx[s]);
+    for ((s, mut shard), mut port) in shards.into_iter().enumerate().zip(shard_ports) {
         let done = Arc::clone(&done_clients);
         let pinned = Arc::clone(&pinned);
-        let burst = config.burst;
         let num_clients = config.num_clients;
         let pin = config.pin_shards;
         if config.trace.enabled {
@@ -243,44 +217,18 @@ pub fn run_live(config: FabricConfig, workload: WorkloadSpec) -> FabricReport {
                 if pin && pin_thread(s) {
                     pinned.fetch_add(1, Ordering::Relaxed);
                 }
-                let mut frames: Vec<Frame> = Vec::with_capacity(burst);
-                let mut replies = BatchEncoder::with_capacity(burst, 128);
                 loop {
-                    let mut any = false;
-                    for c in 0..num_clients {
-                        frames.clear();
-                        if ingress[c].pop_batch(&mut frames, burst) == 0 {
-                            continue;
-                        }
-                        any = true;
-                        replies.clear();
-                        shard.process_burst(frames.iter().map(|f| f.as_bytes()), &mut replies);
-                        for frame in replies.frames() {
-                            let mut item =
-                                Some(Frame::from_bytes(frame).expect("replies fit in a frame"));
-                            // The reply ring is sized for a full window, so
-                            // this loop terminates once the client drains.
-                            loop {
-                                match egress[c].push(item.take().expect("refilled on Err")) {
-                                    Ok(()) => break,
-                                    Err(back) => {
-                                        item = Some(back);
-                                        std::thread::yield_now();
-                                    }
-                                }
-                            }
-                        }
+                    // No client ever leaves with replies pending here, so a
+                    // full reply ring is always worth waiting for.
+                    if port.pump(&mut shard, |_| false).frames > 0 {
+                        continue;
                     }
-                    if !any {
-                        if done.load(Ordering::Acquire) == num_clients
-                            && ingress.iter_mut().all(|r| r.is_empty_now())
-                        {
-                            break;
-                        }
-                        // Single-core friendliness: let clients run instead
-                        // of spinning the shard.
-                        std::thread::yield_now();
+                    if done.load(Ordering::Acquire) == num_clients && port.is_drained() {
+                        break;
                     }
+                    // Single-core friendliness: let clients run instead of
+                    // spinning the shard.
+                    std::thread::yield_now();
                 }
                 (shard.id(), *shard.stats(), shard.take_traces())
             })
@@ -290,9 +238,7 @@ pub fn run_live(config: FabricConfig, workload: WorkloadSpec) -> FabricReport {
 
     // Client threads.
     let mut client_handles = Vec::new();
-    for c in 0..config.num_clients {
-        let mut tx = std::mem::take(&mut query_tx[c]);
-        let mut rx = std::mem::take(&mut reply_rx[c]);
+    for (c, mut port) in client_ports.into_iter().enumerate() {
         let ring_clone = ring_def.clone();
         let done = Arc::clone(&done_clients);
         let cfg = config;
@@ -303,8 +249,6 @@ pub fn run_live(config: FabricConfig, workload: WorkloadSpec) -> FabricReport {
                 if cfg.trace.enabled {
                     client.enable_tracing(cfg.trace);
                 }
-                let mut parked: Option<(usize, Frame)> = None;
-                let mut reply_buf: Vec<Frame> = Vec::with_capacity(cfg.burst);
                 // Stall watchdog: clients have no retransmission, so a query
                 // the dataplane drops (parse error, unroutable, a future
                 // failover rule) would otherwise hang the run silently with
@@ -312,39 +256,13 @@ pub fn run_live(config: FabricConfig, workload: WorkloadSpec) -> FabricReport {
                 // loud panic with the client's state attached.
                 let mut last_progress = Instant::now();
                 while !client.is_done() {
-                    let mut progressed = false;
-                    // Re-offer a frame that found its ring full.
-                    if let Some((s, frame)) = parked.take() {
-                        match tx[s].push(frame) {
-                            Ok(()) => progressed = true,
-                            Err(back) => parked = Some((s, back)),
-                        }
-                    }
-                    // Fill the window. The agent clock is wall-clock
-                    // nanoseconds since the run started, so the per-query
-                    // issue→reply latencies in the report are real.
-                    while parked.is_none() && client.can_issue() {
-                        let now = SimTime(start.elapsed().as_nanos() as u64);
-                        let pkt = client.issue_at(now);
-                        let s = cfg.shard_of(&ring_clone, &pkt.netchain.key);
-                        let frame = Frame::from_packet(&pkt).expect("queries fit in a frame");
-                        match tx[s].push(frame) {
-                            Ok(()) => progressed = true,
-                            Err(back) => parked = Some((s, back)),
-                        }
-                    }
-                    // Drain replies.
-                    for shard_rx in rx.iter_mut() {
-                        reply_buf.clear();
-                        if shard_rx.pop_batch(&mut reply_buf, cfg.burst) > 0 {
-                            progressed = true;
-                            let now = SimTime(start.elapsed().as_nanos() as u64);
-                            for frame in &reply_buf {
-                                client.absorb_reply_at(now, frame.as_bytes());
-                            }
-                        }
-                    }
-                    if !progressed {
+                    // The agent clock is wall-clock nanoseconds since the
+                    // run started, so the per-query issue→reply latencies in
+                    // the report are real.
+                    let clock = || SimTime(start.elapsed().as_nanos() as u64);
+                    if port.pump(&mut client, true, clock).progressed {
+                        last_progress = Instant::now();
+                    } else {
                         assert!(
                             last_progress.elapsed() < STALL_TIMEOUT,
                             "fabric client {c} stalled for {STALL_TIMEOUT:?}: \
@@ -355,8 +273,6 @@ pub fn run_live(config: FabricConfig, workload: WorkloadSpec) -> FabricReport {
                             client.report(),
                         );
                         std::thread::yield_now();
-                    } else {
-                        last_progress = Instant::now();
                     }
                 }
                 done.fetch_add(1, Ordering::Release);
@@ -417,15 +333,18 @@ pub fn run_capacity(config: FabricConfig, workload: WorkloadSpec) -> CapacityRep
         }
     }
 
-    // Generate and steer the op stream (untimed).
+    // Generate and steer the op stream (untimed). Capacity mode is not
+    // closed-loop: everything is issued up front, past the agent's window,
+    // on a logical clock (the agent only needs monotonicity).
     let mut client = ClientState::new(0, &ring_def, workload);
+    let mut tick = 0u64;
     let mut per_shard: Vec<Vec<Frame>> = (0..config.num_shards).map(|_| Vec::new()).collect();
     for _ in 0..workload.ops_per_client {
-        // Capacity mode is not closed-loop: issue everything up front. Keep
-        // the agent's window out of the way.
-        let pkt = client.issue_unbounded();
-        let s = config.shard_of(&ring_def, &pkt.netchain.key);
-        per_shard[s].push(Frame::from_packet(&pkt).expect("queries fit in a frame"));
+        let op = client.draw();
+        let mut frame = Frame::default();
+        tick += 1;
+        frame.encode_with(|buf| client.issue_drawn(SimTime(tick), &op, buf));
+        per_shard[shard_of_group(op.group(), config.num_shards)].push(frame);
     }
 
     // Process each partition, timing dataplane work only. Replies are
@@ -445,7 +364,8 @@ pub fn run_capacity(config: FabricConfig, workload: WorkloadSpec) -> CapacityRep
             busy += t0.elapsed();
             for frame in replies.frames() {
                 reply_count += 1;
-                client.absorb_reply(frame);
+                tick += 1;
+                client.absorb_reply_at(SimTime(tick), frame);
             }
         }
         report.shard_ops.push(frames.len() as u64);

@@ -2,10 +2,13 @@
 //!
 //! A NetChain packet is small and strictly bounded (Ethernet + IPv4 + UDP +
 //! fixed header + 16 chain hops + 128-byte value = 273 bytes), so frames
-//! store the serialized bytes inline rather than boxing them. Moving a frame
-//! through a ring is a memcpy into a pre-allocated slot — the rings never
-//! touch the allocator, and the consumer parses straight out of the slot with
-//! the zero-copy [`netchain_wire::PacketView`].
+//! store the serialized bytes inline rather than boxing them. The rings'
+//! slots are frames that live as long as the ring: a producer encodes
+//! straight into the next free slot ([`Frame::encode_with`] /
+//! [`Frame::set_bytes`] touch only the bytes of the packet, never the whole
+//! 273), and the consumer parses straight out of the slot with the zero-copy
+//! [`netchain_wire::PacketView`] — the rings never touch the allocator and a
+//! packet's bytes are written once per hop.
 
 use netchain_wire::{NetChainPacket, WireError, WireResult};
 
@@ -14,20 +17,28 @@ use netchain_wire::{NetChainPacket, WireError, WireResult};
 /// buffers from the same constant).
 pub use netchain_wire::MAX_FRAME_LEN;
 
-/// One serialized packet, stored inline.
+/// One serialized packet, stored inline. Bytes past the packet's length are
+/// leftovers of earlier uses of the frame and mean nothing.
 #[derive(Clone)]
 pub struct Frame {
     len: u16,
     bytes: [u8; MAX_FRAME_LEN],
 }
 
+impl Default for Frame {
+    /// An empty frame.
+    fn default() -> Self {
+        Frame {
+            len: 0,
+            bytes: [0u8; MAX_FRAME_LEN],
+        }
+    }
+}
+
 impl Frame {
     /// Serializes `pkt` into a frame.
     pub fn from_packet(pkt: &NetChainPacket) -> WireResult<Frame> {
-        let mut frame = Frame {
-            len: 0,
-            bytes: [0u8; MAX_FRAME_LEN],
-        };
+        let mut frame = Frame::default();
         let written = pkt.emit_into(&mut frame.bytes)?;
         frame.len = written as u16;
         Ok(frame)
@@ -36,18 +47,33 @@ impl Frame {
     /// Copies raw packet bytes (e.g. one [`netchain_wire::BatchEncoder`]
     /// frame) into a frame.
     pub fn from_bytes(bytes: &[u8]) -> WireResult<Frame> {
+        let mut frame = Frame::default();
+        frame.set_bytes(bytes)?;
+        Ok(frame)
+    }
+
+    /// Overwrites this frame with raw packet bytes, in place.
+    pub fn set_bytes(&mut self, bytes: &[u8]) -> WireResult<()> {
         if bytes.len() > MAX_FRAME_LEN {
             return Err(WireError::BufferTooSmall {
                 needed: bytes.len(),
                 available: MAX_FRAME_LEN,
             });
         }
-        let mut frame = Frame {
-            len: bytes.len() as u16,
-            bytes: [0u8; MAX_FRAME_LEN],
-        };
-        frame.bytes[..bytes.len()].copy_from_slice(bytes);
-        Ok(frame)
+        self.bytes[..bytes.len()].copy_from_slice(bytes);
+        self.len = bytes.len() as u16;
+        Ok(())
+    }
+
+    /// Overwrites this frame in place: `encode` writes a packet at the front
+    /// of the buffer it is handed and returns the packet's length.
+    ///
+    /// # Panics
+    /// If `encode` claims more bytes than the buffer has.
+    pub fn encode_with(&mut self, encode: impl FnOnce(&mut [u8; MAX_FRAME_LEN]) -> usize) {
+        let len = encode(&mut self.bytes);
+        assert!(len <= MAX_FRAME_LEN, "encoder overran the frame");
+        self.len = len as u16;
     }
 
     /// The serialized packet bytes.
@@ -89,7 +115,14 @@ mod tests {
         assert_eq!(pkt.wire_size(), MAX_FRAME_LEN);
         let frame = Frame::from_packet(&pkt).unwrap();
         assert_eq!(PacketView::parse(frame.as_bytes()).unwrap().to_owned(), pkt);
-        let copy = Frame::from_bytes(frame.as_bytes()).unwrap();
+        let mut copy = Frame::from_bytes(frame.as_bytes()).unwrap();
         assert_eq!(copy.as_bytes(), frame.as_bytes());
+        assert!(copy.set_bytes(&[0u8; MAX_FRAME_LEN + 1]).is_err());
+        // Reuse in place: a shorter packet over a longer one.
+        copy.encode_with(|buf| {
+            buf[..3].copy_from_slice(b"abc");
+            3
+        });
+        assert_eq!(copy.as_bytes(), b"abc");
     }
 }

@@ -27,7 +27,10 @@
 //! * **Bounded lock-free SPSC rings** ([`ring`]): every (client, shard) pair
 //!   owns one ring per direction — single producer, single consumer, no
 //!   locks, index caching and batched publication to minimise cross-core
-//!   traffic.
+//!   traffic. Both ends work on the slots in place: a query is encoded
+//!   straight into its slot and parsed out of it, so a packet's bytes are
+//!   written once per hop. The loops that do so ([`pump`]) are shared by
+//!   every live driver.
 //! * **Batching everywhere**: frames are pulled in bursts (default 32),
 //!   chains execute in waves through [`netchain_switch::NetChainSwitch::step_batch`],
 //!   and replies are emitted through [`netchain_wire::BatchEncoder`] into one
@@ -63,15 +66,17 @@
 pub mod fabric;
 pub mod frame;
 pub mod loadgen;
+pub mod pump;
 pub mod ring;
 pub mod shard;
 pub mod stats;
 
 pub use fabric::{build_shards, pin_thread, run_capacity, run_live, FabricConfig};
 pub use frame::{Frame, MAX_FRAME_LEN};
-pub use loadgen::{ClientState, WorkloadSpec};
+pub use loadgen::{ClientState, DrawnOp, WorkloadSpec};
+pub use pump::{connect, ClientPass, ClientPort, ShardPort, ShardRound};
 pub use ring::{ring as spsc_ring, Consumer, Producer};
-pub use shard::{client_id_of, shard_of_key, Shard};
+pub use shard::{client_id_of, shard_of_group, shard_of_key, Shard};
 pub use stats::{
     CapacityReport, ClientReport, FabricReport, ShardStats, CLIENT_METRICS, SHARD_METRICS,
 };

@@ -9,13 +9,12 @@
 //! rate without open-loop overload artefacts.
 
 use crate::stats::ClientReport;
-use netchain_core::{AgentConfig, AgentCore, ChainDirectory, HashRing, KvOp};
+use netchain_core::{AgentConfig, AgentCore, ChainDirectory, HashRing, KeyLocus, KvOp, OpRef};
 use netchain_sim::SimTime;
 use netchain_telemetry::{
-    key_fingerprint, trace_id, Evidence, HistSnapshot, HopRole, LatencyHistogram, PacketTrace,
-    TraceConfig, TraceSink,
+    key_fingerprint, trace_id, Evidence, HistSnapshot, HopRole, PacketTrace, TraceConfig, TraceSink,
 };
-use netchain_wire::{Ipv4Addr, Key, NetChainPacket, PacketView, QueryStatus, Value};
+use netchain_wire::{Ipv4Addr, Key, NetChainPacket, OpCode, PacketView, QueryStatus};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -102,6 +101,36 @@ fn build_zipf_cdf(spec: &WorkloadSpec) -> Vec<f64> {
     cdf
 }
 
+/// One operation drawn from the workload mix ([`ClientState::draw`]): wire
+/// form with the value inline, and the key already located, so the driver
+/// can pick the ring (or socket) the query goes to before it is encoded
+/// there by [`ClientState::issue_drawn`].
+#[derive(Debug, Clone, Copy)]
+pub struct DrawnOp {
+    op: OpCode,
+    key: Key,
+    /// The workloads' values are one or two big-endian words.
+    value: [u8; 16],
+    value_len: u8,
+    locus: KeyLocus,
+}
+
+impl DrawnOp {
+    /// The virtual group of the operation's key — what steers it.
+    pub fn group(&self) -> u32 {
+        self.locus.group
+    }
+
+    /// The operation in the agent's wire form.
+    pub fn wire(&self) -> OpRef<'_> {
+        OpRef {
+            op: self.op,
+            key: self.key,
+            value: &self.value[..usize::from(self.value_len)],
+        }
+    }
+}
+
 /// One closed-loop client: op sampling + the sans-IO agent.
 pub struct ClientState {
     id: u32,
@@ -110,17 +139,9 @@ pub struct ClientState {
     spec: WorkloadSpec,
     /// Tabulated zipfian CDF (empty for uniform workloads).
     zipf_cdf: Vec<f64>,
-    /// Logical clock fed to the agent (the fabric has no simulated time; the
-    /// agent only needs monotonicity for its bookkeeping).
-    clock: u64,
     /// Monotonically increasing write payloads, so every write is distinct.
     write_counter: u64,
     report: ClientReport,
-    /// Issue→reply latency of completed queries, recorded from the agent's
-    /// per-query measurement. Meaningful when the timed API
-    /// ([`ClientState::issue_at`] / [`ClientState::absorb_reply_at`]) feeds
-    /// real clocks; logical-clock callers just accumulate tick counts.
-    latency: LatencyHistogram,
     /// In-band trace stamping (client hop), when enabled.
     tracer: Option<TraceSink>,
 }
@@ -148,10 +169,8 @@ impl ClientState {
             rng: ChaCha8Rng::seed_from_u64(spec.seed ^ (u64::from(id) << 32)),
             zipf_cdf: build_zipf_cdf(&spec),
             spec,
-            clock: 0,
             write_counter: 0,
             report: ClientReport::default(),
-            latency: LatencyHistogram::new(),
             tracer: None,
         }
     }
@@ -192,9 +211,11 @@ impl ClientState {
             .unwrap_or_default()
     }
 
-    /// Snapshot of the issue→reply latency distribution.
+    /// Snapshot of the issue→reply latency distribution the agent records,
+    /// in the unit of the clock the caller feeds [`ClientState::issue_at`] /
+    /// [`ClientState::absorb_reply_at`].
     pub fn latency_snapshot(&self) -> HistSnapshot {
-        self.latency.snapshot()
+        self.agent.stats().latency.snapshot()
     }
 
     /// The counters accumulated so far (version regressions are read live
@@ -219,6 +240,12 @@ impl ClientState {
         self.agent.stats()
     }
 
+    /// The virtual group of `key` in this client's directory (what steers a
+    /// retransmitted packet, whose draw is long gone).
+    pub fn group_of(&self, key: &Key) -> u32 {
+        self.agent.directory().group_of(key)
+    }
+
     /// True once the client has completed its share of the workload.
     pub fn is_done(&self) -> bool {
         self.report.completed >= self.spec.ops_per_client
@@ -234,21 +261,34 @@ impl ClientState {
     /// harnesses (the measured server baseline, the live failover runner)
     /// can draw from the *same* op stream the fabric is driven with.
     pub fn sample_op(&mut self) -> KvOp {
+        KvOp::from_wire(self.draw().wire())
+    }
+
+    /// Draws the next operation of the workload mix without issuing it:
+    /// nothing on the heap, and the key hashed once for everything
+    /// downstream. Pair every draw with one [`Self::issue_drawn`].
+    pub fn draw(&mut self) -> DrawnOp {
         let key = Key::from_u64(self.sample_key_rank());
         let dice: u8 = self.rng.gen_range(0..100u8);
-        if dice < self.spec.read_pct {
-            KvOp::Read(key)
+        let mut value = [0u8; 16];
+        let (op, value_len) = if dice < self.spec.read_pct {
+            (OpCode::Read, 0)
         } else if dice < self.spec.read_pct + self.spec.write_pct {
             self.write_counter += 1;
-            KvOp::Write(key, Value::from_u64(self.write_counter))
+            value[..8].copy_from_slice(&self.write_counter.to_be_bytes());
+            (OpCode::Write, 8)
         } else {
             // CAS expecting the initial value; contention makes some fail,
             // which is the interesting (lock-like) behaviour.
-            KvOp::Cas {
-                key,
-                expected: 0,
-                new: u64::from(self.id) + 1,
-            }
+            value = netchain_switch::cas_bytes(0, u64::from(self.id) + 1);
+            (OpCode::Cas, 16)
+        };
+        DrawnOp {
+            op,
+            key,
+            value,
+            value_len,
+            locus: self.agent.directory().locate(&key),
         }
     }
 
@@ -265,45 +305,45 @@ impl ClientState {
         }
     }
 
-    /// Issues the next query, returning the packet to transmit.
-    pub fn issue(&mut self) -> NetChainPacket {
+    /// Issues the next query stamped with a caller-supplied clock (wall-clock
+    /// nanoseconds since the run started, in live runs; any monotone tick
+    /// count where only the bookkeeping matters).
+    pub fn issue_at(&mut self, now: SimTime) -> NetChainPacket {
         debug_assert!(self.can_issue());
-        self.issue_unbounded()
-    }
-
-    /// Issues a query ignoring the closed-loop window (capacity mode
-    /// pre-generates the whole op stream before any processing happens).
-    pub fn issue_unbounded(&mut self) -> NetChainPacket {
-        let op = self.sample_op();
-        self.clock += 1;
-        let (_, pkt) = self.agent.begin(SimTime(self.clock), op);
-        self.report.issued += 1;
+        let op = self.draw();
+        let (request_id, pkt) = self.agent.begin_located(now, op.wire(), op.locus);
+        self.note_issue(now, request_id, &op);
         pkt
     }
 
-    /// Issues the next query stamped with a caller-supplied clock (wall-clock
-    /// nanoseconds since the run started, in live-controlled runs). The
-    /// caller must use the timed API consistently: mixing it with the
-    /// logical-clock [`ClientState::issue`] would confuse the retry timers.
-    pub fn issue_at(&mut self, now: SimTime) -> NetChainPacket {
-        debug_assert!(self.can_issue());
-        let op = self.sample_op();
-        let (request_id, pkt) = self.agent.begin(now, op);
+    /// [`Self::issue_at`] for the hot path: issues the drawn operation and
+    /// encodes the query straight into `out` (a ring slot, a send buffer of
+    /// at least [`netchain_wire::MAX_FRAME_LEN`] bytes), returning its
+    /// length. Same bytes, same request ids, no owned packet.
+    pub fn issue_drawn(&mut self, now: SimTime, op: &DrawnOp, out: &mut [u8]) -> usize {
+        let (request_id, len) = self.agent.begin_into(now, op.wire(), op.locus, out);
+        self.note_issue(now, request_id, op);
+        len
+    }
+
+    /// Counts an issued query and stamps its client-side issue evidence if
+    /// the tracer samples it.
+    fn note_issue(&mut self, now: SimTime, request_id: u64, op: &DrawnOp) {
         self.report.issued += 1;
         let ip = self.ip_u32();
         if let Some(tracer) = &mut self.tracer {
             let id = trace_id(ip, request_id);
             if tracer.samples(id) {
-                match netchain_core::evidence_op(pkt.netchain.op) {
-                    Some(op) => tracer.stamp_with(
+                match netchain_core::evidence_op(op.op) {
+                    Some(kind) => tracer.stamp_with(
                         id,
                         ip,
                         now.as_nanos(),
                         Evidence {
-                            op,
+                            op: kind,
                             role: HopRole::ClientIssue,
                             ok: true,
-                            key_fp: key_fingerprint(pkt.netchain.key.stable_hash()),
+                            key_fp: key_fingerprint(op.locus.hash),
                             session: 0,
                             seq: 0,
                         },
@@ -312,17 +352,49 @@ impl ClientState {
                 }
             }
         }
-        pkt
     }
 
     /// Consumes one serialized reply frame at a caller-supplied clock;
-    /// returns `true` if it matched an outstanding query.
+    /// returns `true` if it matched an outstanding query. The reply is
+    /// matched where it lies: nothing of it is copied.
     pub fn absorb_reply_at(&mut self, now: SimTime, frame: &[u8]) -> bool {
         let Ok(view) = PacketView::parse(frame) else {
             return false;
         };
-        let pkt = view.to_owned();
-        self.absorb_packet(now, &pkt)
+        let reply = &view.netchain;
+        let Some(done) = self.agent.on_reply_view(now, reply) else {
+            return false;
+        };
+        self.report.completed += 1;
+        match done.status {
+            QueryStatus::Ok => self.report.ok += 1,
+            QueryStatus::CasFailed => self.report.cas_failed += 1,
+            _ => {}
+        }
+        let ip = self.ip_u32();
+        if let Some(tracer) = &mut self.tracer {
+            let id = trace_id(ip, done.request_id);
+            if tracer.samples(id) {
+                match netchain_core::evidence_op(reply.op()) {
+                    Some(op) => tracer.stamp_with(
+                        id,
+                        ip,
+                        now.as_nanos(),
+                        Evidence {
+                            op,
+                            role: HopRole::ClientAck,
+                            ok: done.status == QueryStatus::Ok,
+                            key_fp: key_fingerprint(reply.key().stable_hash()),
+                            session: done.session,
+                            seq: done.seq,
+                        },
+                    ),
+                    None => tracer.stamp(id, ip, now.as_nanos()),
+                }
+            }
+            tracer.finish(id);
+        }
+        true
     }
 
     /// Checks outstanding queries against the retransmission timeout,
@@ -332,57 +404,6 @@ impl ClientState {
     /// *not* counted as completed: `completed` means a matched reply).
     pub fn poll_retries_at(&mut self, now: SimTime) -> RetryBatch {
         self.agent.poll_retries(now).retransmit
-    }
-
-    /// Consumes one serialized reply frame; returns `true` if it matched an
-    /// outstanding query.
-    pub fn absorb_reply(&mut self, frame: &[u8]) -> bool {
-        let Ok(view) = PacketView::parse(frame) else {
-            return false;
-        };
-        let pkt = view.to_owned();
-        self.clock += 1;
-        let now = SimTime(self.clock);
-        self.absorb_packet(now, &pkt)
-    }
-
-    fn absorb_packet(&mut self, now: SimTime, pkt: &netchain_wire::NetChainPacket) -> bool {
-        match self.agent.on_reply(now, pkt) {
-            Some(done) => {
-                self.report.completed += 1;
-                self.latency.record(done.latency.as_nanos());
-                match done.status {
-                    Some(QueryStatus::Ok) => self.report.ok += 1,
-                    Some(QueryStatus::CasFailed) => self.report.cas_failed += 1,
-                    _ => {}
-                }
-                let ip = self.ip_u32();
-                if let Some(tracer) = &mut self.tracer {
-                    let id = trace_id(ip, done.request_id);
-                    if tracer.samples(id) {
-                        match netchain_core::evidence_op(pkt.netchain.op) {
-                            Some(op) => tracer.stamp_with(
-                                id,
-                                ip,
-                                now.as_nanos(),
-                                Evidence {
-                                    op,
-                                    role: HopRole::ClientAck,
-                                    ok: pkt.netchain.status == QueryStatus::Ok,
-                                    key_fp: key_fingerprint(pkt.netchain.key.stable_hash()),
-                                    session: u64::from(pkt.netchain.session),
-                                    seq: pkt.netchain.seq,
-                                },
-                            ),
-                            None => tracer.stamp(id, ip, now.as_nanos()),
-                        }
-                    }
-                    tracer.finish(id);
-                }
-                true
-            }
-            None => false,
-        }
     }
 }
 
@@ -453,7 +474,7 @@ mod tests {
         let mut client = ClientState::new(1, &ring(), spec);
         let mut issued = Vec::new();
         while client.can_issue() {
-            issued.push(client.issue());
+            issued.push(client.issue_at(SimTime::ZERO));
         }
         assert_eq!(issued.len(), 4);
         assert_eq!(client.outstanding(), 4);

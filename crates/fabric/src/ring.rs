@@ -5,27 +5,58 @@
 //! one consumer thread and never needs a lock or a CAS loop — a plain
 //! Lamport queue with release/acquire index publication.
 //!
-//! Two throughput refinements over the textbook version, both standard in
-//! software dataplanes:
+//! Every slot holds a valid `T` from construction on (`T::default()`), and
+//! both ends work on the slots **in place**:
 //!
-//! * **index caching** — the producer keeps a stale copy of the consumer's
-//!   head (and vice versa) and only reloads the shared atomic when the cached
-//!   value says the ring looks full/empty. In steady state this cuts
-//!   cross-core cache-line traffic to one transfer per *batch*, not per item.
-//! * **batch operations** — [`Producer::push_batch`] publishes a whole burst
-//!   with a single release store; [`Consumer::pop_batch`] consumes a run and
-//!   retires it with a single release store.
+//! * the producer [`reserve`](Producer::reserve)s the next free slot, writes
+//!   into it (a frame is encoded straight into the ring, never built
+//!   elsewhere and copied), [`commit`](Producer::commit)s it, and
+//!   [`publish`](Producer::publish)es any number of committed slots with a
+//!   single release store — one per window refill or reply burst;
+//! * the consumer borrows a contiguous [`run`](Consumer::run) of published
+//!   slots, reads them where they lie (the shard parses out of the ring),
+//!   and [`release`](Consumer::release)s them with a single release store.
 //!
-//! Safety argument (this module is the crate's only `unsafe` code): slots in
-//! `[head, tail)` are owned by the consumer, slots in `[tail, head + cap)` by
-//! the producer. The producer writes a slot **before** publishing it by
-//! storing `tail` with `Release`; the consumer reads `tail` with `Acquire`
-//! before reading the slot, and symmetrically for `head` on the reuse path.
-//! Each index is written by exactly one side. Indices increase monotonically
-//! and are taken modulo the power-of-two capacity via a mask.
+//! [`Producer::push`] / [`Producer::push_batch`] / [`Consumer::pop`] /
+//! [`Consumer::pop_batch`] carry whole items in and out through those same
+//! calls, for payloads that own heap data and must be moved (control
+//! commands: `pop` takes the item and leaves a default behind) and for
+//! callers that want owned copies (`pop_batch` clones a run out and writes
+//! nothing back).
+//!
+//! One more throughput refinement, standard in software dataplanes: **index
+//! caching** — the producer keeps a stale copy of the consumer's head (and
+//! vice versa) and only reloads the shared atomic when the cached value says
+//! the ring looks full/empty. In steady state this cuts cross-core
+//! cache-line traffic to one transfer per *batch*, not per item.
+//!
+//! Safety argument (this module is the crate's only `unsafe` code). Indices
+//! increase monotonically and are taken modulo the power-of-two capacity via
+//! a mask; each shared index is written by exactly one side. Slots in
+//! `[head, tail)` (shared values) belong to the consumer, slots in
+//! `[tail, head + cap)` to the producer:
+//!
+//! * The producer only forms references to slots in
+//!   `[local tail, cached head + cap)`. `cached head <= head`, so that range
+//!   lies inside the producer's region; `local tail >= tail` because
+//!   committed-but-unpublished slots are still unpublished, and it advances
+//!   only in `commit`, which insists on the reservation `reserve` granted
+//!   for that very slot. It writes a slot **before** publishing it by
+//!   storing `tail` with `Release`; the consumer reads `tail` with `Acquire`
+//!   before touching the slot, so the writes happen-before the reads.
+//! * The consumer only forms references to slots in
+//!   `[local head, cached tail)`, a sub-range of `[head, tail)`. A borrowed
+//!   run is tied to `&mut Consumer`, so it cannot outlive the `release` that
+//!   hands its slots back (the borrow checker ends the run's lifetime before
+//!   `release` can be called), and the producer cannot reach those slots
+//!   until it has read the released `head` with `Acquire` — after the
+//!   consumer's last read, which the `Release` store orders before it.
+//! * No slot is ever uninitialised, so neither side can observe an invalid
+//!   `T` whatever the interleaving; the protocol above is only about data
+//!   races. Dropping the ring drops every slot exactly once, through the
+//!   boxed slice.
 
 use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -36,7 +67,7 @@ use std::sync::Arc;
 struct CachePadded(AtomicUsize);
 
 struct RingShared<T> {
-    buf: Box<[UnsafeCell<MaybeUninit<T>>]>,
+    buf: Box<[UnsafeCell<T>]>,
     mask: usize,
     /// Next slot the consumer will read. Written only by the consumer.
     head: CachePadded,
@@ -50,29 +81,14 @@ struct RingShared<T> {
 unsafe impl<T: Send> Send for RingShared<T> {}
 unsafe impl<T: Send> Sync for RingShared<T> {}
 
-impl<T> Drop for RingShared<T> {
-    fn drop(&mut self) {
-        // Both handles are gone (`&mut self`), so plain loads suffice.
-        let head = self.head.0.load(Ordering::Relaxed);
-        let tail = self.tail.0.load(Ordering::Relaxed);
-        for i in head..tail {
-            // SAFETY: slots in [head, tail) hold initialised, unconsumed
-            // items that nothing else can touch any more.
-            unsafe { (*self.buf[i & self.mask].get()).assume_init_drop() };
-        }
-    }
-}
-
 /// Creates a ring holding at least `capacity` items (rounded up to a power
-/// of two), returning the two endpoint handles.
-pub fn ring<T: Send>(capacity: usize) -> (Producer<T>, Consumer<T>) {
+/// of two), every slot initialised to `T::default()`, returning the two
+/// endpoint handles.
+pub fn ring<T: Send + Default>(capacity: usize) -> (Producer<T>, Consumer<T>) {
     assert!(capacity >= 2, "a ring needs room for at least two items");
     let cap = capacity.next_power_of_two();
-    let buf: Box<[UnsafeCell<MaybeUninit<T>>]> = (0..cap)
-        .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-        .collect();
     let shared = Arc::new(RingShared {
-        buf,
+        buf: (0..cap).map(|_| UnsafeCell::new(T::default())).collect(),
         mask: cap - 1,
         head: CachePadded::default(),
         tail: CachePadded::default(),
@@ -81,6 +97,8 @@ pub fn ring<T: Send>(capacity: usize) -> (Producer<T>, Consumer<T>) {
         Producer {
             shared: Arc::clone(&shared),
             tail: 0,
+            reserved: false,
+            published: 0,
             cached_head: 0,
         },
         Consumer {
@@ -94,8 +112,14 @@ pub fn ring<T: Send>(capacity: usize) -> (Producer<T>, Consumer<T>) {
 /// The write end of a ring. `!Clone`: exactly one producer exists.
 pub struct Producer<T: Send> {
     shared: Arc<RingShared<T>>,
-    /// Local copy of the ring's tail (this side owns it).
+    /// Next slot to write: the shared tail plus the slots committed but not
+    /// yet published.
     tail: usize,
+    /// Whether slot `tail` has been handed out by `reserve` and not yet
+    /// committed.
+    reserved: bool,
+    /// Local copy of the shared tail (this side owns it).
+    published: usize,
     /// Last observed consumer head; refreshed only when the ring looks full.
     cached_head: usize,
 }
@@ -115,16 +139,51 @@ impl<T: Send> Producer<T> {
         cap - (self.tail - self.cached_head)
     }
 
+    /// The next free slot, to be written in place, or `None` if the ring is
+    /// full. The slot holds whatever its previous use left there. Nothing
+    /// changes until [`Self::commit`]: reserving twice yields the same slot.
+    pub fn reserve(&mut self) -> Option<&mut T> {
+        if self.free_cached() == 0 {
+            return None;
+        }
+        self.reserved = true;
+        // SAFETY: slot `tail` is in the producer-owned region (free > 0
+        // against a head no newer than the real one) and not yet published;
+        // the `&mut self` borrow keeps this the only reference to it.
+        Some(unsafe { &mut *self.shared.buf[self.tail & self.shared.mask].get() })
+    }
+
+    /// Counts the slot last handed out by [`Self::reserve`] as written. The
+    /// consumer does not see it before [`Self::publish`].
+    ///
+    /// # Panics
+    /// If no reservation is open: every commit needs its own successful
+    /// [`Self::reserve`], so a slot nobody wrote is never published and
+    /// `tail` never leaves the producer's region.
+    pub fn commit(&mut self) {
+        assert!(self.reserved, "commit without a reserved slot");
+        self.reserved = false;
+        self.tail += 1;
+    }
+
+    /// Publishes every committed slot to the consumer with one release
+    /// store (none if nothing was committed since the last call, so the
+    /// consumer's copy of the cache line is left alone).
+    pub fn publish(&mut self) {
+        if self.tail != self.published {
+            self.published = self.tail;
+            self.shared.tail.0.store(self.tail, Ordering::Release);
+        }
+    }
+
     /// Attempts to push one item; returns it back if the ring is full.
     pub fn push(&mut self, item: T) -> Result<(), T> {
-        if self.free_cached() == 0 {
-            return Err(item);
+        match self.reserve() {
+            Some(slot) => *slot = item,
+            None => return Err(item),
         }
-        // SAFETY: slot `tail` is in the producer-owned region (free > 0) and
-        // not yet published to the consumer.
-        unsafe { (*self.shared.buf[self.tail & self.shared.mask].get()).write(item) };
-        self.tail += 1;
-        self.shared.tail.0.store(self.tail, Ordering::Release);
+        self.commit();
+        self.publish();
         Ok(())
     }
 
@@ -132,15 +191,11 @@ impl<T: Send> Producer<T> {
     /// with a single release store. Returns how many were taken.
     pub fn push_batch(&mut self, items: &mut Vec<T>) -> usize {
         let take = self.free_cached().min(items.len());
-        if take == 0 {
-            return 0;
-        }
         for item in items.drain(..take) {
-            // SAFETY: as in `push`; all `take` slots are producer-owned.
-            unsafe { (*self.shared.buf[self.tail & self.shared.mask].get()).write(item) };
-            self.tail += 1;
+            *self.reserve().expect("`take` slots are free") = item;
+            self.commit();
         }
-        self.shared.tail.0.store(self.tail, Ordering::Release);
+        self.publish();
         take
     }
 }
@@ -163,44 +218,73 @@ impl<T: Send> Consumer<T> {
         self.cached_tail - self.head
     }
 
-    /// Pops one item, if any.
-    pub fn pop(&mut self) -> Option<T> {
-        if self.available_cached() == 0 {
-            return None;
-        }
-        // SAFETY: slot `head` is published ([head, tail)) and exclusively
-        // ours until we advance `head`.
-        let item =
-            unsafe { (*self.shared.buf[self.head & self.shared.mask].get()).assume_init_read() };
-        self.head += 1;
-        self.shared.head.0.store(self.head, Ordering::Release);
-        Some(item)
+    /// Borrows up to `max` published items where they lie, oldest first. The
+    /// run stops at the end of the buffer, so after a wrap-around the rest
+    /// arrives with the next call; it is empty only if nothing is published.
+    /// Nothing is consumed until [`Self::release`]. Mutable, so that an item
+    /// can be taken out of its slot.
+    pub fn run(&mut self, max: usize) -> &mut [T] {
+        let start = self.head & self.shared.mask;
+        let len = self
+            .available_cached()
+            .min(max)
+            .min(self.shared.buf.len() - start);
+        let slots = &self.shared.buf[start..start + len];
+        // SAFETY: the `len` slots from `head` on are published
+        // (`len <= cached_tail - head`) and stay the consumer's until
+        // `release` advances `head`, which the `&mut self` borrow of the
+        // returned slice rules out for as long as it lives. They are
+        // contiguous (`start + len` stays within the buffer), and
+        // `UnsafeCell<T>` has the layout of `T`.
+        unsafe { std::slice::from_raw_parts_mut(UnsafeCell::raw_get(slots.as_ptr()), len) }
     }
 
-    /// Pops up to `max` items into `out`, retiring them with a single
-    /// release store. Returns how many were popped.
-    pub fn pop_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        let take = self.available_cached().min(max);
-        if take == 0 {
-            return 0;
-        }
-        out.reserve(take);
-        for _ in 0..take {
-            // SAFETY: as in `pop`; all `take` slots are published and ours.
-            let item = unsafe {
-                (*self.shared.buf[self.head & self.shared.mask].get()).assume_init_read()
-            };
-            out.push(item);
-            self.head += 1;
-        }
+    /// Hands the oldest `n` items back to the producer with one release
+    /// store; their slots keep whatever the consumer left in them.
+    ///
+    /// # Panics
+    /// If fewer than `n` items were available to [`Self::run`].
+    pub fn release(&mut self, n: usize) {
+        assert!(
+            n <= self.cached_tail - self.head,
+            "released more than was borrowed"
+        );
+        self.head += n;
         self.shared.head.0.store(self.head, Ordering::Release);
-        take
     }
 
     /// True if the ring is empty *and* nothing is in flight from the
     /// producer at the moment of the check.
     pub fn is_empty_now(&mut self) -> bool {
         self.available_cached() == 0
+    }
+
+    /// Pops one item, if any, moving it out and leaving a default value in
+    /// its slot.
+    pub fn pop(&mut self) -> Option<T>
+    where
+        T: Default,
+    {
+        let item = std::mem::take(self.run(1).first_mut()?);
+        self.release(1);
+        Some(item)
+    }
+
+    /// Copies up to `max` items into `out`, retiring them with a single
+    /// release store; nothing is written back to their slots. Returns how
+    /// many were popped (at most up to the end of the buffer, like
+    /// [`Self::run`]).
+    pub fn pop_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize
+    where
+        T: Clone,
+    {
+        let run = self.run(max);
+        let take = run.len();
+        out.extend_from_slice(run);
+        if take > 0 {
+            self.release(take);
+        }
+        take
     }
 }
 
@@ -249,26 +333,82 @@ mod tests {
     }
 
     #[test]
-    fn drop_releases_unconsumed_items() {
+    fn in_place_slots_are_invisible_until_published() {
+        let (mut tx, mut rx) = ring::<[u8; 4]>(4);
+        for i in 0..3u8 {
+            let slot = tx.reserve().expect("room");
+            slot[0] = i;
+            tx.commit();
+        }
+        assert!(rx.run(8).is_empty(), "committed is not published");
+        tx.publish();
+        let run = rx.run(2);
+        assert_eq!(run.len(), 2, "capped by max");
+        assert_eq!((run[0][0], run[1][0]), (0, 1));
+        // Borrowing does not consume.
+        assert_eq!(rx.run(8).len(), 3);
+        rx.release(2);
+        assert_eq!(rx.run(8)[0][0], 2);
+        rx.release(1);
+        assert!(rx.is_empty_now());
+        // A run stops at the end of the buffer: slots 3, then 0..
+        for i in 10..13u8 {
+            tx.reserve().expect("room")[0] = i;
+            tx.commit();
+        }
+        tx.publish();
+        assert_eq!(rx.run(8).len(), 1);
+        rx.release(1);
+        assert_eq!(rx.run(8).len(), 2);
+    }
+
+    #[test]
+    fn full_ring_refuses_reservation_and_stray_commits() {
+        let (mut tx, mut rx) = ring::<u8>(2);
+        let stray = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| tx.commit()));
+        assert!(stray.is_err(), "commit before any reserve must panic");
+        *tx.reserve().expect("room") = 1;
+        *tx.reserve().expect("room") = 1;
+        tx.commit();
+        let twice = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| tx.commit()));
+        assert!(twice.is_err(), "one reservation is one commit");
+        tx.publish();
+        tx.push(2).unwrap();
+        assert!(tx.reserve().is_none());
+        let stray = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| tx.commit()));
+        assert!(stray.is_err(), "commit with no free slot must panic");
+        let over = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rx.release(3)));
+        assert!(over.is_err(), "releasing unborrowed slots must panic");
+        assert_eq!(rx.pop(), Some(1));
+    }
+
+    #[test]
+    fn every_item_is_dropped_exactly_once() {
         use std::sync::atomic::AtomicUsize;
         static DROPS: AtomicUsize = AtomicUsize::new(0);
-        #[derive(Debug)]
-        struct D;
+        #[derive(Debug, Default)]
+        struct D(bool);
         impl Drop for D {
             fn drop(&mut self) {
-                DROPS.fetch_add(1, Ordering::SeqCst);
+                if self.0 {
+                    DROPS.fetch_add(1, Ordering::SeqCst);
+                }
             }
         }
         let (mut tx, mut rx) = ring::<D>(4);
-        tx.push(D).unwrap();
-        tx.push(D).unwrap();
-        tx.push(D).unwrap();
+        for _ in 0..3 {
+            tx.push(D(true)).unwrap();
+        }
         drop(rx.pop());
-        let before = DROPS.load(Ordering::SeqCst);
-        assert_eq!(before, 1);
+        assert_eq!(DROPS.load(Ordering::SeqCst), 1);
+        // Overwriting a consumed slot drops only the placeholder in it.
+        for _ in 0..2 {
+            tx.push(D(true)).unwrap();
+        }
+        assert_eq!(DROPS.load(Ordering::SeqCst), 1);
         drop(tx);
         drop(rx);
-        assert_eq!(DROPS.load(Ordering::SeqCst), 3);
+        assert_eq!(DROPS.load(Ordering::SeqCst), 5);
     }
 
     #[test]

@@ -77,7 +77,13 @@ use std::collections::{HashMap, HashSet};
 /// steering, control-plane population — must route through this function so
 /// the three can never drift apart.
 pub fn shard_of_key(ring: &HashRing, key: &Key, num_shards: usize) -> usize {
-    ring.group_of(key) as usize % num_shards
+    shard_of_group(ring.group_of(key), num_shards)
+}
+
+/// [`shard_of_key`] for a key whose virtual group is already known (the load
+/// generator computes it once per query).
+pub fn shard_of_group(group: u32, num_shards: usize) -> usize {
+    group as usize % num_shards
 }
 
 /// Identifies the client a reply frame belongs to, from the destination IP
@@ -114,11 +120,22 @@ pub struct Shard {
     probe_hashes: Vec<u64>,
     probe_lanes: Vec<usize>,
     probe_out: Vec<Option<usize>>,
+    /// The chunk's wave-1 items in frame order, by destination switch.
+    lanes: Vec<(Ipv4Addr, Lane)>,
     /// Stage-4 per-item outcomes (reused across wave groups).
     outcomes: Vec<StagedOutcome>,
     /// In-band per-hop trace stamping, when enabled. `None` keeps the data
     /// plane exactly as before: one branch per wave group and nothing else.
     tracer: Option<ShardTracer>,
+}
+
+/// One wave-1 item of a staged chunk: a read riding the fast lane is just
+/// its lane index into the chunk's parsed batch (the frame stays where it
+/// is); anything else was materialised through the packet pool and is handed
+/// over when its group executes.
+enum Lane {
+    Fast(usize),
+    Owned(Option<NetChainPacket>),
 }
 
 /// Shard-side trace recorder: a sink plus the run's wall-clock origin.
@@ -168,6 +185,7 @@ impl Shard {
             probe_hashes: Vec::new(),
             probe_lanes: Vec::new(),
             probe_out: Vec::new(),
+            lanes: Vec::with_capacity(BATCH_WIDTH),
             outcomes: Vec::new(),
             tracer: None,
         }
@@ -364,8 +382,7 @@ impl Shard {
         debug_assert!(self.wave.is_empty());
         let mut frames = frames.fuse();
         let mut chunk: [&'a [u8]; BATCH_WIDTH] = [&[]; BATCH_WIDTH];
-        let mut items: Vec<(Ipv4Addr, StagedPacket<'a>)> = Vec::with_capacity(BATCH_WIDTH);
-        let mut group: Vec<StagedPacket<'a>> = Vec::with_capacity(BATCH_WIDTH);
+        let mut lanes = std::mem::take(&mut self.lanes);
         let mut started = false;
         loop {
             let mut n = 0;
@@ -463,38 +480,29 @@ impl Shard {
             }
 
             // Build the chunk's wave-1 items in frame order: fast-lane reads
-            // borrow their frame, everything else is materialised through the
-            // packet pool exactly like the scalar parse.
-            items.clear();
-            for (i, &slot) in slots.iter().enumerate().take(n) {
+            // stay in their frame, everything else is materialised through
+            // the packet pool exactly like the scalar parse.
+            lanes.clear();
+            for i in 0..n {
                 if !batch.is_valid(i) {
                     continue;
                 }
                 if fast & (1 << i) != 0 {
-                    items.push((
-                        Ipv4Addr(batch.dst(i).to_be_bytes()),
-                        StagedPacket::FastRead {
-                            frame: bv.frame(i),
-                            slot,
-                            key: batch.key(i),
-                            client: Ipv4Addr(batch.src(i).to_be_bytes()),
-                            request_id: batch.request_id(i),
-                        },
-                    ));
+                    lanes.push((Ipv4Addr(batch.dst(i).to_be_bytes()), Lane::Fast(i)));
                 } else {
                     let pkt = self.pool.take(&bv.view(i));
-                    items.push((pkt.ip.dst, StagedPacket::Owned(pkt)));
+                    lanes.push((pkt.ip.dst, Lane::Owned(Some(pkt))));
                 }
             }
 
             // Stage 4: execute the chunk's wave-1 groups (consecutive items
             // with the same destination, as in the scalar wave loop).
-            let mut iter = items.drain(..).peekable();
-            while let Some((dst, item)) = iter.next() {
-                group.push(item);
-                while iter.peek().is_some_and(|(d, _)| *d == dst) {
-                    group.push(iter.next().expect("peek said there is one").1);
-                }
+            let mut next = 0;
+            while next < lanes.len() {
+                let dst = lanes[next].0;
+                let len = lanes[next..].iter().take_while(|(d, _)| *d == dst).count();
+                let group = &mut lanes[next..next + len];
+                next += len;
                 let target = if self.failed.contains(&dst) || !self.switches.contains_key(&dst) {
                     self.gateway_ip()
                 } else {
@@ -508,16 +516,10 @@ impl Shard {
                     let hop_ip = u32::from_be_bytes(hop.0);
                     let at_ns = tracer.t0.elapsed().as_nanos() as u64;
                     let sw = self.switches.get(&hop);
-                    for item in &group {
-                        match item {
-                            StagedPacket::FastRead {
-                                slot,
-                                key,
-                                client,
-                                request_id,
-                                ..
-                            } => {
-                                let id = trace_id(u32::from_be_bytes(client.0), *request_id);
+                    for (_, lane) in group.iter() {
+                        match lane {
+                            Lane::Fast(i) => {
+                                let id = trace_id(batch.src(*i), batch.request_id(*i));
                                 if !tracer.sink.samples(id) {
                                     continue;
                                 }
@@ -527,7 +529,7 @@ impl Shard {
                                     Some(sw) => {
                                         let kv = sw.kv();
                                         let (ok, (session, seq)) =
-                                            match slot.filter(|&s| kv.is_valid(s)) {
+                                            match slots[*i].filter(|&s| kv.is_valid(s)) {
                                                 Some(s) => (true, kv.ordering(s)),
                                                 None => (false, (0, 0)),
                                             };
@@ -539,7 +541,7 @@ impl Shard {
                                                 op: EvidenceOp::Read,
                                                 role: HopRole::Tail,
                                                 ok,
-                                                key_fp: key_fingerprint(key.stable_hash()),
+                                                key_fp: key_fingerprint(hashes[*i]),
                                                 session,
                                                 seq,
                                             },
@@ -548,7 +550,8 @@ impl Shard {
                                     None => tracer.sink.stamp(id, hop_ip, at_ns),
                                 }
                             }
-                            StagedPacket::Owned(p) => {
+                            Lane::Owned(p) => {
+                                let p = p.as_ref().expect("lanes execute after stamping");
                                 let id =
                                     trace_id(u32::from_be_bytes(p.ip.src.0), p.netchain.request_id);
                                 if !tracer.sink.samples(id) {
@@ -565,7 +568,18 @@ impl Shard {
                 match target.and_then(|ip| self.switches.get_mut(&ip)) {
                     Some(sw) => {
                         self.outcomes.clear();
-                        sw.step_batch_staged(group.drain(..), replies, &mut self.outcomes);
+                        let staged = group.iter_mut().map(|(_, lane)| match lane {
+                            Lane::Fast(i) => StagedPacket::FastRead {
+                                frame: bv.frame(*i),
+                                slot: slots[*i],
+                                client: Ipv4Addr(batch.src(*i).to_be_bytes()),
+                                request_id: batch.request_id(*i),
+                            },
+                            Lane::Owned(p) => {
+                                StagedPacket::Owned(p.take().expect("lanes execute once"))
+                            }
+                        });
+                        sw.step_batch_staged(staged, replies, &mut self.outcomes);
                         for outcome in self.outcomes.drain(..) {
                             match outcome {
                                 StagedOutcome::FastReply { client, request_id } => {
@@ -607,15 +621,16 @@ impl Shard {
                     }
                     None => {
                         self.stats.unroutable += group.len() as u64;
-                        for item in group.drain(..) {
-                            if let StagedPacket::Owned(p) = item {
-                                self.pool.put(p);
+                        for (_, lane) in group {
+                            if let Lane::Owned(p) = lane {
+                                self.pool.put(p.take().expect("lanes execute once"));
                             }
                         }
                     }
                 }
             }
         }
+        self.lanes = lanes;
 
         // Chain hops past the first wave continue through the shared wave
         // loop (writes traversing their chains, failover re-routes, …).

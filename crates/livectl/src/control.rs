@@ -92,6 +92,17 @@ pub enum ControlCmd {
     },
 }
 
+/// What an unused control-ring slot holds; never sent.
+impl Default for ControlCmd {
+    fn default() -> Self {
+        ControlCmd::ImportEntries {
+            ip: Ipv4Addr::default(),
+            entries: Vec::new(),
+            token: 0,
+        }
+    }
+}
+
 impl ControlCmd {
     /// The command's ack token.
     pub fn token(&self) -> u64 {
@@ -122,6 +133,13 @@ pub enum ControlEvt {
         /// The exported entries.
         entries: Vec<ExportedEntry>,
     },
+}
+
+/// What an unused control-ring slot holds; never sent.
+impl Default for ControlEvt {
+    fn default() -> Self {
+        ControlEvt::Ack { token: 0 }
+    }
 }
 
 impl ControlEvt {

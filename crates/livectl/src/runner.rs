@@ -24,15 +24,14 @@ use crate::script::FaultScript;
 use netchain_core::failplan::{self, FailoverPlan, RecoveryPlan};
 use netchain_core::{AgentConfig, HashRing};
 use netchain_fabric::{
-    build_shards, spsc_ring, ClientState, Consumer, FabricConfig, Frame, Producer, WorkloadSpec,
+    build_shards, connect, spsc_ring, ClientState, Consumer, FabricConfig, Producer, WorkloadSpec,
 };
 use netchain_sim::{SimDuration, SimTime};
 use netchain_telemetry::{
     merge_traces, FlightRecorder, HistSnapshot, Journal, Json, PacketTrace, ShadowAuditor,
     TimeSeries, WindowChannel, WindowRegistry,
 };
-use netchain_wire::{BatchEncoder, Ipv4Addr};
-use std::collections::VecDeque;
+use netchain_wire::Ipv4Addr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -100,18 +99,17 @@ struct ControllerLink {
     rx: Consumer<ControlEvt>,
 }
 
+/// Pushes `item` into a control ring, yielding while it is full.
+fn push_blocking<T: Send>(tx: &mut Producer<T>, mut item: T) {
+    while let Err(back) = tx.push(item) {
+        item = back;
+        std::thread::yield_now();
+    }
+}
+
 impl ControllerLink {
     fn send(&mut self, cmd: ControlCmd) {
-        let mut item = Some(cmd);
-        loop {
-            match self.tx.push(item.take().expect("refilled on Err")) {
-                Ok(()) => return,
-                Err(back) => {
-                    item = Some(back);
-                    std::thread::yield_now();
-                }
-            }
-        }
+        push_blocking(&mut self.tx, cmd);
     }
 
     fn wait(&mut self, token: u64) -> ControlEvt {
@@ -317,28 +315,7 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
     let shards = build_shards(&fabric, &workload);
 
     // Dataplane rings, exactly as in `run_live`.
-    let mut query_tx: Vec<Vec<Producer<Frame>>> =
-        (0..fabric.num_clients).map(|_| Vec::new()).collect();
-    let mut query_rx: Vec<Vec<Consumer<Frame>>> =
-        (0..fabric.num_shards).map(|_| Vec::new()).collect();
-    let mut reply_tx: Vec<Vec<Producer<Frame>>> =
-        (0..fabric.num_shards).map(|_| Vec::new()).collect();
-    let mut reply_rx: Vec<Vec<Consumer<Frame>>> =
-        (0..fabric.num_clients).map(|_| Vec::new()).collect();
-    for client_rings in query_tx.iter_mut() {
-        for shard_rings in query_rx.iter_mut() {
-            let (tx, rx) = spsc_ring::<Frame>(fabric.ring_capacity);
-            client_rings.push(tx);
-            shard_rings.push(rx);
-        }
-    }
-    for shard_rings in reply_tx.iter_mut() {
-        for client_rings in reply_rx.iter_mut() {
-            let (tx, rx) = spsc_ring::<Frame>(fabric.ring_capacity);
-            shard_rings.push(tx);
-            client_rings.push(rx);
-        }
-    }
+    let (client_ports, shard_ports) = connect(&fabric);
     // Control rings: one command/event pair per shard.
     let mut ctrl_links: Vec<ControllerLink> = Vec::new();
     let mut ctrl_cmd_rx: Vec<Consumer<ControlCmd>> = Vec::new();
@@ -368,18 +345,15 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
 
     // Shard workers: dataplane bursts + control-command draining in between.
     let mut shard_handles = Vec::new();
-    for (s, mut shard) in shards.into_iter().enumerate() {
+    for ((s, mut shard), mut port) in shards.into_iter().enumerate().zip(shard_ports) {
         if fabric.trace.enabled {
             shard.enable_tracing(fabric.trace, t0);
         }
-        let mut ingress = std::mem::take(&mut query_rx[s]);
-        let mut egress = std::mem::take(&mut reply_tx[s]);
         let mut cmd_rx = ctrl_cmd_rx.remove(0);
         let mut evt_tx = ctrl_evt_tx.remove(0);
         let done = Arc::clone(&done_clients);
         let exited = Arc::clone(&client_done);
         let ctl_done = Arc::clone(&ctrl_done);
-        let burst = fabric.burst;
         let num_clients = fabric.num_clients;
         let pin = fabric.pin_shards;
         let window = Arc::clone(windows.window(s));
@@ -392,65 +366,23 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
                     // runs the shard, merely unpinned.
                     let _ = netchain_fabric::pin_thread(s);
                 }
-                let mut frames: Vec<Frame> = Vec::with_capacity(burst);
-                let mut replies = BatchEncoder::with_capacity(burst, 128);
                 let mut last_blocked = 0u64;
                 loop {
                     // Control plane first: commands take effect at burst
                     // boundaries, like table updates between pipeline passes.
                     while let Some(cmd) = cmd_rx.pop() {
-                        let mut evt = Some(control::apply(&mut shard, cmd));
-                        while let Some(e) = evt.take() {
-                            match evt_tx.push(e) {
-                                Ok(()) => break,
-                                Err(back) => {
-                                    evt = Some(back);
-                                    std::thread::yield_now();
-                                }
-                            }
-                        }
+                        push_blocking(&mut evt_tx, control::apply(&mut shard, cmd));
                     }
-                    let mut any = false;
-                    let mut slice_ops = 0u64;
-                    let mut peak_depth = 0u64;
-                    for c in 0..num_clients {
-                        frames.clear();
-                        let got = ingress[c].pop_batch(&mut frames, burst);
-                        if got == 0 {
-                            continue;
-                        }
-                        any = true;
-                        peak_depth = peak_depth.max(got as u64);
-                        replies.clear();
-                        shard.process_burst(frames.iter().map(|f| f.as_bytes()), &mut replies);
-                        slice_ops += replies.len() as u64;
-                        for frame in replies.frames() {
-                            let mut item =
-                                Some(Frame::from_bytes(frame).expect("replies fit in a frame"));
-                            loop {
-                                match egress[c].push(item.take().expect("refilled on Err")) {
-                                    Ok(()) => break,
-                                    Err(back) => {
-                                        if exited[c].load(Ordering::Acquire) {
-                                            // The client gave up (hard stop)
-                                            // with its reply ring full; the
-                                            // reply has no reader any more.
-                                            break;
-                                        }
-                                        item = Some(back);
-                                        std::thread::yield_now();
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    if any {
+                    // A client that gave up (hard stop) with its reply ring
+                    // full has left its replies without a reader.
+                    let round = port.pump(&mut shard, |c| exited[c].load(Ordering::Acquire));
+                    if round.frames > 0 {
                         // Rolling-window accounting, once per busy burst
                         // round: additions on a hot slot, nothing the
                         // detector does can block this thread.
                         let slice = t0.elapsed().as_nanos() as u64 / slice_nanos;
-                        window.add(slice, WindowChannel::Ops, slice_ops);
-                        window.raise(slice, WindowChannel::QueueDepth, peak_depth);
+                        window.add(slice, WindowChannel::Ops, round.replies);
+                        window.raise(slice, WindowChannel::QueueDepth, round.peak_burst);
                         let blocked = shard.stats().blocked;
                         if blocked > last_blocked {
                             window.add(slice, WindowChannel::Blocked, blocked - last_blocked);
@@ -459,7 +391,7 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
                     } else {
                         if done.load(Ordering::Acquire) == num_clients
                             && ctl_done.load(Ordering::Acquire)
-                            && ingress.iter_mut().all(|r| r.is_empty_now())
+                            && port.is_drained()
                         {
                             break;
                         }
@@ -479,9 +411,7 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
 
     // Duration-driven, retrying, slice-accounting clients.
     let mut client_handles = Vec::new();
-    for c in 0..fabric.num_clients {
-        let mut tx = std::mem::take(&mut query_tx[c]);
-        let mut rx = std::mem::take(&mut reply_rx[c]);
+    for (c, mut port) in client_ports.into_iter().enumerate() {
         let ring_clone = ring_def.clone();
         let done = Arc::clone(&done_clients);
         let exited = Arc::clone(&client_done);
@@ -504,46 +434,19 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
                 let hard_stop = deadline + DRAIN_GRACE;
                 let slice_nanos = cfg.slice.as_nanos() as u64;
                 let mut slices = TimeSeries::new(slice_nanos);
-                let mut pending: VecDeque<(usize, Frame)> = VecDeque::new();
-                let mut reply_buf: Vec<Frame> = Vec::with_capacity(cfg.fabric.burst);
                 let mut next_retry_poll = t0 + cfg.retry_timeout;
                 loop {
                     let now = Instant::now();
                     let elapsed = now.duration_since(t0);
                     let now_st = SimTime(elapsed.as_nanos() as u64);
-                    let mut progressed = false;
-                    // Flush parked frames (issues and retransmits alike).
-                    while let Some((s, frame)) = pending.pop_front() {
-                        match tx[s].push(frame) {
-                            Ok(()) => progressed = true,
-                            Err(back) => {
-                                pending.push_front((s, back));
-                                break;
-                            }
-                        }
+                    // Flush parked frames (issues and retransmits alike),
+                    // issue new work while the run is live, and drain
+                    // replies into the current slice.
+                    let pass = port.pump(&mut client, now < deadline, || now_st);
+                    if pass.completed > 0 {
+                        slices.record_n(elapsed.as_nanos() as u64, pass.completed);
                     }
-                    // Issue new work while the run is live.
-                    while pending.is_empty() && now < deadline && client.can_issue() {
-                        let pkt = client.issue_at(now_st);
-                        let s = cfg.fabric.shard_of(&ring_clone, &pkt.netchain.key);
-                        let frame = Frame::from_packet(&pkt).expect("queries fit in a frame");
-                        match tx[s].push(frame) {
-                            Ok(()) => progressed = true,
-                            Err(back) => pending.push_back((s, back)),
-                        }
-                    }
-                    // Drain replies into the current slice.
-                    for shard_rx in rx.iter_mut() {
-                        reply_buf.clear();
-                        if shard_rx.pop_batch(&mut reply_buf, cfg.fabric.burst) > 0 {
-                            progressed = true;
-                            for frame in &reply_buf {
-                                if client.absorb_reply_at(now_st, frame.as_bytes()) {
-                                    slices.record(elapsed.as_nanos() as u64);
-                                }
-                            }
-                        }
-                    }
+                    let mut progressed = pass.progressed;
                     // Retransmission timers, and a trace hand-off to the
                     // shadow auditor at the same cadence (a closed channel
                     // just means the monitor has already gone home).
@@ -552,16 +455,9 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
                         for trace in client.take_finished_traces() {
                             let _ = audit_feed.send(trace);
                         }
-                        for pkt in client.poll_retries_at(now_st) {
-                            let s = cfg.fabric.shard_of(&ring_clone, &pkt.netchain.key);
-                            let frame = Frame::from_packet(&pkt).expect("queries fit in a frame");
-                            match tx[s].push(frame) {
-                                Ok(()) => progressed = true,
-                                Err(back) => pending.push_back((s, back)),
-                            }
-                        }
+                        progressed |= port.retransmit(&mut client, now_st);
                     }
-                    if now >= deadline && client.outstanding() == 0 && pending.is_empty() {
+                    if now >= deadline && client.outstanding() == 0 && !port.has_parked() {
                         break;
                     }
                     if now >= hard_stop {

@@ -28,7 +28,7 @@
 
 use mmsg::{RecvQueue, SendQueue, MAX_BURST};
 use netchain_core::HashRing;
-use netchain_fabric::{shard_of_key, Shard};
+use netchain_fabric::{shard_of_group, shard_of_key, Shard};
 use netchain_switch::{PipelineConfig, ProbeGauges};
 use netchain_telemetry::{merge_traces, Metrics, PacketTrace, TraceConfig};
 use netchain_wire::{BatchEncoder, Ipv4Addr, Key, Value, MAX_FRAME_LEN};
@@ -320,6 +320,11 @@ impl NetDataplane {
     /// must be sent.
     pub fn addr_of_key(&self, key: &Key) -> SocketAddr {
         self.workers[shard_of_key(&self.ring, key, self.num_shards)].addr
+    }
+
+    /// [`Self::addr_of_key`] for a key whose virtual group is already known.
+    pub fn addr_of_group(&self, group: u32) -> SocketAddr {
+        self.workers[shard_of_group(group, self.num_shards)].addr
     }
 
     /// Registers a client's reply route (virtual IP → real socket address).

@@ -264,11 +264,10 @@ fn generator_thread(
         // time — queueing delay is the op's problem, not the schedule's.
         sq.clear();
         while next_issue_ns <= now_ns && next_issue_ns < end_ns {
-            let idx = rng.gen_range(0..per_thread);
-            let pkt = clients[idx].issue_at(SimTime(next_issue_ns));
-            let key = pkt.netchain.key;
-            let len = pkt.emit_into(&mut frame_buf).expect("bounded frame");
-            sq.push(&frame_buf[..len], plane.addr_of_key(&key));
+            let client = &mut clients[rng.gen_range(0..per_thread)];
+            let op = client.draw();
+            let len = client.issue_drawn(SimTime(next_issue_ns), &op, &mut frame_buf);
+            sq.push(&frame_buf[..len], plane.addr_of_group(op.group()));
             if sq.len() >= MAX_BURST {
                 let _ = sq.send(&socket);
             }

@@ -38,7 +38,8 @@ pub use forward::{stable_hash_batch, FailoverAction, FailoverRule, ForwardingTab
 pub use kv::{ExportedEntry, KvError, SwitchKvStore};
 pub use pipeline::{PipelineConfig, ResourceUsage};
 pub use program::{
-    cas_value, DropReason, NetChainSwitch, StagedOutcome, StagedPacket, SwitchAction, SwitchRole,
+    cas_bytes, cas_value, DropReason, NetChainSwitch, StagedOutcome, StagedPacket, SwitchAction,
+    SwitchRole,
 };
 pub use register::RegisterArray;
 pub use stats::{ProbeGauges, SwitchStats};

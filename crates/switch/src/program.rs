@@ -15,7 +15,7 @@ use crate::kv::SwitchKvStore;
 use crate::pipeline::PipelineConfig;
 use crate::stats::{ProbeGauges, SwitchStats};
 use netchain_wire::{
-    BatchEncoder, Ipv4Addr, Key, NetChainPacket, OpCode, QueryStatus, StatSnapshot, Value,
+    BatchEncoder, Ipv4Addr, NetChainPacket, OpCode, QueryStatus, StatSnapshot, Value,
 };
 
 /// Why a switch dropped a packet.
@@ -64,10 +64,6 @@ pub enum StagedPacket<'a> {
         frame: &'a [u8],
         /// Stage-3 probe result: the key's register slot, if indexed.
         slot: Option<usize>,
-        /// The queried key, kept alongside the probed slot so observers
-        /// (trace evidence stamps) can fingerprint the read without
-        /// re-parsing the frame.
-        key: Key,
         /// The querying client's IP (the frame's IPv4 source).
         client: Ipv4Addr,
         /// The query's request id.
@@ -273,7 +269,6 @@ impl NetChainSwitch {
                 StagedPacket::FastRead {
                     frame,
                     slot,
-                    key: _,
                     client,
                     request_id,
                 } => {
@@ -567,12 +562,17 @@ const _: () = {
     assert_send_state::<NetChainSwitch>();
 };
 
+/// The 16-byte CAS payload for `(expected, new)`, on the stack.
+pub fn cas_bytes(expected: u64, new: u64) -> [u8; 16] {
+    let mut bytes = [0u8; 16];
+    bytes[..8].copy_from_slice(&expected.to_be_bytes());
+    bytes[8..].copy_from_slice(&new.to_be_bytes());
+    bytes
+}
+
 /// Builds the 16-byte CAS payload from `(expected, new)`.
 pub fn cas_value(expected: u64, new: u64) -> Value {
-    let mut bytes = Vec::with_capacity(16);
-    bytes.extend_from_slice(&expected.to_be_bytes());
-    bytes.extend_from_slice(&new.to_be_bytes());
-    Value::new(bytes).expect("16 bytes is well under the maximum value size")
+    Value::new(cas_bytes(expected, new)).expect("16 bytes is well under the maximum value size")
 }
 
 #[cfg(test)]
@@ -1039,7 +1039,6 @@ mod tests {
                     StagedPacket::FastRead {
                         frame: f.as_slice(),
                         slot: staged.kv().lookup(&p.netchain.key),
-                        key: p.netchain.key,
                         client: p.ip.src,
                         request_id: p.netchain.request_id,
                     }

@@ -198,12 +198,22 @@ impl HopRole {
     }
 }
 
-/// Folds a 64-bit stable key hash into the 32-bit fingerprint carried in
-/// [`Evidence`]. XOR-folding keeps both halves contributing, so fingerprints
-/// of sequential keys stay distinct.
+/// Reduces a 64-bit stable key hash to the 32-bit fingerprint carried in
+/// [`Evidence`]. FNV-1a hashes of sequential keys differ in few, correlated
+/// bits, and a plain xor-fold of the halves lets them cancel (it collided on
+/// 6 of `Key::from_u64(0..4096)`, which the auditors then read as one key
+/// with two histories). The hash goes through an avalanche finaliser
+/// (MurmurHash3's `fmix64`) first, so every input bit reaches every output
+/// bit before the truncation.
 #[inline]
 pub fn key_fingerprint(stable_hash: u64) -> u32 {
-    (stable_hash ^ (stable_hash >> 32)) as u32
+    let mut h = stable_hash;
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^= h >> 33;
+    h as u32
 }
 
 /// What a hop semantically observed when it stamped a sampled packet: the
@@ -679,7 +689,7 @@ mod tests {
     }
 
     #[test]
-    fn key_fingerprint_folds_both_halves() {
+    fn key_fingerprint_depends_on_both_halves() {
         assert_ne!(
             key_fingerprint(0x1111_0000_0000_0000),
             key_fingerprint(0x2222_0000_0000_0000)

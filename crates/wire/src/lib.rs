@@ -49,7 +49,7 @@ pub use netchain::{
     ChainList, Key, NetChainHeader, OpCode, QueryStatus, Value, FNV64_OFFSET, FNV64_PRIME, KEY_LEN,
     MAX_CHAIN_LEN, MAX_VALUE_LEN, NETCHAIN_FIXED_HEADER_LEN, NETCHAIN_UDP_PORT,
 };
-pub use packet::NetChainPacket;
+pub use packet::{encode_query, NetChainPacket};
 pub use pool::{PacketPool, MAX_FRAME_LEN};
 pub use stat::{StatSnapshot, STAT_LAT_BUCKETS, STAT_SNAPSHOT_LEN, STAT_VERSION};
 pub use udp::{UdpHeader, UDP_HEADER_LEN};

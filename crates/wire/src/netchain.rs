@@ -408,6 +408,46 @@ impl ChainList {
     }
 }
 
+/// Emits a NetChain header from borrowed fields into `out`, returning the
+/// number of bytes written. The one place that knows the field layout on the
+/// emit side: [`NetChainHeader::emit`] and the header-direct query encoder
+/// ([`crate::packet::encode_query`]) both go through it.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn emit_header(
+    out: &mut [u8],
+    op: OpCode,
+    status: QueryStatus,
+    session: u16,
+    seq: u64,
+    request_id: u64,
+    key: &Key,
+    hops: &[Ipv4Addr],
+    value: &[u8],
+) -> WireResult<usize> {
+    let needed = NETCHAIN_FIXED_HEADER_LEN + hops.len() * 4 + value.len();
+    if out.len() < needed {
+        return Err(WireError::BufferTooSmall {
+            needed,
+            available: out.len(),
+        });
+    }
+    out[0] = op.to_u8();
+    out[1] = status.to_u8();
+    out[2..4].copy_from_slice(&session.to_be_bytes());
+    out[4..12].copy_from_slice(&seq.to_be_bytes());
+    out[12..20].copy_from_slice(&request_id.to_be_bytes());
+    out[20..36].copy_from_slice(&key.0);
+    out[36] = hops.len() as u8;
+    out[37..39].copy_from_slice(&(value.len() as u16).to_be_bytes());
+    let mut off = NETCHAIN_FIXED_HEADER_LEN;
+    for hop in hops {
+        out[off..off + 4].copy_from_slice(&hop.0);
+        off += 4;
+    }
+    out[off..off + value.len()].copy_from_slice(value);
+    Ok(off + value.len())
+}
+
 /// The parsed NetChain query/reply header plus payload fields.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetChainHeader {
@@ -454,29 +494,17 @@ impl NetChainHeader {
 
     /// Emits the header into `out`, returning the number of bytes written.
     pub fn emit(&self, out: &mut [u8]) -> WireResult<usize> {
-        let needed = self.wire_len();
-        if out.len() < needed {
-            return Err(WireError::BufferTooSmall {
-                needed,
-                available: out.len(),
-            });
-        }
-        out[0] = self.op.to_u8();
-        out[1] = self.status.to_u8();
-        out[2..4].copy_from_slice(&self.session.to_be_bytes());
-        out[4..12].copy_from_slice(&self.seq.to_be_bytes());
-        out[12..20].copy_from_slice(&self.request_id.to_be_bytes());
-        out[20..36].copy_from_slice(&self.key.0);
-        out[36] = self.chain.len() as u8;
-        out[37..39].copy_from_slice(&(self.value.len() as u16).to_be_bytes());
-        let mut off = NETCHAIN_FIXED_HEADER_LEN;
-        for hop in self.chain.hops() {
-            out[off..off + 4].copy_from_slice(&hop.0);
-            off += 4;
-        }
-        out[off..off + self.value.len()].copy_from_slice(self.value.as_bytes());
-        off += self.value.len();
-        Ok(off)
+        emit_header(
+            out,
+            self.op,
+            self.status,
+            self.session,
+            self.seq,
+            self.request_id,
+            &self.key,
+            self.chain.hops(),
+            self.value.as_bytes(),
+        )
     }
 
     /// Parses a header from the front of `buf`, returning it plus the number

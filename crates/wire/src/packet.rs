@@ -13,9 +13,53 @@ use crate::error::WireResult;
 use crate::ethernet::{EthernetHeader, MacAddr, ETHERNET_HEADER_LEN};
 use crate::ipv4::{Ipv4Addr, Ipv4Header, IPV4_HEADER_LEN};
 use crate::netchain::{
-    ChainList, Key, NetChainHeader, OpCode, QueryStatus, Value, NETCHAIN_UDP_PORT,
+    emit_header, ChainList, Key, NetChainHeader, OpCode, QueryStatus, Value,
+    NETCHAIN_FIXED_HEADER_LEN, NETCHAIN_UDP_PORT,
 };
 use crate::udp::{UdpHeader, UDP_HEADER_LEN};
+
+/// Encodes a client query straight into `out` from borrowed fields,
+/// returning the number of bytes written — byte-for-byte what
+/// [`NetChainPacket::query`] followed by [`NetChainPacket::emit_into`]
+/// produces, without building the owned packet (no chain-list or value
+/// allocation). The load generators' hot path encodes into a ring slot or a
+/// send buffer with this.
+#[allow(clippy::too_many_arguments)]
+pub fn encode_query(
+    out: &mut [u8],
+    client_ip: Ipv4Addr,
+    client_port: u16,
+    first_hop: Ipv4Addr,
+    op: OpCode,
+    key: &Key,
+    value: &[u8],
+    remaining_chain: &[Ipv4Addr],
+    request_id: u64,
+) -> WireResult<usize> {
+    let nc_len = NETCHAIN_FIXED_HEADER_LEN + remaining_chain.len() * 4 + value.len();
+    let needed = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + UDP_HEADER_LEN + nc_len;
+    if out.len() < needed {
+        return Err(crate::error::WireError::BufferTooSmall {
+            needed,
+            available: out.len(),
+        });
+    }
+    let mut off = EthernetHeader::ipv4(MacAddr::default(), MacAddr::default()).emit(out)?;
+    off += Ipv4Header::udp(client_ip, first_hop, UDP_HEADER_LEN + nc_len).emit(&mut out[off..])?;
+    off += UdpHeader::new(client_port, NETCHAIN_UDP_PORT, nc_len).emit(&mut out[off..])?;
+    off += emit_header(
+        &mut out[off..],
+        op,
+        QueryStatus::Ok,
+        0,
+        0,
+        request_id,
+        key,
+        remaining_chain,
+        value,
+    )?;
+    Ok(off)
+}
 
 /// A complete NetChain query or reply packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -259,6 +303,37 @@ mod tests {
         assert!(pkt.netchain.chain.is_empty());
         let bytes = pkt.to_bytes();
         assert_eq!(NetChainPacket::from_bytes(&bytes).unwrap(), pkt);
+    }
+
+    #[test]
+    fn encode_query_matches_the_owned_packet() {
+        let pkt = write_query();
+        let mut buf = [0u8; 256];
+        let len = encode_query(
+            &mut buf,
+            pkt.ip.src,
+            pkt.udp.src_port,
+            pkt.ip.dst,
+            pkt.netchain.op,
+            &pkt.netchain.key,
+            pkt.netchain.value.as_bytes(),
+            pkt.netchain.chain.hops(),
+            pkt.netchain.request_id,
+        )
+        .unwrap();
+        assert_eq!(&buf[..len], pkt.to_bytes().as_slice());
+        assert!(encode_query(
+            &mut buf[..len - 1],
+            pkt.ip.src,
+            pkt.udp.src_port,
+            pkt.ip.dst,
+            pkt.netchain.op,
+            &pkt.netchain.key,
+            pkt.netchain.value.as_bytes(),
+            pkt.netchain.chain.hops(),
+            pkt.netchain.request_id,
+        )
+        .is_err());
     }
 
     #[test]

@@ -131,7 +131,22 @@ proptest! {
         );
         let bytes = pkt.to_bytes();
         let parsed = NetChainPacket::from_bytes(&bytes).unwrap();
-        prop_assert_eq!(parsed, pkt);
+        prop_assert_eq!(&parsed, &pkt);
+        // The header-direct encoder emits the very same bytes.
+        let mut direct = [0u8; netchain_wire::MAX_FRAME_LEN];
+        let len = netchain_wire::encode_query(
+            &mut direct,
+            client,
+            port,
+            first_hop,
+            hdr.op,
+            &hdr.key,
+            hdr.value.as_bytes(),
+            hdr.chain.hops(),
+            hdr.request_id,
+        )
+        .unwrap();
+        prop_assert_eq!(&direct[..len], bytes.as_slice());
     }
 
     #[test]
