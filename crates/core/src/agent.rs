@@ -494,7 +494,8 @@ mod tests {
     fn reply_to(mut pkt: NetChainPacket, seq: u64) -> NetChainPacket {
         let tail = pkt.ip.dst;
         pkt.netchain.seq = seq;
-        pkt.make_reply(tail, QueryStatus::Ok, Value::from_u64(1));
+        pkt.netchain.value = Value::from_u64(1);
+        pkt.make_reply(tail, QueryStatus::Ok);
         pkt
     }
 

@@ -26,14 +26,25 @@ use netchain_wire::{NetChainHeader, OpCode};
 /// that will generate the reply on a dead tail's behalf stamps `Tail`
 /// (or `Solo`), not `Replica` — it *is* the commit point for this query.
 pub fn query_evidence(switch: &NetChainSwitch, header: &NetChainHeader) -> Option<Evidence> {
+    query_evidence_hashed(switch, header, header.key.stable_hash())
+}
+
+/// [`query_evidence`] for a query whose key's stable hash travels with it
+/// (the fabric shard hashes a burst's keys once, in stage 2): the register
+/// match, the rule scopes and the fingerprint all reuse `hash`.
+pub fn query_evidence_hashed(
+    switch: &NetChainSwitch,
+    header: &NetChainHeader,
+    hash: u64,
+) -> Option<Evidence> {
     let op = evidence_op(header.op)?;
     let role = HopRole::for_query(
         header.op.is_mutation(),
         header.seq == 0,
-        effective_chain_is_empty(switch, header),
+        effective_chain_is_empty(switch, header, hash),
     );
     let kv = switch.kv();
-    let (ok, (session, seq)) = match kv.lookup(&header.key) {
+    let (ok, (session, seq)) = match kv.lookup_with_hash(hash, &header.key) {
         Some(slot) if kv.is_valid(slot) => (true, kv.ordering(slot)),
         _ => (false, (0, 0)),
     };
@@ -41,7 +52,7 @@ pub fn query_evidence(switch: &NetChainSwitch, header: &NetChainHeader) -> Optio
         op,
         role,
         ok,
-        key_fp: key_fingerprint(header.key.stable_hash()),
+        key_fp: key_fingerprint(hash),
         session,
         seq,
     })
@@ -53,10 +64,10 @@ pub fn query_evidence(switch: &NetChainSwitch, header: &NetChainHeader) -> Optio
 /// packet really forwards there), a `Redirect` (it continues on a
 /// replacement), or a `Block` (it never acks, so the role is moot) stops
 /// the walk: the chain is effectively non-empty.
-fn effective_chain_is_empty(switch: &NetChainSwitch, header: &NetChainHeader) -> bool {
+fn effective_chain_is_empty(switch: &NetChainSwitch, header: &NetChainHeader, hash: u64) -> bool {
     header.chain.hops().iter().all(|&hop| {
         matches!(
-            switch.forwarding().action_for(hop, &header.key),
+            switch.forwarding().action_for_hash(hop, hash),
             Some(FailoverAction::ChainFailover)
         )
     })

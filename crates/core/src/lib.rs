@@ -42,7 +42,7 @@ pub use client::{ScriptedClient, WorkloadClient, WorkloadConfig};
 pub use cluster::{ClusterConfig, ClusterLayout, NetChainCluster};
 pub use controller::{Controller, ControllerConfig};
 pub use directory::{AddressMap, ChainDirectory, KeyLocus, QueryRoute};
-pub use evidence::{evidence_op, query_evidence};
+pub use evidence::{evidence_op, query_evidence, query_evidence_hashed};
 pub use failplan::{FailoverPlan, GroupRepair, RecoveryPlan};
 pub use hashring::{ChainDescriptor, HashRing};
 pub use message::{ControlMsg, NetMsg};

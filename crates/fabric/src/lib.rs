@@ -32,8 +32,8 @@
 //!   written once per hop. The loops that do so ([`pump`]) are shared by
 //!   every live driver.
 //! * **Batching everywhere**: frames are pulled in bursts (default 32),
-//!   chains execute in waves through [`netchain_switch::NetChainSwitch::step_batch`],
-//!   and replies are emitted through [`netchain_wire::BatchEncoder`] into one
+//!   chains execute in waves, each packet stepped where it lies by
+//!   [`netchain_switch::NetChainSwitch::handle_hashed`], and replies are emitted through [`netchain_wire::BatchEncoder`] into one
 //!   contiguous buffer.
 //! * **Zero-copy parsing**: shards decode queries with
 //!   [`netchain_wire::PacketView`], which validates once and reads fields in

@@ -22,7 +22,11 @@
 //! batch-hash all keys, probe the destination switches' indexes with the
 //! precomputed hashes, then execute — read queries whose probe succeeded
 //! answer straight from the register arrays without ever materialising an
-//! owned packet. The pre-staging scalar path is kept as
+//! owned packet. Every other packet is materialised once, out of the packet
+//! pool, and from then on is stepped where it lies: it **carries the stage-2
+//! hash of its key** through every hop of its chain, so the index match, the
+//! failover-rule scopes and the trace fingerprints of all three hops of a
+//! write consume one hash. The pre-staging scalar parse is kept as
 //! [`Shard::process_burst_scalar`], the semantic baseline the staged path is
 //! differentially tested against.
 //!
@@ -38,6 +42,9 @@
 //!   network the controller programs the failed switch's *neighbours*; in the
 //!   fabric every live switch is a potential neighbour (chains hop directly
 //!   from switch to switch), so programming all of them is the same thing.
+//!   Rules match on a packet's destination, so they leave the fast read lane
+//!   alone: a read stays eligible unless a rule targets the address its
+//!   *reply* goes to.
 //! * Packets addressed to a failed (or simply absent) switch are routed
 //!   through the shard's *gateway* — the lowest-IP live active switch, which
 //!   plays the role of the client's ToR switch in the testbed: its rule table
@@ -52,16 +59,18 @@
 //!
 //! Parsing recycles [`NetChainPacket`] buffers through a small pool
 //! ([`netchain_wire::PacketPool`]): the chain list and value vectors of a
-//! retired packet are refilled in place for the next frame, removing the
-//! last per-packet allocation on the write path (reads never allocated).
+//! retired packet are refilled in place for the next frame, and the switch
+//! program rewrites them in place (a reply clears the chain list and reuses
+//! the value buffer), so the write path allocates nothing per packet (reads
+//! never did).
 
 use crate::stats::ShardStats;
-use netchain_core::query_evidence;
+use netchain_core::query_evidence_hashed;
 use netchain_core::HashRing;
 use netchain_switch::kv::ExportedEntry;
 use netchain_switch::{
     stable_hash_batch, DropReason, FailoverRule, NetChainSwitch, PipelineConfig, ProbeGauges,
-    RuleScope, StagedOutcome, StagedPacket, SwitchAction,
+    RuleScope,
 };
 use netchain_telemetry::{
     key_fingerprint, trace_id, Evidence, EvidenceOp, HopRole, PacketTrace, TraceConfig, TraceSink,
@@ -70,7 +79,6 @@ use netchain_wire::{
     BatchEncoder, BatchView, Ipv4Addr, Key, NetChainPacket, OpCode, PacketPool, PacketView, Value,
     BATCH_WIDTH,
 };
-use std::collections::{HashMap, HashSet};
 
 /// The steering rule, in one place: `key`'s virtual group modulo the shard
 /// count. Everything that partitions by key — shard ownership, client
@@ -102,16 +110,22 @@ pub struct Shard {
     id: usize,
     num_shards: usize,
     ring: HashRing,
-    switches: HashMap<Ipv4Addr, NetChainSwitch>,
+    /// The hosted replicas as one small dense table (ring members, then
+    /// spares): `ips[i]` addresses `switches[i]`, resolved by comparing a
+    /// handful of addresses rather than hashing one.
+    ips: Vec<Ipv4Addr>,
+    switches: Vec<NetChainSwitch>,
     /// Switches the fault injector killed: no longer addressable; their
     /// replica state is frozen as of the kill (fail-stop).
-    failed: HashSet<Ipv4Addr>,
+    failed: Vec<bool>,
+    /// Index of the lowest-IP live, active switch; kept current by the
+    /// control-plane hooks that can change it.
+    gateway: Option<usize>,
     stats: ShardStats,
-    /// Scratch: the current wave of in-flight packets (reused across bursts).
-    wave: Vec<NetChainPacket>,
-    next_wave: Vec<NetChainPacket>,
-    group: Vec<NetChainPacket>,
-    actions: Vec<SwitchAction>,
+    /// Scratch: the wave being executed and the one its survivors form
+    /// (reused across bursts).
+    wave: Vec<Lane>,
+    next_wave: Vec<Lane>,
     /// Retired packets whose allocations the parse path reuses.
     pool: PacketPool,
     /// Staged-pipeline scratch: the stage-3 probe inputs gathered per
@@ -120,22 +134,51 @@ pub struct Shard {
     probe_hashes: Vec<u64>,
     probe_lanes: Vec<usize>,
     probe_out: Vec<Option<usize>>,
-    /// The chunk's wave-1 items in frame order, by destination switch.
-    lanes: Vec<(Ipv4Addr, Lane)>,
-    /// Stage-4 per-item outcomes (reused across wave groups).
-    outcomes: Vec<StagedOutcome>,
     /// In-band per-hop trace stamping, when enabled. `None` keeps the data
     /// plane exactly as before: one branch per wave group and nothing else.
     tracer: Option<ShardTracer>,
 }
 
-/// One wave-1 item of a staged chunk: a read riding the fast lane is just
-/// its lane index into the chunk's parsed batch (the frame stays where it
-/// is); anything else was materialised through the packet pool and is handed
-/// over when its group executes.
+/// One in-flight item of a wave.
 enum Lane {
-    Fast(usize),
-    Owned(Option<NetChainPacket>),
+    /// A first-wave read riding the fast lane: just its lane index into the
+    /// chunk's parsed batch (the frame stays where it is) and where it is
+    /// addressed.
+    Fast { lane: usize, dst: Ipv4Addr },
+    /// Anything else: a packet materialised through the pool, stepped in
+    /// place hop after hop together with its key's stable hash.
+    Owned {
+        pkt: NetChainPacket,
+        hash: u64,
+        /// Set when a hop forwards the packet on, i.e. it joins the next
+        /// wave; otherwise it retires into the pool when its wave ends.
+        forwarded: bool,
+    },
+}
+
+impl Lane {
+    fn owned(pkt: NetChainPacket, hash: u64) -> Self {
+        Lane::Owned {
+            pkt,
+            hash,
+            forwarded: false,
+        }
+    }
+
+    fn dst(&self) -> Ipv4Addr {
+        match self {
+            Lane::Fast { dst, .. } => *dst,
+            Lane::Owned { pkt, .. } => pkt.ip.dst,
+        }
+    }
+}
+
+/// What the fast lanes of a staged chunk refer into: the parsed frames and
+/// the per-lane results of stages 2 and 3.
+struct Chunk<'c, 's, 'a> {
+    frames: &'c BatchView<'s, 'a>,
+    hashes: &'c [u64; BATCH_WIDTH],
+    slots: &'c [Option<usize>; BATCH_WIDTH],
 }
 
 /// Shard-side trace recorder: a sink plus the run's wall-clock origin.
@@ -163,32 +206,30 @@ impl Shard {
         spares: &[Ipv4Addr],
     ) -> Self {
         assert!(num_shards > 0 && id < num_shards);
-        let switches: HashMap<Ipv4Addr, NetChainSwitch> = ring
-            .switches()
-            .iter()
-            .chain(spares.iter())
-            .map(|&ip| (ip, NetChainSwitch::new(ip, pipeline)))
-            .collect();
-        Shard {
+        let ips: Vec<Ipv4Addr> = ring.switches().iter().chain(spares).copied().collect();
+        let mut shard = Shard {
             id,
             num_shards,
             ring,
-            switches,
-            failed: HashSet::new(),
+            switches: ips
+                .iter()
+                .map(|&ip| NetChainSwitch::new(ip, pipeline))
+                .collect(),
+            failed: vec![false; ips.len()],
+            ips,
+            gateway: None,
             stats: ShardStats::default(),
-            wave: Vec::new(),
+            wave: Vec::with_capacity(BATCH_WIDTH),
             next_wave: Vec::new(),
-            group: Vec::new(),
-            actions: Vec::new(),
             pool: PacketPool::new(),
             probe_keys: Vec::new(),
             probe_hashes: Vec::new(),
             probe_lanes: Vec::new(),
             probe_out: Vec::new(),
-            lanes: Vec::with_capacity(BATCH_WIDTH),
-            outcomes: Vec::new(),
             tracer: None,
-        }
+        };
+        shard.refresh_gateway();
+        shard
     }
 
     /// Turns on in-band trace stamping: every wave group handed to a switch
@@ -216,7 +257,7 @@ impl Shard {
     /// current view. Executors call this at burst boundaries, never per
     /// packet, which is what keeps probe support off the hot path.
     pub fn set_probe_gauges(&mut self, gauges: ProbeGauges) {
-        for switch in self.switches.values_mut() {
+        for switch in &mut self.switches {
             switch.set_probe_gauges(gauges);
         }
     }
@@ -242,8 +283,7 @@ impl Shard {
     pub fn populate(&mut self, key: Key, value: &Value) {
         assert!(self.owns(&key), "key steered to the wrong shard");
         for ip in self.ring.chain_for_key(&key).switches {
-            self.switches
-                .get_mut(&ip)
+            self.switch_mut(ip)
                 .expect("chain switches exist in the shard")
                 .kv_mut()
                 .insert(key, value)
@@ -251,14 +291,23 @@ impl Shard {
         }
     }
 
+    /// Where `ip`'s replica sits in the dense table, dead or alive.
+    fn index_of(&self, ip: Ipv4Addr) -> Option<usize> {
+        self.ips.iter().position(|&hosted| hosted == ip)
+    }
+
     /// Read access to a switch replica (differential tests, experiments).
     pub fn switch(&self, ip: Ipv4Addr) -> Option<&NetChainSwitch> {
-        self.switches.get(&ip)
+        self.index_of(ip).map(|i| &self.switches[i])
+    }
+
+    fn switch_mut(&mut self, ip: Ipv4Addr) -> Option<&mut NetChainSwitch> {
+        self.index_of(ip).map(|i| &mut self.switches[i])
     }
 
     /// The switch IPs this shard hosts.
     pub fn switch_ips(&self) -> impl Iterator<Item = Ipv4Addr> + '_ {
-        self.switches.keys().copied()
+        self.ips.iter().copied()
     }
 
     // ---- Control-plane hooks (the live controller's verbs) ----
@@ -267,20 +316,23 @@ impl Shard {
     /// freezes. Queries towards it fall to the gateway's rule table (or are
     /// dropped as unroutable until rules arrive).
     pub fn kill_switch(&mut self, ip: Ipv4Addr) {
-        self.failed.insert(ip);
+        if let Some(i) = self.index_of(ip) {
+            self.failed[i] = true;
+            self.refresh_gateway();
+        }
     }
 
     /// True if the fault injector killed `ip` on this shard.
     pub fn is_failed(&self, ip: Ipv4Addr) -> bool {
-        self.failed.contains(&ip)
+        self.index_of(ip).is_some_and(|i| self.failed[i])
     }
 
     /// Installs a failover/recovery rule for traffic destined to `failed_ip`
     /// into every live switch replica (= every potential neighbour of the
     /// failed switch; see the module docs).
     pub fn install_rule(&mut self, failed_ip: Ipv4Addr, rule: FailoverRule) {
-        for (&ip, switch) in self.switches.iter_mut() {
-            if !self.failed.contains(&ip) {
+        for (switch, &failed) in self.switches.iter_mut().zip(&self.failed) {
+            if !failed {
                 switch.forwarding_mut().install(failed_ip, rule);
             }
         }
@@ -288,7 +340,7 @@ impl Shard {
 
     /// Removes a rule (matched by priority and scope) from every replica.
     pub fn remove_rule(&mut self, failed_ip: Ipv4Addr, priority: u8, scope: RuleScope) {
-        for switch in self.switches.values_mut() {
+        for switch in &mut self.switches {
             switch.forwarding_mut().remove(failed_ip, priority, scope);
         }
     }
@@ -296,7 +348,7 @@ impl Shard {
     /// Sets the session number switch `ip` stamps on writes it sequences
     /// (head replacement, §5.2).
     pub fn set_session(&mut self, ip: Ipv4Addr, session: u64) {
-        if let Some(switch) = self.switches.get_mut(&ip) {
+        if let Some(switch) = self.switch_mut(ip) {
             switch.set_session(session);
         }
     }
@@ -304,46 +356,45 @@ impl Shard {
     /// Activates or deactivates query processing on switch `ip` (recovery
     /// phase 2 activates the replacement).
     pub fn set_active(&mut self, ip: Ipv4Addr, active: bool) {
-        if let Some(switch) = self.switches.get_mut(&ip) {
+        if let Some(switch) = self.switch_mut(ip) {
             switch.set_active(active);
+            self.refresh_gateway();
         }
     }
 
     /// Exports switch `ip`'s entries for virtual group `group` (out of
     /// `modulus` groups) — the donor side of chain repair. The filter is
-    /// identical to the simulator switch agent's `ExportRequest` handling.
+    /// identical to the simulator switch agent's `ExportRequest` handling,
+    /// applied to the index's stored hashes before any value is read.
     pub fn export_group(&self, ip: Ipv4Addr, group: u32, modulus: u32) -> Vec<ExportedEntry> {
-        let Some(switch) = self.switches.get(&ip) else {
-            return Vec::new();
-        };
-        switch
-            .kv()
-            .export_entries()
-            .into_iter()
-            .filter(|entry| (entry.key.stable_hash() % u64::from(modulus.max(1))) as u32 == group)
-            .collect()
+        self.switch(ip)
+            .map_or_else(Vec::new, |sw| sw.kv().export_group(group, modulus))
     }
 
     /// Imports entries into switch `ip`'s store — the replacement side of
     /// chain repair. Stale entries never clobber newer local state
     /// (Invariant 1 is preserved if synchronisation races a live write).
     pub fn import_entries(&mut self, ip: Ipv4Addr, entries: &[ExportedEntry]) {
-        if let Some(switch) = self.switches.get_mut(&ip) {
+        if let Some(switch) = self.switch_mut(ip) {
             for entry in entries {
                 let _ = switch.kv_mut().import_entry(entry);
             }
         }
     }
 
-    /// The shard's gateway: the lowest-IP live, active switch. Plays the ToR
-    /// switch's role for packets addressed to a dead device — its rule table
-    /// decides their fate.
-    fn gateway_ip(&self) -> Option<Ipv4Addr> {
-        self.switches
-            .iter()
-            .filter(|(ip, sw)| !self.failed.contains(ip) && sw.is_active())
-            .map(|(&ip, _)| ip)
-            .min()
+    /// Recomputes the shard's gateway: the lowest-IP live, active switch.
+    /// It plays the ToR switch's role for packets addressed to a dead device
+    /// — its rule table decides their fate. Only a kill or an (de)activation
+    /// can change it.
+    fn refresh_gateway(&mut self) {
+        self.gateway = (0..self.ips.len())
+            .filter(|&i| !self.failed[i] && self.switches[i].is_active())
+            .min_by_key(|&i| self.ips[i]);
+    }
+
+    /// The live replica addressed by `ip`, if this shard hosts one.
+    fn live_index(&self, ip: Ipv4Addr) -> Option<usize> {
+        self.index_of(ip).filter(|&i| !self.failed[i])
     }
 
     // ---- Data plane ----
@@ -358,19 +409,20 @@ impl Shard {
     ///    [`netchain_wire::validate_frame`] over the chunk and fills a
     ///    structure-of-arrays scratch with the fields the later stages need.
     /// 2. **Hash** — [`stable_hash_batch`] hashes every key of the chunk in
-    ///    one lane-major pass.
+    ///    one lane-major pass. Nothing downstream hashes a key again.
     /// 3. **Probe** — eligible read lanes are probed against their
     ///    destination switch's index with the precomputed hashes
     ///    (`SwitchKvStore::probe_slots`), touching the register slots so they
     ///    are warm when stage 4 reads them. Mutations never touch the index
     ///    (inserts/removes are control-plane only), so slots probed here stay
     ///    correct for the whole burst.
-    /// 4. **Execute** — [`NetChainSwitch::step_batch_staged`] runs the wave
-    ///    groups in frame order: probed reads ride the fast lane (the reply
-    ///    is emitted straight from the query frame and the register arrays,
-    ///    no owned packet), everything else takes the scalar path unchanged.
+    /// 4. **Execute** — the wave groups run in frame order: probed reads ride
+    ///    the fast lane ([`NetChainSwitch::read_reply_staged`]: the reply is
+    ///    emitted straight from the query frame and the register arrays, no
+    ///    owned packet), everything else is stepped in place with its hash
+    ///    ([`NetChainSwitch::handle_hashed`]).
     ///
-    /// Chain hops past the first wave continue through the same wave loop as
+    /// Chain hops past the first wave continue through the same wave step as
     /// [`Shard::process_burst_scalar`]; semantics — per-key ordering within a
     /// burst, reply order, stats, trace stamps — are identical to the scalar
     /// path (pinned by tests).
@@ -379,10 +431,10 @@ impl Shard {
         frames: impl Iterator<Item = &'a [u8]>,
         replies: &mut BatchEncoder,
     ) {
-        debug_assert!(self.wave.is_empty());
+        debug_assert!(self.next_wave.is_empty());
         let mut frames = frames.fuse();
         let mut chunk: [&'a [u8]; BATCH_WIDTH] = [&[]; BATCH_WIDTH];
-        let mut lanes = std::mem::take(&mut self.lanes);
+        let mut wave = std::mem::take(&mut self.wave);
         let mut started = false;
         loop {
             let mut n = 0;
@@ -422,12 +474,13 @@ impl Shard {
             // is eligible iff the switch would run exactly `process_read`
             // followed by an unobstructed reply bounce: a pure read query
             // (no carried value, so no recirculation accounting) addressed
-            // to a live, active switch with no failover rules installed.
+            // to a live, active switch holding no rule for the address the
+            // reply goes to (the querying client). Rules for other
+            // destinations — the failed switch of a failover, say — never
+            // see such a packet.
             let mut slots: [Option<usize>; BATCH_WIDTH] = [None; BATCH_WIDTH];
             let mut fast: u32 = 0;
-            let any_failed = !self.failed.is_empty();
-            let mut last_dst = 0u32;
-            let mut last_ok = false;
+            let mut last: Option<(u32, u32, bool)> = None;
             for i in 0..n {
                 if !batch.is_netchain(i)
                     || batch.op(i) != OpCode::Read.to_u8()
@@ -435,19 +488,21 @@ impl Shard {
                 {
                     continue;
                 }
-                // Lanes repeating the previous destination reuse its verdict
-                // (bursts cluster by chain, so this collapses most lookups).
-                let dst_u32 = batch.dst(i);
-                if dst_u32 != last_dst || i == 0 {
-                    last_dst = dst_u32;
-                    let dst = Ipv4Addr(dst_u32.to_be_bytes());
-                    last_ok = (!any_failed || !self.failed.contains(&dst))
-                        && self
-                            .switches
-                            .get(&dst)
-                            .is_some_and(|sw| sw.is_active() && sw.forwarding().is_empty());
-                }
-                if last_ok {
+                // Lanes repeating the previous (destination, client) pair
+                // reuse its verdict (bursts cluster by chain, so this
+                // collapses most lookups).
+                let (dst, src) = (batch.dst(i), batch.src(i));
+                let ok = match last {
+                    Some((d, s, ok)) if (d, s) == (dst, src) => ok,
+                    _ => self
+                        .live_index(Ipv4Addr(dst.to_be_bytes()))
+                        .map(|s| &self.switches[s])
+                        .is_some_and(|sw| {
+                            sw.is_active() && !sw.forwarding().targets(Ipv4Addr(src.to_be_bytes()))
+                        }),
+                };
+                last = Some((dst, src, ok));
+                if ok {
                     fast |= 1 << i;
                 }
             }
@@ -470,10 +525,14 @@ impl Shard {
                         pending &= !(1 << i);
                     }
                 }
-                let dst = Ipv4Addr(dst_u32.to_be_bytes());
-                let sw = self.switches.get(&dst).expect("eligibility checked above");
-                sw.kv()
-                    .probe_slots(&self.probe_keys, &self.probe_hashes, &mut self.probe_out);
+                let s = self
+                    .index_of(Ipv4Addr(dst_u32.to_be_bytes()))
+                    .expect("eligibility checked above");
+                self.switches[s].kv().probe_slots(
+                    &self.probe_keys,
+                    &self.probe_hashes,
+                    &mut self.probe_out,
+                );
                 for (slot, &lane) in self.probe_out.iter().zip(&self.probe_lanes) {
                     slots[lane] = *slot;
                 }
@@ -481,168 +540,42 @@ impl Shard {
 
             // Build the chunk's wave-1 items in frame order: fast-lane reads
             // stay in their frame, everything else is materialised through
-            // the packet pool exactly like the scalar parse.
-            lanes.clear();
-            for i in 0..n {
+            // the packet pool exactly like the scalar parse, and keeps its
+            // stage-2 hash from here on.
+            for (i, &hash) in hashes.iter().enumerate().take(n) {
                 if !batch.is_valid(i) {
                     continue;
                 }
-                if fast & (1 << i) != 0 {
-                    lanes.push((Ipv4Addr(batch.dst(i).to_be_bytes()), Lane::Fast(i)));
+                wave.push(if fast & (1 << i) != 0 {
+                    Lane::Fast {
+                        lane: i,
+                        dst: Ipv4Addr(batch.dst(i).to_be_bytes()),
+                    }
                 } else {
-                    let pkt = self.pool.take(&bv.view(i));
-                    lanes.push((pkt.ip.dst, Lane::Owned(Some(pkt))));
-                }
+                    Lane::owned(self.pool.take(&bv.view(i)), hash)
+                });
             }
 
-            // Stage 4: execute the chunk's wave-1 groups (consecutive items
-            // with the same destination, as in the scalar wave loop).
-            let mut next = 0;
-            while next < lanes.len() {
-                let dst = lanes[next].0;
-                let len = lanes[next..].iter().take_while(|(d, _)| *d == dst).count();
-                let group = &mut lanes[next..next + len];
-                next += len;
-                let target = if self.failed.contains(&dst) || !self.switches.contains_key(&dst) {
-                    self.gateway_ip()
-                } else {
-                    Some(dst)
-                };
-                if let (Some(tracer), Some(hop)) = (&mut self.tracer, target) {
-                    // One clock read per wave group, as on the scalar path.
-                    // Evidence (a pre-execution register read) is gathered
-                    // only for packets the sink actually samples, so the
-                    // common unsampled packet costs one hash + one branch.
-                    let hop_ip = u32::from_be_bytes(hop.0);
-                    let at_ns = tracer.t0.elapsed().as_nanos() as u64;
-                    let sw = self.switches.get(&hop);
-                    for (_, lane) in group.iter() {
-                        match lane {
-                            Lane::Fast(i) => {
-                                let id = trace_id(batch.src(*i), batch.request_id(*i));
-                                if !tracer.sink.samples(id) {
-                                    continue;
-                                }
-                                // Fast-lane eligibility pinned hop == dst, so
-                                // the stage-3 slot is this switch's.
-                                match sw {
-                                    Some(sw) => {
-                                        let kv = sw.kv();
-                                        let (ok, (session, seq)) =
-                                            match slots[*i].filter(|&s| kv.is_valid(s)) {
-                                                Some(s) => (true, kv.ordering(s)),
-                                                None => (false, (0, 0)),
-                                            };
-                                        tracer.sink.stamp_with(
-                                            id,
-                                            hop_ip,
-                                            at_ns,
-                                            Evidence {
-                                                op: EvidenceOp::Read,
-                                                role: HopRole::Tail,
-                                                ok,
-                                                key_fp: key_fingerprint(hashes[*i]),
-                                                session,
-                                                seq,
-                                            },
-                                        );
-                                    }
-                                    None => tracer.sink.stamp(id, hop_ip, at_ns),
-                                }
-                            }
-                            Lane::Owned(p) => {
-                                let p = p.as_ref().expect("lanes execute after stamping");
-                                let id =
-                                    trace_id(u32::from_be_bytes(p.ip.src.0), p.netchain.request_id);
-                                if !tracer.sink.samples(id) {
-                                    continue;
-                                }
-                                match sw.and_then(|sw| query_evidence(sw, &p.netchain)) {
-                                    Some(ev) => tracer.sink.stamp_with(id, hop_ip, at_ns, ev),
-                                    None => tracer.sink.stamp(id, hop_ip, at_ns),
-                                }
-                            }
-                        }
-                    }
-                }
-                match target.and_then(|ip| self.switches.get_mut(&ip)) {
-                    Some(sw) => {
-                        self.outcomes.clear();
-                        let staged = group.iter_mut().map(|(_, lane)| match lane {
-                            Lane::Fast(i) => StagedPacket::FastRead {
-                                frame: bv.frame(*i),
-                                slot: slots[*i],
-                                client: Ipv4Addr(batch.src(*i).to_be_bytes()),
-                                request_id: batch.request_id(*i),
-                            },
-                            Lane::Owned(p) => {
-                                StagedPacket::Owned(p.take().expect("lanes execute once"))
-                            }
-                        });
-                        sw.step_batch_staged(staged, replies, &mut self.outcomes);
-                        for outcome in self.outcomes.drain(..) {
-                            match outcome {
-                                StagedOutcome::FastReply { client, request_id } => {
-                                    self.stats.replies += 1;
-                                    if let Some(tracer) = &mut self.tracer {
-                                        tracer.sink.finish(trace_id(
-                                            u32::from_be_bytes(client.0),
-                                            request_id,
-                                        ));
-                                    }
-                                }
-                                StagedOutcome::Reply(p) => {
-                                    self.stats.replies += 1;
-                                    if let Some(tracer) = &mut self.tracer {
-                                        tracer.sink.finish(trace_id(
-                                            u32::from_be_bytes(p.ip.dst.0),
-                                            p.netchain.request_id,
-                                        ));
-                                    }
-                                    self.pool.put(p);
-                                }
-                                StagedOutcome::Action(SwitchAction::Forward(p)) => {
-                                    if p.ip.dst == dst && target != Some(dst) {
-                                        self.stats.unroutable += 1;
-                                        self.pool.put(p);
-                                    } else {
-                                        self.next_wave.push(p);
-                                    }
-                                }
-                                StagedOutcome::Action(SwitchAction::Drop(DropReason::Blocked)) => {
-                                    self.stats.drops += 1;
-                                    self.stats.blocked += 1;
-                                }
-                                StagedOutcome::Action(SwitchAction::Drop(_)) => {
-                                    self.stats.drops += 1
-                                }
-                            }
-                        }
-                    }
-                    None => {
-                        self.stats.unroutable += group.len() as u64;
-                        for (_, lane) in group {
-                            if let Lane::Owned(p) = lane {
-                                self.pool.put(p.take().expect("lanes execute once"));
-                            }
-                        }
-                    }
-                }
-            }
+            // Stage 4: execute the chunk's share of wave 1.
+            let chunk = Chunk {
+                frames: &bv,
+                hashes: &hashes,
+                slots: &slots,
+            };
+            self.run_wave(&mut wave, Some(&chunk), replies);
         }
-        self.lanes = lanes;
+        self.wave = wave;
 
-        // Chain hops past the first wave continue through the shared wave
-        // loop (writes traversing their chains, failover re-routes, …).
-        std::mem::swap(&mut self.wave, &mut self.next_wave);
+        // Chain hops past the first wave (writes traversing their chains,
+        // failover re-routes, …).
         self.run_waves(replies);
     }
 
     /// The pre-staging scalar reference path: parses every frame into an
-    /// owned packet with the zero-copy [`PacketView`] and runs the wave loop
-    /// from the first hop. Kept as the semantic baseline the staged
-    /// [`Shard::process_burst`] is differentially tested (and benchmarked)
-    /// against.
+    /// owned packet with the zero-copy [`PacketView`], hashes its key on its
+    /// own, and runs the waves from the first hop with no fast lane. Kept as
+    /// the semantic baseline the staged [`Shard::process_burst`] is
+    /// differentially tested (and benchmarked) against.
     ///
     /// Malformed frames are counted and skipped. The owned conversion reuses
     /// pooled packet buffers ([`PacketView::to_owned_into`]), so in steady
@@ -652,114 +585,169 @@ impl Shard {
         frames: impl Iterator<Item = &'a [u8]>,
         replies: &mut BatchEncoder,
     ) {
-        debug_assert!(self.wave.is_empty());
+        debug_assert!(self.next_wave.is_empty());
         for bytes in frames {
             self.stats.frames_in += 1;
             match PacketView::parse(bytes) {
                 Ok(view) => {
                     let pkt = self.pool.take(&view);
-                    self.wave.push(pkt);
+                    let hash = pkt.netchain.key.stable_hash();
+                    self.next_wave.push(Lane::owned(pkt, hash));
                 }
                 Err(_) => self.stats.parse_errors += 1,
             }
         }
-        if self.wave.is_empty() {
+        if self.next_wave.is_empty() {
             return;
         }
         self.stats.bursts += 1;
         self.run_waves(replies);
     }
 
-    /// Runs the in-flight waves (`self.wave`) to completion: group packets
-    /// addressed to the same switch and step them as one batch, collecting
-    /// each wave's continuing packets into the next.
+    /// Runs the pending waves (`self.next_wave`) to completion, each wave's
+    /// forwarded packets forming the next.
     fn run_waves(&mut self, replies: &mut BatchEncoder) {
-        while !self.wave.is_empty() {
+        let mut wave = std::mem::take(&mut self.wave);
+        while !self.next_wave.is_empty() {
             self.stats.waves += 1;
-            let mut wave = std::mem::take(&mut self.wave);
-            let mut iter = wave.drain(..).peekable();
-            while let Some(pkt) = iter.next() {
-                let dst = pkt.ip.dst;
-                self.group.push(pkt);
-                while iter.peek().is_some_and(|p| p.ip.dst == dst) {
-                    self.group
-                        .push(iter.next().expect("peek said there is one"));
-                }
-                let target = if self.failed.contains(&dst) || !self.switches.contains_key(&dst) {
-                    // The destination is dead or absent: hand the run to the
-                    // gateway switch, whose failover rules decide. No gateway
-                    // (everything failed) means the packets are unroutable.
-                    self.gateway_ip()
-                } else {
-                    Some(dst)
-                };
-                if let (Some(tracer), Some(hop)) = (&mut self.tracer, target) {
-                    // One clock read per wave group; evidence is gathered
-                    // only for sampled trace IDs.
-                    let hop_ip = u32::from_be_bytes(hop.0);
-                    let at_ns = tracer.t0.elapsed().as_nanos() as u64;
-                    let sw = self.switches.get(&hop);
-                    for p in &self.group {
-                        let id = trace_id(u32::from_be_bytes(p.ip.src.0), p.netchain.request_id);
-                        if !tracer.sink.samples(id) {
-                            continue;
-                        }
-                        match sw.and_then(|sw| query_evidence(sw, &p.netchain)) {
-                            Some(ev) => tracer.sink.stamp_with(id, hop_ip, at_ns, ev),
-                            None => tracer.sink.stamp(id, hop_ip, at_ns),
-                        }
-                    }
-                }
-                match target.and_then(|ip| self.switches.get_mut(&ip)) {
-                    Some(sw) => {
-                        self.actions.clear();
-                        sw.step_batch(self.group.drain(..), &mut self.actions);
-                        for action in self.actions.drain(..) {
-                            match action {
-                                SwitchAction::Forward(p) => {
-                                    if p.netchain.op.is_reply() {
-                                        self.stats.replies += 1;
-                                        if let Some(tracer) = &mut self.tracer {
-                                            // Replies carry the client in
-                                            // `ip.dst`; close the shard-side
-                                            // fragment.
-                                            tracer.sink.finish(trace_id(
-                                                u32::from_be_bytes(p.ip.dst.0),
-                                                p.netchain.request_id,
-                                            ));
-                                        }
-                                        replies.push(&p).expect("replies are bounded like queries");
-                                        self.pool.put(p);
-                                    } else if p.ip.dst == dst && target != Some(dst) {
-                                        // The gateway had no matching rule and
-                                        // passed the packet through unchanged:
-                                        // it would sail to the dead switch.
-                                        self.stats.unroutable += 1;
-                                        self.pool.put(p);
-                                    } else {
-                                        self.next_wave.push(p);
-                                    }
-                                }
-                                SwitchAction::Drop(DropReason::Blocked) => {
-                                    self.stats.drops += 1;
-                                    self.stats.blocked += 1;
-                                }
-                                SwitchAction::Drop(_) => self.stats.drops += 1,
+            std::mem::swap(&mut wave, &mut self.next_wave);
+            self.run_wave(&mut wave, None, replies);
+        }
+        self.wave = wave;
+    }
+
+    /// Executes one wave (or one chunk's share of the first): groups the
+    /// consecutive items addressed to the same switch and steps each group
+    /// through that switch, where the items lie. Leaves `wave` empty:
+    /// forwarded packets move to `self.next_wave`, finished ones retire into
+    /// the pool. `chunk` is what the wave's fast lanes (if any) refer into.
+    fn run_wave(
+        &mut self,
+        wave: &mut Vec<Lane>,
+        chunk: Option<&Chunk>,
+        replies: &mut BatchEncoder,
+    ) {
+        let mut next = 0;
+        while next < wave.len() {
+            let dst = wave[next].dst();
+            let len = wave[next..]
+                .iter()
+                .take_while(|lane| lane.dst() == dst)
+                .count();
+            let group = &mut wave[next..next + len];
+            next += len;
+            // A dead or absent destination hands the run to the gateway
+            // switch, whose failover rules decide. No gateway (everything
+            // failed) means the packets are unroutable.
+            let Some(hop) = self.live_index(dst).or(self.gateway) else {
+                self.stats.unroutable += len as u64;
+                continue;
+            };
+            let via_gateway = self.ips[hop] != dst;
+            if let Some(tracer) = &mut self.tracer {
+                // One clock read per wave group. Evidence (a pre-execution
+                // register read) is gathered only for packets the sink
+                // actually samples, so the common unsampled packet costs one
+                // hash + one branch.
+                let hop_ip = u32::from_be_bytes(self.ips[hop].0);
+                let at_ns = tracer.t0.elapsed().as_nanos() as u64;
+                let sw = &self.switches[hop];
+                for lane in group.iter() {
+                    let (id, evidence) = match lane {
+                        Lane::Fast { lane: i, .. } => {
+                            let chunk = chunk.expect("fast lanes ride with their chunk");
+                            let batch = chunk.frames.batch();
+                            let id = trace_id(batch.src(*i), batch.request_id(*i));
+                            if !tracer.sink.samples(id) {
+                                continue;
                             }
+                            // Fast-lane eligibility pinned hop == dst, so the
+                            // stage-3 slot is this switch's.
+                            let kv = sw.kv();
+                            let live = chunk.slots[*i].filter(|&s| kv.is_valid(s));
+                            let (session, seq) = live.map_or((0, 0), |s| kv.ordering(s));
+                            let evidence = Evidence {
+                                op: EvidenceOp::Read,
+                                role: HopRole::Tail,
+                                ok: live.is_some(),
+                                key_fp: key_fingerprint(chunk.hashes[*i]),
+                                session,
+                                seq,
+                            };
+                            (id, Some(evidence))
                         }
-                    }
-                    None => {
-                        self.stats.unroutable += self.group.len() as u64;
-                        while let Some(p) = self.group.pop() {
-                            self.pool.put(p);
+                        Lane::Owned { pkt, hash, .. } => {
+                            let id =
+                                trace_id(u32::from_be_bytes(pkt.ip.src.0), pkt.netchain.request_id);
+                            if !tracer.sink.samples(id) {
+                                continue;
+                            }
+                            (id, query_evidence_hashed(sw, &pkt.netchain, *hash))
                         }
+                    };
+                    match evidence {
+                        Some(ev) => tracer.sink.stamp_with(id, hop_ip, at_ns, ev),
+                        None => tracer.sink.stamp(id, hop_ip, at_ns),
                     }
                 }
             }
-            drop(iter);
-            // Reuse the drained wave allocation for the next round.
-            std::mem::swap(&mut wave, &mut self.next_wave);
-            self.wave = wave;
+            let sw = &mut self.switches[hop];
+            for lane in group {
+                // The (client, request id) a reply produced here answers.
+                let replied_to = match lane {
+                    Lane::Fast { lane: i, .. } => {
+                        let chunk = chunk.expect("fast lanes ride with their chunk");
+                        sw.read_reply_staged(chunk.frames.frame(*i), chunk.slots[*i], replies);
+                        let batch = chunk.frames.batch();
+                        Some((batch.src(*i), batch.request_id(*i)))
+                    }
+                    Lane::Owned {
+                        pkt,
+                        hash,
+                        forwarded,
+                    } => match sw.handle_hashed(pkt, *hash) {
+                        Ok(()) if pkt.netchain.op.is_reply() => {
+                            replies.push(pkt).expect("replies are bounded like queries");
+                            // Replies carry the client in `ip.dst`.
+                            Some((u32::from_be_bytes(pkt.ip.dst.0), pkt.netchain.request_id))
+                        }
+                        Ok(()) if via_gateway && pkt.ip.dst == dst => {
+                            // The gateway had no matching rule and passed the
+                            // packet through unchanged: it would sail to the
+                            // dead switch.
+                            self.stats.unroutable += 1;
+                            None
+                        }
+                        Ok(()) => {
+                            *forwarded = true;
+                            None
+                        }
+                        Err(reason) => {
+                            self.stats.drops += 1;
+                            self.stats.blocked += u64::from(reason == DropReason::Blocked);
+                            None
+                        }
+                    },
+                };
+                if let Some((client, request_id)) = replied_to {
+                    self.stats.replies += 1;
+                    if let Some(tracer) = &mut self.tracer {
+                        // Close the shard-side fragment.
+                        tracer.sink.finish(trace_id(client, request_id));
+                    }
+                }
+            }
+        }
+        for lane in wave.drain(..) {
+            match lane {
+                Lane::Owned {
+                    pkt,
+                    hash,
+                    forwarded: true,
+                } => self.next_wave.push(Lane::owned(pkt, hash)),
+                Lane::Owned { pkt, .. } => self.pool.put(pkt),
+                Lane::Fast { .. } => {}
+            }
         }
     }
 }

@@ -1,15 +1,19 @@
-//! The allocation budget of the live path: after warm-up, a read round trip
-//! (draw → encode in the query ring's slot → `process_burst` out of the ring
-//! → reply into the reply ring's slot → match where it lies) allocates
-//! nothing, and neither does the client side of the 50/40/10 write mix. The
-//! shard's side of the mix is reported, not gated.
+//! The allocation budget of the live path: after warm-up, a round trip (draw
+//! → encode in the query ring's slot → `process_burst` out of the ring →
+//! reply into the reply ring's slot → match where it lies) allocates nothing
+//! on either side, for reads and for the 50/40/10 write mix alike — nor does
+//! a read burst while failover rules are installed.
 //!
 //! Both pumps run on this one thread, so the counter — kept per thread, and
 //! switched on only around the calls under test — sees exactly their
 //! allocations and none of the test harness's.
 
-use netchain_fabric::{build_shards, connect, ClientState, FabricConfig, WorkloadSpec};
+use netchain_fabric::{build_shards, connect, ClientState, FabricConfig, Shard, WorkloadSpec};
 use netchain_sim::SimTime;
+use netchain_switch::{FailoverAction, FailoverRule, RuleScope};
+use netchain_wire::{
+    BatchEncoder, ChainList, Ipv4Addr, Key, NetChainPacket, OpCode, PacketView, Value,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -108,8 +112,87 @@ fn read_round_trips_allocate_nothing() {
 }
 
 #[test]
-fn write_mix_allocates_nothing_on_the_client_side() {
+fn write_mix_allocates_nothing() {
     let (client, shard) = steady_state_allocations(WorkloadSpec::mixed(256, 0, 50, 40), 10_000);
-    println!("write mix, 10k ops past warm-up: {shard} shard-side allocations (not gated)");
-    assert_eq!(client, 0, "client-side allocations in 10k mixed ops");
+    assert_eq!(
+        (client, shard),
+        (0, 0),
+        "(client, shard) allocations in 10k mixed ops"
+    );
+}
+
+#[test]
+fn reads_keep_the_fast_lane_past_a_failover_rule() {
+    let config = FabricConfig::new(1);
+    let spec = WorkloadSpec::uniform_read(256, 0);
+    let ring = config.build_ring();
+    let mut staged = build_shards(&config, &spec).pop().expect("one shard");
+    let mut scalar = build_shards(&config, &spec).pop().expect("one shard");
+    let client = Ipv4Addr::for_host(0);
+    let victim = ring.switches()[1];
+    let rule = |action| FailoverRule {
+        priority: 1,
+        scope: RuleScope::All,
+        action,
+    };
+    for shard in [&mut staged, &mut scalar] {
+        shard.kill_switch(victim);
+        shard.install_rule(victim, rule(FailoverAction::ChainFailover));
+    }
+    // One read per key whose tail outlived the kill: addressed to a live
+    // switch that holds a rule, but for another destination.
+    let frames: Vec<Vec<u8>> = (0..spec.num_keys)
+        .map(Key::from_u64)
+        .filter_map(|key| {
+            let chain = ring.chain_for_key(&key);
+            let behind_tail: Vec<Ipv4Addr> = chain.switches.iter().rev().skip(1).copied().collect();
+            (chain.tail() != victim).then(|| {
+                NetChainPacket::query(
+                    client,
+                    40_000,
+                    chain.tail(),
+                    OpCode::Read,
+                    key,
+                    Value::empty(),
+                    ChainList::new(behind_tail).unwrap(),
+                    key.low_u64(),
+                )
+                .to_bytes()
+            })
+        })
+        .collect();
+    assert!(frames.len() > 100);
+    let burst = || frames.iter().map(|f| f.as_slice());
+    let (mut staged_replies, mut scalar_replies) = (BatchEncoder::new(), BatchEncoder::new());
+    let mut round = |staged: &mut Shard, scalar: &mut Shard| {
+        staged_replies.clear();
+        scalar_replies.clear();
+        let (allocations, ()) =
+            allocations_in(|| staged.process_burst(burst(), &mut staged_replies));
+        scalar.process_burst_scalar(burst(), &mut scalar_replies);
+        assert!(staged_replies.frames().eq(scalar_replies.frames()));
+        assert_eq!(staged.stats(), scalar.stats());
+        let first = staged_replies
+            .frames()
+            .next()
+            .map(|f| PacketView::parse(f).unwrap().ip.dst);
+        (allocations, staged_replies.len(), first)
+    };
+
+    round(&mut staged, &mut scalar); // warm-up: the reply encoder grows once
+    let (allocations, replies, to) = round(&mut staged, &mut scalar);
+    assert_eq!((allocations, replies, to), (0, frames.len(), Some(client)));
+
+    // A rule for the address the replies go to is another matter: the reads
+    // must leave the fast lane, or their replies would miss the redirect.
+    let elsewhere = Ipv4Addr::for_host(7);
+    for shard in [&mut staged, &mut scalar] {
+        shard.install_rule(client, rule(FailoverAction::Redirect(elsewhere)));
+    }
+    round(&mut staged, &mut scalar); // warm-up: the packet pool fills once
+    let (allocations, replies, to) = round(&mut staged, &mut scalar);
+    assert_eq!(
+        (allocations, replies, to),
+        (0, frames.len(), Some(elsewhere))
+    );
 }

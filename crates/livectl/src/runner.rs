@@ -593,7 +593,9 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
                     if stopping {
                         break;
                     }
-                    std::thread::sleep(nap);
+                    // Parked, not asleep: the run's end unparks the monitor
+                    // instead of waiting out whatever is left of the nap.
+                    std::thread::park_timeout(nap);
                 }
                 (journal, anomalies, audited)
             })
@@ -636,6 +638,7 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
     // All window writers have exited; let the monitor judge the final slice
     // and hand back its journal.
     monitor_stop.store(true, Ordering::Release);
+    monitor.thread().unpark();
     let (ops_journal, anomalies, audited_traces) = monitor.join().expect("monitor thread panicked");
     // Completed traces detoured through the auditor; fold them back in so
     // the merged trace set is exactly what an unaudited run would report.

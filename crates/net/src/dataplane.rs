@@ -12,7 +12,8 @@
 //!   detected and counted instead of silently truncated).
 //! * Each worker owns a [`netchain_fabric::Shard`] — the staged
 //!   validate/hash/probe/execute pipeline over
-//!   [`netchain_switch::NetChainSwitch::step_batch_staged`], parsing
+//!   [`netchain_switch::NetChainSwitch::read_reply_staged`] and
+//!   [`netchain_switch::NetChainSwitch::handle_hashed`], parsing
 //!   zero-copy straight out of the receive slots. No mutex: the shard is
 //!   thread-local, clients steer queries to the owning worker's socket with
 //!   [`NetDataplane::addr_of_key`] (the same [`shard_of_key`] rule the

@@ -14,7 +14,6 @@
 //! the key hash it already has.
 
 use netchain_wire::{Ipv4Addr, Key, FNV64_OFFSET, FNV64_PRIME, KEY_LEN};
-use std::collections::HashMap;
 
 /// Stage 2 of the staged batch pipeline: `Key::stable_hash` (FNV-1a 64) over
 /// a whole batch of keys in one pass. The loop is lane-major — the outer
@@ -50,18 +49,6 @@ pub enum RuleScope {
     },
 }
 
-impl RuleScope {
-    /// True if a query for `key` falls under this scope.
-    pub fn matches(&self, key: &Key) -> bool {
-        match *self {
-            RuleScope::All => true,
-            RuleScope::Group { group, modulus } => {
-                modulus > 0 && (key.stable_hash() % u64::from(modulus)) as u32 == group
-            }
-        }
-    }
-}
-
 /// What a neighbour switch does with a matching packet destined to a failed
 /// switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,9 +82,14 @@ pub struct FailoverRule {
 }
 
 /// The per-switch table of failover rules, keyed by the failed switch's IP.
+///
+/// Every packet a switch forwards onwards is matched against this table, so
+/// the destinations are a short list compared by value (a handful of failed
+/// switches at most), not a hash map.
 #[derive(Debug, Clone, Default)]
 pub struct ForwardingTable {
-    rules: HashMap<Ipv4Addr, Vec<FailoverRule>>,
+    /// Per failed IP, its rules in descending priority; never empty.
+    rules: Vec<(Ipv4Addr, Vec<FailoverRule>)>,
 }
 
 impl ForwardingTable {
@@ -110,7 +102,11 @@ impl ForwardingTable {
     /// same priority *and* scope replaces the previous one (the controller
     /// re-programs a rule slot); otherwise rules coexist and priority decides.
     pub fn install(&mut self, failed_ip: Ipv4Addr, rule: FailoverRule) {
-        let slot = self.rules.entry(failed_ip).or_default();
+        let at = self.position(failed_ip).unwrap_or_else(|| {
+            self.rules.push((failed_ip, Vec::new()));
+            self.rules.len() - 1
+        });
+        let slot = &mut self.rules[at].1;
         if let Some(existing) = slot
             .iter_mut()
             .find(|r| r.priority == rule.priority && r.scope == rule.scope)
@@ -137,36 +133,59 @@ impl ForwardingTable {
     /// Removes every rule matching `failed_ip` with the given priority and
     /// scope. Returns the number of rules removed.
     pub fn remove(&mut self, failed_ip: Ipv4Addr, priority: u8, scope: RuleScope) -> usize {
-        let Some(slot) = self.rules.get_mut(&failed_ip) else {
+        let Some(at) = self.position(failed_ip) else {
             return 0;
         };
+        let slot = &mut self.rules[at].1;
         let before = slot.len();
         slot.retain(|r| !(r.priority == priority && r.scope == scope));
         let removed = before - slot.len();
         if slot.is_empty() {
-            self.rules.remove(&failed_ip);
+            self.rules.remove(at);
         }
         removed
     }
 
-    /// Removes all rules for `failed_ip`.
-    pub fn remove_all(&mut self, failed_ip: Ipv4Addr) -> usize {
-        self.rules.remove(&failed_ip).map_or(0, |v| v.len())
+    fn position(&self, dst: Ipv4Addr) -> Option<usize> {
+        self.rules.iter().position(|(ip, _)| *ip == dst)
+    }
+
+    /// True if any rule, of any scope, targets packets destined to `dst`.
+    pub fn targets(&self, dst: Ipv4Addr) -> bool {
+        self.position(dst).is_some()
     }
 
     /// The action that applies to a query for `key` destined to `dst`, if any
     /// (highest priority rule whose scope matches).
     pub fn action_for(&self, dst: Ipv4Addr, key: &Key) -> Option<FailoverAction> {
-        self.rules
-            .get(&dst)?
+        self.action_for_hash(dst, key.stable_hash())
+    }
+
+    /// [`Self::action_for`] for a key whose stable hash is already known.
+    /// Group scopes compare that hash's residue, computed once per distinct
+    /// modulus rather than once per rule (a repair in progress holds a block
+    /// or redirect rule for each of its groups).
+    pub fn action_for_hash(&self, dst: Ipv4Addr, hash: u64) -> Option<FailoverAction> {
+        let rules = &self.rules[self.position(dst)?].1;
+        let (mut modulus_seen, mut residue) = (0, 0);
+        rules
             .iter()
-            .find(|rule| rule.scope.matches(key))
+            .find(|rule| match rule.scope {
+                RuleScope::All => true,
+                RuleScope::Group { group, modulus } => {
+                    if modulus != modulus_seen && modulus > 0 {
+                        modulus_seen = modulus;
+                        residue = (hash % u64::from(modulus)) as u32;
+                    }
+                    modulus > 0 && residue == group
+                }
+            })
             .map(|rule| rule.action)
     }
 
     /// Number of installed rules (across all destinations).
     pub fn len(&self) -> usize {
-        self.rules.values().map(Vec::len).sum()
+        self.rules.iter().map(|(_, rules)| rules.len()).sum()
     }
 
     /// True if no rules are installed.
@@ -201,25 +220,47 @@ mod tests {
     }
 
     #[test]
-    fn scope_matching() {
-        let k = Key::from_name("foo");
-        assert!(RuleScope::All.matches(&k));
-        let g = (k.stable_hash() % 10) as u32;
-        assert!(RuleScope::Group {
-            group: g,
-            modulus: 10
+    fn scopes_select_by_group_whatever_the_mix_of_moduli() {
+        let failed = Ipv4Addr::for_switch(1);
+        let key = Key::from_name("foo");
+        let hash = key.stable_hash();
+        let group = |modulus: u32, off: u32| RuleScope::Group {
+            group: ((hash % u64::from(modulus)) as u32 + off) % modulus,
+            modulus,
+        };
+        let spare = FailoverAction::Redirect(Ipv4Addr::for_switch(9));
+        let mut t = ForwardingTable::new();
+        // In descending priority: a scope of no group at all, another group
+        // of 10, the key's group of 7, and everything.
+        for (priority, scope, action) in [
+            (
+                5,
+                RuleScope::Group {
+                    group: 0,
+                    modulus: 0,
+                },
+                FailoverAction::Block,
+            ),
+            (4, group(10, 1), FailoverAction::Block),
+            (3, group(7, 0), spare),
+            (1, RuleScope::All, FailoverAction::ChainFailover),
+        ] {
+            t.install(
+                failed,
+                FailoverRule {
+                    priority,
+                    scope,
+                    action,
+                },
+            );
         }
-        .matches(&k));
-        assert!(!RuleScope::Group {
-            group: (g + 1) % 10,
-            modulus: 10
-        }
-        .matches(&k));
-        assert!(!RuleScope::Group {
-            group: 0,
-            modulus: 0
-        }
-        .matches(&k));
+        assert_eq!(t.action_for(failed, &key), Some(spare));
+        assert_eq!(t.action_for_hash(failed, hash), Some(spare));
+        assert_eq!(t.remove(failed, 3, group(7, 0)), 1);
+        assert_eq!(
+            t.action_for(failed, &key),
+            Some(FailoverAction::ChainFailover)
+        );
     }
 
     #[test]
@@ -333,7 +374,7 @@ mod tests {
             t.action_for(failed, &key),
             Some(FailoverAction::Redirect(Ipv4Addr::for_switch(8)))
         );
-        assert_eq!(t.remove_all(failed), 1);
+        assert_eq!(t.remove(failed, 3, RuleScope::All), 1);
         assert!(t.is_empty());
     }
 

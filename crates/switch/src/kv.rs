@@ -2,8 +2,16 @@
 //! arrays for values, sequence numbers and session numbers (Figure 3).
 //!
 //! Values are stored the way the prototype stores them: split across the
-//! value stages, `bytes_per_stage` bytes per stage, with a separate length
-//! register so variable-length values round-trip exactly.
+//! value stages, `bytes_per_stage` bytes per stage, with a length register so
+//! variable-length values round-trip exactly. The length, sequence, session
+//! and validity registers of a slot — everything Algorithm 1 checks before it
+//! touches the value — sit side by side in one per-slot record, so the
+//! ordering check costs one cache line.
+//!
+//! **Invariant:** in every value stage, the bytes of a slot past its stored
+//! length are zero. [`SwitchKvStore::write_value`] and garbage collection
+//! therefore touch only the stages the longer of the old and new value
+//! occupies, never all of them.
 
 use crate::pipeline::{PipelineConfig, ResourceUsage};
 use crate::register::RegisterArray;
@@ -54,6 +62,26 @@ pub struct ExportedEntry {
     pub valid: bool,
 }
 
+/// The non-value registers of one slot. On the ASIC these are three 8-byte
+/// register arrays and a flag sharing the value arrays' index space; here
+/// they share a record so one cache line answers "is it live, how long, how
+/// new".
+#[derive(Debug, Clone, Copy, Default)]
+struct SlotMeta {
+    /// Per-key sequence number (Algorithm 1).
+    seq: u64,
+    /// Per-key session number (§5.2, NOPaxos-style head replacement).
+    session: u64,
+    /// Value length in bytes.
+    len: u32,
+    /// Validity flag (a `Delete` invalidates; the controller garbage
+    /// collects later).
+    valid: bool,
+}
+
+/// SRAM the sequence, session and length registers of one slot occupy.
+const META_REGISTER_BYTES: usize = 3 * 8;
+
 /// The switch-resident key-value store.
 #[derive(Debug, Clone)]
 pub struct SwitchKvStore {
@@ -61,16 +89,10 @@ pub struct SwitchKvStore {
     index: MatchTable,
     /// One register array per value stage.
     value_stages: Vec<RegisterArray>,
-    /// Value lengths, one register per slot.
-    lengths: RegisterArray,
-    /// Per-key sequence numbers (Algorithm 1).
-    seqs: RegisterArray,
-    /// Per-key session numbers (§5.2, NOPaxos-style head replacement).
-    sessions: RegisterArray,
-    /// Validity flags (a `Delete` invalidates; the controller garbage
-    /// collects later).
-    valid: Vec<bool>,
-    /// Free slot list.
+    /// The records of the slots handed out so far: slots are first used in
+    /// index order, so the next never-used slot is `meta.len()`.
+    meta: Vec<SlotMeta>,
+    /// Slots garbage collection gave back, reused before any fresh one.
     free: Vec<usize>,
 }
 
@@ -85,11 +107,8 @@ impl SwitchKvStore {
             config,
             index: MatchTable::new(slots),
             value_stages,
-            lengths: RegisterArray::new(slots, 8),
-            seqs: RegisterArray::new(slots, 8),
-            sessions: RegisterArray::new(slots, 8),
-            valid: vec![false; slots],
-            free: (0..slots).rev().collect(),
+            meta: Vec::with_capacity(slots),
+            free: Vec::new(),
         }
     }
 
@@ -105,7 +124,7 @@ impl SwitchKvStore {
 
     /// Number of slots still available.
     pub fn free_slots(&self) -> usize {
-        self.free.len()
+        self.free.len() + self.config.slots_per_stage - self.meta.len()
     }
 
     /// Looks up the slot index of a key (data-plane match, Algorithm 1 line 1).
@@ -113,9 +132,15 @@ impl SwitchKvStore {
         self.index.lookup(key)
     }
 
+    /// [`Self::lookup`] with the key's stable hash already in hand — the
+    /// per-hop match of a packet that was hashed once on arrival.
+    pub fn lookup_with_hash(&self, hash: u64, key: &Key) -> Option<usize> {
+        self.index.lookup_with_hash(hash, key)
+    }
+
     /// True if the slot currently holds a live (not invalidated) entry.
     pub fn is_valid(&self, slot: usize) -> bool {
-        self.valid[slot]
+        self.meta[slot].valid
     }
 
     /// Installs a new key with an initial value (control-plane `Insert`).
@@ -126,159 +151,181 @@ impl SwitchKvStore {
         if self.index.lookup(&key).is_some() {
             return Err(KvError::KeyExists);
         }
-        let slot = self.free.pop().ok_or(KvError::Full)?;
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None if self.meta.len() < self.config.slots_per_stage => {
+                self.meta.push(SlotMeta::default());
+                self.meta.len() - 1
+            }
+            None => return Err(KvError::Full),
+        };
         let inserted = self.index.insert(key, slot);
         debug_assert!(inserted, "index capacity mirrors slot count");
+        // A never-used or collected slot's ordering registers are zero.
         self.write_value(slot, value);
-        self.seqs.write_u64(slot, 0);
-        self.sessions.write_u64(slot, 0);
-        self.valid[slot] = true;
+        self.meta[slot].valid = true;
         Ok(slot)
     }
 
     /// Invalidates a key's entry (data-plane effect of `Delete`): the slot
     /// stays allocated until [`Self::garbage_collect`] reclaims it.
     pub fn invalidate(&mut self, slot: usize) {
-        self.valid[slot] = false;
+        self.meta[slot].valid = false;
     }
 
     /// Re-validates a slot (a `Write` to an invalidated but not yet collected
     /// key resurrects it, matching register-array semantics).
     pub fn revalidate(&mut self, slot: usize) {
-        self.valid[slot] = true;
+        self.meta[slot].valid = true;
     }
 
     /// Removes a key entirely and frees its slot (control-plane garbage
     /// collection after a `Delete`).
     pub fn garbage_collect(&mut self, key: &Key) -> Result<(), KvError> {
         let slot = self.index.remove(key).ok_or(KvError::KeyNotFound)?;
-        self.valid[slot] = false;
-        self.lengths.write_u64(slot, 0);
-        self.seqs.write_u64(slot, 0);
-        self.sessions.write_u64(slot, 0);
-        for stage in &mut self.value_stages {
-            stage.clear(slot);
-        }
+        self.write_value(slot, &Value::empty());
+        self.meta[slot] = SlotMeta::default();
         self.free.push(slot);
         Ok(())
     }
 
     /// Reads the value stored in `slot`, reassembled across stages.
     pub fn read_value(&self, slot: usize) -> Value {
-        let len = self.lengths.read_u64(slot) as usize;
-        let mut bytes = Vec::with_capacity(len);
-        let mut remaining = len;
-        for stage in &self.value_stages {
-            if remaining == 0 {
-                break;
-            }
-            let take = remaining.min(self.config.bytes_per_stage);
-            bytes.extend_from_slice(&stage.read(slot)[..take]);
-            remaining -= take;
-        }
-        Value::new(bytes).expect("stored values never exceed the wire maximum")
+        let mut value = Value::empty();
+        self.read_value_into(slot, &mut value);
+        value
+    }
+
+    /// [`Self::read_value`] into an existing [`Value`], reusing its
+    /// allocation (how the switch answers a query inside the query's own
+    /// packet).
+    pub fn read_value_into(&self, slot: usize, out: &mut Value) {
+        let len = self.value_len(slot).min(self.config.max_line_rate_value());
+        out.fill_with(len, |buf| {
+            self.copy_value_into(slot, buf);
+        })
+        .expect("stored values never exceed the wire maximum");
+    }
+
+    /// The stored value as a big-endian `u64` if it is exactly 8 bytes (the
+    /// compare half of compare-and-swap, read straight from the registers).
+    pub fn value_u64(&self, slot: usize) -> Option<u64> {
+        let mut bytes = [0u8; 8];
+        (self.value_len(slot) == 8 && self.copy_value_into(slot, &mut bytes) == 8)
+            .then(|| u64::from_be_bytes(bytes))
     }
 
     /// Length in bytes of the value stored in `slot`, without reassembling
     /// it (the staged read path sizes its in-place reply emission with this).
     pub fn value_len(&self, slot: usize) -> usize {
-        self.lengths.read_u64(slot) as usize
+        self.meta[slot].len as usize
     }
 
-    /// Copies the value stored in `slot` into `out` (which must be exactly
+    /// Copies the value stored in `slot` into `out` (at most
     /// [`Self::value_len`] bytes), reassembling across stages without the
     /// `Vec` allocation [`Self::read_value`] pays. Returns the bytes copied.
     pub fn copy_value_into(&self, slot: usize, out: &mut [u8]) -> usize {
-        let len = self.value_len(slot);
-        debug_assert_eq!(out.len(), len, "output must be sized by value_len");
         let mut copied = 0;
-        for stage in &self.value_stages {
-            if copied == len {
-                break;
-            }
-            let take = (len - copied).min(self.config.bytes_per_stage);
-            out[copied..copied + take].copy_from_slice(&stage.read(slot)[..take]);
-            copied += take;
+        for (stage, chunk) in self
+            .value_stages
+            .iter()
+            .zip(out.chunks_mut(self.config.bytes_per_stage))
+        {
+            chunk.copy_from_slice(&stage.read(slot)[..chunk.len()]);
+            copied += chunk.len();
         }
         copied
     }
 
     /// Stage 3 of the staged batch pipeline: resolves the slot of every lane
-    /// through the index's open-addressed mirror using **precomputed** stable
-    /// hashes (see `stable_hash_batch`), and touches each hit's ordering and
-    /// length registers so the slot state stage 4 executes against is
-    /// cache-hot — the software analogue of a hardware prefetch. Stage 4
-    /// re-reads the registers at execution time, so interleaved mutations in
-    /// the same burst observe and produce exactly the scalar path's state.
+    /// through the index using **precomputed** stable hashes (see
+    /// `stable_hash_batch`), and touches each hit's ordering and length
+    /// registers so the slot state stage 4 executes against is cache-hot —
+    /// the software analogue of a hardware prefetch. Stage 4 re-reads the
+    /// registers at execution time, so interleaved mutations in the same
+    /// burst observe and produce exactly the scalar path's state.
     pub fn probe_slots(&self, keys: &[Key], hashes: &[u64], out: &mut Vec<Option<usize>>) {
         debug_assert_eq!(keys.len(), hashes.len());
         let mut touch = 0u64;
         for (key, &hash) in keys.iter().zip(hashes) {
             let slot = self.index.lookup_with_hash(hash, key);
             if let Some(s) = slot {
-                touch ^=
-                    self.seqs.read_u64(s) ^ self.sessions.read_u64(s) ^ self.lengths.read_u64(s);
+                let meta = &self.meta[s];
+                touch ^= meta.seq ^ meta.session ^ u64::from(meta.len);
             }
             out.push(slot);
         }
         std::hint::black_box(touch);
     }
 
-    /// Writes a value into `slot`, splitting it across stages.
+    /// Writes a value into `slot`, splitting it across stages. Only the
+    /// stages the old or the new value reaches are written (see the module
+    /// invariant); bytes the stages cannot hold are dropped, the length
+    /// register still records what was asked.
     pub fn write_value(&mut self, slot: usize, value: &Value) {
         let bytes = value.as_bytes();
-        self.lengths.write_u64(slot, bytes.len() as u64);
-        for (i, stage) in self.value_stages.iter_mut().enumerate() {
-            let start = i * self.config.bytes_per_stage;
-            if start >= bytes.len() {
-                stage.clear(slot);
-            } else {
-                let end = (start + self.config.bytes_per_stage).min(bytes.len());
-                stage.write(slot, &bytes[start..end]);
-            }
+        let width = self.config.bytes_per_stage;
+        let old_len = std::mem::replace(&mut self.meta[slot].len, bytes.len() as u32) as usize;
+        let touched = old_len.max(bytes.len()).div_ceil(width);
+        for (i, stage) in self.value_stages.iter_mut().take(touched).enumerate() {
+            let end = bytes.len().min((i + 1) * width);
+            // A stage wholly past the new value gets the empty slice, which
+            // zeroes what the old value left there.
+            stage.write(slot, bytes.get(i * width..end).unwrap_or(&[]));
         }
     }
 
     /// The stored sequence number of `slot`.
     pub fn seq(&self, slot: usize) -> u64 {
-        self.seqs.read_u64(slot)
+        self.meta[slot].seq
     }
 
     /// Sets the stored sequence number of `slot`.
     pub fn set_seq(&mut self, slot: usize, seq: u64) {
-        self.seqs.write_u64(slot, seq);
+        self.meta[slot].seq = seq;
     }
 
     /// The stored session number of `slot`.
     pub fn session(&self, slot: usize) -> u64 {
-        self.sessions.read_u64(slot)
+        self.meta[slot].session
     }
 
     /// Sets the stored session number of `slot`.
     pub fn set_session(&mut self, slot: usize, session: u64) {
-        self.sessions.write_u64(slot, session);
+        self.meta[slot].session = session;
     }
 
     /// The `(session, seq)` ordering tuple of `slot`.
     pub fn ordering(&self, slot: usize) -> (u64, u64) {
-        (self.session(slot), self.seq(slot))
+        (self.meta[slot].session, self.meta[slot].seq)
     }
 
-    /// Exports every installed entry, for state synchronisation.
-    pub fn export_entries(&self) -> Vec<ExportedEntry> {
-        let mut out: Vec<ExportedEntry> = self
-            .index
-            .entries()
+    /// The given index entries with their register state, in key order.
+    fn export<'a>(&self, entries: impl Iterator<Item = (&'a Key, usize)>) -> Vec<ExportedEntry> {
+        let mut out: Vec<ExportedEntry> = entries
             .map(|(key, slot)| ExportedEntry {
                 key: *key,
                 value: self.read_value(slot),
                 seq: self.seq(slot),
                 session: self.session(slot),
-                valid: self.valid[slot],
+                valid: self.is_valid(slot),
             })
             .collect();
         out.sort_by_key(|e| e.key);
         out
+    }
+
+    /// Exports every installed entry in key order, for state
+    /// synchronisation.
+    pub fn export_entries(&self) -> Vec<ExportedEntry> {
+        self.export(self.index.entries())
+    }
+
+    /// Exports, in key order, the entries of virtual group `group` out of
+    /// `modulus` (the unit chain repair moves). The index selects them by
+    /// their stored hashes, so no other entry's value is read or sorted.
+    pub fn export_group(&self, group: u32, modulus: u32) -> Vec<ExportedEntry> {
+        self.export(self.index.entries_in_group(group, modulus))
     }
 
     /// Imports one entry (used on a replacement switch during recovery).
@@ -291,6 +338,7 @@ impl SwitchKvStore {
                 if (entry.session, entry.seq) < self.ordering(slot) {
                     return Ok(());
                 }
+                self.write_value(slot, &entry.value);
                 slot
             }
             None => self.insert(entry.key, &entry.value).map_err(|e| match e {
@@ -298,10 +346,12 @@ impl SwitchKvStore {
                 other => other,
             })?,
         };
-        self.write_value(slot, &entry.value);
-        self.set_seq(slot, entry.seq);
-        self.set_session(slot, entry.session);
-        self.valid[slot] = entry.valid;
+        self.meta[slot] = SlotMeta {
+            seq: entry.seq,
+            session: entry.session,
+            valid: entry.valid,
+            ..self.meta[slot]
+        };
         Ok(())
     }
 
@@ -323,9 +373,7 @@ impl SwitchKvStore {
                 .iter()
                 .map(RegisterArray::memory_bytes)
                 .sum(),
-            ordering_register_bytes: self.seqs.memory_bytes()
-                + self.sessions.memory_bytes()
-                + self.lengths.memory_bytes(),
+            ordering_register_bytes: self.config.slots_per_stage * META_REGISTER_BYTES,
         }
     }
 }

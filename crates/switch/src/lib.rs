@@ -37,10 +37,7 @@ pub mod table;
 pub use forward::{stable_hash_batch, FailoverAction, FailoverRule, ForwardingTable, RuleScope};
 pub use kv::{ExportedEntry, KvError, SwitchKvStore};
 pub use pipeline::{PipelineConfig, ResourceUsage};
-pub use program::{
-    cas_bytes, cas_value, DropReason, NetChainSwitch, StagedOutcome, StagedPacket, SwitchAction,
-    SwitchRole,
-};
+pub use program::{cas_bytes, cas_value, DropReason, NetChainSwitch, SwitchAction};
 pub use register::RegisterArray;
 pub use stats::{ProbeGauges, SwitchStats};
 pub use table::MatchTable;

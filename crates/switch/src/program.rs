@@ -47,61 +47,6 @@ pub enum SwitchAction {
     Drop(DropReason),
 }
 
-/// One item of a staged burst handed to [`NetChainSwitch::step_batch_staged`].
-///
-/// The caller's stage-3 prepass decides the lane: read queries addressed to a
-/// live, rule-free switch ride the borrowed fast lane with their probed index
-/// slot; everything else is materialised into an owned packet and takes the
-/// scalar path.
-#[derive(Debug)]
-pub enum StagedPacket<'a> {
-    /// A validated read-query frame plus its probed register slot (`None` on
-    /// an index miss). `client` and `request_id` are the query's source IP
-    /// and request id, echoed back in the outcome so the caller can account
-    /// for the reply without re-parsing the frame.
-    FastRead {
-        /// The raw query frame (borrowed from the receive buffer).
-        frame: &'a [u8],
-        /// Stage-3 probe result: the key's register slot, if indexed.
-        slot: Option<usize>,
-        /// The querying client's IP (the frame's IPv4 source).
-        client: Ipv4Addr,
-        /// The query's request id.
-        request_id: u64,
-    },
-    /// Any other packet; handled exactly like [`NetChainSwitch::step_batch`].
-    Owned(NetChainPacket),
-}
-
-/// Per-item outcome of [`NetChainSwitch::step_batch_staged`], in item order.
-#[derive(Debug)]
-pub enum StagedOutcome {
-    /// A fast-lane read reply, already written into the encoder. Carries the
-    /// client IP and request id for the caller's reply accounting.
-    FastReply {
-        /// Destination of the emitted reply.
-        client: Ipv4Addr,
-        /// Request id of the answered query.
-        request_id: u64,
-    },
-    /// An owned packet turned into a reply, already written into the encoder;
-    /// the packet itself is returned for buffer pooling.
-    Reply(NetChainPacket),
-    /// A non-reply verdict on an owned packet (chain forward or drop).
-    Action(SwitchAction),
-}
-
-/// Role a switch plays for a given query, derived per packet (diagnostic).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SwitchRole {
-    /// First chain hop of a mutation (assigns sequence numbers).
-    Head,
-    /// Intermediate chain hop.
-    Replica,
-    /// Last chain hop (generates the reply).
-    Tail,
-}
-
 /// A NetChain-programmed switch data plane.
 #[derive(Debug, Clone)]
 pub struct NetChainSwitch {
@@ -228,68 +173,20 @@ impl NetChainSwitch {
         self.session = 0;
     }
 
-    /// Handles a burst of packets in one call, appending one
-    /// [`SwitchAction`] per packet (in order) to `out`.
-    ///
-    /// This is the entry point the multi-core fabric (`netchain-fabric`)
-    /// uses: processing in bursts of ~32 amortises the per-call overhead and
-    /// keeps the match tables and register arrays hot in cache across the
-    /// burst, the software analogue of a hardware pipeline staying full. The
-    /// per-packet semantics are exactly [`Self::handle`] — a batch is a
-    /// sequential application, not a transaction.
-    pub fn step_batch(
+    /// The fast read lane of the staged batch pipeline: a read query whose
+    /// frame was validated, hashed and probed by the caller (`slot` is the
+    /// key's register slot, `None` on an index miss) is answered straight
+    /// from the query frame and the register arrays into `replies`, without
+    /// ever materialising a [`NetChainPacket`]. Stats and reply bytes are
+    /// exactly what [`Self::handle`] produces for the same query at a switch
+    /// no rule diverts the reply of (pinned by tests); the caller checks that
+    /// eligibility.
+    pub fn read_reply_staged(
         &mut self,
-        pkts: impl IntoIterator<Item = NetChainPacket>,
-        out: &mut Vec<SwitchAction>,
-    ) {
-        for pkt in pkts {
-            out.push(self.handle(pkt));
-        }
-    }
-
-    /// Stage 4 of the staged batch pipeline: executes a burst whose frames
-    /// were already validated (stage 1), hashed (stage 2) and probed
-    /// (stage 3), pushing per-item outcomes to `out` **in item order**.
-    ///
-    /// Fast-lane read queries never materialise a [`NetChainPacket`]: the
-    /// reply is emitted straight from the query frame and the register arrays
-    /// into `replies`. Everything else goes through [`Self::handle`] exactly
-    /// as [`Self::step_batch`] would, and reply packets are *also* pushed
-    /// into `replies` so the encoder sees replies in the same order a scalar
-    /// pass would produce them. Stats, per-key ordering within the burst and
-    /// reply bytes are identical to the scalar path (pinned by tests).
-    pub fn step_batch_staged<'a>(
-        &mut self,
-        pkts: impl IntoIterator<Item = StagedPacket<'a>>,
+        frame: &[u8],
+        slot: Option<usize>,
         replies: &mut BatchEncoder,
-        out: &mut Vec<StagedOutcome>,
     ) {
-        for item in pkts {
-            match item {
-                StagedPacket::FastRead {
-                    frame,
-                    slot,
-                    client,
-                    request_id,
-                } => {
-                    self.staged_read_reply(frame, slot, replies);
-                    out.push(StagedOutcome::FastReply { client, request_id });
-                }
-                StagedPacket::Owned(pkt) => match self.handle(pkt) {
-                    SwitchAction::Forward(p) if p.netchain.op.is_reply() => {
-                        replies.push(&p).expect("replies are bounded like queries");
-                        out.push(StagedOutcome::Reply(p));
-                    }
-                    action => out.push(StagedOutcome::Action(action)),
-                },
-            }
-        }
-    }
-
-    /// The fast read lane: [`Self::process_read`] semantics (same stats, same
-    /// reply bytes) executed against a stage-3 probed slot, writing the reply
-    /// directly into the batch encoder.
-    fn staged_read_reply(&mut self, frame: &[u8], slot: Option<usize>, replies: &mut BatchEncoder) {
         self.stats.packets_seen += 1;
         self.stats.reads += 1;
         let live = slot.filter(|&s| self.kv.is_valid(s));
@@ -317,9 +214,24 @@ impl NetChainSwitch {
     /// Handles one NetChain packet arriving at this switch. The caller (the
     /// simulator adapter or the UDP deployment) is responsible for the
     /// underlay forwarding of whatever comes back.
-    pub fn handle(&mut self, pkt: NetChainPacket) -> SwitchAction {
+    pub fn handle(&mut self, mut pkt: NetChainPacket) -> SwitchAction {
+        let hash = pkt.netchain.key.stable_hash();
+        match self.handle_hashed(&mut pkt, hash) {
+            Ok(()) => SwitchAction::Forward(pkt),
+            Err(reason) => SwitchAction::Drop(reason),
+        }
+    }
+
+    /// [`Self::handle`] for a packet whose key was already hashed
+    /// (`hash == pkt.netchain.key.stable_hash()`), stepped where it lies:
+    /// `Ok` means forward the (rewritten) packet to its destination IP, `Err`
+    /// that it was dropped. The index match, the failover-rule scopes and
+    /// nothing else on this path hash the key again, so a packet is hashed
+    /// once however many hops it takes.
+    pub fn handle_hashed(&mut self, pkt: &mut NetChainPacket, hash: u64) -> Result<(), DropReason> {
+        debug_assert_eq!(hash, pkt.netchain.key.stable_hash(), "stale carried hash");
         if !pkt.is_netchain() {
-            return SwitchAction::Drop(DropReason::NotNetChain);
+            return Err(DropReason::NotNetChain);
         }
         self.stats.packets_seen += 1;
 
@@ -330,144 +242,136 @@ impl NetChainSwitch {
         // applies its rules to packets it forwards onwards ("if N overlaps
         // with S0/S2, it updates the destination IP after/before it processes
         // the query", §5.1). Chains are short, so the bound is generous.
-        let mut action = SwitchAction::Forward(pkt);
         let mut processed_locally = false;
         for _ in 0..8 {
-            let current = match action {
-                SwitchAction::Forward(p) => p,
-                drop => return drop,
-            };
-            if current.ip.dst == self.ip && current.netchain.op.is_query() && !processed_locally {
+            if pkt.ip.dst == self.ip {
+                if !pkt.netchain.op.is_query() || processed_locally {
+                    // A reply addressed to the switch itself, or a query
+                    // bouncing back after local processing: nothing further
+                    // to do here.
+                    return Ok(());
+                }
                 // The packet is addressed to us: run Algorithm 1.
                 if !self.active {
-                    return SwitchAction::Drop(DropReason::Inactive);
+                    return Err(DropReason::Inactive);
                 }
-                if current.netchain.value.len() > self.kv.config().max_line_rate_value() {
+                let config = self.kv.config();
+                if pkt.netchain.value.len() > config.max_line_rate_value() {
                     // Larger values recirculate; the behaviour is identical,
                     // the cost is accounted for by the capacity model.
-                    self.stats.recirculations += (self
-                        .kv
-                        .config()
-                        .passes_for_value(current.netchain.value.len())
-                        - 1) as u64;
+                    self.stats.recirculations +=
+                        (config.passes_for_value(pkt.netchain.value.len()) - 1) as u64;
                 }
                 processed_locally = true;
-                action = match current.netchain.op {
-                    OpCode::Read => self.process_read(current),
-                    OpCode::Write | OpCode::Cas | OpCode::Delete => self.process_mutation(current),
-                    OpCode::Stat => self.process_stat(current),
-                    other => self.process_other(other, current),
-                };
-            } else if current.ip.dst != self.ip {
-                if let Some(rule) = self
-                    .forwarding
-                    .action_for(current.ip.dst, &current.netchain.key)
-                {
-                    action = self.apply_failover(rule, current);
-                } else {
-                    if !processed_locally {
-                        self.stats.transits += 1;
+                match pkt.netchain.op {
+                    OpCode::Read => self.process_read(pkt, hash),
+                    OpCode::Write | OpCode::Cas | OpCode::Delete => {
+                        self.process_mutation(pkt, hash)?
                     }
-                    return SwitchAction::Forward(current);
+                    OpCode::Stat => self.process_stat(pkt),
+                    // Insertions go through the control plane (§4.1); a
+                    // data-plane insert is answered with a retry indication.
+                    OpCode::Insert => {
+                        pkt.netchain.value.clear();
+                        self.reply(pkt, QueryStatus::Declined);
+                    }
+                    // Replies are not queries; unreachable past the guard.
+                    _ => return Err(DropReason::NotNetChain),
                 }
+            } else if let Some(rule) = self.forwarding.action_for_hash(pkt.ip.dst, hash) {
+                self.apply_failover(rule, pkt)?;
             } else {
-                // A reply addressed to the switch itself, or a query bouncing
-                // back after local processing: nothing further to do here.
-                return SwitchAction::Forward(current);
+                if !processed_locally {
+                    self.stats.transits += 1;
+                }
+                return Ok(());
             }
         }
-        action
+        Ok(())
+    }
+
+    /// Turns `pkt` into this switch's reply with `status`, carrying whatever
+    /// value the packet holds.
+    fn reply(&mut self, pkt: &mut NetChainPacket, status: QueryStatus) {
+        pkt.make_reply(self.ip, status);
+        self.stats.replies_generated += 1;
     }
 
     /// Answers an in-band stat probe: encode the current snapshot into the
     /// reply value and send it straight back. Probes never touch the
     /// key-value registers or the chain, so a probe is as cheap as a read
     /// miss and cannot perturb data traffic.
-    fn process_stat(&mut self, mut pkt: NetChainPacket) -> SwitchAction {
+    fn process_stat(&mut self, pkt: &mut NetChainPacket) {
         self.stats.stat_probes += 1;
-        let value = Value::new(self.stat_snapshot().encode().to_vec())
+        pkt.netchain
+            .value
+            .set_bytes(&self.stat_snapshot().encode())
             .expect("snapshot length is bounded by MAX_VALUE_LEN");
-        pkt.make_reply(self.ip, QueryStatus::Ok, value);
-        self.stats.replies_generated += 1;
-        SwitchAction::Forward(pkt)
+        self.reply(pkt, QueryStatus::Ok);
     }
 
-    fn process_other(&mut self, op: OpCode, mut pkt: NetChainPacket) -> SwitchAction {
-        match op {
-            OpCode::Insert => {
-                // Insertions go through the control plane (§4.1); a data-plane
-                // insert is answered with a retry indication.
-                pkt.make_reply(self.ip, QueryStatus::Declined, Value::empty());
-                self.stats.replies_generated += 1;
-                SwitchAction::Forward(pkt)
-            }
-            // Replies transit back to the client; if one is addressed to the
-            // switch itself something is misconfigured — drop it.
-            _ => SwitchAction::Drop(DropReason::NotNetChain),
-        }
-    }
-
-    fn apply_failover(&mut self, action: FailoverAction, mut pkt: NetChainPacket) -> SwitchAction {
+    fn apply_failover(
+        &mut self,
+        action: FailoverAction,
+        pkt: &mut NetChainPacket,
+    ) -> Result<(), DropReason> {
         match action {
             FailoverAction::ChainFailover => {
                 self.stats.failover_hits += 1;
-                if pkt.advance_to_next_hop() {
-                    SwitchAction::Forward(pkt)
-                } else {
+                if !pkt.advance_to_next_hop() {
                     // The failed switch was the last hop: answer the client on
                     // its behalf (Algorithm 2 lines 5–6). The value echoed is
                     // whatever the query carried — for writes that is the
                     // value already applied by the surviving prefix.
-                    let value = pkt.netchain.value.clone();
-                    pkt.make_reply(self.ip, QueryStatus::Ok, value);
-                    self.stats.replies_generated += 1;
-                    SwitchAction::Forward(pkt)
+                    self.reply(pkt, QueryStatus::Ok);
                 }
             }
             FailoverAction::Block => {
                 self.stats.blocked += 1;
-                SwitchAction::Drop(DropReason::Blocked)
+                return Err(DropReason::Blocked);
             }
             FailoverAction::Redirect(new_ip) => {
                 self.stats.failover_hits += 1;
                 pkt.ip.dst = new_ip;
                 pkt.fix_lengths();
-                SwitchAction::Forward(pkt)
             }
         }
+        Ok(())
     }
 
-    fn process_read(&mut self, mut pkt: NetChainPacket) -> SwitchAction {
+    fn process_read(&mut self, pkt: &mut NetChainPacket, hash: u64) {
         self.stats.reads += 1;
-        let (status, value, seq, session) = match self.kv.lookup(&pkt.netchain.key) {
-            Some(slot) if self.kv.is_valid(slot) => (
-                QueryStatus::Ok,
-                self.kv.read_value(slot),
-                self.kv.seq(slot),
-                self.kv.session(slot),
-            ),
-            _ => {
-                self.stats.misses += 1;
-                (QueryStatus::NotFound, Value::empty(), 0, 0)
-            }
-        };
+        let kv = &self.kv;
+        let live = kv
+            .lookup_with_hash(hash, &pkt.netchain.key)
+            .filter(|&slot| kv.is_valid(slot));
+        let (session, seq) = live.map_or((0, 0), |slot| kv.ordering(slot));
         pkt.netchain.seq = seq;
         pkt.netchain.session = session as u16;
-        pkt.make_reply(self.ip, status, value);
-        self.stats.replies_generated += 1;
-        SwitchAction::Forward(pkt)
+        let status = match live {
+            Some(slot) => {
+                kv.read_value_into(slot, &mut pkt.netchain.value);
+                QueryStatus::Ok
+            }
+            None => {
+                self.stats.misses += 1;
+                pkt.netchain.value.clear();
+                QueryStatus::NotFound
+            }
+        };
+        self.reply(pkt, status);
     }
 
-    fn process_mutation(&mut self, mut pkt: NetChainPacket) -> SwitchAction {
+    fn process_mutation(&mut self, pkt: &mut NetChainPacket, hash: u64) -> Result<(), DropReason> {
         let is_head = pkt.netchain.seq == 0;
-        let Some(slot) = self.kv.lookup(&pkt.netchain.key) else {
+        let Some(slot) = self.kv.lookup_with_hash(hash, &pkt.netchain.key) else {
             self.stats.misses += 1;
             if is_head {
-                pkt.make_reply(self.ip, QueryStatus::NotFound, Value::empty());
-                self.stats.replies_generated += 1;
-                return SwitchAction::Forward(pkt);
+                pkt.netchain.value.clear();
+                self.reply(pkt, QueryStatus::NotFound);
+                return Ok(());
             }
-            return SwitchAction::Drop(DropReason::MidChainMiss);
+            return Err(DropReason::MidChainMiss);
         };
 
         if is_head {
@@ -475,44 +379,39 @@ impl NetChainSwitch {
             // switch's session number for head-replacement ordering.
             if pkt.netchain.op == OpCode::Cas {
                 self.stats.cas_ops += 1;
-                let stored = self.kv.read_value(slot);
                 let (expected, new_value) = split_cas_value(&pkt.netchain.value);
-                let current = stored.as_u64().unwrap_or(0);
+                let current = self.kv.value_u64(slot).unwrap_or(0);
                 if !self.kv.is_valid(slot) || current != expected {
                     self.stats.cas_failures += 1;
-                    pkt.make_reply(self.ip, QueryStatus::CasFailed, stored);
-                    self.stats.replies_generated += 1;
-                    return SwitchAction::Forward(pkt);
+                    self.kv.read_value_into(slot, &mut pkt.netchain.value);
+                    self.reply(pkt, QueryStatus::CasFailed);
+                    return Ok(());
                 }
                 // The CAS succeeded: downstream replicas apply the new value
                 // unconditionally (subject to the sequence check), so rewrite
                 // the carried value to just the new value.
-                pkt.netchain.value = Value::from_u64(new_value);
+                pkt.netchain
+                    .value
+                    .set_bytes(&new_value.to_be_bytes())
+                    .expect("8 bytes is well under the maximum value size");
             }
-            let seq = self.kv.seq(slot) + 1;
-            pkt.netchain.seq = seq;
+            pkt.netchain.seq = self.kv.seq(slot) + 1;
             pkt.netchain.session = self.session as u16;
-            self.apply_mutation(slot, &pkt);
-        } else {
+        } else if (u64::from(pkt.netchain.session), pkt.netchain.seq) <= self.kv.ordering(slot) {
             // Replica/tail: apply only if newer (Algorithm 1 lines 10–13).
-            let incoming = (u64::from(pkt.netchain.session), pkt.netchain.seq);
-            if incoming <= self.kv.ordering(slot) {
-                self.stats.stale_drops += 1;
-                return SwitchAction::Drop(DropReason::StaleSequence);
-            }
-            self.apply_mutation(slot, &pkt);
+            self.stats.stale_drops += 1;
+            return Err(DropReason::StaleSequence);
         }
+        self.apply_mutation(slot, pkt);
 
         if pkt.advance_to_next_hop() {
             self.stats.chain_forwards += 1;
-            SwitchAction::Forward(pkt)
         } else {
-            // Tail: reply to the client with the applied value.
-            let value = pkt.netchain.value.clone();
-            pkt.make_reply(self.ip, QueryStatus::Ok, value);
-            self.stats.replies_generated += 1;
-            SwitchAction::Forward(pkt)
+            // Tail: reply to the client with the applied value, which the
+            // packet already carries.
+            self.reply(pkt, QueryStatus::Ok);
         }
+        Ok(())
     }
 
     fn apply_mutation(&mut self, slot: usize, pkt: &NetChainPacket) {
@@ -972,30 +871,7 @@ mod tests {
     }
 
     #[test]
-    fn step_batch_matches_sequential_handle() {
-        let mut batched = switch(0);
-        let mut sequential = switch(0);
-        let pkts: Vec<NetChainPacket> = (0..40)
-            .map(|i| match i % 3 {
-                0 => write_query(0, vec![1], 100 + i),
-                1 => read_query(0),
-                _ => {
-                    let mut p = write_query(0, vec![], 0);
-                    p.netchain.op = OpCode::Cas;
-                    p.netchain.value = cas_value(0, i);
-                    p
-                }
-            })
-            .collect();
-        let mut batch_out = Vec::new();
-        batched.step_batch(pkts.clone(), &mut batch_out);
-        let seq_out: Vec<SwitchAction> = pkts.into_iter().map(|p| sequential.handle(p)).collect();
-        assert_eq!(batch_out, seq_out);
-        assert_eq!(batched.stats(), sequential.stats());
-    }
-
-    #[test]
-    fn staged_batch_matches_scalar_path() {
+    fn staged_reads_and_hashed_steps_match_handle() {
         let mut staged = switch(0);
         let mut scalar = switch(0);
         let miss = {
@@ -1003,55 +879,57 @@ mod tests {
             p.netchain.key = Key::from_name("absent");
             p
         };
-        // Interleave fast-lane reads (hit and miss) with tail writes (reply)
-        // and chain-forward writes (non-reply) so the staged path is checked
-        // against mutations landing between reads of the same key.
-        let pkts: Vec<NetChainPacket> = (0..16)
-            .map(|i| match i % 4 {
+        // Interleave fast-lane reads (hit and miss) with tail writes (reply),
+        // chain-forward writes (non-reply) and CAS so the staged entry points
+        // are checked against mutations landing between reads of the same key.
+        let pkts: Vec<NetChainPacket> = (0..20)
+            .map(|i| match i % 5 {
                 0 => read_query(0),
                 1 => write_query(0, vec![], 500 + i),
                 2 => miss.clone(),
-                _ => write_query(0, vec![1], 900 + i),
+                3 => write_query(0, vec![1], 900 + i),
+                _ => {
+                    let mut p = write_query(0, vec![], 0);
+                    p.netchain.op = OpCode::Cas;
+                    // Every other CAS expects a value the key does not hold.
+                    p.netchain.value = cas_value(900 + i - 1 + (i / 5 % 2), i);
+                    p
+                }
             })
             .collect();
 
         let mut scalar_replies = BatchEncoder::new();
-        let mut scalar_actions = Vec::new();
-        for p in pkts.clone() {
-            let act = scalar.handle(p);
-            if let SwitchAction::Forward(ref r) = act {
+        let mut staged_replies = BatchEncoder::new();
+        for pkt in pkts {
+            let expected = scalar.handle(pkt.clone());
+            if let SwitchAction::Forward(ref r) = expected {
                 if r.netchain.op.is_reply() {
                     scalar_replies.push(r).unwrap();
                 }
             }
-            scalar_actions.push(act);
-        }
-
-        // The staged prepass probes slots before any packet executes — the
-        // index never changes mid-burst, so the slots stay correct even with
-        // writes in between; values are re-read at execution time.
-        let frames: Vec<Vec<u8>> = pkts.iter().map(|p| p.to_bytes()).collect();
-        let items: Vec<StagedPacket> = pkts
-            .iter()
-            .zip(&frames)
-            .map(|(p, f)| {
-                if p.netchain.op == OpCode::Read {
-                    StagedPacket::FastRead {
-                        frame: f.as_slice(),
-                        slot: staged.kv().lookup(&p.netchain.key),
-                        client: p.ip.src,
-                        request_id: p.netchain.request_id,
+            if pkt.netchain.op == OpCode::Read {
+                // The index never changes mid-burst, so a slot probed before
+                // the burst stays correct; values are re-read at execution.
+                let slot = staged.kv().lookup(&pkt.netchain.key);
+                staged.read_reply_staged(&pkt.to_bytes(), slot, &mut staged_replies);
+                continue;
+            }
+            let mut stepped = pkt;
+            let hash = stepped.netchain.key.stable_hash();
+            let verdict = staged.handle_hashed(&mut stepped, hash);
+            match expected {
+                SwitchAction::Forward(p) => {
+                    assert_eq!(verdict, Ok(()));
+                    assert_eq!(stepped, p);
+                    if p.netchain.op.is_reply() {
+                        staged_replies.push(&stepped).unwrap();
                     }
-                } else {
-                    StagedPacket::Owned(p.clone())
                 }
-            })
-            .collect();
-        let mut staged_replies = BatchEncoder::new();
-        let mut outcomes = Vec::new();
-        staged.step_batch_staged(items, &mut staged_replies, &mut outcomes);
-
+                SwitchAction::Drop(reason) => assert_eq!(verdict, Err(reason)),
+            }
+        }
         assert_eq!(staged.stats(), scalar.stats());
+        assert!(staged.stats().cas_ops > 0 && staged.stats().cas_failures > 0);
         assert_eq!(staged_replies.len(), scalar_replies.len());
         for (i, (a, b)) in staged_replies
             .frames()
@@ -1059,22 +937,6 @@ mod tests {
             .enumerate()
         {
             assert_eq!(a, b, "reply frame {i} diverges from the scalar bytes");
-        }
-        assert_eq!(outcomes.len(), scalar_actions.len());
-        for (o, a) in outcomes.iter().zip(&scalar_actions) {
-            match (o, a) {
-                (StagedOutcome::FastReply { client, request_id }, SwitchAction::Forward(p)) => {
-                    assert!(p.netchain.op.is_reply());
-                    assert_eq!(*client, p.ip.dst);
-                    assert_eq!(*request_id, p.netchain.request_id);
-                }
-                (StagedOutcome::Reply(rp), SwitchAction::Forward(p)) => {
-                    assert!(p.netchain.op.is_reply());
-                    assert_eq!(rp, p);
-                }
-                (StagedOutcome::Action(sa), act) => assert_eq!(sa, act),
-                other => panic!("mismatched outcome/action pair: {other:?}"),
-            }
         }
     }
 

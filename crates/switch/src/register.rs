@@ -2,8 +2,9 @@
 //! modify per packet at line rate.
 //!
 //! NetChain stores values in register arrays (one array per pipeline stage,
-//! each stage contributing up to 16 bytes of the value) and sequence numbers
-//! in a dedicated array sharing the same index space (§4.1, §4.3).
+//! each stage contributing up to 16 bytes of the value); the sequence,
+//! session and length registers share the same index space (§4.1, §4.3) and
+//! are modelled as one record per slot in [`crate::kv`].
 
 use std::fmt;
 
@@ -78,34 +79,6 @@ impl RegisterArray {
             *byte = 0;
         }
     }
-
-    /// Reads the register at `index` as a big-endian `u64` (registers wider
-    /// than 8 bytes use their first 8 bytes). Convenient for sequence-number
-    /// and session-number arrays.
-    pub fn read_u64(&self, index: usize) -> u64 {
-        let slot = self.read(index);
-        let mut buf = [0u8; 8];
-        let n = slot.len().min(8);
-        buf[..n].copy_from_slice(&slot[..n]);
-        u64::from_be_bytes(buf)
-    }
-
-    /// Writes a big-endian `u64` into the register at `index`.
-    pub fn write_u64(&mut self, index: usize, value: u64) {
-        let bytes = value.to_be_bytes();
-        self.write(index, &bytes);
-    }
-
-    /// Zeroes the register at `index`.
-    pub fn clear(&mut self, index: usize) {
-        self.write(index, &[]);
-    }
-
-    /// Zeroes every register (used when a recovered switch is wiped before
-    /// state synchronisation).
-    pub fn clear_all(&mut self) {
-        self.data.iter_mut().for_each(|b| *b = 0);
-    }
 }
 
 #[cfg(test)]
@@ -127,31 +100,8 @@ mod tests {
         assert_eq!(arr.read(1), &[0xaa, 0xbb, 0, 0]);
         arr.write(1, &[1, 2, 3, 4, 5, 6]);
         assert_eq!(arr.read(1), &[1, 2, 3, 4]);
-        arr.clear(1);
+        arr.write(1, &[]);
         assert_eq!(arr.read(1), &[0, 0, 0, 0]);
-    }
-
-    #[test]
-    fn u64_roundtrip() {
-        let mut arr = RegisterArray::new(8, 8);
-        arr.write_u64(3, 0xdead_beef_cafe);
-        assert_eq!(arr.read_u64(3), 0xdead_beef_cafe);
-        // Wider registers keep the number in the first 8 bytes.
-        let mut wide = RegisterArray::new(2, 16);
-        wide.write_u64(0, 42);
-        assert_eq!(wide.read_u64(0), 42);
-    }
-
-    #[test]
-    fn clear_all_zeroes_everything() {
-        let mut arr = RegisterArray::new(4, 2);
-        for i in 0..4 {
-            arr.write(i, &[0xff, 0xff]);
-        }
-        arr.clear_all();
-        for i in 0..4 {
-            assert_eq!(arr.read(i), &[0, 0]);
-        }
     }
 
     #[test]

@@ -6,153 +6,191 @@
 //! through the controller, §4.1); the data plane only performs lookups.
 
 use netchain_wire::Key;
-use std::collections::HashMap;
 
-/// One cell of the open-addressed probe mirror.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum ProbeSlot {
-    Empty,
-    /// A removed entry: probes continue past it, inserts may reuse it.
-    Tombstone,
-    Full {
-        hash: u64,
-        key: Key,
-        index: usize,
-    },
+/// One cell of the open-addressed table: 32 bytes, two to a cache line.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    /// The key's stable hash, kept so probes compare eight bytes before
+    /// sixteen and group scans never re-hash.
+    hash: u64,
+    key: Key,
+    /// The register index, or [`VACANT`].
+    index: u32,
 }
+
+const VACANT: u32 = u32::MAX;
+
+const VACANT_CELL: Cell = Cell {
+    hash: 0,
+    key: Key([0; netchain_wire::KEY_LEN]),
+    index: VACANT,
+};
 
 /// An exact-match table from [`Key`] to a register-array index, with a fixed
 /// capacity (the number of value slots provisioned in the pipeline).
 ///
-/// Besides the `HashMap` that serves the scalar [`MatchTable::lookup`], the
-/// table maintains an open-addressed mirror keyed by the key's *stable* FNV
-/// hash. The staged batch path hashes all keys of a burst in one pass
-/// (`stable_hash_batch`) and then probes the mirror with those precomputed
-/// hashes ([`MatchTable::lookup_with_hash`]), skipping the per-lookup SipHash
-/// the `HashMap` would charge. Both structures are updated together on the
-/// (control-plane) insert/remove paths, so they can never disagree.
+/// The table is one open-addressed array keyed by the key's *stable* FNV hash
+/// — the hash a packet is matched on once and then carries through every hop.
+/// [`MatchTable::lookup_with_hash`] probes with that precomputed hash;
+/// [`MatchTable::lookup`] hashes and calls it. Removal shifts the following
+/// run back instead of leaving a tombstone, so a probe always ends at the
+/// first vacant cell. The array is sized for the entries installed, not for
+/// the capacity, so a store provisioned for many more keys than it holds
+/// still probes a table that fits the cache.
 #[derive(Debug, Clone)]
 pub struct MatchTable {
-    entries: HashMap<Key, usize>,
     capacity: usize,
-    probe: Vec<ProbeSlot>,
-    /// `probe.len() - 1`; the probe table is a power of two at least twice
-    /// the capacity, keeping the load factor at or below one half.
+    len: usize,
+    cells: Vec<Cell>,
+    /// `cells.len() - 1`; the array is a power of two at least twice the
+    /// number of entries, keeping the load factor at or below one half.
     mask: usize,
 }
 
 impl MatchTable {
     /// Creates an empty table that can hold at most `capacity` entries.
     pub fn new(capacity: usize) -> Self {
-        let slots = (capacity.max(1) * 2).next_power_of_two();
+        assert!(capacity < VACANT as usize, "register indexes are 32-bit");
         MatchTable {
-            entries: HashMap::with_capacity(capacity.min(1 << 16)),
             capacity,
-            probe: vec![ProbeSlot::Empty; slots],
-            mask: slots - 1,
+            len: 0,
+            cells: vec![VACANT_CELL; 2],
+            mask: 1,
         }
-    }
-
-    /// Maximum number of entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Current number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// True if the table holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// True if no further entries can be installed.
     pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.capacity
+        self.len >= self.capacity
     }
 
     /// Looks up the register index of `key` (the match-action lookup of
     /// Algorithm 1 line 1). Returns `None` on a table miss, in which case the
     /// switch drops the query or replies "not found".
     pub fn lookup(&self, key: &Key) -> Option<usize> {
-        self.entries.get(key).copied()
+        self.lookup_with_hash(key.stable_hash(), key)
     }
 
-    /// Looks up `key` through the open-addressed mirror using its
-    /// **precomputed** stable hash (`key.stable_hash()`), the stage-3 probe
-    /// of the staged batch path. Returns exactly what [`MatchTable::lookup`]
-    /// returns.
+    /// [`MatchTable::lookup`] for a key whose stable hash
+    /// (`key.stable_hash()`) the caller already has.
     pub fn lookup_with_hash(&self, hash: u64, key: &Key) -> Option<usize> {
+        let cell = &self.cells[self.find(hash, key)];
+        (cell.index != VACANT).then_some(cell.index as usize)
+    }
+
+    /// The cell holding `key`, or the vacant cell that ends its probe run.
+    fn find(&self, hash: u64, key: &Key) -> usize {
         let mut i = (hash as usize) & self.mask;
-        // Bounded by a full sweep: a table saturated with tombstones (only
-        // reachable through pathological churn) must still terminate.
-        for _ in 0..self.probe.len() {
-            match &self.probe[i] {
-                ProbeSlot::Empty => return None,
-                ProbeSlot::Full {
-                    hash: h,
-                    key: k,
-                    index,
-                } if *h == hash && k == key => return Some(*index),
-                _ => i = (i + 1) & self.mask,
+        loop {
+            let cell = &self.cells[i];
+            if cell.index == VACANT || (cell.hash == hash && cell.key == *key) {
+                return i;
             }
+            i = (i + 1) & self.mask;
         }
-        None
     }
 
     /// Installs an entry (control-plane operation). Returns `false` if the
     /// table is full or the key already exists.
     pub fn insert(&mut self, key: Key, index: usize) -> bool {
-        if self.entries.contains_key(&key) || self.is_full() {
+        let hash = key.stable_hash();
+        let mut i = self.find(hash, &key);
+        if self.cells[i].index != VACANT || self.is_full() {
             return false;
         }
-        self.entries.insert(key, index);
-        let hash = key.stable_hash();
-        let mut i = (hash as usize) & self.mask;
-        while matches!(self.probe[i], ProbeSlot::Full { .. }) {
-            i = (i + 1) & self.mask;
+        if (self.len + 1) * 2 > self.cells.len() {
+            self.grow();
+            i = self.find(hash, &key);
         }
-        self.probe[i] = ProbeSlot::Full { hash, key, index };
+        self.cells[i] = Cell {
+            hash,
+            key,
+            index: u32::try_from(index).expect("register indexes are 32-bit"),
+        };
+        self.len += 1;
         true
+    }
+
+    /// Doubles the array and re-seats every entry by its stored hash.
+    fn grow(&mut self) {
+        let doubled = vec![VACANT_CELL; self.cells.len() * 2];
+        self.mask = doubled.len() - 1;
+        for cell in std::mem::replace(&mut self.cells, doubled) {
+            if cell.index != VACANT {
+                let i = self.find(cell.hash, &cell.key);
+                self.cells[i] = cell;
+            }
+        }
     }
 
     /// Removes an entry (control-plane operation), returning the index it
     /// pointed at.
     pub fn remove(&mut self, key: &Key) -> Option<usize> {
-        let removed = self.entries.remove(key)?;
-        let hash = key.stable_hash();
-        let mut i = (hash as usize) & self.mask;
+        let mut hole = self.find(key.stable_hash(), key);
+        let removed = self.cells[hole].index;
+        if removed == VACANT {
+            return None;
+        }
+        // Backward-shift deletion: pull every later cell of the run whose
+        // home position is not past the hole into it, so no probe for a
+        // surviving key crosses a vacant cell.
+        let mut i = hole;
         loop {
-            match &self.probe[i] {
-                ProbeSlot::Full {
-                    hash: h, key: k, ..
-                } if *h == hash && k == key => {
-                    self.probe[i] = ProbeSlot::Tombstone;
-                    break;
-                }
-                ProbeSlot::Empty => {
-                    debug_assert!(false, "probe mirror out of sync with entries");
-                    break;
-                }
-                _ => i = (i + 1) & self.mask,
+            i = (i + 1) & self.mask;
+            let cell = self.cells[i];
+            if cell.index == VACANT {
+                break;
+            }
+            let home = (cell.hash as usize) & self.mask;
+            if (i.wrapping_sub(home) & self.mask) >= (i.wrapping_sub(hole) & self.mask) {
+                self.cells[hole] = cell;
+                hole = i;
             }
         }
-        Some(removed)
+        self.cells[hole].index = VACANT;
+        self.len -= 1;
+        Some(removed as usize)
     }
 
     /// Iterates over all `(key, index)` pairs (used by state synchronisation
     /// during failure recovery).
     pub fn entries(&self) -> impl Iterator<Item = (&Key, usize)> {
-        self.entries.iter().map(|(k, &v)| (k, v))
+        self.occupied().map(|c| (&c.key, c.index as usize))
+    }
+
+    /// The `(key, index)` pairs of virtual group `group` out of `modulus`,
+    /// selected by the **stored** hash: nothing is hashed or read to reject
+    /// an entry of another group.
+    pub fn entries_in_group(
+        &self,
+        group: u32,
+        modulus: u32,
+    ) -> impl Iterator<Item = (&Key, usize)> {
+        let modulus = u64::from(modulus.max(1));
+        self.occupied()
+            .filter(move |c| (c.hash % modulus) as u32 == group)
+            .map(|c| (&c.key, c.index as usize))
+    }
+
+    fn occupied(&self) -> impl Iterator<Item = &Cell> {
+        self.cells.iter().filter(|c| c.index != VACANT)
     }
 
     /// Approximate SRAM footprint: each entry stores the 16-byte key plus a
     /// 4-byte action parameter (the index), which is how the paper's 8 MB
     /// storage figure accounts for keys.
     pub fn memory_bytes(&self) -> usize {
-        self.entries.len() * (netchain_wire::KEY_LEN + 4)
+        self.len * (netchain_wire::KEY_LEN + 4)
     }
 }
 
@@ -183,29 +221,6 @@ mod tests {
         assert!(t.is_full());
         assert!(!t.insert(Key::from_u64(3), 2));
         assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn hashed_probe_agrees_with_map_lookup_under_churn() {
-        let mut t = MatchTable::new(64);
-        for i in 0..64u64 {
-            assert!(t.insert(Key::from_u64(i), i as usize));
-        }
-        // Remove every third key (leaves tombstones), then re-insert a few.
-        for i in (0..64u64).step_by(3) {
-            assert!(t.remove(&Key::from_u64(i)).is_some());
-        }
-        for i in (0..30u64).step_by(3) {
-            assert!(t.insert(Key::from_u64(i), 1000 + i as usize));
-        }
-        for i in 0..80u64 {
-            let k = Key::from_u64(i);
-            assert_eq!(
-                t.lookup_with_hash(k.stable_hash(), &k),
-                t.lookup(&k),
-                "divergence for key {i}"
-            );
-        }
     }
 
     #[test]

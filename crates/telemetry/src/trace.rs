@@ -447,10 +447,19 @@ pub struct TraceSummary {
 
 impl TraceSummary {
     /// Builds a summary from merged traces.
+    ///
+    /// A trace whose stamps all carry one IP is a one-sided fragment: the
+    /// other observers' sinks, each capped at `max_traces` ids of its own
+    /// choosing, kept nothing for it. Fragments count towards `traces` but
+    /// are neither paths nor transitions — they all share one "path" and
+    /// would outvote the complete paths, which split over the chains.
     pub fn from_traces(traces: &[PacketTrace]) -> Self {
         let mut path_counts: Vec<(Vec<u32>, usize)> = Vec::new();
         let mut transitions: Vec<(u32, u32, LatencyHistogram)> = Vec::new();
         for t in traces {
+            if t.hops.iter().all(|h| h.hop_ip == t.hops[0].hop_ip) {
+                continue;
+            }
             let path = t.path();
             match path_counts.iter_mut().find(|(p, _)| *p == path) {
                 Some((_, n)) => *n += 1,
@@ -584,9 +593,17 @@ mod tests {
                 .map(|(i, &ip)| HopStamp::plain(ip, (id * 1000) + i as u64 * 100))
                 .collect(),
         };
-        let traces = vec![mk(1, &[10, 20, 30]), mk(2, &[10, 20, 30]), mk(3, &[10, 30])];
+        // Three one-sided fragments must not outvote the two complete paths.
+        let traces = vec![
+            mk(1, &[10, 20, 30]),
+            mk(2, &[10, 20, 30]),
+            mk(3, &[10, 30]),
+            mk(4, &[10, 10]),
+            mk(5, &[10, 10]),
+            mk(6, &[10, 10]),
+        ];
         let s = TraceSummary::from_traces(&traces);
-        assert_eq!(s.traces, 3);
+        assert_eq!(s.traces, 6);
         assert_eq!(s.dominant_path(), Some(&[10, 20, 30][..]));
         assert_eq!(s.paths[0].1, 2);
         // Transitions: 10->20 (x2), 20->30 (x2), 10->30 (x1).

@@ -179,6 +179,24 @@ impl Value {
         Ok(())
     }
 
+    /// Resizes the value to `len` bytes and lets `fill` write them where they
+    /// lie, keeping the existing allocation (how a switch copies a stored
+    /// value out of its registers into the packet it is answering).
+    pub fn fill_with(&mut self, len: usize, fill: impl FnOnce(&mut [u8])) -> WireResult<()> {
+        if len > MAX_VALUE_LEN {
+            return Err(WireError::ValueTooLong(len));
+        }
+        self.0.clear();
+        self.0.resize(len, 0);
+        fill(&mut self.0);
+        Ok(())
+    }
+
+    /// Empties the value, keeping its allocation.
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+
     /// Length in bytes.
     pub fn len(&self) -> usize {
         self.0.len()
@@ -393,6 +411,11 @@ impl ChainList {
         &self.0
     }
 
+    /// Drops every remaining hop, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+
     /// Replaces the hop list in place, keeping the existing allocation (the
     /// hot-path alternative to building a fresh [`ChainList`] per packet).
     /// `len` must already be validated against [`MAX_CHAIN_LEN`].
@@ -573,14 +596,14 @@ impl NetChainHeader {
     }
 
     /// Turns this query in place into the corresponding reply with the given
-    /// status and value, clearing the chain list. The sequence and session
-    /// numbers are preserved so a client can observe version monotonicity.
-    pub fn into_reply(mut self, status: QueryStatus, value: Value) -> Self {
+    /// status, clearing the chain list (its allocation stays, so a pooled
+    /// packet remains warm). The reply carries whatever `value` holds; the
+    /// sequence and session numbers are preserved so a client can observe
+    /// version monotonicity.
+    pub fn make_reply(&mut self, status: QueryStatus) {
         self.op = self.op.reply();
         self.status = status;
-        self.value = value;
-        self.chain = ChainList::empty();
-        self
+        self.chain.clear();
     }
 }
 
@@ -710,8 +733,9 @@ mod tests {
 
     #[test]
     fn reply_conversion_clears_chain_and_sets_status() {
-        let hdr = sample_header();
-        let reply = hdr.into_reply(QueryStatus::Ok, Value::from_u64(7));
+        let mut reply = sample_header();
+        reply.value = Value::from_u64(7);
+        reply.make_reply(QueryStatus::Ok);
         assert_eq!(reply.op, OpCode::WriteReply);
         assert!(reply.chain.is_empty());
         assert_eq!(reply.value.as_u64(), Some(7));

@@ -149,26 +149,17 @@ impl NetChainPacket {
         }
     }
 
-    /// Turns the query into a reply addressed at the original client: swaps
-    /// the IP source/destination (using the query's source as the client),
-    /// swaps UDP ports, sets the reply opcode/status/value, and clears the
-    /// chain list.
-    pub fn make_reply(&mut self, responder: Ipv4Addr, status: QueryStatus, value: Value) {
+    /// Turns the query in place into a reply addressed at the original
+    /// client: swaps the IP source/destination (using the query's source as
+    /// the client), swaps UDP ports, sets the reply opcode/status, and clears
+    /// the chain list. The reply carries whatever `netchain.value` holds —
+    /// the responder writes the value it answers with there first.
+    pub fn make_reply(&mut self, responder: Ipv4Addr, status: QueryStatus) {
         let client = self.ip.src;
         self.ip.src = responder;
         self.ip.dst = client;
         std::mem::swap(&mut self.udp.src_port, &mut self.udp.dst_port);
-        let hdr = std::mem::replace(
-            &mut self.netchain,
-            NetChainHeader::query(
-                OpCode::Read,
-                Key::default(),
-                Value::empty(),
-                ChainList::empty(),
-                0,
-            ),
-        );
-        self.netchain = hdr.into_reply(status, value);
+        self.netchain.make_reply(status);
         self.fix_lengths();
     }
 
@@ -289,11 +280,8 @@ mod tests {
     #[test]
     fn reply_swaps_addresses_and_ports() {
         let mut pkt = write_query();
-        pkt.make_reply(
-            Ipv4Addr::for_switch(2),
-            QueryStatus::Ok,
-            Value::from_u64(11),
-        );
+        pkt.netchain.value = Value::from_u64(11);
+        pkt.make_reply(Ipv4Addr::for_switch(2), QueryStatus::Ok);
         assert_eq!(pkt.ip.dst, Ipv4Addr::for_host(0));
         assert_eq!(pkt.ip.src, Ipv4Addr::for_switch(2));
         assert_eq!(pkt.udp.dst_port, 40001);
