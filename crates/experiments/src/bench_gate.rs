@@ -58,6 +58,13 @@ pub const NET_RULES: &[Rule] = &[
         path: "latency[0].version_regressions",
         demand: Demand::Zero,
     },
+    // The open-loop median in units of what the kernel charges a query and
+    // its reply on the same box: about 3 while nothing on the query path
+    // sleeps, above 20 when the generator or the worker does.
+    Rule {
+        path: "latency[0].p50_over_syscall_rtt",
+        demand: Demand::Ceiling,
+    },
 ];
 
 /// The rule set for `BENCH_fabric.json` (`"experiment":"fabric_scale"`).
@@ -244,11 +251,17 @@ mod tests {
     use super::*;
 
     fn net_doc(burst: f64, syscall: f64, abandoned: u64, smoke: bool) -> Json {
+        net_doc_at(burst, syscall, abandoned, smoke, 3.0)
+    }
+
+    /// [`net_doc`] with the latency run's median at `rtts` syscall round trips.
+    fn net_doc_at(burst: f64, syscall: f64, abandoned: u64, smoke: bool, rtts: f64) -> Json {
         Json::parse(&format!(
             r#"{{"experiment":"net_scale","smoke":{smoke},
                 "capacity":{{"burst_vs_single_speedup":{burst}}},
                 "syscall_microbench":{{"speedup":{syscall}}},
-                "latency":[{{"abandoned":{abandoned},"version_regressions":0}}]}}"#
+                "latency":[{{"abandoned":{abandoned},"version_regressions":0,
+                             "p50_over_syscall_rtt":{rtts}}}]}}"#
         ))
         .unwrap()
     }
@@ -295,6 +308,28 @@ mod tests {
             .unwrap();
         assert_eq!(abandoned.demand, Demand::Zero);
         assert!(!abandoned.pass);
+    }
+
+    #[test]
+    fn a_doubled_latency_ratio_breaks_the_ceiling_even_for_a_smoke_run() {
+        let baseline = net_doc(0.87, 1.12, 0, false);
+        // A sleep back on the query path multiplies the ratio (3 → 20 and
+        // more); double is already past the smoke run's 40 % slack.
+        let doubled = net_doc_at(0.87, 1.12, 0, true, 6.0);
+        let checks = run_gate(&baseline, &doubled, 0.2).unwrap();
+        let ratio = checks
+            .iter()
+            .find(|c| c.path == "latency[0].p50_over_syscall_rtt")
+            .unwrap();
+        assert_eq!(ratio.demand, Demand::Ceiling);
+        assert!(!ratio.pass, "{ratio:?}");
+        assert!(checks.iter().filter(|c| !c.pass).count() == 1, "{checks:?}");
+        // Inside the slack, and any improvement, passes.
+        for rtts in [3.9, 1.5] {
+            let fresh = net_doc_at(0.87, 1.12, 0, true, rtts);
+            let checks = run_gate(&baseline, &fresh, 0.2).unwrap();
+            assert!(checks.iter().all(|c| c.pass), "{rtts}: {checks:?}");
+        }
     }
 
     fn fabric_doc(speedup: f64, p50: u64, p99: u64) -> Json {

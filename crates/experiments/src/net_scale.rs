@@ -91,7 +91,7 @@ impl NetScaleParams {
             shards: 2,
             agents: 64,
             threads: 2,
-            latency_rate: 4_000.0,
+            latency_rate: 20_000.0,
             saturation_rates: [25_000.0, 50_000.0, 100_000.0, 200_000.0],
             duration: Duration::from_millis(200),
         }
@@ -128,6 +128,8 @@ fn sum_io(stats: &[IoStats]) -> IoStats {
         total.shim_duplicated += s.shim_duplicated;
         total.unrouted_replies += s.unrouted_replies;
         total.send_errors += s.send_errors;
+        total.empty_polls += s.empty_polls;
+        total.idle_blocks += s.idle_blocks;
         for (t, &f) in total.recv_fill.iter_mut().zip(&s.recv_fill) {
             *t += f;
         }
@@ -169,11 +171,7 @@ pub fn run_mode_traced(
     let mut open = run_open_loop(&plane, spec, open_config);
     let report = plane.shutdown();
     let io = sum_io(&report.io);
-    let batch_factor = if io.recv_calls > 0 {
-        io.datagrams_in as f64 / io.recv_calls as f64
-    } else {
-        0.0
-    };
+    let batch_factor = io.batch_factor();
     // Client fragments (issue/ack) and worker fragments (switch hops) carry
     // the same trace ids; merging yields whole per-query paths.
     let mut fragments = std::mem::take(&mut open.traces);
@@ -212,15 +210,19 @@ pub fn capacity_sweep(params: NetScaleParams, io_mode: IoMode) -> (Vec<ModeRun>,
 
 fn print_run(label: &str, run: &ModeRun) {
     let q = run.open.latency.quantiles();
+    let lag = run.open.issue_lag.quantiles();
     println!(
         "  {label:<28} offered {:>9.0} ops/s  achieved {:>9.0} ops/s  \
-         p50 {:>7.1}us  p99 {:>8.1}us  p999 {:>8.1}us  batch {:>4.1}",
+         p50 {:>7.1}us  p99 {:>8.1}us  p999 {:>8.1}us  batch {:>4.1}  \
+         issue lag p50 {:>5.1}us p99 {:>7.1}us",
         run.open.offered_rate,
         run.open.achieved_rate,
         q.p50_ns as f64 / 1e3,
         q.p99_ns as f64 / 1e3,
         q.p999_ns as f64 / 1e3,
         run.batch_factor,
+        lag.p50_ns as f64 / 1e3,
+        lag.p99_ns as f64 / 1e3,
     );
 }
 
@@ -228,7 +230,11 @@ fn quantiles_json(q: &Quantiles) -> Json {
     Json::from(*q)
 }
 
-fn run_json(run: &ModeRun) -> Json {
+/// One run as JSON. `syscall_rtt_ns` is what the kernel charges a query and
+/// its reply on this box (two single-datagram send + receive pairs of the
+/// syscall microbench): the median over it is the scale-free latency figure
+/// `bench_gate` puts a ceiling on.
+fn run_json(run: &ModeRun, syscall_rtt_ns: f64) -> Json {
     let q = run.open.latency.quantiles();
     Json::obj(vec![
         ("io_mode", Json::str(run.io_mode.label())),
@@ -243,6 +249,14 @@ fn run_json(run: &ModeRun) -> Json {
             Json::U64(run.open.version_regressions),
         ),
         ("quantiles", quantiles_json(&q)),
+        (
+            "p50_over_syscall_rtt",
+            Json::F64(q.p50_ns as f64 / syscall_rtt_ns),
+        ),
+        ("issue_lag", quantiles_json(&run.open.issue_lag.quantiles())),
+        ("send_errors", Json::U64(run.open.send_errors)),
+        ("empty_polls", Json::U64(run.io.empty_polls)),
+        ("idle_blocks", Json::U64(run.io.idle_blocks)),
         ("recv_calls", Json::U64(run.io.recv_calls)),
         ("datagrams_in", Json::U64(run.io.datagrams_in)),
         ("datagrams_out", Json::U64(run.io.datagrams_out)),
@@ -290,6 +304,20 @@ pub fn run_cli(smoke: bool) {
         if smoke { " (smoke)" } else { "" },
     );
 
+    println!("Saturation ladder (capacity = best achieved rate per mode):");
+    let (burst_runs, burst_best) = capacity_sweep(params, IoMode::Burst);
+    for run in &burst_runs {
+        print_run("burst (recvmmsg/sendmmsg)", run);
+    }
+    let (single_runs, single_best) = capacity_sweep(params, IoMode::Single);
+    for run in &single_runs {
+        print_run("single (recv_from/send_to)", run);
+    }
+
+    // After the ladder, which doubles as the warm-up: for the first ~3 s of
+    // load after an idle minute the reference VM runs everything (syscalls
+    // included) half as fast again, and a median taken then, over a syscall
+    // cost taken warm at the end of the run, reads 4.5 instead of 3.
     println!("Latency runs (open loop, coordinated-omission-free, traced):");
     let lat_burst = run_mode_traced(
         params,
@@ -305,16 +333,6 @@ pub fn run_cli(smoke: bool) {
         Some(NET_TRACE_SAMPLING),
     );
     print_run("single (recv_from/send_to)", &lat_single);
-
-    println!("Saturation ladder (capacity = best achieved rate per mode):");
-    let (burst_runs, burst_best) = capacity_sweep(params, IoMode::Burst);
-    for run in &burst_runs {
-        print_run("burst (recvmmsg/sendmmsg)", run);
-    }
-    let (single_runs, single_best) = capacity_sweep(params, IoMode::Single);
-    for run in &single_runs {
-        print_run("single (recv_from/send_to)", run);
-    }
 
     let burst_capacity = burst_runs[burst_best].open.achieved_rate;
     let single_capacity = single_runs[single_best].open.achieved_rate;
@@ -345,6 +363,7 @@ pub fn run_cli(smoke: bool) {
         bench.speedup(),
         netchain_net::iobench::MAX_BURST,
     );
+    let run_json = |run: &ModeRun| run_json(run, 2.0 * bench.single_ns_per_datagram);
 
     for run in [&lat_burst, &lat_single]
         .into_iter()
@@ -380,11 +399,11 @@ pub fn run_cli(smoke: bool) {
             Json::obj(vec![
                 (
                     "burst",
-                    Json::Arr(burst_runs.iter().map(run_json).collect()),
+                    Json::Arr(burst_runs.iter().map(&run_json).collect()),
                 ),
                 (
                     "single",
-                    Json::Arr(single_runs.iter().map(run_json).collect()),
+                    Json::Arr(single_runs.iter().map(&run_json).collect()),
                 ),
             ]),
         ),

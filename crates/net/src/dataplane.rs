@@ -9,7 +9,10 @@
 //! * Ingress is burst I/O through the vendored [`mmsg`] shim: one
 //!   `recvmmsg` call fills a whole [`RecvQueue`] of fixed-size slots
 //!   (sized one byte past [`MAX_FRAME_LEN`], so oversized datagrams are
-//!   detected and counted instead of silently truncated).
+//!   detected and counted instead of silently truncated). A worker polls
+//!   (non-blocking receive, `yield_now` after an empty one) while a datagram
+//!   arrived within the last millisecond and blocks, a
+//!   [`NetConfig::read_timeout`] at a time, once none has.
 //! * Each worker owns a [`netchain_fabric::Shard`] — the staged
 //!   validate/hash/probe/execute pipeline over
 //!   [`netchain_switch::NetChainSwitch::read_reply_staged`] and
@@ -39,7 +42,7 @@ use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How the workers cross the kernel boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,6 +163,12 @@ pub struct IoStats {
     pub unrouted_replies: u64,
     /// Send calls that failed (their queued frames were discarded).
     pub send_errors: u64,
+    /// Non-blocking receives that found the socket empty (each followed by a
+    /// `yield_now`).
+    pub empty_polls: u64,
+    /// Blocking receives entered because no datagram arrived within the idle
+    /// budget: an idle plane sleeps here, `read_timeout` at a time.
+    pub idle_blocks: u64,
     /// Recv-batch-occupancy histogram: how many recv calls returned 1, 2,
     /// ≤4, ≤8, ≤16, ≤32 and ≤64 datagrams ([`RECV_FILL_BOUNDS`]). This is
     /// the denominator of the burst-vs-single question: `recvmmsg` only
@@ -180,7 +189,7 @@ impl IoStats {
 }
 
 /// Counter names for [`IoStats`]'s [`Metrics`] implementation.
-pub const IO_METRICS: [&str; 8 + RECV_FILL_BUCKETS] = [
+pub const IO_METRICS: [&str; 10 + RECV_FILL_BUCKETS] = [
     "recv_calls",
     "datagrams_in",
     "datagrams_out",
@@ -196,6 +205,8 @@ pub const IO_METRICS: [&str; 8 + RECV_FILL_BUCKETS] = [
     "recv_fill_le_16",
     "recv_fill_le_32",
     "recv_fill_le_64",
+    "empty_polls",
+    "idle_blocks",
 ];
 
 impl Metrics for IoStats {
@@ -215,6 +226,7 @@ impl Metrics for IoStats {
             self.send_errors,
         ];
         v.extend_from_slice(&self.recv_fill);
+        v.extend([self.empty_polls, self.idle_blocks]);
         v
     }
 }
@@ -361,6 +373,14 @@ impl NetDataplane {
 /// own [`BatchEncoder`], so the fixed-offset read needs no re-validation.
 const DST_IP_OFF: usize = 14 + 16;
 
+/// How long after its last datagram a worker keeps polling before it falls
+/// back to the blocking receive. Being woken out of a blocking `recvmmsg`
+/// costs ~23 µs a datagram on the reference VM, a poll that finds the
+/// datagram queued under one. 1 ms is twenty mean gaps at 20 k ops/s and two
+/// at 2 k ops/s, so a loaded plane rarely blocks, and one that goes quiet
+/// burns a millisecond of a core before it sleeps.
+const IDLE_BUDGET: Duration = Duration::from_millis(1);
+
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     socket: UdpSocket,
@@ -382,10 +402,17 @@ fn worker_loop(
     // Deterministic shim counters (per worker, so `every Nth` is exact).
     let mut ingress_seen = 0u64;
     let mut egress_seen = 0u64;
+    let mut last_datagram: Option<Instant> = None;
     while !shutdown.load(Ordering::Relaxed) {
-        let received = match io_mode {
-            IoMode::Burst => rq.recv(&socket),
-            IoMode::Single => rq.recv_single(&socket),
+        // Poll, then block: which receive runs is chosen from the time since
+        // the last datagram and nothing else (a fresh worker has had none).
+        let polling = last_datagram.is_some_and(|at| at.elapsed() < IDLE_BUDGET);
+        io.idle_blocks += u64::from(!polling);
+        let received = match (io_mode, polling) {
+            (IoMode::Burst, true) => rq.try_recv(&socket),
+            (IoMode::Burst, false) => rq.recv(&socket),
+            (IoMode::Single, true) => rq.try_recv_single(&socket),
+            (IoMode::Single, false) => rq.recv_single(&socket),
         };
         let n = match received {
             Ok(n) => n,
@@ -396,10 +423,18 @@ fn worker_loop(
                     // as a latched ICMP error on Linux; not fatal.
                     || e.kind() == std::io::ErrorKind::ConnectionRefused =>
             {
-                continue
+                if polling {
+                    io.empty_polls += 1;
+                    // Yield, don't spin: with as many busy threads as cores
+                    // a bare spin keeps the softirq that delivers the next
+                    // datagram off the CPU until the scheduler tick (README).
+                    std::thread::yield_now();
+                }
+                continue;
             }
             Err(_) => break,
         };
+        last_datagram = Some(Instant::now());
         io.recv_calls += 1;
         io.datagrams_in += n as u64;
         io.recv_fill[recv_fill_bucket(n)] += 1;
@@ -641,7 +676,74 @@ mod tests {
         assert_eq!(w.status, Some(QueryStatus::Ok));
         let r = client.execute(&plane, KvOp::Read(key));
         assert_eq!(r.value.as_u64(), Some(5));
-        plane.shutdown();
+        // Same waiting policy as burst mode, on the single-datagram calls:
+        // the worker that served the ops polled after them, found nothing
+        // and went back to sleep; the other one never left the blocking
+        // receive.
+        std::thread::sleep(IDLE_BUDGET * 20);
+        let report = plane.shutdown();
+        for io in &report.io {
+            assert_eq!(io.empty_polls >= 1, io.datagrams_in > 0, "{io:?}");
+            assert!(io.empty_polls <= 2 * POLLS_PER_BUDGET, "{io:?}");
+            assert!(io.idle_blocks >= 1 && io.batch_factor() <= 1.0, "{io:?}");
+        }
+    }
+
+    /// No poll can cost under 50 ns, so this many fit one idle budget.
+    const POLLS_PER_BUDGET: u64 = IDLE_BUDGET.as_nanos() as u64 / 50;
+
+    fn one_worker_plane(read_timeout: Duration) -> NetDataplane {
+        let populate = vec![(Key::from_u64(1), Value::from_u64(0))];
+        let mut config = NetConfig::new(test_ring(), 1, PipelineConfig::tiny(64));
+        config.read_timeout = read_timeout;
+        NetDataplane::start(config, &populate).expect("start")
+    }
+
+    #[test]
+    fn an_idle_worker_sleeps_and_shutdown_is_bounded_by_the_read_timeout() {
+        let read_timeout = Duration::from_millis(20);
+        let plane = one_worker_plane(read_timeout);
+        std::thread::sleep(Duration::from_millis(100));
+        let t = Instant::now();
+        let report = plane.shutdown();
+        // Blocked in the receive when asked to stop: one timeout at most.
+        let slack = Duration::from_millis(200);
+        assert!(t.elapsed() < read_timeout + slack, "{:?}", t.elapsed());
+        let io = &report.io[0];
+        // It never had a datagram, so it never polled: every receive was a
+        // blocking one, a `read_timeout` long.
+        assert!(io.idle_blocks >= 1, "never blocked: {io:?}");
+        assert_eq!(io.empty_polls, 0, "burnt a core: {io:?}");
+    }
+
+    #[test]
+    fn the_first_datagram_after_silence_is_answered_and_polling_resumes() {
+        let read_timeout = Duration::from_millis(20);
+        let plane = one_worker_plane(read_timeout);
+        let mut client = TestClient::connect(&plane, 0);
+        let key = Key::from_u64(1);
+        std::thread::sleep(Duration::from_millis(100));
+        // The worker is in the blocking receive; the datagram wakes it.
+        let w = client.execute(&plane, KvOp::Write(key, Value::from_u64(9)));
+        assert_eq!(w.status, Some(QueryStatus::Ok));
+        // Back-to-back ops, each well inside the idle budget of the last.
+        let ops = 500u64;
+        for _ in 0..ops {
+            let r = client.execute(&plane, KvOp::Read(key));
+            assert_eq!(r.value.as_u64(), Some(9));
+        }
+        // Stopped while polling: no receive to wait out.
+        let t = Instant::now();
+        let report = plane.shutdown();
+        assert!(t.elapsed() < read_timeout + Duration::from_millis(200));
+        let io = &report.io[0];
+        // A datagram taken by a blocking receive entered one, so at least
+        // this many were taken by a poll. (How many polls came back empty
+        // says little here: each yields, and under `cargo test` the core goes
+        // to another test until the next datagram is already queued.)
+        let polled = io.recv_calls.saturating_sub(io.idle_blocks);
+        assert!(polled >= ops / 2, "{ops} ops, {io:?}");
+        assert!(io.empty_polls >= 1, "{io:?}");
     }
 
     #[test]

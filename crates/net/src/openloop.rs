@@ -30,7 +30,7 @@ use mmsg::{RecvQueue, SendQueue, MAX_BURST};
 use netchain_core::AgentConfig;
 use netchain_fabric::{client_id_of, ClientState, WorkloadSpec};
 use netchain_sim::{SimDuration, SimTime};
-use netchain_telemetry::{HistSnapshot, PacketTrace, TraceConfig};
+use netchain_telemetry::{HistSnapshot, LatencyHistogram, PacketTrace, TraceConfig};
 use netchain_wire::{Ipv4Addr, MAX_FRAME_LEN};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -112,6 +112,13 @@ pub struct OpenLoopReport {
     /// Merged issue→reply latency distribution, in nanoseconds, measured
     /// from each op's *scheduled* issue time.
     pub latency: HistSnapshot,
+    /// How late the generator ran: hand-off to `sendmmsg` minus scheduled
+    /// time, in nanoseconds, one sample per issued op (and part of that op's
+    /// latency, which counts from the scheduled time).
+    pub issue_lag: HistSnapshot,
+    /// Send calls that failed; their queued datagrams were discarded and are
+    /// recovered by the agents' retransmission.
+    pub send_errors: u64,
     /// Wall-clock span of the issue window.
     pub elapsed: Duration,
     /// Client-side trace fragments (issue/ack evidence), empty unless
@@ -160,6 +167,8 @@ pub fn run_open_loop(
         stale_replies: 0,
         version_regressions: 0,
         latency: HistSnapshot::empty(),
+        issue_lag: HistSnapshot::empty(),
+        send_errors: 0,
         elapsed,
         traces: Vec::new(),
     };
@@ -173,6 +182,8 @@ pub fn run_open_loop(
         report.stale_replies += outcome.stale_replies;
         report.version_regressions += outcome.version_regressions;
         report.latency.merge(&outcome.latency);
+        report.issue_lag.merge(&outcome.issue_lag);
+        report.send_errors += outcome.send_errors;
         report.traces.extend(outcome.traces);
     }
     report.achieved_rate = report.completed as f64 / config.duration.as_secs_f64();
@@ -190,7 +201,26 @@ struct ThreadOutcome {
     stale_replies: u64,
     version_regressions: u64,
     latency: HistSnapshot,
+    issue_lag: HistSnapshot,
+    send_errors: u64,
     traces: Vec<PacketTrace>,
+}
+
+/// How far ahead of the next scheduled event the generator stops sleeping
+/// and polls instead. `thread::sleep` overshoots by the kernel's 50 µs timer
+/// slack plus the wake-up: 73 µs at the median, 80–110 µs at p99 and
+/// 125–490 µs at p99.9 on the reference VM, whatever the length asked for,
+/// and all of it sat in the latency of the op the sleep was waiting for.
+const SLEEP_MARGIN_NS: u64 = 200_000;
+
+/// Hands the queued datagrams to the kernel. A failed send is counted and
+/// what it left queued discarded: kept, the already-sent prefix would go out
+/// again with the next flush.
+fn flush(sq: &mut SendQueue, socket: &UdpSocket, send_errors: &mut u64) {
+    if !sq.is_empty() && sq.send(socket).is_err() {
+        *send_errors += 1;
+        sq.clear();
+    }
 }
 
 /// Draws the next exponential inter-arrival gap (nanoseconds) of a Poisson
@@ -244,6 +274,9 @@ fn generator_thread(
     let mut rq = RecvQueue::new(MAX_BURST, MAX_FRAME_LEN + 1);
     let mut sq = SendQueue::with_capacity(MAX_BURST, MAX_FRAME_LEN);
     let mut frame_buf = [0u8; MAX_FRAME_LEN];
+    // Scheduled times of the ops queued in `sq`, for `issue_lag`.
+    let mut due_ns = [0u64; MAX_BURST];
+    let mut issue_lag = LatencyHistogram::new();
     let mut outcome = ThreadOutcome::default();
 
     // All clocks are relative to the *dataplane's* epoch, not a thread-local
@@ -262,19 +295,21 @@ fn generator_thread(
 
         // Issue everything that has come due, stamped with its *scheduled*
         // time — queueing delay is the op's problem, not the schedule's.
-        sq.clear();
-        while next_issue_ns <= now_ns && next_issue_ns < end_ns {
-            let client = &mut clients[rng.gen_range(0..per_thread)];
-            let op = client.draw();
-            let len = client.issue_drawn(SimTime(next_issue_ns), &op, &mut frame_buf);
-            sq.push(&frame_buf[..len], plane.addr_of_group(op.group()));
-            if sq.len() >= MAX_BURST {
-                let _ = sq.send(&socket);
+        let is_due = |at_ns: u64| at_ns <= now_ns && at_ns < end_ns;
+        while is_due(next_issue_ns) {
+            while sq.len() < MAX_BURST && is_due(next_issue_ns) {
+                let client = &mut clients[rng.gen_range(0..per_thread)];
+                let op = client.draw();
+                let len = client.issue_drawn(SimTime(next_issue_ns), &op, &mut frame_buf);
+                due_ns[sq.len()] = next_issue_ns;
+                sq.push(&frame_buf[..len], plane.addr_of_group(op.group()));
+                next_issue_ns += exp_gap_ns(&mut rng, rate);
             }
-            next_issue_ns += exp_gap_ns(&mut rng, rate);
-        }
-        if !sq.is_empty() {
-            let _ = sq.send(&socket);
+            let handoff_ns = epoch.elapsed().as_nanos() as u64;
+            for &due in &due_ns[..sq.len()] {
+                issue_lag.record(handoff_ns.saturating_sub(due));
+            }
+            flush(&mut sq, &socket, &mut outcome.send_errors);
         }
 
         // Drain every reply already queued on the socket, demuxed by the
@@ -328,20 +363,17 @@ fn generator_thread(
         let now_ns = epoch.elapsed().as_nanos() as u64;
         if now_ns >= next_retry_poll_ns {
             let poll_at = SimTime(now_ns);
-            sq.clear();
             for client in clients.iter_mut() {
                 for pkt in client.poll_retries_at(poll_at) {
                     let key = pkt.netchain.key;
                     let len = pkt.emit_into(&mut frame_buf).expect("bounded frame");
                     sq.push(&frame_buf[..len], plane.addr_of_key(&key));
                     if sq.len() >= MAX_BURST {
-                        let _ = sq.send(&socket);
+                        flush(&mut sq, &socket, &mut outcome.send_errors);
                     }
                 }
             }
-            if !sq.is_empty() {
-                let _ = sq.send(&socket);
-            }
+            flush(&mut sq, &socket, &mut outcome.send_errors);
             next_retry_poll_ns = now_ns + 1_000_000;
         }
 
@@ -352,29 +384,29 @@ fn generator_thread(
             }
         }
 
-        // Pacing. With replies in flight, stay hot (yield, don't sleep) so
-        // an arriving reply is absorbed — and its latency stamped — within
-        // microseconds. Fully idle, sleep up to the next scheduled event;
-        // issues that come due mid-sleep are still stamped with their
-        // scheduled time, so sleep coarseness never distorts the schedule.
+        // Pacing to the deadline. With replies in flight, or the next
+        // scheduled event within the sleep margin, stay hot (yield, don't
+        // sleep): an arriving reply is absorbed, and a due op handed to the
+        // kernel, within microseconds. Idle and further away than that, sleep
+        // to the margin before the event; an op that still comes due
+        // mid-sleep is stamped with its scheduled time and pays the overshoot.
         if !received_any {
-            if clients.iter().any(|c| c.outstanding() > 0) {
-                std::thread::yield_now();
+            let now_ns = epoch.elapsed().as_nanos() as u64;
+            let next_event_ns = if next_issue_ns < end_ns {
+                next_issue_ns.min(next_retry_poll_ns)
             } else {
-                let now_ns = epoch.elapsed().as_nanos() as u64;
-                let next_event_ns = if next_issue_ns < end_ns {
-                    next_issue_ns.min(next_retry_poll_ns)
-                } else {
-                    next_retry_poll_ns
-                };
-                if next_event_ns > now_ns {
-                    let gap = (next_event_ns - now_ns).min(200_000);
-                    std::thread::sleep(Duration::from_nanos(gap));
-                }
+                next_retry_poll_ns
+            };
+            let wake_ns = next_event_ns.saturating_sub(SLEEP_MARGIN_NS);
+            if wake_ns > now_ns && clients.iter().all(|c| c.outstanding() == 0) {
+                std::thread::sleep(Duration::from_nanos(wake_ns - now_ns));
+            } else {
+                std::thread::yield_now();
             }
         }
     }
 
+    outcome.issue_lag = issue_lag.snapshot();
     for client in &mut clients {
         let report = client.report();
         outcome.issued += report.issued;
@@ -401,11 +433,15 @@ mod tests {
     use netchain_wire::{Key, Value};
 
     fn start_plane(num_keys: u64) -> NetDataplane {
+        start_plane_of(num_keys, 2)
+    }
+
+    fn start_plane_of(num_keys: u64, shards: usize) -> NetDataplane {
         let ring = HashRing::new((0..4).map(Ipv4Addr::for_switch).collect(), 8, 3, 7);
         let populate: Vec<(Key, Value)> = (0..num_keys)
             .map(|k| (Key::from_u64(k), Value::from_u64(0)))
             .collect();
-        let config = NetConfig::new(ring, 2, PipelineConfig::tiny(4096));
+        let config = NetConfig::new(ring, shards, PipelineConfig::tiny(4096));
         NetDataplane::start(config, &populate).expect("start plane")
     }
 
@@ -440,6 +476,62 @@ mod tests {
             (report.issued as f64 - expected).abs() < tolerance,
             "issued {} vs scheduled ≈{expected}",
             report.issued
+        );
+        // One lag sample per op, and at a rate whose gaps are mostly longer
+        // than the margin (so the generator does sleep) the typical op still
+        // goes out from the polling stretch, not from a sleep that ran over.
+        assert_eq!(report.issue_lag.count(), report.issued);
+        let lag = report.issue_lag.quantiles();
+        assert!(lag.p50_ns < SLEEP_MARGIN_NS, "issue lag {}", lag.to_line());
+        assert_eq!(report.send_errors, 0);
+    }
+
+    #[test]
+    fn more_pollers_than_cores_still_complete_the_offered_load() {
+        // Four polling workers and two polling generator threads (three a
+        // core on the two-core runner): every empty poll yields, so each of
+        // them still gets the core when its datagram is there.
+        let plane = start_plane_of(64, 4);
+        let spec = WorkloadSpec::mixed(64, u64::MAX, 80, 15);
+        let config = OpenLoopConfig::new(64, 2, 2_000.0, Duration::from_millis(300));
+        let report = run_open_loop(&plane, spec, config);
+        plane.shutdown();
+        assert!(report.issued > 100, "issued only {}", report.issued);
+        assert_eq!(report.abandoned, 0);
+        assert_eq!(report.completed, report.issued);
+        assert_eq!(report.version_regressions, 0);
+    }
+
+    #[test]
+    fn a_failed_flush_is_counted_and_leaves_nothing_queued() {
+        // An unconnected UDP socket is never told that a peer's port closed
+        // (no `IP_RECVERR`), so the failure is forced: broadcast without
+        // `SO_BROADCAST` is `EACCES`, after the datagram before it went out.
+        let socket = UdpSocket::bind("127.0.0.1:0").expect("bind sender");
+        let peer = UdpSocket::bind("127.0.0.1:0").expect("bind peer");
+        peer.set_read_timeout(Some(Duration::from_millis(50)))
+            .expect("timeout");
+        let to_peer = peer.local_addr().expect("peer addr");
+        let mut sq = SendQueue::new();
+        let mut send_errors = 0;
+        sq.push(b"sent", to_peer);
+        sq.push(b"refused", "255.255.255.255:9".parse().expect("addr"));
+        sq.push(b"behind", to_peer);
+        flush(&mut sq, &socket, &mut send_errors);
+        assert_eq!(send_errors, 1);
+        assert!(sq.is_empty(), "the sent prefix stayed queued");
+        // The next flush carries its own datagram only.
+        sq.push(b"next", to_peer);
+        flush(&mut sq, &socket, &mut send_errors);
+        assert_eq!(send_errors, 1);
+        let mut buf = [0u8; 16];
+        for want in [&b"sent"[..], b"next"] {
+            let (len, _) = peer.recv_from(&mut buf).expect("datagram");
+            assert_eq!(&buf[..len], want);
+        }
+        assert!(
+            peer.recv_from(&mut buf).is_err(),
+            "a datagram went out twice"
         );
     }
 }
