@@ -43,7 +43,7 @@ pub const NETCHAIN_CLIENT_LATENCY: SimDuration = SimDuration::from_micros(9);
 
 /// ZooKeeper reference points measured by the paper (§8.1–8.2) for
 /// ZooKeeper 3.5.2 on the testbed. Used to calibrate the baseline cost model
-/// and quoted as the "paper" column in EXPERIMENTS.md.
+/// and as the "paper" reference points of the figure reproductions.
 pub mod zookeeper_reference {
     /// Read-only saturation throughput (queries per second).
     pub const READ_ONLY_QPS: f64 = 230_000.0;

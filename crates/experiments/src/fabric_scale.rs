@@ -11,13 +11,13 @@
 //! uses, and the only honest way to produce a scaling curve on a machine
 //! with fewer cores than shards.
 
-use crate::series::Series;
+use crate::series::{print_series, Series};
 use netchain_baseline::message::{ZkOp, ZkStore};
 use netchain_core::KvOp;
 use netchain_fabric::{
     build_shards, run_capacity, run_live, ClientState, FabricConfig, FabricReport, WorkloadSpec,
 };
-use netchain_telemetry::TraceConfig;
+use netchain_telemetry::{ArtifactWriter, Json, TraceConfig};
 use netchain_wire::{BatchEncoder, ChainList, Ipv4Addr, Key, NetChainPacket, OpCode, Value};
 use std::time::{Duration, Instant};
 
@@ -285,6 +285,144 @@ pub fn fabric_vs_baseline(params: FabricScaleParams, worker_counts: &[usize]) ->
         Series::new("netchain fabric (chain f+1=3)", fabric_points),
         Series::new("server baseline (leader + replicas)", baseline_points),
     ]
+}
+
+/// A series' points as `[[x,y],…]`.
+fn points_json(s: &Series) -> Json {
+    let point = |&(x, y): &(f64, f64)| Json::Arr(vec![Json::F64(x), Json::F64(y)]);
+    Json::Arr(s.points.iter().map(point).collect())
+}
+
+/// CLI entry: runs the three sweeps, one traced live run and the
+/// staged-vs-scalar burst comparison. Results are printed, exported as
+/// `BENCH_fabric_scale.jsonl` (one record per series plus the live run's
+/// latency quantiles and per-hop summary), and summarised — ops/sec per
+/// shard count, live p50/p99, the burst comparison — in the repo-top-level
+/// `BENCH_fabric.json`, so the perf trajectory is diffable across PRs.
+pub fn run_cli(_args: &[String]) -> i32 {
+    let params = FabricScaleParams::default();
+    let mut artifact = ArtifactWriter::new("fabric_scale");
+    let mut sweep = |name: &str, [title, x_label, y_label]: [&str; 3], series: Vec<Series>| {
+        print_series(title, x_label, y_label, &series);
+        for s in &series {
+            let fields = vec![
+                ("sweep", Json::str(name)),
+                ("name", Json::str(&s.name)),
+                ("points", points_json(s)),
+            ];
+            artifact.record("series", fields);
+        }
+        series
+    };
+    let shards = sweep(
+        "throughput_vs_shards",
+        [
+            "Fabric scale: throughput vs worker shards",
+            "worker shards",
+            "ops/sec",
+        ],
+        throughput_vs_shards(params, &[1, 2, 4, 8, 16]),
+    );
+    let chain = sweep(
+        "throughput_vs_chain_length",
+        [
+            "Fabric scale: throughput vs chain length (4 shards)",
+            "chain length (f+1)",
+            "ops/sec",
+        ],
+        throughput_vs_chain_length(params, 4, &[1, 2, 3, 4, 5]),
+    );
+    sweep(
+        "fabric_vs_baseline",
+        [
+            "Fabric vs server baseline (measured, same load generator)",
+            "workers (shards / servers)",
+            "ops/sec",
+        ],
+        fabric_vs_baseline(params, &[1, 2, 4, 8]),
+    );
+
+    // One live (threaded, wall-clock) run with trace sampling on: the
+    // latency and per-hop profile the capacity sweeps cannot see.
+    let profile_params = FabricScaleParams {
+        ops: 50_000,
+        ..params
+    };
+    let report = live_profile(profile_params, 4);
+    let quantiles = report.latency.quantiles();
+    println!(
+        "Live profile (4 shards, 50/40/10 mix, {}/4 shard threads pinned): {}",
+        report.pinned_shards,
+        quantiles.to_line()
+    );
+    let hops = report.trace_summary();
+    if let Some(path) = hops.dominant_path() {
+        println!(
+            "traces: {} sampled; dominant path {}",
+            hops.traces,
+            netchain_telemetry::path_to_string(path),
+        );
+    }
+    artifact.record(
+        "latency",
+        vec![
+            ("shards", Json::U64(4)),
+            ("quantiles", Json::from(quantiles)),
+        ],
+    );
+    artifact.record("hops", vec![("summary", Json::from(&hops))]);
+
+    // The staged-vs-scalar burst comparison (ISSUE 7 acceptance numbers).
+    let (scalar_ns, staged_ns) = staged_vs_scalar_burst(10_000, 5);
+    let speedup = scalar_ns / staged_ns;
+    println!(
+        "Staged vs scalar (32-read burst): scalar {scalar_ns:.0} ns, staged {staged_ns:.0} ns, {speedup:.2}x"
+    );
+
+    let series_json = |s: &Series| {
+        Json::obj(vec![
+            ("name", Json::str(&s.name)),
+            ("points", points_json(s)),
+        ])
+    };
+    let summary = Json::obj(vec![
+        ("experiment", Json::str("fabric_scale")),
+        (
+            "ops_per_sec_vs_shards",
+            Json::Arr(shards.iter().map(series_json).collect()),
+        ),
+        (
+            "ops_per_sec_vs_chain_length",
+            Json::Arr(chain.iter().map(series_json).collect()),
+        ),
+        (
+            "live_profile",
+            Json::obj(vec![
+                ("shards", Json::U64(4)),
+                ("pinned_shards", Json::U64(report.pinned_shards as u64)),
+                ("quantiles", Json::from(quantiles)),
+            ]),
+        ),
+        (
+            "staged_vs_scalar_burst",
+            Json::obj(vec![
+                ("burst", Json::str("32 reads, chain tail")),
+                ("scalar_ns_per_burst", Json::F64(scalar_ns)),
+                ("staged_ns_per_burst", Json::F64(staged_ns)),
+                ("speedup", Json::F64(speedup)),
+            ]),
+        ),
+    ]);
+    let bench_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fabric.json");
+    match std::fs::write(bench_path, summary.render() + "\n") {
+        Ok(()) => println!("bench summary: {bench_path}"),
+        Err(e) => eprintln!("bench summary not written ({bench_path}): {e}"),
+    }
+
+    if let Some(path) = artifact.write() {
+        println!("artifact: {}", path.display());
+    }
+    0
 }
 
 #[cfg(test)]

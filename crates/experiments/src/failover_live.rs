@@ -308,10 +308,11 @@ fn check_or_dump(ok: bool, msg: &str, groups: u32, report: &LiveReport) {
 
 /// The `failover_live` command-line entry point: runs the coarse and fine
 /// granularity settings, prints the series and summaries, and asserts the
-/// Figure 10 structural claim. Shared by the `netchain-experiments` binary
-/// and the workspace-root alias.
-pub fn run_cli(smoke: bool) {
+/// Figure 10 structural claim (a failed check panics after dumping its
+/// evidence). `--smoke` runs a sub-second configuration (CI).
+pub fn run_cli(args: &[String]) -> i32 {
     use crate::print_series;
+    let smoke = args.iter().any(|a| a == "--smoke");
     let params = if smoke {
         FailoverLiveParams::smoke()
     } else {
@@ -392,6 +393,7 @@ pub fn run_cli(smoke: bool) {
         fine.groups,
         reports.last().expect("at least one run"),
     );
+    0
 }
 
 #[cfg(test)]

@@ -112,8 +112,8 @@ pub fn fig10(params: Fig10Params) -> Vec<Series> {
     vec![absolute, normalised]
 }
 
-/// Summary statistics extracted from a normalised Figure 10 series, used by
-/// tests and EXPERIMENTS.md.
+/// Summary statistics extracted from a normalised Figure 10 series, printed
+/// by the subcommand and asserted by the tests.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig10Summary {
     /// Mean normalised throughput during the recovery window.
@@ -159,6 +159,31 @@ pub fn summarise(params: &Fig10Params, normalised: &Series) -> Fig10Summary {
         },
         post_recovery_mean: window_mean(recovery_end + 2.0, params.total.as_secs_f64()),
     }
+}
+
+/// CLI entry: `fig10 [--vgroups N]`; without `--vgroups`, 1 then 100.
+pub fn run_cli(args: &[String]) -> i32 {
+    let vgroups = crate::cli::flag_value(args, "--vgroups").and_then(|v| v.parse::<u32>().ok());
+    let runs = match vgroups {
+        None | Some(0) => vec![1, 100],
+        Some(groups) => vec![groups],
+    };
+    for groups in runs {
+        let params = Fig10Params {
+            virtual_groups: groups,
+            ..Default::default()
+        };
+        let series = fig10(params);
+        let summary = summarise(&params, &series[1]);
+        crate::print_series(
+            &format!("Figure 10: failure handling, {groups} virtual group(s)"),
+            "time (s)",
+            "client throughput",
+            &series,
+        );
+        println!("summary: {summary:?}\n");
+    }
+    0
 }
 
 #[cfg(test)]

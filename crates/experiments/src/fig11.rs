@@ -124,6 +124,22 @@ pub fn fig11(
     series
 }
 
+/// CLI entry: `fig11`.
+pub fn run_cli(_args: &[String]) -> i32 {
+    let series = fig11(
+        &[1, 10, 100],
+        &[0.001, 0.01, 0.1, 1.0],
+        Fig11Params::default(),
+    );
+    crate::print_series(
+        "Figure 11: transaction throughput vs contention index",
+        "contention index",
+        "throughput (txn/s)",
+        &series,
+    );
+    0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

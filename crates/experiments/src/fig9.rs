@@ -15,7 +15,7 @@
 
 use crate::calib;
 use crate::capacity::CapacityModel;
-use crate::series::Series;
+use crate::series::{print_series, Series};
 use crate::zk;
 use netchain_baseline::{BaselineCluster, BaselineConfig, BaselineWorkload, ServerCostModel};
 use netchain_core::{ClusterConfig, NetChainCluster, WorkloadConfig};
@@ -176,7 +176,7 @@ pub fn fig9c(write_ratios: &[f64]) -> Vec<Series> {
 /// Figure 9(d): throughput vs packet loss rate (fraction, e.g. 0.01 = 1 %).
 ///
 /// Both systems are measured with the packet-level simulator; `sim_duration`
-/// bounds the simulated time per point (the default binary uses 200 ms).
+/// bounds the simulated time per point (the `fig9` subcommand uses 200 ms).
 pub fn fig9d(loss_rates: &[f64], sim_duration: SimDuration) -> Vec<Series> {
     let mut netchain_points = Vec::new();
     let mut zookeeper_points = Vec::new();
@@ -395,9 +395,107 @@ pub fn fig9f(switch_counts: &[usize]) -> Vec<Series> {
     ]
 }
 
+/// One panel of Figure 9: its letter, `[title, x label, y label]` and the run
+/// that measures it with the figure's parameters.
+type Panel = (&'static str, [&'static str; 3], fn() -> Vec<Series>);
+
+/// The six panels, the one place their parameters are written down.
+const PANELS: [Panel; 6] = [
+    (
+        "a",
+        [
+            "Figure 9(a): throughput vs value size",
+            "value size (B)",
+            "throughput (QPS)",
+        ],
+        || fig9a(&[0, 16, 32, 64, 96, 128]),
+    ),
+    (
+        "b",
+        [
+            "Figure 9(b): throughput vs store size",
+            "store size (items)",
+            "throughput (QPS)",
+        ],
+        || fig9b(&[1_000, 20_000, 40_000, 60_000, 80_000, 100_000]),
+    ),
+    (
+        "c",
+        [
+            "Figure 9(c): throughput vs write ratio",
+            "write ratio (%)",
+            "throughput (QPS)",
+        ],
+        || fig9c(&[0.0, 0.01, 0.2, 0.4, 0.6, 0.8, 1.0]),
+    ),
+    (
+        "d",
+        [
+            "Figure 9(d): throughput vs packet loss rate",
+            "loss rate (%)",
+            "throughput (QPS)",
+        ],
+        || {
+            fig9d(
+                &[0.00001, 0.0001, 0.001, 0.01, 0.1],
+                SimDuration::from_millis(200),
+            )
+        },
+    ),
+    (
+        "e",
+        [
+            "Figure 9(e): latency vs throughput",
+            "throughput (QPS)",
+            "latency (µs)",
+        ],
+        || fig9e(SimDuration::from_millis(200)),
+    ),
+    (
+        "f",
+        [
+            "Figure 9(f): scalability",
+            "number of switches",
+            "throughput (BQPS)",
+        ],
+        || fig9f(&[6, 12, 24, 48, 96]),
+    ),
+];
+
+/// The panels `--panel` selects: all six without the flag, none for a letter
+/// that names no panel.
+fn panels(wanted: Option<&str>) -> Vec<&'static Panel> {
+    let keep = |(letter, ..): &&Panel| wanted.is_none_or(|w| w == *letter);
+    PANELS.iter().filter(keep).collect()
+}
+
+/// CLI entry: `fig9 [--panel a..f]`; without `--panel`, all six in order.
+pub fn run_cli(args: &[String]) -> i32 {
+    let wanted = crate::cli::flag_value(args, "--panel");
+    let chosen = panels(wanted);
+    if chosen.is_empty() {
+        return crate::cli::usage_error(&format!("fig9: --panel takes a..f, got {wanted:?}"));
+    }
+    for (_, [title, x_label, y_label], run) in chosen {
+        print_series(title, x_label, y_label, &run());
+    }
+    0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_former_panel_bin_is_a_panel_letter() {
+        for letter in ["a", "b", "c", "d", "e", "f"] {
+            let chosen = panels(Some(letter));
+            assert_eq!(chosen.len(), 1, "fig9{letter}");
+            assert!(chosen[0].1[0].contains(&format!("9({letter})")));
+        }
+        assert_eq!(panels(None).len(), 6);
+        assert!(panels(Some("g")).is_empty());
+    }
 
     #[test]
     fn fig9a_netchain4_is_flat_at_82mqps_and_beats_zookeeper() {

@@ -1,9 +1,10 @@
 //! # netchain-experiments
 //!
-//! The reproduction harness: one module (and one binary) per table and figure
-//! of the NetChain evaluation (§8). Each experiment returns plain data series
-//! that the binaries print as aligned tables and JSON, so EXPERIMENTS.md can
-//! quote them directly.
+//! The reproduction harness: one module per table and figure of the NetChain
+//! evaluation (§8), each a subcommand of the one `netchain` binary ([`cli`]
+//! holds the table; the README's "Crate map" places the crate). Each
+//! experiment returns plain data series that its subcommand prints as an
+//! aligned table and a JSON line.
 //!
 //! Two measurement methods are used, mirroring how the paper itself was
 //! evaluated:
@@ -36,6 +37,7 @@ pub mod bench_gate;
 pub mod calib;
 pub mod capacity;
 pub mod chain_audit;
+pub mod cli;
 pub mod fabric_scale;
 pub mod failover_live;
 pub mod fig10;

@@ -286,7 +286,9 @@ fn fill_summary(io: &IoStats) -> String {
 
 /// Runs the full net-scale measurement (both I/O modes, latency and
 /// saturation points), prints the table, and writes `BENCH_net.json`.
-pub fn run_cli(smoke: bool) {
+/// `--smoke` runs a sub-second configuration (CI).
+pub fn run_cli(args: &[String]) -> i32 {
+    let smoke = args.iter().any(|a| a == "--smoke");
     let params = if smoke {
         NetScaleParams::smoke()
     } else {
@@ -443,6 +445,7 @@ pub fn run_cli(smoke: bool) {
     if let Some(path) = artifact.write() {
         println!("artifact: {}", path.display());
     }
+    0
 }
 
 #[cfg(test)]

@@ -395,21 +395,15 @@ pub fn run_fabric(ticks: usize, interval: Duration, clear: bool, json: bool) {
     }
 }
 
-/// Command-line entry point shared by the experiment binary and the
-/// workspace-root alias: `ops_top [--net|--fabric] [--once | --ticks N]
+/// CLI entry: `ops_top [--net|--fabric] [--once | --ticks N]
 /// [--interval-ms N] [--no-clear] [--json]`.
 ///
 /// `--json` implies a single tick unless `--ticks` is given, never clears
 /// the screen, and prints one JSON document per tick on stdout (the run
 /// summary moves to stderr) — the machine-readable one-shot mode.
-pub fn run_cli(args: &[String]) {
+pub fn run_cli(args: &[String]) -> i32 {
     let has = |flag: &str| args.iter().any(|a| a == flag);
-    let value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse::<u64>().ok())
-    };
+    let value = |flag: &str| crate::cli::flag_value(args, flag).and_then(|v| v.parse::<u64>().ok());
     let json = has("--json");
     let ticks = if has("--once") || (json && value("--ticks").is_none()) {
         1
@@ -423,6 +417,7 @@ pub fn run_cli(args: &[String]) {
     } else {
         run_net(ticks, interval, clear, json);
     }
+    0
 }
 
 #[cfg(test)]

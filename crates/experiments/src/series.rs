@@ -28,7 +28,7 @@ impl Series {
 }
 
 /// Prints a figure's series as an aligned table followed by a JSON blob
-/// (machine-readable, quoted in EXPERIMENTS.md).
+/// (machine-readable).
 pub fn print_series(title: &str, x_label: &str, y_label: &str, series: &[Series]) {
     println!("== {title} ==");
     println!("   ({y_label} as a function of {x_label})");

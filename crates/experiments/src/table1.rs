@@ -36,14 +36,15 @@ pub fn table1() -> Vec<Table1Row> {
     ]
 }
 
-/// Prints Table 1.
-pub fn print_table1() {
+/// CLI entry: prints Table 1.
+pub fn run_cli(_args: &[String]) -> i32 {
     println!("== Table 1: packet-processing capabilities (server vs switch) ==");
     println!("{:<22}{:>18}{:>18}", "Metric", "Server", "Switch");
     for row in table1() {
         println!("{:<22}{:>18}{:>18}", row.metric, row.server, row.switch);
     }
     println!();
+    0
 }
 
 #[cfg(test)]
@@ -54,6 +55,6 @@ mod tests {
     fn table_has_three_rows_and_switch_wins() {
         let rows = table1();
         assert_eq!(rows.len(), 3);
-        print_table1();
+        assert_eq!(run_cli(&[]), 0);
     }
 }

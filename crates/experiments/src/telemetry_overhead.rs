@@ -100,8 +100,10 @@ pub fn measure(params: OverheadParams) -> OverheadReport {
 }
 
 /// The `telemetry_overhead` CLI entry point: measures, prints, exports the
-/// artifact, and asserts the bound.
-pub fn run_cli(smoke: bool) {
+/// artifact, and asserts the bound. `--smoke` runs a short configuration
+/// with a loose threshold (CI).
+pub fn run_cli(args: &[String]) -> i32 {
+    let smoke = args.iter().any(|a| a == "--smoke");
     let params = if smoke {
         OverheadParams::smoke()
     } else {
@@ -140,6 +142,7 @@ pub fn run_cli(smoke: bool) {
         params.max_delta * 100.0,
         report.off_noise * 100.0,
     );
+    0
 }
 
 #[cfg(test)]

@@ -1,10 +1,8 @@
 //! The batched, keyspace-sharded socket dataplane.
 //!
-//! This is the fabric's architecture carried onto real kernel UDP sockets.
-//! Where the legacy [`crate::Deployment`] runs one thread per emulated
-//! switch — single-packet `recv_from`, an owned parse, one mutex-guarded
-//! [`netchain_switch::NetChainSwitch::handle`] call, one `send_to` — the
-//! dataplane runs one worker thread per **keyspace shard**:
+//! This is the fabric's architecture carried onto real kernel UDP sockets:
+//! one worker thread per **keyspace shard**, each hosting its slice of every
+//! switch of the ring.
 //!
 //! * Ingress is burst I/O through the vendored [`mmsg`] shim: one
 //!   `recvmmsg` call fills a whole [`RecvQueue`] of fixed-size slots
@@ -512,6 +510,7 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LoopbackClient;
     use netchain_core::{AgentConfig, AgentCore, ChainDirectory, KvOp};
     use netchain_sim::{SimDuration, SimTime};
     use netchain_wire::{NetChainPacket, PacketView, QueryStatus};
@@ -521,66 +520,13 @@ mod tests {
         HashRing::new((0..4).map(Ipv4Addr::for_switch).collect(), 8, 3, 7)
     }
 
-    /// Synchronous one-op-at-a-time client over the dataplane, for tests.
-    struct TestClient {
-        socket: UdpSocket,
-        agent: AgentCore,
-        epoch: Instant,
-    }
-
-    impl TestClient {
-        fn connect(plane: &NetDataplane, id: u32) -> TestClient {
-            let socket = UdpSocket::bind("127.0.0.1:0").expect("bind client");
-            socket
-                .set_read_timeout(Some(Duration::from_millis(10)))
-                .expect("timeout");
-            let ip = Ipv4Addr::for_host(id);
-            plane.register_client(ip, socket.local_addr().expect("addr"));
-            let config = AgentConfig::new(ip)
-                .with_timeout(SimDuration::from_millis(50))
-                .with_max_retries(5);
-            TestClient {
-                socket,
-                agent: AgentCore::new(config, ChainDirectory::new(plane.ring().clone())),
-                epoch: Instant::now(),
-            }
-        }
-
-        fn now(&self) -> SimTime {
-            SimTime(self.epoch.elapsed().as_nanos() as u64)
-        }
-
-        fn execute(&mut self, plane: &NetDataplane, op: KvOp) -> netchain_core::CompletedQuery {
-            let key = op.key();
-            let (request_id, pkt) = self.agent.begin(self.now(), op);
-            let dest = plane.addr_of_key(&key);
-            self.socket
-                .send_to(&pkt.to_bytes(), dest)
-                .expect("send query");
-            let start = Instant::now();
-            let mut buf = [0u8; MAX_FRAME_LEN + 1];
-            loop {
-                assert!(
-                    start.elapsed() < Duration::from_secs(5),
-                    "op {request_id} timed out"
-                );
-                if let Ok((len, _)) = self.socket.recv_from(&mut buf) {
-                    if let Ok(reply) = NetChainPacket::from_bytes(&buf[..len]) {
-                        if let Some(done) = self.agent.on_reply(self.now(), &reply) {
-                            if done.request_id == request_id {
-                                return done;
-                            }
-                        }
-                    }
-                }
-                for retry in self.agent.poll_retries(self.now()).retransmit {
-                    let key = retry.netchain.key;
-                    let _ = self
-                        .socket
-                        .send_to(&retry.to_bytes(), plane.addr_of_key(&key));
-                }
-            }
-        }
+    /// The blocking client for host `id`, with a retry budget that outlasts
+    /// a loaded test box.
+    fn connect(plane: &NetDataplane, id: u32) -> LoopbackClient<'_> {
+        let config = AgentConfig::new(Ipv4Addr::for_host(id))
+            .with_timeout(SimDuration::from_millis(50))
+            .with_max_retries(5);
+        plane.client(config).expect("client socket")
     }
 
     #[test]
@@ -590,34 +536,24 @@ mod tests {
         let populate: Vec<(Key, Value)> = keys.iter().map(|&k| (k, Value::from_u64(0))).collect();
         let config = NetConfig::new(ring, 2, PipelineConfig::tiny(64));
         let plane = NetDataplane::start(config, &populate).expect("start");
-        let mut client = TestClient::connect(&plane, 0);
+        let mut client = connect(&plane, 0);
         for (i, &key) in keys.iter().enumerate() {
-            let w = client.execute(&plane, KvOp::Write(key, Value::from_u64(100 + i as u64)));
+            let w = client
+                .write(key, Value::from_u64(100 + i as u64))
+                .expect("write");
             assert_eq!(w.status, Some(QueryStatus::Ok));
         }
         for (i, &key) in keys.iter().enumerate() {
-            let r = client.execute(&plane, KvOp::Read(key));
+            let r = client.read(key).expect("read");
             assert_eq!(r.value.as_u64(), Some(100 + i as u64));
         }
-        let cas_ok = client.execute(
-            &plane,
-            KvOp::Cas {
-                key: keys[0],
-                expected: 100,
-                new: 7,
-            },
-        );
+        let cas_ok = client.cas(keys[0], 100, 7).expect("cas");
         assert_eq!(cas_ok.status, Some(QueryStatus::Ok));
-        let cas_fail = client.execute(
-            &plane,
-            KvOp::Cas {
-                key: keys[0],
-                expected: 100,
-                new: 8,
-            },
-        );
+        let cas_fail = client.cas(keys[0], 100, 8).expect("cas");
         assert_eq!(cas_fail.status, Some(QueryStatus::CasFailed));
-        assert_eq!(client.agent.stats().version_regressions, 0);
+        assert_eq!(client.agent_stats().version_regressions, 0);
+        assert_eq!(client.late_completions(), 0);
+        drop(client);
 
         let report = plane.shutdown();
         // Every write landed on every chain replica of its owning shard.
@@ -671,11 +607,12 @@ mod tests {
         let mut config = NetConfig::new(ring, 2, PipelineConfig::tiny(64));
         config.io_mode = IoMode::Single;
         let plane = NetDataplane::start(config, &populate).expect("start");
-        let mut client = TestClient::connect(&plane, 0);
-        let w = client.execute(&plane, KvOp::Write(key, Value::from_u64(5)));
+        let mut client = connect(&plane, 0);
+        let w = client.write(key, Value::from_u64(5)).expect("write");
         assert_eq!(w.status, Some(QueryStatus::Ok));
-        let r = client.execute(&plane, KvOp::Read(key));
+        let r = client.read(key).expect("read");
         assert_eq!(r.value.as_u64(), Some(5));
+        drop(client);
         // Same waiting policy as burst mode, on the single-datagram calls:
         // the worker that served the ops polled after them, found nothing
         // and went back to sleep; the other one never left the blocking
@@ -720,18 +657,19 @@ mod tests {
     fn the_first_datagram_after_silence_is_answered_and_polling_resumes() {
         let read_timeout = Duration::from_millis(20);
         let plane = one_worker_plane(read_timeout);
-        let mut client = TestClient::connect(&plane, 0);
+        let mut client = connect(&plane, 0);
         let key = Key::from_u64(1);
         std::thread::sleep(Duration::from_millis(100));
         // The worker is in the blocking receive; the datagram wakes it.
-        let w = client.execute(&plane, KvOp::Write(key, Value::from_u64(9)));
+        let w = client.write(key, Value::from_u64(9)).expect("write");
         assert_eq!(w.status, Some(QueryStatus::Ok));
         // Back-to-back ops, each well inside the idle budget of the last.
         let ops = 500u64;
         for _ in 0..ops {
-            let r = client.execute(&plane, KvOp::Read(key));
+            let r = client.read(key).expect("read");
             assert_eq!(r.value.as_u64(), Some(9));
         }
+        drop(client);
         // Stopped while polling: no receive to wait out.
         let t = Instant::now();
         let report = plane.shutdown();
@@ -746,25 +684,51 @@ mod tests {
         assert!(io.empty_polls >= 1, "{io:?}");
     }
 
-    #[test]
-    fn reply_to_unregistered_client_is_counted_unrouted() {
-        let ring = test_ring();
-        let key = Key::from_u64(2);
-        let populate = vec![(key, Value::from_u64(3))];
-        let config = NetConfig::new(ring.clone(), 1, PipelineConfig::tiny(64));
-        let plane = NetDataplane::start(config, &populate).expect("start");
-        // Send a query without registering the client's reply route.
+    /// One single-worker plane holding `key`, for the reply-routing tests.
+    fn routing_plane(key: Key) -> NetDataplane {
+        let config = NetConfig::new(test_ring(), 1, PipelineConfig::tiny(64));
+        NetDataplane::start(config, &[(key, Value::from_u64(3))]).expect("start")
+    }
+
+    /// Sends one read of `key` from a bare socket, carrying host `id`'s IP.
+    fn send_raw_read(plane: &NetDataplane, id: u32, key: Key) {
         let socket = UdpSocket::bind("127.0.0.1:0").expect("bind");
-        let agent_config = AgentConfig::new(Ipv4Addr::for_host(9));
-        let mut agent = AgentCore::new(agent_config, ChainDirectory::new(ring));
+        let agent_config = AgentConfig::new(Ipv4Addr::for_host(id));
+        let mut agent = AgentCore::new(agent_config, ChainDirectory::new(test_ring()));
         let (_, pkt) = agent.begin(SimTime(0), KvOp::Read(key));
         socket
             .send_to(&pkt.to_bytes(), plane.addr_of_key(&key))
             .expect("send");
         std::thread::sleep(Duration::from_millis(50));
+    }
+
+    #[test]
+    fn reply_to_unregistered_client_is_counted_unrouted() {
+        let key = Key::from_u64(2);
+        let plane = routing_plane(key);
+        // Send a query without registering the client's reply route.
+        send_raw_read(&plane, 9, key);
         let report = plane.shutdown();
-        let unrouted: u64 = report.io.iter().map(|s| s.unrouted_replies).sum();
-        assert_eq!(unrouted, 1);
+        assert_eq!(report.io[0].unrouted_replies, 1);
+    }
+
+    #[test]
+    fn dropping_a_client_deregisters_its_route() {
+        let key = Key::from_u64(2);
+        let plane = routing_plane(key);
+        let mut client = connect(&plane, 9);
+        // Routed while the client lives: the reply arrives.
+        assert_eq!(client.read(key).expect("read").value.as_u64(), Some(3));
+        drop(client);
+        // A stale route would alias whoever recycles this virtual IP; with it
+        // gone, a query carrying that IP has nowhere to send its reply.
+        send_raw_read(&plane, 9, key);
+        let report = plane.shutdown();
+        assert_eq!(report.io[0].unrouted_replies, 1);
+        assert_eq!(
+            report.io[0].datagrams_out, 1,
+            "only the live read was answered"
+        );
     }
 
     #[test]

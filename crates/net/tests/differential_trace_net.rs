@@ -8,15 +8,14 @@
 //! other wall-clock time on a worker thread.
 
 use std::collections::HashMap;
-use std::net::UdpSocket;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use netchain_core::{AgentCore, ClusterConfig, KvOp, NetChainCluster};
+use netchain_core::{ClusterConfig, KvOp, NetChainCluster};
 use netchain_net::{NetConfig, NetDataplane};
-use netchain_sim::{SimDuration, SimTime};
+use netchain_sim::SimDuration;
 use netchain_switch::PipelineConfig;
 use netchain_telemetry::{merge_traces, trace_id, PacketTrace, TraceConfig};
-use netchain_wire::{Ipv4Addr, Key, NetChainPacket, Value, MAX_FRAME_LEN};
+use netchain_wire::{Ipv4Addr, Key, Value};
 
 /// Trace everything: shift 0 samples every query.
 const TRACE_ALL: TraceConfig = TraceConfig {
@@ -101,42 +100,17 @@ fn net_and_sim_traces_agree_on_chain_hop_order() {
     net_config.trace = Some(TRACE_ALL);
     let plane = NetDataplane::start(net_config, &populate).expect("start dataplane");
 
-    let socket = UdpSocket::bind("127.0.0.1:0").expect("bind client");
-    socket
-        .set_read_timeout(Some(Duration::from_millis(10)))
-        .expect("timeout");
     // A generous retry timeout: a retransmitted query would legitimately
     // stamp its chain a second time and the paths would no longer be
     // comparable, so this client never retransmits.
     let agent_config = cluster
         .agent_config(0)
         .with_timeout(SimDuration::from_secs(30));
-    plane.register_client(agent_config.client_ip, socket.local_addr().expect("addr"));
-    let mut agent = AgentCore::new(agent_config, cluster.directory());
-    let epoch = Instant::now();
-    let mut buf = [0u8; MAX_FRAME_LEN + 1];
+    let mut client = plane.client(agent_config).expect("client socket");
     for op in script() {
-        let now = || SimTime(epoch.elapsed().as_nanos() as u64);
-        let key = op.key();
-        let (request_id, pkt) = agent.begin(now(), op);
-        socket
-            .send_to(&pkt.to_bytes(), plane.addr_of_key(&key))
-            .expect("send query");
-        let start = Instant::now();
-        loop {
-            assert!(
-                start.elapsed() < Duration::from_secs(5),
-                "op {request_id} timed out"
-            );
-            if let Ok((len, _)) = socket.recv_from(&mut buf) {
-                if let Ok(reply) = NetChainPacket::from_bytes(&buf[..len]) {
-                    if agent.on_reply(now(), &reply).is_some() {
-                        break;
-                    }
-                }
-            }
-        }
+        client.execute(op, Duration::from_secs(5)).expect("op");
     }
+    drop(client);
     let report = plane.shutdown();
     let net_paths = switch_paths(&report.traces);
 

@@ -13,17 +13,20 @@
 //! * [`baseline`] — the ZooKeeper-like server-based baseline.
 //! * [`apps`] — locks, 2PL transactions, configuration store, barriers.
 //! * [`model`] — the bounded model checker (TLA+ appendix port).
-//! * [`net`] — the real-socket (UDP loopback) deployment mode.
+//! * [`net`] — the real-socket (UDP loopback) mode.
 //! * [`fabric`] — the in-process multi-core switch fabric (real throughput:
 //!   lock-free SPSC rings, batched zero-copy processing).
 //! * [`livectl`] — the live control plane for the fabric (fault injection,
 //!   fast failover, measured chain repair).
 //! * [`telemetry`] — the observability layer: metrics, latency histograms,
 //!   in-band per-hop tracing, event journal, JSON-lines export.
-//! * [`experiments`] — the per-figure reproduction harness.
+//! * [`experiments`] — the per-figure reproduction harness and the table of
+//!   subcommands behind the `netchain` binary (`src/main.rs`).
 //!
-//! See `examples/` for runnable walkthroughs and `DESIGN.md` /
-//! `EXPERIMENTS.md` for the system inventory and the reproduction results.
+//! See `examples/` for runnable walkthroughs and the README for the system
+//! inventory ("Three execution modes", "Crate map"). The reproduction results
+//! are what `cargo run --release -- all` prints; `-- help` lists the single
+//! experiments.
 
 #![forbid(unsafe_code)]
 

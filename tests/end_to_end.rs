@@ -163,12 +163,18 @@ fn middle_switch_failure_heals_without_regressions() {
 }
 
 #[test]
-fn loopback_udp_deployment_round_trips() {
-    use netchain::net::{Deployment, DeploymentConfig};
-    let mut deployment = Deployment::start(DeploymentConfig::default()).expect("loopback sockets");
+fn loopback_udp_dataplane_round_trips() {
+    use netchain::net::{NetConfig, NetDataplane};
+    let cluster = NetChainCluster::testbed(ClusterConfig::default());
     let key = Key::from_name("it/loopback");
-    deployment.populate_key(key, &Value::from_u64(0));
-    let mut client = deployment.client().expect("client");
+    let config = NetConfig::new(cluster.ring().clone(), 2, ClusterConfig::default().pipeline);
+    let plane =
+        NetDataplane::start(config, &[(key, Value::from_u64(0))]).expect("loopback sockets");
+    // A retry timer longer than a loaded test box's scheduling hiccups.
+    let agent = cluster
+        .agent_config(0)
+        .with_timeout(SimDuration::from_millis(50));
+    let mut client = plane.client(agent).expect("client");
     client.write(key, Value::from_u64(77)).expect("write");
     let read = client.read(key).expect("read");
     assert_eq!(read.value.as_u64(), Some(77));
