@@ -19,7 +19,7 @@
 
 use netchain_telemetry::{
     audit, journal_from_json, trace_from_json, AuditConfig, AuditReport, FlightRecorder, Journal,
-    Json, PacketTrace,
+    Json, PacketTrace, Violation,
 };
 use std::path::{Path, PathBuf};
 
@@ -35,8 +35,36 @@ pub struct FileAudit {
     pub rejected: usize,
     /// Lines that were not valid JSON objects.
     pub malformed: usize,
-    /// The audit verdict over this file's traces and journal.
-    pub report: AuditReport,
+    /// The audit verdict of each labelled run over its own traces and
+    /// journal, by label. File totals are derived from these.
+    pub runs: Vec<(String, AuditReport)>,
+}
+
+impl FileAudit {
+    /// One counter of the per-run verdicts, summed over the file.
+    fn total(&self, counter: impl Fn(&AuditReport) -> usize) -> usize {
+        self.runs.iter().map(|(_, run)| counter(run)).sum()
+    }
+
+    /// Every run's violations, in label order.
+    fn violations(&self) -> Vec<&Violation> {
+        let runs = self.runs.iter();
+        runs.flat_map(|(_, run)| &run.violations).collect()
+    }
+}
+
+/// How much of a run the auditor judged: checked / suppressed / truncated as
+/// shares of the acked operations it reconstructed, so "clean" can be told
+/// from "judged the first 80 ms and nothing after the sinks filled".
+fn coverage_line(report: &AuditReport) -> String {
+    let acked = report.writes + report.reads;
+    let share = |n: usize| 100.0 * n as f64 / acked.max(1) as f64;
+    format!(
+        "checked {:.1}% suppressed {:.1}% truncated {:.1}% of {acked} acked ops",
+        share(report.checked),
+        share(report.suppressed),
+        share(report.truncated),
+    )
 }
 
 /// One run's worth of records inside an artifact file, keyed by the
@@ -48,7 +76,7 @@ struct RunRecords {
 }
 
 /// Parses one JSONL artifact and audits each labelled run inside it against
-/// that run's own journal, merging the verdicts into one per-file report.
+/// that run's own journal.
 pub fn audit_file(path: &Path, config: &AuditConfig) -> Result<FileAudit, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let mut runs: std::collections::BTreeMap<String, RunRecords> =
@@ -103,24 +131,17 @@ pub fn audit_file(path: &Path, config: &AuditConfig) -> Result<FileAudit, String
             }
         }
     }
-    let mut count = 0usize;
-    let mut report = AuditReport::default();
-    for run in runs.values() {
-        count += run.traces.len();
-        let part = audit(&run.traces, &run.journal, config);
-        report.traces += part.traces;
-        report.writes += part.writes;
-        report.reads += part.reads;
-        report.checked += part.checked;
-        report.suppressed += part.suppressed;
-        report.violations.extend(part.violations);
-    }
+    let traces = runs.values().map(|run| run.traces.len()).sum();
+    let runs = runs
+        .into_iter()
+        .map(|(label, run)| (label, audit(&run.traces, &run.journal, config)))
+        .collect();
     Ok(FileAudit {
         path: path.to_path_buf(),
-        traces: count,
+        traces,
         rejected,
         malformed,
-        report,
+        runs,
     })
 }
 
@@ -202,21 +223,26 @@ pub fn run_cli(args: &[String]) -> i32 {
             .file_name()
             .and_then(|n| n.to_str())
             .unwrap_or("?");
+        let violations = audit.violations();
         println!(
-            "{name}: {} traces ({} writes, {} reads), {} checked, {} suppressed, {} violations{}",
+            "{name}: {} traces ({} writes, {} reads), {} checked, {} suppressed, {} truncated, {} violations{}",
             audit.traces,
-            audit.report.writes,
-            audit.report.reads,
-            audit.report.checked,
-            audit.report.suppressed,
-            audit.report.violations.len(),
+            audit.total(|r| r.writes),
+            audit.total(|r| r.reads),
+            audit.total(|r| r.checked),
+            audit.total(|r| r.suppressed),
+            audit.total(|r| r.truncated),
+            violations.len(),
             if audit.rejected > 0 {
                 format!(" [{} future-schema records skipped]", audit.rejected)
             } else {
                 String::new()
             },
         );
-        for violation in &audit.report.violations {
+        for (label, run) in &audit.runs {
+            println!("  run {label:?}: {}", coverage_line(run));
+        }
+        for violation in &violations {
             println!("  VIOLATION {}", violation.describe());
             recorder.record(
                 violation.at_ns,
@@ -228,7 +254,7 @@ pub fn run_cli(args: &[String]) -> i32 {
             );
         }
         audited_traces += audit.traces;
-        all_violations += audit.report.violations.len();
+        all_violations += violations.len();
     }
     if audited_traces == 0 {
         eprintln!(
@@ -352,7 +378,7 @@ mod tests {
         std::fs::write(&clean, lines.join("\n") + "\n").unwrap();
         let audit = audit_file(&clean, &AuditConfig::default()).unwrap();
         assert_eq!(audit.traces, 2);
-        assert!(audit.report.is_clean(), "{:?}", audit.report.violations);
+        assert_eq!(audit.violations(), Vec::<&Violation>::new());
         assert_eq!(run_cli(&[dir.to_string_lossy().into_owned()]), 0);
 
         // A read that returns the pre-write version after the ack: stale.
@@ -366,8 +392,7 @@ mod tests {
         // tail register had already served version 2, the per-replica
         // monotonicity check too — both are real).
         assert!(audit
-            .report
-            .violations
+            .violations()
             .iter()
             .any(|v| v.kind == ViolationKind::StaleRead));
         // Point the violation dump at the scratch dir, not the repo.
@@ -403,8 +428,8 @@ mod tests {
         let path = dir.join("BENCH_spans.jsonl");
         std::fs::write(&path, lines.join("\n") + "\n").unwrap();
         let audit = audit_file(&path, &AuditConfig::default()).unwrap();
-        assert!(audit.report.is_clean(), "{:?}", audit.report.violations);
-        assert!(audit.report.suppressed > 0);
+        assert_eq!(audit.violations(), Vec::<&Violation>::new());
+        assert!(audit.total(|r| r.suppressed) > 0);
         assert_eq!(audit.rejected, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -429,8 +454,8 @@ mod tests {
         let path = dir.join("FLIGHT_run.jsonl");
         std::fs::write(&path, bench.join("\n") + "\n").unwrap();
         let audit = audit_file(&path, &AuditConfig::default()).unwrap();
-        assert!(audit.report.is_clean(), "{:?}", audit.report.violations);
-        assert!(audit.report.suppressed > 0);
+        assert_eq!(audit.violations(), Vec::<&Violation>::new());
+        assert!(audit.total(|r| r.suppressed) > 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -456,7 +481,17 @@ mod tests {
         std::fs::write(&path, labelled.join("\n") + "\n").unwrap();
         let audit = audit_file(&path, &AuditConfig::default()).unwrap();
         assert_eq!(audit.traces, 4);
-        assert!(audit.report.is_clean(), "{:?}", audit.report.violations);
+        assert_eq!(audit.violations(), Vec::<&Violation>::new());
+        // Each run reports its own coverage: one write and one read, both
+        // judged, nothing truncated.
+        let labels: Vec<&str> = audit.runs.iter().map(|(l, _)| l.as_str()).collect();
+        assert_eq!(labels, ["a", "b"]);
+        for (_, run) in &audit.runs {
+            assert_eq!(
+                coverage_line(run),
+                "checked 100.0% suppressed 0.0% truncated 0.0% of 2 acked ops"
+            );
+        }
 
         // The same records without labels collapse into one run and the
         // duplicated trace ids / restarted histories are (rightly) judged
@@ -472,7 +507,7 @@ mod tests {
         .collect();
         std::fs::write(&path, unlabelled.join("\n") + "\n").unwrap();
         let audit = audit_file(&path, &AuditConfig::default()).unwrap();
-        assert!(!audit.report.is_clean());
+        assert!(!audit.violations().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -6,8 +6,7 @@
 //! from what the single subcommands do.
 
 use crate::{
-    bench_gate, chain_audit, fabric_scale, failover_live, fig10, fig11, fig9, net_scale, ops_top,
-    table1, telemetry_overhead,
+    bench_gate, chain_audit, failover_live, fig10, fig11, fig9, net_scale, ops_top, table1,
 };
 
 /// One subcommand: its name, a one-line description, and its entry point
@@ -15,7 +14,7 @@ use crate::{
 pub type Command = (&'static str, &'static str, fn(&[String]) -> i32);
 
 /// Every subcommand, in the order `help` lists them.
-pub static COMMANDS: [Command; 13] = [
+pub static COMMANDS: [Command; 11] = [
     (
         "table1",
         "Table 1: server vs switch packet processing",
@@ -37,11 +36,6 @@ pub static COMMANDS: [Command; 13] = [
         fig11::run_cli,
     ),
     (
-        "fabric_scale",
-        "measured fabric ops/sec vs shards and chain length; writes BENCH_fabric.json",
-        fabric_scale::run_cli,
-    ),
-    (
         "failover_live",
         "kill, failover and chain repair in the running fabric [--smoke]",
         failover_live::run_cli,
@@ -50,11 +44,6 @@ pub static COMMANDS: [Command; 13] = [
         "net_scale",
         "open-loop load over real sockets; writes BENCH_net.json [--smoke]",
         net_scale::run_cli,
-    ),
-    (
-        "telemetry_overhead",
-        "guard: tracing off must cost nothing measurable [--smoke]",
-        telemetry_overhead::run_cli,
     ),
     (
         "ops_top",
@@ -79,16 +68,9 @@ pub static COMMANDS: [Command; 13] = [
     ("help", "this list", help),
 ];
 
-/// What `all` runs, by name: the reproductions and the two fabric
-/// measurements, each exactly as its own subcommand runs with no arguments.
-const ALL: [&str; 6] = [
-    "table1",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fabric_scale",
-    "failover_live",
-];
+/// What `all` runs, by name: the reproductions and the live-fabric failover
+/// run, each exactly as its own subcommand runs with no arguments.
+const ALL: [&str; 5] = ["table1", "fig9", "fig10", "fig11", "failover_live"];
 
 fn find(name: &str) -> Option<&'static Command> {
     COMMANDS.iter().find(|(n, ..)| *n == name)
@@ -147,17 +129,15 @@ mod tests {
 
     #[test]
     fn every_former_bin_name_resolves() {
-        // The seventeen experiment bins (six of them also root aliases):
-        // the fig9 panels became `fig9 --panel`, `all_experiments` is `all`.
+        // The experiment bins that are still measured here: the fig9 panels
+        // became `fig9 --panel`, `all_experiments` is `all`.
         for name in [
             "table1",
             "fig9",
             "fig10",
             "fig11",
-            "fabric_scale",
             "failover_live",
             "net_scale",
-            "telemetry_overhead",
             "ops_top",
             "chain_audit",
             "bench_gate",
@@ -167,6 +147,12 @@ mod tests {
         }
         for name in ALL {
             assert!(find(name).is_some(), "`all` names {name}");
+        }
+        // The two harnesses `benchmark/` replaced are unknown names now:
+        // exit 2 and the table, like any other.
+        for name in ["fabric_scale", "telemetry_overhead"] {
+            assert!(find(name).is_none(), "{name} is still a subcommand");
+            assert_eq!(run(&[name.to_string()]), 2);
         }
     }
 

@@ -21,10 +21,10 @@
 //!   process a packet per query and divides the per-switch packet budget by
 //!   that load.
 //!
-//! A third kind of run, [`fabric_scale`], is *not* a reproduction: it
-//! measures the repo's own multi-core software fabric (`netchain-fabric`)
-//! on the machine at hand — real ops/sec versus worker shards and chain
-//! length, the baseline future scaling PRs are compared against.
+//! A third kind of run is *not* a reproduction: [`net_scale`] and
+//! [`failover_live`] measure the repo's own socket dataplane and live
+//! control plane on the machine at hand. The fabric's throughput and
+//! latency are measured by the separate `benchmark/` crate only.
 //!
 //! Calibration constants taken from the paper's own measurements (server
 //! rates, client stack delays, ZooKeeper reference points) are concentrated
@@ -38,7 +38,6 @@ pub mod calib;
 pub mod capacity;
 pub mod chain_audit;
 pub mod cli;
-pub mod fabric_scale;
 pub mod failover_live;
 pub mod fig10;
 pub mod fig11;
@@ -47,7 +46,6 @@ pub mod net_scale;
 pub mod ops_top;
 pub mod series;
 pub mod table1;
-pub mod telemetry_overhead;
 pub mod zk;
 
 pub use capacity::CapacityModel;

@@ -2,8 +2,7 @@
 //! quantiles of the real-socket dataplane (`netchain-net`) on the machine it
 //! runs on.
 //!
-//! Like [`crate::fabric_scale`], this is not a reproduction of a paper
-//! figure — kernel UDP on one box is orders of magnitude slower than a
+//! This is not a reproduction of a paper figure — kernel UDP on one box is orders of magnitude slower than a
 //! Tofino — but it is the honest measurement of what the repo's socket
 //! deployment sustains, and it quantifies the one datapoint the tentpole
 //! rewrite claims: batched syscalls (`recvmmsg`/`sendmmsg` via the vendored

@@ -1,31 +1,20 @@
-//! The fabric runtime: shard workers, client threads, and the capacity
-//! (sequential-makespan) measurement mode.
+//! The fabric runtime: shard workers and client threads.
 //!
-//! Two ways to run the same dataplane:
-//!
-//! * [`run_live`] — spawns one OS thread per shard and per client, connected
-//!   by the lock-free SPSC rings. This is the deployment shape: with
-//!   [`FabricConfig::pin_shards`] each shard thread pins itself to a core
-//!   (`sched_setaffinity` via the vendored `affinity` shim; no-op off Linux
-//!   or without the `pinning` feature), and aggregate throughput scales with
-//!   shards because shards share nothing.
-//! * [`run_capacity`] — processes each shard's partition sequentially on the
-//!   measuring core, timing only dataplane work, and reports the aggregate
-//!   for the one-core-per-shard deployment model (`total ops / slowest
-//!   shard`). This mirrors how the paper evaluates scalability beyond its
-//!   testbed (§8.3) and gives meaningful scaling curves even when the
-//!   benchmark machine has fewer cores than shards.
+//! [`run_live`] spawns one OS thread per shard and per client, connected by
+//! the lock-free SPSC rings. This is the deployment shape: with
+//! [`FabricConfig::pin_shards`] each shard thread pins itself to a core
+//! (`sched_setaffinity` via the vendored `affinity` shim; no-op off Linux or
+//! without the `pinning` feature), and shards share nothing.
 
-use crate::frame::Frame;
 use crate::loadgen::{ClientState, WorkloadSpec};
 use crate::pump::connect;
-use crate::shard::{shard_of_group, Shard};
-use crate::stats::{CapacityReport, ClientReport, FabricReport, ShardStats};
+use crate::shard::Shard;
+use crate::stats::{ClientReport, FabricReport, ShardStats};
 use netchain_core::HashRing;
 use netchain_sim::SimTime;
 use netchain_switch::PipelineConfig;
 use netchain_telemetry::{merge_traces, HistSnapshot, PacketTrace, TraceConfig};
-use netchain_wire::{BatchEncoder, Ipv4Addr, Key, Value};
+use netchain_wire::{Ipv4Addr, Key, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -95,18 +84,6 @@ impl FabricConfig {
     /// Returns a copy with shard-thread core pinning switched on or off.
     pub fn with_pinning(mut self, pin_shards: bool) -> Self {
         self.pin_shards = pin_shards;
-        self
-    }
-
-    /// Returns a copy with the given chain length.
-    pub fn with_replication(mut self, replication: usize) -> Self {
-        self.replication = replication;
-        self
-    }
-
-    /// Returns a copy with the given client count.
-    pub fn with_clients(mut self, num_clients: usize) -> Self {
-        self.num_clients = num_clients;
         self
     }
 
@@ -198,14 +175,12 @@ pub fn run_live(config: FabricConfig, workload: WorkloadSpec) -> FabricReport {
     let (client_ports, shard_ports) = connect(&config);
 
     let done_clients = Arc::new(AtomicUsize::new(0));
-    let pinned = Arc::new(AtomicUsize::new(0));
     let start = Instant::now();
 
     // Shard workers.
     let mut shard_handles = Vec::new();
     for ((s, mut shard), mut port) in shards.into_iter().enumerate().zip(shard_ports) {
         let done = Arc::clone(&done_clients);
-        let pinned = Arc::clone(&pinned);
         let num_clients = config.num_clients;
         let pin = config.pin_shards;
         if config.trace.enabled {
@@ -214,8 +189,8 @@ pub fn run_live(config: FabricConfig, workload: WorkloadSpec) -> FabricReport {
         let handle = std::thread::Builder::new()
             .name(format!("fabric-shard-{s}"))
             .spawn(move || {
-                if pin && pin_thread(s) {
-                    pinned.fetch_add(1, Ordering::Relaxed);
+                if pin {
+                    let _ = pin_thread(s);
                 }
                 loop {
                     // No client ever leaves with replies pending here, so a
@@ -311,82 +286,7 @@ pub fn run_live(config: FabricConfig, workload: WorkloadSpec) -> FabricReport {
         clients,
         latency,
         traces: merge_traces(trace_fragments),
-        pinned_shards: pinned.load(Ordering::Relaxed),
     }
-}
-
-/// Measures aggregate capacity for the one-core-per-shard deployment model.
-///
-/// The whole op stream is generated up front (generation and reply matching
-/// are *not* timed), partitioned by owning shard, and each shard's partition
-/// is processed run-to-completion in bursts on the measuring core. Only the
-/// `process_burst` calls are timed; the aggregate assumes shards run in
-/// parallel, so it is `total ops / max(shard busy time)`.
-pub fn run_capacity(config: FabricConfig, workload: WorkloadSpec) -> CapacityReport {
-    assert!(config.num_shards > 0);
-    let ring_def = config.build_ring();
-    let mut shards = build_shards(&config, &workload);
-    if config.trace.enabled {
-        let t0 = Instant::now();
-        for shard in &mut shards {
-            shard.enable_tracing(config.trace, t0);
-        }
-    }
-
-    // Generate and steer the op stream (untimed). Capacity mode is not
-    // closed-loop: everything is issued up front, past the agent's window,
-    // on a logical clock (the agent only needs monotonicity).
-    let mut client = ClientState::new(0, &ring_def, workload);
-    let mut tick = 0u64;
-    let mut per_shard: Vec<Vec<Frame>> = (0..config.num_shards).map(|_| Vec::new()).collect();
-    for _ in 0..workload.ops_per_client {
-        let op = client.draw();
-        let mut frame = Frame::default();
-        tick += 1;
-        frame.encode_with(|buf| client.issue_drawn(SimTime(tick), &op, buf));
-        per_shard[shard_of_group(op.group(), config.num_shards)].push(frame);
-    }
-
-    // Process each partition, timing dataplane work only. Replies are
-    // matched back into the agent after every burst (untimed) — this
-    // completes the closed loop for correctness accounting while keeping
-    // the reply buffer bounded by one burst instead of the whole run.
-    let mut report = CapacityReport::default();
-    let mut replies = BatchEncoder::with_capacity(config.burst, 128);
-    let mut reply_count: u64 = 0;
-    for (s, frames) in per_shard.iter().enumerate() {
-        let shard = &mut shards[s];
-        let mut busy = std::time::Duration::ZERO;
-        for burst in frames.chunks(config.burst) {
-            replies.clear();
-            let t0 = Instant::now();
-            shard.process_burst(burst.iter().map(|f| f.as_bytes()), &mut replies);
-            busy += t0.elapsed();
-            for frame in replies.frames() {
-                reply_count += 1;
-                tick += 1;
-                client.absorb_reply_at(SimTime(tick), frame);
-            }
-        }
-        report.shard_ops.push(frames.len() as u64);
-        report.shard_busy.push(busy);
-        report
-            .per_shard_ops_per_sec
-            .push(frames.len() as f64 / busy.as_secs_f64().max(1e-12));
-    }
-    report.replies = reply_count;
-    report.traces = merge_traces(shards.iter_mut().flat_map(|s| s.take_traces()));
-    report.total_ops = report.shard_ops.iter().sum();
-    let makespan = report
-        .shard_busy
-        .iter()
-        .max()
-        .copied()
-        .unwrap_or_default()
-        .as_secs_f64()
-        .max(1e-12);
-    report.aggregate_ops_per_sec = report.total_ops as f64 / makespan;
-    report
 }
 
 #[cfg(test)]
@@ -446,31 +346,5 @@ mod tests {
         assert_eq!(path.first(), Some(&client_ip));
         assert_eq!(path.last(), Some(&client_ip));
         assert!(!summary.transitions.is_empty());
-    }
-
-    #[test]
-    fn capacity_run_traces_shard_hops() {
-        let config = FabricConfig::new(2).with_trace(TraceConfig::sampled(3, 1024));
-        let workload = WorkloadSpec::mixed(64, 2_000, 50, 50);
-        let report = run_capacity(config, workload);
-        assert_eq!(report.total_ops, 2_000);
-        assert!(!report.traces.is_empty());
-        // Writes traverse head → mid → tail: some trace must have >= 3 hops.
-        assert!(report.traces.iter().any(|t| t.hops.len() >= 3));
-    }
-
-    #[test]
-    fn capacity_run_accounts_every_op() {
-        let config = FabricConfig::new(4);
-        let workload = WorkloadSpec::uniform_read(64, 4_000);
-        let report = run_capacity(config, workload);
-        assert_eq!(report.total_ops, 4_000);
-        assert_eq!(report.replies, 4_000);
-        assert_eq!(report.shard_ops.len(), 4);
-        assert!(report.aggregate_ops_per_sec > 0.0);
-        // Uniform keys spread over shards: no shard should be starved.
-        for &ops in &report.shard_ops {
-            assert!(ops > 200, "imbalanced steering: {:?}", report.shard_ops);
-        }
     }
 }

@@ -49,11 +49,10 @@
 //! [`FabricConfig::pin_shards`](fabric::FabricConfig::pin_shards) each shard
 //! thread is pinned to its own core through the vendored `affinity` shim —
 //! `sched_setaffinity` on Linux, a graceful no-op elsewhere or with the
-//! `pinning` feature disabled). [`run_capacity`] measures each shard's
-//! run-to-completion rate sequentially and reports the aggregate for the
-//! one-core-per-shard model, the same methodology the paper uses for its
-//! scalability projections (§8.3) — and the only honest way to produce a
-//! scaling curve on a benchmark machine with fewer cores than shards.
+//! `pinning` feature disabled). The repo's `benchmark/` crate is the one
+//! harness that times it, on live traffic with one shard and one client;
+//! the paper's scalability claim (§8.3) is reproduced as a model by
+//! `netchain fig9 --panel f`, not measured here.
 //!
 //! The differential test (`tests/differential_sim.rs`) pins the fabric to
 //! the simulator: the same scripted op sequence must produce identical
@@ -71,12 +70,10 @@ pub mod ring;
 pub mod shard;
 pub mod stats;
 
-pub use fabric::{build_shards, pin_thread, run_capacity, run_live, FabricConfig};
+pub use fabric::{build_shards, pin_thread, run_live, FabricConfig};
 pub use frame::{Frame, MAX_FRAME_LEN};
 pub use loadgen::{ClientState, DrawnOp, WorkloadSpec};
 pub use pump::{connect, ClientPass, ClientPort, ShardPort, ShardRound};
 pub use ring::{ring as spsc_ring, Consumer, Producer};
 pub use shard::{client_id_of, shard_of_group, shard_of_key, Shard};
-pub use stats::{
-    CapacityReport, ClientReport, FabricReport, ShardStats, CLIENT_METRICS, SHARD_METRICS,
-};
+pub use stats::{ClientReport, FabricReport, ShardStats};

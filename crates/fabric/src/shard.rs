@@ -575,11 +575,13 @@ impl Shard {
     /// owned packet with the zero-copy [`PacketView`], hashes its key on its
     /// own, and runs the waves from the first hop with no fast lane. Kept as
     /// the semantic baseline the staged [`Shard::process_burst`] is
-    /// differentially tested (and benchmarked) against.
+    /// differentially tested against; it lives here, not in test support,
+    /// because it needs the shard's private packet pool.
     ///
     /// Malformed frames are counted and skipped. The owned conversion reuses
     /// pooled packet buffers ([`PacketView::to_owned_into`]), so in steady
     /// state this path does not allocate at all — not even for writes.
+    #[doc(hidden)]
     pub fn process_burst_scalar<'a>(
         &mut self,
         frames: impl Iterator<Item = &'a [u8]>,

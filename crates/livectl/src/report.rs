@@ -143,6 +143,23 @@ impl LiveReport {
         total as f64 / ((hi - lo) as f64 * self.slice.as_secs_f64())
     }
 
+    /// The longest stretch inside `[from, to)` without a single completion,
+    /// in whole slices. Slices the series never reached count as empty, so a
+    /// series that stops early reads as a stall up to `to`, not as a shorter
+    /// window.
+    pub fn longest_stall(&self, from: Duration, to: Duration) -> Duration {
+        let w = self.slice.as_nanos().max(1);
+        let lo = from.as_nanos().div_ceil(w) as usize;
+        let hi = (to.as_nanos() / w) as usize;
+        let (mut run, mut longest) = (0u32, 0u32);
+        for i in lo..hi {
+            let empty = self.slices.get(i).is_none_or(|&n| n == 0);
+            run = if empty { run + 1 } else { 0 };
+            longest = longest.max(run);
+        }
+        self.slice * longest
+    }
+
     /// Total retransmissions across clients (the visible cost of the dip).
     pub fn total_retries(&self) -> u64 {
         self.clients.iter().map(|c| c.retries).sum()
@@ -200,5 +217,23 @@ mod tests {
             report.mean_rate(Duration::from_millis(150), Duration::from_millis(180)),
             0.0
         );
+    }
+
+    #[test]
+    fn longest_stall_counts_empty_and_missing_slices() {
+        let ms = Duration::from_millis;
+        let report = LiveReport {
+            slice: ms(20),
+            slices: vec![5, 0, 0, 7, 0, 3],
+            ..Default::default()
+        };
+        assert_eq!(report.longest_stall(ms(0), ms(120)), ms(40));
+        // Only whole slices inside the window: [30, 120) starts at slice 2.
+        assert_eq!(report.longest_stall(ms(30), ms(120)), ms(20));
+        assert_eq!(report.longest_stall(ms(60), ms(80)), ms(0));
+        // The series ends at 120 ms: a window to 200 ms sees four slices
+        // nothing was recorded in, not a window that stops where the data do.
+        assert_eq!(report.longest_stall(ms(100), ms(200)), ms(80));
+        assert_eq!(report.longest_stall(ms(120), ms(120)), ms(0));
     }
 }

@@ -438,11 +438,14 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
                 loop {
                     let now = Instant::now();
                     let elapsed = now.duration_since(t0);
-                    let now_st = SimTime(elapsed.as_nanos() as u64);
                     // Flush parked frames (issues and retransmits alike),
                     // issue new work while the run is live, and drain
-                    // replies into the current slice.
-                    let pass = port.pump(&mut client, now < deadline, || now_st);
+                    // replies into the current slice. The pump gets a live
+                    // clock: a reply the shard produced during this pass
+                    // must not be acked with a time from before the pass
+                    // began, or the ack predates its own tail stamp.
+                    let clock = || SimTime(t0.elapsed().as_nanos() as u64);
+                    let pass = port.pump(&mut client, now < deadline, clock);
                     if pass.completed > 0 {
                         slices.record_n(elapsed.as_nanos() as u64, pass.completed);
                     }
@@ -455,7 +458,7 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
                         for trace in client.take_finished_traces() {
                             let _ = audit_feed.send(trace);
                         }
-                        progressed |= port.retransmit(&mut client, now_st);
+                        progressed |= port.retransmit(&mut client, clock());
                     }
                     if now >= deadline && client.outstanding() == 0 && !port.has_parked() {
                         break;

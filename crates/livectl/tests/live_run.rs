@@ -4,7 +4,9 @@
 
 use netchain_fabric::{FabricConfig, WorkloadSpec};
 use netchain_livectl::{run_live_controlled, run_live_observed, FaultScript, LiveConfig};
-use netchain_telemetry::{WindowChannel, WindowRegistry};
+use netchain_telemetry::{
+    audit, AuditConfig, HopRole, HopStamp, TraceConfig, WindowChannel, WindowRegistry,
+};
 use netchain_wire::Ipv4Addr;
 use std::time::Duration;
 
@@ -54,6 +56,43 @@ fn live_run_without_faults_completes_cleanly() {
 }
 
 #[test]
+fn no_switch_stamps_a_trace_after_its_ack() {
+    // Client and shards stamp off one clock (`t0`), and a reply exists only
+    // once its tail has stamped it, so an ack can never predate a switch
+    // stamp of its own trace. `chain_audit` relies on exactly that order.
+    let mut config = LiveConfig::new(
+        small_fabric().with_trace(TraceConfig::sampled(2, 1 << 16)),
+        WorkloadSpec::mixed(128, 0, 50, 50),
+        Duration::from_millis(300),
+    );
+    config.retry_timeout = Duration::from_millis(200);
+    let report = run_live_controlled(config);
+    let mut acked = 0;
+    for trace in &report.traces {
+        let role_at = |h: &HopStamp| h.evidence.map(|e| (e.role, h.at_ns));
+        let Some(ack_at) = trace
+            .hops
+            .iter()
+            .filter_map(role_at)
+            .find_map(|(role, at)| (role == HopRole::ClientAck).then_some(at))
+        else {
+            continue;
+        };
+        acked += 1;
+        for (role, at) in trace.hops.iter().filter_map(role_at) {
+            let on_switch = !matches!(role, HopRole::ClientIssue | HopRole::ClientAck);
+            assert!(
+                !on_switch || at <= ack_at,
+                "trace {:#x}: {role:?} stamped {} ns after the ack",
+                trace.id,
+                at.saturating_sub(ack_at),
+            );
+        }
+    }
+    assert!(acked > 100, "only {acked} acked traces sampled");
+}
+
+#[test]
 fn observed_run_fills_the_shared_windows() {
     let mut config = LiveConfig::new(
         small_fabric(),
@@ -95,7 +134,7 @@ fn scripted_failure_fails_over_and_repairs_live() {
         replacement: None, // the spare
     };
     let config = LiveConfig::new(
-        small_fabric().with_trace(netchain_telemetry::TraceConfig::sampled(4, 2048)),
+        small_fabric().with_trace(TraceConfig::sampled(4, 2048)),
         WorkloadSpec::mixed(128, 0, 50, 50),
         Duration::from_millis(1_100),
     )
@@ -131,16 +170,24 @@ fn scripted_failure_fails_over_and_repairs_live() {
     // Repair actually blocked traffic group by group (block rules were hit).
     let blocked: u64 = report.shards.iter().map(|s| s.blocked).sum();
     assert!(blocked > 0, "repair must block some in-window queries");
-    // Post-repair throughput recovers: the mean rate in the last 200 ms is
-    // at least half the pre-failure mean (a loose, machine-independent
-    // sanity bound; the experiment reports the real curves). Recovery with
-    // zero abandoned ops also proves the spare took over: writes whose
-    // repaired chain includes it cannot complete otherwise.
-    let pre = report.mean_rate(Duration::from_millis(20), script.kill_at);
-    let post = report.mean_rate(Duration::from_millis(880), Duration::from_millis(1_080));
+    // Service resumes after repair, for good: from the end of repair to the
+    // end of the run no five slices in a row (100 ms) pass without a
+    // completion, wherever the run of empty slices starts, and a series that
+    // stops short of the end counts as stalled (scale-free in throughput; the
+    // experiment reports the real curves). Not one slice: a contended box was
+    // seen parking a pinned shard thread for four. With zero abandoned ops
+    // that also proves the spare took over: writes whose repaired chain
+    // includes it cannot complete otherwise.
+    let (step, end) = (Duration::from_millis(100), Duration::from_millis(1_100));
     assert!(
-        post > pre * 0.5,
-        "throughput must recover after repair: pre={pre:.0} post={post:.0}"
+        timeline.repair_finished_at + step <= end,
+        "repair ran into the end of the run"
+    );
+    let stall = report.longest_stall(timeline.repair_finished_at, end);
+    assert!(
+        stall < step,
+        "nothing completed for {stall:?} after repair: {:?}",
+        report.slices
     );
 
     // Telemetry rode along: real latency quantiles, sampled per-hop traces
@@ -152,6 +199,10 @@ fn scripted_failure_fails_over_and_repairs_live() {
     let path = summary.dominant_path().expect("some complete path");
     assert!(path.len() >= 3, "client + at least one switch + client");
     let journal = timeline.journal();
+    // ...and the evidence those traces carry audits clean against it.
+    let verdict = audit(&report.traces, &journal, &AuditConfig::default());
+    assert!(verdict.is_clean(), "{:?}", verdict.violations);
+    assert!(verdict.checked > 0, "nothing was judged: {verdict:?}");
     let failover = journal.find_span("fast-failover").expect("span recorded");
     assert_eq!(
         failover.duration_ns(),

@@ -32,7 +32,7 @@ use mmsg::{RecvQueue, SendQueue, MAX_BURST};
 use netchain_core::HashRing;
 use netchain_fabric::{shard_of_group, shard_of_key, Shard};
 use netchain_switch::{PipelineConfig, ProbeGauges};
-use netchain_telemetry::{merge_traces, Metrics, PacketTrace, TraceConfig};
+use netchain_telemetry::{merge_traces, PacketTrace, TraceConfig};
 use netchain_wire::{BatchEncoder, Ipv4Addr, Key, Value, MAX_FRAME_LEN};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -183,49 +183,6 @@ impl IoStats {
         } else {
             self.datagrams_in as f64 / self.recv_calls as f64
         }
-    }
-}
-
-/// Counter names for [`IoStats`]'s [`Metrics`] implementation.
-pub const IO_METRICS: [&str; 10 + RECV_FILL_BUCKETS] = [
-    "recv_calls",
-    "datagrams_in",
-    "datagrams_out",
-    "oversized",
-    "shim_dropped",
-    "shim_duplicated",
-    "unrouted_replies",
-    "send_errors",
-    "recv_fill_le_1",
-    "recv_fill_le_2",
-    "recv_fill_le_4",
-    "recv_fill_le_8",
-    "recv_fill_le_16",
-    "recv_fill_le_32",
-    "recv_fill_le_64",
-    "empty_polls",
-    "idle_blocks",
-];
-
-impl Metrics for IoStats {
-    fn metric_names(&self) -> &'static [&'static str] {
-        &IO_METRICS
-    }
-
-    fn metric_values(&self) -> Vec<u64> {
-        let mut v = vec![
-            self.recv_calls,
-            self.datagrams_in,
-            self.datagrams_out,
-            self.oversized,
-            self.shim_dropped,
-            self.shim_duplicated,
-            self.unrouted_replies,
-            self.send_errors,
-        ];
-        v.extend_from_slice(&self.recv_fill);
-        v.extend([self.empty_polls, self.idle_blocks]);
-        v
     }
 }
 

@@ -168,6 +168,10 @@ pub struct AuditReport {
     /// Operations skipped because their window overlapped a widened
     /// failover/repair span.
     pub suppressed: usize,
+    /// Acked mutations that could not be judged because their trace holds no
+    /// switch-side stamp: the shard's sink had reached its cap, so only the
+    /// client's fragment survives.
+    pub truncated: usize,
     /// Every violation found, in detection order.
     pub violations: Vec<Violation>,
 }
@@ -186,6 +190,7 @@ impl AuditReport {
             ("reads", Json::U64(self.reads as u64)),
             ("checked", Json::U64(self.checked as u64)),
             ("suppressed", Json::U64(self.suppressed as u64)),
+            ("truncated", Json::U64(self.truncated as u64)),
             ("violations", Json::U64(self.violations.len() as u64)),
         ])
     }
@@ -413,7 +418,8 @@ pub fn audit(traces: &[PacketTrace], journal: &Journal, config: &AuditConfig) ->
                 .collect();
             if chain.is_empty() {
                 // The switch-side fragment was lost (sink cap); nothing to
-                // judge.
+                // judge, but say how much went unjudged.
+                report.truncated += 1;
                 continue;
             }
             report.checked += 1;
@@ -803,6 +809,30 @@ mod tests {
         let report = audit(&traces, &journal, &AuditConfig { span_slack_ns: 0 });
         assert!(report.is_clean(), "{:?}", report.violations);
         assert_eq!(report.suppressed, 1);
+    }
+
+    #[test]
+    fn a_write_with_no_switch_stamp_is_counted_truncated_not_judged() {
+        // What a full shard sink leaves: the client's issue and ack only.
+        let mut clipped = write_trace(1, 7, 1000, 1, 2);
+        clipped.hops.retain(|h| h.hop_ip == 1);
+        let report = audit(&[clipped], &Journal::new(), &AuditConfig::default());
+        assert!(report.is_clean(), "{:?}", report.violations);
+        assert_eq!((report.writes, report.checked, report.truncated), (1, 0, 1));
+        let summary = report.summary_json();
+        assert_eq!(summary.get("truncated").and_then(Json::as_f64), Some(1.0));
+    }
+
+    #[test]
+    fn an_ack_stamped_before_its_tail_is_a_chain_order_violation() {
+        // The commit point must precede the ack on the shared clock: a tail
+        // stamp later than the ack is not evidence for that ack.
+        let mut early_ack = write_trace(1, 7, 1000, 1, 2);
+        early_ack.hops[4].at_ns = 1025; // tail stamped at 1030
+        let report = audit(&[early_ack], &Journal::new(), &AuditConfig::default());
+        assert_eq!(report.violations.len(), 1);
+        assert_eq!(report.violations[0].kind, ViolationKind::ChainOrder);
+        assert!(report.violations[0].detail.contains("missing tail"));
     }
 
     #[test]

@@ -1,64 +1,4 @@
-//! The metric registry: named counters behind one API, a time-bucketed
-//! event series, and a lock-free publication channel for live progress
-//! reads.
-//!
-//! Design rule: hot paths own plain `u64` fields (single-writer, no atomics,
-//! no false sharing) and *publish* to shared [`AtomicU64`] cells at batch
-//! boundaries with relaxed stores. Readers on other threads get a recent —
-//! not instantaneous — view, which is all a progress watchdog or rate
-//! sampler needs, and the per-packet cost stays at zero.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// Types that expose their counters as a flat named list. Implemented by
-/// `ShardStats`, `ClientReport`, and friends so exporters, tables, and
-/// aggregation all go through one surface instead of per-struct glue.
-pub trait Metrics {
-    /// Counter names, in a fixed order matching [`metric_values`](Self::metric_values).
-    fn metric_names(&self) -> &'static [&'static str];
-
-    /// Current counter values, same order as names.
-    fn metric_values(&self) -> Vec<u64>;
-
-    /// Convenience: `(name, value)` pairs.
-    fn metrics(&self) -> Vec<(&'static str, u64)> {
-        self.metric_names()
-            .iter()
-            .copied()
-            .zip(self.metric_values())
-            .collect()
-    }
-
-    /// Looks up one counter by name.
-    fn metric(&self, name: &str) -> Option<u64> {
-        self.metric_names()
-            .iter()
-            .position(|&n| n == name)
-            .map(|i| self.metric_values()[i])
-    }
-}
-
-/// Element-wise sums the metric values of many instances of one type.
-pub fn sum_metrics<'a, M: Metrics + 'a, I: IntoIterator<Item = &'a M>>(
-    parts: I,
-) -> Vec<(&'static str, u64)> {
-    let mut acc: Option<(&'static [&'static str], Vec<u64>)> = None;
-    for m in parts {
-        match &mut acc {
-            None => acc = Some((m.metric_names(), m.metric_values())),
-            Some((_, vals)) => {
-                for (a, b) in vals.iter_mut().zip(m.metric_values()) {
-                    *a += b;
-                }
-            }
-        }
-    }
-    match acc {
-        Some((names, vals)) => names.iter().copied().zip(vals).collect(),
-        None => Vec::new(),
-    }
-}
+//! A time-bucketed event series.
 
 /// Counts events into fixed-width time buckets (nanosecond timestamps) and
 /// reports per-bucket rates. This is the engine behind both the simulator's
@@ -145,97 +85,9 @@ impl TimeSeries {
     }
 }
 
-/// A set of named atomic cells shared between one publisher and any number
-/// of readers. The publisher keeps plain local counters and calls
-/// [`publish`](LiveCounters::publish) at batch boundaries; relaxed ordering
-/// is enough because readers only want a recent total, not a synchronised
-/// one.
-#[derive(Debug, Clone)]
-pub struct LiveCounters {
-    names: &'static [&'static str],
-    cells: Arc<Vec<AtomicU64>>,
-}
-
-impl LiveCounters {
-    /// Creates a zeroed cell set for the given counter names.
-    pub fn new(names: &'static [&'static str]) -> Self {
-        LiveCounters {
-            names,
-            cells: Arc::new((0..names.len()).map(|_| AtomicU64::new(0)).collect()),
-        }
-    }
-
-    /// The counter names.
-    pub fn names(&self) -> &'static [&'static str] {
-        self.names
-    }
-
-    /// Publishes current local values (same order as names). Relaxed
-    /// stores: one cheap instruction per counter, no fences on the hot
-    /// path.
-    #[inline]
-    pub fn publish(&self, values: &[u64]) {
-        debug_assert_eq!(values.len(), self.names.len());
-        for (cell, &v) in self.cells.iter().zip(values) {
-            cell.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Publishes everything a [`Metrics`] implementor exposes.
-    pub fn publish_metrics<M: Metrics>(&self, m: &M) {
-        self.publish(&m.metric_values());
-    }
-
-    /// Reads a recent snapshot of all counters.
-    pub fn read(&self) -> Vec<u64> {
-        self.cells
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Reads one counter by name.
-    pub fn read_one(&self, name: &str) -> Option<u64> {
-        self.names
-            .iter()
-            .position(|&n| n == name)
-            .map(|i| self.cells[i].load(Ordering::Relaxed))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct Fake {
-        a: u64,
-        b: u64,
-    }
-
-    impl Metrics for Fake {
-        fn metric_names(&self) -> &'static [&'static str] {
-            &["alpha", "beta"]
-        }
-        fn metric_values(&self) -> Vec<u64> {
-            vec![self.a, self.b]
-        }
-    }
-
-    #[test]
-    fn metrics_trait_surface() {
-        let f = Fake { a: 3, b: 9 };
-        assert_eq!(f.metrics(), vec![("alpha", 3), ("beta", 9)]);
-        assert_eq!(f.metric("beta"), Some(9));
-        assert_eq!(f.metric("gamma"), None);
-    }
-
-    #[test]
-    fn sum_metrics_elementwise() {
-        let parts = [Fake { a: 1, b: 2 }, Fake { a: 10, b: 20 }];
-        assert_eq!(sum_metrics(parts.iter()), vec![("alpha", 11), ("beta", 22)]);
-        let none: [Fake; 0] = [];
-        assert!(sum_metrics(none.iter()).is_empty());
-    }
 
     #[test]
     fn time_series_buckets_and_rates() {
@@ -269,18 +121,5 @@ mod tests {
     fn time_series_merge_width_mismatch() {
         let mut a = TimeSeries::new(100);
         a.merge(&TimeSeries::new(200));
-    }
-
-    #[test]
-    fn live_counters_publish_read() {
-        let live = LiveCounters::new(&["ops", "drops"]);
-        let reader = live.clone();
-        live.publish(&[42, 3]);
-        assert_eq!(reader.read(), vec![42, 3]);
-        assert_eq!(reader.read_one("drops"), Some(3));
-        assert_eq!(reader.read_one("nope"), None);
-        live.publish_metrics(&Fake { a: 7, b: 8 });
-        // Fake publishes two values into the two cells.
-        assert_eq!(reader.read(), vec![7, 8]);
     }
 }

@@ -292,6 +292,10 @@ mod tests {
         // Away from rotation boundaries, fetch_add is exact even with many
         // writers on the same slot.
         let w = Arc::new(RollingWindow::new(4));
+        // Rotate the fresh slot to slice 1 first: the writers' first adds
+        // would otherwise race that rotation, which is the documented
+        // approximation, not the steady state this test is about.
+        w.add(1, WindowChannel::Ops, 0);
         let threads: Vec<_> = (0..4)
             .map(|_| {
                 let w = Arc::clone(&w);

@@ -21,6 +21,7 @@ fn table() -> Vec<String> {
         .map(String::from)
         .collect();
     assert_eq!(rows.len(), netchain::experiments::cli::COMMANDS.len());
+    assert_eq!(rows.len(), 11);
     rows
 }
 
@@ -31,6 +32,8 @@ fn mistakes_exit_two_and_print_the_table() {
         &[][..],
         &["fig9a"],
         &["all_experiments"],
+        &["fabric_scale"],
+        &["telemetry_overhead"],
         &["fig9", "--panel", "g"],
         &["fig9", "--panel"],
     ] {
