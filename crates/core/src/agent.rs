@@ -6,6 +6,10 @@
 //! replies but never touches a socket or the simulator, so the same code
 //! drives the discrete-event simulation ([`crate::client`]), the real UDP
 //! loopback deployment (`netchain-net`), and unit tests.
+//!
+//! It is also what a query costs its client, so the outstanding queries sit
+//! in a table indexed by request id ([`Window`]) that an issue and a reply
+//! each touch one cache line of.
 
 use crate::directory::{ChainDirectory, KeyLocus, QueryRoute};
 use crate::types::{CompletedQuery, Completion, KvOp, OpRef};
@@ -15,7 +19,7 @@ use netchain_wire::{
     encode_query, Ipv4Addr, Key, NetChainPacket, NetChainView, OpCode, QueryStatus, Value,
     MAX_VALUE_LEN,
 };
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Static configuration of a client agent.
@@ -94,22 +98,40 @@ pub struct RetryOutcome {
     pub abandoned: Vec<CompletedQuery>,
 }
 
-/// One in-flight query. The operation is kept in wire form with its value
-/// inline, so recording a query never touches the heap.
+/// One in-flight query, written in place in its [`Window`] slot, in wire
+/// form with its value inline (recording a query never touches the heap).
+/// What every issue and reply touches fills the first cache line, with the
+/// first ten value bytes: a read or an 8-byte write never leaves it. Value
+/// bytes past `value_len` are leftovers, never written and never read.
 #[derive(Debug, Clone)]
+#[repr(C, align(64))]
 struct Outstanding {
-    op: OpCode,
-    key: Key,
+    /// 0 marks a free slot (ids start at 1).
+    request_id: u64,
     /// `key.stable_hash()`, computed once at issue.
     key_hash: u64,
     first_sent: SimTime,
     last_sent: SimTime,
+    key: Key,
     retries: u32,
+    op: OpCode,
     value_len: u8,
     value: [u8; MAX_VALUE_LEN],
 }
 
 impl Outstanding {
+    const FREE: Outstanding = Outstanding {
+        request_id: 0,
+        key_hash: 0,
+        first_sent: SimTime::ZERO,
+        last_sent: SimTime::ZERO,
+        key: Key([0; 16]),
+        retries: 0,
+        op: OpCode::Read,
+        value_len: 0,
+        value: [0; MAX_VALUE_LEN],
+    };
+
     fn wire(&self) -> OpRef<'_> {
         OpRef {
             op: self.op,
@@ -139,9 +161,88 @@ impl Hasher for PassThroughHasher {
     }
 }
 
-/// Both of the agent's maps. Entries are stored inline, so once the table
-/// has grown to the window, inserting and removing allocate nothing.
+/// Both of the agent's maps (per-key versions, stragglers). Entries are
+/// stored inline, so once a map has grown, inserting and removing allocate
+/// nothing.
 type PassThroughMap<V> = HashMap<u64, V, BuildHasherDefault<PassThroughHasher>>;
+
+/// The queries in flight, indexed instead of hashed: ids are sequential, so
+/// id `n` lives in `slots[n & mask]` (the switch's "match once, then index
+/// registers", applied to the agent). There are at least two slots per query
+/// ever in flight at once, so a window retired roughly in order never meets
+/// itself coming round, and an agent with a query or two out stays within a
+/// few cache lines. A live entry that a new id does land on — a *straggler*,
+/// stuck behind a blocked group while thousands of ids pass — moves to a map
+/// and retires or retransmits from there.
+#[derive(Debug, Clone)]
+struct Window {
+    /// Power-of-two length; `request_id == 0` marks a free slot.
+    slots: Vec<Outstanding>,
+    stragglers: PassThroughMap<Outstanding>,
+    /// Live slots plus stragglers.
+    live: usize,
+}
+
+impl Window {
+    fn new() -> Self {
+        Window {
+            slots: vec![Outstanding::FREE; 2],
+            stragglers: HashMap::default(),
+            live: 0,
+        }
+    }
+
+    /// Where `id` sits if it sits in the table.
+    fn at(&self, id: u64) -> usize {
+        id as usize & (self.slots.len() - 1)
+    }
+
+    /// The slot of `id`, for the caller to fill in place (every field but
+    /// the value bytes past its length).
+    fn claim(&mut self, id: u64) -> &mut Outstanding {
+        self.live += 1;
+        if self.live * 2 > self.slots.len() {
+            let grown = vec![Outstanding::FREE; (self.live * 2).next_power_of_two()];
+            for old in std::mem::replace(&mut self.slots, grown) {
+                if old.request_id != 0 {
+                    let at = self.at(old.request_id);
+                    self.slots[at] = old;
+                }
+            }
+        }
+        let at = self.at(id);
+        let slot = &mut self.slots[at];
+        if slot.request_id != 0 {
+            self.stragglers.insert(slot.request_id, slot.clone());
+        }
+        slot
+    }
+
+    fn get_mut(&mut self, id: u64) -> Option<&mut Outstanding> {
+        let at = self.at(id);
+        if self.slots[at].request_id == id && id != 0 {
+            Some(&mut self.slots[at])
+        } else {
+            self.stragglers.get_mut(&id)
+        }
+    }
+
+    /// Frees the entry [`Self::get_mut`] found for `id`.
+    fn remove(&mut self, id: u64) {
+        let at = self.at(id);
+        if self.slots[at].request_id == id {
+            self.slots[at].request_id = 0;
+        } else {
+            self.stragglers.remove(&id);
+        }
+        self.live -= 1;
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Outstanding> {
+        let live = self.slots.iter().filter(|o| o.request_id != 0);
+        live.chain(self.stragglers.values())
+    }
+}
 
 /// The newest version an agent has seen for one key, and when.
 #[derive(Debug, Clone, Copy)]
@@ -167,7 +268,7 @@ pub struct AgentCore {
     directory: ChainDirectory,
     next_request_id: u64,
     /// In-flight queries by request id.
-    outstanding: PassThroughMap<Outstanding>,
+    outstanding: Window,
     /// Per key (by stable hash): the newest `(session, seq)` observed.
     observed: PassThroughMap<Observed>,
     stats: AgentStats,
@@ -180,7 +281,7 @@ impl AgentCore {
             config,
             directory,
             next_request_id: 1,
-            outstanding: HashMap::default(),
+            outstanding: Window::new(),
             observed: HashMap::default(),
             stats: AgentStats::default(),
         }
@@ -204,7 +305,7 @@ impl AgentCore {
 
     /// Number of queries awaiting replies.
     pub fn outstanding(&self) -> usize {
-        self.outstanding.len()
+        self.outstanding.live
     }
 
     /// Statistics.
@@ -281,21 +382,16 @@ impl AgentCore {
         );
         let request_id = self.next_request_id;
         self.next_request_id += 1;
-        let mut value = [0; MAX_VALUE_LEN];
-        value[..op.value.len()].copy_from_slice(op.value);
-        self.outstanding.insert(
-            request_id,
-            Outstanding {
-                op: op.op,
-                key: op.key,
-                key_hash: locus.hash,
-                first_sent: now,
-                last_sent: now,
-                retries: 0,
-                value_len: op.value.len() as u8,
-                value,
-            },
-        );
+        let slot = self.outstanding.claim(request_id);
+        slot.request_id = request_id;
+        slot.key_hash = locus.hash;
+        slot.first_sent = now;
+        slot.last_sent = now;
+        slot.key = op.key;
+        slot.retries = 0;
+        slot.op = op.op;
+        slot.value_len = op.value.len() as u8;
+        slot.value[..op.value.len()].copy_from_slice(op.value);
         self.stats.issued += 1;
         request_id
     }
@@ -374,11 +470,10 @@ impl AgentCore {
         if !reply.op.is_reply() {
             return None;
         }
-        let Entry::Occupied(slot) = self.outstanding.entry(reply.request_id) else {
+        let Some(entry) = self.outstanding.get_mut(reply.request_id) else {
             self.stats.stale_replies += 1;
             return None;
         };
-        let entry = slot.get();
         let latency = now.since(entry.first_sent);
         self.stats.completed += 1;
         self.stats.latency.record(latency.as_nanos());
@@ -426,7 +521,7 @@ impl AgentCore {
                 retries: entry.retries,
             },
         );
-        slot.remove();
+        self.outstanding.remove(reply.request_id);
         Some(done)
     }
 
@@ -435,14 +530,16 @@ impl AgentCore {
     /// retransmit (rebuilt from the current directory).
     pub fn poll_retries(&mut self, now: SimTime) -> RetryOutcome {
         let mut outcome = RetryOutcome::default();
-        let expired: Vec<u64> = self
+        let mut expired: Vec<u64> = self
             .outstanding
             .iter()
-            .filter(|(_, o)| now.since(o.last_sent) >= self.config.timeout)
-            .map(|(&id, _)| id)
+            .filter(|o| now.since(o.last_sent) >= self.config.timeout)
+            .map(|o| o.request_id)
             .collect();
+        // Oldest first, wherever the entries sit.
+        expired.sort_unstable();
         for id in expired {
-            let entry = self.outstanding.get_mut(&id).expect("id collected above");
+            let entry = self.outstanding.get_mut(id).expect("id collected above");
             if entry.retries >= self.config.max_retries {
                 self.stats.abandoned += 1;
                 outcome.abandoned.push(CompletedQuery {
@@ -455,12 +552,12 @@ impl AgentCore {
                     latency: now.since(entry.first_sent),
                     retries: entry.retries,
                 });
-                self.outstanding.remove(&id);
+                self.outstanding.remove(id);
             } else {
                 entry.retries += 1;
                 entry.last_sent = now;
                 self.stats.retries += 1;
-                let entry = &self.outstanding[&id];
+                let entry = entry.clone();
                 let group = self.directory.ring().group_of_hash(entry.key_hash);
                 let pkt = self.build_packet(entry.wire(), group, id);
                 outcome.retransmit.push(pkt);
@@ -473,7 +570,7 @@ impl AgentCore {
     /// if any queries are outstanding.
     pub fn next_retry_deadline(&self) -> Option<SimTime> {
         self.outstanding
-            .values()
+            .iter()
             .map(|o| o.last_sent + self.config.timeout)
             .min()
     }

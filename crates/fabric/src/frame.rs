@@ -3,12 +3,12 @@
 //! A NetChain packet is small and strictly bounded (Ethernet + IPv4 + UDP +
 //! fixed header + 16 chain hops + 128-byte value = 273 bytes), so frames
 //! store the serialized bytes inline rather than boxing them. The rings'
-//! slots are frames that live as long as the ring: a producer encodes
-//! straight into the next free slot ([`Frame::encode_with`] /
-//! [`Frame::set_bytes`] touch only the bytes of the packet, never the whole
-//! 273), and the consumer parses straight out of the slot with the zero-copy
-//! [`netchain_wire::PacketView`] — the rings never touch the allocator and a
-//! packet's bytes are written once per hop.
+//! slots are frames that live as long as the ring, each starting on a cache
+//! line: a producer encodes straight into the next free slot
+//! ([`Frame::encode_with`] / [`Frame::set_bytes`] touch only the bytes of the
+//! packet, never the whole 273), and the consumer parses straight out of it
+//! with the zero-copy [`netchain_wire::PacketView`] — the rings never touch
+//! the allocator and a packet's bytes are written once per hop.
 
 use netchain_wire::{NetChainPacket, WireError, WireResult};
 
@@ -19,7 +19,14 @@ pub use netchain_wire::MAX_FRAME_LEN;
 
 /// One serialized packet, stored inline. Bytes past the packet's length are
 /// leftovers of earlier uses of the frame and mean nothing.
+///
+/// Cache-line aligned and whole lines long (320 bytes), length first: every
+/// ring slot starts on a line, so a query or reply of this system (89–105
+/// bytes behind the 2-byte length) lies in exactly two, and two lines cross
+/// between the cores per hand-off. A packed 276-byte stride would spread 6
+/// such frames in 16 over three.
 #[derive(Clone)]
+#[repr(C, align(64))]
 pub struct Frame {
     len: u16,
     bytes: [u8; MAX_FRAME_LEN],
@@ -124,5 +131,16 @@ mod tests {
             3
         });
         assert_eq!(copy.as_bytes(), b"abc");
+    }
+
+    #[test]
+    fn ring_slots_are_whole_cache_lines() {
+        assert_eq!(std::mem::align_of::<Frame>(), 64);
+        assert_eq!(std::mem::size_of::<Frame>() % 64, 0);
+        // The ring's buffer is an array of frames, so an aligned first slot
+        // and a whole-line stride align every slot.
+        let (mut tx, _rx) = crate::ring::ring::<Frame>(4);
+        let first: *const Frame = tx.reserve().expect("an empty ring has room");
+        assert_eq!(first as usize % 64, 0);
     }
 }

@@ -11,8 +11,10 @@
 //! [`ClientState::issue_drawn`] into the query ring's slot, where the shard
 //! parses it; the reply by the shard's batch encoder, then once more into
 //! the reply ring's slot, where the client matches it. Each side publishes
-//! its ring once per pass, not per frame. Nothing here allocates in steady
-//! state.
+//! its ring once per pass, not per frame, and a frame is two cache lines of
+//! its slot ([`Frame`] is line-aligned), so an op moves eight lines between
+//! the cores. The client finds a reply's query by indexing, not hashing
+//! (`netchain_core::agent`). Nothing here allocates in steady state.
 
 use crate::fabric::FabricConfig;
 use crate::frame::Frame;

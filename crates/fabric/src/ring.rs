@@ -5,8 +5,10 @@
 //! one consumer thread and never needs a lock or a CAS loop — a plain
 //! Lamport queue with release/acquire index publication.
 //!
-//! Every slot holds a valid `T` from construction on (`T::default()`), and
-//! both ends work on the slots **in place**:
+//! Every slot holds a valid `T` from construction on (`T::default()`), laid
+//! out as an array of `T` (so a `T` of whole, aligned cache lines, like
+//! [`crate::Frame`], never shares a line with its neighbour), and both ends
+//! work on the slots **in place**:
 //!
 //! * the producer [`reserve`](Producer::reserve)s the next free slot, writes
 //!   into it (a frame is encoded straight into the ring, never built

@@ -647,12 +647,14 @@ impl Shard {
             };
             let via_gateway = self.ips[hop] != dst;
             if let Some(tracer) = &mut self.tracer {
-                // One clock read per wave group. Evidence (a pre-execution
+                // One clock read per wave group, taken when its first sampled
+                // packet turns up (with uniform keys a group is a packet or
+                // two, and most groups hold none). Evidence (a pre-execution
                 // register read) is gathered only for packets the sink
                 // actually samples, so the common unsampled packet costs one
                 // hash + one branch.
                 let hop_ip = u32::from_be_bytes(self.ips[hop].0);
-                let at_ns = tracer.t0.elapsed().as_nanos() as u64;
+                let mut group_at_ns = None;
                 let sw = &self.switches[hop];
                 for lane in group.iter() {
                     let (id, evidence) = match lane {
@@ -687,6 +689,8 @@ impl Shard {
                             (id, query_evidence_hashed(sw, &pkt.netchain, *hash))
                         }
                     };
+                    let at_ns =
+                        *group_at_ns.get_or_insert_with(|| tracer.t0.elapsed().as_nanos() as u64);
                     match evidence {
                         Some(ev) => tracer.sink.stamp_with(id, hop_ip, at_ns, ev),
                         None => tracer.sink.stamp(id, hop_ip, at_ns),

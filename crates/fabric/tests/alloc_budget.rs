@@ -2,13 +2,17 @@
 //! → encode in the query ring's slot → `process_burst` out of the ring →
 //! reply into the reply ring's slot → match where it lies) allocates nothing
 //! on either side, for reads and for the 50/40/10 write mix alike — nor does
-//! a read burst while failover rules are installed.
+//! a read burst while failover rules are installed, nor an operation whose
+//! reply is held back while two windows of newer ones pass it (a straggler
+//! in the agent's outstanding table).
 //!
 //! Both pumps run on this one thread, so the counter — kept per thread, and
 //! switched on only around the calls under test — sees exactly their
 //! allocations and none of the test harness's.
 
-use netchain_fabric::{build_shards, connect, ClientState, FabricConfig, Shard, WorkloadSpec};
+use netchain_fabric::{
+    build_shards, connect, ClientState, FabricConfig, Frame, Shard, WorkloadSpec,
+};
 use netchain_sim::SimTime;
 use netchain_switch::{FailoverAction, FailoverRule, RuleScope};
 use netchain_wire::{
@@ -118,6 +122,79 @@ fn write_mix_allocates_nothing() {
         (client, shard),
         (0, 0),
         "(client, shard) allocations in 10k mixed ops"
+    );
+}
+
+#[test]
+fn a_straggler_allocates_nothing_and_completes_once() {
+    // Whenever nothing is held, the first reply of a burst is set aside and
+    // delivered only after two more windows of ids have been issued: by then
+    // the newer ids have come round to its slot of the agent's outstanding
+    // table and moved it out. Every reply, the late one included, must match
+    // exactly one query, and past the warm-up (which sees the first few
+    // stragglers) neither side may allocate.
+    const OPS: u64 = 10_000;
+    let config = FabricConfig::new(1);
+    let spec = WorkloadSpec::mixed(256, 2 * OPS, 50, 40);
+    let window = spec.window as u64;
+    let mut shard = build_shards(&config, &spec).pop().expect("one shard");
+    let mut client = ClientState::new(0, &config.build_ring(), spec);
+    let mut queries = vec![Frame::default(); spec.window];
+    let mut replies = BatchEncoder::with_capacity(spec.window, 128);
+    let mut held = Frame::default();
+    // What `issued` read when the held reply was set aside.
+    let mut held_at: Option<u64> = None;
+    let mut tick = 0u64;
+    let (mut client_allocs, mut shard_allocs, mut stragglers) = (0u64, 0u64, 0u64);
+    while !client.is_done() {
+        let warm = client.report().completed >= OPS;
+        let (n, issued) = allocations_in(|| {
+            let mut issued = 0;
+            while client.can_issue() {
+                tick += 1;
+                let op = client.draw();
+                queries[issued].encode_with(|buf| client.issue_drawn(SimTime(tick), &op, buf));
+                issued += 1;
+            }
+            issued
+        });
+        client_allocs += if warm { n } else { 0 };
+        replies.clear();
+        let burst = queries[..issued].iter().map(|f| f.as_bytes());
+        let (n, ()) = allocations_in(|| shard.process_burst(burst, &mut replies));
+        shard_allocs += if warm { n } else { 0 };
+        assert_eq!(replies.len(), issued);
+
+        let total = client.report().issued;
+        let due = held_at.is_some_and(|at| total >= at + 2 * window || total == 2 * OPS);
+        assert!(issued > 0 || due, "wedged at {:?}", client.report());
+        let (n, ()) = allocations_in(|| {
+            for (i, reply) in replies.frames().enumerate() {
+                if i == 0 && held_at.is_none() {
+                    held.set_bytes(reply).expect("a reply fits a frame");
+                    held_at = Some(total);
+                } else {
+                    assert!(client.absorb_reply_at(SimTime(tick), reply));
+                }
+            }
+            if due {
+                assert!(client.absorb_reply_at(SimTime(tick), held.as_bytes()));
+                held_at = None;
+                stragglers += 1;
+            }
+        });
+        client_allocs += if warm { n } else { 0 };
+    }
+    let report = client.report();
+    assert_eq!((report.issued, report.completed), (2 * OPS, 2 * OPS));
+    assert_eq!(report.version_regressions, 0);
+    assert_eq!(client.agent_stats().stale_replies, 0);
+    assert_eq!(client.outstanding(), 0);
+    assert!(stragglers > 50, "only {stragglers} replies were held back");
+    assert_eq!(
+        (client_allocs, shard_allocs),
+        (0, 0),
+        "(client, shard) allocations in 10k mixed ops with a straggler in flight"
     );
 }
 

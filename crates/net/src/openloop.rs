@@ -116,6 +116,9 @@ pub struct OpenLoopReport {
     /// time, in nanoseconds, one sample per issued op (and part of that op's
     /// latency, which counts from the scheduled time).
     pub issue_lag: HistSnapshot,
+    /// Ops that came due while the generator slept: its sleep ran over the
+    /// margin it leaves for that. All others went out from a polling pass.
+    pub overslept: u64,
     /// Send calls that failed; their queued datagrams were discarded and are
     /// recovered by the agents' retransmission.
     pub send_errors: u64,
@@ -168,6 +171,7 @@ pub fn run_open_loop(
         version_regressions: 0,
         latency: HistSnapshot::empty(),
         issue_lag: HistSnapshot::empty(),
+        overslept: 0,
         send_errors: 0,
         elapsed,
         traces: Vec::new(),
@@ -183,6 +187,7 @@ pub fn run_open_loop(
         report.version_regressions += outcome.version_regressions;
         report.latency.merge(&outcome.latency);
         report.issue_lag.merge(&outcome.issue_lag);
+        report.overslept += outcome.overslept;
         report.send_errors += outcome.send_errors;
         report.traces.extend(outcome.traces);
     }
@@ -202,6 +207,7 @@ struct ThreadOutcome {
     version_regressions: u64,
     latency: HistSnapshot,
     issue_lag: HistSnapshot,
+    overslept: u64,
     send_errors: u64,
     traces: Vec<PacketTrace>,
 }
@@ -290,6 +296,8 @@ fn generator_thread(
     let hard_end_ns = end_ns + config.drain_grace.as_nanos() as u64;
     let mut next_issue_ns = base_ns + exp_gap_ns(&mut rng, rate);
     let mut next_retry_poll_ns = base_ns;
+    // Whether this pass begins with the return of a sleep.
+    let mut slept = false;
     loop {
         let now_ns = epoch.elapsed().as_nanos() as u64;
 
@@ -309,6 +317,7 @@ fn generator_thread(
             for &due in &due_ns[..sq.len()] {
                 issue_lag.record(handoff_ns.saturating_sub(due));
             }
+            outcome.overslept += if slept { sq.len() as u64 } else { 0 };
             flush(&mut sq, &socket, &mut outcome.send_errors);
         }
 
@@ -390,6 +399,7 @@ fn generator_thread(
         // kernel, within microseconds. Idle and further away than that, sleep
         // to the margin before the event; an op that still comes due
         // mid-sleep is stamped with its scheduled time and pays the overshoot.
+        slept = false;
         if !received_any {
             let now_ns = epoch.elapsed().as_nanos() as u64;
             let next_event_ns = if next_issue_ns < end_ns {
@@ -400,6 +410,7 @@ fn generator_thread(
             let wake_ns = next_event_ns.saturating_sub(SLEEP_MARGIN_NS);
             if wake_ns > now_ns && clients.iter().all(|c| c.outstanding() == 0) {
                 std::thread::sleep(Duration::from_nanos(wake_ns - now_ns));
+                slept = true;
             } else {
                 std::thread::yield_now();
             }
@@ -480,9 +491,16 @@ mod tests {
         // One lag sample per op, and at a rate whose gaps are mostly longer
         // than the margin (so the generator does sleep) the typical op still
         // goes out from the polling stretch, not from a sleep that ran over.
+        // Counted, not timed: how long a pass takes, or how long the host
+        // parks a polling thread when its cores are taken, does not enter.
         assert_eq!(report.issue_lag.count(), report.issued);
-        let lag = report.issue_lag.quantiles();
-        assert!(lag.p50_ns < SLEEP_MARGIN_NS, "issue lag {}", lag.to_line());
+        assert!(
+            report.overslept * 2 < report.issued,
+            "{} of {} ops came due in a sleep; issue lag {}",
+            report.overslept,
+            report.issued,
+            report.issue_lag.quantiles().to_line()
+        );
         assert_eq!(report.send_errors, 0);
     }
 

@@ -357,8 +357,12 @@ impl TraceSink {
             .push(stamp);
     }
 
-    /// Marks `id` complete, moving it to the finished set.
+    /// Marks `id` complete, moving it to the finished set. Free for an
+    /// unsampled id, which `active` can never hold.
     pub fn finish(&mut self, id: u64) {
+        if !self.config.samples(id) {
+            return;
+        }
         if let Some(trace) = self.active.remove(&id) {
             if self.done.len() < self.config.max_traces {
                 self.done.push(trace);
@@ -566,6 +570,30 @@ mod tests {
         sink.stamp(id, 1, 1);
         sink.finish(id);
         assert!(sink.drain().is_empty());
+    }
+
+    #[test]
+    fn finishing_an_unsampled_id_leaves_the_sink_alone() {
+        let mut sink = TraceSink::new(TraceConfig::sampled(8, 8));
+        let id = 0x1234_5601;
+        assert!(!sink.samples(id));
+        sink.finish(id);
+        assert_eq!(
+            (sink.active.capacity(), sink.done.capacity()),
+            (0, 0),
+            "nothing allocated"
+        );
+        // `push` guards, so `active` never holds such an id. Plant one to
+        // see that `finish` does not even look it up.
+        sink.active.insert(
+            id,
+            PacketTrace {
+                id,
+                hops: Vec::new(),
+            },
+        );
+        sink.finish(id);
+        assert!(sink.active.contains_key(&id) && sink.done.is_empty());
     }
 
     #[test]
