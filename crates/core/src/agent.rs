@@ -297,12 +297,6 @@ impl AgentCore {
         &self.directory
     }
 
-    /// Replaces the chain directory (the slow-path propagation of a chain
-    /// reconfiguration to agents, §4.2).
-    pub fn update_directory(&mut self, directory: ChainDirectory) {
-        self.directory = directory;
-    }
-
     /// Number of queries awaiting replies.
     pub fn outstanding(&self) -> usize {
         self.outstanding.live
@@ -311,12 +305,6 @@ impl AgentCore {
     /// Statistics.
     pub fn stats(&self) -> &AgentStats {
         &self.stats
-    }
-
-    /// Mutable access to statistics (used by wrappers that add their own
-    /// accounting).
-    pub fn stats_mut(&mut self) -> &mut AgentStats {
-        &mut self.stats
     }
 
     /// Starts a query: returns the request id and the packet to transmit.

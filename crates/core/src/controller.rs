@@ -12,6 +12,15 @@
 //!    *virtual group* at a time, using the two-phase atomic switching
 //!    (block → synchronise → activate) that preserves Invariant 1.
 //!
+//! What to send where, and in which order, is not decided here:
+//! [`crate::failplan`] emits both algorithms as ordered lists of
+//! `ControlOp`s with the session numbers already in them, and this node only
+//! *delivers* a list as control-plane RPCs (`Controller::deliver`), exactly as
+//! the live fabric controller delivers it over its rings and the replay
+//! fabric by direct calls. What is the controller's own is the timing: when
+//! recovery starts, how long a group stays blocked, and the export
+//! request/response round that moves a group's state.
+//!
 //! The duration of each group's synchronisation models the dominant cost the
 //! paper measures (copying register state through the switch control plane):
 //! it is `total_sync_duration / number_of_affected_groups`, so one virtual
@@ -19,11 +28,11 @@
 //! block ~1 % of keys at a time (Figure 10(b)).
 
 use crate::directory::AddressMap;
-use crate::failplan::{self, FailoverPlan, RecoveryPlan};
+use crate::failplan::{self, FailoverPlan, OpList, RecoveryPlan, Target};
 use crate::hashring::HashRing;
 use crate::message::{ControlMsg, NetMsg};
 use netchain_sim::{Context, Node, NodeId, SimDuration, SimTime, TimerToken};
-use netchain_switch::FailoverRule;
+use netchain_switch::ControlOp;
 use netchain_telemetry::{Journal, SpanHandle};
 use netchain_wire::Ipv4Addr;
 use std::any::Any;
@@ -188,44 +197,20 @@ impl Controller {
             .unwrap_or_default()
     }
 
-    fn send_rule(
-        &self,
-        ctx: &mut Context<NetMsg>,
-        to: NodeId,
-        failed_ip: Ipv4Addr,
-        rule: FailoverRule,
-    ) {
-        ctx.send_control(
-            to,
-            NetMsg::Control(ControlMsg::InstallRule { failed_ip, rule }),
-            self.config.control_latency,
-        );
-    }
-
-    /// Algorithm 2: install fast-failover rules at the failed switch's
-    /// neighbours and bump the session of every switch that became a head.
-    /// The rules and the (deterministic) session order come from the shared
-    /// [`FailoverPlan`]; this method only delivers them.
-    fn fast_failover(
-        &mut self,
-        failed_node: NodeId,
-        failed_ip: Ipv4Addr,
-        ctx: &mut Context<NetMsg>,
-    ) {
-        let plan = FailoverPlan::compute(&self.ring, failed_ip);
-        for neighbor in self.neighbors_of(failed_node) {
-            self.send_rule(ctx, neighbor, failed_ip, plan.rule);
-        }
-        for head_ip in plan.new_heads {
-            // The session is consumed per plan entry even if the head has no
-            // registered node — the plan's `base_session + i` assignment must
-            // hold in every executor or the live/sim differential breaks.
-            let session = self.next_session;
-            self.next_session += 1;
-            if let Some(node) = self.addr.node_of(head_ip) {
+    /// Delivers a plan's op list as control-plane RPCs, in list order (equal
+    /// latencies keep it the arrival order at every switch). `Neighbours` are
+    /// the failed node's neighbouring switches in the topology; an op for a
+    /// switch with no registered node goes nowhere.
+    fn deliver(&self, failed_node: NodeId, ops: OpList, ctx: &mut Context<NetMsg>) {
+        for (target, op) in ops {
+            let nodes = match target {
+                Target::Neighbours => self.neighbors_of(failed_node),
+                Target::Switch(ip) => self.addr.node_of(ip).into_iter().collect(),
+            };
+            for node in nodes {
                 ctx.send_control(
                     node,
-                    NetMsg::Control(ControlMsg::SetSession { session }),
+                    NetMsg::Control(ControlMsg::Op(op.clone())),
                     self.config.control_latency,
                 );
             }
@@ -241,21 +226,12 @@ impl Controller {
     }
 
     fn start_group_sync(&mut self, task_idx: usize, ctx: &mut Context<NetMsg>) {
-        let (failed_ip, failed_node, block, group_count) = {
-            let task = &self.tasks[task_idx];
-            (
-                task.plan.failed_ip,
-                task.failed_node,
-                task.plan.steps[task.current].block,
-                task.plan.steps.len(),
-            )
-        };
+        let task = &self.tasks[task_idx];
+        let group = task.plan.steps[task.current].group;
+        let group_count = task.plan.steps.len();
         // Phase 1 of two-phase atomic switching: block queries of this group
         // destined to the failed switch while the replacement synchronises.
-        for neighbor in self.neighbors_of(failed_node) {
-            self.send_rule(ctx, neighbor, failed_ip, block);
-        }
-        let group = self.tasks[task_idx].plan.steps[self.tasks[task_idx].current].group;
+        self.deliver(task.failed_node, task.plan.block_ops(task.current), ctx);
         let span = self
             .journal
             .begin(format!("sync-group:{group}"), ctx.now().as_nanos());
@@ -291,7 +267,7 @@ impl Controller {
             ctx.send_control(
                 node,
                 NetMsg::Control(ControlMsg::ExportRequest {
-                    groups: Some(vec![group]),
+                    group,
                     modulus,
                     token: u64::from(group) | ((task_idx as u64) << 32),
                 }),
@@ -301,47 +277,12 @@ impl Controller {
     }
 
     fn activate_group(&mut self, task_idx: usize, ctx: &mut Context<NetMsg>) {
-        let (failed_ip, failed_node, replacement_ip, redirect, block) = {
-            let task = &self.tasks[task_idx];
-            let step = &task.plan.steps[task.current];
-            (
-                task.plan.failed_ip,
-                task.failed_node,
-                task.plan.replacement_ip,
-                step.redirect,
-                step.block,
-            )
-        };
+        let task = &self.tasks[task_idx];
+        let (failed_ip, replacement_ip) = (task.plan.failed_ip, task.plan.replacement_ip);
         // Phase 2: activate the replacement for this group and redirect
         // traffic to it, overriding both the block rule and fast failover.
-        // The session is consumed per activated group unconditionally, to
-        // keep the sequence identical across executors (see fast_failover).
-        let session = self.next_session;
-        self.next_session += 1;
-        if let Some(node) = self.addr.node_of(replacement_ip) {
-            ctx.send_control(
-                node,
-                NetMsg::Control(ControlMsg::SetActive { active: true }),
-                self.config.control_latency,
-            );
-            ctx.send_control(
-                node,
-                NetMsg::Control(ControlMsg::SetSession { session }),
-                self.config.control_latency,
-            );
-        }
-        for neighbor in self.neighbors_of(failed_node) {
-            self.send_rule(ctx, neighbor, failed_ip, redirect);
-            ctx.send_control(
-                neighbor,
-                NetMsg::Control(ControlMsg::RemoveRule {
-                    failed_ip,
-                    priority: block.priority,
-                    scope: block.scope,
-                }),
-                self.config.control_latency,
-            );
-        }
+        let ops = task.plan.activate_ops(task.current, &mut self.next_session);
+        self.deliver(task.failed_node, ops, ctx);
         if let Some(span) = self.sync_spans.remove(&task_idx) {
             self.journal.end(span, ctx.now().as_nanos());
         }
@@ -380,14 +321,12 @@ impl Node<NetMsg> for Controller {
         if task_idx >= self.tasks.len() {
             return;
         }
-        let replacement_ip = self.tasks[task_idx].plan.replacement_ip;
-        if let Some(node) = self.addr.node_of(replacement_ip) {
-            ctx.send_control(
-                node,
-                NetMsg::Control(ControlMsg::ImportEntries { entries }),
-                self.config.control_latency,
-            );
-        }
+        let task = &self.tasks[task_idx];
+        let import = (
+            Target::Switch(task.plan.replacement_ip),
+            ControlOp::Import(entries),
+        );
+        self.deliver(task.failed_node, vec![import], ctx);
         // Activate only once every donor has answered.
         let remaining = self
             .pending_exports
@@ -414,7 +353,10 @@ impl Node<NetMsg> for Controller {
             format!("failure-detected:{failed_ip}"),
             ctx.now().as_nanos(),
         );
-        self.fast_failover(node, failed_ip, ctx);
+        // Algorithm 2: failover rules at the failed switch's neighbours and a
+        // session bump for every switch that became a head.
+        let ops = FailoverPlan::compute(&self.ring, failed_ip).ops(&mut self.next_session);
+        self.deliver(node, ops, ctx);
         // Rules are issued now and land one control-plane latency later —
         // the window Algorithm 2 keeps sub-millisecond.
         self.journal.span(

@@ -1,27 +1,62 @@
 //! Pure failover/recovery *planning*: what rules to install where, which
 //! switches need session bumps, and the per-group two-phase repair steps —
-//! as data, with no opinion about how the plan is delivered.
+//! as data, down to the ordered list of [`ControlOp`]s that carries a plan
+//! out, with no opinion about how the list is delivered.
 //!
-//! Both halves of the repo's control plane execute these plans:
+//! There is one control-plane vocabulary ([`ControlOp`], interpreted by
+//! `NetChainSwitch::apply` and nowhere else) and three transports that
+//! deliver the lists built here:
 //!
-//! * the simulated [`crate::controller::Controller`] delivers them as
-//!   control-plane RPCs over the discrete-event network, and
-//! * the live fabric controller (`netchain-livectl`) delivers them over the
-//!   lock-free per-shard control channels of the multi-core fabric.
+//! * the simulated [`crate::controller::Controller`] sends each op as a
+//!   control-plane RPC over the discrete-event network,
+//! * the live fabric controller (`netchain-livectl`) pushes each op down the
+//!   lock-free per-shard control rings and waits for the acks, and
+//! * the replay fabric calls every shard directly.
 //!
-//! Sharing the planner is what makes the live/simulated differential test
-//! meaningful: the two executions install byte-identical rules and assign
-//! identical session numbers, so any divergence in the resulting replies or
-//! switch state is a real semantic divergence, not a planning artefact.
+//! Sharing the list, not just the plan, is what makes the live/simulated
+//! differential tests meaningful: the executions install byte-identical
+//! rules in the same order and assign identical session numbers, so any
+//! divergence in the resulting replies or switch state is a real semantic
+//! divergence, not a planning or sequencing artefact.
 //!
-//! Determinism matters here. Session numbers are assigned in plan order, so
+//! Determinism matters here. Session numbers are assigned in list order, so
 //! the order of `new_heads` must not depend on hash-map iteration; the
 //! planner sorts every set it derives.
 
 use crate::hashring::HashRing;
-use netchain_switch::{FailoverAction, FailoverRule, RuleScope};
+use netchain_switch::{ControlOp, FailoverAction, FailoverRule, RuleScope};
 use netchain_wire::Ipv4Addr;
 use std::collections::HashSet;
+
+/// Who an op of a plan's list is for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Target {
+    /// Every neighbour of the failed switch. In the fabric that is every live
+    /// switch of a shard: chains hop directly from switch to switch, so each
+    /// of them is a potential neighbour.
+    Neighbours,
+    /// One switch.
+    Switch(Ipv4Addr),
+}
+
+/// An ordered list of control ops and their targets. A transport delivers it
+/// front to back; an op for a switch it cannot reach is skipped, never
+/// re-numbered, because the session numbers are already in the list.
+pub type OpList = Vec<(Target, ControlOp)>;
+
+/// Takes the next session number off the controller's counter.
+fn next(session: &mut u64) -> u64 {
+    *session += 1;
+    *session - 1
+}
+
+/// `rule` for traffic to `failed_ip`, installed at every neighbour.
+fn install(failed_ip: Ipv4Addr, rule: FailoverRule) -> (Target, ControlOp) {
+    (
+        Target::Neighbours,
+        ControlOp::InstallRule { failed_ip, rule },
+    )
+}
 
 /// Algorithm 2 (fast failover), as data: the rule every neighbour of the
 /// failed switch installs, plus the switches that just became chain heads
@@ -35,8 +70,8 @@ pub struct FailoverPlan {
     /// keys, so "all live switches" is exactly "every neighbour programmed").
     pub rule: FailoverRule,
     /// Switches that became the head of at least one affected chain, in
-    /// deterministic (sorted) order: `new_heads[i]` is assigned session
-    /// `base_session + i` by the executor.
+    /// deterministic (sorted) order: [`Self::ops`] assigns `new_heads[i]`
+    /// session `base + i`.
     pub new_heads: Vec<Ipv4Addr>,
 }
 
@@ -65,6 +100,18 @@ impl FailoverPlan {
             },
             new_heads,
         }
+    }
+
+    /// Algorithm 2 as an op list: the rule to every neighbour, then one
+    /// session bump per new head, numbered from `*next_session` (advanced
+    /// past the last one used).
+    pub fn ops(&self, next_session: &mut u64) -> OpList {
+        let mut ops = vec![install(self.failed_ip, self.rule)];
+        for &head in &self.new_heads {
+            let bump = ControlOp::SetSession(next(next_session));
+            ops.push((Target::Switch(head), bump));
+        }
+        ops
     }
 }
 
@@ -162,6 +209,34 @@ impl RecoveryPlan {
             modulus,
             steps,
         }
+    }
+
+    /// Phase 1 of step `step`: block the group's traffic to the failed
+    /// switch at every neighbour, before any state moves.
+    pub fn block_ops(&self, step: usize) -> OpList {
+        vec![install(self.failed_ip, self.steps[step].block)]
+    }
+
+    /// Phase 2 of step `step`, once the group's state is on the replacement:
+    /// activate it, stamp it with the next session, and switch the group over
+    /// atomically (the redirect overrides the block it then replaces).
+    pub fn activate_ops(&self, step: usize, next_session: &mut u64) -> OpList {
+        let step = &self.steps[step];
+        let failed_ip = self.failed_ip;
+        let replacement = Target::Switch(self.replacement_ip);
+        vec![
+            (replacement, ControlOp::SetActive(true)),
+            (replacement, ControlOp::SetSession(next(next_session))),
+            install(failed_ip, step.redirect),
+            (
+                Target::Neighbours,
+                ControlOp::RemoveRule {
+                    failed_ip,
+                    priority: step.block.priority,
+                    scope: step.block.scope,
+                },
+            ),
+        ]
     }
 }
 
@@ -264,6 +339,57 @@ mod tests {
         for step in &plan.steps {
             assert!(!step.donors.contains(&failed));
             assert!(!step.donors.contains(&Ipv4Addr::for_switch(3)));
+        }
+    }
+
+    #[test]
+    fn op_lists_keep_the_golden_order_and_number_sessions_inside() {
+        let ring = ring();
+        let failed = Ipv4Addr::for_switch(1);
+        let plan = FailoverPlan::compute(&ring, failed);
+        assert!(!plan.new_heads.is_empty(), "the ring makes S1 a head");
+        let install = |rule| ControlOp::InstallRule {
+            failed_ip: failed,
+            rule,
+        };
+
+        // Algorithm 2: the rule to the neighbours, then `new_heads[i]` gets
+        // session `base + i`.
+        let mut session = 7;
+        let mut golden = vec![(Target::Neighbours, install(plan.rule))];
+        for (i, &head) in plan.new_heads.iter().enumerate() {
+            golden.push((Target::Switch(head), ControlOp::SetSession(7 + i as u64)));
+        }
+        assert_eq!(plan.ops(&mut session), golden);
+        assert_eq!(session, 7 + plan.new_heads.len() as u64);
+
+        // Algorithm 3, step by step: block; then activate, session, redirect,
+        // unblock, with the sessions continuing the same counter.
+        let spare = Ipv4Addr::for_switch(9);
+        let rplan = RecoveryPlan::compute(&ring, failed, spare, Some(3), &HashSet::from([failed]));
+        for (i, step) in rplan.steps.iter().enumerate() {
+            assert_eq!(
+                rplan.block_ops(i),
+                vec![(Target::Neighbours, install(step.block))]
+            );
+            let before = session;
+            assert_eq!(
+                rplan.activate_ops(i, &mut session),
+                vec![
+                    (Target::Switch(spare), ControlOp::SetActive(true)),
+                    (Target::Switch(spare), ControlOp::SetSession(before)),
+                    (Target::Neighbours, install(step.redirect)),
+                    (
+                        Target::Neighbours,
+                        ControlOp::RemoveRule {
+                            failed_ip: failed,
+                            priority: step.block.priority,
+                            scope: step.block.scope,
+                        }
+                    ),
+                ]
+            );
+            assert_eq!(session, before + 1);
         }
     }
 

@@ -139,11 +139,6 @@ impl HashRing {
         self.replication
     }
 
-    /// The switch owning virtual node `v`.
-    pub fn owner_of(&self, vnode: usize) -> Ipv4Addr {
-        self.switches[self.owner[vnode % self.owner.len()]]
-    }
-
     /// The virtual group a key belongs to.
     pub fn group_of(&self, key: &Key) -> u32 {
         self.group_of_hash(key.stable_hash())

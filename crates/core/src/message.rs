@@ -1,10 +1,16 @@
 //! The message type carried by the simulator for NetChain deployments:
 //! data-plane packets plus control-plane (controller ↔ switch) RPCs.
+//!
+//! What a controller tells a switch to *do* is a [`ControlOp`] — the one
+//! vocabulary every transport in the repo delivers (see
+//! [`crate::failplan`]). [`ControlMsg`] adds only what is particular to
+//! this transport: state export is a request/response pair, matched by a
+//! token, because a simulated RPC has no return value.
 
 use netchain_sim::Message;
 use netchain_switch::kv::ExportedEntry;
-use netchain_switch::{FailoverRule, RuleScope};
-use netchain_wire::{Ipv4Addr, Key, NetChainPacket, Value};
+use netchain_switch::ControlOp;
+use netchain_wire::NetChainPacket;
 
 /// One message on the simulated network.
 #[derive(Debug, Clone)]
@@ -17,56 +23,16 @@ pub enum NetMsg {
     Control(ControlMsg),
 }
 
-/// Control-plane operations (controller → switch, and switch → controller
+/// Control-plane messages (controller → switch, and switch → controller
 /// responses).
 #[derive(Debug, Clone)]
 pub enum ControlMsg {
-    /// Install a failover/recovery rule for packets destined to `failed_ip`.
-    InstallRule {
-        /// The failed switch whose traffic the rule captures.
-        failed_ip: Ipv4Addr,
-        /// The rule to install.
-        rule: FailoverRule,
-    },
-    /// Remove a previously installed rule.
-    RemoveRule {
-        /// The failed switch the rule was keyed on.
-        failed_ip: Ipv4Addr,
-        /// Priority of the rule to remove.
-        priority: u8,
-        /// Scope of the rule to remove.
-        scope: RuleScope,
-    },
-    /// Install a key-value entry in the switch's store (the control-plane
-    /// part of an `Insert`, §4.1).
-    InsertKey {
-        /// Key to install.
-        key: Key,
-        /// Initial value.
-        value: Value,
-    },
-    /// Garbage-collect a deleted key.
-    GcKey {
-        /// Key to collect.
-        key: Key,
-    },
-    /// Set the session number a switch stamps on writes it sequences
-    /// (head replacement, §5.2).
-    SetSession {
-        /// The new session number.
-        session: u64,
-    },
-    /// Activate or deactivate NetChain processing on the switch
-    /// (Algorithm 3 phase 2 activates a replacement switch).
-    SetActive {
-        /// Whether the switch should process queries addressed to it.
-        active: bool,
-    },
-    /// Ask a switch to export the entries belonging to the given virtual
-    /// groups (or all entries if `groups` is `None`).
+    /// Program the switch: it applies the op (`NetChainSwitch::apply`).
+    Op(ControlOp),
+    /// Ask a switch to export the entries of one virtual group.
     ExportRequest {
-        /// Virtual groups to export, or `None` for everything.
-        groups: Option<Vec<u32>>,
+        /// Virtual group to export.
+        group: u32,
         /// Number of virtual groups used for filtering.
         modulus: u32,
         /// Token echoed in the response so the controller can match it.
@@ -79,12 +45,6 @@ pub enum ControlMsg {
         /// Token from the request.
         token: u64,
     },
-    /// Load entries into a switch's store (state synchronisation onto a
-    /// replacement switch).
-    ImportEntries {
-        /// Entries to import.
-        entries: Vec<ExportedEntry>,
-    },
 }
 
 impl Message for NetMsg {
@@ -93,14 +53,11 @@ impl Message for NetMsg {
             NetMsg::Data(pkt) => pkt.wire_size(),
             // Control messages travel on the management network; their size
             // only matters for rough accounting. Entries dominate.
-            NetMsg::Control(msg) => match msg {
+            NetMsg::Control(
                 ControlMsg::ExportResponse { entries, .. }
-                | ControlMsg::ImportEntries { entries } => 64 + entries.len() * 64,
-                ControlMsg::ExportRequest { groups, .. } => {
-                    64 + groups.as_ref().map_or(0, |g| g.len() * 4)
-                }
-                _ => 64,
-            },
+                | ControlMsg::Op(ControlOp::Import(entries)),
+            ) => 64 + entries.len() * 64,
+            NetMsg::Control(_) => 64,
         }
     }
 }
@@ -108,7 +65,7 @@ impl Message for NetMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netchain_wire::{ChainList, OpCode};
+    use netchain_wire::{ChainList, Ipv4Addr, Key, OpCode, Value};
 
     #[test]
     fn wire_sizes_are_sensible() {
@@ -124,7 +81,7 @@ mod tests {
         );
         assert_eq!(NetMsg::Data(pkt.clone()).wire_size(), pkt.wire_size());
         assert_eq!(
-            NetMsg::Control(ControlMsg::SetActive { active: true }).wire_size(),
+            NetMsg::Control(ControlMsg::Op(ControlOp::SetActive(true))).wire_size(),
             64
         );
         let entries = vec![
@@ -138,7 +95,7 @@ mod tests {
             10
         ];
         assert_eq!(
-            NetMsg::Control(ControlMsg::ImportEntries { entries }).wire_size(),
+            NetMsg::Control(ControlMsg::Op(ControlOp::Import(entries))).wire_size(),
             64 + 640
         );
     }

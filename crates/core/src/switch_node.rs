@@ -1,7 +1,7 @@
 //! Simulator adapter for a NetChain switch: hosts a
 //! [`netchain_switch::NetChainSwitch`] on a topology node, performs underlay
-//! L3 forwarding of whatever the data plane emits, and executes control-plane
-//! RPCs from the controller.
+//! L3 forwarding of whatever the data plane emits, and hands the controller's
+//! control ops to the switch's own interpreter (`NetChainSwitch::apply`).
 
 use crate::message::{ControlMsg, NetMsg};
 use netchain_sim::{Context, Node, NodeId, SimDuration};
@@ -86,70 +86,6 @@ impl SwitchNode {
             None => self.dropped_no_route += 1,
         }
     }
-
-    fn apply_control(&mut self, from: NodeId, msg: ControlMsg, ctx: &mut Context<NetMsg>) {
-        match msg {
-            ControlMsg::InstallRule { failed_ip, rule } => {
-                self.switch.forwarding_mut().install(failed_ip, rule);
-            }
-            ControlMsg::RemoveRule {
-                failed_ip,
-                priority,
-                scope,
-            } => {
-                self.switch
-                    .forwarding_mut()
-                    .remove(failed_ip, priority, scope);
-            }
-            ControlMsg::InsertKey { key, value } => {
-                // Idempotent from the controller's point of view: re-inserting
-                // an existing key is a no-op.
-                let _ = self.switch.kv_mut().insert(key, &value);
-            }
-            ControlMsg::GcKey { key } => {
-                let _ = self.switch.kv_mut().garbage_collect(&key);
-            }
-            ControlMsg::SetSession { session } => {
-                self.switch.set_session(session);
-            }
-            ControlMsg::SetActive { active } => {
-                self.switch.set_active(active);
-            }
-            ControlMsg::ExportRequest {
-                groups,
-                modulus,
-                token,
-            } => {
-                let entries: Vec<_> = self
-                    .switch
-                    .kv()
-                    .export_entries()
-                    .into_iter()
-                    .filter(|entry| match &groups {
-                        None => true,
-                        Some(wanted) => {
-                            let group =
-                                (entry.key.stable_hash() % u64::from(modulus.max(1))) as u32;
-                            wanted.contains(&group)
-                        }
-                    })
-                    .collect();
-                ctx.send_control(
-                    from,
-                    NetMsg::Control(ControlMsg::ExportResponse { entries, token }),
-                    self.control_latency,
-                );
-            }
-            ControlMsg::ExportResponse { .. } => {
-                // Switches never receive export responses; ignore.
-            }
-            ControlMsg::ImportEntries { entries } => {
-                for entry in &entries {
-                    let _ = self.switch.kv_mut().import_entry(entry);
-                }
-            }
-        }
-    }
 }
 
 impl Node<NetMsg> for SwitchNode {
@@ -184,7 +120,21 @@ impl Node<NetMsg> for SwitchNode {
                     SwitchAction::Drop(_) => {}
                 }
             }
-            NetMsg::Control(control) => self.apply_control(from, control, ctx),
+            NetMsg::Control(ControlMsg::Op(op)) => self.switch.apply(&op),
+            NetMsg::Control(ControlMsg::ExportRequest {
+                group,
+                modulus,
+                token,
+            }) => {
+                let entries = self.switch.kv().export_group(group, modulus);
+                ctx.send_control(
+                    from,
+                    NetMsg::Control(ControlMsg::ExportResponse { entries, token }),
+                    self.control_latency,
+                );
+            }
+            // Switches never receive export responses; ignore.
+            NetMsg::Control(ControlMsg::ExportResponse { .. }) => {}
         }
     }
 
@@ -204,22 +154,35 @@ impl Node<NetMsg> for SwitchNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netchain_switch::PipelineConfig;
+    use netchain_switch::{ControlOp, PipelineConfig};
     use netchain_wire::{Key, Value};
 
     #[test]
     fn control_messages_program_the_switch() {
         let sw = NetChainSwitch::new(Ipv4Addr::for_switch(0), PipelineConfig::tiny(8));
         let mut node = SwitchNode::new(sw, HashMap::new(), SimDuration::from_millis(1));
-        // Drive control handling directly (no simulator needed for this path).
+        // A context cannot be fabricated without the simulator (the message
+        // path is driven end to end by `tests/end_to_end.rs` and the livectl
+        // differentials), so apply the ops a `ControlMsg::Op` carries the way
+        // `on_message` does: through the hosted switch's interpreter.
         let key = Key::from_name("a");
-        // A throwaway context is hard to fabricate without the simulator, so
-        // exercise the pieces that do not need one via the inner switch.
-        node.switch_mut()
-            .kv_mut()
-            .insert(key, &Value::from_u64(5))
-            .unwrap();
+        let entry = netchain_switch::ExportedEntry {
+            key,
+            value: Value::from_u64(5),
+            seq: 1,
+            session: 0,
+            valid: true,
+        };
+        for op in [
+            ControlOp::Import(vec![entry]),
+            ControlOp::SetSession(3),
+            ControlOp::SetActive(false),
+        ] {
+            node.switch_mut().apply(&op);
+        }
         assert_eq!(node.switch().kv().store_size(), 1);
+        assert_eq!(node.switch().session(), 3);
+        assert!(!node.switch().is_active());
         assert_eq!(node.dropped_no_route(), 0);
     }
 }

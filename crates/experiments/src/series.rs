@@ -1,5 +1,7 @@
 //! Result series and plain-text/JSON reporting.
 
+use netchain_telemetry::Json;
+
 /// One named data series: `(x, y)` points.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Series {
@@ -56,58 +58,21 @@ pub fn print_series(title: &str, x_label: &str, y_label: &str, series: &[Series]
         }
         println!();
     }
-    println!("JSON: {}", series_to_json(series));
+    println!("JSON: {}", series_json(series).render());
     println!();
 }
 
-/// Serialises series to JSON by hand (the build is offline, so no serde).
-/// The structure matches what `serde_json` would emit for the same struct —
-/// `[{"name":"…","points":[[x,y],…]},…]` — though number *formatting* may
-/// differ from serde's shortest-representation output for extreme
-/// magnitudes (both parse to the same `f64`).
-pub fn series_to_json(series: &[Series]) -> String {
-    let mut out = String::from("[");
-    for (i, s) in series.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"name\":\"");
-        for c in s.name.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push_str("\",\"points\":[");
-        for (j, &(x, y)) in s.points.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            out.push_str(&json_f64(x));
-            out.push(',');
-            out.push_str(&json_f64(y));
-            out.push(']');
-        }
-        out.push_str("]}");
-    }
-    out.push(']');
-    out
-}
-
-/// JSON number formatting: integral floats keep a trailing `.0`, like serde.
-fn json_f64(v: f64) -> String {
-    if !v.is_finite() {
-        // JSON has no NaN/inf; null is what serde_json emits for them.
-        return "null".to_string();
-    }
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{v:.1}")
-    } else {
-        format!("{v}")
-    }
+/// The series as one JSON document, `[{"name":"…","points":[[x,y],…]},…]`
+/// (non-finite numbers render as `null`).
+fn series_json(series: &[Series]) -> Json {
+    let point = |&(x, y): &(f64, f64)| Json::Arr(vec![Json::F64(x), Json::F64(y)]);
+    let one = |s: &Series| {
+        Json::obj(vec![
+            ("name", Json::str(s.name.as_str())),
+            ("points", Json::Arr(s.points.iter().map(point).collect())),
+        ])
+    };
+    Json::Arr(series.iter().map(one).collect())
 }
 
 #[cfg(test)]
@@ -119,6 +84,15 @@ mod tests {
         let s = Series::new("a", vec![(1.0, 10.0), (2.0, 20.0)]);
         assert_eq!(s.y_at(2.0), Some(20.0));
         assert_eq!(s.y_at(3.0), None);
+    }
+
+    #[test]
+    fn json_document_keeps_its_shape() {
+        let series = [Series::new("a \"b\"", vec![(1.0, 2.5), (2.0, f64::NAN)])];
+        assert_eq!(
+            series_json(&series).render(),
+            r#"[{"name":"a \"b\"","points":[[1,2.5],[2,null]]}]"#
+        );
     }
 
     #[test]

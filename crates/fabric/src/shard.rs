@@ -37,23 +37,25 @@
 //!
 //! * [`Shard::kill_switch`] is the fault injector's hook — the replica stops
 //!   being addressable, freezing its state like a fail-stopped device.
-//! * [`Shard::install_rule`] / [`Shard::remove_rule`] install failover /
-//!   recovery rules into **every live switch replica**. In the physical
-//!   network the controller programs the failed switch's *neighbours*; in the
-//!   fabric every live switch is a potential neighbour (chains hop directly
-//!   from switch to switch), so programming all of them is the same thing.
-//!   Rules match on a packet's destination, so they leave the fast read lane
-//!   alone: a read stays eligible unless a rule targets the address its
-//!   *reply* goes to.
+//! * [`Shard::apply`] delivers one control op (`netchain_switch::ControlOp`,
+//!   the vocabulary every transport shares) to its target. A rule addressed
+//!   to the failed switch's *neighbours* goes into **every live switch
+//!   replica**: in the physical network the controller programs the
+//!   neighbours; in the fabric every live switch is a potential neighbour
+//!   (chains hop directly from switch to switch), so programming all of them
+//!   is the same thing. Rules match on a packet's destination, so they leave
+//!   the fast read lane alone: a read stays eligible unless a rule targets
+//!   the address its *reply* goes to.
 //! * Packets addressed to a failed (or simply absent) switch are routed
 //!   through the shard's *gateway* — the lowest-IP live active switch, which
 //!   plays the role of the client's ToR switch in the testbed: its rule table
 //!   decides whether the packet fails over, blocks, or redirects. Without a
 //!   matching rule the packet is dropped and counted `unroutable`, exactly
 //!   like a packet sailing towards a dead device in the simulator.
-//! * [`Shard::export_group`] / [`Shard::import_entries`] move register state
-//!   between switch replicas for the two-phase chain repair, with the same
-//!   group filtering the simulator's switch agent applies.
+//! * Chain repair moves register state between replicas with
+//!   `SwitchKvStore::export_group` on the donor ([`Shard::switch`]) and a
+//!   `ControlOp::Import` on the replacement, the same calls the simulator's
+//!   switch agent makes.
 //!
 //! ## The packet pool
 //!
@@ -65,12 +67,11 @@
 //! never did).
 
 use crate::stats::ShardStats;
+use netchain_core::failplan::Target;
 use netchain_core::query_evidence_hashed;
 use netchain_core::HashRing;
-use netchain_switch::kv::ExportedEntry;
 use netchain_switch::{
-    stable_hash_batch, DropReason, FailoverRule, NetChainSwitch, PipelineConfig, ProbeGauges,
-    RuleScope,
+    stable_hash_batch, ControlOp, DropReason, NetChainSwitch, PipelineConfig, ProbeGauges,
 };
 use netchain_telemetry::{
     key_fingerprint, trace_id, Evidence, EvidenceOp, HopRole, PacketTrace, TraceConfig, TraceSink,
@@ -327,65 +328,32 @@ impl Shard {
         self.index_of(ip).is_some_and(|i| self.failed[i])
     }
 
-    /// Installs a failover/recovery rule for traffic destined to `failed_ip`
-    /// into every live switch replica (= every potential neighbour of the
-    /// failed switch; see the module docs).
-    pub fn install_rule(&mut self, failed_ip: Ipv4Addr, rule: FailoverRule) {
-        for (switch, &failed) in self.switches.iter_mut().zip(&self.failed) {
-            if !failed {
-                switch.forwarding_mut().install(failed_ip, rule);
+    /// Delivers one op of a `failplan` list (or a state import) within the
+    /// shard: `Neighbours` are all live replicas (see the module docs),
+    /// `Switch(ip)` is the hosted replica, dead or alive. What the op does to
+    /// a switch is `NetChainSwitch::apply`'s business.
+    pub fn apply(&mut self, target: Target, op: &ControlOp) {
+        match target {
+            Target::Neighbours => {
+                for (switch, &failed) in self.switches.iter_mut().zip(&self.failed) {
+                    if !failed {
+                        switch.apply(op);
+                    }
+                }
+            }
+            Target::Switch(ip) => {
+                if let Some(switch) = self.switch_mut(ip) {
+                    switch.apply(op);
+                }
             }
         }
-    }
-
-    /// Removes a rule (matched by priority and scope) from every replica.
-    pub fn remove_rule(&mut self, failed_ip: Ipv4Addr, priority: u8, scope: RuleScope) {
-        for switch in &mut self.switches {
-            switch.forwarding_mut().remove(failed_ip, priority, scope);
-        }
-    }
-
-    /// Sets the session number switch `ip` stamps on writes it sequences
-    /// (head replacement, §5.2).
-    pub fn set_session(&mut self, ip: Ipv4Addr, session: u64) {
-        if let Some(switch) = self.switch_mut(ip) {
-            switch.set_session(session);
-        }
-    }
-
-    /// Activates or deactivates query processing on switch `ip` (recovery
-    /// phase 2 activates the replacement).
-    pub fn set_active(&mut self, ip: Ipv4Addr, active: bool) {
-        if let Some(switch) = self.switch_mut(ip) {
-            switch.set_active(active);
-            self.refresh_gateway();
-        }
-    }
-
-    /// Exports switch `ip`'s entries for virtual group `group` (out of
-    /// `modulus` groups) — the donor side of chain repair. The filter is
-    /// identical to the simulator switch agent's `ExportRequest` handling,
-    /// applied to the index's stored hashes before any value is read.
-    pub fn export_group(&self, ip: Ipv4Addr, group: u32, modulus: u32) -> Vec<ExportedEntry> {
-        self.switch(ip)
-            .map_or_else(Vec::new, |sw| sw.kv().export_group(group, modulus))
-    }
-
-    /// Imports entries into switch `ip`'s store — the replacement side of
-    /// chain repair. Stale entries never clobber newer local state
-    /// (Invariant 1 is preserved if synchronisation races a live write).
-    pub fn import_entries(&mut self, ip: Ipv4Addr, entries: &[ExportedEntry]) {
-        if let Some(switch) = self.switch_mut(ip) {
-            for entry in entries {
-                let _ = switch.kv_mut().import_entry(entry);
-            }
-        }
+        self.refresh_gateway();
     }
 
     /// Recomputes the shard's gateway: the lowest-IP live, active switch.
     /// It plays the ToR switch's role for packets addressed to a dead device
     /// — its rule table decides their fate. Only a kill or an (de)activation
-    /// can change it.
+    /// can change it; control ops are rare enough to recompute after each.
     fn refresh_gateway(&mut self) {
         self.gateway = (0..self.ips.len())
             .filter(|&i| !self.failed[i] && self.switches[i].is_active())
@@ -761,11 +729,19 @@ impl Shard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netchain_switch::FailoverAction;
+    use netchain_switch::{FailoverAction, FailoverRule, RuleScope};
     use netchain_wire::{OpCode, QueryStatus};
 
     fn test_ring() -> HashRing {
         HashRing::new((0..4).map(Ipv4Addr::for_switch).collect(), 8, 3, 7)
+    }
+
+    /// Installs `rule` for traffic to `failed_ip` at every live replica.
+    fn install_rule(shard: &mut Shard, failed_ip: Ipv4Addr, rule: FailoverRule) {
+        shard.apply(
+            Target::Neighbours,
+            &ControlOp::InstallRule { failed_ip, rule },
+        );
     }
 
     fn query_frame(
@@ -1095,7 +1071,8 @@ mod tests {
         // Kill the middle replica and install fast failover everywhere.
         let victim = chain.switches[1];
         shard.kill_switch(victim);
-        shard.install_rule(
+        install_rule(
+            &mut shard,
             victim,
             FailoverRule {
                 priority: 1,
@@ -1133,7 +1110,8 @@ mod tests {
         shard.populate(key, &Value::from_u64(0));
         let head = ring.chain_for_key(&key).head();
         shard.kill_switch(head);
-        shard.install_rule(
+        install_rule(
+            &mut shard,
             head,
             FailoverRule {
                 priority: 2,
@@ -1147,8 +1125,16 @@ mod tests {
         assert!(replies.is_empty());
         assert_eq!(shard.stats().blocked, 1);
         // Removing the block and falling back to failover unblocks.
-        shard.remove_rule(head, 2, RuleScope::All);
-        shard.install_rule(
+        shard.apply(
+            Target::Neighbours,
+            &ControlOp::RemoveRule {
+                failed_ip: head,
+                priority: 2,
+                scope: RuleScope::All,
+            },
+        );
+        install_rule(
+            &mut shard,
             head,
             FailoverRule {
                 priority: 1,
@@ -1176,11 +1162,16 @@ mod tests {
         // redirect the dead tail's traffic to it.
         let modulus = ring.num_virtual_nodes() as u32;
         let group = ring.group_of(&key);
-        let entries = shard.export_group(donor, group, modulus);
+        let entries = shard
+            .switch(donor)
+            .unwrap()
+            .kv()
+            .export_group(group, modulus);
         assert!(entries.iter().any(|e| e.key == key));
-        shard.import_entries(spare, &entries);
-        shard.set_session(spare, 9);
-        shard.install_rule(
+        shard.apply(Target::Switch(spare), &ControlOp::Import(entries));
+        shard.apply(Target::Switch(spare), &ControlOp::SetSession(9));
+        install_rule(
+            &mut shard,
             tail,
             FailoverRule {
                 priority: 3,

@@ -10,11 +10,12 @@
 //! switched on only around the calls under test — sees exactly their
 //! allocations and none of the test harness's.
 
+use netchain_core::failplan::Target;
 use netchain_fabric::{
     build_shards, connect, ClientState, FabricConfig, Frame, Shard, WorkloadSpec,
 };
 use netchain_sim::SimTime;
-use netchain_switch::{FailoverAction, FailoverRule, RuleScope};
+use netchain_switch::{ControlOp, FailoverAction, FailoverRule, RuleScope};
 use netchain_wire::{
     BatchEncoder, ChainList, Ipv4Addr, Key, NetChainPacket, OpCode, PacketView, Value,
 };
@@ -207,14 +208,20 @@ fn reads_keep_the_fast_lane_past_a_failover_rule() {
     let mut scalar = build_shards(&config, &spec).pop().expect("one shard");
     let client = Ipv4Addr::for_host(0);
     let victim = ring.switches()[1];
-    let rule = |action| FailoverRule {
-        priority: 1,
-        scope: RuleScope::All,
-        action,
+    let install = |shard: &mut Shard, failed_ip, action| {
+        let rule = FailoverRule {
+            priority: 1,
+            scope: RuleScope::All,
+            action,
+        };
+        shard.apply(
+            Target::Neighbours,
+            &ControlOp::InstallRule { failed_ip, rule },
+        );
     };
     for shard in [&mut staged, &mut scalar] {
         shard.kill_switch(victim);
-        shard.install_rule(victim, rule(FailoverAction::ChainFailover));
+        install(shard, victim, FailoverAction::ChainFailover);
     }
     // One read per key whose tail outlived the kill: addressed to a live
     // switch that holds a rule, but for another destination.
@@ -264,7 +271,7 @@ fn reads_keep_the_fast_lane_past_a_failover_rule() {
     // must leave the fast lane, or their replies would miss the redirect.
     let elsewhere = Ipv4Addr::for_host(7);
     for shard in [&mut staged, &mut scalar] {
-        shard.install_rule(client, rule(FailoverAction::Redirect(elsewhere)));
+        install(shard, client, FailoverAction::Redirect(elsewhere));
     }
     round(&mut staged, &mut scalar); // warm-up: the packet pool fills once
     let (allocations, replies, to) = round(&mut staged, &mut scalar);

@@ -11,9 +11,11 @@
 //! (Debug builds also assert, at every hop, that the carried hash is the
 //! key's.)
 
+use netchain_core::failplan::{FailoverPlan, OpList, RecoveryPlan, Target};
 use netchain_fabric::{build_shards, FabricConfig, Shard, WorkloadSpec};
-use netchain_switch::{cas_value, FailoverAction, FailoverRule, RuleScope};
+use netchain_switch::{cas_value, ControlOp};
 use netchain_wire::{BatchEncoder, ChainList, Ipv4Addr, Key, NetChainPacket, OpCode, Value};
+use std::collections::HashSet;
 
 const KEYS: u64 = 256;
 const GROUPS: u32 = 100;
@@ -25,44 +27,40 @@ enum Rules {
     MidRepair,
 }
 
-/// Kills the second ring switch and installs the scenario's rules, the way
-/// the live controller would.
+/// Kills the second ring switch and installs the scenario's rules from the
+/// op lists the live controller delivers.
 fn program(shard: &mut Shard, config: &FabricConfig, rules: Rules) {
     if matches!(rules, Rules::None) {
         return;
     }
-    let victim = config.build_ring().switches()[1];
+    let ring = config.build_ring();
+    let victim = ring.switches()[1];
     let spare = config.spare_ips()[0];
-    let group_rule = |priority, group, action| FailoverRule {
-        priority,
-        scope: RuleScope::Group {
-            group,
-            modulus: GROUPS,
-        },
-        action,
+    let mut session = 1;
+    let deliver = |shard: &mut Shard, ops: OpList| {
+        for (target, op) in &ops {
+            shard.apply(*target, op);
+        }
     };
     shard.kill_switch(victim);
-    shard.install_rule(
-        victim,
-        FailoverRule {
-            priority: 1,
-            scope: RuleScope::All,
-            action: FailoverAction::ChainFailover,
-        },
-    );
+    let failover = FailoverPlan::compute(&ring, victim).ops(&mut session);
+    deliver(shard, failover);
     if matches!(rules, Rules::MidRepair) {
+        let down = HashSet::from([victim]);
+        let plan = RecoveryPlan::compute(&ring, victim, spare, Some(GROUPS), &down);
         // The first half of the groups already live on the spare; the second
         // half is blocked, waiting for its synchronisation.
-        for group in 0..GROUPS / 2 {
-            let entries = shard.export_group(victim, group, GROUPS);
-            shard.import_entries(spare, &entries);
-            shard.install_rule(
-                victim,
-                group_rule(3, group, FailoverAction::Redirect(spare)),
-            );
-        }
-        for group in GROUPS / 2..GROUPS {
-            shard.install_rule(victim, group_rule(2, group, FailoverAction::Block));
+        for (i, step) in plan.steps.iter().enumerate() {
+            deliver(shard, plan.block_ops(i));
+            if step.group >= GROUPS / 2 {
+                continue;
+            }
+            for &donor in &step.donors {
+                let from = shard.switch(donor).expect("donors are hosted");
+                let entries = from.kv().export_group(step.group, GROUPS);
+                shard.apply(Target::Switch(spare), &ControlOp::Import(entries));
+            }
+            deliver(shard, plan.activate_ops(i, &mut session));
         }
     }
 }

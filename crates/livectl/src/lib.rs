@@ -10,8 +10,10 @@
 //!
 //! ## Pieces
 //!
-//! * [`control`] — the per-shard control channel: commands/events over the
-//!   fabric's lock-free SPSC rings, applied at burst boundaries.
+//! * [`control`] — the per-shard control channel: `ControlOp`s (the one
+//!   vocabulary of the simulator, this crate and the replay fabric), the
+//!   fault injector's kill and state export, over the fabric's lock-free
+//!   SPSC rings, applied at burst boundaries and acknowledged by token.
 //! * [`script`] — the fault script: which switch dies, when, and how the
 //!   controller paces detection, failover and repair.
 //! * [`runner`] — [`run_live_controlled`]: the threaded deployment shape
@@ -20,15 +22,16 @@
 //!   windows while the run is live.
 //! * [`detector`] — the gray-failure detector: peer-median comparison over
 //!   the rolling windows, flagging a shard that is slow but alive.
-//! * [`replay`] — the same fabric and the same control commands driven
-//!   deterministically on one thread, for the simulator differential test
-//!   and the chain-repair property test.
+//! * [`replay`] — the same fabric and the same op lists driven
+//!   deterministically on one thread by direct calls, for the simulator
+//!   differential test and the chain-repair property test.
 //! * [`report`] — the run report: throughput slices and the phase timeline
 //!   (including the measured rule-installation latency).
 //!
-//! The planning logic (which rules, which donors, which session numbers) is
-//! **not** here: it lives in `netchain_core::failplan`, shared with the
-//! simulated controller, so the live path and the simulated path cannot
+//! The planning logic (which rules, which donors, which session numbers, in
+//! which order) is **not** here: `netchain_core::failplan` emits Algorithms 2
+//! and 3 as ordered op lists, and the live controller, the replay fabric and
+//! the simulated controller only deliver them, so the three paths cannot
 //! drift apart — a property the differential tests pin down.
 
 #![forbid(unsafe_code)]
@@ -41,7 +44,7 @@ pub mod report;
 pub mod runner;
 pub mod script;
 
-pub use control::{apply as apply_control, ControlCmd, ControlEvt};
+pub use control::{ControlCmd, ControlEvt};
 pub use detector::{Anomaly, DetectorConfig, GrayFailureDetector};
 pub use replay::{replay_agent_config, ReplayFabric};
 pub use report::{FailoverTimeline, LiveAnomaly, LiveReport};

@@ -1,21 +1,20 @@
 //! A deterministic, single-threaded driver for the controlled fabric: the
-//! same shards, the same control commands ([`crate::control::apply`]), the
-//! same shared failover/recovery plans — but ops and control steps execute
-//! synchronously, one at a time, under the test's explicit sequencing.
+//! same shards and the same ordered op lists (`netchain_core::failplan`) as
+//! the live controller, delivered by calling [`Shard::apply`] directly, so
+//! ops and control steps execute synchronously, one at a time, under the
+//! test's explicit sequencing.
 //!
 //! This is what the differential test runs against the discrete-event
-//! simulator (identical planners + identical command interpretation ⇒ the
-//! two executions must produce identical replies and switch state), and what
-//! the chain-repair property test drives through proptest-chosen failure
-//! timings.
+//! simulator (one op list + one interpreter ⇒ the two executions must
+//! produce identical replies and switch state), and what the chain-repair
+//! property test drives through proptest-chosen failure timings.
 
-use crate::control::{self, ControlCmd, ControlEvt};
-use netchain_core::failplan::{FailoverPlan, RecoveryPlan};
+use netchain_core::failplan::{FailoverPlan, OpList, RecoveryPlan, Target};
 use netchain_core::{AgentConfig, AgentCore, ChainDirectory, CompletedQuery, HashRing, KvOp};
 use netchain_fabric::{shard_of_key, Shard};
 use netchain_sim::{SimDuration, SimTime};
 use netchain_switch::kv::ExportedEntry;
-use netchain_switch::PipelineConfig;
+use netchain_switch::{ControlOp, PipelineConfig};
 use netchain_wire::{BatchEncoder, Ipv4Addr, Key, PacketView, Value};
 
 /// The deterministic controlled fabric.
@@ -105,10 +104,12 @@ impl ReplayFabric {
         entries
     }
 
-    fn apply_all(&mut self, cmd: impl Fn() -> ControlCmd) {
-        for shard in &mut self.shards {
-            let evt = control::apply(shard, cmd());
-            debug_assert!(matches!(evt, ControlEvt::Ack { .. }));
+    /// Delivers a plan's op list to every shard, in list order.
+    fn deliver(&mut self, ops: OpList) {
+        for (target, op) in &ops {
+            for shard in &mut self.shards {
+                shard.apply(*target, op);
+            }
         }
     }
 
@@ -150,26 +151,20 @@ impl ReplayFabric {
         unreachable!("the retry budget is finite");
     }
 
-    // ---- Control-plane verbs, mirroring the live controller exactly ----
+    // ---- Control-plane verbs, mirroring the live controller ----
 
     /// Fault injection: fail-stop `victim` on every shard.
     pub fn kill(&mut self, victim: Ipv4Addr) {
-        self.apply_all(|| ControlCmd::KillSwitch {
-            ip: victim,
-            token: 0,
-        });
+        for shard in &mut self.shards {
+            shard.kill_switch(victim);
+        }
     }
 
     /// Algorithm 2: install fast-failover rules everywhere and bump the
-    /// session of every new chain head, executing the same command sequence
-    /// as the threaded controller ([`control::failover_sequence`]).
+    /// session of every new chain head.
     pub fn fast_failover(&mut self, victim: Ipv4Addr) {
-        let plan = FailoverPlan::compute(&self.ring, victim);
-        for builder in control::failover_sequence(&plan, self.next_session) {
-            let cmd = builder(0);
-            self.apply_all(|| cmd.clone());
-        }
-        self.next_session += plan.new_heads.len() as u64;
+        let ops = FailoverPlan::compute(&self.ring, victim).ops(&mut self.next_session);
+        self.deliver(ops);
     }
 
     /// Plans recovery of `victim` onto `replacement`; returns the number of
@@ -221,61 +216,36 @@ impl ReplayFabric {
             return None;
         }
         let idx = recovery.next;
-        let victim = recovery.plan.failed_ip;
-        let step = recovery.plan.steps[idx].clone();
         recovery.blocked = Some(idx);
-        self.apply_all(|| ControlCmd::InstallRule {
-            failed_ip: victim,
-            rule: step.block,
-            token: 0,
-        });
-        Some(step.group)
+        let group = recovery.plan.steps[idx].group;
+        let ops = recovery.plan.block_ops(idx);
+        self.deliver(ops);
+        Some(group)
     }
 
     /// Synchronise + phase 2 of the blocked step: copy the group's state
-    /// from the donor to the replacement on every shard, activate the
+    /// from every donor to the replacement on every shard, activate the
     /// replacement (with a fresh session), install the redirect and drop the
     /// block. Returns the activated group.
     pub fn finish_blocked_group(&mut self) -> Option<u32> {
         let recovery = self.recovery.as_mut()?;
         let idx = recovery.blocked.take()?;
         recovery.next = idx + 1;
-        let victim = recovery.plan.failed_ip;
-        let replacement = recovery.plan.replacement_ip;
-        let modulus = recovery.plan.modulus;
-        let step = recovery.plan.steps[idx].clone();
+        let plan = &recovery.plan;
+        let step = &plan.steps[idx];
+        let replacement = Target::Switch(plan.replacement_ip);
         for &donor in &step.donors {
             for shard in &mut self.shards {
-                let evt = control::apply(
-                    shard,
-                    ControlCmd::ExportGroup {
-                        ip: donor,
-                        group: step.group,
-                        modulus,
-                        token: 0,
-                    },
-                );
-                let ControlEvt::Export { entries, .. } = evt else {
-                    unreachable!("ExportGroup answers with Export");
-                };
-                let evt = control::apply(
-                    shard,
-                    ControlCmd::ImportEntries {
-                        ip: replacement,
-                        entries,
-                        token: 0,
-                    },
-                );
-                debug_assert!(matches!(evt, ControlEvt::Ack { .. }));
+                let entries = shard.switch(donor).map_or_else(Vec::new, |sw| {
+                    sw.kv().export_group(step.group, plan.modulus)
+                });
+                shard.apply(replacement, &ControlOp::Import(entries));
             }
         }
-        let session = self.next_session;
-        self.next_session += 1;
-        for builder in control::activation_sequence(victim, replacement, session, &step) {
-            let cmd = builder(0);
-            self.apply_all(|| cmd.clone());
-        }
-        Some(step.group)
+        let group = step.group;
+        let ops = plan.activate_ops(idx, &mut self.next_session);
+        self.deliver(ops);
+        Some(group)
     }
 
     /// Runs every remaining repair step to completion (finishing a group the

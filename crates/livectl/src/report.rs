@@ -27,11 +27,6 @@ impl LiveAnomaly {
             LiveAnomaly::Audit(v) => v.describe(),
         }
     }
-
-    /// True for shadow-auditor consistency violations.
-    pub fn is_audit(&self) -> bool {
-        matches!(self, LiveAnomaly::Audit(_))
-    }
 }
 
 /// When each control-plane phase happened, as offsets from run start, plus

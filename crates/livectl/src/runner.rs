@@ -17,16 +17,17 @@
 //!   register state from donor to replacement through the control channel
 //!   while untouched groups keep serving.
 
-use crate::control::{self, ControlCmd, ControlEvt};
+use crate::control::{self, ControlCmd, ControlEvt, Tagged};
 use crate::detector::{DetectorConfig, GrayFailureDetector};
 use crate::report::{FailoverTimeline, LiveAnomaly, LiveReport};
 use crate::script::FaultScript;
-use netchain_core::failplan::{self, FailoverPlan, RecoveryPlan};
+use netchain_core::failplan::{self, FailoverPlan, OpList, RecoveryPlan, Target};
 use netchain_core::{AgentConfig, HashRing};
 use netchain_fabric::{
     build_shards, connect, spsc_ring, ClientState, Consumer, FabricConfig, Producer, WorkloadSpec,
 };
 use netchain_sim::{SimDuration, SimTime};
+use netchain_switch::ControlOp;
 use netchain_telemetry::{
     merge_traces, FlightRecorder, HistSnapshot, Journal, Json, PacketTrace, ShadowAuditor,
     TimeSeries, WindowChannel, WindowRegistry,
@@ -95,8 +96,8 @@ impl LiveConfig {
 
 /// The controller's end of one shard's control channel.
 struct ControllerLink {
-    tx: Producer<ControlCmd>,
-    rx: Consumer<ControlEvt>,
+    tx: Producer<Tagged<ControlCmd>>,
+    rx: Consumer<Tagged<ControlEvt>>,
 }
 
 /// Pushes `item` into a control ring, yielding while it is full.
@@ -108,16 +109,15 @@ fn push_blocking<T: Send>(tx: &mut Producer<T>, mut item: T) {
 }
 
 impl ControllerLink {
-    fn send(&mut self, cmd: ControlCmd) {
-        push_blocking(&mut self.tx, cmd);
+    fn send(&mut self, token: u64, cmd: ControlCmd) {
+        push_blocking(&mut self.tx, Some((token, cmd)));
     }
 
     fn wait(&mut self, token: u64) -> ControlEvt {
         loop {
-            if let Some(evt) = self.rx.pop() {
+            if let Some((acked, evt)) = self.rx.pop().flatten() {
                 assert_eq!(
-                    evt.token(),
-                    token,
+                    acked, token,
                     "control channel is FIFO; events must arrive in order"
                 );
                 return evt;
@@ -139,19 +139,32 @@ struct LiveController {
 }
 
 impl LiveController {
-    fn token(&mut self) -> u64 {
+    /// Sends `cmd` to shard `link` under a fresh token and waits for its
+    /// event.
+    fn call(&mut self, link: usize, cmd: ControlCmd) -> ControlEvt {
         self.next_token += 1;
-        self.next_token
+        self.links[link].send(self.next_token, cmd);
+        self.links[link].wait(self.next_token)
     }
 
-    /// Sends `cmd(token)` to every shard and waits for all acks.
-    fn broadcast(&mut self, cmd: impl Fn(u64) -> ControlCmd) {
-        let tokens: Vec<u64> = (0..self.links.len()).map(|_| self.token()).collect();
-        for (link, &token) in self.links.iter_mut().zip(&tokens) {
-            link.send(cmd(token));
+    /// Sends `cmd` to every shard, each under a fresh token, and waits for
+    /// all acks.
+    fn broadcast(&mut self, cmd: ControlCmd) {
+        let first = self.next_token + 1;
+        self.next_token += self.links.len() as u64;
+        for (link, token) in self.links.iter_mut().zip(first..) {
+            link.send(token, cmd.clone());
         }
-        for (link, &token) in self.links.iter_mut().zip(&tokens) {
+        for (link, token) in self.links.iter_mut().zip(first..) {
             link.wait(token);
+        }
+    }
+
+    /// Delivers a plan's op list: each op is broadcast and acknowledged by
+    /// every shard before the next one goes out.
+    fn deliver(&mut self, ops: OpList) {
+        for (target, op) in ops {
+            self.broadcast(ControlCmd::Op(target, op));
         }
     }
 
@@ -172,18 +185,14 @@ impl LiveController {
 
         // Fault injection.
         Self::sleep_until(t0, script.kill_at);
-        self.broadcast(|token| ControlCmd::KillSwitch { ip: victim, token });
+        self.broadcast(ControlCmd::KillSwitch(victim));
         timeline.killed_at = t0.elapsed();
 
-        // Fast failover (Algorithm 2), after the detection delay. The
-        // command sequence is shared with the replay driver.
+        // Fast failover (Algorithm 2), after the detection delay.
         Self::sleep_until(t0, script.kill_at + script.failover_delay);
         timeline.failover_started_at = t0.elapsed();
-        let plan = FailoverPlan::compute(&self.ring, victim);
-        for builder in control::failover_sequence(&plan, self.next_session) {
-            self.broadcast(&builder);
-        }
-        self.next_session += plan.new_heads.len() as u64;
+        let ops = FailoverPlan::compute(&self.ring, victim).ops(&mut self.next_session);
+        self.deliver(ops);
         timeline.failover_installed_at = t0.elapsed();
         timeline.failover_install_time =
             timeline.failover_installed_at - timeline.failover_started_at;
@@ -215,37 +224,24 @@ impl LiveController {
         for (i, step) in rplan.steps.iter().enumerate() {
             // Phase 1: block this group's traffic to the victim, everywhere,
             // before any state moves.
-            self.broadcast(|token| ControlCmd::InstallRule {
-                failed_ip: victim,
-                rule: step.block,
-                token,
-            });
+            self.deliver(rplan.block_ops(i));
             // Synchronise: pull the group's entries from every live donor
             // replica of each shard and push the union into the same shard's
             // replacement replica (shards own disjoint keys, so a group's
             // donors and replacement always pair up within one shard; the
             // per-key version registers arbitrate between donors).
             for &donor in &step.donors {
-                for link in self.links.iter_mut() {
-                    self.next_token += 1;
-                    let token = self.next_token;
-                    link.send(ControlCmd::ExportGroup {
+                for link in 0..self.links.len() {
+                    let export = ControlCmd::ExportGroup {
                         ip: donor,
                         group: step.group,
                         modulus: rplan.modulus,
-                        token,
-                    });
-                    let ControlEvt::Export { entries, .. } = link.wait(token) else {
+                    };
+                    let ControlEvt::Export(entries) = self.call(link, export) else {
                         unreachable!("ExportGroup is answered with Export");
                     };
-                    self.next_token += 1;
-                    let token = self.next_token;
-                    link.send(ControlCmd::ImportEntries {
-                        ip: replacement,
-                        entries,
-                        token,
-                    });
-                    link.wait(token);
+                    let import = ControlOp::Import(entries);
+                    self.call(link, ControlCmd::Op(Target::Switch(replacement), import));
                 }
             }
             // The blocked window is the group's share of the sync budget
@@ -255,13 +251,9 @@ impl LiveController {
             // machine eats into later budgets instead of accumulating drift.
             Self::sleep_until(t0, repair_start + per_group * (i as u32 + 1));
             // Phase 2: activate the replacement and atomically switch the
-            // group over (redirect overrides the block it replaces). The
-            // sequence is shared with the replay driver.
-            let session = self.next_session;
-            self.next_session += 1;
-            for builder in control::activation_sequence(victim, replacement, session, step) {
-                self.broadcast(&builder);
-            }
+            // group over (redirect overrides the block it replaces).
+            let ops = rplan.activate_ops(i, &mut self.next_session);
+            self.deliver(ops);
             timeline.group_activations.push(t0.elapsed());
         }
         timeline.repair_finished_at = t0.elapsed();
@@ -318,11 +310,11 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
     let (client_ports, shard_ports) = connect(&fabric);
     // Control rings: one command/event pair per shard.
     let mut ctrl_links: Vec<ControllerLink> = Vec::new();
-    let mut ctrl_cmd_rx: Vec<Consumer<ControlCmd>> = Vec::new();
-    let mut ctrl_evt_tx: Vec<Producer<ControlEvt>> = Vec::new();
+    let mut ctrl_cmd_rx: Vec<Consumer<Tagged<ControlCmd>>> = Vec::new();
+    let mut ctrl_evt_tx: Vec<Producer<Tagged<ControlEvt>>> = Vec::new();
     for _ in 0..fabric.num_shards {
-        let (cmd_tx, cmd_rx) = spsc_ring::<ControlCmd>(CONTROL_RING);
-        let (evt_tx, evt_rx) = spsc_ring::<ControlEvt>(CONTROL_RING);
+        let (cmd_tx, cmd_rx) = spsc_ring(CONTROL_RING);
+        let (evt_tx, evt_rx) = spsc_ring(CONTROL_RING);
         ctrl_links.push(ControllerLink {
             tx: cmd_tx,
             rx: evt_rx,
@@ -370,8 +362,9 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
                 loop {
                     // Control plane first: commands take effect at burst
                     // boundaries, like table updates between pipeline passes.
-                    while let Some(cmd) = cmd_rx.pop() {
-                        push_blocking(&mut evt_tx, control::apply(&mut shard, cmd));
+                    while let Some((token, cmd)) = cmd_rx.pop().flatten() {
+                        let evt = control::apply(&mut shard, cmd);
+                        push_blocking(&mut evt_tx, Some((token, evt)));
                     }
                     // A client that gave up (hard stop) with its reply ring
                     // full has left its replies without a reader.

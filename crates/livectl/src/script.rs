@@ -45,21 +45,6 @@ pub struct FaultScript {
 }
 
 impl FaultScript {
-    /// A script that kills `victim` with paper-shaped (but scaled-down)
-    /// timings: kill at 600 ms, 50 ms detection, repair from 1.2 s taking
-    /// 600 ms, in `groups` virtual groups.
-    pub fn scaled_default(victim: Ipv4Addr, groups: u32) -> Self {
-        FaultScript {
-            victim,
-            kill_at: Duration::from_millis(600),
-            failover_delay: Duration::from_millis(50),
-            recovery_delay: Duration::from_millis(550),
-            sync_duration: Duration::from_millis(600),
-            recovery_groups: Some(groups),
-            replacement: None,
-        }
-    }
-
     /// When repair finishes, relative to run start.
     pub fn repair_ends_at(&self) -> Duration {
         self.kill_at + self.failover_delay + self.recovery_delay + self.sync_duration

@@ -220,3 +220,96 @@ fn live_fabric_matches_simulator_across_failover_and_repair() {
         );
     }
 }
+
+/// One plan, three transports. The op lists of Algorithms 2 and 3 reach a
+/// simulated `SwitchNode` as control messages from the `Controller`, a fabric
+/// `Shard` through `Shard::apply`, and the `ReplayFabric`'s shards through
+/// its own verbs; afterwards every switch must hold the same rule table, the
+/// same session and the same activity flag whichever way it was programmed.
+///
+/// The simulated topology is one spine (S0, the victim) over three leaves,
+/// so the victim's neighbours are all the other switches: what "neighbours"
+/// means inside a shard, where every live replica is one.
+#[test]
+fn one_plan_programs_sim_shard_and_replay_alike() {
+    use netchain_core::failplan::{FailoverPlan, RecoveryPlan};
+    use netchain_fabric::Shard;
+    use std::collections::HashSet;
+
+    let pipeline = PipelineConfig::tiny(16);
+    let victim = Ipv4Addr::for_switch(0);
+    let spare = Ipv4Addr::for_switch(REPLACEMENT);
+    let config = ClusterConfig {
+        pipeline,
+        ring_switches: Some(3),
+        sim: SimConfig::default().with_detection_delay(SimDuration::from_millis(10)),
+        controller: ControllerConfig {
+            recovery_start_delay: SimDuration::from_millis(20),
+            total_sync_duration: SimDuration::from_millis(50),
+            replacement: Some(spare),
+            recovery_groups: Some(RECOVERY_GROUPS),
+            ..ControllerConfig::default()
+        },
+        ..ClusterConfig::default()
+    };
+
+    // Simulator: the controller plans and delivers over the control network.
+    let mut cluster = NetChainCluster::spine_leaf(1, 3, 1, config);
+    cluster.fail_switch_at(netchain_sim::SimTime::ZERO + SimDuration::from_millis(5), 0);
+    cluster.sim.run_for(SimDuration::from_millis(200));
+    assert_eq!(cluster.controller().records().len(), 1, "repair finished");
+    let ring = cluster.ring().clone();
+
+    // One shard, handed the same lists op by op.
+    let mut shard = Shard::with_spares(0, 1, ring.clone(), pipeline, &[spare]);
+    shard.kill_switch(victim);
+    let mut deliver = |ops: netchain_core::failplan::OpList| {
+        for (target, op) in &ops {
+            shard.apply(*target, op);
+        }
+    };
+    let mut session = 1;
+    deliver(FailoverPlan::compute(&ring, victim).ops(&mut session));
+    let plan = RecoveryPlan::compute(
+        &ring,
+        victim,
+        spare,
+        Some(RECOVERY_GROUPS),
+        &HashSet::from([victim]),
+    );
+    for step in 0..plan.steps.len() {
+        deliver(plan.block_ops(step));
+        deliver(plan.activate_ops(step, &mut session));
+    }
+
+    // Replay fabric, two shards, through its own verbs.
+    let mut replay = ReplayFabric::new(ring, 2, pipeline, &[spare], cluster.agent_config(0));
+    replay.kill(victim);
+    replay.fast_failover(victim);
+    replay.start_recovery(victim, spare, Some(RECOVERY_GROUPS));
+    replay.repair_all();
+
+    for idx in 0..4usize {
+        let ip = Ipv4Addr::for_switch(idx as u32);
+        let sim = cluster.switch(idx).switch();
+        let programmed = (sim.forwarding(), sim.session(), sim.is_active());
+        if ip != victim {
+            assert_eq!(sim.forwarding().len(), 1 + RECOVERY_GROUPS as usize);
+        }
+        let replicas = replay.shards().iter().chain([&shard]);
+        for replica in replicas.map(|s| s.switch(ip).expect("hosted")) {
+            assert_eq!(
+                (replica.forwarding(), replica.session(), replica.is_active()),
+                programmed,
+                "switch {idx} was programmed differently"
+            );
+        }
+    }
+    // The sessions were numbered once, inside the lists.
+    let heads = FailoverPlan::compute(cluster.ring(), victim).new_heads;
+    assert_eq!(session, 1 + (heads.len() + plan.steps.len()) as u64);
+    assert_eq!(
+        cluster.switch(REPLACEMENT as usize).switch().session(),
+        session - 1
+    );
+}

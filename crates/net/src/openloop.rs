@@ -87,7 +87,7 @@ impl OpenLoopConfig {
 }
 
 /// The outcome of an open-loop run (all counters summed over agents).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OpenLoopReport {
     /// The configured offered rate (ops/s).
     pub offered_rate: f64,
@@ -144,7 +144,7 @@ pub fn run_open_loop(
     assert!(per_thread > 0);
     let rate_per_thread = config.target_rate / config.threads as f64;
     let start = Instant::now();
-    let thread_outcomes: Vec<ThreadOutcome> = std::thread::scope(|scope| {
+    let threads: Vec<OpenLoopReport> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..config.threads)
             .map(|t| {
                 scope.spawn(move || {
@@ -157,59 +157,37 @@ pub fn run_open_loop(
             .map(|h| h.join().expect("generator thread must not panic"))
             .collect()
     });
-    let elapsed = start.elapsed().min(config.duration);
     let mut report = OpenLoopReport {
         offered_rate: config.target_rate,
-        achieved_rate: 0.0,
-        issued: 0,
-        completed: 0,
-        ok: 0,
-        cas_failed: 0,
-        retries: 0,
-        abandoned: 0,
-        stale_replies: 0,
-        version_regressions: 0,
-        latency: HistSnapshot::empty(),
-        issue_lag: HistSnapshot::empty(),
-        overslept: 0,
-        send_errors: 0,
-        elapsed,
-        traces: Vec::new(),
+        elapsed: start.elapsed().min(config.duration),
+        ..OpenLoopReport::default()
     };
-    for outcome in thread_outcomes {
-        report.issued += outcome.issued;
-        report.completed += outcome.completed;
-        report.ok += outcome.ok;
-        report.cas_failed += outcome.cas_failed;
-        report.retries += outcome.retries;
-        report.abandoned += outcome.abandoned;
-        report.stale_replies += outcome.stale_replies;
-        report.version_regressions += outcome.version_regressions;
-        report.latency.merge(&outcome.latency);
-        report.issue_lag.merge(&outcome.issue_lag);
-        report.overslept += outcome.overslept;
-        report.send_errors += outcome.send_errors;
-        report.traces.extend(outcome.traces);
+    for thread in threads {
+        report.merge(thread);
     }
     report.achieved_rate = report.completed as f64 / config.duration.as_secs_f64();
     report
 }
 
-#[derive(Debug, Default)]
-struct ThreadOutcome {
-    issued: u64,
-    completed: u64,
-    ok: u64,
-    cas_failed: u64,
-    retries: u64,
-    abandoned: u64,
-    stale_replies: u64,
-    version_regressions: u64,
-    latency: HistSnapshot,
-    issue_lag: HistSnapshot,
-    overslept: u64,
-    send_errors: u64,
-    traces: Vec<PacketTrace>,
+impl OpenLoopReport {
+    /// Folds one generator thread's counts, distributions and traces into
+    /// the run's. The rates and the window's span belong to the run, not to
+    /// a thread, and are left alone.
+    fn merge(&mut self, thread: OpenLoopReport) {
+        self.issued += thread.issued;
+        self.completed += thread.completed;
+        self.ok += thread.ok;
+        self.cas_failed += thread.cas_failed;
+        self.retries += thread.retries;
+        self.abandoned += thread.abandoned;
+        self.stale_replies += thread.stale_replies;
+        self.version_regressions += thread.version_regressions;
+        self.latency.merge(&thread.latency);
+        self.issue_lag.merge(&thread.issue_lag);
+        self.overslept += thread.overslept;
+        self.send_errors += thread.send_errors;
+        self.traces.extend(thread.traces);
+    }
 }
 
 /// How far ahead of the next scheduled event the generator stops sleeping
@@ -245,7 +223,7 @@ fn generator_thread(
     thread_index: usize,
     per_thread: usize,
     rate: f64,
-) -> ThreadOutcome {
+) -> OpenLoopReport {
     let socket = UdpSocket::bind("127.0.0.1:0").expect("bind generator socket");
     // Non-blocking, paced explicitly below: a blocking recv timeout would be
     // rounded up to scheduler jiffies (milliseconds) by the kernel, which
@@ -283,7 +261,7 @@ fn generator_thread(
     // Scheduled times of the ops queued in `sq`, for `issue_lag`.
     let mut due_ns = [0u64; MAX_BURST];
     let mut issue_lag = LatencyHistogram::new();
-    let mut outcome = ThreadOutcome::default();
+    let mut outcome = OpenLoopReport::default();
 
     // All clocks are relative to the *dataplane's* epoch, not a thread-local
     // Instant: shard workers stamp trace evidence on that origin, and the

@@ -48,14 +48,6 @@ impl LinkParams {
         }
     }
 
-    /// A 25 Gbps NIC link (one server in the paper's testbed has a 25G NIC).
-    pub fn datacenter_25g() -> Self {
-        LinkParams {
-            bandwidth_bps: 25_000_000_000,
-            ..Self::datacenter_40g()
-        }
-    }
-
     /// An ideal link: zero latency, effectively infinite bandwidth, no loss.
     /// Useful for unit tests that want to exercise protocol logic only.
     pub fn ideal() -> Self {

@@ -131,11 +131,6 @@ impl<'a, M: Message> Context<'a, M> {
         (self.rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Draws a uniform `u64` from the simulation PRNG.
-    pub fn random_u64(&mut self) -> u64 {
-        self.rng.next_u64()
-    }
-
     /// Draws a uniform integer in `[0, bound)` (bound must be non-zero).
     pub fn random_below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "random_below requires a non-zero bound");

@@ -152,13 +152,6 @@ impl<M: Message> Simulator<M> {
             .expect("node not installed")
     }
 
-    /// Mutably borrow a node's behaviour.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut dyn Node<M> {
-        self.nodes[id.index()]
-            .as_deref_mut()
-            .expect("node not installed")
-    }
-
     /// Downcasts a node to its concrete type for post-run inspection.
     pub fn node_as<T: 'static>(&self, id: NodeId) -> Option<&T> {
         self.nodes[id.index()]
@@ -181,12 +174,6 @@ impl<M: Message> Simulator<M> {
                 FaultAction::Recover(node) => self.queue.push(at, Event::NodeUp { node }),
             }
         }
-    }
-
-    /// Injects a message for delivery to `to` at absolute time `at` without
-    /// traversing any link (harness-level injection / control channel).
-    pub fn schedule_message(&mut self, at: SimTime, from: NodeId, to: NodeId, msg: M) {
-        self.queue.push(at, Event::Deliver { from, to, msg });
     }
 
     /// Runs until the event queue drains, `deadline` is reached, or the event
@@ -216,23 +203,6 @@ impl<M: Message> Simulator<M> {
     pub fn run_for(&mut self, duration: SimDuration) -> SimTime {
         let deadline = self.now + duration;
         self.run_until(deadline)
-    }
-
-    /// Runs until the event queue is completely drained (or the event cap is
-    /// hit). Only sensible for workloads that terminate by themselves.
-    pub fn run_to_completion(&mut self) -> SimTime {
-        self.ensure_started();
-        while !self.stopped && self.stats.events_processed < self.config.max_events {
-            match self.queue.pop() {
-                Some((time, event)) => {
-                    self.now = time;
-                    self.process(event);
-                    self.stats.events_processed += 1;
-                }
-                None => break,
-            }
-        }
-        self.now
     }
 
     fn ensure_started(&mut self) {

@@ -86,7 +86,7 @@ pub struct FailoverRule {
 /// Every packet a switch forwards onwards is matched against this table, so
 /// the destinations are a short list compared by value (a handful of failed
 /// switches at most), not a hash map.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ForwardingTable {
     /// Per failed IP, its rules in descending priority; never empty.
     rules: Vec<(Ipv4Addr, Vec<FailoverRule>)>,

@@ -26,6 +26,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod control;
 pub mod forward;
 pub mod kv;
 pub mod pipeline;
@@ -34,6 +35,7 @@ pub mod register;
 pub mod stats;
 pub mod table;
 
+pub use control::ControlOp;
 pub use forward::{stable_hash_batch, FailoverAction, FailoverRule, ForwardingTable, RuleScope};
 pub use kv::{ExportedEntry, KvError, SwitchKvStore};
 pub use pipeline::{PipelineConfig, ResourceUsage};

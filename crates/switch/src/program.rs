@@ -110,11 +110,6 @@ impl NetChainSwitch {
         self.stats
     }
 
-    /// Resets counters (used between experiment phases).
-    pub fn reset_stats(&mut self) {
-        self.stats = SwitchStats::default();
-    }
-
     /// Publishes executor gauges (queue depth, service-latency buckets) for
     /// the next stat probe reply. Called at burst boundaries, never per
     /// packet.

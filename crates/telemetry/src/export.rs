@@ -9,7 +9,6 @@
 
 use std::fmt::Write as _;
 use std::fs;
-use std::io::Write as _;
 use std::path::PathBuf;
 
 use crate::hist::Quantiles;
@@ -20,8 +19,7 @@ use crate::trace::{
 };
 
 /// A JSON value. The repo builds without serde (offline, no new deps), so
-/// this mirrors the hand-rolled rendering already used by
-/// `netchain-experiments::series`, but as a reusable tree.
+/// this tree is its one JSON encoder and reader.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`
@@ -613,6 +611,23 @@ pub fn artifact_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("."))
 }
 
+/// Writes `contents` as `file_name` into [`artifact_dir`], creating the
+/// directory if it is not there yet (a failure's evidence must not depend on
+/// someone having run `mkdir` first), and returns the path. Errors are
+/// reported, not fatal: a read-only filesystem must not fail the run the
+/// artifact documents.
+pub(crate) fn write_artifact(file_name: &str, contents: &str) -> Option<PathBuf> {
+    let dir = artifact_dir();
+    let path = dir.join(file_name);
+    match fs::create_dir_all(&dir).and_then(|()| fs::write(&path, contents)) {
+        Ok(()) => Some(path),
+        Err(e) => {
+            eprintln!("warning: could not write {}: {e}", path.display());
+            None
+        }
+    }
+}
+
 /// Accumulates JSON-lines records for one run and writes them as
 /// `BENCH_<name>.jsonl`.
 #[derive(Debug)]
@@ -657,29 +672,21 @@ impl ArtifactWriter {
         out
     }
 
-    /// Writes `BENCH_<name>.jsonl` into [`artifact_dir`], returning the
-    /// path. Errors are reported, not fatal: a read-only filesystem must
-    /// not fail an experiment run.
+    /// Writes `BENCH_<name>.jsonl` into [`artifact_dir`] (created if missing),
+    /// returning the path. Errors are reported, not fatal.
     pub fn write(&self) -> Option<PathBuf> {
-        let path = artifact_dir().join(format!("BENCH_{}.jsonl", self.name));
-        let write = || -> std::io::Result<()> {
-            let mut f = fs::File::create(&path)?;
-            f.write_all(self.to_jsonl().as_bytes())
-        };
-        match write() {
-            Ok(()) => Some(path),
-            Err(e) => {
-                eprintln!("warning: could not write artifact {}: {e}", path.display());
-                None
-            }
-        }
+        write_artifact(&format!("BENCH_{}.jsonl", self.name), &self.to_jsonl())
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::hist::LatencyHistogram;
+
+    /// `NETCHAIN_ARTIFACT_DIR` is process-wide and tests run on parallel
+    /// threads: every test that sets it holds this lock meanwhile.
+    pub(crate) static ARTIFACT_ENV: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn json_rendering() {
@@ -866,17 +873,21 @@ mod tests {
 
     #[test]
     fn artifact_writes_to_env_dir() {
-        let dir =
+        let _env = ARTIFACT_ENV.lock().unwrap_or_else(|e| e.into_inner());
+        let root =
             std::env::temp_dir().join(format!("netchain-telemetry-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        // A directory nobody has created yet, as on a fresh CI checkout.
+        let dir = root.join("not/yet");
+        assert!(!dir.exists());
         std::env::set_var("NETCHAIN_ARTIFACT_DIR", &dir);
         let mut w = ArtifactWriter::new("env-test");
         w.record("summary", vec![("x", Json::U64(1))]);
-        let path = w.write().unwrap();
+        let path = w.write();
         std::env::remove_var("NETCHAIN_ARTIFACT_DIR");
+        let path = path.expect("the writer creates its directory");
         assert!(path.starts_with(&dir));
         let read = std::fs::read_to_string(&path).unwrap();
         assert_eq!(read, "{\"record\":\"summary\",\"x\":1}\n");
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -6,7 +6,8 @@
 //! The recorder keeps the last `capacity` events — journal instants/spans,
 //! trace summaries, detector verdicts, arbitrary annotations — in memory,
 //! and [`FlightRecorder::dump`] writes them as `FLIGHT_<name>.jsonl` into
-//! [`artifact_dir`] ($NETCHAIN_ARTIFACT_DIR or the current directory). The
+//! [`crate::artifact_dir`] ($NETCHAIN_ARTIFACT_DIR or the current directory,
+//! created if missing). The
 //! livectl gray-failure detector dumps on every anomaly; `failover_live`
 //! dumps on smoke failure.
 //!
@@ -18,7 +19,7 @@ use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-use crate::export::{artifact_dir, Json};
+use crate::export::{write_artifact, Json};
 use crate::journal::Journal;
 use crate::trace::TraceSummary;
 
@@ -134,21 +135,12 @@ impl FlightRecorder {
         out
     }
 
-    /// Dumps the retained events as `FLIGHT_<name>.jsonl` into
-    /// [`artifact_dir`], returning the path. Errors are reported, not fatal
-    /// — a failing dump must never take down the run it is documenting.
+    /// Dumps the retained events as `FLIGHT_<name>.jsonl` into the artifact
+    /// directory (created if missing), returning the path. Errors are
+    /// reported, not fatal — a failing dump must never take down the run it
+    /// is documenting.
     pub fn dump(&self, name: &str) -> Option<PathBuf> {
-        let path = artifact_dir().join(format!("FLIGHT_{name}.jsonl"));
-        match std::fs::write(&path, self.to_jsonl()) {
-            Ok(()) => Some(path),
-            Err(e) => {
-                eprintln!(
-                    "warning: could not write flight dump {}: {e}",
-                    path.display()
-                );
-                None
-            }
-        }
+        write_artifact(&format!("FLIGHT_{name}.jsonl"), &self.to_jsonl())
     }
 }
 
@@ -188,17 +180,25 @@ mod tests {
 
     #[test]
     fn dump_writes_to_artifact_dir() {
-        let dir = std::env::temp_dir().join(format!("netchain-flight-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let _env = crate::export::tests::ARTIFACT_ENV
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let root =
+            std::env::temp_dir().join(format!("netchain-flight-test-{}", std::process::id()));
+        // The monitor dumps on the first anomaly of a run, before anything
+        // else has had a reason to create the directory.
+        let dir = root.join("not/yet");
+        assert!(!dir.exists());
         std::env::set_var("NETCHAIN_ARTIFACT_DIR", &dir);
         let fr = FlightRecorder::new(4);
         fr.record(1, "anomaly", vec![("shard", Json::U64(2))]);
-        let path = fr.dump("test").unwrap();
+        let path = fr.dump("test");
         std::env::remove_var("NETCHAIN_ARTIFACT_DIR");
+        let path = path.expect("the recorder creates its directory");
         assert!(path.starts_with(&dir));
         let read = std::fs::read_to_string(&path).unwrap();
         assert!(read.contains("\"kind\":\"anomaly\""));
         assert!(read.contains("\"shard\":2"));
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -53,11 +53,6 @@ impl Ipv4Addr {
         Ipv4Addr(v.to_be_bytes())
     }
 
-    /// True if this is the unspecified address.
-    pub fn is_unspecified(self) -> bool {
-        self == Self::UNSPECIFIED
-    }
-
     /// Converts to a `std::net::Ipv4Addr` (used by the UDP loopback mode).
     pub fn to_std(self) -> std::net::Ipv4Addr {
         std::net::Ipv4Addr::new(self.0[0], self.0[1], self.0[2], self.0[3])
