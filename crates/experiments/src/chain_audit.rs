@@ -36,35 +36,42 @@ pub struct FileAudit {
     /// Lines that were not valid JSON objects.
     pub malformed: usize,
     /// The audit verdict of each labelled run over its own traces and
-    /// journal, by label. File totals are derived from these.
-    pub runs: Vec<(String, AuditReport)>,
+    /// journal, by label, with the operations the run completed (its
+    /// `"sampling"` record; 0 without one). File totals derive from these.
+    pub runs: Vec<(String, AuditReport, u64)>,
 }
 
 impl FileAudit {
     /// One counter of the per-run verdicts, summed over the file.
     fn total(&self, counter: impl Fn(&AuditReport) -> usize) -> usize {
-        self.runs.iter().map(|(_, run)| counter(run)).sum()
+        self.runs.iter().map(|(_, run, _)| counter(run)).sum()
     }
 
     /// Every run's violations, in label order.
     fn violations(&self) -> Vec<&Violation> {
         let runs = self.runs.iter();
-        runs.flat_map(|(_, run)| &run.violations).collect()
+        runs.flat_map(|(_, run, _)| &run.violations).collect()
     }
 }
 
 /// How much of a run the auditor judged: checked / suppressed / truncated as
 /// shares of the acked operations it reconstructed, so "clean" can be told
-/// from "judged the first 80 ms and nothing after the sinks filled".
-fn coverage_line(report: &AuditReport) -> String {
+/// from "judged the first 80 ms and nothing after the sinks filled"; and of
+/// the `ops` the run completed (if it says), the share sampling left out.
+fn coverage_line(report: &AuditReport, ops: u64) -> String {
     let acked = report.writes + report.reads;
     let share = |n: usize| 100.0 * n as f64 / acked.max(1) as f64;
-    format!(
+    let mut line = format!(
         "checked {:.1}% suppressed {:.1}% truncated {:.1}% of {acked} acked ops",
         share(report.checked),
         share(report.suppressed),
         share(report.truncated),
-    )
+    );
+    if ops > 0 {
+        let sampled_out = 100.0 * (1.0 - report.traces as f64 / ops as f64);
+        line += &format!("; sampled out {sampled_out:.2}% of {ops} ops");
+    }
+    line
 }
 
 /// One run's worth of records inside an artifact file, keyed by the
@@ -73,6 +80,7 @@ fn coverage_line(report: &AuditReport) -> String {
 struct RunRecords {
     traces: Vec<PacketTrace>,
     journal: Journal,
+    ops: u64,
 }
 
 /// Parses one JSONL artifact and audits each labelled run inside it against
@@ -101,6 +109,9 @@ pub fn audit_file(path: &Path, config: &AuditConfig) -> Result<FileAudit, String
                 Ok(t) => runs.entry(label.to_string()).or_default().traces.push(t),
                 Err(_) => rejected += 1,
             }
+        } else if record == "sampling" {
+            runs.entry(label.to_string()).or_default().ops =
+                doc.get("ops").and_then(Json::as_u64).unwrap_or(0);
         } else if record == "spans" {
             if let Some(j) = doc.get("journal") {
                 merge_journal(
@@ -134,7 +145,7 @@ pub fn audit_file(path: &Path, config: &AuditConfig) -> Result<FileAudit, String
     let traces = runs.values().map(|run| run.traces.len()).sum();
     let runs = runs
         .into_iter()
-        .map(|(label, run)| (label, audit(&run.traces, &run.journal, config)))
+        .map(|(label, run)| (label, audit(&run.traces, &run.journal, config), run.ops))
         .collect();
     Ok(FileAudit {
         path: path.to_path_buf(),
@@ -239,8 +250,8 @@ pub fn run_cli(args: &[String]) -> i32 {
                 String::new()
             },
         );
-        for (label, run) in &audit.runs {
-            println!("  run {label:?}: {}", coverage_line(run));
+        for (label, run, ops) in &audit.runs {
+            println!("  run {label:?}: {}", coverage_line(run, *ops));
         }
         for violation in &violations {
             println!("  VIOLATION {}", violation.describe());
@@ -477,6 +488,9 @@ mod tests {
                 labelled.push(record_line("trace", fields));
             }
         }
+        // Run "b" also says what its two traces are a sample of.
+        let sampling = vec![("run", Json::str("b")), ("ops", Json::U64(800))];
+        labelled.push(record_line("sampling", sampling));
         let path = dir.join("BENCH_runs.jsonl");
         std::fs::write(&path, labelled.join("\n") + "\n").unwrap();
         let audit = audit_file(&path, &AuditConfig::default()).unwrap();
@@ -484,14 +498,14 @@ mod tests {
         assert_eq!(audit.violations(), Vec::<&Violation>::new());
         // Each run reports its own coverage: one write and one read, both
         // judged, nothing truncated.
-        let labels: Vec<&str> = audit.runs.iter().map(|(l, _)| l.as_str()).collect();
-        assert_eq!(labels, ["a", "b"]);
-        for (_, run) in &audit.runs {
-            assert_eq!(
-                coverage_line(run),
-                "checked 100.0% suppressed 0.0% truncated 0.0% of 2 acked ops"
-            );
-        }
+        let lines: Vec<(&str, String)> = audit
+            .runs
+            .iter()
+            .map(|(label, run, ops)| (label.as_str(), coverage_line(run, *ops)))
+            .collect();
+        let judged = "checked 100.0% suppressed 0.0% truncated 0.0% of 2 acked ops";
+        let sampled = format!("{judged}; sampled out 99.75% of 800 ops");
+        assert_eq!(lines, [("a", judged.to_string()), ("b", sampled)]);
 
         // The same records without labels collapse into one run and the
         // duplicated trace ids / restarted histories are (rightly) judged

@@ -21,13 +21,13 @@ use netchain_telemetry::{
 use netchain_wire::Ipv4Addr;
 use std::time::Duration;
 
-/// Trace sampling used by the live failover runs: 1 in 2^6 queries carries a
-/// per-hop trace, capped well below memory concerns.
-const TRACE_SAMPLING: TraceConfig = TraceConfig {
-    enabled: true,
-    sample_shift: 6,
-    max_traces: 4096,
-};
+/// Trace sampling of a live failover run: a shard's sink is capped at 4096
+/// traces, and the shift is the one at which that outlasts `duration` at more
+/// than a shard has been seen to serve (8 M ops/s). At a fixed 1 in 64 the
+/// sinks were full 80 ms in, and `chain_audit` judged nothing after the kill.
+fn trace_sampling(duration: Duration) -> TraceConfig {
+    TraceConfig::lasting((duration.as_secs_f64() * 8e6) as u64, 4096)
+}
 
 /// Parameters of one live failover run (shared by every `groups` setting).
 #[derive(Debug, Clone, Copy)]
@@ -170,7 +170,7 @@ pub fn failover_live(
         ..FabricConfig::new(params.shards)
     }
     .with_spares(1)
-    .with_trace(TRACE_SAMPLING)
+    .with_trace(trace_sampling(params.duration))
     // Pin shard threads to distinct cores (no-op on unsupported platforms)
     // so failover timings measure the protocol, not scheduler placement.
     .with_pinning(true);
@@ -259,6 +259,9 @@ fn export_run(
             ("summary", Json::from(&report.trace_summary())),
         ],
     );
+    // What the traces below are a sample of.
+    let ops = ("ops", Json::U64(report.completed_ops));
+    artifact.record("sampling", vec![("run", Json::str(&run_label)), ops]);
     // Full per-trace evidence records, so `chain_audit` can replay the run's
     // consistency story offline from the artifact alone.
     for trace in &report.traces {
@@ -399,6 +402,60 @@ pub fn run_cli(args: &[String]) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netchain_telemetry::{audit, AuditConfig, HopRole, PacketTrace};
+
+    #[test]
+    fn the_audit_judges_mutations_after_the_repair() {
+        // Long enough that 1 in 64 of its operations overfills a shard's
+        // 4096-trace sink before the repair ends, even at a debug build's
+        // 160 k ops/s (an optimised one gets there in 70 ms): at that fixed
+        // shift the sink stopped recording, every later mutation reached the
+        // auditor as a client fragment with no switch stamp (truncated), and
+        // a clean audit said nothing about failover or repair.
+        let params = FailoverLiveParams {
+            duration: Duration::from_millis(3_000),
+            kill_at: Duration::from_millis(1_800),
+            sync_duration: Duration::from_millis(200),
+            ..FailoverLiveParams::smoke()
+        };
+        let (_, _, report) = failover_live(params, 16);
+        let timeline = report.timeline.as_ref().expect("a fault script ran");
+        let journal = timeline.journal();
+        assert!(
+            timeline.repair_finished_at < params.duration,
+            "{timeline:?}"
+        );
+
+        let whole = audit(&report.traces, &journal, &AuditConfig::default());
+        assert!(whole.is_clean(), "{:?}", whole.violations);
+        let acked = whole.writes + whole.reads;
+        assert!(
+            whole.checked > 0 && whole.truncated * 20 < acked,
+            "{whole:?}"
+        );
+
+        // Judged past the repair, not only before the kill: the traces
+        // issued once it was over (and the auditor's slack around it),
+        // audited on their own.
+        let repaired_ns = timeline.repair_finished_at.as_nanos() as u64 + 2_000_000;
+        let issued_after_repair = |t: &&PacketTrace| {
+            let issue = t
+                .hops
+                .iter()
+                .find(|h| h.evidence.is_some_and(|e| e.role == HopRole::ClientIssue));
+            issue.is_some_and(|h| h.at_ns > repaired_ns)
+        };
+        let after: Vec<PacketTrace> = report
+            .traces
+            .iter()
+            .filter(issued_after_repair)
+            .cloned()
+            .collect();
+        let late = audit(&after, &journal, &AuditConfig::default());
+        assert!(late.is_clean(), "{:?}", late.violations);
+        assert!(late.writes > 0 && late.checked > 0, "{late:?}");
+        assert!(late.truncated * 20 < late.writes + late.reads, "{late:?}");
+    }
 
     #[test]
     fn coarse_repair_blocks_a_strictly_larger_fraction_than_fine_repair() {

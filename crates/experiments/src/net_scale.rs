@@ -4,10 +4,10 @@
 //!
 //! This is not a reproduction of a paper figure — kernel UDP on one box is orders of magnitude slower than a
 //! Tofino — but it is the honest measurement of what the repo's socket
-//! deployment sustains, and it quantifies the one datapoint the tentpole
-//! rewrite claims: batched syscalls (`recvmmsg`/`sendmmsg` via the vendored
-//! `mmsg` shim) against the single-packet `recv_from`/`send_to` discipline,
-//! on the *identical* sharded pipeline.
+//! deployment sustains, and of where batching engages: the batch-capable
+//! discipline (the vendored `mmsg` shim takes `recvmmsg`/`sendmmsg` once it
+//! sees a backlog) against the forced `recv_from`/`send_to` discipline, on
+//! the *identical* sharded pipeline, with the call mix printed per rung.
 //!
 //! Two runs per I/O mode:
 //!
@@ -34,15 +34,16 @@ use std::time::Duration;
 
 use netchain_core::HashRing;
 
-/// Trace sampling used by the latency runs: 1 in 2^6 queries carries in-band
+/// Trace sampling of the latency runs: sampled queries carry in-band
 /// evidence stamps end to end (client issue → shard register read → client
-/// ack), enough for `chain_audit` to replay the run offline. Saturation runs
-/// stay untraced — they measure capacity, not consistency.
-const NET_TRACE_SAMPLING: TraceConfig = TraceConfig {
-    enabled: true,
-    sample_shift: 6,
-    max_traces: 4096,
-};
+/// ack), enough for `chain_audit` to replay the run offline, at the shift
+/// whose 4096-trace cap outlasts what the run offers (1 in 64 at 20 k ops/s
+/// for a second). Saturation runs stay untraced — they measure capacity, not
+/// consistency.
+fn trace_sampling(params: &NetScaleParams) -> TraceConfig {
+    let offered = params.latency_rate * params.duration.as_secs_f64();
+    TraceConfig::lasting(offered as u64, 4096)
+}
 
 /// Shape of one net-scale measurement.
 #[derive(Debug, Clone, Copy)]
@@ -132,6 +133,8 @@ fn sum_io(stats: &[IoStats]) -> IoStats {
         for (t, &f) in total.recv_fill.iter_mut().zip(&s.recv_fill) {
             *t += f;
         }
+        total.single_calls += s.single_calls;
+        total.burst_calls += s.burst_calls;
     }
     total
 }
@@ -213,13 +216,17 @@ fn print_run(label: &str, run: &ModeRun) {
     println!(
         "  {label:<28} offered {:>9.0} ops/s  achieved {:>9.0} ops/s  \
          p50 {:>7.1}us  p99 {:>8.1}us  p999 {:>8.1}us  batch {:>4.1}  \
-         issue lag p50 {:>5.1}us p99 {:>7.1}us",
+         calls {:>6.2}% mmsg  issue lag p50 {:>5.1}us p99 {:>7.1}us",
         run.open.offered_rate,
         run.open.achieved_rate,
         q.p50_ns as f64 / 1e3,
         q.p99_ns as f64 / 1e3,
         q.p999_ns as f64 / 1e3,
         run.batch_factor,
+        // Of the workers' calls that moved a datagram, the share made through
+        // `recvmmsg` / `sendmmsg`: where in the ladder batching engages.
+        100.0 * run.io.burst_calls as f64
+            / (run.io.single_calls + run.io.burst_calls).max(1) as f64,
         lag.p50_ns as f64 / 1e3,
         lag.p99_ns as f64 / 1e3,
     );
@@ -260,6 +267,8 @@ fn run_json(run: &ModeRun, syscall_rtt_ns: f64) -> Json {
         ("datagrams_in", Json::U64(run.io.datagrams_in)),
         ("datagrams_out", Json::U64(run.io.datagrams_out)),
         ("batch_factor", Json::F64(run.batch_factor)),
+        ("single_calls", Json::U64(run.io.single_calls)),
+        ("burst_calls", Json::U64(run.io.burst_calls)),
         (
             "recv_fill",
             Json::Arr(run.io.recv_fill.iter().map(|&c| Json::U64(c)).collect()),
@@ -308,7 +317,7 @@ pub fn run_cli(args: &[String]) -> i32 {
     println!("Saturation ladder (capacity = best achieved rate per mode):");
     let (burst_runs, burst_best) = capacity_sweep(params, IoMode::Burst);
     for run in &burst_runs {
-        print_run("burst (recvmmsg/sendmmsg)", run);
+        print_run("burst (mmsg on a backlog)", run);
     }
     let (single_runs, single_best) = capacity_sweep(params, IoMode::Single);
     for run in &single_runs {
@@ -324,14 +333,14 @@ pub fn run_cli(args: &[String]) -> i32 {
         params,
         IoMode::Burst,
         params.latency_rate,
-        Some(NET_TRACE_SAMPLING),
+        Some(trace_sampling(&params)),
     );
-    print_run("burst (recvmmsg/sendmmsg)", &lat_burst);
+    print_run("burst (mmsg on a backlog)", &lat_burst);
     let lat_single = run_mode_traced(
         params,
         IoMode::Single,
         params.latency_rate,
-        Some(NET_TRACE_SAMPLING),
+        Some(trace_sampling(&params)),
     );
     print_run("single (recv_from/send_to)", &lat_single);
 
@@ -381,6 +390,8 @@ pub fn run_cli(args: &[String]) -> i32 {
         ("latency-burst", &lat_burst),
         ("latency-single", &lat_single),
     ] {
+        let ops = Json::U64(run.open.completed);
+        artifact.record("sampling", vec![("run", Json::str(label)), ("ops", ops)]);
         for trace in &run.traces {
             let mut fields = trace_record_fields(trace);
             fields.push(("run", Json::str(label)));
@@ -432,6 +443,7 @@ pub fn run_cli(args: &[String]) -> i32 {
                     Json::F64(bench.burst_ns_per_datagram),
                 ),
                 ("speedup", Json::F64(bench.speedup())),
+                ("burst_recv_fill", Json::F64(bench.burst_recv_fill)),
             ]),
         ),
     ]);
@@ -463,9 +475,14 @@ mod tests {
             assert_eq!(run.open.version_regressions, 0);
             assert!(run.io.datagrams_in > 0);
         }
-        // The single-packet path is one datagram per call by construction.
+        // The single-packet path is one datagram per call by construction,
+        // and every call that moved one is counted under one name or the
+        // other (two a datagram when nothing batches: its receive, its send).
         assert!((single.batch_factor - 1.0).abs() < 1e-9);
+        assert_eq!(single.io.burst_calls, 0);
+        assert_eq!(single.io.single_calls, 2 * single.io.datagrams_in);
         assert!(burst.batch_factor >= 1.0);
+        assert!(burst.io.single_calls + burst.io.burst_calls >= burst.io.recv_calls);
     }
 
     #[test]
@@ -476,7 +493,7 @@ mod tests {
             params,
             IoMode::Burst,
             params.latency_rate,
-            Some(NET_TRACE_SAMPLING),
+            Some(trace_sampling(&params)),
         );
         assert!(!run.traces.is_empty(), "sampled traces were recorded");
         // The merged traces must pass the full offline audit: no fault was

@@ -51,7 +51,9 @@ impl LoopbackClient<'_> {
     /// Sends `pkt` to the worker owning its key.
     fn transmit(&self, pkt: &NetChainPacket) -> std::io::Result<()> {
         let dest = self.plane.addr_of_key(&pkt.netchain.key);
-        self.socket.send_to(&pkt.to_bytes(), dest)?;
+        let mut frame = [0u8; MAX_FRAME_LEN];
+        let len = pkt.emit_into(&mut frame).expect("bounded frame");
+        self.socket.send_to(&frame[..len], dest)?;
         Ok(())
     }
 

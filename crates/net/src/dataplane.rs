@@ -4,10 +4,11 @@
 //! one worker thread per **keyspace shard**, each hosting its slice of every
 //! switch of the ring.
 //!
-//! * Ingress is burst I/O through the vendored [`mmsg`] shim: one
-//!   `recvmmsg` call fills a whole [`RecvQueue`] of fixed-size slots
-//!   (sized one byte past [`MAX_FRAME_LEN`], so oversized datagrams are
-//!   detected and counted instead of silently truncated). A worker polls
+//! * Ingress goes through the vendored [`mmsg`] shim into a [`RecvQueue`] of
+//!   fixed-size slots (one byte past [`MAX_FRAME_LEN`], so oversized
+//!   datagrams are counted instead of silently truncated): a `recv_from`
+//!   while datagrams come singly, one `recvmmsg` for the lot once the shim
+//!   sees a backlog (its rule, not an option here). A worker polls
 //!   (non-blocking receive, `yield_now` after an empty one) while a datagram
 //!   arrived within the last millisecond and blocks, a
 //!   [`NetConfig::read_timeout`] at a time, once none has.
@@ -20,13 +21,14 @@
 //!   [`NetDataplane::addr_of_key`] (the same [`shard_of_key`] rule the
 //!   fabric uses).
 //! * Egress batches every generated reply into a [`SendQueue`] routed by the
-//!   reply's destination IP and flushes it in `sendmmsg` bursts.
+//!   reply's destination IP and flushes it: `send_to` for one reply,
+//!   `sendmmsg` bursts for more.
 //!
 //! [`IoMode::Single`] forces the portable one-datagram-per-syscall paths on
 //! the identical processing pipeline, which is what lets `net_scale` measure
-//! the benefit of batched syscalls on the same box. [`FaultSpec`] is the
-//! test shim for adversity coverage: deterministically drop every Nth
-//! ingress datagram or duplicate every Nth reply.
+//! where batched syscalls engage and what they buy on the same box.
+//! [`FaultSpec`] is the test shim for adversity coverage: deterministically
+//! drop every Nth ingress datagram or duplicate every Nth reply.
 
 use mmsg::{RecvQueue, SendQueue, MAX_BURST};
 use netchain_core::HashRing;
@@ -45,7 +47,8 @@ use std::time::{Duration, Instant};
 /// How the workers cross the kernel boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoMode {
-    /// `recvmmsg`/`sendmmsg` bursts (portable single-packet fallback on
+    /// Batch-capable: `recvmmsg`/`sendmmsg` where the [`mmsg`] shim sees a
+    /// batch, the single-datagram calls where it does not (and everywhere on
     /// platforms without the syscalls).
     Burst,
     /// One datagram per syscall, unconditionally — the pre-rewrite I/O
@@ -173,6 +176,11 @@ pub struct IoStats {
     /// amortises its syscall when the socket queue actually holds a batch,
     /// and at moderate offered loads most calls return one or two datagrams.
     pub recv_fill: [u64; RECV_FILL_BUCKETS],
+    /// Calls that moved a datagram through `recv_from` / `send_to`.
+    pub single_calls: u64,
+    /// Calls that moved datagrams through `recvmmsg` / `sendmmsg`: which
+    /// call [`IoMode::Burst`] takes is the shim's choice.
+    pub burst_calls: u64,
 }
 
 impl IoStats {
@@ -329,7 +337,7 @@ impl NetDataplane {
 const DST_IP_OFF: usize = 14 + 16;
 
 /// How long after its last datagram a worker keeps polling before it falls
-/// back to the blocking receive. Being woken out of a blocking `recvmmsg`
+/// back to the blocking receive. Being woken out of a blocking receive
 /// costs ~23 µs a datagram on the reference VM, a poll that finds the
 /// datagram queued under one. 1 ms is twenty mean gaps at 20 k ops/s and two
 /// at 2 k ops/s, so a loaded plane rarely blocks, and one that goes quiet
@@ -461,6 +469,8 @@ fn worker_loop(
             }
         }
     }
+    io.single_calls = rq.single_calls() + sq.single_calls();
+    io.burst_calls = rq.burst_calls() + sq.burst_calls();
     (shard, io)
 }
 

@@ -9,6 +9,8 @@
 //! through `sendmmsg`/`recvmmsg` bursts and once through the
 //! `send_to`/`recv_from` single-packet discipline. The difference is pure
 //! per-datagram syscall amortization and is stable even on a single core.
+//! The shim's batch-capable calls choose their syscall: bursts of 64 are a
+//! backlog from the warm-up's third receive on ([`SyscallBench::burst_recv_fill`]).
 
 pub use mmsg::MAX_BURST;
 
@@ -26,6 +28,9 @@ pub struct SyscallBench {
     /// ns/datagram through `sendmmsg` + `recvmmsg` (one syscall pair per
     /// [`MAX_BURST`]).
     pub burst_ns_per_datagram: f64,
+    /// Datagrams per receive call on the burst side of the timed passes:
+    /// [`MAX_BURST`] when every one was a full `recvmmsg`.
+    pub burst_recv_fill: f64,
 }
 
 impl SyscallBench {
@@ -85,6 +90,7 @@ pub fn syscall_microbench(bursts: u32, repeats: u32) -> SyscallBench {
     single_pass(&mut buf);
 
     let datagrams = f64::from(bursts) * MAX_BURST as f64;
+    let warm_up_calls = rq.single_calls() + rq.burst_calls();
     let mut burst_ns = f64::INFINITY;
     let mut single_ns = f64::INFINITY;
     for _ in 0..repeats {
@@ -98,6 +104,8 @@ pub fn syscall_microbench(bursts: u32, repeats: u32) -> SyscallBench {
     SyscallBench {
         single_ns_per_datagram: single_ns,
         burst_ns_per_datagram: burst_ns,
+        burst_recv_fill: f64::from(repeats) * datagrams
+            / (rq.single_calls() + rq.burst_calls() - warm_up_calls) as f64,
     }
 }
 
@@ -111,5 +119,9 @@ mod tests {
         assert!(bench.single_ns_per_datagram > 0.0);
         assert!(bench.burst_ns_per_datagram > 0.0);
         assert!(bench.speedup() > 0.0);
+        // The burst side measured `recvmmsg`, not the calm queue's
+        // `recv_from`.
+        let fill = bench.burst_recv_fill;
+        assert!(fill <= MAX_BURST as f64 && (fill > 32.0 || !mmsg::BURST_SYSCALLS));
     }
 }

@@ -112,7 +112,7 @@ pub struct OpenLoopReport {
     /// Merged issue→reply latency distribution, in nanoseconds, measured
     /// from each op's *scheduled* issue time.
     pub latency: HistSnapshot,
-    /// How late the generator ran: hand-off to `sendmmsg` minus scheduled
+    /// How late the generator ran: hand-off to the send call minus scheduled
     /// time, in nanoseconds, one sample per issued op (and part of that op's
     /// latency, which counts from the scheduled time).
     pub issue_lag: HistSnapshot,
@@ -122,6 +122,9 @@ pub struct OpenLoopReport {
     /// Send calls that failed; their queued datagrams were discarded and are
     /// recovered by the agents' retransmission.
     pub send_errors: u64,
+    /// Passes of the generator's loop (issue what is due, drain the socket,
+    /// pace), summed over threads.
+    pub passes: u64,
     /// Wall-clock span of the issue window.
     pub elapsed: Duration,
     /// Client-side trace fragments (issue/ack evidence), empty unless
@@ -186,6 +189,7 @@ impl OpenLoopReport {
         self.issue_lag.merge(&thread.issue_lag);
         self.overslept += thread.overslept;
         self.send_errors += thread.send_errors;
+        self.passes += thread.passes;
         self.traces.extend(thread.traces);
     }
 }
@@ -276,7 +280,12 @@ fn generator_thread(
     let mut next_retry_poll_ns = base_ns;
     // Whether this pass begins with the return of a sleep.
     let mut slept = false;
+    // Queries outstanding over all agents, kept from issue, matched reply and
+    // abandonment: a pass that waits on a reply asks, and asking every agent
+    // made it cost by how many there are (thousands).
+    let mut in_flight = 0usize;
     loop {
+        outcome.passes += 1;
         let now_ns = epoch.elapsed().as_nanos() as u64;
 
         // Issue everything that has come due, stamped with its *scheduled*
@@ -287,6 +296,7 @@ fn generator_thread(
                 let client = &mut clients[rng.gen_range(0..per_thread)];
                 let op = client.draw();
                 let len = client.issue_drawn(SimTime(next_issue_ns), &op, &mut frame_buf);
+                in_flight += 1;
                 due_ns[sq.len()] = next_issue_ns;
                 sq.push(&frame_buf[..len], plane.addr_of_group(op.group()));
                 next_issue_ns += exp_gap_ns(&mut rng, rate);
@@ -322,7 +332,8 @@ fn generator_thread(
                             continue;
                         };
                         if local < per_thread {
-                            clients[local].absorb_reply_at(absorb_at, frame);
+                            let matched = clients[local].absorb_reply_at(absorb_at, frame);
+                            in_flight -= usize::from(matched);
                         }
                     }
                     if n < rq.burst() {
@@ -351,6 +362,10 @@ fn generator_thread(
         if now_ns >= next_retry_poll_ns {
             let poll_at = SimTime(now_ns);
             for client in clients.iter_mut() {
+                let before = client.outstanding();
+                if before == 0 {
+                    continue;
+                }
                 for pkt in client.poll_retries_at(poll_at) {
                     let key = pkt.netchain.key;
                     let len = pkt.emit_into(&mut frame_buf).expect("bounded frame");
@@ -359,16 +374,19 @@ fn generator_thread(
                         flush(&mut sq, &socket, &mut outcome.send_errors);
                     }
                 }
+                // What the poll abandoned is no longer outstanding.
+                in_flight -= before - client.outstanding();
             }
             flush(&mut sq, &socket, &mut outcome.send_errors);
+            debug_assert_eq!(
+                in_flight,
+                clients.iter().map(ClientState::outstanding).sum::<usize>()
+            );
             next_retry_poll_ns = now_ns + 1_000_000;
         }
 
-        if now_ns >= end_ns {
-            let drained = clients.iter().all(|c| c.outstanding() == 0);
-            if drained || now_ns >= hard_end_ns {
-                break;
-            }
+        if now_ns >= end_ns && (in_flight == 0 || now_ns >= hard_end_ns) {
+            break;
         }
 
         // Pacing to the deadline. With replies in flight, or the next
@@ -386,7 +404,7 @@ fn generator_thread(
                 next_retry_poll_ns
             };
             let wake_ns = next_event_ns.saturating_sub(SLEEP_MARGIN_NS);
-            if wake_ns > now_ns && clients.iter().all(|c| c.outstanding() == 0) {
+            if wake_ns > now_ns && in_flight == 0 {
                 std::thread::sleep(Duration::from_nanos(wake_ns - now_ns));
                 slept = true;
             } else {

@@ -8,18 +8,37 @@ use std::time::Duration;
 
 use netchain_core::HashRing;
 use netchain_fabric::WorkloadSpec;
-use netchain_net::{run_open_loop, FaultSpec, NetConfig, NetDataplane, OpenLoopConfig};
+use netchain_net::{
+    run_open_loop, FaultSpec, IoMode, IoStats, NetConfig, NetDataplane, OpenLoopConfig,
+};
 use netchain_sim::SimDuration;
 use netchain_switch::PipelineConfig;
 use netchain_wire::{Ipv4Addr, Key, Value};
 
-fn start_plane(num_keys: u64, fault: FaultSpec) -> NetDataplane {
+/// Both syscall disciplines: the batch-capable one picks its call from what
+/// the socket holds, the forced one never does.
+const IO_MODES: [IoMode; 2] = [IoMode::Burst, IoMode::Single];
+
+/// Every successful receive is in the fill histogram and was made through
+/// one call or the other.
+fn check_call_accounting(io: &[IoStats], io_mode: IoMode) {
+    for io in io {
+        assert_eq!(io.recv_fill.iter().sum::<u64>(), io.recv_calls, "{io:?}");
+        assert!(io.single_calls + io.burst_calls >= io.recv_calls, "{io:?}");
+        if io_mode == IoMode::Single {
+            assert_eq!(io.burst_calls, 0, "{io:?}");
+        }
+    }
+}
+
+fn start_plane(num_keys: u64, fault: FaultSpec, io_mode: IoMode) -> NetDataplane {
     let ring = HashRing::new((0..4).map(Ipv4Addr::for_switch).collect(), 8, 3, 7);
     let populate: Vec<(Key, Value)> = (0..num_keys)
         .map(|k| (Key::from_u64(k), Value::from_u64(0)))
         .collect();
     let config = NetConfig {
         fault,
+        io_mode,
         ..NetConfig::new(ring, 2, PipelineConfig::tiny(4096))
     };
     NetDataplane::start(config, &populate).expect("start plane")
@@ -31,35 +50,36 @@ fn dropped_queries_are_absorbed_by_retries_without_version_regressions() {
     // dropped at the worker's receive loop. Agents must retransmit through
     // the loss and complete every single op, and the version-monotonicity
     // check each agent runs on every reply must stay clean.
-    let plane = start_plane(
-        32,
-        FaultSpec {
+    for io_mode in IO_MODES {
+        let fault = FaultSpec {
             drop_every: 3,
             duplicate_every: 0,
-        },
-    );
-    let spec = WorkloadSpec::mixed(32, u64::MAX, 60, 30);
-    let mut config = OpenLoopConfig::new(32, 2, 1_500.0, Duration::from_millis(300));
-    // Tight timeout so retransmissions race through the drop pattern well
-    // inside the drain grace.
-    config.agent_timeout = SimDuration::from_millis(10);
-    config.agent_max_retries = 20;
-    config.drain_grace = Duration::from_secs(2);
-    let report = run_open_loop(&plane, spec, config);
-    let net = plane.shutdown();
+        };
+        let plane = start_plane(32, fault, io_mode);
+        let spec = WorkloadSpec::mixed(32, u64::MAX, 60, 30);
+        let mut config = OpenLoopConfig::new(32, 2, 1_500.0, Duration::from_millis(300));
+        // Tight timeout so retransmissions race through the drop pattern
+        // well inside the drain grace.
+        config.agent_timeout = SimDuration::from_millis(10);
+        config.agent_max_retries = 20;
+        config.drain_grace = Duration::from_secs(2);
+        let report = run_open_loop(&plane, spec, config);
+        let net = plane.shutdown();
 
-    let dropped: u64 = net.io.iter().map(|io| io.shim_dropped).sum();
-    assert!(dropped > 0, "the fault shim never fired");
-    assert!(
-        report.retries > 0,
-        "loss without retransmissions means nothing was dropped"
-    );
-    assert_eq!(report.abandoned, 0, "retry budget must absorb the loss");
-    assert_eq!(
-        report.completed, report.issued,
-        "every op must eventually complete through the loss"
-    );
-    assert_eq!(report.version_regressions, 0);
+        let dropped: u64 = net.io.iter().map(|io| io.shim_dropped).sum();
+        assert!(dropped > 0, "the fault shim never fired");
+        assert!(
+            report.retries > 0,
+            "loss without retransmissions means nothing was dropped"
+        );
+        assert_eq!(report.abandoned, 0, "retry budget must absorb the loss");
+        assert_eq!(
+            report.completed, report.issued,
+            "every op must eventually complete through the loss"
+        );
+        assert_eq!(report.version_regressions, 0);
+        check_call_accounting(&net.io, io_mode);
+    }
 }
 
 #[test]
@@ -67,27 +87,32 @@ fn duplicated_replies_never_complete_a_query_twice() {
     // Every 2nd reply is sent twice. The first copy completes the query and
     // retires it; the second must be classified stale and discarded — never
     // matched to a different outstanding op, never double-counted.
-    let plane = start_plane(
-        16,
-        FaultSpec {
+    for io_mode in IO_MODES {
+        let fault = FaultSpec {
             drop_every: 0,
             duplicate_every: 2,
-        },
-    );
-    let spec = WorkloadSpec::uniform_read(16, u64::MAX);
-    let config = OpenLoopConfig::new(16, 1, 1_000.0, Duration::from_millis(300));
-    let report = run_open_loop(&plane, spec, config);
-    let net = plane.shutdown();
+        };
+        let plane = start_plane(16, fault, io_mode);
+        let spec = WorkloadSpec::uniform_read(16, u64::MAX);
+        let config = OpenLoopConfig::new(16, 1, 1_000.0, Duration::from_millis(300));
+        let report = run_open_loop(&plane, spec, config);
+        let net = plane.shutdown();
 
-    let duplicated: u64 = net.io.iter().map(|io| io.shim_duplicated).sum();
-    assert!(duplicated > 0, "the duplication shim never fired");
-    assert_eq!(
-        report.completed, report.issued,
-        "a duplicate reply must not complete a second query"
-    );
-    assert!(
-        report.stale_replies > 0,
-        "duplicate replies must be counted stale, not silently matched"
-    );
-    assert_eq!(report.version_regressions, 0);
+        let duplicated: u64 = net.io.iter().map(|io| io.shim_duplicated).sum();
+        assert!(duplicated > 0, "the duplication shim never fired");
+        assert_eq!(
+            report.completed, report.issued,
+            "a duplicate reply must not complete a second query"
+        );
+        assert!(
+            report.stale_replies > 0,
+            "duplicate replies must be counted stale, not silently matched"
+        );
+        assert_eq!(report.version_regressions, 0);
+        check_call_accounting(&net.io, io_mode);
+        // A reply and its duplicate leave the worker in one flush of two,
+        // which is the one batch the batch-capable mode finds at this rate.
+        let bursts: u64 = net.io.iter().map(|io| io.burst_calls).sum();
+        assert_eq!(bursts > 0, io_mode == IoMode::Burst);
+    }
 }

@@ -9,10 +9,10 @@
 use std::time::Duration;
 
 use netchain_core::{ClusterConfig, CompletedQuery, KvOp, NetChainCluster};
-use netchain_net::{NetConfig, NetDataplane};
+use netchain_net::{IoMode, NetConfig, NetDataplane};
 use netchain_sim::SimDuration;
 use netchain_switch::{ExportedEntry, PipelineConfig};
-use netchain_wire::{Ipv4Addr, Key, Value};
+use netchain_wire::{Key, Value};
 
 /// The scripted sequence both executions run: writes, reads (hits and
 /// misses), contended CAS (success then failure), deletes, and a
@@ -95,7 +95,7 @@ fn net_dataplane_matches_simulator_on_scripted_ops() {
     assert_eq!(sim_client.agent_stats().version_regressions, 0);
     let sim_results = sim_client.results();
 
-    // ---- Socket-dataplane execution ----
+    // ---- Socket-dataplane execution, once per syscall discipline ----
     // Same ring, same pipeline, keyspace split over two shard workers; every
     // query and reply crosses a real UDP socket.
     let ring = cluster.ring().clone();
@@ -103,53 +103,65 @@ fn net_dataplane_matches_simulator_on_scripted_ops() {
         .into_iter()
         .map(|k| (k, Value::from_u64(0)))
         .collect();
-    let plane = NetDataplane::start(NetConfig::new(ring.clone(), 2, pipeline), &populate)
-        .expect("start dataplane");
+    for io_mode in [IoMode::Burst, IoMode::Single] {
+        let net_config = NetConfig {
+            io_mode,
+            ..NetConfig::new(ring.clone(), 2, pipeline)
+        };
+        let plane = NetDataplane::start(net_config, &populate).expect("start dataplane");
 
-    // Same client logic: an agent configured exactly like the simulated
-    // host 0 (so request ids line up), driven sequentially over a socket.
-    let mut client = plane
-        .client(cluster.agent_config(0))
-        .expect("client socket");
-    let net_results: Vec<CompletedQuery> = script()
-        .into_iter()
-        .map(|op| client.execute(op, Duration::from_secs(5)).expect("op"))
-        .collect();
-    assert_eq!(client.agent_stats().version_regressions, 0);
-    assert_eq!(
-        client.late_completions(),
-        0,
-        "sequential client completed a different op"
-    );
-    drop(client);
-    let report = plane.shutdown();
-
-    // ---- Reply-level comparison ----
-    assert_eq!(sim_results.len(), net_results.len());
-    for (i, (sim, net)) in sim_results.iter().zip(&net_results).enumerate() {
-        assert_eq!(sim.op, net.op, "op {i}: scripts diverged");
-        assert_eq!(sim.request_id, net.request_id, "op {i}: request id");
-        assert_eq!(sim.status, net.status, "op {i} ({:?}): status", sim.op);
-        assert_eq!(sim.value, net.value, "op {i} ({:?}): value", sim.op);
-        assert_eq!(sim.seq, net.seq, "op {i} ({:?}): version", sim.op);
-    }
-
-    // ---- KV-state comparison ----
-    // A dataplane switch's state is the union over shard workers (shards
-    // partition the keyspace, so the union is disjoint); it must equal the
-    // simulated switch's state entry for entry — including tombstones.
-    let switch_ips: Vec<Ipv4Addr> = ring.switches().to_vec();
-    for (idx, &ip) in switch_ips.iter().enumerate() {
-        let sim_state = kv_snapshot(cluster.switch(idx).switch().kv().export_entries());
-        let net_state = kv_snapshot(report.shards.iter().flat_map(|s| {
-            s.switch(ip)
-                .expect("every shard hosts every ring switch")
-                .kv()
-                .export_entries()
-        }));
+        // Same client logic: an agent configured exactly like the simulated
+        // host 0 (so request ids line up), driven sequentially over a socket.
+        let mut client = plane
+            .client(cluster.agent_config(0))
+            .expect("client socket");
+        let net_results: Vec<CompletedQuery> = script()
+            .into_iter()
+            .map(|op| client.execute(op, Duration::from_secs(5)).expect("op"))
+            .collect();
+        assert_eq!(client.agent_stats().version_regressions, 0);
         assert_eq!(
-            sim_state, net_state,
-            "switch {idx} diverged between simulator and socket dataplane"
+            client.late_completions(),
+            0,
+            "sequential client completed a different op"
         );
+        drop(client);
+        let report = plane.shutdown();
+
+        // ---- Reply-level comparison ----
+        assert_eq!(sim_results.len(), net_results.len());
+        for (i, (sim, net)) in sim_results.iter().zip(&net_results).enumerate() {
+            assert_eq!(sim.op, net.op, "op {i}: scripts diverged");
+            assert_eq!(sim.request_id, net.request_id, "op {i}: request id");
+            assert_eq!(sim.status, net.status, "op {i} ({:?}): status", sim.op);
+            assert_eq!(sim.value, net.value, "op {i} ({:?}): value", sim.op);
+            assert_eq!(sim.seq, net.seq, "op {i} ({:?}): version", sim.op);
+        }
+
+        // ---- KV-state comparison ----
+        // A dataplane switch's state is the union over shard workers (shards
+        // partition the keyspace, so the union is disjoint); it must equal
+        // the simulated switch's state entry for entry — including
+        // tombstones.
+        for (idx, &ip) in ring.switches().iter().enumerate() {
+            let sim_state = kv_snapshot(cluster.switch(idx).switch().kv().export_entries());
+            let net_state = kv_snapshot(report.shards.iter().flat_map(|s| {
+                s.switch(ip)
+                    .expect("every shard hosts every ring switch")
+                    .kv()
+                    .export_entries()
+            }));
+            assert_eq!(
+                sim_state, net_state,
+                "switch {idx} diverged between simulator and {io_mode:?} socket dataplane"
+            );
+        }
+        // One sequential client never has two queries in flight, so no
+        // receive returned two, whichever call made it; and the forced
+        // discipline made none through the multi-message calls.
+        for io in &report.io {
+            assert_eq!(io.recv_fill[0], io.recv_calls, "{io_mode:?}: {io:?}");
+            assert!(io_mode == IoMode::Burst || io.burst_calls == 0, "{io:?}");
+        }
     }
 }

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use netchain_core::{ClusterConfig, KvOp, NetChainCluster};
-use netchain_net::{NetConfig, NetDataplane};
+use netchain_net::{IoMode, NetConfig, NetDataplane};
 use netchain_sim::SimDuration;
 use netchain_switch::PipelineConfig;
 use netchain_telemetry::{merge_traces, trace_id, PacketTrace, TraceConfig};
@@ -96,50 +96,56 @@ fn net_and_sim_traces_agree_on_chain_hop_order() {
         .into_iter()
         .map(|k| (k, Value::from_u64(0)))
         .collect();
-    let mut net_config = NetConfig::new(ring.clone(), 2, pipeline);
-    net_config.trace = Some(TRACE_ALL);
-    let plane = NetDataplane::start(net_config, &populate).expect("start dataplane");
+    for io_mode in [IoMode::Burst, IoMode::Single] {
+        let net_config = NetConfig {
+            io_mode,
+            trace: Some(TRACE_ALL),
+            ..NetConfig::new(ring.clone(), 2, pipeline)
+        };
+        let plane = NetDataplane::start(net_config, &populate).expect("start dataplane");
 
-    // A generous retry timeout: a retransmitted query would legitimately
-    // stamp its chain a second time and the paths would no longer be
-    // comparable, so this client never retransmits.
-    let agent_config = cluster
-        .agent_config(0)
-        .with_timeout(SimDuration::from_secs(30));
-    let mut client = plane.client(agent_config).expect("client socket");
-    for op in script() {
-        client.execute(op, Duration::from_secs(5)).expect("op");
-    }
-    drop(client);
-    let report = plane.shutdown();
-    let net_paths = switch_paths(&report.traces);
+        // A generous retry timeout: a retransmitted query would legitimately
+        // stamp its chain a second time and the paths would no longer be
+        // comparable, so this client never retransmits.
+        let agent_config = cluster
+            .agent_config(0)
+            .with_timeout(SimDuration::from_secs(30));
+        let mut client = plane.client(agent_config).expect("client socket");
+        for op in script() {
+            client.execute(op, Duration::from_secs(5)).expect("op");
+        }
+        drop(client);
+        let report = plane.shutdown();
+        let net_paths = switch_paths(&report.traces);
 
-    // ---- Comparison ----
-    let ops = script().len();
-    assert_eq!(sim_paths.len(), ops, "sim must trace every scripted op");
-    assert_eq!(net_paths.len(), ops, "net must trace every scripted op");
-    let client_ip = u32::from_be_bytes(Ipv4Addr::for_host(0).0);
-    for request_id in 1..=ops as u64 {
-        let id = trace_id(client_ip, request_id);
-        let sim = sim_paths
-            .get(&id)
-            .unwrap_or_else(|| panic!("sim lacks a trace for request {request_id}"));
-        let net = net_paths
-            .get(&id)
-            .unwrap_or_else(|| panic!("net lacks a trace for request {request_id}"));
-        assert_eq!(
-            sim, net,
-            "request {request_id}: hop order diverged between simulator and socket dataplane"
+        // ---- Comparison ----
+        let ops = script().len();
+        assert_eq!(sim_paths.len(), ops, "sim must trace every scripted op");
+        assert_eq!(net_paths.len(), ops, "net must trace every scripted op");
+        let client_ip = u32::from_be_bytes(Ipv4Addr::for_host(0).0);
+        for request_id in 1..=ops as u64 {
+            let id = trace_id(client_ip, request_id);
+            let sim = sim_paths
+                .get(&id)
+                .unwrap_or_else(|| panic!("sim lacks a trace for request {request_id}"));
+            let net = net_paths
+                .get(&id)
+                .unwrap_or_else(|| panic!("net lacks a trace for request {request_id}"));
+            assert_eq!(
+                sim, net,
+                "request {request_id}: hop order diverged between simulator and \
+                 {io_mode:?} socket dataplane"
+            );
+            assert!(!sim.is_empty(), "request {request_id}: empty hop path");
+        }
+        // Writes walk full chains (3 hops), reads hit the tail alone.
+        assert!(
+            net_paths.values().any(|p| p.len() >= 3),
+            "no full-chain write path was traced"
         );
-        assert!(!sim.is_empty(), "request {request_id}: empty hop path");
+        assert!(
+            net_paths.values().any(|p| p.len() == 1),
+            "no tail-only read path was traced"
+        );
     }
-    // Writes walk full chains (3 hops), reads hit the tail alone.
-    assert!(
-        net_paths.values().any(|p| p.len() >= 3),
-        "no full-chain write path was traced"
-    );
-    assert!(
-        net_paths.values().any(|p| p.len() == 1),
-        "no tail-only read path was traced"
-    );
 }

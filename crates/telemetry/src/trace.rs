@@ -50,6 +50,19 @@ impl TraceConfig {
         }
     }
 
+    /// Sampling whose cap outlasts a run of about `expected_ops` operations
+    /// through one sink: the densest shift, from 1 in 64 (the density the
+    /// tracing-on cost of the hot paths is measured at), that selects at
+    /// most `max_traces` of them. A sink that fills stops recording while
+    /// the others go on, and what they record after that cannot be judged.
+    pub fn lasting(expected_ops: u64, max_traces: usize) -> Self {
+        let mut shift = 6;
+        while expected_ops >> shift > max_traces as u64 {
+            shift += 1;
+        }
+        TraceConfig::sampled(shift, max_traces)
+    }
+
     /// Whether a given trace ID is selected by this config.
     #[inline]
     pub fn samples(&self, trace_id: u64) -> bool {
@@ -538,6 +551,20 @@ mod tests {
         }
         // Expect roughly 4096/16 = 256; allow generous slack.
         assert!((128..=512).contains(&hits), "hits={hits}");
+    }
+
+    #[test]
+    fn a_lasting_config_selects_no_more_than_the_cap_and_never_under_one_in_64() {
+        for (ops, shift) in [
+            (0, 6),
+            (4096 * 64, 6),
+            (4096 * 64 + 64, 7),
+            (24_000_000, 13),
+        ] {
+            let cfg = TraceConfig::lasting(ops, 4096);
+            assert_eq!((cfg.sample_shift, cfg.max_traces), (shift, 4096), "{ops}");
+            assert!(cfg.enabled && ops >> shift <= 4096);
+        }
     }
 
     #[test]
