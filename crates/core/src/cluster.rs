@@ -7,12 +7,13 @@ use crate::agent::AgentConfig;
 use crate::client::{ScriptedClient, WorkloadClient, WorkloadConfig};
 use crate::controller::{Controller, ControllerConfig};
 use crate::directory::{AddressMap, ChainDirectory};
+use crate::fault::{FaultOp, Schedule};
 use crate::hashring::HashRing;
 use crate::message::NetMsg;
 use crate::switch_node::SwitchNode;
 use crate::types::KvOp;
 use netchain_sim::{
-    FaultPlan, LinkParams, NodeId, NodeKind, RoutingTables, SimConfig, SimTime, Simulator,
+    Event, LinkParams, NodeId, NodeKind, RoutingTables, SimConfig, SimDuration, SimTime, Simulator,
     Topology, TopologyBuilder,
 };
 use netchain_switch::{NetChainSwitch, PipelineConfig};
@@ -355,11 +356,47 @@ impl NetChainCluster {
         self.sim.install_node(host, Box::new(client));
     }
 
-    /// Schedules a fail-stop of switch `switch_index` at time `at`.
-    pub fn fail_switch_at(&mut self, at: SimTime, switch_index: usize) {
-        let node = self.layout.switches[switch_index];
-        let plan = FaultPlan::none().fail_at(at, node);
-        self.sim.apply_fault_plan(&plan);
+    /// Delivers a fault schedule: lowers every op onto the simulator's event
+    /// queue (a kill is a node going down, detected by the controller after
+    /// `SimConfig::failure_detection_delay`; a revived switch restarts empty
+    /// and inactive; a link is a pair of adjacent nodes) and folds the
+    /// schedule's seed into the simulator's one generator. Call it before the
+    /// run starts. A schedule naming a switch, node or link the cluster does
+    /// not have is refused.
+    pub fn inject(&mut self, schedule: &Schedule) {
+        let (addr, sim) = (&self.layout.addr, &mut self.sim);
+        let topology = sim.topology();
+        let kind = |ip| addr.node_of(ip).map(|n| topology.kind(n));
+        let adjacent = |(a, b)| topology.neighbors(a).contains(&b);
+        schedule.check(
+            |ip| kind(ip) == Some(NodeKind::Switch),
+            |ip| kind(ip).is_some(),
+            |a, b| addr.node_of(a).zip(addr.node_of(b)).is_some_and(adjacent),
+        );
+        sim.reseed(self.config.sim.seed.wrapping_add(schedule.seed));
+        let node = |ip| addr.node_of(ip).expect("checked");
+        for &(at, op) in &schedule.ops {
+            let event = match op {
+                FaultOp::Kill(ip) => Event::NodeDown { node: node(ip) },
+                FaultOp::Revive(ip) => Event::NodeUp { node: node(ip) },
+                FaultOp::Stall(ip, dur) => Event::Stall {
+                    node: node(ip),
+                    dur: SimDuration::from_nanos(dur.as_nanos() as u64),
+                },
+                FaultOp::Link {
+                    from,
+                    to,
+                    drop,
+                    dup,
+                    reorder,
+                } => Event::LinkFault {
+                    from: node(from),
+                    to: node(to),
+                    rates: [drop, dup, reorder],
+                },
+            };
+            sim.schedule(SimTime(at.as_nanos() as u64), event);
+        }
     }
 
     /// Borrow the workload client installed at `host_index`.

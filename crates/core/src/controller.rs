@@ -28,7 +28,7 @@
 //! block ~1 % of keys at a time (Figure 10(b)).
 
 use crate::directory::AddressMap;
-use crate::failplan::{self, FailoverPlan, OpList, RecoveryPlan, Target};
+use crate::failplan::{OpList, RecoveryPlan, Target, View};
 use crate::hashring::HashRing;
 use crate::message::{ControlMsg, NetMsg};
 use netchain_sim::{Context, Node, NodeId, SimDuration, SimTime, TimerToken};
@@ -87,6 +87,9 @@ pub enum RecoveryPhase {
     Syncing,
     /// All groups restored.
     Complete,
+    /// The replacement died before the last group was restored; the failed
+    /// switch is being repaired again, by a later task.
+    Aborted,
 }
 
 #[derive(Debug, Clone)]
@@ -120,14 +123,15 @@ pub struct Controller {
     addr: AddressMap,
     /// Neighbours of every switch node in the data-plane topology.
     switch_neighbors: HashMap<NodeId, Vec<NodeId>>,
-    failed: HashSet<Ipv4Addr>,
+    /// Who is down, who is free to replace, who stands for whom, and the
+    /// session counter: the state every controller in the repo shares.
+    view: View,
     tasks: Vec<RecoveryTask>,
     records: Vec<RecoveryRecord>,
     pending_failover_at: HashMap<Ipv4Addr, SimTime>,
-    /// Outstanding export responses per task (one group syncs at a time, so
-    /// the task index is enough).
-    pending_exports: HashMap<usize, usize>,
-    next_session: u64,
+    /// The donors each task still awaits an export from (one group syncs at
+    /// a time, so the task index is enough).
+    pending_exports: HashMap<usize, Vec<NodeId>>,
     /// Control-plane event journal: failure detections, failover issuance,
     /// the recovery phase and every per-group sync as spans.
     journal: Journal,
@@ -148,17 +152,23 @@ impl Controller {
         addr: AddressMap,
         switch_neighbors: HashMap<NodeId, Vec<NodeId>>,
     ) -> Self {
+        // Switches held out of the ring are the spares.
+        let mut spares: Vec<Ipv4Addr> = switch_neighbors
+            .keys()
+            .filter_map(|&node| addr.ip_of(node))
+            .filter(|ip| !ring.switches().contains(ip))
+            .collect();
+        spares.sort();
         Controller {
             config,
             ring,
             addr,
             switch_neighbors,
-            failed: HashSet::new(),
+            view: View::new(spares),
             tasks: Vec::new(),
             records: Vec::new(),
             pending_failover_at: HashMap::new(),
             pending_exports: HashMap::new(),
-            next_session: 1,
             journal: Journal::new(),
             recovery_spans: HashMap::new(),
             sync_spans: HashMap::new(),
@@ -178,7 +188,7 @@ impl Controller {
 
     /// Switches the controller currently believes failed.
     pub fn failed_switches(&self) -> &HashSet<Ipv4Addr> {
-        &self.failed
+        &self.view.failed
     }
 
     /// Phase of the most recent recovery task for `failed_ip`, if any.
@@ -217,12 +227,13 @@ impl Controller {
         }
     }
 
-    fn pick_replacement(&self, failed_ip: Ipv4Addr) -> Option<Ipv4Addr> {
-        failplan::pick_replacement(&self.ring, failed_ip, &self.failed, self.config.replacement)
-    }
-
     fn task_timer(&self, base: TimerToken, task_idx: usize) -> TimerToken {
         base + task_idx as TimerToken
+    }
+
+    /// True for a task that exists and was not aborted.
+    fn live_task(&self, idx: usize) -> bool {
+        (self.tasks.get(idx)).is_some_and(|t| t.phase != RecoveryPhase::Aborted)
     }
 
     fn start_group_sync(&mut self, task_idx: usize, ctx: &mut Context<NetMsg>) {
@@ -262,7 +273,7 @@ impl Controller {
             self.activate_group(task_idx, ctx);
             return;
         }
-        self.pending_exports.insert(task_idx, donor_nodes.len());
+        self.pending_exports.insert(task_idx, donor_nodes.clone());
         for node in donor_nodes {
             ctx.send_control(
                 node,
@@ -276,12 +287,27 @@ impl Controller {
         }
     }
 
+    /// `donor` has answered task `task_idx`'s export request, or never will
+    /// (it died): the group activates once no donor is awaited any more.
+    fn export_settled(&mut self, task_idx: usize, donor: NodeId, ctx: &mut Context<NetMsg>) {
+        let Some(awaited) = self.pending_exports.get_mut(&task_idx) else {
+            return;
+        };
+        awaited.retain(|n| *n != donor);
+        if awaited.is_empty() && self.live_task(task_idx) {
+            self.pending_exports.remove(&task_idx);
+            self.activate_group(task_idx, ctx);
+        }
+    }
+
     fn activate_group(&mut self, task_idx: usize, ctx: &mut Context<NetMsg>) {
         let task = &self.tasks[task_idx];
         let (failed_ip, replacement_ip) = (task.plan.failed_ip, task.plan.replacement_ip);
         // Phase 2: activate the replacement for this group and redirect
         // traffic to it, overriding both the block rule and fast failover.
-        let ops = task.plan.activate_ops(task.current, &mut self.next_session);
+        let ops = task
+            .plan
+            .activate_ops(task.current, &mut self.view.next_session);
         self.deliver(task.failed_node, ops, ctx);
         if let Some(span) = self.sync_spans.remove(&task_idx) {
             self.journal.end(span, ctx.now().as_nanos());
@@ -313,49 +339,42 @@ impl Controller {
 }
 
 impl Node<NetMsg> for Controller {
-    fn on_message(&mut self, _from: NodeId, msg: NetMsg, ctx: &mut Context<NetMsg>) {
+    fn on_message(&mut self, from: NodeId, msg: NetMsg, ctx: &mut Context<NetMsg>) {
         let NetMsg::Control(ControlMsg::ExportResponse { entries, token }) = msg else {
             return;
         };
         let task_idx = (token >> 32) as usize;
-        if task_idx >= self.tasks.len() {
+        let Some(task) = self.tasks.get(task_idx) else {
+            return;
+        };
+        if task.phase == RecoveryPhase::Aborted {
             return;
         }
-        let task = &self.tasks[task_idx];
         let import = (
             Target::Switch(task.plan.replacement_ip),
             ControlOp::Import(entries),
         );
         self.deliver(task.failed_node, vec![import], ctx);
-        // Activate only once every donor has answered.
-        let remaining = self
-            .pending_exports
-            .get_mut(&task_idx)
-            .expect("an export response implies an outstanding request");
-        *remaining -= 1;
-        if *remaining == 0 {
-            self.pending_exports.remove(&task_idx);
-            self.activate_group(task_idx, ctx);
-        }
+        self.export_settled(task_idx, from, ctx);
     }
 
     fn on_node_down(&mut self, node: NodeId, ctx: &mut Context<NetMsg>) {
         let Some(failed_ip) = self.addr.ip_of(node) else {
             return;
         };
-        // Only switches participate in chains.
-        if !self.ring.switches().contains(&failed_ip) {
+        // Only switches holding a chain role matter; `victim` is the ring
+        // switch whose chains are short now (not `failed_ip` itself when a
+        // replacement died).
+        let Some((ops, victim)) = self.view.kill(&self.ring, failed_ip) else {
             return;
-        }
-        self.failed.insert(failed_ip);
-        self.pending_failover_at.insert(failed_ip, ctx.now());
+        };
+        self.pending_failover_at.entry(victim).or_insert(ctx.now());
         self.journal.instant(
             format!("failure-detected:{failed_ip}"),
             ctx.now().as_nanos(),
         );
         // Algorithm 2: failover rules at the failed switch's neighbours and a
         // session bump for every switch that became a head.
-        let ops = FailoverPlan::compute(&self.ring, failed_ip).ops(&mut self.next_session);
         self.deliver(node, ops, ctx);
         // Rules are issued now and land one control-plane latency later —
         // the window Algorithm 2 keeps sub-millisecond.
@@ -364,25 +383,41 @@ impl Node<NetMsg> for Controller {
             ctx.now().as_nanos(),
             (ctx.now() + self.config.control_latency).as_nanos(),
         );
+        // A repair onto the dead switch has nowhere to copy to any more, and
+        // one that counted on its state must do without.
+        for idx in 0..self.tasks.len() {
+            let task = &mut self.tasks[idx];
+            if task.plan.replacement_ip == failed_ip && task.phase != RecoveryPhase::Complete {
+                task.phase = RecoveryPhase::Aborted;
+                let open = [
+                    self.sync_spans.remove(&idx),
+                    self.recovery_spans.remove(&idx),
+                ];
+                for span in open.into_iter().flatten() {
+                    self.journal.end(span, ctx.now().as_nanos());
+                }
+            }
+            for step in &mut task.plan.steps {
+                step.donors.retain(|d| *d != failed_ip);
+            }
+            self.export_settled(idx, node, ctx);
+        }
 
         if !self.config.auto_recovery {
             return;
         }
-        let Some(replacement_ip) = self.pick_replacement(failed_ip) else {
+        let (explicit, groups) = (self.config.replacement, self.config.recovery_groups);
+        let Some(plan) = self
+            .view
+            .plan_recovery(&self.ring, victim, explicit, groups)
+        else {
             return;
         };
-        let plan = RecoveryPlan::compute(
-            &self.ring,
-            failed_ip,
-            replacement_ip,
-            self.config.recovery_groups,
-            &self.failed,
-        );
         if plan.steps.is_empty() {
             return;
         }
         let task = RecoveryTask {
-            failed_node: node,
+            failed_node: self.addr.node_of(victim).unwrap_or(node),
             plan,
             current: 0,
             phase: RecoveryPhase::WaitingToStart,
@@ -397,19 +432,19 @@ impl Node<NetMsg> for Controller {
 
     fn on_node_up(&mut self, node: NodeId, _ctx: &mut Context<NetMsg>) {
         if let Some(ip) = self.addr.ip_of(node) {
-            self.failed.remove(&ip);
+            self.view.revive(ip);
         }
     }
 
     fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<NetMsg>) {
         if token >= TIMER_SYNC_BASE {
             let idx = (token - TIMER_SYNC_BASE) as usize;
-            if idx < self.tasks.len() {
+            if self.live_task(idx) {
                 self.finish_group_sync(idx, ctx);
             }
         } else if token >= TIMER_RECOVERY_BASE {
             let idx = (token - TIMER_RECOVERY_BASE) as usize;
-            if idx < self.tasks.len() {
+            if self.live_task(idx) {
                 self.tasks[idx].phase = RecoveryPhase::Syncing;
                 let span = self.journal.begin(
                     format!("recovery:{}", self.tasks[idx].plan.failed_ip),
@@ -443,6 +478,14 @@ mod tests {
         HashRing::new(switches, 4, 3, 2)
     }
 
+    /// The replacement the controller would pick for `failed` right now.
+    fn pick_replacement(controller: &Controller, failed: Ipv4Addr) -> Option<Ipv4Addr> {
+        let mut view = controller.view.clone();
+        let explicit = controller.config.replacement;
+        let plan = view.plan_recovery(&controller.ring, failed, explicit, None);
+        plan.map(|p| p.replacement_ip)
+    }
+
     #[test]
     fn replacement_prefers_unaffected_live_switches() {
         let ring = ring();
@@ -457,7 +500,7 @@ mod tests {
             HashMap::new(),
         );
         let failed = Ipv4Addr::for_switch(1);
-        let replacement = controller.pick_replacement(failed).unwrap();
+        let replacement = pick_replacement(&controller, failed).unwrap();
         assert_ne!(replacement, failed);
         // With 4 switches and chains of 3, almost every switch is somewhere in
         // the affected set, so the fallback may pick any live switch; it must
@@ -473,7 +516,7 @@ mod tests {
         };
         let controller = Controller::new(config, ring, AddressMap::new(), HashMap::new());
         assert_eq!(
-            controller.pick_replacement(Ipv4Addr::for_switch(1)),
+            pick_replacement(&controller, Ipv4Addr::for_switch(1)),
             Some(Ipv4Addr::for_switch(3))
         );
     }

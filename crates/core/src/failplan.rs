@@ -76,18 +76,26 @@ pub struct FailoverPlan {
 }
 
 impl FailoverPlan {
-    /// Plans fast failover for `failed_ip` over `ring`.
+    /// Plans fast failover for `failed_ip` over `ring`, everything else alive.
     pub fn compute(ring: &HashRing, failed_ip: Ipv4Addr) -> Self {
+        Self::among(ring, failed_ip, &HashSet::new())
+    }
+
+    /// Plans fast failover for `failed_ip` with the switches in `down` dead
+    /// already: `failed_ip` was a chain's acting head if everything before it
+    /// is down, and the new head is the first switch after it that is not.
+    pub fn among(ring: &HashRing, failed_ip: Ipv4Addr, down: &HashSet<Ipv4Addr>) -> Self {
         let mut new_heads: Vec<Ipv4Addr> = Vec::new();
-        let mut seen: HashSet<Ipv4Addr> = HashSet::new();
         for &group in &ring.groups_involving(failed_ip) {
-            let chain = ring.chain_for_group(group);
-            if chain.head() == failed_ip {
-                if let Some(successor) = chain.successor(failed_ip) {
-                    if seen.insert(successor) {
-                        new_heads.push(successor);
-                    }
-                }
+            let chain = ring.chain_for_group(group).switches;
+            let at = chain
+                .iter()
+                .position(|&s| s == failed_ip)
+                .expect("involved");
+            let was_head = chain[..at].iter().all(|s| down.contains(s));
+            let next = chain[at + 1..].iter().find(|s| !down.contains(s));
+            if let Some(&next) = next.filter(|s| was_head && !new_heads.contains(s)) {
+                new_heads.push(next);
             }
         }
         new_heads.sort();
@@ -102,15 +110,20 @@ impl FailoverPlan {
         }
     }
 
-    /// Algorithm 2 as an op list: the rule to every neighbour, then one
-    /// session bump per new head, numbered from `*next_session` (advanced
-    /// past the last one used).
+    /// Algorithm 2 as an op list: one session bump per new head, numbered
+    /// from `*next_session` (advanced past the last one used), then the rule
+    /// to every neighbour. The bumps go first: the rule is what makes a new
+    /// head of a switch, and a head stamping the session it had before, over
+    /// registers a later-numbered head (since dead) wrote, would take them
+    /// backwards. Only a second kill can show it, and the two-victim schedule
+    /// of `livectl/tests/schedules.rs` did.
     pub fn ops(&self, next_session: &mut u64) -> OpList {
-        let mut ops = vec![install(self.failed_ip, self.rule)];
-        for &head in &self.new_heads {
-            let bump = ControlOp::SetSession(next(next_session));
-            ops.push((Target::Switch(head), bump));
-        }
+        let bump = |&head| {
+            let session = ControlOp::SetSession(next(next_session));
+            (Target::Switch(head), session)
+        };
+        let mut ops: OpList = self.new_heads.iter().map(bump).collect();
+        ops.push(install(self.failed_ip, self.rule));
         ops
     }
 }
@@ -211,6 +224,19 @@ impl RecoveryPlan {
         }
     }
 
+    /// The same plan with every rule's priority raised past those of
+    /// `earlier` repairs of the same switch. A switch is repaired again when
+    /// its replacement dies; the old repair's redirects (to the dead
+    /// replacement) are still installed, and a block that did not outrank
+    /// them would block nothing while the group's state is copied.
+    pub fn outranking(mut self, earlier: u8) -> Self {
+        for step in &mut self.steps {
+            step.block.priority += 2 * earlier;
+            step.redirect.priority += 2 * earlier;
+        }
+        self
+    }
+
     /// Phase 1 of step `step`: block the group's traffic to the failed
     /// switch at every neighbour, before any state moves.
     pub fn block_ops(&self, step: usize) -> OpList {
@@ -240,33 +266,115 @@ impl RecoveryPlan {
     }
 }
 
-/// Picks the replacement switch for `failed_ip`: the explicit choice if one
-/// was configured, else a live switch not already in the affected chains (to
-/// spread load), else any live switch.
+/// Picks the replacement switch for `failed_ip`: the explicit choice while it
+/// is alive, else the first live switch of `pool` (spares, then revived
+/// switches; the pick leaves the pool), else a live ring switch not already
+/// in the affected chains (to spread load), else any live ring switch.
 pub fn pick_replacement(
     ring: &HashRing,
     failed_ip: Ipv4Addr,
     failed: &HashSet<Ipv4Addr>,
     explicit: Option<Ipv4Addr>,
+    pool: &mut Vec<Ipv4Addr>,
 ) -> Option<Ipv4Addr> {
-    if let Some(explicit) = explicit {
-        return Some(explicit);
+    let alive = |ip: &Ipv4Addr| *ip != failed_ip && !failed.contains(ip);
+    let free = explicit
+        .filter(alive)
+        .or_else(|| pool.iter().copied().find(alive));
+    if let Some(ip) = free {
+        pool.retain(|p| *p != ip);
+        return free;
     }
     let affected: HashSet<Ipv4Addr> = ring
         .groups_involving(failed_ip)
         .iter()
         .flat_map(|&g| ring.chain_for_group(g).switches)
         .collect();
-    let live: Vec<Ipv4Addr> = ring
-        .switches()
-        .iter()
-        .copied()
-        .filter(|ip| !failed.contains(ip))
-        .collect();
-    live.iter()
-        .copied()
+    let mut live = ring.switches().iter().copied().filter(alive);
+    let first = live.next();
+    first
+        .into_iter()
+        .chain(live)
         .find(|ip| !affected.contains(ip))
-        .or_else(|| live.first().copied())
+        .or(first)
+}
+
+/// What a controller knows beyond the static ring, and the decisions that
+/// follow from it. The simulated controller, the live one and the replay
+/// fabric each keep one and ask it the same questions, so a second kill, a
+/// dead replacement or a revived switch is handled alike by all three.
+#[derive(Debug, Clone, Default)]
+pub struct View {
+    /// Switches believed down: they neither donate state nor replace anyone.
+    pub failed: HashSet<Ipv4Addr>,
+    /// Switches free to take over a failed one's groups, in order of
+    /// preference: the spares, then whatever a `Revive` brought back.
+    pub pool: Vec<Ipv4Addr>,
+    /// `replacement → the ring switch whose groups it took over`.
+    pub stands_for: Vec<(Ipv4Addr, Ipv4Addr)>,
+    /// Every switch a recovery was planned for, once per plan.
+    pub repaired: Vec<Ipv4Addr>,
+    /// The next session number (head bumps and group activations share it).
+    pub next_session: u64,
+}
+
+impl View {
+    /// A healthy deployment with `spares` held out of the ring.
+    pub fn new(spares: Vec<Ipv4Addr>) -> Self {
+        View {
+            pool: spares,
+            next_session: 1,
+            ..View::default()
+        }
+    }
+
+    /// `ip` died. Returns Algorithm 2's op list, keyed on the dead device,
+    /// and the ring switch whose chains now need Algorithm 3: `ip` itself,
+    /// or, if `ip` was a replacement, the switch it stood in for (whose new
+    /// heads need their sessions bumped again). `None` if `ip` held no chain
+    /// role: a spare never used, or a revived switch not yet re-activated.
+    pub fn kill(&mut self, ring: &HashRing, ip: Ipv4Addr) -> Option<(OpList, Ipv4Addr)> {
+        self.failed.insert(ip);
+        self.pool.retain(|p| *p != ip);
+        let stood_for = self.stands_for.iter().position(|&(r, _)| r == ip);
+        let stood_for = stood_for.map(|i| self.stands_for.swap_remove(i).1);
+        let replaced = self.stands_for.iter().any(|&(_, v)| v == ip);
+        let role = if ring.switches().contains(&ip) && !replaced {
+            ip
+        } else {
+            stood_for?
+        };
+        let plan = FailoverPlan {
+            failed_ip: ip,
+            ..FailoverPlan::among(ring, role, &self.failed)
+        };
+        Some((plan.ops(&mut self.next_session), role))
+    }
+
+    /// `ip` came back, empty and inactive: free to replace someone.
+    pub fn revive(&mut self, ip: Ipv4Addr) {
+        if self.failed.remove(&ip) {
+            self.pool.push(ip);
+        }
+    }
+
+    /// Plans Algorithm 3 for the chains of ring switch `victim`, onto the
+    /// replacement [`pick_replacement`] chooses (which now stands for it).
+    pub fn plan_recovery(
+        &mut self,
+        ring: &HashRing,
+        victim: Ipv4Addr,
+        explicit: Option<Ipv4Addr>,
+        recovery_groups: Option<u32>,
+    ) -> Option<RecoveryPlan> {
+        let replacement = pick_replacement(ring, victim, &self.failed, explicit, &mut self.pool)?;
+        self.stands_for.push((replacement, victim));
+        let earlier = self.repaired.iter().filter(|v| **v == victim).count() as u8;
+        self.repaired.push(victim);
+        let failed = &self.failed;
+        let plan = RecoveryPlan::compute(ring, victim, replacement, recovery_groups, failed);
+        Some(plan.outranking(earlier))
+    }
 }
 
 #[cfg(test)]
@@ -353,13 +461,14 @@ mod tests {
             rule,
         };
 
-        // Algorithm 2: the rule to the neighbours, then `new_heads[i]` gets
-        // session `base + i`.
+        // Algorithm 2: `new_heads[i]` gets session `base + i`, then the rule
+        // goes to the neighbours.
         let mut session = 7;
-        let mut golden = vec![(Target::Neighbours, install(plan.rule))];
+        let mut golden = Vec::new();
         for (i, &head) in plan.new_heads.iter().enumerate() {
             golden.push((Target::Switch(head), ControlOp::SetSession(7 + i as u64)));
         }
+        golden.push((Target::Neighbours, install(plan.rule)));
         assert_eq!(plan.ops(&mut session), golden);
         assert_eq!(session, 7 + plan.new_heads.len() as u64);
 
@@ -397,15 +506,79 @@ mod tests {
     fn replacement_picking_prefers_explicit_then_unaffected() {
         let ring = ring();
         let failed = Ipv4Addr::for_switch(1);
-        let explicit = pick_replacement(
-            &ring,
-            failed,
-            &HashSet::new(),
-            Some(Ipv4Addr::for_switch(9)),
-        );
-        assert_eq!(explicit, Some(Ipv4Addr::for_switch(9)));
-        let picked = pick_replacement(&ring, failed, &HashSet::from([failed]), None)
+        let spare = Ipv4Addr::for_switch(9);
+        let explicit = pick_replacement(&ring, failed, &HashSet::new(), Some(spare), &mut vec![]);
+        assert_eq!(explicit, Some(spare));
+        let down = HashSet::from([failed]);
+        let picked = pick_replacement(&ring, failed, &down, None, &mut vec![])
             .expect("live switches remain");
         assert_ne!(picked, failed);
+        // A dead explicit choice is passed over for the pool, in order, and
+        // the pick leaves the pool.
+        let mut pool = vec![Ipv4Addr::for_switch(7), Ipv4Addr::for_switch(8)];
+        let down = HashSet::from([failed, spare, Ipv4Addr::for_switch(7)]);
+        let picked = pick_replacement(&ring, failed, &down, Some(spare), &mut pool);
+        assert_eq!(picked, Some(Ipv4Addr::for_switch(8)));
+        assert_eq!(pool, [Ipv4Addr::for_switch(7)]);
+    }
+
+    #[test]
+    fn the_view_follows_roles_through_a_dead_replacement_and_a_revival() {
+        let ring = ring();
+        let [a, b] = [1, 2].map(Ipv4Addr::for_switch);
+        let [s1, s2] = [8, 9].map(Ipv4Addr::for_switch);
+        let mut view = View::new(vec![s1, s2]);
+        // With b down already, a's death makes heads only of live switches,
+        // also where b led and a was next.
+        let down = HashSet::from([b]);
+        let heads = FailoverPlan::among(&ring, a, &down).new_heads;
+        assert!(!heads.contains(&b) && !heads.is_empty());
+        let acting = (0..ring.num_virtual_nodes() as u32)
+            .map(|g| ring.chain_for_group(g).switches)
+            .find(|c| c[0] == b && c[1] == a)
+            .expect("some chain runs b, a, ..");
+        assert!(heads.contains(&acting[2]));
+        // An idle spare holds no chain role.
+        let mut idle = view.clone();
+        assert!(idle.kill(&ring, s2).is_none());
+        assert_eq!(idle.pool, [s1]);
+
+        let (ops, role) = view.kill(&ring, a).expect("a ring switch has chains");
+        assert_eq!(role, a);
+        assert_eq!(ops, FailoverPlan::compute(&ring, a).ops(&mut 1));
+        let plan = view
+            .plan_recovery(&ring, a, None, Some(4))
+            .expect("a spare is free");
+        assert_eq!((plan.failed_ip, plan.replacement_ip), (a, s1));
+
+        // The replacement dies: rules keyed on the dead device, the heads of
+        // the switch it stood for bumped again, and that switch repaired anew.
+        let before = view.next_session;
+        let (ops, role) = view.kill(&ring, s1).expect("it stood for a");
+        assert_eq!(role, a);
+        let again = FailoverPlan {
+            failed_ip: s1,
+            ..FailoverPlan::compute(&ring, a)
+        };
+        assert_eq!(ops, again.ops(&mut { before }));
+        let plan = view
+            .plan_recovery(&ring, a, None, Some(4))
+            .expect("a second spare");
+        assert_eq!(plan.replacement_ip, s2);
+        assert!(plan.steps.iter().all(|s| !s.donors.contains(&s1)));
+        // Its blocks outrank the redirects the first repair left behind.
+        let priorities = |s: &GroupRepair| (s.block.priority, s.redirect.priority);
+        assert!(plan.steps.iter().all(|s| priorities(s) == (4, 5)));
+
+        // A revived switch is free, and stands for whom it replaces; killed
+        // again before that it would have had no role (s2 holds its groups).
+        view.revive(a);
+        assert!(view.clone().kill(&ring, a).is_none());
+        let (_, role) = view.kill(&ring, b).expect("a ring switch");
+        let plan = view
+            .plan_recovery(&ring, role, None, None)
+            .expect("the revived switch");
+        assert_eq!((plan.failed_ip, plan.replacement_ip), (b, a));
+        assert_eq!(view.kill(&ring, a).map(|(_, role)| role), Some(b));
     }
 }

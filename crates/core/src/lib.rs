@@ -19,6 +19,8 @@
 //! * [`controller`] — the network controller (the reconfiguration half of
 //!   Vertical Paxos): fast failover (Algorithm 2) and failure recovery with
 //!   two-phase atomic switching and virtual groups (Algorithm 3, §5).
+//! * [`fault`] — the one fault vocabulary: a seeded [`Schedule`] of
+//!   [`FaultOp`]s every execution mode delivers, and the link-fault filter.
 //! * [`cluster`] — glue that assembles complete deployments (the Figure 8
 //!   testbed or arbitrary spine–leaf fabrics) ready to run experiments on.
 
@@ -32,6 +34,7 @@ pub mod controller;
 pub mod directory;
 pub mod evidence;
 pub mod failplan;
+pub mod fault;
 pub mod hashring;
 pub mod message;
 pub mod switch_node;
@@ -44,6 +47,7 @@ pub use controller::{Controller, ControllerConfig};
 pub use directory::{AddressMap, ChainDirectory, KeyLocus, QueryRoute};
 pub use evidence::{evidence_op, query_evidence, query_evidence_hashed};
 pub use failplan::{FailoverPlan, GroupRepair, RecoveryPlan};
+pub use fault::{FaultOp, LinkFilter, Schedule};
 pub use hashring::{ChainDescriptor, HashRing};
 pub use message::{ControlMsg, NetMsg};
 pub use switch_node::SwitchNode;

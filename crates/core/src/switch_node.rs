@@ -97,6 +97,13 @@ impl Node<NetMsg> for SwitchNode {
         self.down_neighbors.remove(&node);
     }
 
+    fn on_restart(&mut self, _ctx: &mut Context<NetMsg>) {
+        // A revived switch is empty and serves nothing until Algorithm 3
+        // activates it (`FaultOp::Revive`).
+        self.switch.wipe();
+        self.switch.set_active(false);
+    }
+
     fn on_message(&mut self, from: NodeId, msg: NetMsg, ctx: &mut Context<NetMsg>) {
         match msg {
             NetMsg::Data(pkt) => {

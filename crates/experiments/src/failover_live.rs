@@ -13,8 +13,9 @@
 //! failed switch for the whole synchronisation window.
 
 use crate::series::Series;
+use netchain_core::{FaultOp, Schedule};
 use netchain_fabric::{FabricConfig, WorkloadSpec};
-use netchain_livectl::{run_live_controlled, FaultScript, LiveAnomaly, LiveConfig, LiveReport};
+use netchain_livectl::{run_live_controlled, LiveAnomaly, LiveConfig, LiveReport, Reactions};
 use netchain_telemetry::{
     trace_record_fields, ArtifactWriter, FlightRecorder, Json, Quantiles, TraceConfig,
 };
@@ -30,7 +31,7 @@ fn trace_sampling(duration: Duration) -> TraceConfig {
 }
 
 /// Parameters of one live failover run (shared by every `groups` setting).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct FailoverLiveParams {
     /// Worker shards.
     pub shards: usize,
@@ -45,53 +46,63 @@ pub struct FailoverLiveParams {
     pub duration: Duration,
     /// Throughput slice width.
     pub slice: Duration,
-    /// When the victim dies.
-    pub kill_at: Duration,
-    /// Failure-detection time before Algorithm 2 runs.
-    pub failover_delay: Duration,
-    /// Pause between failover and the start of repair.
-    pub recovery_delay: Duration,
-    /// Total state-synchronisation budget across all groups.
-    pub sync_duration: Duration,
+    /// What breaks, and when: S1 dies.
+    pub schedule: Schedule,
+    /// How the controller reacts: detection time before Algorithm 2, pause
+    /// before repair, total sync budget (the spare replaces; the group count
+    /// is each run's own).
+    pub reactions: Reactions,
 }
 
 impl Default for FailoverLiveParams {
     fn default() -> Self {
-        FailoverLiveParams {
-            shards: 2,
-            switches: 4,
-            num_keys: 512,
-            read_pct: 50,
-            duration: Duration::from_millis(3_000),
-            slice: Duration::from_millis(20),
-            kill_at: Duration::from_millis(600),
-            failover_delay: Duration::from_millis(50),
-            recovery_delay: Duration::from_millis(350),
-            sync_duration: Duration::from_millis(600),
-        }
+        Self::timed(600, 50, 350, 600)
     }
 }
 
 impl FailoverLiveParams {
     /// A tiny configuration for CI smoke runs (finishes in under a second).
     pub fn smoke() -> Self {
+        Self::smoke_timed(150, 30, 70, 150)
+    }
+
+    /// The smoke run's shape with the timings of [`Self::timed`].
+    fn smoke_timed(kill_at: u64, failover_delay: u64, recovery_delay: u64, sync: u64) -> Self {
         FailoverLiveParams {
             shards: 1,
             num_keys: 128,
             duration: Duration::from_millis(700),
             slice: Duration::from_millis(10),
-            kill_at: Duration::from_millis(150),
-            failover_delay: Duration::from_millis(30),
-            recovery_delay: Duration::from_millis(70),
-            sync_duration: Duration::from_millis(150),
-            ..Default::default()
+            ..Self::timed(kill_at, failover_delay, recovery_delay, sync)
+        }
+    }
+
+    /// The default run with S1 killed at `kill_at` ms and the controller's
+    /// three delays (detection, pause, sync budget), in milliseconds.
+    fn timed(kill_at: u64, failover_delay: u64, recovery_delay: u64, sync: u64) -> Self {
+        let ms = Duration::from_millis;
+        FailoverLiveParams {
+            shards: 2,
+            switches: 4,
+            num_keys: 512,
+            read_pct: 50,
+            duration: ms(3_000),
+            slice: ms(20),
+            schedule: Schedule::new(0).at(ms(kill_at), FaultOp::Kill(Ipv4Addr::for_switch(1))),
+            reactions: Reactions {
+                failover_delay: ms(failover_delay),
+                recovery_delay: ms(recovery_delay),
+                sync_duration: ms(sync),
+                ..Reactions::default()
+            },
         }
     }
 
     fn window_means(&self, report: &LiveReport) -> FailoverLiveSummary {
         let timeline = report.timeline.as_ref().expect("a fault script ran");
         let margin = Duration::from_millis(40);
-        let pre_failure = report.mean_rate(self.slice, self.kill_at);
+        let kill_at = self.schedule.kills().next().expect("a kill is scheduled").0;
+        let pre_failure = report.mean_rate(self.slice, kill_at);
         let failover_mean = report.mean_rate(
             timeline.failover_installed_at + margin,
             timeline.repair_started_at,
@@ -160,7 +171,7 @@ pub struct FailoverLiveSummary {
 /// window summary, and the full report (latency, traces, timeline) for
 /// artifact export.
 pub fn failover_live(
-    params: FailoverLiveParams,
+    params: &FailoverLiveParams,
     groups: u32,
 ) -> (Vec<Series>, FailoverLiveSummary, LiveReport) {
     let fabric = FabricConfig {
@@ -175,16 +186,12 @@ pub fn failover_live(
     // so failover timings measure the protocol, not scheduler placement.
     .with_pinning(true);
     let workload = WorkloadSpec::mixed(params.num_keys, 0, params.read_pct, 100 - params.read_pct);
-    let script = FaultScript {
-        victim: Ipv4Addr::for_switch(1),
-        kill_at: params.kill_at,
-        failover_delay: params.failover_delay,
-        recovery_delay: params.recovery_delay,
-        sync_duration: params.sync_duration,
+    let reactions = Reactions {
         recovery_groups: Some(groups),
-        replacement: None, // the spare
+        ..params.reactions
     };
-    let mut config = LiveConfig::new(fabric, workload, params.duration).with_script(script);
+    let mut config = LiveConfig::new(fabric, workload, params.duration)
+        .with_schedule(params.schedule.clone(), reactions);
     config.slice = params.slice;
     let report = run_live_controlled(config);
     let summary = params.window_means(&report);
@@ -242,16 +249,14 @@ fn export_run(
     // its own timebase and version history; the `run` label on spans and
     // trace records lets `chain_audit` keep them apart.
     let run_label = format!("{groups}-vgroups");
-    if let Some(timeline) = &report.timeline {
-        artifact.record(
-            "spans",
-            vec![
-                ("groups", Json::U64(u64::from(groups))),
-                ("run", Json::str(&run_label)),
-                ("journal", Json::from(&timeline.journal())),
-            ],
-        );
-    }
+    artifact.record(
+        "spans",
+        vec![
+            ("groups", Json::U64(u64::from(groups))),
+            ("run", Json::str(&run_label)),
+            ("journal", Json::from(&report.ops_journal)),
+        ],
+    );
     artifact.record(
         "hops",
         vec![
@@ -280,9 +285,6 @@ fn check_or_dump(ok: bool, msg: &str, groups: u32, report: &LiveReport) {
         return;
     }
     let recorder = FlightRecorder::new(1024);
-    if let Some(timeline) = &report.timeline {
-        recorder.record_journal(&timeline.journal());
-    }
     recorder.record_journal(&report.ops_journal);
     let slice_ns = report.slice.as_nanos() as u64;
     for (i, &n) in report.slices.iter().enumerate() {
@@ -327,7 +329,7 @@ pub fn run_cli(args: &[String]) -> i32 {
     let mut summaries = Vec::new();
     let mut reports = Vec::new();
     for &groups in group_settings {
-        let (series, summary, report) = failover_live(params, groups);
+        let (series, summary, report) = failover_live(&params, groups);
         print_series(
             &format!("Live failover ({groups} vgroup(s))"),
             "time (s)",
@@ -414,19 +416,17 @@ mod tests {
         // a clean audit said nothing about failover or repair.
         let params = FailoverLiveParams {
             duration: Duration::from_millis(3_000),
-            kill_at: Duration::from_millis(1_800),
-            sync_duration: Duration::from_millis(200),
-            ..FailoverLiveParams::smoke()
+            ..FailoverLiveParams::smoke_timed(1_800, 30, 70, 200)
         };
-        let (_, _, report) = failover_live(params, 16);
+        let (_, _, report) = failover_live(&params, 16);
         let timeline = report.timeline.as_ref().expect("a fault script ran");
-        let journal = timeline.journal();
+        let journal = &report.ops_journal;
         assert!(
             timeline.repair_finished_at < params.duration,
             "{timeline:?}"
         );
 
-        let whole = audit(&report.traces, &journal, &AuditConfig::default());
+        let whole = audit(&report.traces, journal, &AuditConfig::default());
         assert!(whole.is_clean(), "{:?}", whole.violations);
         let acked = whole.writes + whole.reads;
         assert!(
@@ -451,7 +451,7 @@ mod tests {
             .filter(issued_after_repair)
             .cloned()
             .collect();
-        let late = audit(&after, &journal, &AuditConfig::default());
+        let late = audit(&after, journal, &AuditConfig::default());
         assert!(late.is_clean(), "{:?}", late.violations);
         assert!(late.writes > 0 && late.checked > 0, "{late:?}");
         assert!(late.truncated * 20 < late.writes + late.reads, "{late:?}");
@@ -464,15 +464,11 @@ mod tests {
         // stretch it past 1.6 s.
         let params = FailoverLiveParams {
             duration: Duration::from_millis(2_500),
-            kill_at: Duration::from_millis(300),
-            failover_delay: Duration::from_millis(40),
-            recovery_delay: Duration::from_millis(160),
-            sync_duration: Duration::from_millis(400),
             num_keys: 256,
-            ..Default::default()
+            ..FailoverLiveParams::timed(300, 40, 160, 400)
         };
-        let (_, one, one_report) = failover_live(params, 1);
-        let (_, many, many_report) = failover_live(params, 16);
+        let (_, one, one_report) = failover_live(&params, 1);
+        let (_, many, many_report) = failover_live(&params, 16);
         // What a run must show whatever the box: nothing lost, nothing
         // reordered, every scripted group repaired, and service resumed for
         // good: from the end of repair to the end of the run no five slices

@@ -11,56 +11,83 @@
 //! pre-failure plateau — the *shape* is the reproduction target.
 
 use crate::series::Series;
-use netchain_core::{ClusterConfig, ControllerConfig, NetChainCluster, WorkloadConfig};
-use netchain_sim::{SimDuration, SimTime};
+use netchain_core::{
+    ClusterConfig, ControllerConfig, FaultOp, NetChainCluster, Schedule, WorkloadConfig,
+};
+use netchain_sim::SimDuration;
 use netchain_wire::Ipv4Addr;
+use std::time::Duration;
 
 /// Parameters of the failure-handling experiment.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct Fig10Params {
-    /// Number of virtual groups used by recovery (1 for Figure 10(a), 100 for
-    /// Figure 10(b)).
-    pub virtual_groups: u32,
+    /// What fails, and when: by default S1 (a middle switch for most chains)
+    /// at t = 20 s.
+    pub schedule: Schedule,
+    /// How the controller reacts: the delay before recovery starts after
+    /// failover, the total state-synchronisation time across all groups, the
+    /// replacement (S3) and the number of virtual groups recovery uses (1 for
+    /// Figure 10(a), 100 for Figure 10(b)).
+    pub controller: ControllerConfig,
     /// Offered load from the observed client, queries per second (scaled).
     pub offered_qps: f64,
-    /// When the failure is injected.
-    pub fail_at: SimDuration,
-    /// Delay before recovery starts after failover.
-    pub recovery_delay: SimDuration,
-    /// Total state-synchronisation time across all groups.
-    pub sync_duration: SimDuration,
     /// Total simulated time.
     pub total: SimDuration,
 }
 
-impl Default for Fig10Params {
-    fn default() -> Self {
+impl Fig10Params {
+    /// The paper's timings (failure at 20 s, recovery 20 s later, 150 s of
+    /// synchronisation) with recovery in `virtual_groups` groups.
+    pub fn paper(virtual_groups: u32) -> Self {
+        Self::scaled(virtual_groups, 20, 20, 150, 230)
+    }
+
+    /// S1 killed at `fail_at` s, recovery `recovery_delay` s later taking
+    /// `sync` s, `total` s in all.
+    fn scaled(
+        virtual_groups: u32,
+        fail_at: u64,
+        recovery_delay: u64,
+        sync: u64,
+        total: u64,
+    ) -> Self {
+        let kill = FaultOp::Kill(Ipv4Addr::for_switch(1));
         Fig10Params {
-            virtual_groups: 1,
+            schedule: Schedule::new(0).at(Duration::from_secs(fail_at), kill),
+            controller: ControllerConfig {
+                recovery_start_delay: SimDuration::from_secs(recovery_delay),
+                total_sync_duration: SimDuration::from_secs(sync),
+                replacement: Some(Ipv4Addr::for_switch(3)),
+                recovery_groups: Some(virtual_groups),
+                ..ControllerConfig::default()
+            },
             offered_qps: 10_000.0,
-            fail_at: SimDuration::from_secs(20),
-            recovery_delay: SimDuration::from_secs(20),
-            sync_duration: SimDuration::from_secs(150),
-            total: SimDuration::from_secs(230),
+            total: SimDuration::from_secs(total),
         }
+    }
+
+    /// When the first failure is injected, in seconds.
+    fn fail_s(&self) -> f64 {
+        self.schedule
+            .kills()
+            .next()
+            .map_or(0.0, |(at, _)| at.as_secs_f64())
+    }
+
+    fn virtual_groups(&self) -> u32 {
+        self.controller.recovery_groups.unwrap_or(0)
     }
 }
 
 /// Runs the experiment and returns the client's completed-query throughput
 /// time series: one absolute series ("throughput (QPS)") and one normalised
 /// to the pre-failure plateau ("normalised").
-pub fn fig10(params: Fig10Params) -> Vec<Series> {
+pub fn fig10(params: &Fig10Params) -> Vec<Series> {
     let config = ClusterConfig {
         // S0–S2 form the ring; S3 is the spare that replaces the failed
         // switch.
         ring_switches: Some(3),
-        controller: ControllerConfig {
-            recovery_start_delay: params.recovery_delay,
-            total_sync_duration: params.sync_duration,
-            replacement: Some(Ipv4Addr::for_switch(3)),
-            recovery_groups: Some(params.virtual_groups),
-            ..ControllerConfig::default()
-        },
+        controller: params.controller,
         ..Default::default()
     };
     let mut cluster = NetChainCluster::testbed(config);
@@ -76,8 +103,7 @@ pub fn fig10(params: Fig10Params) -> Vec<Series> {
             ..Default::default()
         },
     );
-    // Fail S1 (a middle switch for most chains).
-    cluster.fail_switch_at(SimTime::ZERO + params.fail_at, 1);
+    cluster.inject(&params.schedule);
     cluster
         .sim
         .run_for(params.total + SimDuration::from_secs(2));
@@ -85,7 +111,7 @@ pub fn fig10(params: Fig10Params) -> Vec<Series> {
     let client = cluster.workload_client(0).expect("installed");
     let series = client.throughput().rate_series();
     // Plateau = average rate over the seconds strictly before the failure.
-    let fail_s = params.fail_at.as_secs_f64();
+    let fail_s = params.fail_s();
     let plateau: f64 = {
         let before: Vec<f64> = series
             .iter()
@@ -99,11 +125,11 @@ pub fn fig10(params: Fig10Params) -> Vec<Series> {
         }
     };
     let absolute = Series::new(
-        format!("throughput (QPS), {} vgroup(s)", params.virtual_groups),
+        format!("throughput (QPS), {} vgroup(s)", params.virtual_groups()),
         series.clone(),
     );
     let normalised = Series::new(
-        format!("normalised, {} vgroup(s)", params.virtual_groups),
+        format!("normalised, {} vgroup(s)", params.virtual_groups()),
         series
             .iter()
             .map(|&(t, r)| (t, if plateau > 0.0 { r / plateau } else { 0.0 }))
@@ -128,9 +154,9 @@ pub struct Fig10Summary {
 /// Extracts summary statistics from the normalised series produced by
 /// [`fig10`].
 pub fn summarise(params: &Fig10Params, normalised: &Series) -> Fig10Summary {
-    let fail_s = params.fail_at.as_secs_f64();
-    let recovery_start = fail_s + params.recovery_delay.as_secs_f64();
-    let recovery_end = recovery_start + params.sync_duration.as_secs_f64();
+    let fail_s = params.fail_s();
+    let recovery_start = fail_s + params.controller.recovery_start_delay.as_secs_f64();
+    let recovery_end = recovery_start + params.controller.total_sync_duration.as_secs_f64();
     let window_mean = |from: f64, to: f64| {
         let values: Vec<f64> = normalised
             .points
@@ -169,11 +195,8 @@ pub fn run_cli(args: &[String]) -> i32 {
         Some(groups) => vec![groups],
     };
     for groups in runs {
-        let params = Fig10Params {
-            virtual_groups: groups,
-            ..Default::default()
-        };
-        let series = fig10(params);
+        let params = Fig10Params::paper(groups);
+        let series = fig10(&params);
         let summary = summarise(&params, &series[1]);
         crate::print_series(
             &format!("Figure 10: failure handling, {groups} virtual group(s)"),
@@ -192,19 +215,15 @@ mod tests {
 
     fn small_params(vgroups: u32) -> Fig10Params {
         Fig10Params {
-            virtual_groups: vgroups,
             offered_qps: 2_000.0,
-            fail_at: SimDuration::from_secs(3),
-            recovery_delay: SimDuration::from_secs(3),
-            sync_duration: SimDuration::from_secs(12),
-            total: SimDuration::from_secs(24),
+            ..Fig10Params::scaled(vgroups, 3, 3, 12, 24)
         }
     }
 
     #[test]
     fn one_virtual_group_halves_throughput_during_recovery() {
         let params = small_params(1);
-        let series = fig10(params);
+        let series = fig10(&params);
         let summary = summarise(&params, &series[1]);
         // 50 % writes all blocked during the single group's sync: the mean
         // normalised throughput during recovery should sit near 0.5.
@@ -221,7 +240,7 @@ mod tests {
     #[test]
     fn many_virtual_groups_barely_dent_throughput() {
         let params = small_params(50);
-        let series = fig10(params);
+        let series = fig10(&params);
         let summary = summarise(&params, &series[1]);
         assert!(
             summary.recovery_mean > 0.9,

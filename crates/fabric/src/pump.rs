@@ -21,9 +21,11 @@ use crate::frame::Frame;
 use crate::loadgen::ClientState;
 use crate::ring::{ring, Consumer, Producer};
 use crate::shard::{shard_of_group, Shard};
+use netchain_core::{LinkFilter, Schedule};
 use netchain_sim::SimTime;
-use netchain_wire::BatchEncoder;
+use netchain_wire::{BatchEncoder, Ipv4Addr};
 use std::collections::VecDeque;
+use std::time::Duration;
 
 /// Builds the rings of a fabric — one per (client, shard) pair and
 /// direction, each holding `config.ring_capacity` frames — and hands every
@@ -35,6 +37,7 @@ pub fn connect(config: &FabricConfig) -> (Vec<ClientPort>, Vec<ShardPort>) {
             rx: Vec::with_capacity(config.num_shards),
             parked: VecDeque::new(),
             burst: config.burst,
+            filter: None,
         })
         .collect();
     let mut shards: Vec<ShardPort> = (0..config.num_shards)
@@ -144,6 +147,9 @@ pub struct ClientPort {
     /// failure-free run this stays empty.
     parked: VecDeque<(usize, Frame)>,
     burst: usize,
+    /// The link faults on this client's edges, if a schedule holds any
+    /// ([`Self::impair`]). `None` costs a pass one branch.
+    filter: Option<Box<LinkFilter>>,
 }
 
 /// What one [`ClientPort::pump`] pass did.
@@ -156,6 +162,44 @@ pub struct ClientPass {
 }
 
 impl ClientPort {
+    /// Arms the port of client `id` with its part of a fault schedule: the
+    /// `Link` ops on the edges between `Ipv4Addr::for_host(id)` and the
+    /// shards (`Ipv4Addr::for_shard(s)`), either direction, and stalls of the
+    /// client itself. They come into force by the clock [`Self::pump`] is
+    /// handed, read as the offset from run start.
+    pub fn impair(&mut self, id: u32, schedule: &Schedule) {
+        let filter = LinkFilter::new(schedule, Ipv4Addr::for_host(id), |_| false);
+        self.filter = Some(Box::new(filter)).filter(|f| !f.is_empty());
+    }
+
+    /// Hands `frame` to shard `s`: through the link filter while one is in
+    /// force, into the ring if nothing is parked and it has room, behind the
+    /// parked frames otherwise. Returns whether a frame went into the ring.
+    fn offer(&mut self, s: usize, frame: Frame) -> bool {
+        let ClientPort {
+            tx, parked, filter, ..
+        } = self;
+        let mut pushed = false;
+        let mut push = |frame: Frame| {
+            if !parked.is_empty() {
+                parked.push_back((s, frame));
+            } else if let Err(back) = tx[s].push(frame) {
+                parked.push_back((s, back));
+            } else {
+                pushed = true;
+            }
+        };
+        match filter {
+            Some(filter) if filter.active() => {
+                filter.send(Ipv4Addr::for_shard(s as u32), frame.as_bytes(), |bytes| {
+                    push(Frame::from_bytes(bytes).expect("it was a frame"));
+                });
+            }
+            _ => push(frame),
+        }
+        pushed
+    }
+
     /// One pass: re-offers parked frames, then — if `may_issue`, nothing is
     /// parked and the window is open — draws and issues queries, each
     /// encoded in its ring slot and all published together, then matches
@@ -169,6 +213,17 @@ impl ClientPort {
         mut clock: impl FnMut() -> SimTime,
     ) -> ClientPass {
         let mut pass = ClientPass::default();
+        // Link faults: bring what is due into force (and serve a stall of
+        // this client) once a pass; frames take the filtered path only while
+        // an edge is impaired.
+        let mut shaped = false;
+        if let Some(filter) = &mut self.filter {
+            let stall = filter.advance(Duration::from_nanos(clock().as_nanos()));
+            if !stall.is_zero() {
+                std::thread::sleep(stall);
+            }
+            shaped = filter.active();
+        }
         while let Some((s, frame)) = self.parked.pop_front() {
             match self.tx[s].push(frame) {
                 Ok(()) => pass.progressed = true,
@@ -182,7 +237,7 @@ impl ClientPort {
         while may_issue && self.parked.is_empty() && client.can_issue() {
             let op = client.draw();
             let s = shard_of_group(op.group(), num_shards);
-            match self.tx[s].reserve() {
+            match self.tx[s].reserve().filter(|_| !shaped) {
                 Some(slot) => {
                     slot.encode_with(|buf| client.issue_drawn(clock(), &op, buf));
                     self.tx[s].commit();
@@ -191,14 +246,14 @@ impl ClientPort {
                 None => {
                     let mut frame = Frame::default();
                     frame.encode_with(|buf| client.issue_drawn(clock(), &op, buf));
-                    self.parked.push_back((s, frame));
+                    pass.progressed |= self.offer(s, frame);
                 }
             }
         }
         for tx in &mut self.tx {
             tx.publish();
         }
-        for rx in &mut self.rx {
+        for (s, rx) in self.rx.iter_mut().enumerate() {
             let replies = rx.run(self.burst);
             let got = replies.len();
             if got == 0 {
@@ -206,8 +261,19 @@ impl ClientPort {
             }
             pass.progressed = true;
             let now = clock();
-            for reply in replies.iter() {
-                pass.completed += u64::from(client.absorb_reply_at(now, reply.as_bytes()));
+            let mut absorb = |bytes: &[u8]| u64::from(client.absorb_reply_at(now, bytes));
+            match &mut self.filter {
+                Some(filter) if shaped => {
+                    let from = Ipv4Addr::for_shard(s as u32);
+                    for reply in replies.iter() {
+                        filter.recv(from, reply.as_bytes(), |b| pass.completed += absorb(b));
+                    }
+                }
+                _ => {
+                    for reply in replies.iter() {
+                        pass.completed += absorb(reply.as_bytes());
+                    }
+                }
             }
             rx.release(got);
         }
@@ -223,13 +289,7 @@ impl ClientPort {
         for pkt in client.poll_retries_at(now) {
             let s = shard_of_group(client.group_of(&pkt.netchain.key), num_shards);
             let frame = Frame::from_packet(&pkt).expect("queries fit in a frame");
-            if !self.parked.is_empty() {
-                self.parked.push_back((s, frame));
-            } else if let Err(back) = self.tx[s].push(frame) {
-                self.parked.push_back((s, back));
-            } else {
-                pushed = true;
-            }
+            pushed |= self.offer(s, frame);
         }
         pushed
     }

@@ -35,8 +35,10 @@
 //! The live control plane (`netchain-livectl`) programs a shard between
 //! bursts exactly the way the paper's controller programs switches:
 //!
-//! * [`Shard::kill_switch`] is the fault injector's hook — the replica stops
-//!   being addressable, freezing its state like a fail-stopped device.
+//! * [`Shard::fault`] is the fault injector's hook, for the switch-level
+//!   half of `netchain_core::fault`'s vocabulary: a killed replica stops
+//!   being addressable, freezing its state like a fail-stopped device; a
+//!   revived one comes back empty and inactive.
 //! * [`Shard::apply`] delivers one control op (`netchain_switch::ControlOp`,
 //!   the vocabulary every transport shares) to its target. A rule addressed
 //!   to the failed switch's *neighbours* goes into **every live switch
@@ -69,7 +71,8 @@
 use crate::stats::ShardStats;
 use netchain_core::failplan::Target;
 use netchain_core::query_evidence_hashed;
-use netchain_core::HashRing;
+use netchain_core::{FaultOp, HashRing};
+use netchain_switch::kv::ExportedEntry;
 use netchain_switch::{
     stable_hash_batch, ControlOp, DropReason, NetChainSwitch, PipelineConfig, ProbeGauges,
 };
@@ -313,14 +316,40 @@ impl Shard {
 
     // ---- Control-plane hooks (the live controller's verbs) ----
 
-    /// Fail-stops a switch replica: it stops being addressable and its state
-    /// freezes. Queries towards it fall to the gateway's rule table (or are
-    /// dropped as unroutable until rules arrive).
-    pub fn kill_switch(&mut self, ip: Ipv4Addr) {
+    /// Delivers a fault to the replica it names. `Kill` fail-stops it: it
+    /// stops being addressable and its state freezes; queries towards it fall
+    /// to the gateway's rule table (or are dropped as unroutable until rules
+    /// arrive). `Revive` brings it back empty and inactive, which keeps it
+    /// unaddressable until Algorithm 3 activates it. A stall or a link fault
+    /// is the hosting thread's business and changes nothing here.
+    pub fn fault(&mut self, op: &FaultOp) {
+        let (ip, killed) = match *op {
+            FaultOp::Kill(ip) => (ip, true),
+            FaultOp::Revive(ip) => (ip, false),
+            _ => return,
+        };
         if let Some(i) = self.index_of(ip) {
-            self.failed[i] = true;
+            self.failed[i] = killed;
+            if !killed {
+                self.switches[i].wipe();
+                self.switches[i].set_active(false);
+            }
             self.refresh_gateway();
         }
+    }
+
+    /// True if a `Stall` of `ip` stalls the thread hosting this shard: `ip`
+    /// is the shard's own address, or a switch it hosts a slice of.
+    pub fn named_by(&self, ip: Ipv4Addr) -> bool {
+        ip == Ipv4Addr::for_shard(self.id as u32) || self.index_of(ip).is_some()
+    }
+
+    /// The entries of virtual group `group` (of `modulus`) that the replica
+    /// of `ip` holds: the donor side of chain repair. A dead donor answers
+    /// nothing, whether or not the controller has noticed it is dead.
+    pub fn export_group(&self, ip: Ipv4Addr, group: u32, modulus: u32) -> Vec<ExportedEntry> {
+        let donor = self.live_index(ip).map(|i| &self.switches[i]);
+        donor.map_or_else(Vec::new, |sw| sw.kv().export_group(group, modulus))
     }
 
     /// True if the fault injector killed `ip` on this shard.
@@ -360,9 +389,11 @@ impl Shard {
             .min_by_key(|&i| self.ips[i]);
     }
 
-    /// The live replica addressed by `ip`, if this shard hosts one.
+    /// The live, active replica addressed by `ip`, if this shard hosts one
+    /// (a revived switch is neither until a repair activates it).
     fn live_index(&self, ip: Ipv4Addr) -> Option<usize> {
-        self.index_of(ip).filter(|&i| !self.failed[i])
+        self.index_of(ip)
+            .filter(|&i| !self.failed[i] && self.switches[i].is_active())
     }
 
     // ---- Data plane ----
@@ -465,9 +496,7 @@ impl Shard {
                     _ => self
                         .live_index(Ipv4Addr(dst.to_be_bytes()))
                         .map(|s| &self.switches[s])
-                        .is_some_and(|sw| {
-                            sw.is_active() && !sw.forwarding().targets(Ipv4Addr(src.to_be_bytes()))
-                        }),
+                        .is_some_and(|sw| !sw.forwarding().targets(Ipv4Addr(src.to_be_bytes()))),
                 };
                 last = Some((dst, src, ok));
                 if ok {
@@ -1052,7 +1081,7 @@ mod tests {
         let key = Key::from_name("doomed");
         shard.populate(key, &Value::from_u64(0));
         let head = ring.chain_for_key(&key).head();
-        shard.kill_switch(head);
+        shard.fault(&FaultOp::Kill(head));
         assert!(shard.is_failed(head));
         let mut replies = BatchEncoder::new();
         let write = query_frame(&ring, key, OpCode::Write, Value::from_u64(1), 1);
@@ -1070,7 +1099,7 @@ mod tests {
         let chain = ring.chain_for_key(&key);
         // Kill the middle replica and install fast failover everywhere.
         let victim = chain.switches[1];
-        shard.kill_switch(victim);
+        shard.fault(&FaultOp::Kill(victim));
         install_rule(
             &mut shard,
             victim,
@@ -1109,7 +1138,7 @@ mod tests {
         let key = Key::from_name("blocked/key");
         shard.populate(key, &Value::from_u64(0));
         let head = ring.chain_for_key(&key).head();
-        shard.kill_switch(head);
+        shard.fault(&FaultOp::Kill(head));
         install_rule(
             &mut shard,
             head,
@@ -1157,7 +1186,7 @@ mod tests {
         let chain = ring.chain_for_key(&key);
         let tail = chain.tail();
         let donor = chain.predecessor(tail).expect("chains of 3");
-        shard.kill_switch(tail);
+        shard.fault(&FaultOp::Kill(tail));
         // Repair: copy the group's state from the donor onto the spare, then
         // redirect the dead tail's traffic to it.
         let modulus = ring.num_virtual_nodes() as u32;

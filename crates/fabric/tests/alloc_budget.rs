@@ -220,7 +220,7 @@ fn reads_keep_the_fast_lane_past_a_failover_rule() {
         );
     };
     for shard in [&mut staged, &mut scalar] {
-        shard.kill_switch(victim);
+        shard.fault(&netchain_core::FaultOp::Kill(victim));
         install(shard, victim, FailoverAction::ChainFailover);
     }
     // One read per key whose tail outlived the kill: addressed to a live

@@ -42,7 +42,7 @@ fn program(shard: &mut Shard, config: &FabricConfig, rules: Rules) {
             shard.apply(*target, op);
         }
     };
-    shard.kill_switch(victim);
+    shard.fault(&netchain_core::FaultOp::Kill(victim));
     let failover = FailoverPlan::compute(&ring, victim).ops(&mut session);
     deliver(shard, failover);
     if matches!(rules, Rules::MidRepair) {

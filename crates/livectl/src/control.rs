@@ -3,9 +3,11 @@
 //!
 //! What a controller tells a switch to do is a `ControlOp`, the vocabulary
 //! every transport in the repo shares (see `netchain_core::failplan`, which
-//! builds the ordered op lists of Algorithms 2 and 3). [`ControlCmd`] adds
-//! only what is particular to this transport: the fault injector's kill,
-//! and state export as a command answered by an event.
+//! builds the ordered op lists of Algorithms 2 and 3); what breaks is a
+//! `FaultOp`, the vocabulary every fault executor shares
+//! (`netchain_core::fault`). [`ControlCmd`] carries either, and adds only
+//! what is particular to this transport: state export as a command answered
+//! by an event.
 //!
 //! Commands travel over the same bounded lock-free SPSC rings the dataplane
 //! uses for frames (`netchain_fabric::ring`), one pair per shard. The shard
@@ -18,16 +20,20 @@
 //! starts before every shard has acknowledged phase 1.
 
 use netchain_core::failplan::Target;
+use netchain_core::FaultOp;
 use netchain_fabric::Shard;
 use netchain_switch::kv::ExportedEntry;
 use netchain_switch::ControlOp;
 use netchain_wire::Ipv4Addr;
+use std::time::Duration;
 
 /// A controller → shard command.
 #[derive(Debug, Clone)]
 pub enum ControlCmd {
-    /// Fault injection: fail-stop this switch on the shard.
-    KillSwitch(Ipv4Addr),
+    /// Fault injection: one op of the run's schedule. A kill or a revive is
+    /// the shard's to apply ([`Shard::fault`]); a stall is served by the
+    /// thread hosting it ([`stall_of`]), after the acknowledgement.
+    Fault(FaultOp),
     /// One op of a plan's list (or a state import), for the shard to deliver
     /// to `Target` ([`Shard::apply`]).
     Op(Target, ControlOp),
@@ -59,16 +65,23 @@ pub type Tagged<T> = Option<(u64, T)>;
 /// Applies one command to a shard, producing the event to send back.
 pub fn apply(shard: &mut Shard, cmd: ControlCmd) -> ControlEvt {
     match cmd {
-        ControlCmd::KillSwitch(ip) => shard.kill_switch(ip),
+        ControlCmd::Fault(op) => shard.fault(&op),
         ControlCmd::Op(target, op) => shard.apply(target, &op),
         ControlCmd::ExportGroup { ip, group, modulus } => {
-            let donor = shard.switch(ip);
-            return ControlEvt::Export(
-                donor.map_or_else(Vec::new, |sw| sw.kv().export_group(group, modulus)),
-            );
+            return ControlEvt::Export(shard.export_group(ip, group, modulus));
         }
     }
     ControlEvt::Ack
+}
+
+/// How long the thread hosting `shard` must stall once it has acknowledged
+/// `cmd`: the length of a `Stall` naming the shard or a switch it hosts, zero
+/// for anything else.
+pub fn stall_of(shard: &Shard, cmd: &ControlCmd) -> Duration {
+    match *cmd {
+        ControlCmd::Fault(FaultOp::Stall(ip, dur)) if shard.named_by(ip) => dur,
+        _ => Duration::ZERO,
+    }
 }
 
 #[cfg(test)]
@@ -88,9 +101,16 @@ mod tests {
         shard.populate(key, &Value::from_u64(4));
         let victim = ring.chain_for_key(&key).head();
 
-        let evt = apply(&mut shard, ControlCmd::KillSwitch(victim));
+        let evt = apply(&mut shard, ControlCmd::Fault(FaultOp::Kill(victim)));
         assert!(matches!(evt, ControlEvt::Ack));
         assert!(shard.is_failed(victim));
+        // A stall is the hosting thread's: by shard address or by a switch
+        // the shard hosts a slice of, and of nobody else.
+        let ms = Duration::from_millis(3);
+        let stall = |ip| stall_of(&shard, &ControlCmd::Fault(FaultOp::Stall(ip, ms)));
+        assert_eq!(stall(Ipv4Addr::for_shard(0)), ms);
+        assert_eq!(stall(spare), ms);
+        assert_eq!(stall(Ipv4Addr::for_shard(1)), Duration::ZERO);
 
         // Algorithm 2's list, one command per op: every live replica gets the
         // rule, the dead one is left as it froze.

@@ -1,16 +1,20 @@
 //! A deterministic, single-threaded driver for the controlled fabric: the
-//! same shards and the same ordered op lists (`netchain_core::failplan`) as
-//! the live controller, delivered by calling [`Shard::apply`] directly, so
-//! ops and control steps execute synchronously, one at a time, under the
-//! test's explicit sequencing.
+//! same shards, the same ordered op lists (`netchain_core::failplan`) and
+//! the same fault vocabulary (`netchain_core::fault`) as the live
+//! controller, delivered by calling [`Shard::apply`] and [`Shard::fault`]
+//! directly, so ops, faults and control steps execute synchronously, one at
+//! a time, under the test's explicit sequencing.
 //!
 //! This is what the differential test runs against the discrete-event
 //! simulator (one op list + one interpreter ⇒ the two executions must
 //! produce identical replies and switch state), and what the chain-repair
 //! property test drives through proptest-chosen failure timings.
 
-use netchain_core::failplan::{FailoverPlan, OpList, RecoveryPlan, Target};
-use netchain_core::{AgentConfig, AgentCore, ChainDirectory, CompletedQuery, HashRing, KvOp};
+use netchain_core::failplan::{OpList, RecoveryPlan, Target, View};
+use netchain_core::{
+    AgentConfig, AgentCore, ChainDirectory, CompletedQuery, FaultOp, HashRing, KvOp, LinkFilter,
+    Schedule,
+};
 use netchain_fabric::{shard_of_key, Shard};
 use netchain_sim::{SimDuration, SimTime};
 use netchain_switch::kv::ExportedEntry;
@@ -25,8 +29,15 @@ pub struct ReplayFabric {
     agent: AgentCore,
     replies: BatchEncoder,
     clock: u64,
-    next_session: u64,
-    recovery: Option<RecoveryState>,
+    /// The controller's view: failed set, replacement pool, sessions.
+    view: View,
+    /// Repairs planned so far, one per victim; the verbs drive `current`.
+    recoveries: Vec<RecoveryState>,
+    current: usize,
+    /// Link faults on the client ↔ shard edges, and their generator.
+    links: LinkFilter,
+    /// Until when (replay clock) each shard is stalled.
+    stalled_until: Vec<u64>,
 }
 
 struct RecoveryState {
@@ -51,6 +62,7 @@ impl ReplayFabric {
         let shards: Vec<Shard> = (0..num_shards)
             .map(|i| Shard::with_spares(i, num_shards, ring.clone(), pipeline, spares))
             .collect();
+        let links = LinkFilter::new(&Schedule::default(), agent_config.client_ip, |_| false);
         let agent = AgentCore::new(agent_config, ChainDirectory::new(ring.clone()));
         ReplayFabric {
             ring,
@@ -59,8 +71,11 @@ impl ReplayFabric {
             agent,
             replies: BatchEncoder::new(),
             clock: 0,
-            next_session: 1,
-            recovery: None,
+            view: View::new(spares.to_vec()),
+            recoveries: Vec::new(),
+            current: 0,
+            links,
+            stalled_until: vec![0; num_shards],
         }
     }
 
@@ -84,6 +99,11 @@ impl ReplayFabric {
     pub fn populate(&mut self, key: Key, value: &Value) {
         let s = shard_of_key(&self.ring, &key, self.num_shards);
         self.shards[s].populate(key, value);
+    }
+
+    /// The controller's view: who is down, who is free to replace.
+    pub fn view(&self) -> &View {
+        &self.view
     }
 
     /// Read access to the shards (state comparisons).
@@ -116,75 +136,129 @@ impl ReplayFabric {
     /// Executes one op end to end: build the query, run it through the
     /// owning shard, absorb the reply. Returns the completed query — with
     /// `status: None` if the dataplane dropped it (dead switch without
-    /// rules, blocked group) and the retry budget ran out.
+    /// rules, blocked group, a lossy edge) and the retry budget ran out.
     pub fn exec(&mut self, op: KvOp) -> CompletedQuery {
         self.clock += 1;
-        let key = op.key();
+        let s = shard_of_key(&self.ring, &op.key(), self.num_shards);
         let (request_id, pkt) = self.agent.begin(SimTime(self.clock), op);
-        let frame = pkt.to_bytes();
-        let s = shard_of_key(&self.ring, &key, self.num_shards);
-        self.replies.clear();
-        self.shards[s].process_burst(std::iter::once(frame.as_slice()), &mut self.replies);
-        for i in 0..self.replies.len() {
-            let reply = PacketView::parse(self.replies.frame(i))
-                .expect("fabric replies parse")
-                .to_owned();
-            self.clock += 1;
-            if let Some(done) = self.agent.on_reply(SimTime(self.clock), &reply) {
-                assert_eq!(done.request_id, request_id);
-                return done;
+        let mut frames = vec![pkt.to_bytes()];
+        loop {
+            for frame in frames.drain(..) {
+                if let Some(done) = self.offer(s, &frame) {
+                    assert_eq!(done.request_id, request_id);
+                    return done;
+                }
             }
-        }
-        // No reply: exhaust the retry budget. Replay state is frozen between
-        // retries, so retransmitting would repeat the identical outcome;
-        // advance the clock instead until the agent abandons the query.
-        let timeout = self.agent.config().timeout;
-        let max_retries = self.agent.config().max_retries;
-        for _ in 0..=max_retries {
-            self.clock += timeout.as_nanos().max(1);
-            let outcome = self.agent.poll_retries(SimTime(self.clock));
-            if let Some(abandoned) = outcome.abandoned.into_iter().next() {
+            // No reply: time passes until the agent retransmits or gives up.
+            // Replay state is frozen between retries, so a retransmission
+            // would repeat the identical outcome; it is sent only while a
+            // link fault could make it differ.
+            self.clock += self.agent.config().timeout.as_nanos().max(1);
+            let mut outcome = self.agent.poll_retries(SimTime(self.clock));
+            if let Some(abandoned) = outcome.abandoned.pop() {
                 assert_eq!(abandoned.request_id, request_id);
                 return abandoned;
             }
+            if self.links.active() {
+                frames.extend(outcome.retransmit.iter().map(|pkt| pkt.to_bytes()));
+            }
         }
-        unreachable!("the retry budget is finite");
     }
 
-    // ---- Control-plane verbs, mirroring the live controller ----
+    /// Offers one query frame to shard `s` across the client → shard edge and
+    /// absorbs what comes back across the shard → client edge. A stalled
+    /// shard answers when its stall is over: the clock jumps there.
+    fn offer(&mut self, s: usize, frame: &[u8]) -> Option<CompletedQuery> {
+        let ReplayFabric {
+            shards,
+            agent,
+            replies,
+            clock,
+            links,
+            ..
+        } = self;
+        *clock = (*clock).max(self.stalled_until[s]);
+        let shard_ip = Ipv4Addr::for_shard(s as u32);
+        replies.clear();
+        links.send(shard_ip, frame, |frame| {
+            shards[s].process_burst(std::iter::once(frame), replies);
+        });
+        let mut done = None;
+        for i in 0..replies.len() {
+            links.recv(shard_ip, replies.frame(i), |frame| {
+                let reply = PacketView::parse(frame).expect("fabric replies parse");
+                *clock += 1;
+                done = done
+                    .take()
+                    .or(agent.on_reply(SimTime(*clock), &reply.to_owned()));
+            });
+        }
+        done
+    }
+
+    // ---- Faults and control-plane verbs, mirroring the live controller ----
+
+    /// Seeds the generator the link faults draw from (a schedule's seed), and
+    /// heals every edge.
+    pub fn seed_faults(&mut self, seed: u64) {
+        let me = self.agent.config().client_ip;
+        self.links = LinkFilter::new(&Schedule::new(seed), me, |_| false);
+    }
+
+    /// Delivers one fault op, now: a kill or revive to every shard, a stall
+    /// (in replay-clock nanoseconds) to the shards it names, a link fault to
+    /// the client's edges. The controller's reaction to a kill is the
+    /// caller's to sequence ([`Self::fast_failover`], [`Self::start_recovery`]).
+    pub fn apply(&mut self, op: &FaultOp) {
+        for shard in &mut self.shards {
+            shard.fault(op);
+        }
+        match *op {
+            FaultOp::Revive(ip) => self.view.revive(ip),
+            FaultOp::Stall(ip, dur) => {
+                for (shard, until) in self.shards.iter().zip(&mut self.stalled_until) {
+                    if shard.named_by(ip) {
+                        *until = self.clock + dur.as_nanos() as u64;
+                    }
+                }
+            }
+            _ => drop(self.links.apply(op)),
+        }
+    }
 
     /// Fault injection: fail-stop `victim` on every shard.
     pub fn kill(&mut self, victim: Ipv4Addr) {
-        for shard in &mut self.shards {
-            shard.kill_switch(victim);
-        }
+        self.apply(&FaultOp::Kill(victim));
     }
 
-    /// Algorithm 2: install fast-failover rules everywhere and bump the
-    /// session of every new chain head.
-    pub fn fast_failover(&mut self, victim: Ipv4Addr) {
-        let ops = FailoverPlan::compute(&self.ring, victim).ops(&mut self.next_session);
+    /// Algorithm 2 for the death of `ip`: install fast-failover rules
+    /// everywhere and bump the session of every new chain head. Returns the
+    /// ring switch whose chains now need repair (`ip`, or the one it stood
+    /// in for), `None` if `ip` held no chain role.
+    pub fn fast_failover(&mut self, ip: Ipv4Addr) -> Option<Ipv4Addr> {
+        let (ops, victim) = self.view.kill(&self.ring, ip)?;
         self.deliver(ops);
+        Some(victim)
     }
 
-    /// Plans recovery of `victim` onto `replacement`; returns the number of
-    /// repair steps. Steps are then driven by [`Self::block_next_group`] /
-    /// [`Self::finish_blocked_group`] (or [`Self::repair_all`]).
+    /// Plans recovery of `victim` onto `replacement` (abandoning an earlier
+    /// repair of the same victim); returns the number of repair steps. Steps
+    /// are then driven by [`Self::block_next_group`] /
+    /// [`Self::finish_blocked_group`] (or [`Self::repair_all`]); with several
+    /// victims under repair, [`Self::resume_recovery`] says whose.
     pub fn start_recovery(
         &mut self,
         victim: Ipv4Addr,
         replacement: Ipv4Addr,
         recovery_groups: Option<u32>,
     ) -> usize {
-        let plan = RecoveryPlan::compute(
-            &self.ring,
-            victim,
-            replacement,
-            recovery_groups,
-            &std::collections::HashSet::from([victim]),
-        );
+        let plan = (self.view)
+            .plan_recovery(&self.ring, victim, Some(replacement), recovery_groups)
+            .expect("the replacement is alive");
         let steps = plan.steps.len();
-        self.recovery = Some(RecoveryState {
+        self.recoveries.retain(|r| r.plan.failed_ip != victim);
+        self.current = self.recoveries.len();
+        self.recoveries.push(RecoveryState {
             plan,
             next: 0,
             blocked: None,
@@ -192,10 +266,19 @@ impl ReplayFabric {
         steps
     }
 
+    /// Makes the repair of `victim` the one the step verbs drive.
+    pub fn resume_recovery(&mut self, victim: Ipv4Addr) {
+        let planned = self
+            .recoveries
+            .iter()
+            .position(|r| r.plan.failed_ip == victim);
+        self.current = planned.expect("a recovery of the victim was started");
+    }
+
     /// The currently blocked `(group, modulus)`, if a repair step is between
     /// its block and activate phases.
     pub fn blocked_group(&self) -> Option<(u32, u32)> {
-        let recovery = self.recovery.as_ref()?;
+        let recovery = self.recoveries.get(self.current)?;
         let idx = recovery.blocked?;
         Some((recovery.plan.steps[idx].group, recovery.plan.modulus))
     }
@@ -211,7 +294,7 @@ impl ReplayFabric {
     /// victim on every shard. Returns the blocked group, or `None` if repair
     /// is complete or a step is already blocked.
     pub fn block_next_group(&mut self) -> Option<u32> {
-        let recovery = self.recovery.as_mut()?;
+        let recovery = self.recoveries.get_mut(self.current)?;
         if recovery.blocked.is_some() || recovery.next >= recovery.plan.steps.len() {
             return None;
         }
@@ -228,7 +311,7 @@ impl ReplayFabric {
     /// replacement (with a fresh session), install the redirect and drop the
     /// block. Returns the activated group.
     pub fn finish_blocked_group(&mut self) -> Option<u32> {
-        let recovery = self.recovery.as_mut()?;
+        let recovery = self.recoveries.get_mut(self.current)?;
         let idx = recovery.blocked.take()?;
         recovery.next = idx + 1;
         let plan = &recovery.plan;
@@ -236,14 +319,12 @@ impl ReplayFabric {
         let replacement = Target::Switch(plan.replacement_ip);
         for &donor in &step.donors {
             for shard in &mut self.shards {
-                let entries = shard.switch(donor).map_or_else(Vec::new, |sw| {
-                    sw.kv().export_group(step.group, plan.modulus)
-                });
+                let entries = shard.export_group(donor, step.group, plan.modulus);
                 shard.apply(replacement, &ControlOp::Import(entries));
             }
         }
         let group = step.group;
-        let ops = plan.activate_ops(idx, &mut self.next_session);
+        let ops = plan.activate_ops(idx, &mut self.view.next_session);
         self.deliver(ops);
         Some(group)
     }
@@ -259,8 +340,7 @@ impl ReplayFabric {
 
     /// True once every planned repair step has been activated.
     pub fn repair_complete(&self) -> bool {
-        self.recovery
-            .as_ref()
+        (self.recoveries.get(self.current))
             .is_some_and(|r| r.blocked.is_none() && r.next >= r.plan.steps.len())
     }
 }

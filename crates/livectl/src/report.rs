@@ -56,26 +56,40 @@ pub struct FailoverTimeline {
 }
 
 impl FailoverTimeline {
-    /// The timeline as a telemetry [`Journal`]: the same phase structure the
-    /// simulated controller records, so live and simulated runs export
-    /// comparable span records.
-    pub fn journal(&self) -> Journal {
-        let mut journal = Journal::default();
-        journal.instant("killed", self.killed_at.as_nanos() as u64);
-        journal.span(
-            "fast-failover",
-            self.failover_started_at.as_nanos() as u64,
-            self.failover_installed_at.as_nanos() as u64,
-        );
-        journal.span(
-            "repair",
-            self.repair_started_at.as_nanos() as u64,
-            self.repair_finished_at.as_nanos() as u64,
-        );
-        for (i, at) in self.group_activations.iter().enumerate() {
-            journal.instant(format!("activate-group:{i}"), at.as_nanos() as u64);
-        }
-        journal
+    /// The phases of the first kill, read off the controller's journal: its
+    /// `kill <ip>` instant, the first `fast-failover:` span, and the victim's
+    /// `repair:<ip>` span and `activate-group:<ip>:` instants. `None` if
+    /// nothing was killed.
+    pub fn of_first_kill(journal: &Journal) -> Option<Self> {
+        let kill = journal
+            .instants()
+            .iter()
+            .find(|i| i.name.starts_with("kill "))?;
+        let victim = &kill.name["kill ".len()..];
+        let span = |name: &str| {
+            let span = journal.spans().iter().find(|s| s.name.starts_with(name));
+            let at = |ns: u64| Duration::from_nanos(ns);
+            span.map_or_else(Default::default, |s| {
+                (at(s.start_ns), at(s.end_ns.unwrap_or(0)))
+            })
+        };
+        let (failover_started_at, failover_installed_at) = span("fast-failover:");
+        let (repair_started_at, repair_finished_at) = span(&format!("repair:{victim}"));
+        let prefix = format!("activate-group:{victim}:");
+        let group_activations: Vec<Duration> = (journal.instants().iter())
+            .filter(|i| i.name.starts_with(&prefix))
+            .map(|i| Duration::from_nanos(i.at_ns))
+            .collect();
+        Some(FailoverTimeline {
+            killed_at: Duration::from_nanos(kill.at_ns),
+            failover_started_at,
+            failover_installed_at,
+            failover_install_time: failover_installed_at.saturating_sub(failover_started_at),
+            repair_started_at,
+            repair_finished_at,
+            groups_repaired: group_activations.len(),
+            group_activations,
+        })
     }
 }
 

@@ -11,18 +11,25 @@
 //!   repair) is retransmitted after a timeout, exactly like the paper's UDP
 //!   clients, and every completion is bucketed into a **time slice** so the
 //!   run produces a throughput-vs-time series;
-//! * an optional **controller thread** executes a [`FaultScript`] live: kill
-//!   the victim, run Algorithm 2 after the detection delay, then repair the
-//!   chains group by group with two-phase atomic switching — copying real
+//! * the **controller** delivers the run's fault [`Schedule`] live and
+//!   reacts to it, working through one time-ordered agenda: each schedule
+//!   entry when its time comes, and after every `Kill` its own reactions
+//!   ([`Reactions`]) — Algorithm 2 after the detection delay, then chain
+//!   repair group by group with two-phase atomic switching, copying real
 //!   register state from donor to replacement through the control channel
-//!   while untouched groups keep serving.
+//!   while untouched groups keep serving. Repairs of several victims
+//!   interleave on the agenda; what the controller decides (who replaces
+//!   whom, which sessions) it asks of `failplan::View`, like the simulated
+//!   controller. `Link` ops are delivered by the client ports themselves
+//!   ([`netchain_fabric::ClientPort::impair`]), by the same clock.
 
 use crate::control::{self, ControlCmd, ControlEvt, Tagged};
 use crate::detector::{DetectorConfig, GrayFailureDetector};
 use crate::report::{FailoverTimeline, LiveAnomaly, LiveReport};
-use crate::script::FaultScript;
-use netchain_core::failplan::{self, FailoverPlan, OpList, RecoveryPlan, Target};
-use netchain_core::{AgentConfig, HashRing};
+use crate::script::{FaultScript, Reactions};
+use netchain_core::failplan::{OpList, RecoveryPlan, Target, View};
+use netchain_core::fault::insert_at;
+use netchain_core::{AgentConfig, FaultOp, HashRing, Schedule};
 use netchain_fabric::{
     build_shards, connect, spsc_ring, ClientState, Consumer, FabricConfig, Producer, WorkloadSpec,
 };
@@ -52,7 +59,7 @@ const OBSERVE_SLICES: usize = 64;
 const FLIGHT_CAPACITY: usize = 256;
 
 /// Configuration of a live-controlled run.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct LiveConfig {
     /// Fabric geometry (shards, clients, switches, spares, rings).
     pub fabric: FabricConfig,
@@ -68,8 +75,13 @@ pub struct LiveConfig {
     /// Client retry budget. Generous by default: during a blocked group's
     /// sync window a write legitimately retries many times.
     pub max_retries: u32,
-    /// The fault to inject, if any.
+    /// The one-kill script [`Self::with_script`] was given, for callers that
+    /// read back what they configured. The runner never looks at it.
     pub script: Option<FaultScript>,
+    /// What breaks, and when (empty: nothing does).
+    pub schedule: Schedule,
+    /// How the controller reacts to each `Kill` of the schedule.
+    pub reactions: Reactions,
 }
 
 impl LiveConfig {
@@ -84,13 +96,22 @@ impl LiveConfig {
             retry_timeout: Duration::from_millis(1),
             max_retries: 100_000,
             script: None,
+            schedule: Schedule::default(),
+            reactions: Reactions::default(),
         }
     }
 
-    /// Returns a copy with the given fault script.
+    /// Returns a copy with the given fault schedule and controller reactions.
+    pub fn with_schedule(mut self, schedule: Schedule, reactions: Reactions) -> Self {
+        (self.schedule, self.reactions) = (schedule, reactions);
+        self
+    }
+
+    /// Returns a copy with the given one-kill script, lowered.
     pub fn with_script(mut self, script: FaultScript) -> Self {
         self.script = Some(script);
-        self
+        let (schedule, reactions) = script.lower();
+        self.with_schedule(schedule, reactions)
     }
 }
 
@@ -127,15 +148,48 @@ impl ControllerLink {
     }
 }
 
-/// The live controller: executes the fault script against the shards.
+/// One entry of the controller's agenda.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// A schedule entry comes due.
+    Fault(FaultOp),
+    /// The detection delay after a kill is over: Algorithm 2.
+    Failover(Ipv4Addr),
+    /// Plan Algorithm 3 for this ring switch and start on its first group.
+    Repair(Ipv4Addr),
+    /// Phase 1 of group `.1` of repair `.0` (block, copy), or its end.
+    Block(usize, usize),
+    /// Phase 2 of the same group, once its share of the sync budget is up.
+    Activate(usize, usize),
+}
+
+/// One Algorithm 3 in progress.
+struct Repair {
+    plan: RecoveryPlan,
+    /// Scheduled and measured start: groups are paced against the first.
+    starts_at: (Duration, Duration),
+    per_group: Duration,
+    /// Its replacement died: a later repair covers the same switch.
+    aborted: bool,
+}
+
+/// The live controller: delivers the fault schedule to the shards and
+/// reacts to its kills.
 struct LiveController {
     links: Vec<ControllerLink>,
     ring: HashRing,
-    spares: Vec<Ipv4Addr>,
-    next_token: u64,
-    /// Continues the same sequence the simulated controller uses: failover
+    /// Failed set, replacement pool, stand-ins and the session counter, which
+    /// continues the same sequence the simulated controller uses: failover
     /// head bumps first, then one bump per activated group.
-    next_session: u64,
+    view: View,
+    reactions: Reactions,
+    next_token: u64,
+    /// What is still to do, ascending in time (ties in insertion order).
+    agenda: Vec<(Duration, Step)>,
+    repairs: Vec<Repair>,
+    /// Every op delivered and every phase of every reaction; the report's
+    /// `timeline` is read off it.
+    journal: Journal,
 }
 
 impl LiveController {
@@ -178,87 +232,122 @@ impl LiveController {
         }
     }
 
-    /// Runs the script; returns the phase timeline.
-    fn run(&mut self, script: &FaultScript, t0: Instant) -> FailoverTimeline {
-        let mut timeline = FailoverTimeline::default();
-        let victim = script.victim;
+    /// Puts `step` on the agenda at `at`, behind whatever is already there
+    /// for the same instant.
+    fn plan(&mut self, at: Duration, step: Step) {
+        insert_at(&mut self.agenda, at, step);
+    }
 
-        // Fault injection.
-        Self::sleep_until(t0, script.kill_at);
-        self.broadcast(ControlCmd::KillSwitch(victim));
-        timeline.killed_at = t0.elapsed();
-
-        // Fast failover (Algorithm 2), after the detection delay.
-        Self::sleep_until(t0, script.kill_at + script.failover_delay);
-        timeline.failover_started_at = t0.elapsed();
-        let ops = FailoverPlan::compute(&self.ring, victim).ops(&mut self.next_session);
-        self.deliver(ops);
-        timeline.failover_installed_at = t0.elapsed();
-        timeline.failover_install_time =
-            timeline.failover_installed_at - timeline.failover_started_at;
-
-        // Chain repair (Algorithm 3), group by group.
-        let replacement = script
-            .replacement
-            .or_else(|| self.spares.first().copied())
-            .or_else(|| {
-                failplan::pick_replacement(
-                    &self.ring,
-                    victim,
-                    &std::collections::HashSet::from([victim]),
-                    None,
-                )
-            })
-            .expect("a replacement switch exists");
-        let rplan = RecoveryPlan::compute(
-            &self.ring,
-            victim,
-            replacement,
-            script.recovery_groups,
-            &std::collections::HashSet::from([victim]),
-        );
-        let per_group = script.sync_duration / rplan.steps.len().max(1) as u32;
-        let repair_start = script.kill_at + script.failover_delay + script.recovery_delay;
-        Self::sleep_until(t0, repair_start);
-        timeline.repair_started_at = t0.elapsed();
-        for (i, step) in rplan.steps.iter().enumerate() {
-            // Phase 1: block this group's traffic to the victim, everywhere,
-            // before any state moves.
-            self.deliver(rplan.block_ops(i));
-            // Synchronise: pull the group's entries from every live donor
-            // replica of each shard and push the union into the same shard's
-            // replacement replica (shards own disjoint keys, so a group's
-            // donors and replacement always pair up within one shard; the
-            // per-key version registers arbitrate between donors).
-            for &donor in &step.donors {
-                for link in 0..self.links.len() {
-                    let export = ControlCmd::ExportGroup {
-                        ip: donor,
-                        group: step.group,
-                        modulus: rplan.modulus,
+    /// Works the agenda off, sleeping up to each entry's time. Every entry
+    /// is paced against the absolute schedule (a reaction is due an offset
+    /// after what caused it was *due*, not after it happened), so
+    /// control-channel overhead on a busy machine eats into later budgets
+    /// instead of accumulating drift.
+    fn run(&mut self, t0: Instant) {
+        let ns = |d: Duration| d.as_nanos() as u64;
+        while !self.agenda.is_empty() {
+            let (at, step) = self.agenda.remove(0);
+            Self::sleep_until(t0, at);
+            match step {
+                Step::Fault(op) => {
+                    // A link fault is its client port's to deliver.
+                    if !matches!(op, FaultOp::Link { .. }) {
+                        self.broadcast(ControlCmd::Fault(op));
+                    }
+                    self.journal.instant(op.to_string(), ns(t0.elapsed()));
+                    match op {
+                        FaultOp::Kill(ip) => {
+                            self.plan(at + self.reactions.failover_delay, Step::Failover(ip))
+                        }
+                        FaultOp::Revive(ip) => self.view.revive(ip),
+                        _ => {}
+                    }
+                }
+                Step::Failover(ip) => {
+                    // Fast failover (Algorithm 2), after the detection delay.
+                    let started = t0.elapsed();
+                    let Some((ops, victim)) = self.view.kill(&self.ring, ip) else {
+                        continue;
                     };
-                    let ControlEvt::Export(entries) = self.call(link, export) else {
-                        unreachable!("ExportGroup is answered with Export");
-                    };
-                    let import = ControlOp::Import(entries);
-                    self.call(link, ControlCmd::Op(Target::Switch(replacement), import));
+                    self.deliver(ops);
+                    let name = format!("fast-failover:{ip}");
+                    self.journal.span(name, ns(started), ns(t0.elapsed()));
+                    // A repair onto the dead switch has nowhere to copy to.
+                    for repair in &mut self.repairs {
+                        repair.aborted |= repair.plan.replacement_ip == ip;
+                    }
+                    self.plan(at + self.reactions.recovery_delay, Step::Repair(victim));
+                }
+                Step::Repair(victim) => {
+                    // Chain repair (Algorithm 3), group by group.
+                    let (explicit, groups) =
+                        (self.reactions.replacement, self.reactions.recovery_groups);
+                    let plan = (self.view)
+                        .plan_recovery(&self.ring, victim, explicit, groups)
+                        .expect("a replacement switch exists");
+                    self.plan(at, Step::Block(self.repairs.len(), 0));
+                    self.repairs.push(Repair {
+                        per_group: self.reactions.sync_duration / plan.steps.len().max(1) as u32,
+                        plan,
+                        starts_at: (at, t0.elapsed()),
+                        aborted: false,
+                    });
+                }
+                Step::Block(r, _) | Step::Activate(r, _) if self.repairs[r].aborted => {
+                    // The replacement died: whatever group was blocked stays
+                    // so until the later repair of the same switch gets to it.
+                    let name = format!("repair-aborted:{}", self.repairs[r].plan.failed_ip);
+                    self.journal.instant(name, ns(t0.elapsed()));
+                }
+                Step::Block(r, i) if i == self.repairs[r].plan.steps.len() => {
+                    let name = format!("repair:{}", self.repairs[r].plan.failed_ip);
+                    let started = self.repairs[r].starts_at.1;
+                    self.journal.span(name, ns(started), ns(t0.elapsed()));
+                }
+                Step::Block(r, i) => {
+                    // Phase 1: block this group's traffic to the victim,
+                    // everywhere, before any state moves.
+                    let ops = self.repairs[r].plan.block_ops(i);
+                    self.deliver(ops);
+                    // Synchronise: pull the group's entries from every live
+                    // donor replica of each shard and push the union into the
+                    // same shard's replacement replica (shards own disjoint
+                    // keys, so a group's donors and replacement always pair
+                    // up within one shard; the per-key version registers
+                    // arbitrate between donors).
+                    let plan = &self.repairs[r].plan;
+                    let (group, modulus) = (plan.steps[i].group, plan.modulus);
+                    let replacement = Target::Switch(plan.replacement_ip);
+                    for ip in plan.steps[i].donors.clone() {
+                        for link in 0..self.links.len() {
+                            let export = ControlCmd::ExportGroup { ip, group, modulus };
+                            let ControlEvt::Export(entries) = self.call(link, export) else {
+                                unreachable!("ExportGroup is answered with Export");
+                            };
+                            let import = ControlOp::Import(entries);
+                            self.call(link, ControlCmd::Op(replacement, import));
+                        }
+                    }
+                    // The blocked window is the group's share of the sync
+                    // budget (the real copy above is fast; the budget models
+                    // the paper's measured switch-control-plane copy cost).
+                    let repair = &self.repairs[r];
+                    let due = repair.starts_at.0 + repair.per_group * (i as u32 + 1);
+                    self.plan(due, Step::Activate(r, i));
+                }
+                Step::Activate(r, i) => {
+                    // Phase 2: activate the replacement and atomically switch
+                    // the group over (redirect overrides the block it
+                    // replaces).
+                    let plan = &self.repairs[r].plan;
+                    let name = format!("activate-group:{}:{i}", plan.failed_ip);
+                    let ops = plan.activate_ops(i, &mut self.view.next_session);
+                    self.deliver(ops);
+                    self.journal.instant(name, ns(t0.elapsed()));
+                    self.plan(at, Step::Block(r, i + 1));
                 }
             }
-            // The blocked window is the group's share of the sync budget
-            // (the real copy above is fast; the budget models the paper's
-            // measured switch-control-plane copy cost). Pacing is against
-            // the absolute schedule, so control-channel overhead on a busy
-            // machine eats into later budgets instead of accumulating drift.
-            Self::sleep_until(t0, repair_start + per_group * (i as u32 + 1));
-            // Phase 2: activate the replacement and atomically switch the
-            // group over (redirect overrides the block it replaces).
-            let ops = rplan.activate_ops(i, &mut self.next_session);
-            self.deliver(ops);
-            timeline.group_activations.push(t0.elapsed());
         }
-        timeline.repair_finished_at = t0.elapsed();
-        timeline.groups_repaired = rplan.steps.len();
-        timeline
     }
 }
 
@@ -293,15 +382,29 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
         fabric.ring_capacity >= config.workload.window,
         "rings must hold a full client window"
     );
-    if let Some(script) = &config.script {
-        assert!(
-            script.repair_ends_at() < config.duration,
-            "the fault script must finish inside the run: {:?} >= {:?}",
-            script.repair_ends_at(),
-            config.duration
-        );
-    }
     let ring_def = fabric.build_ring();
+    // A schedule naming something this fabric does not have is refused, and
+    // so is one whose last op, or last reaction to a kill, is paced to end
+    // after the run does.
+    let (schedule, reactions) = (&config.schedule, config.reactions);
+    let spares = fabric.spare_ips();
+    let hosted = |ip| ring_def.switches().contains(&ip) || spares.contains(&ip);
+    let shard = |ip| (0..fabric.num_shards as u32).any(|s| Ipv4Addr::for_shard(s) == ip);
+    let client = |ip| (0..fabric.num_clients as u32).any(|c| Ipv4Addr::for_host(c) == ip);
+    schedule.check(
+        hosted,
+        |ip| hosted(ip) || shard(ip) || client(ip),
+        |a, b| (client(a) && shard(b)) || (shard(a) && client(b)),
+    );
+    let kills: Vec<Duration> = schedule.kills().map(|(at, _)| at).collect();
+    let last = (schedule.ops.last().map(|&(at, _)| at).into_iter())
+        .chain(kills.iter().map(|&at| reactions.repair_ends_at(at)))
+        .max();
+    assert!(
+        last.is_none_or(|last| last < config.duration),
+        "the fault schedule and the reactions to it must finish inside the run: {last:?} >= {:?}",
+        config.duration
+    );
     let mut workload = config.workload;
     workload.ops_per_client = u64::MAX;
     let shards = build_shards(&fabric, &workload);
@@ -332,7 +435,7 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
             .map(|_| AtomicBool::new(false))
             .collect(),
     );
-    let ctrl_done = Arc::new(AtomicBool::new(config.script.is_none()));
+    let ctrl_done = Arc::new(AtomicBool::new(schedule.ops.is_empty()));
     let t0 = Instant::now();
 
     // Shard workers: dataplane bursts + control-command draining in between.
@@ -363,8 +466,14 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
                     // Control plane first: commands take effect at burst
                     // boundaries, like table updates between pipeline passes.
                     while let Some((token, cmd)) = cmd_rx.pop().flatten() {
+                        let stall = control::stall_of(&shard, &cmd);
                         let evt = control::apply(&mut shard, cmd);
                         push_blocking(&mut evt_tx, Some((token, evt)));
+                        // A stalled shard is this thread asleep: state and
+                        // rings keep, nothing is accepted or emitted.
+                        if !stall.is_zero() {
+                            std::thread::sleep(stall);
+                        }
                     }
                     // A client that gave up (hard stop) with its reply ring
                     // full has left its replies without a reader.
@@ -409,7 +518,8 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
         let done = Arc::clone(&done_clients);
         let exited = Arc::clone(&client_done);
         let audit_feed = audit_tx.clone();
-        let cfg = config;
+        let cfg = config.clone();
+        port.impair(c as u32, &cfg.schedule);
         let handle = std::thread::Builder::new()
             .name(format!("livectl-client-{c}"))
             .spawn(move || {
@@ -496,20 +606,22 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
         let num_shards = fabric.num_shards;
         let slice_nanos = windows.slice_len().as_nanos().max(1) as u64;
         let nap = (windows.slice_len() / 2).max(Duration::from_micros(500));
-        // The script's transitions are consistency no-man's-land: reads
+        // The transitions after a kill are consistency no-man's-land: reads
         // issued while failover or repair rules are landing may legitimately
-        // observe either side. Widen the scripted window by a few retry
-        // rounds plus one slice so ops straddling the edges fall inside too.
-        let suppress: Vec<(u64, u64)> = config
-            .script
-            .as_ref()
-            .map(|script| {
-                let slack = config.retry_timeout * 4 + config.slice;
-                let start = script.kill_at.saturating_sub(slack);
-                let end = script.repair_ends_at() + slack;
-                vec![(start.as_nanos() as u64, end.as_nanos() as u64)]
+        // observe either side. One window per kill, from the kill to the
+        // paced end of its repair, widened by a few retry rounds plus one
+        // slice so ops straddling the edges fall inside too.
+        let slack = config.retry_timeout * 4 + config.slice;
+        let suppress: Vec<(u64, u64)> = kills
+            .iter()
+            .map(|&at| {
+                let end = reactions.repair_ends_at(at) + slack;
+                (
+                    at.saturating_sub(slack).as_nanos() as u64,
+                    end.as_nanos() as u64,
+                )
             })
-            .unwrap_or_default();
+            .collect();
         std::thread::Builder::new()
             .name("livectl-monitor".to_string())
             .spawn(move || {
@@ -599,18 +711,20 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
     };
 
     // The controller runs on this thread (it sleeps most of the time).
-    let timeline = config.script.as_ref().map(|script| {
-        let mut controller = LiveController {
-            links: std::mem::take(&mut ctrl_links),
-            ring: ring_def.clone(),
-            spares: fabric.spare_ips(),
-            next_token: 0,
-            next_session: 1,
-        };
-        let timeline = controller.run(script, t0);
-        ctrl_done.store(true, Ordering::Release);
-        timeline
-    });
+    let mut controller = LiveController {
+        links: ctrl_links,
+        ring: ring_def.clone(),
+        view: View::new(spares),
+        reactions,
+        next_token: 0,
+        agenda: (schedule.ops.iter())
+            .map(|&(at, op)| (at, Step::Fault(op)))
+            .collect(),
+        repairs: Vec::new(),
+        journal: Journal::new(),
+    };
+    controller.run(t0);
+    ctrl_done.store(true, Ordering::Release);
 
     let mut slices = TimeSeries::new(config.slice.as_nanos() as u64);
     let mut clients = Vec::new();
@@ -635,7 +749,9 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
     // and hand back its journal.
     monitor_stop.store(true, Ordering::Release);
     monitor.thread().unpark();
-    let (ops_journal, anomalies, audited_traces) = monitor.join().expect("monitor thread panicked");
+    let (mut ops_journal, anomalies, audited_traces) =
+        monitor.join().expect("monitor thread panicked");
+    ops_journal.extend(&controller.journal);
     // Completed traces detoured through the auditor; fold them back in so
     // the merged trace set is exactly what an unaudited run would report.
     trace_fragments.extend(audited_traces);
@@ -650,7 +766,7 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
         shards: shard_stats,
         latency,
         traces: merge_traces(trace_fragments),
-        timeline,
+        timeline: FailoverTimeline::of_first_kill(&controller.journal),
         anomalies,
         ops_journal,
     }

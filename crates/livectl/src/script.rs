@@ -1,26 +1,27 @@
-//! The fault script: *what* to break and *when*, for a live-controlled run.
+//! The live controller's configuration, and the one-kill constructor of a
+//! fault schedule.
+//!
+//! *What* breaks and *when* is a `netchain_core::Schedule`; how the
+//! controller reacts to each `Kill` in it is [`Reactions`]. [`FaultScript`]
+//! is the two written as one struct for the common case of a single kill; it
+//! is never executed, only lowered ([`FaultScript::lower`]).
 
+use netchain_core::{FaultOp, Schedule};
 use netchain_wire::Ipv4Addr;
 use std::time::Duration;
 
-/// A scripted switch failure plus the controller's reaction timings.
-///
-/// The timeline of a run with a fault script:
+/// How the live controller reacts to a `Kill`, each measured from the kill:
 ///
 /// ```text
-/// 0 ──────── kill_at ─┬─ failover_delay ─┬─ recovery_delay ─┬─ sync_duration ─┬──── duration
-///    steady state     │   (detection;    │  (degraded:      │  per-group      │  restored
-///                     │    traffic to    │   chains run     │  block → sync   │  steady state
-///                     │    the victim    │   one short)     │  → activate     │
-///                     │    is lost)      │                  │                 │
-///                  switch killed      Algorithm 2        repair starts     repair done
+/// ── kill ─┬─ failover_delay ─┬─ recovery_delay ─┬─ sync_duration ─┬──
+///         │   (detection;    │  (degraded:      │  per-group      │  restored
+///         │    traffic to    │   chains run     │  block → sync   │
+///         │    the victim    │   one short)     │  → activate     │
+///         │    is lost)      │                  │                 │
+///   switch killed      Algorithm 2        repair starts     repair done
 /// ```
-#[derive(Debug, Clone, Copy)]
-pub struct FaultScript {
-    /// The switch to kill.
-    pub victim: Ipv4Addr,
-    /// When to kill it, relative to run start.
-    pub kill_at: Duration,
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Reactions {
     /// Failure-detection time: how long the controller takes to notice and
     /// run fast failover (the paper's controller reacts in well under a
     /// millisecond once notified; the detection delay is what an operator
@@ -39,14 +40,50 @@ pub struct FaultScript {
     /// `Some(g)` repairs the key space in `g` equal hash groups (the
     /// Figure 10 "1 vs 100 virtual groups" comparison).
     pub recovery_groups: Option<u32>,
-    /// Replacement switch; `None` lets the controller pick a live one (use a
-    /// spare — `FabricConfig::num_spares` — for the honest paper shape).
+    /// Replacement switch, used while it is alive; `None` (or once it is
+    /// dead) lets the controller pick: a spare (`FabricConfig::num_spares`,
+    /// the honest paper shape), then a revived switch, then a live one.
+    pub replacement: Option<Ipv4Addr>,
+}
+
+impl Reactions {
+    /// When the repair of a switch killed at `kill_at` is paced to end.
+    pub fn repair_ends_at(&self, kill_at: Duration) -> Duration {
+        kill_at + self.failover_delay + self.recovery_delay + self.sync_duration
+    }
+}
+
+/// One scripted switch failure plus the controller's reaction timings: a
+/// one-entry [`Schedule`] and its [`Reactions`], by field.
+#[derive(Debug, Clone, Copy)]
+pub struct FaultScript {
+    /// The switch to kill.
+    pub victim: Ipv4Addr,
+    /// When to kill it, relative to run start.
+    pub kill_at: Duration,
+    /// [`Reactions::failover_delay`].
+    pub failover_delay: Duration,
+    /// [`Reactions::recovery_delay`].
+    pub recovery_delay: Duration,
+    /// [`Reactions::sync_duration`].
+    pub sync_duration: Duration,
+    /// [`Reactions::recovery_groups`].
+    pub recovery_groups: Option<u32>,
+    /// [`Reactions::replacement`].
     pub replacement: Option<Ipv4Addr>,
 }
 
 impl FaultScript {
-    /// When repair finishes, relative to run start.
-    pub fn repair_ends_at(&self) -> Duration {
-        self.kill_at + self.failover_delay + self.recovery_delay + self.sync_duration
+    /// The script as what the runner executes: the kill, and the reactions.
+    pub fn lower(&self) -> (Schedule, Reactions) {
+        let schedule = Schedule::new(0).at(self.kill_at, FaultOp::Kill(self.victim));
+        let reactions = Reactions {
+            failover_delay: self.failover_delay,
+            recovery_delay: self.recovery_delay,
+            sync_duration: self.sync_duration,
+            recovery_groups: self.recovery_groups,
+            replacement: self.replacement,
+        };
+        (schedule, reactions)
     }
 }

@@ -10,12 +10,13 @@
 //! This extends `crates/fabric/tests/differential_sim.rs` (the failure-free
 //! differential) to the whole controller path.
 
-use netchain_core::{ClusterConfig, ControllerConfig, KvOp, NetChainCluster};
+use netchain_core::{ClusterConfig, ControllerConfig, FaultOp, KvOp, NetChainCluster, Schedule};
 use netchain_livectl::ReplayFabric;
 use netchain_sim::{SimConfig, SimDuration};
 use netchain_switch::kv::ExportedEntry;
 use netchain_switch::PipelineConfig;
 use netchain_wire::{Ipv4Addr, Key, QueryStatus, Value};
+use std::time::Duration;
 
 const VICTIM: u32 = 1;
 const REPLACEMENT: u32 = 3;
@@ -89,7 +90,9 @@ fn live_fabric_matches_simulator_across_failover_and_repair() {
     // Timeline (sim side): fail at 50 ms, detected at 60 ms, failover rules
     // ~61 ms, phase B from 80 ms, recovery 260 ms → ~370 ms (5 groups ×
     // 20 ms + control RTTs), phase C from 500 ms.
-    let fail_at = SimDuration::from_millis(50);
+    // One schedule, delivered by both executors.
+    let victim_ip = Ipv4Addr::for_switch(VICTIM);
+    let schedule = Schedule::new(0).at(Duration::from_millis(50), FaultOp::Kill(victim_ip));
     let config = ClusterConfig {
         pipeline,
         ring_switches: Some(3),
@@ -112,10 +115,9 @@ fn live_fabric_matches_simulator_across_failover_and_repair() {
     cluster.install_scripted_client(0, script_healthy());
     cluster.install_scripted_client_at(1, script_failover(), SimDuration::from_millis(80));
     cluster.install_scripted_client_at(2, script_repaired(), SimDuration::from_millis(500));
-    cluster.fail_switch_at(netchain_sim::SimTime::ZERO + fail_at, VICTIM as usize);
+    cluster.inject(&schedule);
     cluster.sim.run_for(SimDuration::from_millis(700));
 
-    let victim_ip = Ipv4Addr::for_switch(VICTIM);
     assert_eq!(
         cluster.controller().records().len(),
         1,
@@ -153,8 +155,10 @@ fn live_fabric_matches_simulator_across_failover_and_repair() {
             .collect(),
     );
     // The failure, then Algorithm 2 — same planner as the sim controller.
-    fabric.kill(victim_ip);
-    fabric.fast_failover(victim_ip);
+    for (_, op) in &schedule.ops {
+        fabric.apply(op);
+    }
+    assert_eq!(fabric.fast_failover(victim_ip), Some(victim_ip));
     // Phase B: degraded chains.
     fabric.reset_agent(cluster.agent_config(1));
     fabric_phases.push(
@@ -255,14 +259,14 @@ fn one_plan_programs_sim_shard_and_replay_alike() {
 
     // Simulator: the controller plans and delivers over the control network.
     let mut cluster = NetChainCluster::spine_leaf(1, 3, 1, config);
-    cluster.fail_switch_at(netchain_sim::SimTime::ZERO + SimDuration::from_millis(5), 0);
+    cluster.inject(&Schedule::new(0).at(Duration::from_millis(5), FaultOp::Kill(victim)));
     cluster.sim.run_for(SimDuration::from_millis(200));
     assert_eq!(cluster.controller().records().len(), 1, "repair finished");
     let ring = cluster.ring().clone();
 
     // One shard, handed the same lists op by op.
     let mut shard = Shard::with_spares(0, 1, ring.clone(), pipeline, &[spare]);
-    shard.kill_switch(victim);
+    shard.fault(&netchain_core::FaultOp::Kill(victim));
     let mut deliver = |ops: netchain_core::failplan::OpList| {
         for (target, op) in &ops {
             shard.apply(*target, op);

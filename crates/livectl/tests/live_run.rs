@@ -2,8 +2,11 @@
 //! run and a full kill → failover → repair run, with the closed loop, the
 //! retry path, and the slice accounting all real.
 
+use netchain_core::{FaultOp, Schedule};
 use netchain_fabric::{FabricConfig, WorkloadSpec};
-use netchain_livectl::{run_live_controlled, run_live_observed, FaultScript, LiveConfig};
+use netchain_livectl::{
+    run_live_controlled, run_live_observed, FaultScript, LiveAnomaly, LiveConfig, Reactions,
+};
 use netchain_telemetry::{
     audit, AuditConfig, HopRole, HopStamp, TraceConfig, WindowChannel, WindowRegistry,
 };
@@ -198,12 +201,14 @@ fn scripted_failure_fails_over_and_repairs_live() {
     let summary = report.trace_summary();
     let path = summary.dominant_path().expect("some complete path");
     assert!(path.len() >= 3, "client + at least one switch + client");
-    let journal = timeline.journal();
+    let journal = &report.ops_journal;
     // ...and the evidence those traces carry audits clean against it.
-    let verdict = audit(&report.traces, &journal, &AuditConfig::default());
+    let verdict = audit(&report.traces, journal, &AuditConfig::default());
     assert!(verdict.is_clean(), "{:?}", verdict.violations);
     assert!(verdict.checked > 0, "nothing was judged: {verdict:?}");
-    let failover = journal.find_span("fast-failover").expect("span recorded");
+    let failover = journal
+        .find_span("fast-failover:10.0.0.1")
+        .expect("span recorded");
     assert_eq!(
         failover.duration_ns(),
         Some(timeline.failover_install_time.as_nanos() as u64)
@@ -219,4 +224,63 @@ fn scripted_failure_fails_over_and_repairs_live() {
     // A scripted fail-stop is not a gray failure: the dip is global (every
     // shard blocks/retries together), so the peer-median detector is silent.
     assert!(report.anomalies.is_empty(), "{:?}", report.anomalies);
+}
+
+#[test]
+fn a_stalled_shard_is_a_gray_failure() {
+    // Shard 1 of three stalls for 150 ms: alive, its rings intact, serving
+    // nothing. Clients that give a query up after two timeouts keep the
+    // other shards busy meanwhile (rings long enough to hold what piles up
+    // for the stalled one), so the stall shows as one shard far below its
+    // peers' median: the detector's first input that is not synthetic.
+    let stalled = Ipv4Addr::for_shard(1);
+    let stall = FaultOp::Stall(stalled, Duration::from_millis(150));
+    let schedule = Schedule::new(0).at(Duration::from_millis(150), stall);
+    let fabric = FabricConfig {
+        num_switches: 4,
+        vnodes_per_switch: 8,
+        ring_capacity: 1 << 15,
+        ..FabricConfig::new(3)
+    };
+    let mut config = LiveConfig::new(
+        fabric,
+        WorkloadSpec::uniform_read(256, 0),
+        Duration::from_millis(500),
+    )
+    .with_schedule(schedule, Reactions::default());
+    config.slice = Duration::from_millis(10);
+    config.max_retries = 1;
+    let report = run_live_controlled(config);
+
+    let gray: Vec<_> = (report.anomalies.iter())
+        .filter_map(|a| match a {
+            LiveAnomaly::Gray(gray) => Some(gray),
+            LiveAnomaly::Audit(_) => None,
+        })
+        .collect();
+    // It fires for the stalled shard two slices into the stall (slices
+    // 15–29, a little later on a loaded box). Once the shard wakes and
+    // answers its backlog in a burst, its *peers* are the ones far below the
+    // median for a moment; nothing else fires.
+    let first = gray.first().expect("the stall went unnoticed");
+    assert_eq!((first.shard, first.ops), (1, 0), "{gray:?}");
+    assert!((16..=24).contains(&first.slice), "{gray:?}");
+    for later in &gray[1..] {
+        assert!(
+            later.shard != 1 && later.slice >= first.slice + 10,
+            "{gray:?}"
+        );
+    }
+    // Delivered, journaled, and no op unaccounted for; what the stalled
+    // shard held was served when it woke up, or given up by then.
+    assert!(report
+        .ops_journal
+        .find_instant("stall 10.2.0.1 150ms")
+        .is_some());
+    assert!(report.timeline.is_none(), "nothing was killed");
+    let issued: u64 = report.clients.iter().map(|c| c.issued).sum();
+    assert_eq!(report.completed_ops + report.total_abandoned(), issued);
+    assert!(report.total_abandoned() > 0 && report.total_version_regressions() == 0);
+    let after = report.mean_rate(Duration::from_millis(350), Duration::from_millis(500));
+    assert!(after > 0.0, "service did not resume: {:?}", report.slices);
 }

@@ -27,12 +27,14 @@
 //! [`IoMode::Single`] forces the portable one-datagram-per-syscall paths on
 //! the identical processing pipeline, which is what lets `net_scale` measure
 //! where batched syscalls engage and what they buy on the same box.
-//! [`FaultSpec`] is the test shim for adversity coverage: deterministically
-//! drop every Nth ingress datagram or duplicate every Nth reply.
+//! [`NetDataplane::start_under`] runs the plane under a fault `Schedule`
+//! (`netchain_core::fault`): each worker delivers the `Stall`s that name it
+//! and filters its socket's datagrams through the `Link` ops on its edges,
+//! verdicts drawn from the schedule's seed.
 
 use mmsg::{RecvQueue, SendQueue, MAX_BURST};
-use netchain_core::HashRing;
-use netchain_fabric::{shard_of_group, shard_of_key, Shard};
+use netchain_core::{HashRing, LinkFilter, Schedule};
+use netchain_fabric::{client_id_of, shard_of_group, shard_of_key, Shard};
 use netchain_switch::{PipelineConfig, ProbeGauges};
 use netchain_telemetry::{merge_traces, PacketTrace, TraceConfig};
 use netchain_wire::{BatchEncoder, Ipv4Addr, Key, Value, MAX_FRAME_LEN};
@@ -67,25 +69,6 @@ impl IoMode {
     }
 }
 
-/// Deterministic adversity injection on the worker's I/O path (testing
-/// only; [`FaultSpec::none`] is free).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FaultSpec {
-    /// Drop every Nth ingress datagram before parsing (0 disables). Models
-    /// query or in-chain loss: the client's retry machinery must absorb it.
-    pub drop_every: u64,
-    /// Send every Nth reply twice (0 disables). Models duplication in the
-    /// network: the client must not complete a query twice.
-    pub duplicate_every: u64,
-}
-
-impl FaultSpec {
-    /// No injected faults.
-    pub fn none() -> Self {
-        FaultSpec::default()
-    }
-}
-
 /// Configuration of a [`NetDataplane`].
 #[derive(Debug, Clone)]
 pub struct NetConfig {
@@ -102,8 +85,6 @@ pub struct NetConfig {
     pub burst: usize,
     /// Socket read timeout: the shutdown latency bound.
     pub read_timeout: Duration,
-    /// Injected adversity (tests only).
-    pub fault: FaultSpec,
     /// In-band per-hop tracing on the worker shards. `None` (the default)
     /// keeps the hot path exactly as before; when set, every worker stamps
     /// sampled packets against a wall-clock origin taken at
@@ -122,7 +103,6 @@ impl NetConfig {
             io_mode: IoMode::Burst,
             burst: 32,
             read_timeout: Duration::from_millis(5),
-            fault: FaultSpec::none(),
             trace: None,
         }
     }
@@ -156,9 +136,9 @@ pub struct IoStats {
     pub datagrams_out: u64,
     /// Datagrams exceeding [`MAX_FRAME_LEN`] (counted, never truncated).
     pub oversized: u64,
-    /// Ingress datagrams dropped by the fault shim.
+    /// Ingress datagrams the link filter took out (net of duplicates).
     pub shim_dropped: u64,
-    /// Replies duplicated by the fault shim.
+    /// Replies the link filter added (net of drops).
     pub shim_duplicated: u64,
     /// Replies whose destination IP had no registered socket.
     pub unrouted_replies: u64,
@@ -228,7 +208,27 @@ impl NetDataplane {
     /// on the worker owning it, on every switch of its chain) and spawns the
     /// worker threads.
     pub fn start(config: NetConfig, populate: &[(Key, Value)]) -> std::io::Result<Self> {
+        Self::start_under(config, populate, &Schedule::default())
+    }
+
+    /// [`Self::start`] under a fault schedule, timed from now. A net worker
+    /// delivers `Stall` (of `Ipv4Addr::for_shard(w)`, or of a ring switch:
+    /// every worker hosts a slice) and `Link` between a client
+    /// (`Ipv4Addr::for_host`) and a worker; there is no controller here to
+    /// react to a `Kill`, so a schedule holding one is refused.
+    pub fn start_under(
+        config: NetConfig,
+        populate: &[(Key, Value)],
+        schedule: &Schedule,
+    ) -> std::io::Result<Self> {
         assert!(config.num_shards > 0, "at least one shard");
+        let worker = |ip| (0..config.num_shards as u32).any(|w| Ipv4Addr::for_shard(w) == ip);
+        let client = |ip| client_id_of(ip).is_some();
+        schedule.check(
+            |_| false,
+            |ip| worker(ip) || config.ring.switches().contains(&ip),
+            |a, b| (client(a) && worker(b)) || (worker(a) && client(b)),
+        );
         let burst = config.burst.clamp(1, MAX_BURST);
         let routes: Arc<RwLock<HashMap<Ipv4Addr, SocketAddr>>> =
             Arc::new(RwLock::new(HashMap::new()));
@@ -252,11 +252,14 @@ impl NetDataplane {
             }
             let routes = Arc::clone(&routes);
             let shutdown = Arc::clone(&shutdown);
-            let (io_mode, fault) = (config.io_mode, config.fault);
+            let io_mode = config.io_mode;
+            let me = Ipv4Addr::for_shard(id as u32);
+            let filter = LinkFilter::new(schedule, me, |ip| shard.named_by(ip));
+            let faults = Some((filter, t0)).filter(|(f, _)| !f.is_empty());
             let thread = std::thread::Builder::new()
                 .name(format!("netchain-net-shard-{id}"))
                 .spawn(move || {
-                    worker_loop(socket, shard, routes, io_mode, burst, fault, shutdown)
+                    worker_loop(socket, shard, routes, io_mode, burst, faults, shutdown)
                 })?;
             workers.push(Worker { addr, thread });
         }
@@ -336,6 +339,13 @@ impl NetDataplane {
 /// own [`BatchEncoder`], so the fixed-offset read needs no re-validation.
 const DST_IP_OFF: usize = 14 + 16;
 
+/// The IPv4 address at `off` of `frame` (unspecified if the frame is short:
+/// the parser will reject it anyway).
+fn ip_at(frame: &[u8], off: usize) -> Ipv4Addr {
+    let octets = frame.get(off..off + 4).and_then(|b| b.try_into().ok());
+    octets.map_or(Ipv4Addr::UNSPECIFIED, Ipv4Addr)
+}
+
 /// How long after its last datagram a worker keeps polling before it falls
 /// back to the blocking receive. Being woken out of a blocking receive
 /// costs ~23 µs a datagram on the reference VM, a poll that finds the
@@ -351,7 +361,7 @@ fn worker_loop(
     routes: Arc<RwLock<HashMap<Ipv4Addr, SocketAddr>>>,
     io_mode: IoMode,
     burst: usize,
-    fault: FaultSpec,
+    mut faults: Option<(LinkFilter, Instant)>,
     shutdown: Arc<AtomicBool>,
 ) -> (Shard, IoStats) {
     let mut io = IoStats::default();
@@ -362,11 +372,19 @@ fn worker_loop(
     let mut sq = SendQueue::with_capacity(burst, MAX_FRAME_LEN);
     let mut replies = BatchEncoder::with_capacity(burst, MAX_FRAME_LEN);
     let mut accepted: Vec<usize> = Vec::with_capacity(burst);
-    // Deterministic shim counters (per worker, so `every Nth` is exact).
-    let mut ingress_seen = 0u64;
-    let mut egress_seen = 0u64;
     let mut last_datagram: Option<Instant> = None;
     while !shutdown.load(Ordering::Relaxed) {
+        // Faults, once per receive burst: bring what is due into force and
+        // serve a stall of this worker (the socket keeps queueing). `shaped`
+        // says whether this burst's datagrams go through the link filter.
+        let mut shaped = None;
+        if let Some((filter, t0)) = &mut faults {
+            let stall = filter.advance(t0.elapsed());
+            if !stall.is_zero() {
+                std::thread::sleep(stall);
+            }
+            shaped = Some(filter).filter(|f| f.active());
+        }
         // Poll, then block: which receive runs is chosen from the time since
         // the last datagram and nothing else (a fresh worker has had none).
         let polling = last_datagram.is_some_and(|at| at.elapsed() < IDLE_BUDGET);
@@ -407,11 +425,6 @@ fn worker_loop(
                 io.oversized += 1;
                 continue;
             }
-            ingress_seen += 1;
-            if fault.drop_every != 0 && ingress_seen.is_multiple_of(fault.drop_every) {
-                io.shim_dropped += 1;
-                continue;
-            }
             accepted.push(i);
         }
         if accepted.is_empty() {
@@ -426,31 +439,46 @@ fn worker_loop(
             lat_buckets: [0; netchain_wire::STAT_LAT_BUCKETS],
         });
         replies.clear();
-        shard.process_burst(accepted.iter().map(|&i| rq.frame(i)), &mut replies);
+        let frames = accepted.iter().map(|&i| rq.frame(i));
+        match &mut shaped {
+            None => shard.process_burst(frames, &mut replies),
+            Some(filter) => {
+                // Across the client → worker edge (the source IP, 4 bytes
+                // before the destination, names the client).
+                let mut crossed: Vec<Vec<u8>> = Vec::new();
+                for frame in frames {
+                    let from = ip_at(frame, DST_IP_OFF - 4);
+                    filter.recv(from, frame, |f| crossed.push(f.to_vec()));
+                }
+                io.shim_dropped += accepted.len().saturating_sub(crossed.len()) as u64;
+                shard.process_burst(crossed.iter().map(Vec::as_slice), &mut replies);
+            }
+        }
         if replies.is_empty() {
             continue;
         }
         sq.clear();
         {
             let routes = routes.read();
-            for frame in replies.frames() {
-                let dst = Ipv4Addr([
-                    frame[DST_IP_OFF],
-                    frame[DST_IP_OFF + 1],
-                    frame[DST_IP_OFF + 2],
-                    frame[DST_IP_OFF + 3],
-                ]);
-                let Some(&addr) = routes.get(&dst) else {
-                    io.unrouted_replies += 1;
-                    continue;
-                };
-                sq.push(frame, addr);
-                egress_seen += 1;
-                if fault.duplicate_every != 0 && egress_seen.is_multiple_of(fault.duplicate_every) {
-                    sq.push(frame, addr);
-                    io.shim_duplicated += 1;
+            let mut unrouted = 0;
+            let routed = replies.frames().filter_map(|frame| {
+                let dst = ip_at(frame, DST_IP_OFF);
+                let addr = routes.get(&dst).copied();
+                unrouted += u64::from(addr.is_none());
+                Some((frame, dst, addr?))
+            });
+            match &mut shaped {
+                None => routed.for_each(|(frame, _, addr)| sq.push(frame, addr)),
+                Some(filter) => {
+                    // Across the worker → client edge.
+                    routed.for_each(|(frame, dst, addr)| {
+                        filter.send(dst, frame, |f| sq.push(f, addr))
+                    });
+                    let routed = replies.len() as u64 - unrouted;
+                    io.shim_duplicated += (sq.len() as u64).saturating_sub(routed);
                 }
             }
+            io.unrouted_replies += unrouted;
         }
         if sq.is_empty() {
             continue;
@@ -767,14 +795,8 @@ mod tests {
         );
         let bytes = pkt.to_bytes();
         let view = PacketView::parse(&bytes).unwrap();
-        assert_eq!(
-            Ipv4Addr([
-                bytes[DST_IP_OFF],
-                bytes[DST_IP_OFF + 1],
-                bytes[DST_IP_OFF + 2],
-                bytes[DST_IP_OFF + 3]
-            ]),
-            view.ip.dst
-        );
+        assert_eq!(ip_at(&bytes, DST_IP_OFF), view.ip.dst);
+        assert_eq!(ip_at(&bytes, DST_IP_OFF - 4), view.ip.src);
+        assert_eq!(ip_at(&bytes[..20], DST_IP_OFF), Ipv4Addr::UNSPECIFIED);
     }
 }

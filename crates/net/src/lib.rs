@@ -34,8 +34,7 @@ pub mod openloop;
 
 pub use client::LoopbackClient;
 pub use dataplane::{
-    FaultSpec, IoMode, IoStats, NetConfig, NetDataplane, NetReport, RECV_FILL_BOUNDS,
-    RECV_FILL_BUCKETS,
+    IoMode, IoStats, NetConfig, NetDataplane, NetReport, RECV_FILL_BOUNDS, RECV_FILL_BUCKETS,
 };
 pub use iobench::{syscall_microbench, SyscallBench};
 pub use openloop::{run_open_loop, OpenLoopConfig, OpenLoopReport};

@@ -1,16 +1,15 @@
-//! Adversity tests: the socket dataplane's fault shim injects packet loss
-//! and reply duplication at the syscall boundary, and the sans-IO agent
+//! Adversity tests: a fault `Schedule` of `Link` ops makes the socket
+//! dataplane's workers lose queries and duplicate replies at the syscall
+//! boundary (verdicts drawn from the schedule's seed), and the sans-IO agent
 //! machinery must absorb both without consistency damage — retransmissions
 //! recover dropped queries with zero version regressions, and a duplicated
 //! reply must never complete the same query twice.
 
 use std::time::Duration;
 
-use netchain_core::HashRing;
+use netchain_core::{FaultOp, HashRing, Schedule};
 use netchain_fabric::WorkloadSpec;
-use netchain_net::{
-    run_open_loop, FaultSpec, IoMode, IoStats, NetConfig, NetDataplane, OpenLoopConfig,
-};
+use netchain_net::{run_open_loop, IoMode, IoStats, NetConfig, NetDataplane, OpenLoopConfig};
 use netchain_sim::SimDuration;
 use netchain_switch::PipelineConfig;
 use netchain_wire::{Ipv4Addr, Key, Value};
@@ -31,31 +30,48 @@ fn check_call_accounting(io: &[IoStats], io_mode: IoMode) {
     }
 }
 
-fn start_plane(num_keys: u64, fault: FaultSpec, io_mode: IoMode) -> NetDataplane {
+const WORKERS: u32 = 2;
+
+/// From run start, every edge between one of `agents` clients and a worker
+/// drops queries / duplicates replies with the given probabilities.
+fn lossy_edges(seed: u64, agents: u32, drop: f64, dup: f64) -> Schedule {
+    let mut schedule = Schedule::new(seed);
+    for (c, w) in (0..agents).flat_map(|c| (0..WORKERS).map(move |w| (c, w))) {
+        let (client, worker) = (Ipv4Addr::for_host(c), Ipv4Addr::for_shard(w));
+        let link = |from, to, drop, dup| FaultOp::Link {
+            from,
+            to,
+            drop,
+            dup,
+            reorder: 0.0,
+        };
+        schedule = schedule
+            .at(Duration::ZERO, link(client, worker, drop, 0.0))
+            .at(Duration::ZERO, link(worker, client, 0.0, dup));
+    }
+    schedule
+}
+
+fn start_plane(num_keys: u64, faults: &Schedule, io_mode: IoMode) -> NetDataplane {
     let ring = HashRing::new((0..4).map(Ipv4Addr::for_switch).collect(), 8, 3, 7);
     let populate: Vec<(Key, Value)> = (0..num_keys)
         .map(|k| (Key::from_u64(k), Value::from_u64(0)))
         .collect();
     let config = NetConfig {
-        fault,
         io_mode,
-        ..NetConfig::new(ring, 2, PipelineConfig::tiny(4096))
+        ..NetConfig::new(ring, WORKERS as usize, PipelineConfig::tiny(4096))
     };
-    NetDataplane::start(config, &populate).expect("start plane")
+    NetDataplane::start_under(config, &populate, faults).expect("start plane")
 }
 
 #[test]
 fn dropped_queries_are_absorbed_by_retries_without_version_regressions() {
-    // Every 3rd ingress datagram (queries and retransmissions alike) is
-    // dropped at the worker's receive loop. Agents must retransmit through
+    // A third of the ingress datagrams (queries and retransmissions alike)
+    // are dropped at the worker's receive loop. Agents must retransmit through
     // the loss and complete every single op, and the version-monotonicity
     // check each agent runs on every reply must stay clean.
     for io_mode in IO_MODES {
-        let fault = FaultSpec {
-            drop_every: 3,
-            duplicate_every: 0,
-        };
-        let plane = start_plane(32, fault, io_mode);
+        let plane = start_plane(32, &lossy_edges(3, 32, 1.0 / 3.0, 0.0), io_mode);
         let spec = WorkloadSpec::mixed(32, u64::MAX, 60, 30);
         let mut config = OpenLoopConfig::new(32, 2, 1_500.0, Duration::from_millis(300));
         // Tight timeout so retransmissions race through the drop pattern
@@ -67,7 +83,7 @@ fn dropped_queries_are_absorbed_by_retries_without_version_regressions() {
         let net = plane.shutdown();
 
         let dropped: u64 = net.io.iter().map(|io| io.shim_dropped).sum();
-        assert!(dropped > 0, "the fault shim never fired");
+        assert!(dropped > 0, "the link filter never dropped");
         assert!(
             report.retries > 0,
             "loss without retransmissions means nothing was dropped"
@@ -84,22 +100,18 @@ fn dropped_queries_are_absorbed_by_retries_without_version_regressions() {
 
 #[test]
 fn duplicated_replies_never_complete_a_query_twice() {
-    // Every 2nd reply is sent twice. The first copy completes the query and
+    // Half the replies are sent twice. The first copy completes the query and
     // retires it; the second must be classified stale and discarded — never
     // matched to a different outstanding op, never double-counted.
     for io_mode in IO_MODES {
-        let fault = FaultSpec {
-            drop_every: 0,
-            duplicate_every: 2,
-        };
-        let plane = start_plane(16, fault, io_mode);
+        let plane = start_plane(16, &lossy_edges(2, 16, 0.0, 0.5), io_mode);
         let spec = WorkloadSpec::uniform_read(16, u64::MAX);
         let config = OpenLoopConfig::new(16, 1, 1_000.0, Duration::from_millis(300));
         let report = run_open_loop(&plane, spec, config);
         let net = plane.shutdown();
 
         let duplicated: u64 = net.io.iter().map(|io| io.shim_duplicated).sum();
-        assert!(duplicated > 0, "the duplication shim never fired");
+        assert!(duplicated > 0, "the link filter never duplicated");
         assert_eq!(
             report.completed, report.issued,
             "a duplicate reply must not complete a second query"

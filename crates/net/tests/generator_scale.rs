@@ -3,7 +3,7 @@
 //! passes over a fixed window, and a second polling test on the same cores
 //! would take passes away from one side or the other.
 
-use netchain_core::HashRing;
+use netchain_core::{FaultOp, HashRing, Schedule};
 use netchain_fabric::WorkloadSpec;
 use netchain_net::{run_open_loop, NetConfig, NetDataplane, OpenLoopConfig};
 use netchain_sim::SimDuration;
@@ -11,16 +11,27 @@ use netchain_switch::PipelineConfig;
 use netchain_wire::{Ipv4Addr, Key, Value};
 use std::time::Duration;
 
-/// Passes of the generator over a lossy trickle with `agents` agents: every
-/// second query is dropped and waits 20 ms for its retransmission, so the
-/// generator spends the run polling with one query out and its next event
-/// far off.
+/// Passes of the generator over a lossy trickle with `agents` agents: half
+/// the queries are dropped (one `Link` op per agent's edge to the worker,
+/// one seed: the k-th datagram meets the k-th verdict whoever sent it) and
+/// wait 20 ms for their retransmission, so the generator spends the run
+/// polling with one query out and its next event far off.
 fn passes_while_waiting(agents: usize) -> u64 {
     let ring = HashRing::new((0..4).map(Ipv4Addr::for_switch).collect(), 8, 3, 7);
-    let mut net_config = NetConfig::new(ring, 1, PipelineConfig::tiny(64));
-    net_config.fault.drop_every = 2;
+    let net_config = NetConfig::new(ring, 1, PipelineConfig::tiny(64));
+    let mut lossy = Schedule::new(5);
+    for agent in 0..agents as u32 {
+        let drop_half = FaultOp::Link {
+            from: Ipv4Addr::for_host(agent),
+            to: Ipv4Addr::for_shard(0),
+            drop: 0.5,
+            dup: 0.0,
+            reorder: 0.0,
+        };
+        lossy.ops.push((Duration::ZERO, drop_half));
+    }
     let populate = [(Key::from_u64(0), Value::from_u64(0))];
-    let plane = NetDataplane::start(net_config, &populate).expect("start plane");
+    let plane = NetDataplane::start_under(net_config, &populate, &lossy).expect("start plane");
     let spec = WorkloadSpec::uniform_read(1, u64::MAX);
     let mut config = OpenLoopConfig::new(agents, 1, 100.0, Duration::from_millis(200));
     config.agent_timeout = SimDuration::from_millis(20);

@@ -6,12 +6,14 @@
 //! fixed seed.
 
 use crate::node::{NodeId, TimerToken};
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// A scheduled occurrence.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A scheduled occurrence. The node-down / node-up / stall / link-fault
+/// variants are the simulator's fault primitives: whoever owns a fault
+/// schedule lowers it onto them with [`crate::Simulator::schedule`].
+#[derive(Debug, Clone, PartialEq)]
 pub enum Event<M> {
     /// A message finishes arriving at `to`.
     Deliver {
@@ -29,15 +31,34 @@ pub enum Event<M> {
         /// Token the node supplied when arming the timer.
         token: TimerToken,
     },
-    /// The fault plan takes `node` down.
+    /// `node` fail-stops: it receives nothing and its timers no longer fire.
     NodeDown {
         /// The failing node.
         node: NodeId,
     },
-    /// The fault plan brings `node` back up.
+    /// `node` comes back up and is told so ([`crate::Node::on_restart`]).
     NodeUp {
         /// The recovering node.
         node: NodeId,
+    },
+    /// `node` stalls for `dur`: it stays alive, but every delivery and timer
+    /// due meanwhile waits, in order, until the stall is over.
+    Stall {
+        /// The stalling node.
+        node: NodeId,
+        /// How long it accepts and emits nothing.
+        dur: SimDuration,
+    },
+    /// From now on the link direction `from → to` loses, duplicates and
+    /// delays-past-its-successor packets with these probabilities (on top of
+    /// its static [`crate::LinkParams`]); all zero heals it.
+    LinkFault {
+        /// Transmitting end.
+        from: NodeId,
+        /// Receiving end.
+        to: NodeId,
+        /// `[drop, dup, reorder]` probabilities.
+        rates: [f64; 3],
     },
     /// All nodes that are still alive are notified that `node` failed
     /// (failure detection completed).

@@ -26,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod event;
-pub mod fault;
 pub mod link;
 pub mod metrics;
 pub mod node;
@@ -36,7 +35,6 @@ pub mod time;
 pub mod topology;
 
 pub use event::Event;
-pub use fault::FaultPlan;
 pub use link::{LinkParams, LinkState, LinkStats};
 pub use metrics::{Counter, ThroughputSeries};
 pub use node::{Context, Message, Node, NodeId, NodeKind, TimerToken};

@@ -109,6 +109,9 @@ pub struct LinkStats {
 pub struct LinkState {
     /// Static parameters.
     pub params: LinkParams,
+    /// `[drop, dup, reorder]` probabilities laid over the static parameters
+    /// by an [`crate::Event::LinkFault`]; all zero on a healthy link.
+    pub fault: [f64; 3],
     /// Time at which the transmitter becomes free.
     next_free: SimTime,
     /// Counters.
@@ -129,6 +132,7 @@ impl LinkState {
     pub fn new(params: LinkParams) -> Self {
         LinkState {
             params,
+            fault: [0.0; 3],
             next_free: SimTime::ZERO,
             stats: LinkStats::default(),
         }

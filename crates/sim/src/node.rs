@@ -163,13 +163,17 @@ pub trait Node<M: Message>: 'static {
     /// Called when a timer armed with [`Context::set_timer`] fires.
     fn on_timer(&mut self, _token: TimerToken, _ctx: &mut Context<M>) {}
 
-    /// Called when the fault plan marks another node as failed. The delay
+    /// Called when another node is marked as failed. The delay
     /// between the failure and this notification is the failure-detection
     /// delay configured in [`crate::SimConfig`].
     fn on_node_down(&mut self, _node: NodeId, _ctx: &mut Context<M>) {}
 
-    /// Called when the fault plan revives another node.
+    /// Called when another node comes back up.
     fn on_node_up(&mut self, _node: NodeId, _ctx: &mut Context<M>) {}
+
+    /// Called on the node itself when it comes back up after a failure:
+    /// whatever it held does not survive a restart unless it says so.
+    fn on_restart(&mut self, _ctx: &mut Context<M>) {}
 
     /// Human-readable name for logs and reports.
     fn name(&self) -> String {

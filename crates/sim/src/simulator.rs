@@ -2,7 +2,6 @@
 //! event queue and the PRNG, and advances simulated time deterministically.
 
 use crate::event::{Event, EventQueue};
-use crate::fault::{FaultAction, FaultPlan};
 use crate::link::{LinkState, LinkStats, TransmitOutcome};
 use crate::node::{Action, Context, Message, Node, NodeId};
 use crate::routing::RoutingTables;
@@ -73,6 +72,8 @@ pub struct Simulator<M: Message> {
     routing: RoutingTables,
     nodes: Vec<Option<Box<dyn Node<M>>>>,
     alive: Vec<bool>,
+    /// Until when each node is stalled (in the past for a node that is not).
+    stalled_until: Vec<SimTime>,
     links: HashMap<(usize, usize), LinkState>,
     queue: EventQueue<M>,
     now: SimTime,
@@ -99,6 +100,7 @@ impl<M: Message> Simulator<M> {
             routing,
             nodes: (0..n).map(|_| None).collect(),
             alive: vec![true; n],
+            stalled_until: vec![SimTime::ZERO; n],
             links,
             queue: EventQueue::new(),
             now: SimTime::ZERO,
@@ -166,14 +168,16 @@ impl<M: Message> Simulator<M> {
             .and_then(|n| n.as_any_mut().downcast_mut::<T>())
     }
 
-    /// Schedules the actions of a fault plan.
-    pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
-        for (at, action) in plan.events() {
-            match action {
-                FaultAction::Fail(node) => self.queue.push(at, Event::NodeDown { node }),
-                FaultAction::Recover(node) => self.queue.push(at, Event::NodeUp { node }),
-            }
-        }
+    /// Schedules `event` at `at`: how a fault schedule's owner lowers it onto
+    /// the simulator's node-down / node-up / stall / link-fault primitives.
+    pub fn schedule(&mut self, at: SimTime, event: Event<M>) {
+        self.queue.push(at, event);
+    }
+
+    /// Restarts the one generator from `seed` (a fault schedule brings its
+    /// own, so that the schedule alone replays its run).
+    pub fn reseed(&mut self, seed: u64) {
+        self.rng = ChaCha8Rng::seed_from_u64(seed);
     }
 
     /// Runs until the event queue drains, `deadline` is reached, or the event
@@ -220,6 +224,17 @@ impl<M: Message> Simulator<M> {
     }
 
     fn process(&mut self, event: Event<M>) {
+        // A stalled node's deliveries and timers wait for it, in order.
+        let target = match &event {
+            Event::Deliver { to, .. } => Some(*to),
+            Event::Timer { node, .. } => Some(*node),
+            _ => None,
+        };
+        if let Some(until) = target.map(|n| self.stalled_until[n.index()]) {
+            if until > self.now {
+                return self.queue.push(until, event);
+            }
+        }
         match event {
             Event::Deliver { from, to, msg } => {
                 if !self.alive[to.index()] {
@@ -243,6 +258,7 @@ impl<M: Message> Simulator<M> {
             }
             Event::NodeUp { node } => {
                 self.alive[node.index()] = true;
+                self.invoke(node, |n, ctx| n.on_restart(ctx));
                 let notify_at = self.now + self.config.failure_detection_delay;
                 self.queue.push(notify_at, Event::NotifyUp { node });
             }
@@ -258,6 +274,12 @@ impl<M: Message> Simulator<M> {
                     if idx != node.index() && self.alive[idx] {
                         self.invoke(NodeId(idx), |n, ctx| n.on_node_up(node, ctx));
                     }
+                }
+            }
+            Event::Stall { node, dur } => self.stalled_until[node.index()] = self.now + dur,
+            Event::LinkFault { from, to, rates } => {
+                if let Some(link) = self.links.get_mut(&(from.index(), to.index())) {
+                    link.fault = rates;
                 }
             }
             Event::Stop => {
@@ -300,8 +322,27 @@ impl<M: Message> Simulator<M> {
                 };
                 let loss_draw = uniform_f64(&mut self.rng);
                 let jitter_draw = uniform_f64(&mut self.rng);
+                // A faulted link costs one more draw; a healthy one draws as
+                // it always did, so fault-free runs replay bit for bit.
+                let [drop, dup, reorder] = link.fault;
+                let fault_draw = if drop + dup + reorder > 0.0 {
+                    uniform_f64(&mut self.rng)
+                } else {
+                    1.0
+                };
                 match link.transmit(self.now, msg.wire_size(), loss_draw, jitter_draw) {
-                    TransmitOutcome::Deliver(at) => {
+                    TransmitOutcome::Deliver(_) if fault_draw < drop => {
+                        self.stats.messages_dropped += 1;
+                    }
+                    TransmitOutcome::Deliver(mut at) => {
+                        if fault_draw < drop + dup {
+                            let msg = msg.clone();
+                            self.queue.push(at, Event::Deliver { from, to, msg });
+                        } else if fault_draw < drop + dup + reorder {
+                            // Late by twice its flight: what leaves within
+                            // the next two flight times overtakes it.
+                            at = at + (at - self.now) + (at - self.now);
+                        }
                         self.queue.push(at, Event::Deliver { from, to, msg });
                     }
                     TransmitOutcome::Dropped => {
@@ -445,8 +486,7 @@ mod tests {
     #[test]
     fn dead_nodes_do_not_receive() {
         let (mut sim, a, c) = two_node_sim();
-        let plan = FaultPlan::none().fail_at(SimTime::ZERO, c);
-        sim.apply_fault_plan(&plan);
+        sim.schedule(SimTime::ZERO, Event::NodeDown { node: c });
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
         assert_eq!(sim.node_as::<Bouncer>(c).unwrap().received, 0);
         assert!(sim.stats().messages_to_dead_nodes >= 1);
@@ -458,15 +498,74 @@ mod tests {
     #[test]
     fn recovery_notifies_survivors() {
         let (mut sim, a, c) = two_node_sim();
-        let plan = FaultPlan::none()
-            .fail_at(SimTime::ZERO + SimDuration::from_millis(1), c)
-            .recover_at(SimTime::ZERO + SimDuration::from_millis(100), c);
-        sim.apply_fault_plan(&plan);
+        let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
+        sim.schedule(ms(1), Event::NodeDown { node: c });
+        sim.schedule(ms(100), Event::NodeUp { node: c });
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
         assert!(sim.is_alive(c));
         let a_node = sim.node_as::<Bouncer>(a).unwrap();
         assert_eq!(a_node.downs_seen, vec![c]);
         assert_eq!(a_node.ups_seen, vec![c]);
+    }
+
+    #[test]
+    fn a_stalled_node_keeps_its_queue_and_serves_it_afterwards() {
+        let (mut sim, a, c) = two_node_sim();
+        let ms = SimDuration::from_millis;
+        sim.schedule(
+            SimTime::ZERO,
+            Event::Stall {
+                node: c,
+                dur: ms(5),
+            },
+        );
+        sim.run_until(SimTime::ZERO + ms(4));
+        // Alive, but the ping waits: nothing received, nothing bounced back.
+        assert!(sim.is_alive(c));
+        assert_eq!(sim.stats().messages_delivered, 0);
+        assert_eq!(sim.stats().messages_to_dead_nodes, 0);
+        sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
+        assert_eq!(sim.stats().messages_delivered, 6, "the exchange resumed");
+        assert_eq!(sim.node_as::<Bouncer>(a).unwrap().received, 3);
+    }
+
+    #[test]
+    fn a_link_fault_drops_duplicates_and_delays_from_the_one_seeded_generator() {
+        let run = |seed: u64, rates: [f64; 3]| {
+            let (mut sim, a, c) = two_node_sim();
+            sim = Simulator::new(sim.topology().clone(), SimConfig::default().with_seed(seed));
+            sim.install_node(a, Box::new(Bouncer::new(vec![c; 200])));
+            sim.install_node(c, Box::new(Bouncer::new(vec![])));
+            sim.schedule(
+                SimTime::ZERO,
+                Event::LinkFault {
+                    from: a,
+                    to: c,
+                    rates,
+                },
+            );
+            sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
+            (sim.stats(), sim.node_as::<Bouncer>(c).unwrap().received)
+        };
+        // 200 pings a -> c, each bounced five more times over the healthy
+        // direction and the faulted one.
+        let (clean, _) = run(1, [0.0; 3]);
+        assert_eq!(
+            (clean.messages_delivered, clean.messages_dropped),
+            (1200, 0)
+        );
+        let (lossy, _) = run(1, [0.5, 0.0, 0.0]);
+        assert!(
+            lossy.messages_dropped > 50 && lossy.messages_delivered < 1000,
+            "{lossy:?}"
+        );
+        let (dup, at_c) = run(1, [0.0, 1.0, 0.0]);
+        assert_eq!(dup.messages_dropped, 0);
+        assert!(at_c >= 400, "every ping a -> c arrives twice: {at_c}");
+        // Reordering delays, never loses; and a seed is a run.
+        let (late, _) = run(1, [0.0, 0.0, 0.5]);
+        assert_eq!((late.messages_delivered, late.messages_dropped), (1200, 0));
+        assert_eq!(run(9, [0.3, 0.2, 0.1]), run(9, [0.3, 0.2, 0.1]));
     }
 
     #[test]

@@ -38,6 +38,12 @@ impl Ipv4Addr {
         Ipv4Addr([10, 1, (id >> 8) as u8, (id & 0xff) as u8])
     }
 
+    /// Deterministic address of a fabric shard or net worker: what a fault
+    /// schedule names to stall one, or to impair its edge to a client.
+    pub fn for_shard(id: u32) -> Self {
+        Ipv4Addr([10, 2, (id >> 8) as u8, (id & 0xff) as u8])
+    }
+
     /// Deterministic address for the controller.
     pub fn for_controller() -> Self {
         Ipv4Addr([10, 255, 0, 1])

@@ -5,9 +5,12 @@
 //!
 //! Run with: `cargo run --release --example failure_recovery`
 
-use netchain::core::{ClusterConfig, ControllerConfig, NetChainCluster, WorkloadConfig};
-use netchain::sim::{SimDuration, SimTime};
+use netchain::core::{
+    ClusterConfig, ControllerConfig, FaultOp, NetChainCluster, Schedule, WorkloadConfig,
+};
+use netchain::sim::SimDuration;
 use netchain::wire::Ipv4Addr;
+use std::time::Duration;
 
 fn main() {
     let config = ClusterConfig {
@@ -35,8 +38,9 @@ fn main() {
             ..Default::default()
         },
     );
-    // Fail S1 ten seconds in.
-    cluster.fail_switch_at(SimTime::ZERO + SimDuration::from_secs(10), 1);
+    // The fault schedule: S1 fail-stops ten seconds in.
+    let kill = FaultOp::Kill(Ipv4Addr::for_switch(1));
+    cluster.inject(&Schedule::new(0).at(Duration::from_secs(10), kill));
     cluster.sim.run_for(SimDuration::from_secs(42));
 
     let client = cluster.workload_client(0).expect("installed");

@@ -2,9 +2,12 @@
 //! loopback), failure handling under load, and NetChain-vs-baseline sanity
 //! comparisons.
 
-use netchain::core::{ClusterConfig, ControllerConfig, KvOp, NetChainCluster, WorkloadConfig};
-use netchain::sim::{SimDuration, SimTime};
+use netchain::core::{
+    ClusterConfig, ControllerConfig, FaultOp, KvOp, NetChainCluster, Schedule, WorkloadConfig,
+};
+use netchain::sim::SimDuration;
 use netchain::wire::{Ipv4Addr, Key, QueryStatus, Value};
+use std::time::Duration;
 
 #[test]
 fn write_read_cas_delete_through_the_simulated_testbed() {
@@ -140,7 +143,8 @@ fn middle_switch_failure_heals_without_regressions() {
             ..Default::default()
         },
     );
-    cluster.fail_switch_at(SimTime::ZERO + SimDuration::from_secs(3), 1);
+    let kill = FaultOp::Kill(Ipv4Addr::for_switch(1));
+    cluster.inject(&Schedule::new(0).at(Duration::from_secs(3), kill));
     cluster.sim.run_for(SimDuration::from_secs(14));
 
     let client = cluster.workload_client(0).unwrap();
