@@ -61,21 +61,15 @@ pub fn query_evidence_hashed(
 /// True when every remaining chain hop is one this switch will strip via a
 /// [`FailoverAction::ChainFailover`] rule, i.e. the query will not reach
 /// another live replica after executing here. A hop with no rule (the
-/// packet really forwards there), a `Redirect` to a replacement that is not
-/// itself stripped (it continues there), or a `Block` (it never acks, so the
-/// role is moot) stops the walk: the chain is effectively non-empty.
+/// packet really forwards there), a `Redirect` (it continues on a
+/// replacement), or a `Block` (it never acks, so the role is moot) stops
+/// the walk: the chain is effectively non-empty.
 fn effective_chain_is_empty(switch: &NetChainSwitch, header: &NetChainHeader, hash: u64) -> bool {
     header.chain.hops().iter().all(|&hop| {
-        // A replacement can die too: follow the redirect to its own rule.
-        let mut hop = hop;
-        for _ in 0..4 {
-            match switch.forwarding().action_for_hash(hop, hash) {
-                Some(FailoverAction::ChainFailover) => return true,
-                Some(FailoverAction::Redirect(to)) => hop = to,
-                _ => return false,
-            }
-        }
-        false
+        matches!(
+            switch.forwarding().action_for_hash(hop, hash),
+            Some(FailoverAction::ChainFailover)
+        )
     })
 }
 

@@ -76,26 +76,18 @@ pub struct FailoverPlan {
 }
 
 impl FailoverPlan {
-    /// Plans fast failover for `failed_ip` over `ring`, everything else alive.
+    /// Plans fast failover for `failed_ip` over `ring`.
     pub fn compute(ring: &HashRing, failed_ip: Ipv4Addr) -> Self {
-        Self::among(ring, failed_ip, &HashSet::new())
-    }
-
-    /// Plans fast failover for `failed_ip` with the switches in `down` dead
-    /// already: `failed_ip` was a chain's acting head if everything before it
-    /// is down, and the new head is the first switch after it that is not.
-    pub fn among(ring: &HashRing, failed_ip: Ipv4Addr, down: &HashSet<Ipv4Addr>) -> Self {
         let mut new_heads: Vec<Ipv4Addr> = Vec::new();
+        let mut seen: HashSet<Ipv4Addr> = HashSet::new();
         for &group in &ring.groups_involving(failed_ip) {
-            let chain = ring.chain_for_group(group).switches;
-            let at = chain
-                .iter()
-                .position(|&s| s == failed_ip)
-                .expect("involved");
-            let was_head = chain[..at].iter().all(|s| down.contains(s));
-            let next = chain[at + 1..].iter().find(|s| !down.contains(s));
-            if let Some(&next) = next.filter(|s| was_head && !new_heads.contains(s)) {
-                new_heads.push(next);
+            let chain = ring.chain_for_group(group);
+            if chain.head() == failed_ip {
+                if let Some(successor) = chain.successor(failed_ip) {
+                    if seen.insert(successor) {
+                        new_heads.push(successor);
+                    }
+                }
             }
         }
         new_heads.sort();
@@ -110,20 +102,15 @@ impl FailoverPlan {
         }
     }
 
-    /// Algorithm 2 as an op list: one session bump per new head, numbered
-    /// from `*next_session` (advanced past the last one used), then the rule
-    /// to every neighbour. The bumps go first: the rule is what makes a new
-    /// head of a switch, and a head stamping the session it had before, over
-    /// registers a later-numbered head (since dead) wrote, would take them
-    /// backwards. Only a second kill can show it, and the two-victim schedule
-    /// of `livectl/tests/schedules.rs` did.
+    /// Algorithm 2 as an op list: the rule to every neighbour, then one
+    /// session bump per new head, numbered from `*next_session` (advanced
+    /// past the last one used).
     pub fn ops(&self, next_session: &mut u64) -> OpList {
-        let bump = |&head| {
-            let session = ControlOp::SetSession(next(next_session));
-            (Target::Switch(head), session)
-        };
-        let mut ops: OpList = self.new_heads.iter().map(bump).collect();
-        ops.push(install(self.failed_ip, self.rule));
+        let mut ops = vec![install(self.failed_ip, self.rule)];
+        for &head in &self.new_heads {
+            let bump = ControlOp::SetSession(next(next_session));
+            ops.push((Target::Switch(head), bump));
+        }
         ops
     }
 }
@@ -224,19 +211,6 @@ impl RecoveryPlan {
         }
     }
 
-    /// The same plan with every rule's priority raised past those of
-    /// `earlier` repairs of the same switch. A switch is repaired again when
-    /// its replacement dies; the old repair's redirects (to the dead
-    /// replacement) are still installed, and a block that did not outrank
-    /// them would block nothing while the group's state is copied.
-    pub fn outranking(mut self, earlier: u8) -> Self {
-        for step in &mut self.steps {
-            step.block.priority += 2 * earlier;
-            step.redirect.priority += 2 * earlier;
-        }
-        self
-    }
-
     /// Phase 1 of step `step`: block the group's traffic to the failed
     /// switch at every neighbour, before any state moves.
     pub fn block_ops(&self, step: usize) -> OpList {
@@ -312,8 +286,6 @@ pub struct View {
     pub pool: Vec<Ipv4Addr>,
     /// `replacement → the ring switch whose groups it took over`.
     pub stands_for: Vec<(Ipv4Addr, Ipv4Addr)>,
-    /// Every switch a recovery was planned for, once per plan.
-    pub repaired: Vec<Ipv4Addr>,
     /// The next session number (head bumps and group activations share it).
     pub next_session: u64,
 }
@@ -346,7 +318,7 @@ impl View {
         };
         let plan = FailoverPlan {
             failed_ip: ip,
-            ..FailoverPlan::among(ring, role, &self.failed)
+            ..FailoverPlan::compute(ring, role)
         };
         Some((plan.ops(&mut self.next_session), role))
     }
@@ -369,11 +341,14 @@ impl View {
     ) -> Option<RecoveryPlan> {
         let replacement = pick_replacement(ring, victim, &self.failed, explicit, &mut self.pool)?;
         self.stands_for.push((replacement, victim));
-        let earlier = self.repaired.iter().filter(|v| **v == victim).count() as u8;
-        self.repaired.push(victim);
         let failed = &self.failed;
-        let plan = RecoveryPlan::compute(ring, victim, replacement, recovery_groups, failed);
-        Some(plan.outranking(earlier))
+        Some(RecoveryPlan::compute(
+            ring,
+            victim,
+            replacement,
+            recovery_groups,
+            failed,
+        ))
     }
 }
 
@@ -461,14 +436,13 @@ mod tests {
             rule,
         };
 
-        // Algorithm 2: `new_heads[i]` gets session `base + i`, then the rule
-        // goes to the neighbours.
+        // Algorithm 2: the rule to the neighbours, then `new_heads[i]` gets
+        // session `base + i`.
         let mut session = 7;
-        let mut golden = Vec::new();
+        let mut golden = vec![(Target::Neighbours, install(plan.rule))];
         for (i, &head) in plan.new_heads.iter().enumerate() {
             golden.push((Target::Switch(head), ControlOp::SetSession(7 + i as u64)));
         }
-        golden.push((Target::Neighbours, install(plan.rule)));
         assert_eq!(plan.ops(&mut session), golden);
         assert_eq!(session, 7 + plan.new_heads.len() as u64);
 
@@ -528,16 +502,6 @@ mod tests {
         let [a, b] = [1, 2].map(Ipv4Addr::for_switch);
         let [s1, s2] = [8, 9].map(Ipv4Addr::for_switch);
         let mut view = View::new(vec![s1, s2]);
-        // With b down already, a's death makes heads only of live switches,
-        // also where b led and a was next.
-        let down = HashSet::from([b]);
-        let heads = FailoverPlan::among(&ring, a, &down).new_heads;
-        assert!(!heads.contains(&b) && !heads.is_empty());
-        let acting = (0..ring.num_virtual_nodes() as u32)
-            .map(|g| ring.chain_for_group(g).switches)
-            .find(|c| c[0] == b && c[1] == a)
-            .expect("some chain runs b, a, ..");
-        assert!(heads.contains(&acting[2]));
         // An idle spare holds no chain role.
         let mut idle = view.clone();
         assert!(idle.kill(&ring, s2).is_none());
@@ -566,9 +530,6 @@ mod tests {
             .expect("a second spare");
         assert_eq!(plan.replacement_ip, s2);
         assert!(plan.steps.iter().all(|s| !s.donors.contains(&s1)));
-        // Its blocks outrank the redirects the first repair left behind.
-        let priorities = |s: &GroupRepair| (s.block.priority, s.redirect.priority);
-        assert!(plan.steps.iter().all(|s| priorities(s) == (4, 5)));
 
         // A revived switch is free, and stands for whom it replaces; killed
         // again before that it would have had no role (s2 holds its groups).

@@ -124,11 +124,11 @@ impl Schedule {
 }
 
 /// The link-fault filter of one endpoint (a client port, a net worker, the
-/// replay fabric's client): the schedule's `Link` ops on its edges and the
-/// `Stall`s of its own thread, brought into force by the endpoint's clock,
-/// with the one generator every verdict is drawn from. An executor drops a
-/// filter that [is empty](Self::is_empty), so a fault-free run pays one
-/// branch per pump round or receive burst.
+/// replay fabric's client): the schedule's `Link` ops on its edges and, for
+/// an endpoint that hosts switches, the `Stall`s of its thread, brought into
+/// force by the endpoint's clock, with the one generator every verdict is
+/// drawn from. An executor drops a filter that [is empty](Self::is_empty),
+/// so a fault-free run pays one branch per pump round or receive burst.
 #[derive(Debug)]
 pub struct LinkFilter {
     me: Ipv4Addr,
@@ -143,11 +143,11 @@ pub struct LinkFilter {
 
 impl LinkFilter {
     /// The filter of endpoint `me`: the `Link` ops with `me` at either end
-    /// and the `Stall`s of `me` or of a switch it `hosts`.
+    /// and the `Stall`s of what it `hosts` (nothing, for a client).
     pub fn new(schedule: &Schedule, me: Ipv4Addr, hosts: impl Fn(Ipv4Addr) -> bool) -> Self {
         let mut pending = schedule.ops.clone();
         pending.retain(|(_, op)| match *op {
-            FaultOp::Stall(ip, _) => ip == me || hosts(ip),
+            FaultOp::Stall(ip, _) => hosts(ip),
             FaultOp::Link { from, to, .. } => from == me || to == me,
             _ => false,
         });
@@ -302,7 +302,7 @@ mod tests {
         let ms = Duration::from_millis;
         let run = |seed| {
             let (schedule, c, s) = lossy(seed);
-            let mut filter = LinkFilter::new(&schedule, s, |_| false);
+            let mut filter = LinkFilter::new(&schedule, s, |ip| ip == s);
             let mut out = Vec::new();
             assert_eq!(filter.advance(ms(9)), Duration::ZERO);
             filter.recv(c, &[255], |f| out.push(f[0]));

@@ -164,9 +164,9 @@ pub struct ClientPass {
 impl ClientPort {
     /// Arms the port of client `id` with its part of a fault schedule: the
     /// `Link` ops on the edges between `Ipv4Addr::for_host(id)` and the
-    /// shards (`Ipv4Addr::for_shard(s)`), either direction, and stalls of the
-    /// client itself. They come into force by the clock [`Self::pump`] is
-    /// handed, read as the offset from run start.
+    /// shards (`Ipv4Addr::for_shard(s)`), either direction. They come into
+    /// force by the clock [`Self::pump`] is handed, read as the offset from
+    /// run start.
     pub fn impair(&mut self, id: u32, schedule: &Schedule) {
         let filter = LinkFilter::new(schedule, Ipv4Addr::for_host(id), |_| false);
         self.filter = Some(Box::new(filter)).filter(|f| !f.is_empty());
@@ -213,15 +213,11 @@ impl ClientPort {
         mut clock: impl FnMut() -> SimTime,
     ) -> ClientPass {
         let mut pass = ClientPass::default();
-        // Link faults: bring what is due into force (and serve a stall of
-        // this client) once a pass; frames take the filtered path only while
-        // an edge is impaired.
+        // Link faults: bring what is due into force once a pass; frames take
+        // the filtered path only while an edge is impaired.
         let mut shaped = false;
         if let Some(filter) = &mut self.filter {
-            let stall = filter.advance(Duration::from_nanos(clock().as_nanos()));
-            if !stall.is_zero() {
-                std::thread::sleep(stall);
-            }
+            filter.advance(Duration::from_nanos(clock().as_nanos()));
             shaped = filter.active();
         }
         while let Some((s, frame)) = self.parked.pop_front() {

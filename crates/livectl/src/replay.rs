@@ -427,4 +427,28 @@ mod tests {
         assert_eq!(read.status, Some(QueryStatus::Ok));
         assert_eq!(read.value.as_u64(), Some(7));
     }
+
+    #[test]
+    fn a_stalled_shard_answers_when_its_stall_is_over() {
+        let mut fabric = fabric();
+        let key = Key::from_name("replay/stalled");
+        fabric.populate(key, &Value::from_u64(0));
+        let owner = shard_of_key(fabric.ring(), &key, 2) as u32;
+        let stall = std::time::Duration::from_millis(3);
+        let waited = |done: &CompletedQuery| done.latency.as_nanos() >= stall.as_nanos() as u64;
+        // The other shard's stall is not this key's business.
+        fabric.apply(&FaultOp::Stall(Ipv4Addr::for_shard(1 - owner), stall));
+        let quick = fabric.exec(KvOp::Write(key, Value::from_u64(1)));
+        assert!(quick.is_ok() && !waited(&quick), "{quick:?}");
+        // Its own shard's is, by the shard's address or by that of a switch
+        // the shard hosts a slice of: state and query keep, the answer is late.
+        for ip in [Ipv4Addr::for_shard(owner), Ipv4Addr::for_switch(0)] {
+            fabric.apply(&FaultOp::Stall(ip, stall));
+            let late = fabric.exec(KvOp::Read(key));
+            assert!(late.is_ok() && waited(&late), "{ip}: {late:?}");
+            assert_eq!((late.value.as_u64(), late.retries), (Some(1), 0));
+            let quick = fabric.exec(KvOp::Read(key));
+            assert!(quick.is_ok() && !waited(&quick), "{ip}: {quick:?}");
+        }
+    }
 }

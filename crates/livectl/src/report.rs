@@ -29,8 +29,11 @@ impl LiveAnomaly {
     }
 }
 
-/// When each control-plane phase happened, as offsets from run start, plus
-/// the measured rule-installation latency.
+/// When each control-plane phase of one kill happened, as offsets from run
+/// start, plus the measured rule-installation latency. The controller fills
+/// it in as the phases happen; one that did not happen stays zero. If the
+/// replacement dies mid-repair the repair begins again: it started with the
+/// first attempt, finished with the last, and the activations are both's.
 #[derive(Debug, Clone, Default)]
 pub struct FailoverTimeline {
     /// When the victim was killed on every shard.
@@ -53,44 +56,6 @@ pub struct FailoverTimeline {
     pub group_activations: Vec<Duration>,
     /// Number of groups repaired.
     pub groups_repaired: usize,
-}
-
-impl FailoverTimeline {
-    /// The phases of the first kill, read off the controller's journal: its
-    /// `kill <ip>` instant, the first `fast-failover:` span, and the victim's
-    /// `repair:<ip>` span and `activate-group:<ip>:` instants. `None` if
-    /// nothing was killed.
-    pub fn of_first_kill(journal: &Journal) -> Option<Self> {
-        let kill = journal
-            .instants()
-            .iter()
-            .find(|i| i.name.starts_with("kill "))?;
-        let victim = &kill.name["kill ".len()..];
-        let span = |name: &str| {
-            let span = journal.spans().iter().find(|s| s.name.starts_with(name));
-            let at = |ns: u64| Duration::from_nanos(ns);
-            span.map_or_else(Default::default, |s| {
-                (at(s.start_ns), at(s.end_ns.unwrap_or(0)))
-            })
-        };
-        let (failover_started_at, failover_installed_at) = span("fast-failover:");
-        let (repair_started_at, repair_finished_at) = span(&format!("repair:{victim}"));
-        let prefix = format!("activate-group:{victim}:");
-        let group_activations: Vec<Duration> = (journal.instants().iter())
-            .filter(|i| i.name.starts_with(&prefix))
-            .map(|i| Duration::from_nanos(i.at_ns))
-            .collect();
-        Some(FailoverTimeline {
-            killed_at: Duration::from_nanos(kill.at_ns),
-            failover_started_at,
-            failover_installed_at,
-            failover_install_time: failover_installed_at.saturating_sub(failover_started_at),
-            repair_started_at,
-            repair_finished_at,
-            groups_repaired: group_activations.len(),
-            group_activations,
-        })
-    }
 }
 
 /// The result of a live-controlled run.
@@ -117,13 +82,17 @@ pub struct LiveReport {
     /// Merged in-band per-hop traces (client + shard fragments), when
     /// tracing was enabled in the fabric config.
     pub traces: Vec<PacketTrace>,
-    /// The controller's phase timeline (present when a fault script ran).
+    /// The controller's phase timeline of the schedule's first kill (`None`
+    /// if it held none); `ops_journal` has every kill's.
     pub timeline: Option<FailoverTimeline>,
     /// Everything the live monitor flagged — gray failures and shadow-audit
     /// consistency violations (empty in a healthy run; each one also
     /// produced a flight-recorder dump in the artifact dir).
     pub anomalies: Vec<LiveAnomaly>,
-    /// The monitor's journal: one instant per flagged anomaly.
+    /// One instant per anomaly the monitor flagged, and the controller's
+    /// record of every fault op delivered and every phase of its reactions
+    /// (`kill <ip>`, `fast-failover:<ip>`, `repair:<ip>`,
+    /// `activate-group:<ip>:<i>`, `repair-aborted:<ip>`).
     pub ops_journal: Journal,
 }
 

@@ -187,9 +187,10 @@ struct LiveController {
     /// What is still to do, ascending in time (ties in insertion order).
     agenda: Vec<(Duration, Step)>,
     repairs: Vec<Repair>,
-    /// Every op delivered and every phase of every reaction; the report's
-    /// `timeline` is read off it.
+    /// Every op delivered and every phase of every reaction.
     journal: Journal,
+    /// The first kill's victim and its phases, filled in as they happen.
+    first: Option<(Ipv4Addr, FailoverTimeline)>,
 }
 
 impl LiveController {
@@ -232,6 +233,12 @@ impl LiveController {
         }
     }
 
+    /// The first kill's timeline, if `ip` is its victim and still unrepaired.
+    fn timeline_of(&mut self, ip: Ipv4Addr) -> Option<&mut FailoverTimeline> {
+        let first = self.first.as_mut().filter(|(victim, _)| *victim == ip);
+        (first.map(|(_, timeline)| timeline)).filter(|t| t.repair_finished_at.is_zero())
+    }
+
     /// Puts `step` on the agenda at `at`, behind whatever is already there
     /// for the same instant.
     fn plan(&mut self, at: Duration, step: Step) {
@@ -254,9 +261,15 @@ impl LiveController {
                     if !matches!(op, FaultOp::Link { .. }) {
                         self.broadcast(ControlCmd::Fault(op));
                     }
-                    self.journal.instant(op.to_string(), ns(t0.elapsed()));
+                    let delivered = t0.elapsed();
+                    self.journal.instant(op.to_string(), ns(delivered));
                     match op {
                         FaultOp::Kill(ip) => {
+                            let timeline = FailoverTimeline {
+                                killed_at: delivered,
+                                ..Default::default()
+                            };
+                            self.first.get_or_insert((ip, timeline));
                             self.plan(at + self.reactions.failover_delay, Step::Failover(ip))
                         }
                         FaultOp::Revive(ip) => self.view.revive(ip),
@@ -270,8 +283,14 @@ impl LiveController {
                         continue;
                     };
                     self.deliver(ops);
+                    let installed = t0.elapsed();
                     let name = format!("fast-failover:{ip}");
-                    self.journal.span(name, ns(started), ns(t0.elapsed()));
+                    self.journal.span(name, ns(started), ns(installed));
+                    if let Some(timeline) = self.timeline_of(ip) {
+                        timeline.failover_started_at = started;
+                        timeline.failover_installed_at = installed;
+                        timeline.failover_install_time = installed - started;
+                    }
                     // A repair onto the dead switch has nowhere to copy to.
                     for repair in &mut self.repairs {
                         repair.aborted |= repair.plan.replacement_ip == ip;
@@ -286,10 +305,17 @@ impl LiveController {
                         .plan_recovery(&self.ring, victim, explicit, groups)
                         .expect("a replacement switch exists");
                     self.plan(at, Step::Block(self.repairs.len(), 0));
+                    let started = t0.elapsed();
+                    // A repair begun again (its replacement died) started
+                    // when the first attempt did.
+                    let timeline = self.timeline_of(victim);
+                    if let Some(t) = timeline.filter(|t| t.repair_started_at.is_zero()) {
+                        t.repair_started_at = started;
+                    }
                     self.repairs.push(Repair {
                         per_group: self.reactions.sync_duration / plan.steps.len().max(1) as u32,
                         plan,
-                        starts_at: (at, t0.elapsed()),
+                        starts_at: (at, started),
                         aborted: false,
                     });
                 }
@@ -300,9 +326,13 @@ impl LiveController {
                     self.journal.instant(name, ns(t0.elapsed()));
                 }
                 Step::Block(r, i) if i == self.repairs[r].plan.steps.len() => {
-                    let name = format!("repair:{}", self.repairs[r].plan.failed_ip);
-                    let started = self.repairs[r].starts_at.1;
-                    self.journal.span(name, ns(started), ns(t0.elapsed()));
+                    let victim = self.repairs[r].plan.failed_ip;
+                    let (started, finished) = (self.repairs[r].starts_at.1, t0.elapsed());
+                    let name = format!("repair:{victim}");
+                    self.journal.span(name, ns(started), ns(finished));
+                    if let Some(timeline) = self.timeline_of(victim) {
+                        timeline.repair_finished_at = finished;
+                    }
                 }
                 Step::Block(r, i) => {
                     // Phase 1: block this group's traffic to the victim,
@@ -340,10 +370,16 @@ impl LiveController {
                     // the group over (redirect overrides the block it
                     // replaces).
                     let plan = &self.repairs[r].plan;
-                    let name = format!("activate-group:{}:{i}", plan.failed_ip);
+                    let victim = plan.failed_ip;
                     let ops = plan.activate_ops(i, &mut self.view.next_session);
                     self.deliver(ops);
-                    self.journal.instant(name, ns(t0.elapsed()));
+                    let activated = t0.elapsed();
+                    let name = format!("activate-group:{victim}:{i}");
+                    self.journal.instant(name, ns(activated));
+                    if let Some(timeline) = self.timeline_of(victim) {
+                        timeline.group_activations.push(activated);
+                        timeline.groups_repaired += 1;
+                    }
                     self.plan(at, Step::Block(r, i + 1));
                 }
             }
@@ -393,7 +429,7 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
     let client = |ip| (0..fabric.num_clients as u32).any(|c| Ipv4Addr::for_host(c) == ip);
     schedule.check(
         hosted,
-        |ip| hosted(ip) || shard(ip) || client(ip),
+        |ip| hosted(ip) || shard(ip),
         |a, b| (client(a) && shard(b)) || (shard(a) && client(b)),
     );
     let kills: Vec<Duration> = schedule.kills().map(|(at, _)| at).collect();
@@ -722,6 +758,7 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
             .collect(),
         repairs: Vec::new(),
         journal: Journal::new(),
+        first: None,
     };
     controller.run(t0);
     ctrl_done.store(true, Ordering::Release);
@@ -766,7 +803,7 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
         shards: shard_stats,
         latency,
         traces: merge_traces(trace_fragments),
-        timeline: FailoverTimeline::of_first_kill(&controller.journal),
+        timeline: controller.first.map(|(_, timeline)| timeline),
         anomalies,
         ops_journal,
     }

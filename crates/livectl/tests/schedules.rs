@@ -10,8 +10,11 @@
 //! What every run must show: it completes, every issued op is accounted for
 //! (`completed + abandoned = issued`), no client sees a version regress, and
 //! the audit of the traces is clean. Where a schedule breaks one of these the
-//! test says which, asserts the rest, and ROADMAP item 3 carries the seed,
-//! the schedule and the violation.
+//! test says which, asserts the rest and prints what it saw, and ROADMAP item
+//! 3 carries the seed, the schedule and the violation. The simulator and the
+//! replay fabric are deterministic, so what they show they always show; the
+//! live runs race the controller against real traffic, and what breaks there
+//! breaks in some runs only.
 
 use netchain_core::{
     ClusterConfig, ControllerConfig, FaultOp, KvOp, NetChainCluster, Schedule, WorkloadConfig,
@@ -106,6 +109,16 @@ impl Outcome {
         assert_eq!(self.version_regressions, 0, "{what}: {self:?}");
         if let Some(audit) = &self.audit {
             assert!(audit.is_clean(), "{what}: {:?}", audit.violations);
+        }
+    }
+
+    /// For a run known to break the invariants now and then: the accounting
+    /// must hold, what else it broke is printed (ROADMAP item 3 has it).
+    fn assert_accounted_and_report(&self, what: &str) {
+        self.assert_accounted(what);
+        let violations = self.audit.as_ref().map_or(0, |a| a.violations.len());
+        if self.version_regressions + violations as u64 > 0 {
+            eprintln!("{what}: invariants broken: {self:?}");
         }
     }
 }
@@ -336,8 +349,11 @@ fn two_victims_with_overlapping_repairs() {
     assert_eq!(replay.repairs_finished, 2, "{replay:?}");
     assert!(stale.is_empty(), "{stale:?}");
 
+    // Live, S3's death makes heads of switches that stamp their old session
+    // until the bump lands, one control round trip after the rule: in one
+    // run of a few, clients see versions regress (ROADMAP item 3).
     let (live, report) = run_live(&schedule, &reactions);
-    live.assert_clean("live");
+    live.assert_accounted_and_report("live");
     assert_eq!(live.repairs_finished, 2, "{:?}", report.ops_journal);
     // The timeline is the first kill's; the journal holds both.
     let timeline = report.timeline.as_ref().expect("kills ran");
@@ -368,12 +384,26 @@ fn the_replacement_dies_mid_repair() {
     assert_eq!(replay.repairs_finished, 1, "{replay:?}");
     assert!(stale.is_empty(), "{stale:?}");
 
+    // Live, from Algorithm 2 for the dead spare (210 ms) until the second
+    // repair re-points them, two groups' redirects lead to a dead switch:
+    // the hop before it acts as the tail without saying so in its trace
+    // stamp, and in one run of a few the audit finds an acked write with no
+    // tail evidence (ROADMAP item 3).
     let (live, report) = run_live(&schedule, &reactions);
-    live.assert_clean("live");
+    live.assert_accounted_and_report("live");
     assert_eq!(live.repairs_finished, 1, "{:?}", report.ops_journal);
     let journal = &report.ops_journal;
     assert!(journal.find_instant("repair-aborted:10.0.0.1").is_some());
     assert!(journal.find_span("fast-failover:10.0.0.4").is_some());
+    // The timeline is still S1's, through the aborted attempt: its repair
+    // started with the first attempt, finished with the second, and counts
+    // the two groups that went onto S4 as well as the four onto S5.
+    let timeline = report.timeline.as_ref().expect("a kill ran");
+    assert!(timeline.failover_installed_at >= ms(120), "{timeline:?}");
+    assert!(timeline.repair_started_at >= ms(150) && timeline.repair_started_at < ms(190));
+    assert!(timeline.repair_finished_at >= ms(320), "{timeline:?}");
+    assert_eq!(timeline.groups_repaired, 2 + GROUPS as usize);
+    assert_eq!(timeline.group_activations.len(), timeline.groups_repaired);
 }
 
 #[test]

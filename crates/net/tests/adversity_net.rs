@@ -3,7 +3,8 @@
 //! boundary (verdicts drawn from the schedule's seed), and the sans-IO agent
 //! machinery must absorb both without consistency damage — retransmissions
 //! recover dropped queries with zero version regressions, and a duplicated
-//! reply must never complete the same query twice.
+//! reply must never complete the same query twice. A `Stall` makes one worker
+//! sleep while its socket queues: its queries are served late, once each.
 
 use std::time::Duration;
 
@@ -126,5 +127,32 @@ fn duplicated_replies_never_complete_a_query_twice() {
         // which is the one batch the batch-capable mode finds at this rate.
         let bursts: u64 = net.io.iter().map(|io| io.burst_calls).sum();
         assert_eq!(bursts > 0, io_mode == IoMode::Burst);
+    }
+}
+
+#[test]
+fn a_stalled_worker_keeps_its_socket_queue_and_serves_it_afterwards() {
+    // Worker 0 stalls for 120 ms, 50 ms into the run: its thread sleeps, its
+    // socket keeps queueing. With a timeout longer than the stall nothing is
+    // retransmitted: the queued queries are served late, once each, while
+    // worker 1's half of the keys never waits.
+    let stall = Duration::from_millis(120);
+    for io_mode in IO_MODES {
+        let worker = Ipv4Addr::for_shard(0);
+        let faults = Schedule::new(5).at(Duration::from_millis(50), FaultOp::Stall(worker, stall));
+        let plane = start_plane(64, &faults, io_mode);
+        let spec = WorkloadSpec::mixed(64, u64::MAX, 60, 30);
+        let mut config = OpenLoopConfig::new(16, 1, 1_000.0, Duration::from_millis(300));
+        config.agent_timeout = SimDuration::from_millis(400);
+        config.drain_grace = Duration::from_secs(1);
+        let report = run_open_loop(&plane, spec, config);
+        plane.shutdown();
+
+        assert_eq!(report.completed, report.issued, "{report:?}");
+        assert_eq!((report.retries, report.abandoned), (0, 0));
+        assert_eq!(report.version_regressions, 0);
+        let q = |q| Duration::from_nanos(report.latency.quantile(q).expect("ops completed"));
+        assert!(q(1.0) > stall * 3 / 4, "nothing waited: max {:?}", q(1.0));
+        assert!(q(0.5) < stall / 4, "everything waited: p50 {:?}", q(0.5));
     }
 }

@@ -15,10 +15,11 @@ proptest! {
 
     /// Under random loss, jitter-induced reordering, write ratios and seeds,
     /// no client ever observes a version regression and surviving chain
-    /// replicas keep Invariant 1 (head sequence >= tail sequence). The jitter
-    /// is static topology; the loss, duplication and reordering are a fault
-    /// schedule that sets in 10 ms into the run, on every link S0 has (the
-    /// client's own, and the two the chains leave S0 by), seeded with it.
+    /// replicas keep Invariant 1 (head sequence >= tail sequence). The loss
+    /// and the jitter are static topology, on every link for the whole run;
+    /// on top of them a fault schedule sets in 10 ms into the run that makes
+    /// every link S0 has (the client's own, and the two the chains leave S0
+    /// by) lose more, duplicate and reorder, seeded with the run.
     #[test]
     fn lossy_reordered_network_preserves_consistency(
         seed in 0u64..1_000,
@@ -27,7 +28,9 @@ proptest! {
     ) {
         let config = ClusterConfig {
             sim: SimConfig::default().with_seed(seed),
-            link: LinkParams::datacenter_40g().with_jitter(SimDuration::from_micros(5)),
+            link: LinkParams::datacenter_40g()
+                .with_loss(loss)
+                .with_jitter(SimDuration::from_micros(5)),
             ..Default::default()
         };
         let mut cluster = NetChainCluster::testbed(config);

@@ -167,6 +167,43 @@ fn middle_switch_failure_heals_without_regressions() {
 }
 
 #[test]
+fn a_stalled_switch_keeps_its_queue_and_answers_late() {
+    // S0, the switch host 0 hangs off, stalls for 2 ms as the run starts:
+    // alive, but nothing gets in or out. The timeout is longer than the stall,
+    // so the first query is not retransmitted: it waits in S0's queue and is
+    // answered late; the ones after it never wait.
+    let config = ClusterConfig {
+        agent_timeout: SimDuration::from_millis(5),
+        ..ClusterConfig::default()
+    };
+    let mut cluster = NetChainCluster::testbed(config);
+    let key = Key::from_name("integration/stalled");
+    cluster.populate_key(key, &Value::from_u64(1));
+    let stall = Duration::from_millis(2);
+    let s0 = Ipv4Addr::for_switch(0);
+    cluster.inject(&Schedule::new(0).at(Duration::ZERO, FaultOp::Stall(s0, stall)));
+    cluster.install_scripted_client(
+        0,
+        vec![
+            KvOp::Write(key, Value::from_u64(2)),
+            KvOp::Read(key),
+            KvOp::Read(key),
+        ],
+    );
+    cluster.sim.run_for(SimDuration::from_millis(50));
+    let client = cluster.scripted_client(0).unwrap();
+    assert!(client.is_done());
+    let r = client.results();
+    let waited = |i: usize| r[i].latency.as_nanos() >= stall.as_nanos() as u64;
+    assert!(
+        r.iter().all(|done| done.is_ok() && done.retries == 0),
+        "{r:?}"
+    );
+    assert!(waited(0) && !waited(1) && !waited(2), "{r:?}");
+    assert_eq!(r[2].value.as_u64(), Some(2));
+}
+
+#[test]
 fn loopback_udp_dataplane_round_trips() {
     use netchain::net::{NetConfig, NetDataplane};
     let cluster = NetChainCluster::testbed(ClusterConfig::default());
