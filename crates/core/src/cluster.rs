@@ -5,11 +5,12 @@
 
 use crate::agent::AgentConfig;
 use crate::client::{ScriptedClient, WorkloadClient, WorkloadConfig};
-use crate::controller::{Controller, ControllerConfig};
+use crate::controller::Controller;
 use crate::directory::{AddressMap, ChainDirectory};
 use crate::fault::{FaultOp, Schedule};
 use crate::hashring::HashRing;
 use crate::message::NetMsg;
+use crate::reactor::{Reactions, Reactor};
 use crate::switch_node::SwitchNode;
 use crate::types::KvOp;
 use netchain_sim::{
@@ -19,6 +20,7 @@ use netchain_sim::{
 use netchain_switch::{NetChainSwitch, PipelineConfig};
 use netchain_wire::{Ipv4Addr, Key, Value};
 use std::collections::HashMap;
+use std::time::Duration;
 
 /// Configuration of a whole cluster.
 #[derive(Debug, Clone, Copy)]
@@ -38,10 +40,11 @@ pub struct ClusterConfig {
     pub pipeline: PipelineConfig,
     /// Link parameters applied to every link.
     pub link: LinkParams,
-    /// Simulator configuration (seed, detection delay).
+    /// Simulator configuration (seed, control-channel latency).
     pub sim: SimConfig,
-    /// Controller behaviour.
-    pub controller: ControllerConfig,
+    /// How the controller reacts to a kill; its detection delay is also when
+    /// the survivors' underlay learns of the death.
+    pub reactions: Reactions,
     /// Client agent retransmission timeout / retry budget template.
     pub agent_timeout: netchain_sim::SimDuration,
     /// Client agent retry budget.
@@ -58,7 +61,14 @@ impl Default for ClusterConfig {
             pipeline: PipelineConfig::tofino_prototype(),
             link: LinkParams::datacenter_40g(),
             sim: SimConfig::default(),
-            controller: ControllerConfig::default(),
+            // The paper's timings: 10 ms detection, recovery 20 s after
+            // failover, 150 s of state synchronisation.
+            reactions: Reactions {
+                failover_delay: Duration::from_millis(10),
+                recovery_delay: Duration::from_secs(20),
+                sync_duration: Duration::from_secs(150),
+                ..Reactions::default()
+            },
             agent_timeout: netchain_sim::SimDuration::from_millis(1),
             agent_max_retries: 10,
         }
@@ -239,7 +249,7 @@ impl NetChainCluster {
             let node = SwitchNode::new(
                 data_plane,
                 l3_tables.remove(&sw).unwrap_or_default(),
-                config.controller.control_latency,
+                config.sim.control_latency,
             );
             sim.install_node(sw, Box::new(node));
         }
@@ -256,10 +266,11 @@ impl NetChainCluster {
                 Box::new(ScriptedClient::idle(agent, directory.clone(), gw)),
             );
         }
-        // Controller.
-        let controller_node =
-            Controller::new(config.controller, ring.clone(), addr, switch_neighbors);
-        sim.install_node(controller, Box::new(controller_node));
+        // The controller; switches held out of the ring are its spares.
+        let spares = (ring_count..switches.len()).map(|i| Ipv4Addr::for_switch(i as u32));
+        let reactor = Reactor::new(ring.clone(), spares.collect(), config.reactions);
+        let node = Controller::new(reactor, config.sim.control_latency, addr, switch_neighbors);
+        sim.install_node(controller, Box::new(node));
 
         NetChainCluster {
             sim,
@@ -357,12 +368,12 @@ impl NetChainCluster {
     }
 
     /// Delivers a fault schedule: lowers every op onto the simulator's event
-    /// queue (a kill is a node going down, detected by the controller after
-    /// `SimConfig::failure_detection_delay`; a revived switch restarts empty
-    /// and inactive; a link is a pair of adjacent nodes) and folds the
-    /// schedule's seed into the simulator's one generator. Call it before the
-    /// run starts. A schedule naming a switch, node or link the cluster does
-    /// not have is refused.
+    /// queue (a kill is a node going down, its survivors told so one
+    /// `Reactions::failover_delay` later; a revived switch restarts empty and
+    /// inactive; a link is a pair of adjacent nodes), folds the schedule's
+    /// seed into the simulator's one generator, and hands the schedule to the
+    /// controller's agenda. Call it before the run starts. A schedule naming a
+    /// switch, node or link the cluster does not have is refused.
     pub fn inject(&mut self, schedule: &Schedule) {
         let (addr, sim) = (&self.layout.addr, &mut self.sim);
         let topology = sim.topology();
@@ -375,6 +386,7 @@ impl NetChainCluster {
         );
         sim.reseed(self.config.sim.seed.wrapping_add(schedule.seed));
         let node = |ip| addr.node_of(ip).expect("checked");
+        let time = |at: Duration| SimTime(at.as_nanos() as u64);
         for &(at, op) in &schedule.ops {
             let event = match op {
                 FaultOp::Kill(ip) => Event::NodeDown { node: node(ip) },
@@ -395,8 +407,16 @@ impl NetChainCluster {
                     rates: [drop, dup, reorder],
                 },
             };
-            sim.schedule(SimTime(at.as_nanos() as u64), event);
+            sim.schedule(time(at), event);
+            let told = match op {
+                FaultOp::Kill(ip) => Event::NotifyDown { node: node(ip) },
+                FaultOp::Revive(ip) => Event::NotifyUp { node: node(ip) },
+                _ => continue,
+            };
+            sim.schedule(time(at + self.config.reactions.failover_delay), told);
         }
+        let controller = self.sim.node_as_mut::<Controller>(self.layout.controller);
+        controller.expect("a Controller").load(schedule);
     }
 
     /// Borrow the workload client installed at `host_index`.

@@ -1,23 +1,18 @@
 //! Pure failover/recovery *planning*: what rules to install where, which
 //! switches need session bumps, and the per-group two-phase repair steps —
 //! as data, down to the ordered list of [`ControlOp`]s that carries a plan
-//! out, with no opinion about how the list is delivered.
+//! out, with no opinion about when or how the list is delivered.
 //!
 //! There is one control-plane vocabulary ([`ControlOp`], interpreted by
-//! `NetChainSwitch::apply` and nowhere else) and three transports that
-//! deliver the lists built here:
-//!
-//! * the simulated [`crate::controller::Controller`] sends each op as a
-//!   control-plane RPC over the discrete-event network,
-//! * the live fabric controller (`netchain-livectl`) pushes each op down the
-//!   lock-free per-shard control rings and waits for the acks, and
-//! * the replay fabric calls every shard directly.
-//!
-//! Sharing the list, not just the plan, is what makes the live/simulated
-//! differential tests meaningful: the executions install byte-identical
-//! rules in the same order and assign identical session numbers, so any
-//! divergence in the resulting replies or switch state is a real semantic
-//! divergence, not a planning or sequencing artefact.
+//! `NetChainSwitch::apply` and nowhere else), one agenda that decides when
+//! each list goes out ([`crate::reactor`]), and three transports that only
+//! deliver: the simulated [`crate::controller::Controller`] (control-plane
+//! RPCs over the discrete-event network), the live fabric controller
+//! (`netchain-livectl`: the per-shard control rings, every op acknowledged)
+//! and the replay fabric (direct calls). Sharing the list is what makes the
+//! live/simulated differential tests meaningful: the executions install
+//! byte-identical rules in the same order with identical session numbers, so
+//! any divergence in replies or switch state is a real semantic one.
 //!
 //! Determinism matters here. Session numbers are assigned in list order, so
 //! the order of `new_heads` must not depend on hash-map iteration; the
@@ -238,6 +233,20 @@ impl RecoveryPlan {
             ),
         ]
     }
+
+    /// Withdraws the redirects of the first `activated` steps, once the
+    /// replacement they lead to is dead: the failed switch's traffic falls
+    /// back to fast failover, and a later plan's blocks hold again.
+    pub fn withdraw_ops(&self, activated: usize) -> OpList {
+        let withdraw = |step: &GroupRepair| ControlOp::RemoveRule {
+            failed_ip: self.failed_ip,
+            priority: step.redirect.priority,
+            scope: step.redirect.scope,
+        };
+        (self.steps[..activated].iter())
+            .map(|step| (Target::Neighbours, withdraw(step)))
+            .collect()
+    }
 }
 
 /// Picks the replacement switch for `failed_ip`: the explicit choice while it
@@ -274,9 +283,9 @@ pub fn pick_replacement(
 }
 
 /// What a controller knows beyond the static ring, and the decisions that
-/// follow from it. The simulated controller, the live one and the replay
-/// fabric each keep one and ask it the same questions, so a second kill, a
-/// dead replacement or a revived switch is handled alike by all three.
+/// follow from it. The one [`crate::Reactor`] every controller runs keeps
+/// it, so a second kill, a dead replacement or a revived switch is handled
+/// alike by the simulated controller, the live one and the replay fabric.
 #[derive(Debug, Clone, Default)]
 pub struct View {
     /// Switches believed down: they neither donate state nor replace anyone.

@@ -3,11 +3,12 @@
 //! A [`Schedule`] is a seed and a time-ordered list of [`FaultOp`]s. Like the
 //! op lists of [`crate::failplan`] it has no opinion on how it is carried
 //! out; four executors only *deliver* it: `NetChainCluster::inject` lowers
-//! it onto simulator events; `ReplayFabric::apply` applies one op at a time,
-//! under the test's sequencing; the live runner's controller sends `Kill`,
-//! `Revive` and `Stall` down the shards' control rings when their time comes,
-//! between its own reactions, while every client port filters its own edges;
-//! a net worker stalls itself and filters its socket's datagrams.
+//! it onto simulator events; the replay fabric applies one op at a time
+//! (`ReplayFabric::apply`, or off a reactor's agenda); the live runner's
+//! controller sends `Kill`, `Revive` and `Stall` down the shards' control
+//! rings when their time comes, while every client port filters its own
+//! edges; a net worker stalls itself and filters its socket's datagrams. The
+//! reactions to a kill, and when they come, are [`crate::reactor`]'s.
 //!
 //! Every random decision (drop, duplicate, reorder) is drawn from a generator
 //! seeded by [`Schedule::seed`] and owned by the executor: the simulator's

@@ -16,9 +16,14 @@
 //! * [`switch_node`] — the simulator adapter that hosts a
 //!   [`netchain_switch::NetChainSwitch`] on a topology node and performs
 //!   underlay L3 forwarding.
-//! * [`controller`] — the network controller (the reconfiguration half of
-//!   Vertical Paxos): fast failover (Algorithm 2) and failure recovery with
-//!   two-phase atomic switching and virtual groups (Algorithm 3, §5).
+//! * [`failplan`] — what the controller sends: Algorithms 2 and 3 as ordered
+//!   op lists, and the `View` that decides who replaces whom.
+//! * [`reactor`] — when it sends it: one sans-IO agenda of the schedule's
+//!   faults and the reactions to them (fast failover, Algorithm 2; failure
+//!   recovery with two-phase atomic switching and virtual groups, Algorithm
+//!   3, §5), which the simulated, live and replay controllers only deliver.
+//! * [`controller`] — the network controller node (the reconfiguration half
+//!   of Vertical Paxos): the reactor's transport in the simulator.
 //! * [`fault`] — the one fault vocabulary: a seeded [`Schedule`] of
 //!   [`FaultOp`]s every execution mode delivers, and the link-fault filter.
 //! * [`cluster`] — glue that assembles complete deployments (the Figure 8
@@ -37,18 +42,20 @@ pub mod failplan;
 pub mod fault;
 pub mod hashring;
 pub mod message;
+pub mod reactor;
 pub mod switch_node;
 pub mod types;
 
 pub use agent::{AgentConfig, AgentCore, AgentStats};
 pub use client::{ScriptedClient, WorkloadClient, WorkloadConfig};
 pub use cluster::{ClusterConfig, ClusterLayout, NetChainCluster};
-pub use controller::{Controller, ControllerConfig};
+pub use controller::Controller;
 pub use directory::{AddressMap, ChainDirectory, KeyLocus, QueryRoute};
 pub use evidence::{evidence_op, query_evidence, query_evidence_hashed};
 pub use failplan::{FailoverPlan, GroupRepair, RecoveryPlan};
 pub use fault::{FaultOp, LinkFilter, Schedule};
 pub use hashring::{ChainDescriptor, HashRing};
 pub use message::{ControlMsg, NetMsg};
+pub use reactor::{Action, FailoverTimeline, GroupCopy, Reactions, Reactor};
 pub use switch_node::SwitchNode;
 pub use types::{CompletedQuery, Completion, KvOp, NetChainError, OpRef};

@@ -37,7 +37,7 @@ const HELD: u64 = 1;
 const HOLD_TICK_NS: u64 = 5 * TIMEOUT_NS / 2 / HELD_FOR_IDS;
 
 #[derive(Debug, Clone)]
-enum Step {
+enum Move {
     /// Issue an op with a value of `len` bytes salted `salt`, through
     /// `begin_into` if `in_place`, else through `begin`.
     Begin {
@@ -63,10 +63,10 @@ enum Step {
     Poll { dt: u64 },
 }
 
-fn arb_step() -> impl Strategy<Value = Step> {
+fn arb_step() -> impl Strategy<Value = Move> {
     let begin = || {
         (0..32u64, 0..=MAX_VALUE_LEN, any::<u8>(), any::<bool>()).prop_map(
-            |(key, len, salt, in_place)| Step::Begin {
+            |(key, len, salt, in_place)| Move::Begin {
                 key,
                 len,
                 salt,
@@ -76,7 +76,7 @@ fn arb_step() -> impl Strategy<Value = Step> {
     };
     let reply = || {
         (0..MAX_WINDOW, 0..3u8, 0..50u64, 0..3u16, any::<bool>()).prop_map(
-            |(pick, status, seq, session, view)| Step::Reply {
+            |(pick, status, seq, session, view)| Move::Reply {
                 pick,
                 status,
                 seq,
@@ -92,11 +92,11 @@ fn arb_step() -> impl Strategy<Value = Step> {
         reply(),
         reply(),
         reply(),
-        (0..64usize).prop_map(|pick| Step::Duplicate { pick }),
-        (0..3u64).prop_map(|ahead| Step::Unknown { ahead }),
+        (0..64usize).prop_map(|pick| Move::Duplicate { pick }),
+        (0..3u64).prop_map(|ahead| Move::Unknown { ahead }),
         // Mostly short of the timeout, sometimes well past it.
-        (0..TIMEOUT_NS / 2).prop_map(|dt| Step::Poll { dt }),
-        (0..TIMEOUT_NS * 3).prop_map(|dt| Step::Poll { dt }),
+        (0..TIMEOUT_NS / 2).prop_map(|dt| Move::Poll { dt }),
+        (0..TIMEOUT_NS * 3).prop_map(|dt| Move::Poll { dt }),
     ]
 }
 
@@ -236,7 +236,7 @@ proptest! {
                 held_through = next_id - 1 - HELD;
             }
             match step {
-                Step::Begin { key, len, salt, in_place } => {
+                Move::Begin { key, len, salt, in_place } => {
                     if model.live.len() >= window {
                         continue;
                     }
@@ -262,7 +262,7 @@ proptest! {
                     }
                     sent.insert(id, pkt);
                 }
-                Step::Reply { pick, status, seq, session, view } => {
+                Move::Reply { pick, status, seq, session, view } => {
                     let Some(id) = model.pick(pick, holding) else { continue };
                     let status = [QueryStatus::Ok, QueryStatus::NotFound, QueryStatus::CasFailed]
                         [usize::from(status)];
@@ -292,7 +292,7 @@ proptest! {
                         });
                     }
                 }
-                Step::Duplicate { pick } => {
+                Move::Duplicate { pick } => {
                     if retired.is_empty() {
                         continue;
                     }
@@ -301,7 +301,7 @@ proptest! {
                     let reply = reply_to(&sent[&id], QueryStatus::Ok, 1, 0);
                     prop_assert!(agent.on_reply(now, &reply).is_none(), "duplicate of {}", id);
                 }
-                Step::Unknown { ahead } => {
+                Move::Unknown { ahead } => {
                     // 0, the next id to be issued, or one far beyond it.
                     let id = [0, next_id, next_id + 1_000_003][ahead as usize];
                     let Some(mut query) = sent.get(&HELD).cloned() else { continue };
@@ -310,7 +310,7 @@ proptest! {
                     let reply = reply_to(&query, QueryStatus::Ok, 1, 0);
                     prop_assert!(agent.on_reply(now, &reply).is_none(), "never issued: {}", id);
                 }
-                Step::Poll { dt } => {
+                Move::Poll { dt } => {
                     if !holding {
                         now += SimDuration::from_nanos(dt);
                     }

@@ -11,9 +11,7 @@
 //! pre-failure plateau — the *shape* is the reproduction target.
 
 use crate::series::Series;
-use netchain_core::{
-    ClusterConfig, ControllerConfig, FaultOp, NetChainCluster, Schedule, WorkloadConfig,
-};
+use netchain_core::{ClusterConfig, FaultOp, NetChainCluster, Reactions, Schedule, WorkloadConfig};
 use netchain_sim::SimDuration;
 use netchain_wire::Ipv4Addr;
 use std::time::Duration;
@@ -24,11 +22,11 @@ pub struct Fig10Params {
     /// What fails, and when: by default S1 (a middle switch for most chains)
     /// at t = 20 s.
     pub schedule: Schedule,
-    /// How the controller reacts: the delay before recovery starts after
-    /// failover, the total state-synchronisation time across all groups, the
-    /// replacement (S3) and the number of virtual groups recovery uses (1 for
-    /// Figure 10(a), 100 for Figure 10(b)).
-    pub controller: ControllerConfig,
+    /// How the controller reacts: the paper's 10 ms detection, the delay
+    /// before recovery starts after failover, the total state-synchronisation
+    /// time across all groups, the replacement (S3) and the number of
+    /// virtual groups recovery uses (1 for Figure 10(a), 100 for 10(b)).
+    pub reactions: Reactions,
     /// Offered load from the observed client, queries per second (scaled).
     pub offered_qps: f64,
     /// Total simulated time.
@@ -54,12 +52,12 @@ impl Fig10Params {
         let kill = FaultOp::Kill(Ipv4Addr::for_switch(1));
         Fig10Params {
             schedule: Schedule::new(0).at(Duration::from_secs(fail_at), kill),
-            controller: ControllerConfig {
-                recovery_start_delay: SimDuration::from_secs(recovery_delay),
-                total_sync_duration: SimDuration::from_secs(sync),
+            reactions: Reactions {
+                recovery_delay: Duration::from_secs(recovery_delay),
+                sync_duration: Duration::from_secs(sync),
                 replacement: Some(Ipv4Addr::for_switch(3)),
                 recovery_groups: Some(virtual_groups),
-                ..ControllerConfig::default()
+                ..ClusterConfig::default().reactions
             },
             offered_qps: 10_000.0,
             total: SimDuration::from_secs(total),
@@ -75,7 +73,7 @@ impl Fig10Params {
     }
 
     fn virtual_groups(&self) -> u32 {
-        self.controller.recovery_groups.unwrap_or(0)
+        self.reactions.recovery_groups.unwrap_or(0)
     }
 }
 
@@ -87,7 +85,7 @@ pub fn fig10(params: &Fig10Params) -> Vec<Series> {
         // S0–S2 form the ring; S3 is the spare that replaces the failed
         // switch.
         ring_switches: Some(3),
-        controller: params.controller,
+        reactions: params.reactions,
         ..Default::default()
     };
     let mut cluster = NetChainCluster::testbed(config);
@@ -155,8 +153,8 @@ pub struct Fig10Summary {
 /// [`fig10`].
 pub fn summarise(params: &Fig10Params, normalised: &Series) -> Fig10Summary {
     let fail_s = params.fail_s();
-    let recovery_start = fail_s + params.controller.recovery_start_delay.as_secs_f64();
-    let recovery_end = recovery_start + params.controller.total_sync_duration.as_secs_f64();
+    let recovery_start = fail_s + params.reactions.recovery_delay.as_secs_f64();
+    let recovery_end = recovery_start + params.reactions.sync_duration.as_secs_f64();
     let window_mean = |from: f64, to: f64| {
         let values: Vec<f64> = normalised
             .points

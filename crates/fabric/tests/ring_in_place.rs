@@ -100,7 +100,7 @@ fn in_place_stream_survives_two_threads_and_wraparound() {
 
 /// One step of the interleaving property.
 #[derive(Debug, Clone)]
-enum Step {
+enum Move {
     Push,
     PushBatch(usize),
     /// reserve + write + commit, without publishing.
@@ -112,16 +112,16 @@ enum Step {
     RunRelease(usize, usize),
 }
 
-fn arb_step() -> impl Strategy<Value = Step> {
+fn arb_step() -> impl Strategy<Value = Move> {
     prop_oneof![
-        Just(Step::Push),
-        (1usize..6).prop_map(Step::PushBatch),
-        Just(Step::Commit),
-        Just(Step::Commit),
-        Just(Step::Publish),
-        Just(Step::Pop),
-        (1usize..6).prop_map(Step::PopBatch),
-        (1usize..6, 0usize..6).prop_map(|(max, keep)| Step::RunRelease(max, keep)),
+        Just(Move::Push),
+        (1usize..6).prop_map(Move::PushBatch),
+        Just(Move::Commit),
+        Just(Move::Commit),
+        Just(Move::Publish),
+        Just(Move::Pop),
+        (1usize..6).prop_map(Move::PopBatch),
+        (1usize..6, 0usize..6).prop_map(|(max, keep)| Move::RunRelease(max, keep)),
     ]
 }
 
@@ -140,7 +140,7 @@ proptest! {
         for step in steps {
             let room = 8 - visible.len() - staged.len();
             match step {
-                Step::Push => {
+                Move::Push => {
                     // `push` publishes everything committed so far, too.
                     let pushed = tx.push(next).is_ok();
                     prop_assert_eq!(pushed, room > 0);
@@ -150,7 +150,7 @@ proptest! {
                         next += 1;
                     }
                 }
-                Step::PushBatch(n) => {
+                Move::PushBatch(n) => {
                     let mut items: Vec<u64> = (next..next + n as u64).collect();
                     let took = tx.push_batch(&mut items);
                     // The producer's view of the consumer may be stale, so
@@ -162,7 +162,7 @@ proptest! {
                     visible.extend(next..next + took as u64);
                     next += took as u64;
                 }
-                Step::Commit => match tx.reserve() {
+                Move::Commit => match tx.reserve() {
                     Some(slot) => {
                         prop_assert!(room > 0);
                         *slot = next;
@@ -172,11 +172,11 @@ proptest! {
                     }
                     None => prop_assert_eq!(room, 0),
                 },
-                Step::Publish => {
+                Move::Publish => {
                     tx.publish();
                     visible.extend(staged.drain(..));
                 }
-                Step::Pop => {
+                Move::Pop => {
                     let got = rx.pop();
                     prop_assert_eq!(got, visible.pop_front());
                     if let Some(v) = got {
@@ -184,7 +184,7 @@ proptest! {
                         expect += 1;
                     }
                 }
-                Step::PopBatch(max) => {
+                Move::PopBatch(max) => {
                     let mut out = Vec::new();
                     let took = rx.pop_batch(&mut out, max);
                     // A batch may stop short at the end of the buffer or at
@@ -198,7 +198,7 @@ proptest! {
                         expect += 1;
                     }
                 }
-                Step::RunRelease(max, keep) => {
+                Move::RunRelease(max, keep) => {
                     let run = rx.run(max);
                     prop_assert!(run.len() <= max.min(visible.len()));
                     prop_assert_eq!(run.is_empty(), visible.is_empty());

@@ -12,34 +12,24 @@
 //!
 //! ## Pieces
 //!
-//! * [`control`] — the per-shard control channel: `ControlOp`s and
-//!   `FaultOp`s (the two vocabularies the simulator, this crate and the
-//!   replay fabric share) and state export, over the fabric's lock-free SPSC
-//!   rings, applied at burst boundaries and acknowledged by token.
-//! * [`script`] — [`Reactions`]: how the controller paces detection,
-//!   failover and repair after each kill of the schedule; and
-//!   [`FaultScript`], the one-kill constructor that lowers into a one-entry
-//!   schedule plus reactions.
+//! * [`control`] — the per-shard control channel: `ControlOp`s, `FaultOp`s
+//!   and state export over the fabric's lock-free SPSC rings, applied at
+//!   burst boundaries and acknowledged by token.
 //! * [`runner`] — [`run_live_controlled`]: the threaded deployment shape
-//!   (shards + retrying duration-driven clients + controller), producing a
-//!   time-sliced [`LiveReport`]. The controller works through one
-//!   time-ordered agenda of schedule entries and its own reactions; a
-//!   monitor thread watches per-shard rolling windows while the run is live.
+//!   (shards, retrying duration-driven clients, the controller, a monitor
+//!   thread over per-shard rolling windows), producing a time-sliced
+//!   [`LiveReport`]; and [`FaultScript`], the one-kill constructor of a
+//!   schedule and its [`Reactions`].
 //! * [`detector`] — the gray-failure detector: peer-median comparison over
 //!   the rolling windows, flagging a shard that is slow but alive.
-//! * [`replay`] — the same fabric, the same op lists and the same fault ops
-//!   driven deterministically on one thread by direct calls, for the
-//!   simulator differential test and the chain-repair property test.
-//! * [`report`] — the run report: throughput slices and the phase timeline
-//!   (including the measured rule-installation latency).
+//! * [`replay`] — the same fabric, op lists, fault ops and reactor driven
+//!   deterministically on one thread by direct calls.
+//! * [`report`] — the run report: throughput slices and phase timelines.
 //!
-//! The planning logic (which rules, which donors, which session numbers, in
-//! which order; who replaces whom after a second kill) is **not** here:
-//! `netchain_core::failplan` emits Algorithms 2 and 3 as ordered op lists and
-//! its `View` takes the decisions, and the live controller, the replay fabric
-//! and the simulated controller only deliver them, so the three paths cannot
-//! drift apart — a property the differential tests and
-//! `tests/schedules.rs` pin down.
+//! *What* the controller sends is `netchain_core::failplan`'s and *when* is
+//! `netchain_core::reactor`'s: the live controller, the replay fabric and the
+//! simulated controller only deliver, so the three cannot drift apart (the
+//! differential tests and `tests/schedules.rs` pin that down).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,11 +39,10 @@ pub mod detector;
 pub mod replay;
 pub mod report;
 pub mod runner;
-pub mod script;
 
 pub use control::{ControlCmd, ControlEvt};
 pub use detector::{Anomaly, DetectorConfig, GrayFailureDetector};
+pub use netchain_core::{FailoverTimeline, Reactions};
 pub use replay::{replay_agent_config, ReplayFabric};
-pub use report::{FailoverTimeline, LiveAnomaly, LiveReport};
-pub use runner::{run_live_controlled, run_live_observed, LiveConfig};
-pub use script::{FaultScript, Reactions};
+pub use report::{LiveAnomaly, LiveReport};
+pub use runner::{run_live_controlled, run_live_observed, FaultScript, LiveConfig};

@@ -1,25 +1,24 @@
 //! A deterministic, single-threaded driver for the controlled fabric: the
-//! same shards, the same ordered op lists (`netchain_core::failplan`) and
-//! the same fault vocabulary (`netchain_core::fault`) as the live
-//! controller, delivered by calling [`Shard::apply`] and [`Shard::fault`]
-//! directly, so ops, faults and control steps execute synchronously, one at
-//! a time, under the test's explicit sequencing.
-//!
-//! This is what the differential test runs against the discrete-event
-//! simulator (one op list + one interpreter ⇒ the two executions must
-//! produce identical replies and switch state), and what the chain-repair
-//! property test drives through proptest-chosen failure timings.
+//! live controller's shards, op lists (`netchain_core::failplan`), fault ops
+//! (`netchain_core::fault`) and reactor (`netchain_core::Reactor`), delivered
+//! one at a time by calling [`Shard::apply`] and [`Shard::fault`] directly.
+//! [`ReplayFabric::react`] + [`ReplayFabric::step`] work a schedule off the
+//! reactor's agenda; the verbs ([`ReplayFabric::fast_failover`],
+//! [`ReplayFabric::start_recovery`], …) call its reactions one by one, as the
+//! differential test against the simulator and the chain-repair property
+//! test sequence them.
 
-use netchain_core::failplan::{OpList, RecoveryPlan, Target, View};
+use netchain_core::failplan::{OpList, Target};
 use netchain_core::{
-    AgentConfig, AgentCore, ChainDirectory, CompletedQuery, FaultOp, HashRing, KvOp, LinkFilter,
-    Schedule,
+    Action, AgentConfig, AgentCore, ChainDirectory, CompletedQuery, FaultOp, GroupCopy, HashRing,
+    KvOp, LinkFilter, Reactions, Reactor, Schedule,
 };
 use netchain_fabric::{shard_of_key, Shard};
 use netchain_sim::{SimDuration, SimTime};
 use netchain_switch::kv::ExportedEntry;
 use netchain_switch::{ControlOp, PipelineConfig};
 use netchain_wire::{BatchEncoder, Ipv4Addr, Key, PacketView, Value};
+use std::time::Duration;
 
 /// The deterministic controlled fabric.
 pub struct ReplayFabric {
@@ -29,23 +28,13 @@ pub struct ReplayFabric {
     agent: AgentCore,
     replies: BatchEncoder,
     clock: u64,
-    /// The controller's view: failed set, replacement pool, sessions.
-    view: View,
-    /// Repairs planned so far, one per victim; the verbs drive `current`.
-    recoveries: Vec<RecoveryState>,
-    current: usize,
+    /// The controller: its view, its agenda, its repairs (the verbs drive
+    /// the latest).
+    reactor: Reactor,
     /// Link faults on the client ↔ shard edges, and their generator.
     links: LinkFilter,
     /// Until when (replay clock) each shard is stalled.
     stalled_until: Vec<u64>,
-}
-
-struct RecoveryState {
-    plan: RecoveryPlan,
-    /// Index of the next step to block.
-    next: usize,
-    /// Index of the currently blocked (mid-repair) step, if any.
-    blocked: Option<usize>,
 }
 
 impl ReplayFabric {
@@ -65,15 +54,13 @@ impl ReplayFabric {
         let links = LinkFilter::new(&Schedule::default(), agent_config.client_ip, |_| false);
         let agent = AgentCore::new(agent_config, ChainDirectory::new(ring.clone()));
         ReplayFabric {
+            reactor: Reactor::new(ring.clone(), spares.to_vec(), Reactions::default()),
             ring,
             num_shards,
             shards,
             agent,
             replies: BatchEncoder::new(),
             clock: 0,
-            view: View::new(spares.to_vec()),
-            recoveries: Vec::new(),
-            current: 0,
             links,
             stalled_until: vec![0; num_shards],
         }
@@ -101,9 +88,9 @@ impl ReplayFabric {
         self.shards[s].populate(key, value);
     }
 
-    /// The controller's view: who is down, who is free to replace.
-    pub fn view(&self) -> &View {
-        &self.view
+    /// The controller: its view, journal and timelines.
+    pub fn reactor(&self) -> &Reactor {
+        &self.reactor
     }
 
     /// Read access to the shards (state comparisons).
@@ -196,7 +183,7 @@ impl ReplayFabric {
         done
     }
 
-    // ---- Faults and control-plane verbs, mirroring the live controller ----
+    // ---- Faults and the controller ----
 
     /// Seeds the generator the link faults draw from (a schedule's seed), and
     /// heals every edge.
@@ -205,16 +192,49 @@ impl ReplayFabric {
         self.links = LinkFilter::new(&Schedule::new(seed), me, |_| false);
     }
 
+    /// Hands `schedule` to a fresh controller reacting with `reactions`
+    /// (and seeds the link faults from it): [`Self::step`] works it off.
+    pub fn react(&mut self, schedule: &Schedule, reactions: Reactions) {
+        let spares = self.reactor.view().pool.clone();
+        self.reactor = Reactor::new(self.ring.clone(), spares, reactions);
+        self.reactor.load(schedule);
+        self.seed_faults(schedule.seed);
+    }
+
+    /// Executes the controller's first agenda entry due by `now` (schedule
+    /// time, not the replay clock).
+    pub fn step(&mut self, now: Duration) {
+        for action in self.reactor.step(now) {
+            match action {
+                Action::Fault(op) => self.deliver_fault(&op),
+                Action::Deliver(ops) => self.deliver(ops),
+                Action::Copy(copy) => self.copy(copy),
+            }
+        }
+        self.reactor.landed(now);
+    }
+
+    /// The replay clock, as the reactor's time for the verbs.
+    fn now(&self) -> Duration {
+        Duration::from_nanos(self.clock)
+    }
+
     /// Delivers one fault op, now: a kill or revive to every shard, a stall
     /// (in replay-clock nanoseconds) to the shards it names, a link fault to
-    /// the client's edges. The controller's reaction to a kill is the
-    /// caller's to sequence ([`Self::fast_failover`], [`Self::start_recovery`]).
+    /// the client's edges; a revived switch is free to replace someone. The
+    /// controller's reaction to a kill is the caller's to sequence
+    /// ([`Self::fast_failover`], [`Self::start_recovery`]).
     pub fn apply(&mut self, op: &FaultOp) {
+        self.reactor.fault(*op);
+        self.reactor.landed(self.now());
+        self.deliver_fault(op);
+    }
+
+    fn deliver_fault(&mut self, op: &FaultOp) {
         for shard in &mut self.shards {
             shard.fault(op);
         }
         match *op {
-            FaultOp::Revive(ip) => self.view.revive(ip),
             FaultOp::Stall(ip, dur) => {
                 for (shard, until) in self.shards.iter().zip(&mut self.stalled_until) {
                     if shard.named_by(ip) {
@@ -224,6 +244,19 @@ impl ReplayFabric {
             }
             _ => drop(self.links.apply(op)),
         }
+    }
+
+    /// Copies a blocked group from every donor to the replacement, on every
+    /// shard, and tells the reactor.
+    fn copy(&mut self, copy: GroupCopy) {
+        let replacement = Target::Switch(copy.replacement);
+        for &donor in &copy.donors {
+            for shard in &mut self.shards {
+                let entries = shard.export_group(donor, copy.group, copy.modulus);
+                shard.apply(replacement, &ControlOp::Import(entries));
+            }
+        }
+        self.reactor.copied(copy.repair, copy.group);
     }
 
     /// Fault injection: fail-stop `victim` on every shard.
@@ -236,51 +269,38 @@ impl ReplayFabric {
     /// ring switch whose chains now need repair (`ip`, or the one it stood
     /// in for), `None` if `ip` held no chain role.
     pub fn fast_failover(&mut self, ip: Ipv4Addr) -> Option<Ipv4Addr> {
-        let (ops, victim) = self.view.kill(&self.ring, ip)?;
+        let (ops, victim) = self.reactor.fast_failover(self.now(), ip)?;
         self.deliver(ops);
+        self.reactor.landed(self.now());
         Some(victim)
     }
 
-    /// Plans recovery of `victim` onto `replacement` (abandoning an earlier
-    /// repair of the same victim); returns the number of repair steps. Steps
-    /// are then driven by [`Self::block_next_group`] /
-    /// [`Self::finish_blocked_group`] (or [`Self::repair_all`]); with several
-    /// victims under repair, [`Self::resume_recovery`] says whose.
+    /// Plans recovery of `victim` onto `replacement`; returns the number of
+    /// repair steps. Steps are then driven by [`Self::block_next_group`] /
+    /// [`Self::finish_blocked_group`] (or [`Self::repair_all`]), always on
+    /// the latest repair started.
     pub fn start_recovery(
         &mut self,
         victim: Ipv4Addr,
         replacement: Ipv4Addr,
         recovery_groups: Option<u32>,
     ) -> usize {
-        let plan = (self.view)
-            .plan_recovery(&self.ring, victim, Some(replacement), recovery_groups)
-            .expect("the replacement is alive");
-        let steps = plan.steps.len();
-        self.recoveries.retain(|r| r.plan.failed_ip != victim);
-        self.current = self.recoveries.len();
-        self.recoveries.push(RecoveryState {
-            plan,
-            next: 0,
-            blocked: None,
-        });
-        steps
+        let now = self.now();
+        let repair = (self.reactor).repair(now, victim, Some(replacement), recovery_groups);
+        let repair = repair.expect("the replacement is alive");
+        self.reactor.progress(repair).0.steps.len()
     }
 
-    /// Makes the repair of `victim` the one the step verbs drive.
-    pub fn resume_recovery(&mut self, victim: Ipv4Addr) {
-        let planned = self
-            .recoveries
-            .iter()
-            .position(|r| r.plan.failed_ip == victim);
-        self.current = planned.expect("a recovery of the victim was started");
+    /// The latest repair started, if any.
+    fn current(&self) -> Option<usize> {
+        self.reactor.repairs().checked_sub(1)
     }
 
     /// The currently blocked `(group, modulus)`, if a repair step is between
     /// its block and activate phases.
     pub fn blocked_group(&self) -> Option<(u32, u32)> {
-        let recovery = self.recoveries.get(self.current)?;
-        let idx = recovery.blocked?;
-        Some((recovery.plan.steps[idx].group, recovery.plan.modulus))
+        let (plan, activated, blocked) = self.reactor.progress(self.current()?);
+        blocked.then(|| (plan.steps[activated].group, plan.modulus))
     }
 
     /// True if `key` falls in the currently blocked group.
@@ -291,41 +311,25 @@ impl ReplayFabric {
     }
 
     /// Phase 1 of the next repair step: block the group's traffic to the
-    /// victim on every shard. Returns the blocked group, or `None` if repair
-    /// is complete or a step is already blocked.
+    /// victim on every shard, then copy its state from every donor to the
+    /// replacement. Returns the blocked group, or `None` if repair is
+    /// complete or a step is already blocked.
     pub fn block_next_group(&mut self) -> Option<u32> {
-        let recovery = self.recoveries.get_mut(self.current)?;
-        if recovery.blocked.is_some() || recovery.next >= recovery.plan.steps.len() {
-            return None;
-        }
-        let idx = recovery.next;
-        recovery.blocked = Some(idx);
-        let group = recovery.plan.steps[idx].group;
-        let ops = recovery.plan.block_ops(idx);
+        let (ops, copy) = self.reactor.block(self.current()?)?;
+        let group = copy.group;
         self.deliver(ops);
+        self.copy(copy);
         Some(group)
     }
 
-    /// Synchronise + phase 2 of the blocked step: copy the group's state
-    /// from every donor to the replacement on every shard, activate the
-    /// replacement (with a fresh session), install the redirect and drop the
-    /// block. Returns the activated group.
+    /// Phase 2 of the blocked step: activate the replacement (with a fresh
+    /// session), install the redirect and drop the block. Returns the
+    /// activated group.
     pub fn finish_blocked_group(&mut self) -> Option<u32> {
-        let recovery = self.recoveries.get_mut(self.current)?;
-        let idx = recovery.blocked.take()?;
-        recovery.next = idx + 1;
-        let plan = &recovery.plan;
-        let step = &plan.steps[idx];
-        let replacement = Target::Switch(plan.replacement_ip);
-        for &donor in &step.donors {
-            for shard in &mut self.shards {
-                let entries = shard.export_group(donor, step.group, plan.modulus);
-                shard.apply(replacement, &ControlOp::Import(entries));
-            }
-        }
-        let group = step.group;
-        let ops = plan.activate_ops(idx, &mut self.view.next_session);
+        let (group, _) = self.blocked_group()?;
+        let ops = self.reactor.activate(self.current()?)?;
         self.deliver(ops);
+        self.reactor.landed(self.now());
         Some(group)
     }
 
@@ -340,8 +344,8 @@ impl ReplayFabric {
 
     /// True once every planned repair step has been activated.
     pub fn repair_complete(&self) -> bool {
-        (self.recoveries.get(self.current))
-            .is_some_and(|r| r.blocked.is_none() && r.next >= r.plan.steps.len())
+        let progress = self.current().map(|r| self.reactor.progress(r));
+        progress.is_some_and(|(plan, activated, _)| activated == plan.steps.len())
     }
 }
 

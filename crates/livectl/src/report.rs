@@ -2,8 +2,10 @@
 //! the controller's phase timeline.
 
 use crate::detector::Anomaly;
+use netchain_core::FailoverTimeline;
 use netchain_fabric::{ClientReport, ShardStats};
 use netchain_telemetry::{HistSnapshot, Journal, PacketTrace, TraceSummary, Violation};
+use netchain_wire::Ipv4Addr;
 use std::time::Duration;
 
 /// Anything the live monitor flagged during the run: a statistical gray
@@ -27,35 +29,6 @@ impl LiveAnomaly {
             LiveAnomaly::Audit(v) => v.describe(),
         }
     }
-}
-
-/// When each control-plane phase of one kill happened, as offsets from run
-/// start, plus the measured rule-installation latency. The controller fills
-/// it in as the phases happen; one that did not happen stays zero. If the
-/// replacement dies mid-repair the repair begins again: it started with the
-/// first attempt, finished with the last, and the activations are both's.
-#[derive(Debug, Clone, Default)]
-pub struct FailoverTimeline {
-    /// When the victim was killed on every shard.
-    pub killed_at: Duration,
-    /// When the controller started installing fast-failover rules (kill +
-    /// detection delay).
-    pub failover_started_at: Duration,
-    /// When every shard had acknowledged the fast-failover rules and session
-    /// bumps — the dataplane is rerouting from this instant.
-    pub failover_installed_at: Duration,
-    /// `failover_installed_at - failover_started_at`: the measured failover
-    /// programming time (the paper's sub-millisecond claim, measured here
-    /// against the software fabric's control channel).
-    pub failover_install_time: Duration,
-    /// When chain repair started (first group blocked).
-    pub repair_started_at: Duration,
-    /// When the last group was activated.
-    pub repair_finished_at: Duration,
-    /// Per-group activation instants, in repair order.
-    pub group_activations: Vec<Duration>,
-    /// Number of groups repaired.
-    pub groups_repaired: usize,
 }
 
 /// The result of a live-controlled run.
@@ -82,9 +55,11 @@ pub struct LiveReport {
     /// Merged in-band per-hop traces (client + shard fragments), when
     /// tracing was enabled in the fabric config.
     pub traces: Vec<PacketTrace>,
-    /// The controller's phase timeline of the schedule's first kill (`None`
-    /// if it held none); `ops_journal` has every kill's.
+    /// The phase timeline of the schedule's first killed ring switch
+    /// (`None` if it held none): `timelines[0]`.
     pub timeline: Option<FailoverTimeline>,
+    /// One phase timeline per killed ring switch, in kill order.
+    pub timelines: Vec<(Ipv4Addr, FailoverTimeline)>,
     /// Everything the live monitor flagged — gray failures and shadow-audit
     /// consistency violations (empty in a healthy run; each one also
     /// produced a flight-recorder dump in the artifact dir).

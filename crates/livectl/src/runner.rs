@@ -11,25 +11,18 @@
 //!   repair) is retransmitted after a timeout, exactly like the paper's UDP
 //!   clients, and every completion is bucketed into a **time slice** so the
 //!   run produces a throughput-vs-time series;
-//! * the **controller** delivers the run's fault [`Schedule`] live and
-//!   reacts to it, working through one time-ordered agenda: each schedule
-//!   entry when its time comes, and after every `Kill` its own reactions
-//!   ([`Reactions`]) — Algorithm 2 after the detection delay, then chain
-//!   repair group by group with two-phase atomic switching, copying real
-//!   register state from donor to replacement through the control channel
-//!   while untouched groups keep serving. Repairs of several victims
-//!   interleave on the agenda; what the controller decides (who replaces
-//!   whom, which sessions) it asks of `failplan::View`, like the simulated
-//!   controller. `Link` ops are delivered by the client ports themselves
+//! * the **controller** only delivers what `netchain_core::Reactor`, the one
+//!   agenda of every controller, yields for the run's fault [`Schedule`] and
+//!   [`Reactions`]: each op acknowledged by every shard before the next, each
+//!   group copy real register state through the control channels. `Link`
+//!   ops are the client ports' own
 //!   ([`netchain_fabric::ClientPort::impair`]), by the same clock.
 
 use crate::control::{self, ControlCmd, ControlEvt, Tagged};
 use crate::detector::{DetectorConfig, GrayFailureDetector};
-use crate::report::{FailoverTimeline, LiveAnomaly, LiveReport};
-use crate::script::{FaultScript, Reactions};
-use netchain_core::failplan::{OpList, RecoveryPlan, Target, View};
-use netchain_core::fault::insert_at;
-use netchain_core::{AgentConfig, FaultOp, HashRing, Schedule};
+use crate::report::{LiveAnomaly, LiveReport};
+use netchain_core::failplan::Target;
+use netchain_core::{Action, AgentConfig, FaultOp, Reactions, Reactor, Schedule};
 use netchain_fabric::{
     build_shards, connect, spsc_ring, ClientState, Consumer, FabricConfig, Producer, WorkloadSpec,
 };
@@ -40,6 +33,7 @@ use netchain_telemetry::{
     TimeSeries, WindowChannel, WindowRegistry,
 };
 use netchain_wire::Ipv4Addr;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -115,10 +109,40 @@ impl LiveConfig {
     }
 }
 
-/// The controller's end of one shard's control channel.
-struct ControllerLink {
-    tx: Producer<Tagged<ControlCmd>>,
-    rx: Consumer<Tagged<ControlEvt>>,
+/// One scripted switch failure and the controller's reactions, by field: a
+/// one-entry [`Schedule`] and its [`Reactions`] written as one struct for the
+/// common case of a single kill. Never executed, only lowered.
+#[derive(Debug, Clone, Copy)]
+pub struct FaultScript {
+    /// The switch to kill.
+    pub victim: Ipv4Addr,
+    /// When to kill it, relative to run start.
+    pub kill_at: Duration,
+    /// [`Reactions::failover_delay`].
+    pub failover_delay: Duration,
+    /// [`Reactions::recovery_delay`].
+    pub recovery_delay: Duration,
+    /// [`Reactions::sync_duration`].
+    pub sync_duration: Duration,
+    /// [`Reactions::recovery_groups`].
+    pub recovery_groups: Option<u32>,
+    /// [`Reactions::replacement`].
+    pub replacement: Option<Ipv4Addr>,
+}
+
+impl FaultScript {
+    /// The script as what the runner executes: the kill, and the reactions.
+    pub fn lower(&self) -> (Schedule, Reactions) {
+        let schedule = Schedule::new(0).at(self.kill_at, FaultOp::Kill(self.victim));
+        let reactions = Reactions {
+            failover_delay: self.failover_delay,
+            recovery_delay: self.recovery_delay,
+            sync_duration: self.sync_duration,
+            recovery_groups: self.recovery_groups,
+            replacement: self.replacement,
+        };
+        (schedule, reactions)
+    }
 }
 
 /// Pushes `item` into a control ring, yielding while it is full.
@@ -129,260 +153,85 @@ fn push_blocking<T: Send>(tx: &mut Producer<T>, mut item: T) {
     }
 }
 
-impl ControllerLink {
-    fn send(&mut self, token: u64, cmd: ControlCmd) {
-        push_blocking(&mut self.tx, Some((token, cmd)));
-    }
+/// The controller's end of one shard's control channel.
+type ControllerLink = (Producer<Tagged<ControlCmd>>, Consumer<Tagged<ControlEvt>>);
 
-    fn wait(&mut self, token: u64) -> ControlEvt {
-        loop {
-            if let Some((acked, evt)) = self.rx.pop().flatten() {
-                assert_eq!(
-                    acked, token,
-                    "control channel is FIFO; events must arrive in order"
-                );
-                return evt;
-            }
-            std::thread::yield_now();
-        }
-    }
-}
-
-/// One entry of the controller's agenda.
-#[derive(Debug, Clone, Copy)]
-enum Step {
-    /// A schedule entry comes due.
-    Fault(FaultOp),
-    /// The detection delay after a kill is over: Algorithm 2.
-    Failover(Ipv4Addr),
-    /// Plan Algorithm 3 for this ring switch and start on its first group.
-    Repair(Ipv4Addr),
-    /// Phase 1 of group `.1` of repair `.0` (block, copy), or its end.
-    Block(usize, usize),
-    /// Phase 2 of the same group, once its share of the sync budget is up.
-    Activate(usize, usize),
-}
-
-/// One Algorithm 3 in progress.
-struct Repair {
-    plan: RecoveryPlan,
-    /// Scheduled and measured start: groups are paced against the first.
-    starts_at: (Duration, Duration),
-    per_group: Duration,
-    /// Its replacement died: a later repair covers the same switch.
-    aborted: bool,
-}
-
-/// The live controller: delivers the fault schedule to the shards and
-/// reacts to its kills.
+/// The live controller: the reactor's transport over the control rings.
 struct LiveController {
     links: Vec<ControllerLink>,
-    ring: HashRing,
-    /// Failed set, replacement pool, stand-ins and the session counter, which
-    /// continues the same sequence the simulated controller uses: failover
-    /// head bumps first, then one bump per activated group.
-    view: View,
-    reactions: Reactions,
     next_token: u64,
-    /// What is still to do, ascending in time (ties in insertion order).
-    agenda: Vec<(Duration, Step)>,
-    repairs: Vec<Repair>,
-    /// Every op delivered and every phase of every reaction.
-    journal: Journal,
-    /// The first kill's victim and its phases, filled in as they happen.
-    first: Option<(Ipv4Addr, FailoverTimeline)>,
 }
 
 impl LiveController {
-    /// Sends `cmd` to shard `link` under a fresh token and waits for its
-    /// event.
-    fn call(&mut self, link: usize, cmd: ControlCmd) -> ControlEvt {
-        self.next_token += 1;
-        self.links[link].send(self.next_token, cmd);
-        self.links[link].wait(self.next_token)
-    }
-
-    /// Sends `cmd` to every shard, each under a fresh token, and waits for
-    /// all acks.
-    fn broadcast(&mut self, cmd: ControlCmd) {
+    /// Sends `cmd` to each shard of `shards` under a fresh token, and returns
+    /// their events once every one is in.
+    fn send(&mut self, shards: Range<usize>, cmd: ControlCmd) -> Vec<ControlEvt> {
         let first = self.next_token + 1;
-        self.next_token += self.links.len() as u64;
-        for (link, token) in self.links.iter_mut().zip(first..) {
-            link.send(token, cmd.clone());
+        self.next_token += shards.len() as u64;
+        let cmds = std::iter::repeat_n(cmd, shards.len());
+        let links = &mut self.links[shards];
+        for (((tx, _), token), cmd) in links.iter_mut().zip(first..).zip(cmds) {
+            push_blocking(tx, Some((token, cmd)));
         }
-        for (link, token) in self.links.iter_mut().zip(first..) {
-            link.wait(token);
-        }
-    }
-
-    /// Delivers a plan's op list: each op is broadcast and acknowledged by
-    /// every shard before the next one goes out.
-    fn deliver(&mut self, ops: OpList) {
-        for (target, op) in ops {
-            self.broadcast(ControlCmd::Op(target, op));
-        }
-    }
-
-    fn sleep_until(t0: Instant, offset: Duration) {
-        loop {
-            let elapsed = t0.elapsed();
-            if elapsed >= offset {
-                return;
+        let wait = |((_, rx), token): (&mut ControllerLink, u64)| loop {
+            if let Some((acked, evt)) = rx.pop().flatten() {
+                assert_eq!(acked, token, "control channel is FIFO");
+                break evt;
             }
-            std::thread::sleep((offset - elapsed).min(Duration::from_millis(1)));
-        }
+            std::thread::yield_now();
+        };
+        links.iter_mut().zip(first..).map(wait).collect()
     }
 
-    /// The first kill's timeline, if `ip` is its victim and still unrepaired.
-    fn timeline_of(&mut self, ip: Ipv4Addr) -> Option<&mut FailoverTimeline> {
-        let first = self.first.as_mut().filter(|(victim, _)| *victim == ip);
-        (first.map(|(_, timeline)| timeline)).filter(|t| t.repair_finished_at.is_zero())
-    }
-
-    /// Puts `step` on the agenda at `at`, behind whatever is already there
-    /// for the same instant.
-    fn plan(&mut self, at: Duration, step: Step) {
-        insert_at(&mut self.agenda, at, step);
-    }
-
-    /// Works the agenda off, sleeping up to each entry's time. Every entry
-    /// is paced against the absolute schedule (a reaction is due an offset
-    /// after what caused it was *due*, not after it happened), so
-    /// control-channel overhead on a busy machine eats into later budgets
-    /// instead of accumulating drift.
-    fn run(&mut self, t0: Instant) {
-        let ns = |d: Duration| d.as_nanos() as u64;
-        while !self.agenda.is_empty() {
-            let (at, step) = self.agenda.remove(0);
-            Self::sleep_until(t0, at);
-            match step {
-                Step::Fault(op) => {
+    /// Works the reactor's agenda off, sleeping up to each entry's time.
+    /// Each op is acknowledged by every shard before the next goes out, and
+    /// an entry lands when the last acknowledgement is in.
+    fn run(&mut self, reactor: &mut Reactor, t0: Instant) {
+        let all = 0..self.links.len();
+        while let Some(at) = reactor.next_due() {
+            while t0.elapsed() < at {
+                std::thread::sleep(
+                    at.saturating_sub(t0.elapsed())
+                        .min(Duration::from_millis(1)),
+                );
+            }
+            for action in reactor.step(t0.elapsed()) {
+                match action {
                     // A link fault is its client port's to deliver.
-                    if !matches!(op, FaultOp::Link { .. }) {
-                        self.broadcast(ControlCmd::Fault(op));
+                    Action::Fault(FaultOp::Link { .. }) => {}
+                    Action::Fault(op) => {
+                        self.send(all.clone(), ControlCmd::Fault(op));
                     }
-                    let delivered = t0.elapsed();
-                    self.journal.instant(op.to_string(), ns(delivered));
-                    match op {
-                        FaultOp::Kill(ip) => {
-                            let timeline = FailoverTimeline {
-                                killed_at: delivered,
-                                ..Default::default()
-                            };
-                            self.first.get_or_insert((ip, timeline));
-                            self.plan(at + self.reactions.failover_delay, Step::Failover(ip))
-                        }
-                        FaultOp::Revive(ip) => self.view.revive(ip),
-                        _ => {}
-                    }
-                }
-                Step::Failover(ip) => {
-                    // Fast failover (Algorithm 2), after the detection delay.
-                    let started = t0.elapsed();
-                    let Some((ops, victim)) = self.view.kill(&self.ring, ip) else {
-                        continue;
-                    };
-                    self.deliver(ops);
-                    let installed = t0.elapsed();
-                    let name = format!("fast-failover:{ip}");
-                    self.journal.span(name, ns(started), ns(installed));
-                    if let Some(timeline) = self.timeline_of(ip) {
-                        timeline.failover_started_at = started;
-                        timeline.failover_installed_at = installed;
-                        timeline.failover_install_time = installed - started;
-                    }
-                    // A repair onto the dead switch has nowhere to copy to.
-                    for repair in &mut self.repairs {
-                        repair.aborted |= repair.plan.replacement_ip == ip;
-                    }
-                    self.plan(at + self.reactions.recovery_delay, Step::Repair(victim));
-                }
-                Step::Repair(victim) => {
-                    // Chain repair (Algorithm 3), group by group.
-                    let (explicit, groups) =
-                        (self.reactions.replacement, self.reactions.recovery_groups);
-                    let plan = (self.view)
-                        .plan_recovery(&self.ring, victim, explicit, groups)
-                        .expect("a replacement switch exists");
-                    self.plan(at, Step::Block(self.repairs.len(), 0));
-                    let started = t0.elapsed();
-                    // A repair begun again (its replacement died) started
-                    // when the first attempt did.
-                    let timeline = self.timeline_of(victim);
-                    if let Some(t) = timeline.filter(|t| t.repair_started_at.is_zero()) {
-                        t.repair_started_at = started;
-                    }
-                    self.repairs.push(Repair {
-                        per_group: self.reactions.sync_duration / plan.steps.len().max(1) as u32,
-                        plan,
-                        starts_at: (at, started),
-                        aborted: false,
-                    });
-                }
-                Step::Block(r, _) | Step::Activate(r, _) if self.repairs[r].aborted => {
-                    // The replacement died: whatever group was blocked stays
-                    // so until the later repair of the same switch gets to it.
-                    let name = format!("repair-aborted:{}", self.repairs[r].plan.failed_ip);
-                    self.journal.instant(name, ns(t0.elapsed()));
-                }
-                Step::Block(r, i) if i == self.repairs[r].plan.steps.len() => {
-                    let victim = self.repairs[r].plan.failed_ip;
-                    let (started, finished) = (self.repairs[r].starts_at.1, t0.elapsed());
-                    let name = format!("repair:{victim}");
-                    self.journal.span(name, ns(started), ns(finished));
-                    if let Some(timeline) = self.timeline_of(victim) {
-                        timeline.repair_finished_at = finished;
-                    }
-                }
-                Step::Block(r, i) => {
-                    // Phase 1: block this group's traffic to the victim,
-                    // everywhere, before any state moves.
-                    let ops = self.repairs[r].plan.block_ops(i);
-                    self.deliver(ops);
-                    // Synchronise: pull the group's entries from every live
-                    // donor replica of each shard and push the union into the
-                    // same shard's replacement replica (shards own disjoint
-                    // keys, so a group's donors and replacement always pair
-                    // up within one shard; the per-key version registers
-                    // arbitrate between donors).
-                    let plan = &self.repairs[r].plan;
-                    let (group, modulus) = (plan.steps[i].group, plan.modulus);
-                    let replacement = Target::Switch(plan.replacement_ip);
-                    for ip in plan.steps[i].donors.clone() {
-                        for link in 0..self.links.len() {
-                            let export = ControlCmd::ExportGroup { ip, group, modulus };
-                            let ControlEvt::Export(entries) = self.call(link, export) else {
-                                unreachable!("ExportGroup is answered with Export");
-                            };
-                            let import = ControlOp::Import(entries);
-                            self.call(link, ControlCmd::Op(replacement, import));
+                    Action::Deliver(ops) => {
+                        for (target, op) in ops {
+                            self.send(all.clone(), ControlCmd::Op(target, op));
                         }
                     }
-                    // The blocked window is the group's share of the sync
-                    // budget (the real copy above is fast; the budget models
-                    // the paper's measured switch-control-plane copy cost).
-                    let repair = &self.repairs[r];
-                    let due = repair.starts_at.0 + repair.per_group * (i as u32 + 1);
-                    self.plan(due, Step::Activate(r, i));
-                }
-                Step::Activate(r, i) => {
-                    // Phase 2: activate the replacement and atomically switch
-                    // the group over (redirect overrides the block it
-                    // replaces).
-                    let plan = &self.repairs[r].plan;
-                    let victim = plan.failed_ip;
-                    let ops = plan.activate_ops(i, &mut self.view.next_session);
-                    self.deliver(ops);
-                    let activated = t0.elapsed();
-                    let name = format!("activate-group:{victim}:{i}");
-                    self.journal.instant(name, ns(activated));
-                    if let Some(timeline) = self.timeline_of(victim) {
-                        timeline.group_activations.push(activated);
-                        timeline.groups_repaired += 1;
+                    Action::Copy(copy) => {
+                        // Each shard's donor replicas into the same shard's
+                        // replacement replica (shards own disjoint keys). The
+                        // real copy is fast; the group's share of the sync
+                        // budget models the paper's control-plane copy cost.
+                        let replacement = Target::Switch(copy.replacement);
+                        let (group, modulus) = (copy.group, copy.modulus);
+                        for &ip in &copy.donors {
+                            for s in all.clone() {
+                                let export = ControlCmd::ExportGroup { ip, group, modulus };
+                                let Some(ControlEvt::Export(entries)) =
+                                    self.send(s..s + 1, export).pop()
+                                else {
+                                    unreachable!("ExportGroup is answered with Export");
+                                };
+                                let import =
+                                    ControlCmd::Op(replacement, ControlOp::Import(entries));
+                                self.send(s..s + 1, import);
+                            }
+                        }
+                        reactor.copied(copy.repair, group);
                     }
-                    self.plan(at, Step::Block(r, i + 1));
                 }
             }
+            reactor.landed(t0.elapsed());
         }
     }
 }
@@ -448,18 +297,12 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
     // Dataplane rings, exactly as in `run_live`.
     let (client_ports, shard_ports) = connect(&fabric);
     // Control rings: one command/event pair per shard.
-    let mut ctrl_links: Vec<ControllerLink> = Vec::new();
-    let mut ctrl_cmd_rx: Vec<Consumer<Tagged<ControlCmd>>> = Vec::new();
-    let mut ctrl_evt_tx: Vec<Producer<Tagged<ControlEvt>>> = Vec::new();
+    let (mut ctrl_links, mut shard_ends) = (Vec::new(), Vec::new());
     for _ in 0..fabric.num_shards {
         let (cmd_tx, cmd_rx) = spsc_ring(CONTROL_RING);
         let (evt_tx, evt_rx) = spsc_ring(CONTROL_RING);
-        ctrl_links.push(ControllerLink {
-            tx: cmd_tx,
-            rx: evt_rx,
-        });
-        ctrl_cmd_rx.push(cmd_rx);
-        ctrl_evt_tx.push(evt_tx);
+        ctrl_links.push((cmd_tx, evt_rx));
+        shard_ends.push((cmd_rx, evt_tx));
     }
 
     let done_clients = Arc::new(AtomicUsize::new(0));
@@ -476,12 +319,11 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
 
     // Shard workers: dataplane bursts + control-command draining in between.
     let mut shard_handles = Vec::new();
-    for ((s, mut shard), mut port) in shards.into_iter().enumerate().zip(shard_ports) {
+    let shards = shards.into_iter().zip(shard_ports).zip(shard_ends);
+    for (s, ((mut shard, mut port), (mut cmd_rx, mut evt_tx))) in shards.enumerate() {
         if fabric.trace.enabled {
             shard.enable_tracing(fabric.trace, t0);
         }
-        let mut cmd_rx = ctrl_cmd_rx.remove(0);
-        let mut evt_tx = ctrl_evt_tx.remove(0);
         let done = Arc::clone(&done_clients);
         let exited = Arc::clone(&client_done);
         let ctl_done = Arc::clone(&ctrl_done);
@@ -747,20 +589,13 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
     };
 
     // The controller runs on this thread (it sleeps most of the time).
+    let mut reactor = Reactor::new(ring_def.clone(), spares, reactions);
+    reactor.load(schedule);
     let mut controller = LiveController {
         links: ctrl_links,
-        ring: ring_def.clone(),
-        view: View::new(spares),
-        reactions,
         next_token: 0,
-        agenda: (schedule.ops.iter())
-            .map(|&(at, op)| (at, Step::Fault(op)))
-            .collect(),
-        repairs: Vec::new(),
-        journal: Journal::new(),
-        first: None,
     };
-    controller.run(t0);
+    controller.run(&mut reactor, t0);
     ctrl_done.store(true, Ordering::Release);
 
     let mut slices = TimeSeries::new(config.slice.as_nanos() as u64);
@@ -788,7 +623,7 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
     monitor.thread().unpark();
     let (mut ops_journal, anomalies, audited_traces) =
         monitor.join().expect("monitor thread panicked");
-    ops_journal.extend(&controller.journal);
+    ops_journal.extend(reactor.journal());
     // Completed traces detoured through the auditor; fold them back in so
     // the merged trace set is exactly what an unaudited run would report.
     trace_fragments.extend(audited_traces);
@@ -803,7 +638,8 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
         shards: shard_stats,
         latency,
         traces: merge_traces(trace_fragments),
-        timeline: controller.first.map(|(_, timeline)| timeline),
+        timeline: reactor.timelines().first().map(|(_, t)| t.clone()),
+        timelines: reactor.timelines().to_vec(),
         anomalies,
         ops_journal,
     }

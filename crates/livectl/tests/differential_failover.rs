@@ -10,9 +10,9 @@
 //! This extends `crates/fabric/tests/differential_sim.rs` (the failure-free
 //! differential) to the whole controller path.
 
-use netchain_core::{ClusterConfig, ControllerConfig, FaultOp, KvOp, NetChainCluster, Schedule};
+use netchain_core::{ClusterConfig, FaultOp, KvOp, NetChainCluster, Reactions, Schedule};
 use netchain_livectl::ReplayFabric;
-use netchain_sim::{SimConfig, SimDuration};
+use netchain_sim::SimDuration;
 use netchain_switch::kv::ExportedEntry;
 use netchain_switch::PipelineConfig;
 use netchain_wire::{Ipv4Addr, Key, QueryStatus, Value};
@@ -88,21 +88,20 @@ fn kv_snapshot(entries: impl IntoIterator<Item = ExportedEntry>) -> Vec<Exported
 fn live_fabric_matches_simulator_across_failover_and_repair() {
     let pipeline = PipelineConfig::tiny(256);
     // Timeline (sim side): fail at 50 ms, detected at 60 ms, failover rules
-    // ~61 ms, phase B from 80 ms, recovery 260 ms → ~370 ms (5 groups ×
-    // 20 ms + control RTTs), phase C from 500 ms.
+    // ~61 ms, phase B from 80 ms, recovery 260 ms → 360 ms (5 groups × 20
+    // ms), phase C from 500 ms.
     // One schedule, delivered by both executors.
     let victim_ip = Ipv4Addr::for_switch(VICTIM);
     let schedule = Schedule::new(0).at(Duration::from_millis(50), FaultOp::Kill(victim_ip));
     let config = ClusterConfig {
         pipeline,
         ring_switches: Some(3),
-        sim: SimConfig::default().with_detection_delay(SimDuration::from_millis(10)),
-        controller: ControllerConfig {
-            recovery_start_delay: SimDuration::from_millis(200),
-            total_sync_duration: SimDuration::from_millis(100),
+        reactions: Reactions {
+            failover_delay: Duration::from_millis(10),
+            recovery_delay: Duration::from_millis(200),
+            sync_duration: Duration::from_millis(100),
             replacement: Some(Ipv4Addr::for_switch(REPLACEMENT)),
             recovery_groups: Some(RECOVERY_GROUPS),
-            ..ControllerConfig::default()
         },
         ..ClusterConfig::default()
     };
@@ -118,12 +117,13 @@ fn live_fabric_matches_simulator_across_failover_and_repair() {
     cluster.inject(&schedule);
     cluster.sim.run_for(SimDuration::from_millis(700));
 
+    let timelines = cluster.controller().reactor().timelines();
     assert_eq!(
-        cluster.controller().records().len(),
+        timelines.iter().filter(|(_, t)| t.repaired()).count(),
         1,
         "recovery must have completed in simulated time"
     );
-    assert_eq!(cluster.controller().records()[0].failed_ip, victim_ip);
+    assert_eq!(timelines[0].0, victim_ip);
     let sim_phases: Vec<Vec<netchain_core::CompletedQuery>> = (0..3)
         .map(|h| {
             let client = cluster.scripted_client(h).expect("installed");
@@ -246,13 +246,12 @@ fn one_plan_programs_sim_shard_and_replay_alike() {
     let config = ClusterConfig {
         pipeline,
         ring_switches: Some(3),
-        sim: SimConfig::default().with_detection_delay(SimDuration::from_millis(10)),
-        controller: ControllerConfig {
-            recovery_start_delay: SimDuration::from_millis(20),
-            total_sync_duration: SimDuration::from_millis(50),
+        reactions: Reactions {
+            failover_delay: Duration::from_millis(10),
+            recovery_delay: Duration::from_millis(20),
+            sync_duration: Duration::from_millis(50),
             replacement: Some(spare),
             recovery_groups: Some(RECOVERY_GROUPS),
-            ..ControllerConfig::default()
         },
         ..ClusterConfig::default()
     };
@@ -261,7 +260,9 @@ fn one_plan_programs_sim_shard_and_replay_alike() {
     let mut cluster = NetChainCluster::spine_leaf(1, 3, 1, config);
     cluster.inject(&Schedule::new(0).at(Duration::from_millis(5), FaultOp::Kill(victim)));
     cluster.sim.run_for(SimDuration::from_millis(200));
-    assert_eq!(cluster.controller().records().len(), 1, "repair finished");
+    let timelines = cluster.controller().reactor().timelines();
+    let repaired = timelines.iter().filter(|(_, t)| t.repaired()).count();
+    assert_eq!(repaired, 1, "repair finished");
     let ring = cluster.ring().clone();
 
     // One shard, handed the same lists op by op.

@@ -1,11 +1,11 @@
-//! One fault schedule, three executors. Each schedule below goes beyond the
-//! single scripted fail-stop kill: two victims whose repairs overlap, the
-//! replacement killed mid-repair, and a revived victim chosen as the next
-//! replacement. Each is delivered by the simulator (`NetChainCluster::inject`),
-//! by the replay fabric (`ReplayFabric::apply`, sequenced here by the same
-//! reaction timings) and by the live runner (`LiveConfig::with_schedule`),
-//! over the same addresses: a ring of S0–S3 with S4 and S5 held out as
-//! spares.
+//! One fault schedule, one reactor, three executors. Each schedule below goes
+//! beyond the single scripted fail-stop kill: two victims whose repairs
+//! overlap, the replacement killed mid-repair, and a revived victim chosen as
+//! the next replacement. Each is delivered, and reacted to by the one
+//! `netchain_core::Reactor` agenda, in the simulator
+//! (`NetChainCluster::inject`), the replay fabric (`ReplayFabric::react`) and
+//! the live runner (`LiveConfig::with_schedule`), over the same addresses: a
+//! ring of S0–S3 with S4 and S5 held out as spares.
 //!
 //! What every run must show: it completes, every issued op is accounted for
 //! (`completed + abandoned = issued`), no client sees a version regress, and
@@ -17,15 +17,18 @@
 //! breaks in some runs only.
 
 use netchain_core::{
-    ClusterConfig, ControllerConfig, FaultOp, KvOp, NetChainCluster, Schedule, WorkloadConfig,
+    ClusterConfig, FailoverTimeline, FaultOp, KvOp, NetChainCluster, Schedule, WorkloadConfig,
 };
 use netchain_fabric::{FabricConfig, WorkloadSpec};
 use netchain_livectl::{
     replay_agent_config, run_live_controlled, LiveConfig, LiveReport, Reactions, ReplayFabric,
 };
-use netchain_sim::{SimConfig, SimDuration};
+use netchain_sim::SimDuration;
 use netchain_switch::PipelineConfig;
-use netchain_telemetry::{audit, AuditConfig, AuditReport, TraceConfig};
+use netchain_telemetry::{
+    audit, AuditConfig, AuditReport, Evidence, EvidenceOp, HopRole, HopStamp, Journal, PacketTrace,
+    TraceConfig, ViolationKind,
+};
 use netchain_wire::{Ipv4Addr, Key, QueryStatus, Value};
 use std::collections::HashMap;
 use std::time::Duration;
@@ -89,7 +92,7 @@ struct Outcome {
     completed: u64,
     abandoned: u64,
     version_regressions: u64,
-    /// Repairs that ran to their last group.
+    /// Repairs that ran to their last group: finished timelines.
     repairs_finished: usize,
     audit: Option<AuditReport>,
 }
@@ -123,24 +126,22 @@ impl Outcome {
     }
 }
 
+/// How many of an executor's timelines reached the end of their repair.
+fn finished(timelines: &[(Ipv4Addr, FailoverTimeline)]) -> usize {
+    timelines.iter().filter(|(_, t)| t.repaired()).count()
+}
+
 // ---- Simulator ----
 
-fn run_sim(schedule: &Schedule, reactions: &Reactions) -> Outcome {
-    let nanos = |d: Duration| SimDuration::from_nanos(d.as_nanos() as u64);
+/// The simulated run and its controller's journal.
+fn run_sim(schedule: &Schedule, reactions: &Reactions) -> (Outcome, Journal) {
     let config = ClusterConfig {
         pipeline: PipelineConfig::tiny(256),
         vnodes_per_switch: 8,
         // Two spines (S0, S1) over four leaves (S2–S5); the first four are
         // the ring, the last two leaves the spares.
         ring_switches: Some(4),
-        sim: SimConfig::default().with_detection_delay(nanos(reactions.failover_delay)),
-        controller: ControllerConfig {
-            recovery_start_delay: nanos(reactions.recovery_delay),
-            total_sync_duration: nanos(reactions.sync_duration),
-            replacement: reactions.replacement,
-            recovery_groups: reactions.recovery_groups,
-            ..ControllerConfig::default()
-        },
+        reactions: *reactions,
         ..ClusterConfig::default()
     };
     let mut cluster = NetChainCluster::spine_leaf(2, 4, 1, config);
@@ -163,33 +164,24 @@ fn run_sim(schedule: &Schedule, reactions: &Reactions) -> Outcome {
     let client = cluster.workload_client(0).expect("installed");
     let stats = client.agent_stats();
     let traces = sink.borrow_mut().drain();
-    let journal = cluster.controller().journal();
-    Outcome {
+    let reactor = cluster.controller().reactor();
+    let outcome = Outcome {
         issued: client.issued(),
         completed: stats.completed,
         abandoned: stats.abandoned,
         version_regressions: stats.version_regressions,
-        repairs_finished: cluster.controller().records().len(),
-        audit: Some(audit(&traces, journal, &AuditConfig::default())),
-    }
+        repairs_finished: finished(reactor.timelines()),
+        audit: Some(audit(&traces, reactor.journal(), &AuditConfig::default())),
+    };
+    (outcome, reactor.journal().clone())
 }
 
 // ---- Replay fabric ----
 
-/// One thing the replay run does at a given offset.
-#[derive(Debug, Clone, Copy)]
-enum Do {
-    Fault(FaultOp),
-    Failover(Ipv4Addr),
-    Repair(Ipv4Addr),
-    Block(Ipv4Addr),
-    Activate(Ipv4Addr),
-}
-
-/// The replay fabric under `schedule`, its controller verbs sequenced by the
-/// same `reactions` the live controller paces itself by, with a burst of
-/// writes and reads between any two steps. Besides the accounting, every
-/// read that completes is checked against the last acknowledged write.
+/// The replay fabric under `schedule`, its controller the same reactor the
+/// live one runs, with a burst of writes and reads after every agenda entry.
+/// Besides the accounting, every read that completes is checked against the
+/// last acknowledged write.
 fn run_replay(schedule: &Schedule, reactions: &Reactions) -> (Outcome, Vec<String>) {
     let fabric_config = fabric_config();
     let mut replay = ReplayFabric::new(
@@ -199,66 +191,18 @@ fn run_replay(schedule: &Schedule, reactions: &Reactions) -> (Outcome, Vec<Strin
         &fabric_config.spare_ips(),
         replay_agent_config(0),
     );
-    replay.seed_faults(schedule.seed);
+    replay.react(schedule, *reactions);
     for k in 0..NUM_KEYS {
         replay.populate(Key::from_u64(k), &Value::from_u64(0));
     }
-    let mut agenda: Vec<(Duration, Do)> =
-        (schedule.ops.iter().map(|&(at, op)| (at, Do::Fault(op)))).collect();
-    let plan = netchain_core::fault::insert_at::<Do>;
-    let per_group = reactions.sync_duration / GROUPS;
     // Per key: the last acknowledged write, and writes since that may or may
     // not have been applied.
     let mut acked: HashMap<u64, u64> = HashMap::new();
     let mut maybe: HashMap<u64, Vec<u64>> = HashMap::new();
     let mut stale_reads = Vec::new();
-    let (mut next_value, mut next_key, mut repairs_finished) = (1u64, 0u64, 0);
-    while !agenda.is_empty() {
-        let (at, what) = agenda.remove(0);
-        match what {
-            Do::Fault(op) => {
-                replay.apply(&op);
-                if let FaultOp::Kill(ip) = op {
-                    plan(&mut agenda, at + reactions.failover_delay, Do::Failover(ip));
-                }
-            }
-            Do::Failover(ip) => {
-                if let Some(victim) = replay.fast_failover(ip) {
-                    // A repair onto the dead switch is abandoned with it.
-                    agenda.retain(
-                        |(_, w)| !matches!(w, Do::Block(v) | Do::Activate(v) if *v == victim),
-                    );
-                    plan(
-                        &mut agenda,
-                        at + reactions.recovery_delay,
-                        Do::Repair(victim),
-                    );
-                }
-            }
-            Do::Repair(victim) => {
-                // The named replacement while it lives, else the first free
-                // switch: what `pick_replacement` will settle on.
-                let view = replay.view();
-                let named = reactions.replacement;
-                let replacement = named
-                    .filter(|r| *r != victim && !view.failed.contains(r))
-                    .unwrap_or_else(|| view.pool[0]);
-                let steps = replay.start_recovery(victim, replacement, Some(GROUPS));
-                for i in 0..steps as u32 {
-                    plan(&mut agenda, at + per_group * i, Do::Block(victim));
-                    plan(&mut agenda, at + per_group * (i + 1), Do::Activate(victim));
-                }
-            }
-            Do::Block(victim) => {
-                replay.resume_recovery(victim);
-                replay.block_next_group();
-            }
-            Do::Activate(victim) => {
-                replay.resume_recovery(victim);
-                replay.finish_blocked_group();
-                repairs_finished += usize::from(replay.repair_complete());
-            }
-        }
+    let (mut next_value, mut next_key) = (1u64, 0u64);
+    while let Some(at) = replay.reactor().next_due() {
+        replay.step(at);
         // Traffic between steps: a write and a read of each of eight keys.
         for _ in 0..8 {
             let (k, value) = (next_key % NUM_KEYS, next_value);
@@ -278,7 +222,7 @@ fn run_replay(schedule: &Schedule, reactions: &Reactions) -> (Outcome, Vec<Strin
                 let fresh = got == acked.get(&k).copied().unwrap_or(0)
                     || maybe.get(&k).is_some_and(|m| m.contains(&got));
                 if !fresh {
-                    stale_reads.push(format!("{at:?} after {what:?}: key {k} read {got}"));
+                    stale_reads.push(format!("{at:?}: key {k} read {got}"));
                 }
             }
         }
@@ -289,7 +233,7 @@ fn run_replay(schedule: &Schedule, reactions: &Reactions) -> (Outcome, Vec<Strin
         completed: stats.completed,
         abandoned: stats.abandoned,
         version_regressions: stats.version_regressions,
-        repairs_finished,
+        repairs_finished: finished(replay.reactor().timelines()),
         audit: None,
     };
     (outcome, stale_reads)
@@ -317,15 +261,12 @@ fn run_live(schedule: &Schedule, reactions: &Reactions) -> (Outcome, LiveReport)
     // the accounting closes without the drain grace.
     config.max_retries = 150;
     let report = run_live_controlled(config);
-    let repairs = (report.ops_journal.spans().iter())
-        .filter(|s| s.name.starts_with("repair:"))
-        .count();
     let outcome = Outcome {
         issued: report.clients.iter().map(|c| c.issued).sum(),
         completed: report.completed_ops,
         abandoned: report.total_abandoned(),
         version_regressions: report.total_version_regressions(),
-        repairs_finished: repairs,
+        repairs_finished: finished(&report.timelines),
         audit: Some(audit(
             &report.traces,
             &report.ops_journal,
@@ -340,7 +281,7 @@ fn run_live(schedule: &Schedule, reactions: &Reactions) -> (Outcome, LiveReport)
 #[test]
 fn two_victims_with_overlapping_repairs() {
     let (schedule, reactions) = two_victims();
-    let sim = run_sim(&schedule, &reactions);
+    let (sim, _) = run_sim(&schedule, &reactions);
     sim.assert_clean("sim");
     assert_eq!(sim.repairs_finished, 2, "{sim:?}");
 
@@ -374,7 +315,7 @@ fn two_victims_with_overlapping_repairs() {
 #[test]
 fn the_replacement_dies_mid_repair() {
     let (schedule, reactions) = replacement_dies_mid_repair();
-    let sim = run_sim(&schedule, &reactions);
+    let (sim, _) = run_sim(&schedule, &reactions);
     sim.assert_clean("sim");
     // The first repair was aborted; the second, onto S5, finished.
     assert_eq!(sim.repairs_finished, 1, "{sim:?}");
@@ -409,7 +350,7 @@ fn the_replacement_dies_mid_repair() {
 #[test]
 fn a_revived_victim_is_chosen_as_the_replacement() {
     let (schedule, reactions) = revived_victim_replaces();
-    let sim = run_sim(&schedule, &reactions);
+    let (sim, _) = run_sim(&schedule, &reactions);
     let (replay, stale) = run_replay(&schedule, &reactions);
     let (live, report) = run_live(&schedule, &reactions);
     for (what, outcome) in [("sim", &sim), ("replay", &replay), ("live", &live)] {
@@ -418,6 +359,89 @@ fn a_revived_victim_is_chosen_as_the_replacement() {
     }
     assert!(report.ops_journal.find_instant("revive 10.0.0.1").is_some());
     eprintln!("revive-as-replacement: sim {sim:?}\nreplay {replay:?} {stale:?}\nlive {live:?}");
+}
+
+// ---- One journal ----
+
+/// S1 at 100 ms, repaired onto a spare from 150 ms to 230 ms.
+fn one_kill() -> (Schedule, Reactions) {
+    let schedule = Schedule::new(10).at(ms(100), FaultOp::Kill(switch(1)));
+    (schedule, reactions(None))
+}
+
+/// A journal's controller entries by name: instants, then spans, each in
+/// recording order (the live monitor's own verdicts left out).
+fn names(journal: &Journal) -> (Vec<&str>, Vec<&str>) {
+    let monitor = |n: &&str| n.starts_with("audit:") || n.starts_with("gray-failure:");
+    let instants = journal.instants().iter().map(|i| i.name.as_str());
+    let spans = journal.spans().iter().map(|s| s.name.as_str());
+    (instants.filter(|n| !monitor(n)).collect(), spans.collect())
+}
+
+#[test]
+fn one_kill_is_journaled_alike_by_the_simulator_and_live() {
+    let (schedule, reactions) = one_kill();
+    let (sim, sim_journal) = run_sim(&schedule, &reactions);
+    sim.assert_clean("sim");
+    let (live, report) = run_live(&schedule, &reactions);
+    live.assert_accounted("live");
+    assert_eq!((sim.repairs_finished, live.repairs_finished), (1, 1));
+    let (instants, spans) = names(&sim_journal);
+    assert_eq!(
+        names(&report.ops_journal),
+        (instants.clone(), spans.clone())
+    );
+    let groups = (0..GROUPS).map(|i| format!("activate-group:10.0.0.1:{i}"));
+    let golden: Vec<String> = ["kill 10.0.0.1".to_string()]
+        .into_iter()
+        .chain(groups)
+        .collect();
+    assert_eq!(instants, golden);
+    assert_eq!(spans, ["fast-failover:10.0.0.1", "repair:10.0.0.1"]);
+}
+
+/// A trace of one key stamped by the client at `at` (issue) and `at + 30 µs`
+/// (ack), and in between by S0 as the head (a write only) and S2 as the
+/// tail, both seeing version `seen`; the ack carries `acked`.
+fn planted(id: u64, op: EvidenceOp, at: u64, seen: u64, acked: u64) -> PacketTrace {
+    let stamp = |hop_ip, at_ns, role, seq| HopStamp {
+        hop_ip,
+        at_ns,
+        evidence: Some(Evidence {
+            op,
+            role,
+            ok: true,
+            key_fp: 7,
+            session: 0,
+            seq,
+        }),
+    };
+    let client = Ipv4Addr::for_host(0).to_u32();
+    let mut hops = vec![stamp(client, at, HopRole::ClientIssue, 0)];
+    if op == EvidenceOp::Write {
+        hops.push(stamp(switch(0).to_u32(), at + 10_000, HopRole::Head, seen));
+    }
+    hops.push(stamp(switch(2).to_u32(), at + 20_000, HopRole::Tail, seen));
+    hops.push(stamp(client, at + 30_000, HopRole::ClientAck, acked));
+    PacketTrace { id, hops }
+}
+
+#[test]
+fn a_simulated_repair_that_loses_a_key_is_reported_as_a_lost_key() {
+    // The durability check takes its window from the journal's `repair:`
+    // spans: the simulator's journal must carry one for a lost key to be
+    // told apart from a merely stale read.
+    let (schedule, reactions) = one_kill();
+    let (_, journal) = run_sim(&schedule, &reactions);
+    let repair = journal.find_span("repair:10.0.0.1").expect("a repair span");
+    let after = repair.end_ns.expect("closed") + 50_000_000;
+    // A write acked at 1 ms at version 2; a read issued after the repair
+    // that sees version 1.
+    let write = planted(1, EvidenceOp::Write, 1_000_000, 1, 2);
+    let read = planted(2, EvidenceOp::Read, after, 1, 1);
+    let verdict = audit(&[write, read], &journal, &AuditConfig::default());
+    let kinds: Vec<ViolationKind> = verdict.violations.iter().map(|v| v.kind).collect();
+    assert_eq!(kinds, [ViolationKind::LostKey], "{verdict:?}");
 }
 
 // ---- Link faults and stalls ----

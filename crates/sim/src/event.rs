@@ -10,9 +10,10 @@ use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// A scheduled occurrence. The node-down / node-up / stall / link-fault
-/// variants are the simulator's fault primitives: whoever owns a fault
-/// schedule lowers it onto them with [`crate::Simulator::schedule`].
+/// A scheduled occurrence. The node-down / node-up / notify / stall /
+/// link-fault variants are the simulator's fault primitives: whoever owns a
+/// fault schedule lowers it onto them with [`crate::Simulator::schedule`],
+/// and decides when the survivors learn of a failure.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event<M> {
     /// A message finishes arriving at `to`.

@@ -163,12 +163,13 @@ pub trait Node<M: Message>: 'static {
     /// Called when a timer armed with [`Context::set_timer`] fires.
     fn on_timer(&mut self, _token: TimerToken, _ctx: &mut Context<M>) {}
 
-    /// Called when another node is marked as failed. The delay
-    /// between the failure and this notification is the failure-detection
-    /// delay configured in [`crate::SimConfig`].
+    /// Called when the survivors are told another node failed
+    /// ([`crate::Event::NotifyDown`], scheduled by whoever lowers the fault:
+    /// its detection delay is theirs).
     fn on_node_down(&mut self, _node: NodeId, _ctx: &mut Context<M>) {}
 
-    /// Called when another node comes back up.
+    /// Called when the survivors are told another node is back up
+    /// ([`crate::Event::NotifyUp`]).
     fn on_node_up(&mut self, _node: NodeId, _ctx: &mut Context<M>) {}
 
     /// Called on the node itself when it comes back up after a failure:

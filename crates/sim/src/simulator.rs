@@ -16,11 +16,10 @@ use std::collections::HashMap;
 pub struct SimConfig {
     /// Seed for the single PRNG that drives loss, jitter and node randomness.
     pub seed: u64,
-    /// Delay between a node failing and the surviving nodes (in particular
-    /// the controller) being notified via [`Node::on_node_down`]. The paper
-    /// treats detection as out of scope and injects a fixed delay (§8.4);
-    /// so do we.
-    pub failure_detection_delay: SimDuration,
+    /// One-way latency of the out-of-band control channel
+    /// ([`crate::Context::send_control`]) for nodes that do not choose their
+    /// own.
+    pub control_latency: SimDuration,
     /// Hard cap on processed events, as a runaway-simulation guard.
     pub max_events: u64,
 }
@@ -29,7 +28,7 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             seed: 0x6e65_7463_6861_696e, // "netchain"
-            failure_detection_delay: SimDuration::from_millis(10),
+            control_latency: SimDuration::from_millis(1),
             max_events: 500_000_000,
         }
     }
@@ -39,12 +38,6 @@ impl SimConfig {
     /// Returns a copy with the given seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Returns a copy with the given failure-detection delay.
-    pub fn with_detection_delay(mut self, delay: SimDuration) -> Self {
-        self.failure_detection_delay = delay;
         self
     }
 }
@@ -251,16 +244,10 @@ impl<M: Message> Simulator<M> {
                 self.stats.timers_fired += 1;
                 self.invoke(node, |n, ctx| n.on_timer(token, ctx));
             }
-            Event::NodeDown { node } => {
-                self.alive[node.index()] = false;
-                let notify_at = self.now + self.config.failure_detection_delay;
-                self.queue.push(notify_at, Event::NotifyDown { node });
-            }
+            Event::NodeDown { node } => self.alive[node.index()] = false,
             Event::NodeUp { node } => {
                 self.alive[node.index()] = true;
                 self.invoke(node, |n, ctx| n.on_restart(ctx));
-                let notify_at = self.now + self.config.failure_detection_delay;
-                self.queue.push(notify_at, Event::NotifyUp { node });
             }
             Event::NotifyDown { node } => {
                 for idx in 0..self.nodes.len() {
@@ -487,6 +474,8 @@ mod tests {
     fn dead_nodes_do_not_receive() {
         let (mut sim, a, c) = two_node_sim();
         sim.schedule(SimTime::ZERO, Event::NodeDown { node: c });
+        let detected = SimTime::ZERO + SimDuration::from_millis(10);
+        sim.schedule(detected, Event::NotifyDown { node: c });
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
         assert_eq!(sim.node_as::<Bouncer>(c).unwrap().received, 0);
         assert!(sim.stats().messages_to_dead_nodes >= 1);
@@ -500,7 +489,9 @@ mod tests {
         let (mut sim, a, c) = two_node_sim();
         let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
         sim.schedule(ms(1), Event::NodeDown { node: c });
+        sim.schedule(ms(11), Event::NotifyDown { node: c });
         sim.schedule(ms(100), Event::NodeUp { node: c });
+        sim.schedule(ms(110), Event::NotifyUp { node: c });
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
         assert!(sim.is_alive(c));
         let a_node = sim.node_as::<Bouncer>(a).unwrap();

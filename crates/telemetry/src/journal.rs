@@ -1,15 +1,15 @@
 //! Control-plane event journal: a general phase/span recorder.
 //!
-//! `FailoverTimeline` in netchain-livectl hard-codes one specific sequence of
+//! `FailoverTimeline` in netchain-core hard-codes one specific sequence of
 //! control-plane moments (kill → failover → repair). The journal generalises
-//! that into named instants and spans so the sim `Controller`, the live
-//! controller, and any future orchestration can all record what happened and
-//! when, and exporters can render the result uniformly.
+//! that into named instants and spans so the controllers' one `Reactor`, the
+//! live monitor, and any future orchestration can all record what happened
+//! and when, and exporters can render the result uniformly.
 
 /// A named instantaneous event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Instant {
-    /// Event name, e.g. `"failure-detected"`.
+    /// Event name, e.g. `"kill 10.0.0.1"`.
     pub name: String,
     /// Time in nanoseconds (sim time or wall-clock since run start).
     pub at_ns: u64,
@@ -19,7 +19,7 @@ pub struct Instant {
 /// phase had not finished when the journal was exported.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
-    /// Span name, e.g. `"chain-repair"` or `"sync-group:3"`.
+    /// Span name, e.g. `"repair:10.0.0.1"`.
     pub name: String,
     /// Start time in nanoseconds.
     pub start_ns: u64,

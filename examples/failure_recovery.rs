@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example failure_recovery`
 
 use netchain::core::{
-    ClusterConfig, ControllerConfig, FaultOp, NetChainCluster, Schedule, WorkloadConfig,
+    ClusterConfig, FaultOp, NetChainCluster, Reactions, Schedule, WorkloadConfig,
 };
 use netchain::sim::SimDuration;
 use netchain::wire::Ipv4Addr;
@@ -16,12 +16,12 @@ fn main() {
     let config = ClusterConfig {
         // S0–S2 hold the data; S3 is the spare the controller recovers onto.
         ring_switches: Some(3),
-        controller: ControllerConfig {
-            recovery_start_delay: SimDuration::from_secs(5),
-            total_sync_duration: SimDuration::from_secs(20),
+        reactions: Reactions {
+            recovery_delay: Duration::from_secs(5),
+            sync_duration: Duration::from_secs(20),
             replacement: Some(Ipv4Addr::for_switch(3)),
             recovery_groups: Some(20),
-            ..ControllerConfig::default()
+            ..ClusterConfig::default().reactions
         },
         ..Default::default()
     };
@@ -59,10 +59,12 @@ fn main() {
         "\ncompleted {} of {} issued, {} retries, {} version regressions (must be 0)",
         stats.completed, stats.issued, stats.retries, stats.version_regressions
     );
-    let record = &cluster.controller().records()[0];
+    let reactor = cluster.controller().reactor();
+    let (victim, timeline) = &reactor.timelines()[0];
     println!(
-        "controller: recovered {} virtual groups of {} onto {}",
-        record.groups_recovered, record.failed_ip, record.replacement_ip
+        "controller: recovered {} virtual groups of {victim} onto {}",
+        timeline.groups_repaired,
+        reactor.view().stands_for[0].0
     );
     assert_eq!(stats.version_regressions, 0);
 }

@@ -3,7 +3,7 @@
 //! comparisons.
 
 use netchain::core::{
-    ClusterConfig, ControllerConfig, FaultOp, KvOp, NetChainCluster, Schedule, WorkloadConfig,
+    ClusterConfig, FaultOp, KvOp, NetChainCluster, Reactions, Schedule, WorkloadConfig,
 };
 use netchain::sim::SimDuration;
 use netchain::wire::{Ipv4Addr, Key, QueryStatus, Value};
@@ -121,12 +121,12 @@ fn chain_replicas_converge_after_writes() {
 fn middle_switch_failure_heals_without_regressions() {
     let config = ClusterConfig {
         ring_switches: Some(3),
-        controller: ControllerConfig {
-            recovery_start_delay: SimDuration::from_secs(2),
-            total_sync_duration: SimDuration::from_secs(4),
+        reactions: Reactions {
+            recovery_delay: Duration::from_secs(2),
+            sync_duration: Duration::from_secs(4),
             replacement: Some(Ipv4Addr::for_switch(3)),
             recovery_groups: Some(10),
-            ..ControllerConfig::default()
+            ..ClusterConfig::default().reactions
         },
         ..Default::default()
     };
@@ -151,9 +151,11 @@ fn middle_switch_failure_heals_without_regressions() {
     let stats = client.agent_stats();
     assert_eq!(stats.version_regressions, 0);
     // The controller completed recovery onto S3.
-    let records = cluster.controller().records();
-    assert_eq!(records.len(), 1);
-    assert_eq!(records[0].replacement_ip, Ipv4Addr::for_switch(3));
+    let reactor = cluster.controller().reactor();
+    let repaired = reactor.timelines().iter().filter(|(_, t)| t.repaired());
+    assert_eq!(repaired.count(), 1);
+    let (s1, s3) = (Ipv4Addr::for_switch(1), Ipv4Addr::for_switch(3));
+    assert_eq!(reactor.view().stands_for, [(s3, s1)]);
     // Throughput in the final seconds is back near the plateau.
     let series = client.throughput().rate_series();
     let plateau: f64 = series.iter().take(3).map(|&(_, r)| r).sum::<f64>() / 3.0;
