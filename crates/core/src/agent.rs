@@ -384,6 +384,39 @@ impl AgentCore {
         request_id
     }
 
+    /// Stamps the last `n` queries issued from two clock readings: in issue
+    /// order, the `i`-th gets `from + (to − from)·i / n`, and retransmission
+    /// deadlines and latencies follow. Queries already answered or
+    /// retransmitted keep theirs; `restamped` sees each `(id, stamp)` written.
+    pub fn restamp_last(
+        &mut self,
+        n: usize,
+        from: SimTime,
+        to: SimTime,
+        mut restamped: impl FnMut(u64, SimTime),
+    ) {
+        let n = n as u64;
+        assert!(n < self.next_request_id, "only {n} queries were issued");
+        // `from + span·i/n` without a division per query: `step` whole
+        // nanoseconds each, and the remainder carried.
+        let span = to.since(from).as_nanos();
+        let (step, rem) = (span / n.max(1), span % n.max(1));
+        let (mut at, mut carry) = (from, 0);
+        for id in self.next_request_id - n..self.next_request_id {
+            if let Some(entry) = self.outstanding.get_mut(id).filter(|e| e.retries == 0) {
+                entry.first_sent = at;
+                entry.last_sent = at;
+                restamped(id, at);
+            }
+            at.0 += step;
+            carry += rem;
+            if carry >= n {
+                carry -= n;
+                at.0 += 1;
+            }
+        }
+    }
+
     /// The cached route queries with opcode `op` take through `group`.
     fn route(&self, op: OpCode, group: u32) -> &QueryRoute {
         if op == OpCode::Read {

@@ -5,11 +5,15 @@
 //! newer id lands on — a straggler — to a side map. Random interleavings of
 //! issues (owned and in place), replies, duplicate replies, replies to ids
 //! never issued and retry polls short of and past the timeout and the retry
-//! budget must leave it indistinguishable from the obvious model: same
-//! completions, same counters, same retransmissions in ascending id order,
-//! same deadline. Every case also holds its first query back while the ids
-//! go round the table at least four times, so the straggler path retires,
-//! retransmits and abandons under the same scrutiny.
+//! budget, and a client pass's restamp of its last few issues, must leave it
+//! indistinguishable from the obvious model: same completions and latencies,
+//! same counters, same retransmissions in ascending id order, same deadline.
+//! A restamp moves only the ids it covers, so no query is retransmitted
+//! before its new stamp plus the timeout, a reply's latency runs from the new
+//! stamp, and every other id, a straggler included, keeps its own. Every case
+//! also holds its first query back while the ids go round the table at least
+//! four times, so the straggler path retires, retransmits and abandons under
+//! the same scrutiny.
 
 use netchain_core::{AgentConfig, AgentCore, ChainDirectory, CompletedQuery, HashRing, KvOp};
 use netchain_sim::{SimDuration, SimTime};
@@ -19,6 +23,7 @@ use netchain_wire::{
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::ops::Range;
 
 const TIMEOUT_NS: u64 = 1_000;
 const MAX_RETRIES: u32 = 2;
@@ -61,6 +66,9 @@ enum Move {
     Unknown { ahead: u64 },
     /// Let `dt` nanoseconds pass, then poll the retry timers.
     Poll { dt: u64 },
+    /// Stamp the last `n` queries issued from two readings, now and `span`
+    /// nanoseconds later, as a client pass does, and let the time pass.
+    Restamp { n: usize, span: u64 },
 }
 
 fn arb_step() -> impl Strategy<Value = Move> {
@@ -97,6 +105,7 @@ fn arb_step() -> impl Strategy<Value = Move> {
         // Mostly short of the timeout, sometimes well past it.
         (0..TIMEOUT_NS / 2).prop_map(|dt| Move::Poll { dt }),
         (0..TIMEOUT_NS * 3).prop_map(|dt| Move::Poll { dt }),
+        (1..=2 * MAX_WINDOW, 0..TIMEOUT_NS).prop_map(|(n, span)| Move::Restamp { n, span }),
     ]
 }
 
@@ -168,6 +177,24 @@ impl Model {
             }
         }
         (again, gone)
+    }
+
+    /// The stamps a pass's two readings give the ids in `ids` still in
+    /// flight and never retransmitted: the `i`-th of the range gets
+    /// `from + (to − from)·i / n`.
+    fn restamp(&mut self, ids: Range<u64>, from: SimTime, to: SimTime) -> Vec<(u64, SimTime)> {
+        let n = ids.end - ids.start;
+        let mut restamped = Vec::new();
+        for (i, id) in ids.enumerate() {
+            let Some(entry) = self.live.get_mut(&id).filter(|e| e.retries == 0) else {
+                continue;
+            };
+            let at = from + SimDuration::from_nanos((to - from).as_nanos() * i as u64 / n);
+            entry.first_sent = at;
+            entry.last_sent = at;
+            restamped.push((id, at));
+        }
+        restamped
     }
 
     fn deadline(&self) -> Option<SimTime> {
@@ -332,6 +359,17 @@ proptest! {
                         prop_assert!(q.is_abandoned() && q.retries == MAX_RETRIES);
                         prop_assert_eq!(&q.op, &ops[&q.request_id]);
                     }
+                }
+                Move::Restamp { n, span } => {
+                    let n = n.min((next_id - HELD) as usize);
+                    // While the first query is held back, time moves only
+                    // with issues.
+                    let to = if holding { now } else { now + SimDuration::from_nanos(span) };
+                    let expected = model.restamp(next_id - n as u64..next_id, now, to);
+                    let mut restamped = Vec::new();
+                    agent.restamp_last(n, now, to, |id, at| restamped.push((id, at)));
+                    prop_assert_eq!(restamped, expected);
+                    now = to;
                 }
             }
             let stats = agent.stats();

@@ -326,6 +326,19 @@ impl ClientState {
         len
     }
 
+    /// Spreads the last `n` issues' stamps over `[from, to)`
+    /// ([`AgentCore::restamp_last`]), and a sampled query's issue evidence
+    /// with its stamp: a trace and the latency agree on when it was issued.
+    pub fn restamp_issued(&mut self, n: usize, from: SimTime, to: SimTime) {
+        let ip = self.ip_u32();
+        let tracer = &mut self.tracer;
+        self.agent.restamp_last(n, from, to, |request_id, at| {
+            if let Some(tracer) = tracer {
+                tracer.retime_first(trace_id(ip, request_id), at.as_nanos());
+            }
+        });
+    }
+
     /// Counts an issued query and stamps its client-side issue evidence if
     /// the tracer samples it.
     fn note_issue(&mut self, now: SimTime, request_id: u64, op: &DrawnOp) {

@@ -14,7 +14,10 @@
 //! its ring once per pass, not per frame, and a frame is two cache lines of
 //! its slot ([`Frame`] is line-aligned), so an op moves eight lines between
 //! the cores. The client finds a reply's query by indexing, not hashing
-//! (`netchain_core::agent`). Nothing here allocates in steady state.
+//! (`netchain_core::agent`), and reads its clock twice per pass for what it
+//! issues, not once per query: a fabric latency starts at a stamp spread
+//! between those two readings ([`ClientPort::pump`]). Nothing here
+//! allocates in steady state.
 
 use crate::fabric::FabricConfig;
 use crate::frame::Frame;
@@ -203,9 +206,11 @@ impl ClientPort {
     /// One pass: re-offers parked frames, then — if `may_issue`, nothing is
     /// parked and the window is open — draws and issues queries, each
     /// encoded in its ring slot and all published together, then matches
-    /// every reply waiting in the reply rings. `clock` is read once per
-    /// issued query and once per reply run, so the latencies the agent
-    /// records are as fine as the caller's clock.
+    /// every reply waiting in the reply rings. `clock` is read once per reply
+    /// run and twice for the issues, before the first draw and before the
+    /// publish; the queries' stamps are spread evenly between the two, in
+    /// issue order ([`ClientState::restamp_issued`]), so a latency starts no
+    /// earlier than the pass began and no later than the shard can see it.
     pub fn pump(
         &mut self,
         client: &mut ClientState,
@@ -230,21 +235,27 @@ impl ClientPort {
             }
         }
         let num_shards = self.tx.len();
+        let (mut issued, mut from) = (0, None);
         while may_issue && self.parked.is_empty() && client.can_issue() {
+            let stamp = *from.get_or_insert_with(&mut clock);
             let op = client.draw();
             let s = shard_of_group(op.group(), num_shards);
             match self.tx[s].reserve().filter(|_| !shaped) {
                 Some(slot) => {
-                    slot.encode_with(|buf| client.issue_drawn(clock(), &op, buf));
+                    slot.encode_with(|buf| client.issue_drawn(stamp, &op, buf));
                     self.tx[s].commit();
                     pass.progressed = true;
                 }
                 None => {
                     let mut frame = Frame::default();
-                    frame.encode_with(|buf| client.issue_drawn(clock(), &op, buf));
+                    frame.encode_with(|buf| client.issue_drawn(stamp, &op, buf));
                     pass.progressed |= self.offer(s, frame);
                 }
             }
+            issued += 1;
+        }
+        if let Some(from) = from {
+            client.restamp_issued(issued, from, clock());
         }
         for tx in &mut self.tx {
             tx.publish();

@@ -6,6 +6,10 @@
 //! reply is held back while two windows of newer ones pass it (a straggler
 //! in the agent's outstanding table).
 //!
+//! The same harness counts the client's clock readings: a pass reads the
+//! clock twice for all the queries it issues and once per reply run, and
+//! spreads its queries' issue stamps between its two issue readings.
+//!
 //! Both pumps run on this one thread, so the counter — kept per thread, and
 //! switched on only around the calls under test — sees exactly their
 //! allocations and none of the test harness's.
@@ -16,11 +20,14 @@ use netchain_fabric::{
 };
 use netchain_sim::SimTime;
 use netchain_switch::{ControlOp, FailoverAction, FailoverRule, RuleScope};
+use netchain_telemetry::{trace_id, HopRole, HopStamp, TraceConfig};
 use netchain_wire::{
     BatchEncoder, ChainList, Ipv4Addr, Key, NetChainPacket, OpCode, PacketView, Value,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::HashMap;
+use std::ops::RangeInclusive;
 
 thread_local! {
     /// `Some(n)` while this thread's allocations are being counted.
@@ -61,10 +68,32 @@ fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (count, out)
 }
 
+/// How far the harness's clock moves per reading: far enough that the
+/// stamps one pass spreads between its two readings differ.
+const TICK: u64 = 1_000;
+
+/// One client pass that issued: its request ids, and the clock's first two
+/// readings in it.
+struct IssuePass {
+    ids: RangeInclusive<u64>,
+    from: u64,
+    to: u64,
+}
+
+/// What [`closed_loop`] saw past its warm-up.
+struct SteadyState {
+    client_allocs: u64,
+    shard_allocs: u64,
+    passes: Vec<IssuePass>,
+    client: ClientState,
+}
+
 /// Drives `ops` operations of `spec` through one client and one shard on
-/// this thread, after a warm-up of the same length, and returns the
-/// allocations of (client side, shard side) past the warm-up.
-fn steady_state_allocations(spec: WorkloadSpec, ops: u64) -> (u64, u64) {
+/// this thread, after a warm-up of the same length, counting allocations on
+/// each side and clock readings per client pass. Every pass that issues
+/// more than two queries must read the clock at most twice plus once per
+/// reply ring that yielded replies.
+fn closed_loop(spec: WorkloadSpec, ops: u64, trace: Option<TraceConfig>) -> SteadyState {
     let config = FabricConfig::new(1);
     let spec = WorkloadSpec {
         ops_per_client: 2 * ops,
@@ -77,17 +106,41 @@ fn steady_state_allocations(spec: WorkloadSpec, ops: u64) -> (u64, u64) {
         shard_ports.pop().expect("one shard"),
     );
     let mut client = ClientState::new(0, &config.build_ring(), spec);
+    if let Some(trace) = trace {
+        client.enable_tracing(trace);
+    }
     let mut tick = 0u64;
-    let (mut client_allocs, mut shard_allocs) = (0u64, 0u64);
+    let (mut client_allocs, mut shard_allocs, mut passes) = (0u64, 0u64, Vec::new());
+    let (mut issued, mut reads) = (0u64, 0u64);
     while !client.is_done() {
         let warm = client.report().completed >= ops;
+        let (start, before) = (tick, client.report().issued);
         let (n, pass) = allocations_in(|| {
             client_port.pump(&mut client, true, || {
-                tick += 1;
+                tick += TICK;
                 SimTime(tick)
             })
         });
-        client_allocs += if warm { n } else { 0 };
+        let (n_issued, n_reads) = (client.report().issued - before, (tick - start) / TICK);
+        if warm {
+            client_allocs += n;
+            issued += n_issued;
+            reads += n_reads;
+            // One shard: one reply ring, and every reply it yields matches.
+            let runs = u64::from(pass.completed > 0);
+            assert!(
+                n_issued <= 2 || n_reads <= 2 + runs,
+                "a pass that issued {n_issued} queries and drained {runs} reply runs \
+                 read the clock {n_reads} times"
+            );
+            if n_issued > 0 {
+                passes.push(IssuePass {
+                    ids: before + 1..=before + n_issued,
+                    from: start + TICK,
+                    to: start + 2 * TICK,
+                });
+            }
+        }
         let (n, round) = allocations_in(|| shard_port.pump(&mut shard, |_| false));
         shard_allocs += if warm { n } else { 0 };
         assert!(
@@ -101,16 +154,26 @@ fn steady_state_allocations(spec: WorkloadSpec, ops: u64) -> (u64, u64) {
     assert_eq!(report.version_regressions, 0);
     assert_eq!(shard.stats().replies, 2 * ops);
     assert_eq!(shard.stats().drops + shard.stats().parse_errors, 0);
-    (client_allocs, shard_allocs)
+    println!(
+        "{:.3} clock reads per issued query over {} passes",
+        reads as f64 / issued as f64,
+        passes.len()
+    );
+    SteadyState {
+        client_allocs,
+        shard_allocs,
+        passes,
+        client,
+    }
 }
 
 #[test]
 fn read_round_trips_allocate_nothing() {
     // 256 keys: the warm-up touches every one, so the client's per-key
     // version table has stopped growing.
-    let (client, shard) = steady_state_allocations(WorkloadSpec::uniform_read(256, 0), 10_000);
+    let run = closed_loop(WorkloadSpec::uniform_read(256, 0), 10_000, None);
     assert_eq!(
-        (client, shard),
+        (run.client_allocs, run.shard_allocs),
         (0, 0),
         "(client, shard) allocations in 10k reads"
     );
@@ -118,12 +181,54 @@ fn read_round_trips_allocate_nothing() {
 
 #[test]
 fn write_mix_allocates_nothing() {
-    let (client, shard) = steady_state_allocations(WorkloadSpec::mixed(256, 0, 50, 40), 10_000);
+    let run = closed_loop(WorkloadSpec::mixed(256, 0, 50, 40), 10_000, None);
     assert_eq!(
-        (client, shard),
+        (run.client_allocs, run.shard_allocs),
         (0, 0),
         "(client, shard) allocations in 10k mixed ops"
     );
+}
+
+#[test]
+fn a_pass_spreads_its_issue_stamps_between_its_two_readings() {
+    // Every query traced, so its client fragment opens with the issue stamp
+    // its latency runs from.
+    let SteadyState {
+        passes, mut client, ..
+    } = closed_loop(
+        WorkloadSpec::mixed(256, 0, 50, 40),
+        2_000,
+        Some(TraceConfig::sampled(0, usize::MAX)),
+    );
+    let issued_at: HashMap<u64, HopStamp> = client
+        .take_traces()
+        .into_iter()
+        .map(|t| (t.id, t.hops[0]))
+        .collect();
+    let ip = u32::from_be_bytes(Ipv4Addr::for_host(0).0);
+    assert!(passes.iter().any(|p| p.ids.clone().count() > 2));
+    for pass in &passes {
+        let stamps: Vec<u64> = pass
+            .ids
+            .clone()
+            .map(|id| {
+                let stamp = issued_at[&trace_id(ip, id)];
+                assert_eq!(stamp.evidence.map(|e| e.role), Some(HopRole::ClientIssue));
+                stamp.at_ns
+            })
+            .collect();
+        assert_eq!(stamps[0], pass.from, "the first stamp of {:?}", pass.ids);
+        // Spread, not back-dated: the last of several lies past the middle.
+        let last = stamps[stamps.len() - 1];
+        assert!(stamps.len() == 1 || 2 * (last - pass.from) >= pass.to - pass.from);
+        assert!(
+            stamps.windows(2).all(|w| w[0] <= w[1]) && stamps.iter().all(|&at| at < pass.to),
+            "stamps {stamps:?} of {:?} between readings {} and {}",
+            pass.ids,
+            pass.from,
+            pass.to
+        );
+    }
 }
 
 #[test]

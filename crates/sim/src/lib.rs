@@ -36,7 +36,7 @@ pub mod topology;
 
 pub use event::Event;
 pub use link::{LinkParams, LinkState, LinkStats};
-pub use metrics::{Counter, ThroughputSeries};
+pub use metrics::ThroughputSeries;
 pub use node::{Context, Message, Node, NodeId, NodeKind, TimerToken};
 pub use routing::RoutingTables;
 pub use simulator::{SimConfig, SimStats, Simulator};

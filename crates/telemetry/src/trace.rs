@@ -355,6 +355,17 @@ impl TraceSink {
         );
     }
 
+    /// Moves the first stamp of open trace `id` to `at_ns`, for an observer
+    /// that stamped a provisional time and learned the exact one later.
+    pub fn retime_first(&mut self, id: u64, at_ns: u64) {
+        if !self.config.samples(id) {
+            return;
+        }
+        if let Some(first) = self.active.get_mut(&id).and_then(|t| t.hops.first_mut()) {
+            first.at_ns = at_ns;
+        }
+    }
+
     #[inline]
     fn push(&mut self, id: u64, stamp: HopStamp) {
         if !self.config.samples(id) {
