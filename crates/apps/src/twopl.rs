@@ -12,7 +12,8 @@
 
 use crate::lock::{lock_key, LockClient};
 use netchain_core::{AgentConfig, AgentCore, ChainDirectory, KvOp, NetMsg};
-use netchain_sim::{Context, Node, NodeId, SimDuration, SimTime, ThroughputSeries, TimerToken};
+use netchain_sim::{Context, Node, NodeId, SimDuration, SimTime, TimerToken};
+use netchain_telemetry::TimeSeries;
 use netchain_wire::{Key, QueryStatus};
 use std::any::Any;
 
@@ -110,7 +111,7 @@ pub struct TxnClient {
     workload: TxnWorkload,
     state: TxnState,
     stats: TxnStats,
-    throughput: ThroughputSeries,
+    throughput: TimeSeries,
 }
 
 impl TxnClient {
@@ -129,7 +130,7 @@ impl TxnClient {
             workload,
             state: TxnState::Idle,
             stats: TxnStats::default(),
-            throughput: ThroughputSeries::new(workload.throughput_bucket),
+            throughput: TimeSeries::new(workload.throughput_bucket.as_nanos()),
         }
     }
 
@@ -139,7 +140,7 @@ impl TxnClient {
     }
 
     /// Committed-transaction throughput series.
-    pub fn throughput(&self) -> &ThroughputSeries {
+    pub fn throughput(&self) -> &TimeSeries {
         &self.throughput
     }
 
@@ -207,7 +208,7 @@ impl TxnClient {
             self.stats.aborted += 1;
         } else {
             self.stats.committed += 1;
-            self.throughput.record(ctx.now());
+            self.throughput.record(ctx.now().as_nanos());
         }
         self.start_txn(ctx);
     }

@@ -6,8 +6,8 @@
 use crate::cost::ServerCostModel;
 use crate::message::{AppMsg, BaselineMsg, ZkOp, ZkResult};
 use crate::rtx::Connection;
-use netchain_sim::{Context, Node, NodeId, SimDuration, SimTime, ThroughputSeries, TimerToken};
-use netchain_telemetry::{HistSnapshot, LatencyHistogram};
+use netchain_sim::{Context, Node, NodeId, SimDuration, SimTime, TimerToken};
+use netchain_telemetry::{HistSnapshot, LatencyHistogram, TimeSeries};
 use std::any::Any;
 use std::collections::HashMap;
 
@@ -72,7 +72,7 @@ pub struct BaselineClient {
     conns: HashMap<NodeId, Connection>,
     outstanding: HashMap<u64, OutstandingRequest>,
     next_request_id: u64,
-    throughput: ThroughputSeries,
+    throughput: TimeSeries,
     read_latency: LatencyHistogram,
     write_latency: LatencyHistogram,
     issued: u64,
@@ -96,7 +96,7 @@ impl BaselineClient {
             conns: HashMap::new(),
             outstanding: HashMap::new(),
             next_request_id: 1,
-            throughput: ThroughputSeries::new(workload.throughput_bucket),
+            throughput: TimeSeries::new(workload.throughput_bucket.as_nanos()),
             read_latency: LatencyHistogram::new(),
             write_latency: LatencyHistogram::new(),
             issued: 0,
@@ -121,7 +121,7 @@ impl BaselineClient {
     }
 
     /// Completed-query throughput series.
-    pub fn throughput(&self) -> &ThroughputSeries {
+    pub fn throughput(&self) -> &TimeSeries {
         &self.throughput
     }
 
@@ -254,7 +254,7 @@ impl Node<BaselineMsg> for BaselineClient {
             } else {
                 self.read_latency.record(latency.as_nanos());
             }
-            self.throughput.record(ctx.now());
+            self.throughput.record(ctx.now().as_nanos());
             if self.workload.rate_qps <= 0.0 && self.in_window(ctx.now()) {
                 self.issue_one(ctx);
             }

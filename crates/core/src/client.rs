@@ -6,8 +6,8 @@ use crate::agent::{AgentConfig, AgentCore, AgentStats};
 use crate::directory::ChainDirectory;
 use crate::message::NetMsg;
 use crate::types::{CompletedQuery, KvOp};
-use netchain_sim::{Context, Node, NodeId, SimDuration, SimTime, ThroughputSeries, TimerToken};
-use netchain_telemetry::{HistSnapshot, LatencyHistogram};
+use netchain_sim::{Context, Node, NodeId, SimDuration, SimTime, TimerToken};
+use netchain_telemetry::{HistSnapshot, LatencyHistogram, TimeSeries};
 use netchain_wire::{Key, Value};
 use std::any::Any;
 use std::collections::VecDeque;
@@ -70,7 +70,7 @@ pub struct WorkloadClient {
     agent: AgentCore,
     gateway: NodeId,
     config: WorkloadConfig,
-    throughput: ThroughputSeries,
+    throughput: TimeSeries,
     read_latency: LatencyHistogram,
     write_latency: LatencyHistogram,
     issued_in_window: u64,
@@ -90,7 +90,7 @@ impl WorkloadClient {
             agent: AgentCore::new(agent_config, directory),
             gateway,
             config,
-            throughput: ThroughputSeries::new(config.throughput_bucket),
+            throughput: TimeSeries::new(config.throughput_bucket.as_nanos()),
             read_latency: LatencyHistogram::new(),
             write_latency: LatencyHistogram::new(),
             issued_in_window: 0,
@@ -104,7 +104,7 @@ impl WorkloadClient {
     }
 
     /// Completed-query throughput time series.
-    pub fn throughput(&self) -> &ThroughputSeries {
+    pub fn throughput(&self) -> &TimeSeries {
         &self.throughput
     }
 
@@ -214,7 +214,7 @@ impl Node<NetMsg> for WorkloadClient {
     fn on_message(&mut self, _from: NodeId, msg: NetMsg, ctx: &mut Context<NetMsg>) {
         let NetMsg::Data(pkt) = msg else { return };
         if let Some(done) = self.agent.on_reply(ctx.now(), &pkt) {
-            self.throughput.record(ctx.now());
+            self.throughput.record(ctx.now().as_nanos());
             match done.op {
                 KvOp::Read(_) => self.read_latency.record(done.latency.as_nanos()),
                 _ => self.write_latency.record(done.latency.as_nanos()),

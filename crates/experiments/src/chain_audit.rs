@@ -3,22 +3,22 @@
 //! `chain_audit <dir-or-file>` replays the consistency story of a finished
 //! run from its JSON-lines artifacts alone: `"trace"` records (the in-band
 //! evidence stamps clients and switches left on sampled queries) plus the
-//! control-plane journal (`"spans"` records in `BENCH_*.jsonl`,
-//! `journal.span`/`journal.instant` events in `FLIGHT_*.jsonl`), fed through
-//! [`netchain_telemetry::audit`]. Every matching file is audited
-//! **independently** — trace ids and key fingerprints are only unique within
-//! one run, so merging files would manufacture collisions. Within a file,
-//! records are further partitioned by their optional `"run"` label
-//! (`failover_live` emits one run per group count, `net_scale` one per I/O
-//! mode — each with its own timebase and version history) and each labelled
-//! run is audited against its own journal.
+//! control-plane journal (`"spans"` records), fed through
+//! [`netchain_telemetry::audit`]. A `FLIGHT_*.jsonl` dump is read exactly
+//! like a `BENCH_*.jsonl` artifact: one schema, one reader. Every matching
+//! file is audited **independently** — trace ids and key fingerprints are
+//! only unique within one run, so merging files would manufacture
+//! collisions. Within a file, records are further partitioned by their
+//! optional `"run"` label (`failover_live` emits one run per group count,
+//! `net_scale` one per I/O mode — each with its own timebase and version
+//! history) and each labelled run is audited against its own journal.
 //!
 //! Exit codes: `0` every audited file is clean, `1` at least one violation
-//! (a structured report is also dumped through the flight recorder), `2`
+//! (a structured report is also written as `FLIGHT_chain_audit.jsonl`), `2`
 //! usage error or no traces found anywhere.
 
 use netchain_telemetry::{
-    audit, journal_from_json, trace_from_json, AuditConfig, AuditReport, FlightRecorder, Journal,
+    audit, journal_from_json, trace_from_json, ArtifactWriter, AuditConfig, AuditReport, Journal,
     Json, PacketTrace, Violation,
 };
 use std::path::{Path, PathBuf};
@@ -100,9 +100,7 @@ pub fn audit_file(path: &Path, config: &AuditConfig) -> Result<FileAudit, String
             malformed += 1;
             continue;
         };
-        // BENCH records carry a "record" kind; FLIGHT events a "kind".
         let record = doc.get("record").and_then(Json::as_str).unwrap_or("");
-        let kind = doc.get("kind").and_then(Json::as_str).unwrap_or("");
         let label = doc.get("run").and_then(Json::as_str).unwrap_or("");
         if record == "trace" {
             match trace_from_json(&doc) {
@@ -118,27 +116,6 @@ pub fn audit_file(path: &Path, config: &AuditConfig) -> Result<FileAudit, String
                     &mut runs.entry(label.to_string()).or_default().journal,
                     &journal_from_json(j),
                 );
-            }
-        } else if kind == "journal.instant" {
-            if let (Some(name), Some(at)) = (
-                doc.get("name").and_then(Json::as_str),
-                doc.get("at_ns").and_then(Json::as_u64),
-            ) {
-                let journal = &mut runs.entry(label.to_string()).or_default().journal;
-                journal.instant(name, at);
-            }
-        } else if kind == "journal.span" {
-            if let (Some(name), Some(start)) = (
-                doc.get("name").and_then(Json::as_str),
-                doc.get("at_ns").and_then(Json::as_u64),
-            ) {
-                let journal = &mut runs.entry(label.to_string()).or_default().journal;
-                match doc.get("end_ns").and_then(Json::as_u64) {
-                    Some(end) => journal.span(name, start, end),
-                    None => {
-                        journal.begin(name, start);
-                    }
-                }
             }
         }
     }
@@ -220,7 +197,7 @@ pub fn run_cli(args: &[String]) -> i32 {
     let config = AuditConfig::default();
     let mut audited_traces = 0usize;
     let mut all_violations = 0usize;
-    let recorder = FlightRecorder::new(4096);
+    let mut dump = ArtifactWriter::flight("chain_audit");
     for file in &files {
         let audit = match audit_file(file, &config) {
             Ok(a) => a,
@@ -255,9 +232,8 @@ pub fn run_cli(args: &[String]) -> i32 {
         }
         for violation in &violations {
             println!("  VIOLATION {}", violation.describe());
-            recorder.record(
-                violation.at_ns,
-                "audit.violation",
+            dump.record(
+                "violation",
                 vec![
                     ("file", Json::str(name)),
                     ("violation", violation.to_json()),
@@ -275,7 +251,7 @@ pub fn run_cli(args: &[String]) -> i32 {
         return 2;
     }
     if all_violations > 0 {
-        if let Some(path) = recorder.dump("chain_audit") {
+        if let Some(path) = dump.write() {
             eprintln!(
                 "chain_audit: {all_violations} violation(s) — structured report at {}",
                 path.display()
@@ -367,6 +343,10 @@ mod tests {
         Json::obj(all).render()
     }
 
+    /// `NETCHAIN_ARTIFACT_DIR` is process-wide and tests run on parallel
+    /// threads: every test that sets it holds this lock meanwhile.
+    static ARTIFACT_ENV: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("netchain-chain-audit-{tag}-{}", std::process::id()));
@@ -376,6 +356,7 @@ mod tests {
 
     #[test]
     fn clean_artifact_audits_clean_and_dirty_artifact_trips() {
+        let _env = ARTIFACT_ENV.lock().unwrap_or_else(|e| e.into_inner());
         let dir = tmp_dir("clean");
         let mut lines = vec![record_line(
             "trace",
@@ -411,6 +392,11 @@ mod tests {
         let code = run_cli(&[dir.to_string_lossy().into_owned()]);
         std::env::remove_var("NETCHAIN_ARTIFACT_DIR");
         assert_eq!(code, 1);
+        let report = std::fs::read_to_string(dir.join("FLIGHT_chain_audit.jsonl")).unwrap();
+        assert!(report.lines().count() > 0);
+        assert!(report
+            .lines()
+            .all(|l| l.starts_with(r#"{"record":"violation""#)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -446,25 +432,31 @@ mod tests {
     }
 
     #[test]
-    fn flight_journal_events_feed_the_same_suppression() {
+    fn a_flight_dump_is_audited_like_any_artifact() {
+        let _env = ARTIFACT_ENV.lock().unwrap_or_else(|e| e.into_inner());
         let dir = tmp_dir("flight");
-        let bench = [
-            record_line(
-                "trace",
-                trace_record_fields(&write_trace(1, 7, 1_000, 1, 2)),
-            ),
-            record_line("trace", trace_record_fields(&read_trace(3, 7, 5_000, 1))),
-            Json::obj(vec![
-                ("kind", Json::str("journal.span")),
-                ("name", Json::str("repair")),
-                ("at_ns", Json::U64(2_000)),
-                ("end_ns", Json::U64(6_000)),
-            ])
-            .render(),
-        ];
-        let path = dir.join("FLIGHT_run.jsonl");
-        std::fs::write(&path, bench.join("\n") + "\n").unwrap();
+        // The stale read of the tests above, with a repair span covering it,
+        // written as a flight dump beside the monitor's own records.
+        let mut journal = Journal::new();
+        journal.span("repair", 2_000, 6_000);
+        let mut dump = ArtifactWriter::flight("run");
+        dump.record("spans", vec![("journal", Json::from(&journal))]);
+        dump.record(
+            "trace",
+            trace_record_fields(&write_trace(1, 7, 1_000, 1, 2)),
+        );
+        dump.record("trace", trace_record_fields(&read_trace(3, 7, 5_000, 1)));
+        let ops = Json::Arr(vec![Json::U64(40), Json::U64(0)]);
+        dump.record("slice", vec![("at_ns", Json::U64(0)), ("ops", ops)]);
+        dump.record("anomaly", vec![("detail", Json::str("gray failure"))]);
+        std::env::set_var("NETCHAIN_ARTIFACT_DIR", &dir);
+        let path = dump.write();
+        std::env::remove_var("NETCHAIN_ARTIFACT_DIR");
+        let path = path.expect("dump written");
+        assert_eq!(path, dir.join("FLIGHT_run.jsonl"));
         let audit = audit_file(&path, &AuditConfig::default()).unwrap();
+        assert_eq!((audit.malformed, audit.rejected, audit.traces), (0, 0, 2));
+        // The journal's `spans` record was read back: it suppresses the read.
         assert_eq!(audit.violations(), Vec::<&Violation>::new());
         assert!(audit.total(|r| r.suppressed) > 0);
         let _ = std::fs::remove_dir_all(&dir);

@@ -16,9 +16,7 @@ use crate::series::Series;
 use netchain_core::{FaultOp, Schedule};
 use netchain_fabric::{FabricConfig, WorkloadSpec};
 use netchain_livectl::{run_live_controlled, LiveAnomaly, LiveConfig, LiveReport, Reactions};
-use netchain_telemetry::{
-    trace_record_fields, ArtifactWriter, FlightRecorder, Json, Quantiles, TraceConfig,
-};
+use netchain_telemetry::{trace_record_fields, ArtifactWriter, Json, Quantiles, TraceConfig};
 use netchain_wire::Ipv4Addr;
 use std::time::Duration;
 
@@ -276,33 +274,40 @@ fn export_run(
     }
 }
 
-/// Checks one smoke/structural invariant; on violation, dumps a flight
-/// record of the offending run (control-plane journal, gray-failure journal,
-/// throughput slices, anomalies) to the artifact dir before panicking, so a
-/// failed CI smoke leaves its evidence behind instead of just a backtrace.
+/// Checks one smoke/structural invariant; on violation, writes a flight dump
+/// of the offending run (control-plane and monitor journal, throughput
+/// slices, anomalies, trace summary) to the artifact dir before panicking,
+/// so a failed CI smoke leaves its evidence behind instead of just a
+/// backtrace.
 fn check_or_dump(ok: bool, msg: &str, groups: u32, report: &LiveReport) {
     if ok {
         return;
     }
-    let recorder = FlightRecorder::new(1024);
-    recorder.record_journal(&report.ops_journal);
+    let mut dump = ArtifactWriter::flight(format!("failover_live_{groups}"));
+    dump.record("spans", vec![("journal", Json::from(&report.ops_journal))]);
     let slice_ns = report.slice.as_nanos() as u64;
     for (i, &n) in report.slices.iter().enumerate() {
-        recorder.record(i as u64 * slice_ns, "slice", vec![("ops", Json::U64(n))]);
+        let at_ns = Json::U64(i as u64 * slice_ns);
+        dump.record("slice", vec![("at_ns", at_ns), ("ops", Json::U64(n))]);
     }
     for anomaly in &report.anomalies {
         let at_ns = match anomaly {
             LiveAnomaly::Gray(gray) => gray.slice * slice_ns,
             LiveAnomaly::Audit(violation) => violation.at_ns,
         };
-        recorder.record(
-            at_ns,
+        dump.record(
             "anomaly",
-            vec![("detail", Json::str(anomaly.describe()))],
+            vec![
+                ("at_ns", Json::U64(at_ns)),
+                ("detail", Json::str(anomaly.describe())),
+            ],
         );
     }
-    recorder.record_trace_summary(report.elapsed.as_nanos() as u64, &report.trace_summary());
-    if let Some(path) = recorder.dump(&format!("failover_live_{groups}")) {
+    dump.record(
+        "hops",
+        vec![("summary", Json::from(&report.trace_summary()))],
+    );
+    if let Some(path) = dump.write() {
         eprintln!(
             "failover_live: failure evidence dumped to {}",
             path.display()

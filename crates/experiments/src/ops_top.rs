@@ -9,26 +9,29 @@
 //!   [`StatSnapshot`]s into rates and renders the coarse latency buckets as
 //!   a sparkline.
 //! * **fabric** — runs the live-controlled fabric via
-//!   [`netchain_livectl::run_live_observed`] with a shared
-//!   [`WindowRegistry`], and renders each shard's rolling per-slice ops as a
-//!   sparkline, with queue depth and blocked counts alongside — the same
-//!   windows the gray-failure detector judges.
+//!   [`netchain_livectl::run_live_observed`], samples each shard's
+//!   [`ShardStats`] through its [`ShardStatsCell`] every tick and diffs
+//!   consecutive samples exactly as the net backend does: ops/s, frames per
+//!   burst and blocked queries over the interval, and a sparkline of the
+//!   shard's recent ops — the counters the gray-failure detector judges.
 //!
-//! The rendering helpers are plain functions over snapshots and slices so
+//! The rendering helpers are plain functions over snapshots and deltas so
 //! they are unit-testable without sockets or threads; `--once`/`--ticks N`
 //! bound the dashboard for CI smoke use.
 
 use netchain_core::HashRing;
-use netchain_fabric::{FabricConfig, WorkloadSpec};
+use netchain_fabric::{FabricConfig, ShardStats, ShardStatsCell, WorkloadSpec};
 use netchain_livectl::{run_live_observed, LiveConfig};
 use netchain_net::{run_open_loop, NetConfig, NetDataplane, OpenLoopConfig};
 use netchain_switch::PipelineConfig;
-use netchain_telemetry::{Json, SliceCounters, WindowChannel, WindowRegistry};
+use netchain_telemetry::Json;
 use netchain_wire::{
     ChainList, Ipv4Addr, Key, NetChainPacket, OpCode, StatSnapshot, Value, MAX_FRAME_LEN,
     STAT_LAT_BUCKETS,
 };
+use std::collections::VecDeque;
 use std::net::UdpSocket;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Eight-level block sparkline of `values`, scaled to their maximum. All-zero
@@ -124,50 +127,43 @@ pub fn net_row_json(label: &str, delta: &StatSnapshot, interval: Duration) -> Js
     ])
 }
 
-/// One dashboard row for a fabric shard from its rolling-window series
-/// (oldest slice first): per-slice ops sparkline plus the latest slice's
-/// numbers.
-pub fn fabric_row(shard: usize, series: &[SliceCounters], slice_len: Duration) -> String {
-    let ops: Vec<u64> = series
-        .iter()
-        .map(|c| c[WindowChannel::Ops as usize])
-        .collect();
-    let last = series.last().copied().unwrap_or_default();
-    let secs = slice_len.as_secs_f64().max(1e-9);
+/// Frames a shard took per burst over a sample delta (0 when it ran none):
+/// how full its ingress rings were when it pulled.
+fn frames_per_burst(delta: &ShardStats) -> f64 {
+    delta.frames_in as f64 / delta.bursts.max(1) as f64
+}
+
+/// One dashboard row for a fabric shard: rates from the sample delta over
+/// `interval`, and a sparkline of its ops in the recent intervals (oldest
+/// first, last in the row as in [`net_row`]).
+pub fn fabric_row(shard: usize, delta: &ShardStats, recent: &[u64], interval: Duration) -> String {
+    let secs = interval.as_secs_f64().max(1e-9);
     format!(
-        "shard {shard:<3} {} {:>9.0} ops/s  q {:>4}  blocked {:>5}",
-        sparkline(&ops),
-        last[WindowChannel::Ops as usize] as f64 / secs,
-        last[WindowChannel::QueueDepth as usize],
-        last[WindowChannel::Blocked as usize],
+        "shard {shard:<3} {:>9.0} ops/s  frames/burst {:>5.1}  blocked {:>5}  ops {}",
+        delta.replies as f64 / secs,
+        frames_per_burst(delta),
+        delta.blocked,
+        sparkline(recent),
     )
 }
 
-/// The same shard row as [`fabric_row`] in JSON: the rolling per-slice ops
-/// series plus the latest slice's gauges.
-pub fn fabric_row_json(shard: usize, series: &[SliceCounters], slice_len: Duration) -> Json {
-    let last = series.last().copied().unwrap_or_default();
-    let secs = slice_len.as_secs_f64().max(1e-9);
+/// The same shard row as [`fabric_row`] in JSON.
+pub fn fabric_row_json(
+    shard: usize,
+    delta: &ShardStats,
+    recent: &[u64],
+    interval: Duration,
+) -> Json {
+    let secs = interval.as_secs_f64().max(1e-9);
     Json::obj(vec![
         ("shard", Json::U64(shard as u64)),
         (
-            "slice_ops",
-            Json::Arr(
-                series
-                    .iter()
-                    .map(|c| Json::U64(c[WindowChannel::Ops as usize]))
-                    .collect(),
-            ),
+            "recent_ops",
+            Json::Arr(recent.iter().map(|&n| Json::U64(n)).collect()),
         ),
-        (
-            "ops_per_sec",
-            Json::F64(last[WindowChannel::Ops as usize] as f64 / secs),
-        ),
-        (
-            "queue_depth",
-            Json::U64(last[WindowChannel::QueueDepth as usize]),
-        ),
-        ("blocked", Json::U64(last[WindowChannel::Blocked as usize])),
+        ("ops_per_sec", Json::F64(delta.replies as f64 / secs)),
+        ("frames_per_burst", Json::F64(frames_per_burst(delta))),
+        ("blocked", Json::U64(delta.blocked)),
     ])
 }
 
@@ -318,11 +314,13 @@ pub fn run_net(ticks: usize, interval: Duration, clear: bool, json: bool) {
     }
 }
 
-/// The fabric-mode dashboard: a live-controlled fabric run observed through
-/// a shared [`WindowRegistry`], polled every `interval`. With `json`, each
-/// tick prints one machine-readable JSON object instead of the text rows.
+/// The fabric-mode dashboard: a live-controlled fabric run whose shards'
+/// counters are sampled every `interval`, each sample diffed against the
+/// previous one. With `json`, each tick prints one machine-readable JSON
+/// object instead of the text rows.
 pub fn run_fabric(ticks: usize, interval: Duration, clear: bool, json: bool) {
     const SHARDS: usize = 2;
+    const SPARK_TICKS: usize = 24;
     let fabric = FabricConfig {
         num_switches: 4,
         vnodes_per_switch: 8,
@@ -332,34 +330,40 @@ pub fn run_fabric(ticks: usize, interval: Duration, clear: bool, json: bool) {
     let workload = WorkloadSpec::mixed(512, 0, 60, 30);
     let mut config = LiveConfig::new(fabric, workload, interval * (ticks as u32 + 1));
     config.retry_timeout = Duration::from_millis(200);
-    let slice_len = config.slice;
-    // Retain enough slices to cover the whole dashboard run.
-    let slices = (config.duration.as_nanos() / slice_len.as_nanos().max(1) + 4) as usize;
-    let windows = WindowRegistry::new(SHARDS, slices.max(8), slice_len);
-    let poll = windows.clone();
-    let runner = std::thread::spawn(move || run_live_observed(config, windows));
+    let cells: Arc<[ShardStatsCell]> = (0..SHARDS).map(|_| ShardStatsCell::default()).collect();
+    let mut last = [ShardStats::default(); SHARDS];
+    let mut recent = vec![VecDeque::with_capacity(SPARK_TICKS); SHARDS];
+    let mut sampled_at = Instant::now();
+    let runner = {
+        let cells = Arc::clone(&cells);
+        std::thread::spawn(move || run_live_observed(config, cells))
+    };
 
-    let t0 = Instant::now();
-    const SPARK_SLICES: usize = 24;
     for tick in 0..ticks {
         std::thread::sleep(interval);
-        // Render up to the last *completed* slice; the current one is still
-        // filling and would always read as a dip.
-        let upto = poll.slice_of(t0.elapsed()).saturating_sub(1);
+        // The rates are over the time between this reader's own samples.
+        let since = std::mem::replace(&mut sampled_at, Instant::now()).elapsed();
+        let mut rows = Vec::new();
+        let mut json_rows = Vec::new();
+        for (s, cell) in cells.iter().enumerate() {
+            let delta = cell.since_last(&mut last[s]);
+            let ops = &mut recent[s];
+            if ops.len() == SPARK_TICKS {
+                ops.pop_front();
+            }
+            ops.push_back(delta.replies);
+            let ops = ops.make_contiguous();
+            rows.push(fabric_row(s, &delta, ops, since));
+            json_rows.push(fabric_row_json(s, &delta, ops, since));
+        }
         if json {
-            let rows: Vec<Json> = poll
-                .series_across_shards(upto, SPARK_SLICES)
-                .iter()
-                .enumerate()
-                .map(|(shard, series)| fabric_row_json(shard, series, slice_len))
-                .collect();
             println!(
                 "{}",
                 Json::obj(vec![
                     ("backend", Json::str("fabric")),
                     ("tick", Json::U64(tick as u64 + 1)),
-                    ("slice_ms", Json::U64(slice_len.as_millis() as u64)),
-                    ("rows", Json::Arr(rows)),
+                    ("interval_ms", Json::U64(since.as_millis() as u64)),
+                    ("rows", Json::Arr(json_rows)),
                 ])
                 .render()
             );
@@ -367,17 +371,13 @@ pub fn run_fabric(ticks: usize, interval: Duration, clear: bool, json: bool) {
         }
         clear_screen(clear);
         println!(
-            "ops_top (fabric) — tick {}/{} — {SPARK_SLICES} slices of {:?} per row",
+            "ops_top (fabric) — tick {}/{} — shard counters sampled every {:?}",
             tick + 1,
             ticks,
-            slice_len
+            interval
         );
-        for (shard, series) in poll
-            .series_across_shards(upto, SPARK_SLICES)
-            .iter()
-            .enumerate()
-        {
-            println!("{}", fabric_row(shard, series, slice_len));
+        for row in rows {
+            println!("{row}");
         }
         println!();
     }
@@ -541,16 +541,17 @@ mod tests {
             Some(1100.0)
         );
 
-        let mut series = vec![SliceCounters::default(); 3];
-        series[0][WindowChannel::Ops as usize] = 10;
-        series[2][WindowChannel::Ops as usize] = 20;
-        series[2][WindowChannel::QueueDepth as usize] = 6;
-        let doc = fabric_row_json(1, &series, Duration::from_millis(20));
+        let delta = shard_delta();
+        let doc = fabric_row_json(1, &delta, &[10, 0, 20], Duration::from_millis(20));
         assert_eq!(doc.get("shard").and_then(Json::as_f64), Some(1.0));
         assert_eq!(doc.get("ops_per_sec").and_then(Json::as_f64), Some(1000.0));
-        assert_eq!(doc.get("queue_depth").and_then(Json::as_f64), Some(6.0));
-        let Some(Json::Arr(ops)) = doc.get("slice_ops") else {
-            panic!("slice_ops is an array");
+        assert_eq!(
+            doc.get("frames_per_burst").and_then(Json::as_f64),
+            Some(6.0)
+        );
+        assert_eq!(doc.get("blocked").and_then(Json::as_f64), Some(2.0));
+        let Some(Json::Arr(ops)) = doc.get("recent_ops") else {
+            panic!("recent_ops is an array");
         };
         assert_eq!(ops.len(), 3);
     }
@@ -574,14 +575,34 @@ mod tests {
         assert!(row.contains("q    4/32"), "{row}");
         assert!(row.contains('█'), "{row}");
 
-        let mut series = vec![SliceCounters::default(); 3];
-        series[0][WindowChannel::Ops as usize] = 10;
-        series[2][WindowChannel::Ops as usize] = 20;
-        series[2][WindowChannel::QueueDepth as usize] = 6;
-        let row = fabric_row(1, &series, Duration::from_millis(20));
-        // 20 ops in a 20 ms slice = 1000 ops/s.
+        let row = fabric_row(1, &shard_delta(), &[10, 0, 20], Duration::from_millis(20));
+        // 20 replies in a 20 ms interval = 1000 ops/s.
         assert!(row.contains("1000 ops/s"), "{row}");
         assert!(row.contains("▄▁█"), "{row}");
-        assert!(row.contains("q    6"), "{row}");
+        assert!(row.contains("frames/burst   6.0"), "{row}");
+        assert!(row.contains("blocked     2"), "{row}");
+        // A shard that ran no burst in the interval reads 0, not NaN.
+        let idle = fabric_row(0, &ShardStats::default(), &[0], Duration::from_millis(20));
+        assert!(idle.contains("frames/burst   0.0"), "{idle}");
+    }
+
+    /// Two samples of a shard 20 ms apart, diffed: 20 replies to 24 frames
+    /// pulled in 4 bursts, 2 of them blocked.
+    fn shard_delta() -> ShardStats {
+        let earlier = ShardStats {
+            frames_in: 100,
+            bursts: 10,
+            replies: 90,
+            blocked: 1,
+            ..Default::default()
+        };
+        let now = ShardStats {
+            frames_in: 124,
+            bursts: 14,
+            replies: 110,
+            blocked: 3,
+            ..Default::default()
+        };
+        now.since(&earlier)
     }
 }

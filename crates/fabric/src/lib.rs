@@ -76,4 +76,4 @@ pub use loadgen::{ClientState, DrawnOp, WorkloadSpec};
 pub use pump::{connect, ClientPass, ClientPort, ShardPort, ShardRound};
 pub use ring::{ring as spsc_ring, Consumer, Producer};
 pub use shard::{client_id_of, shard_of_group, shard_of_key, Shard};
-pub use stats::{ClientReport, FabricReport, ShardStats};
+pub use stats::{ClientReport, FabricReport, ShardStats, ShardStatsCell};

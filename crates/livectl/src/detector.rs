@@ -8,44 +8,29 @@
 //! groups — so peer comparison is a sound detector: in a healthy run every
 //! shard's per-slice throughput tracks the peer median closely.
 //!
-//! [`GrayFailureDetector`] is a pure function over per-slice counters (from
-//! the telemetry [`netchain_telemetry::WindowRegistry`]): a shard whose ops
-//! fall below [`DetectorConfig::ratio`] of its peers' median for
-//! [`DetectorConfig::consecutive`] slices is flagged. Operating on explicit
-//! slice indices keeps the detector fully deterministic — tests feed
-//! synthetic slices and the detector cannot tell the difference — and a
-//! global dip (overload, a fault script's repair window) never trips it,
-//! because the median dips with the victim.
+//! [`GrayFailureDetector`] is a pure function over per-slice counts (the
+//! replies each shard served in the slice, which the live monitor gets by
+//! diffing two samples of the shards' `ShardStats`): a shard whose ops fall
+//! below half its peers' median for two slices in a row is flagged.
+//! Operating on explicit slice indices keeps the detector fully
+//! deterministic — tests feed synthetic slices and the detector cannot tell
+//! the difference — and a global dip (overload, a fault script's repair
+//! window) never trips it, because the median dips with the victim.
 
-use netchain_telemetry::{SliceCounters, WindowChannel};
+/// Slices are only judged when the peers' median ops reaches this floor
+/// (warm-up, drain and idle slices are unjudgeable noise).
+const MIN_PEER_MEDIAN: u64 = 50;
 
-/// Tuning knobs of the gray-failure detector.
-#[derive(Debug, Clone, Copy)]
-pub struct DetectorConfig {
-    /// Slices are only judged when the peers' median ops reaches this floor
-    /// (warm-up, drain and idle slices are unjudgeable noise).
-    pub min_peer_median: u64,
-    /// A shard is suspect in a slice when its ops fall strictly below
-    /// `ratio × peer median`.
-    pub ratio: f64,
-    /// Consecutive suspect slices before the shard is flagged. With 2, a
-    /// straggler is flagged on the second bad slice — within 3 slices of
-    /// onset.
-    pub consecutive: usize,
-    /// Slices to suppress re-flagging the same shard after an anomaly.
-    pub cooldown: u64,
-}
+/// A shard is suspect in a slice when its ops fall strictly below this share
+/// of its peers' median.
+const RATIO: f64 = 0.5;
 
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        DetectorConfig {
-            min_peer_median: 50,
-            ratio: 0.5,
-            consecutive: 2,
-            cooldown: 32,
-        }
-    }
-}
+/// Consecutive suspect slices before the shard is flagged. With 2, a
+/// straggler is flagged on the second bad slice — within 3 slices of onset.
+const CONSECUTIVE: usize = 2;
+
+/// Slices during which a flagged shard is not flagged again.
+pub(crate) const COOLDOWN: u64 = 32;
 
 /// One flagged gray failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,7 +65,6 @@ impl Anomaly {
 /// in order via [`GrayFailureDetector::observe_slice`].
 #[derive(Debug)]
 pub struct GrayFailureDetector {
-    config: DetectorConfig,
     /// Consecutive suspect slices per shard.
     streak: Vec<usize>,
     /// Earliest slice each shard may be flagged again.
@@ -89,34 +73,23 @@ pub struct GrayFailureDetector {
 
 impl GrayFailureDetector {
     /// A detector over `num_shards` peers.
-    pub fn new(num_shards: usize, config: DetectorConfig) -> Self {
+    pub fn new(num_shards: usize) -> Self {
         assert!(num_shards > 0, "detector needs at least one shard");
-        assert!(config.consecutive > 0, "consecutive must be positive");
-        assert!(
-            config.ratio > 0.0 && config.ratio < 1.0,
-            "ratio must be in (0, 1)"
-        );
         GrayFailureDetector {
-            config,
             streak: vec![0; num_shards],
             quiet_until: vec![0; num_shards],
         }
     }
 
-    /// Judges one completed slice (per-shard counters from
-    /// `WindowRegistry::slice_across_shards`) and returns any anomalies
-    /// fired. With fewer than 3 shards there are no meaningful peers and the
-    /// detector never fires.
-    pub fn observe_slice(&mut self, slice: u64, per_shard: &[SliceCounters]) -> Vec<Anomaly> {
-        assert_eq!(per_shard.len(), self.streak.len(), "shard count changed");
+    /// Judges one completed slice (the ops each shard served in it) and
+    /// returns any anomalies fired. With fewer than 3 shards there are no
+    /// meaningful peers and the detector never fires.
+    pub fn observe_slice(&mut self, slice: u64, ops: &[u64]) -> Vec<Anomaly> {
+        assert_eq!(ops.len(), self.streak.len(), "shard count changed");
         let mut anomalies = Vec::new();
-        if per_shard.len() < 3 {
+        if ops.len() < 3 {
             return anomalies;
         }
-        let ops: Vec<u64> = per_shard
-            .iter()
-            .map(|c| c[WindowChannel::Ops as usize])
-            .collect();
         let mut peers = Vec::with_capacity(ops.len() - 1);
         for (shard, &own) in ops.iter().enumerate() {
             peers.clear();
@@ -128,15 +101,14 @@ impl GrayFailureDetector {
             );
             peers.sort_unstable();
             let median = peers[peers.len() / 2];
-            let suspect = median >= self.config.min_peer_median
-                && (own as f64) < self.config.ratio * median as f64;
+            let suspect = median >= MIN_PEER_MEDIAN && (own as f64) < RATIO * median as f64;
             if !suspect {
                 self.streak[shard] = 0;
                 continue;
             }
             self.streak[shard] += 1;
-            if self.streak[shard] >= self.config.consecutive && slice >= self.quiet_until[shard] {
-                self.quiet_until[shard] = slice + self.config.cooldown;
+            if self.streak[shard] >= CONSECUTIVE && slice >= self.quiet_until[shard] {
+                self.quiet_until[shard] = slice + COOLDOWN;
                 self.streak[shard] = 0;
                 anomalies.push(Anomaly {
                     shard,
@@ -154,23 +126,16 @@ impl GrayFailureDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netchain_telemetry::{FlightRecorder, Json, WindowRegistry};
-    use std::time::Duration;
-
-    fn counters(ops: u64) -> SliceCounters {
-        let mut c = SliceCounters::default();
-        c[WindowChannel::Ops as usize] = ops;
-        c
-    }
+    use crate::runner::flight_dump;
+    use netchain_telemetry::Json;
+    use std::collections::VecDeque;
 
     #[test]
     fn healthy_symmetric_shards_never_fire() {
-        let mut d = GrayFailureDetector::new(4, DetectorConfig::default());
+        let mut d = GrayFailureDetector::new(4);
         for slice in 0..50 {
-            let per_shard: Vec<SliceCounters> = (0..4)
-                .map(|s| counters(100 + (slice + s as u64) % 7))
-                .collect();
-            assert!(d.observe_slice(slice, &per_shard).is_empty());
+            let ops: Vec<u64> = (0..4).map(|s| 100 + (slice + s) % 7).collect();
+            assert!(d.observe_slice(slice, &ops).is_empty());
         }
     }
 
@@ -178,93 +143,62 @@ mod tests {
     fn global_dip_is_not_a_gray_failure() {
         // A fault script's repair window drags every shard down together;
         // the peer median dips too, so nobody is flagged.
-        let mut d = GrayFailureDetector::new(4, DetectorConfig::default());
+        let mut d = GrayFailureDetector::new(4);
         for slice in 0..20 {
             let ops = if (5..10).contains(&slice) { 10 } else { 200 };
-            let per_shard: Vec<SliceCounters> = (0..4).map(|_| counters(ops)).collect();
-            assert!(d.observe_slice(slice, &per_shard).is_empty());
+            assert!(d.observe_slice(slice, &[ops; 4]).is_empty());
         }
     }
 
     #[test]
     fn idle_slices_are_unjudgeable() {
-        let mut d = GrayFailureDetector::new(3, DetectorConfig::default());
+        let mut d = GrayFailureDetector::new(3);
         for slice in 0..10 {
             // Below the floor: even a 0-ops shard stays unflagged.
-            let per_shard = vec![counters(0), counters(20), counters(20)];
-            assert!(d.observe_slice(slice, &per_shard).is_empty());
+            assert!(d.observe_slice(slice, &[0, 20, 20]).is_empty());
         }
     }
 
     #[test]
     fn cooldown_suppresses_refiring() {
-        let cfg = DetectorConfig {
-            cooldown: 8,
-            ..DetectorConfig::default()
-        };
-        let mut d = GrayFailureDetector::new(3, cfg);
+        let mut d = GrayFailureDetector::new(3);
         let mut fired = Vec::new();
-        for slice in 0..12 {
-            let per_shard = vec![counters(10), counters(200), counters(200)];
-            fired.extend(d.observe_slice(slice, &per_shard));
+        for slice in 0..COOLDOWN + 8 {
+            fired.extend(d.observe_slice(slice, &[10, 200, 200]));
         }
-        // Fires once at slice 1 (streak of 2), then stays quiet through
-        // slice 8; the still-running streak refires as soon as the cooldown
-        // lifts at slice 9.
-        assert_eq!(fired.len(), 2);
-        assert_eq!(fired[0].slice, 1);
-        assert_eq!(fired[1].slice, 9);
+        // Fires once at slice 1 (streak of 2), then stays quiet through the
+        // cooldown; the still-running streak refires as soon as it lifts.
+        let slices: Vec<u64> = fired.iter().map(|a| a.slice).collect();
+        assert_eq!(slices, [1, 1 + COOLDOWN]);
     }
 
     /// The acceptance path end to end, fully deterministic: a shard slowed
-    /// from slice 1 on is flagged within 3 slices of onset, and the flight
-    /// recorder dumps the window of history leading up to the anomaly.
+    /// from slice 1 on is flagged within 3 slices of onset, and the monitor's
+    /// flight dump carries the history leading up to the anomaly.
     #[test]
     fn slowed_shard_is_detected_within_three_slices_with_flight_dump() {
         let dir = std::env::temp_dir().join(format!("netchain-gray-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
         std::env::set_var("NETCHAIN_ARTIFACT_DIR", &dir);
 
-        let slice_len = Duration::from_millis(100);
-        let registry = WindowRegistry::new(4, 16, slice_len);
-        let mut detector = GrayFailureDetector::new(4, DetectorConfig::default());
-        let recorder = FlightRecorder::new(64);
+        let slice_ns = 100_000_000;
+        let mut detector = GrayFailureDetector::new(4);
+        let mut recent = VecDeque::new();
         let onset = 1u64;
         let mut detection = None;
         for slice in 0..8u64 {
             // The injected gray failure: shard 2 runs at 15% of its peers
             // from `onset` on (slow, not dead).
-            for shard in 0..4usize {
-                let ops = if shard == 2 && slice >= onset {
-                    30
-                } else {
-                    200
-                };
-                registry.window(shard).add(slice, WindowChannel::Ops, ops);
-            }
-            let across = registry.slice_across_shards(slice);
-            let at_ns = slice * slice_len.as_nanos() as u64;
-            recorder.record(
-                at_ns,
-                "slice",
-                vec![(
-                    "ops",
-                    Json::Arr(
-                        across
-                            .iter()
-                            .map(|c| Json::U64(c[WindowChannel::Ops as usize]))
-                            .collect(),
-                    ),
-                )],
-            );
-            if let Some(anomaly) = detector.observe_slice(slice, &across).pop() {
-                recorder.record(
-                    at_ns,
-                    "anomaly",
-                    vec![("detail", Json::str(anomaly.describe()))],
-                );
-                let path = recorder.dump("gray_test").expect("dump written");
-                detection = Some((slice, anomaly, path));
+            let slowed = slice >= onset;
+            let ops: Vec<u64> = (0..4)
+                .map(|s| if s == 2 && slowed { 30 } else { 200 })
+                .collect();
+            let at_ns = slice * slice_ns;
+            recent.push_back((at_ns, ops.clone()));
+            if let Some(anomaly) = detector.observe_slice(slice, &ops).pop() {
+                let what = anomaly.describe();
+                let detail = vec![("at_ns", Json::U64(at_ns)), ("detail", Json::str(&what))];
+                let path = flight_dump("gray_test", &recent, &what, "anomaly", detail);
+                detection = Some((slice, anomaly, path.expect("dump written")));
                 break;
             }
         }
@@ -277,12 +211,18 @@ mod tests {
             "detected at slice {slice}, more than 3 slices after onset {onset}"
         );
         assert!(anomaly.severity < 0.5);
+        assert_eq!(path, dir.join("FLIGHT_gray_test.jsonl"));
         let dump = std::fs::read_to_string(&path).expect("dump readable");
-        assert!(dump.contains("\"kind\":\"anomaly\""));
+        // An ordinary artifact: every line is a record.
+        for line in dump.lines() {
+            let record = Json::parse(line).expect("one JSON object per line");
+            assert!(record.get("record").is_some(), "{line}");
+        }
+        assert!(dump.contains("\"record\":\"anomaly\""));
         assert!(dump.contains("shard 2"));
         // The dump carries the history leading up to the anomaly, not just
         // the verdict.
-        assert!(dump.matches("\"kind\":\"slice\"").count() >= 2);
+        assert!(dump.matches("\"record\":\"slice\"").count() >= 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -17,11 +17,12 @@
 //!   burst boundaries and acknowledged by token.
 //! * [`runner`] — [`run_live_controlled`]: the threaded deployment shape
 //!   (shards, retrying duration-driven clients, the controller, a monitor
-//!   thread over per-shard rolling windows), producing a time-sliced
-//!   [`LiveReport`]; and [`FaultScript`], the one-kill constructor of a
-//!   schedule and its [`Reactions`].
-//! * [`detector`] — the gray-failure detector: peer-median comparison over
-//!   the rolling windows, flagging a shard that is slow but alive.
+//!   thread that samples each shard's own `ShardStats` once a slice),
+//!   producing a time-sliced [`LiveReport`]; and [`FaultScript`], the
+//!   one-kill constructor of a schedule and its [`Reactions`].
+//! * [`detector`] — the gray-failure detector: peer-median comparison of
+//!   the replies each shard served in a slice, flagging a shard that is slow
+//!   but alive.
 //! * [`replay`] — the same fabric, op lists, fault ops and reactor driven
 //!   deterministically on one thread by direct calls.
 //! * [`report`] — the run report: throughput slices and phase timelines.
@@ -41,7 +42,7 @@ pub mod report;
 pub mod runner;
 
 pub use control::{ControlCmd, ControlEvt};
-pub use detector::{Anomaly, DetectorConfig, GrayFailureDetector};
+pub use detector::{Anomaly, GrayFailureDetector};
 pub use netchain_core::{FailoverTimeline, Reactions};
 pub use replay::{replay_agent_config, ReplayFabric};
 pub use report::{LiveAnomaly, LiveReport};

@@ -11,7 +11,7 @@ use std::time::Duration;
 /// Anything the live monitor flagged during the run: a statistical gray
 /// failure (one shard quietly degrading) or a consistency violation the
 /// shadow auditor caught in the sampled trace stream. Both also produce
-/// flight-recorder dumps in the artifact dir.
+/// flight dumps (`FLIGHT_*.jsonl`) in the artifact dir.
 #[derive(Debug, Clone)]
 pub enum LiveAnomaly {
     /// A gray-failure verdict from the [`crate::GrayFailureDetector`].
@@ -62,7 +62,7 @@ pub struct LiveReport {
     pub timelines: Vec<(Ipv4Addr, FailoverTimeline)>,
     /// Everything the live monitor flagged — gray failures and shadow-audit
     /// consistency violations (empty in a healthy run; each one also
-    /// produced a flight-recorder dump in the artifact dir).
+    /// produced a flight dump in the artifact dir).
     pub anomalies: Vec<LiveAnomaly>,
     /// One instant per anomaly the monitor flagged, and the controller's
     /// record of every fault op delivered and every phase of its reactions

@@ -16,24 +16,31 @@
 //!   [`Reactions`]: each op acknowledged by every shard before the next, each
 //!   group copy real register state through the control channels. `Link`
 //!   ops are the client ports' own
-//!   ([`netchain_fabric::ClientPort::impair`]), by the same clock.
+//!   ([`netchain_fabric::ClientPort::impair`]), by the same clock;
+//! * a **monitor** thread watches the run through each shard's own
+//!   [`ShardStats`], which the shard publishes into a [`ShardStatsCell`] once
+//!   per busy round: it samples every cell at each slice boundary and judges
+//!   the per-shard differences with the [`GrayFailureDetector`].
 
 use crate::control::{self, ControlCmd, ControlEvt, Tagged};
-use crate::detector::{DetectorConfig, GrayFailureDetector};
+use crate::detector::{GrayFailureDetector, COOLDOWN};
 use crate::report::{LiveAnomaly, LiveReport};
 use netchain_core::failplan::Target;
 use netchain_core::{Action, AgentConfig, FaultOp, Reactions, Reactor, Schedule};
 use netchain_fabric::{
-    build_shards, connect, spsc_ring, ClientState, Consumer, FabricConfig, Producer, WorkloadSpec,
+    build_shards, connect, spsc_ring, ClientState, Consumer, FabricConfig, Producer, ShardStats,
+    ShardStatsCell, WorkloadSpec,
 };
 use netchain_sim::{SimDuration, SimTime};
 use netchain_switch::ControlOp;
 use netchain_telemetry::{
-    merge_traces, FlightRecorder, HistSnapshot, Journal, Json, PacketTrace, ShadowAuditor,
-    TimeSeries, WindowChannel, WindowRegistry,
+    merge_traces, ArtifactWriter, HistSnapshot, Journal, Json, PacketTrace, ShadowAuditor,
+    TimeSeries,
 };
 use netchain_wire::Ipv4Addr;
+use std::collections::VecDeque;
 use std::ops::Range;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -44,13 +51,6 @@ const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
 /// Capacity of each control ring, in commands/events.
 const CONTROL_RING: usize = 64;
-
-/// Slices retained by the default observation windows — enough history to
-/// cover any plausible gray-failure streak plus the flight-recorder dump.
-const OBSERVE_SLICES: usize = 64;
-
-/// Events the monitor's flight recorder retains.
-const FLIGHT_CAPACITY: usize = 256;
 
 /// Configuration of a live-controlled run.
 #[derive(Debug, Clone)]
@@ -143,6 +143,26 @@ impl FaultScript {
         };
         (schedule, reactions)
     }
+}
+
+/// Writes `FLIGHT_<name>.jsonl` for `what` the monitor found: its `recent`
+/// samples, oldest first, as `slice` records, then the `verdict` record.
+pub(crate) fn flight_dump(
+    name: &str,
+    recent: &VecDeque<(u64, Vec<u64>)>,
+    what: &str,
+    verdict: &str,
+    fields: Vec<(&str, Json)>,
+) -> Option<PathBuf> {
+    let mut dump = ArtifactWriter::flight(name);
+    for (at_ns, ops) in recent {
+        let ops = Json::Arr(ops.iter().map(|&n| Json::U64(n)).collect());
+        dump.record("slice", vec![("at_ns", Json::U64(*at_ns)), ("ops", ops)]);
+    }
+    dump.record(verdict, fields);
+    let path = dump.write()?;
+    eprintln!("livectl: {what} — flight dump at {}", path.display());
+    Some(path)
 }
 
 /// Pushes `item` into a control ring, yielding while it is full.
@@ -240,28 +260,27 @@ impl LiveController {
 /// time-sliced throughput accounting, and (optionally) a scripted failure
 /// handled by the live controller. Returns after the run drains.
 ///
-/// Observation windows are created internally, sized from `config.slice`;
-/// use [`run_live_observed`] to share a [`WindowRegistry`] with an external
-/// reader (a dashboard polling the same windows the detector judges).
+/// Use [`run_live_observed`] to read the shards' counters while the run is
+/// going (a dashboard sampling what the monitor samples).
 pub fn run_live_controlled(config: LiveConfig) -> LiveReport {
-    let windows = WindowRegistry::new(config.fabric.num_shards, OBSERVE_SLICES, config.slice);
-    run_live_observed(config, windows)
+    let cells = (0..config.fabric.num_shards)
+        .map(|_| ShardStatsCell::default())
+        .collect();
+    run_live_observed(config, cells)
 }
 
-/// [`run_live_controlled`] with caller-supplied observation windows: every
-/// shard worker records its per-slice ops / blocked / queue depth into
-/// `windows`, and a monitor thread runs the [`GrayFailureDetector`] over
-/// each completed slice **and** a [`ShadowAuditor`] over every completed
-/// trace the clients hand it, journaling anomalies and dumping the flight
-/// recorder to the artifact dir when one fires. Consistency violations
-/// surface as [`LiveAnomaly::Audit`] entries in `LiveReport::anomalies`.
-pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveReport {
+/// [`run_live_controlled`] with caller-supplied cells: every shard worker
+/// publishes its [`ShardStats`] into its cell of `cells` once per busy
+/// round, and a monitor thread runs the [`GrayFailureDetector`] over the
+/// per-slice differences of those samples **and** a [`ShadowAuditor`] over
+/// every completed trace the clients hand it, journaling anomalies and
+/// writing a flight dump (`FLIGHT_livectl_gray.jsonl`,
+/// `FLIGHT_livectl_audit.jsonl`) to the artifact dir when one fires.
+/// Consistency violations surface as [`LiveAnomaly::Audit`] entries in
+/// `LiveReport::anomalies`.
+pub fn run_live_observed(config: LiveConfig, cells: Arc<[ShardStatsCell]>) -> LiveReport {
     let fabric = config.fabric;
-    assert_eq!(
-        windows.num_shards(),
-        fabric.num_shards,
-        "one observation window per shard"
-    );
+    assert_eq!(cells.len(), fabric.num_shards, "one stats cell per shard");
     assert!(fabric.num_shards > 0 && fabric.num_clients > 0);
     assert!(
         fabric.ring_capacity >= config.workload.window,
@@ -329,8 +348,7 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
         let ctl_done = Arc::clone(&ctrl_done);
         let num_clients = fabric.num_clients;
         let pin = fabric.pin_shards;
-        let window = Arc::clone(windows.window(s));
-        let slice_nanos = windows.slice_len().as_nanos().max(1) as u64;
+        let cells = Arc::clone(&cells);
         let handle = std::thread::Builder::new()
             .name(format!("livectl-shard-{s}"))
             .spawn(move || {
@@ -339,7 +357,6 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
                     // runs the shard, merely unpinned.
                     let _ = netchain_fabric::pin_thread(s);
                 }
-                let mut last_blocked = 0u64;
                 loop {
                     // Control plane first: commands take effect at burst
                     // boundaries, like table updates between pipeline passes.
@@ -357,17 +374,9 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
                     // full has left its replies without a reader.
                     let round = port.pump(&mut shard, |c| exited[c].load(Ordering::Acquire));
                     if round.frames > 0 {
-                        // Rolling-window accounting, once per busy burst
-                        // round: additions on a hot slot, nothing the
-                        // detector does can block this thread.
-                        let slice = t0.elapsed().as_nanos() as u64 / slice_nanos;
-                        window.add(slice, WindowChannel::Ops, round.replies);
-                        window.raise(slice, WindowChannel::QueueDepth, round.peak_burst);
-                        let blocked = shard.stats().blocked;
-                        if blocked > last_blocked {
-                            window.add(slice, WindowChannel::Blocked, blocked - last_blocked);
-                            last_blocked = blocked;
-                        }
+                        // Only a busy round moves a counter. Stores, no
+                        // clock: readers time their own samples.
+                        cells[s].store(shard.stats());
                     } else {
                         if done.load(Ordering::Acquire) == num_clients
                             && ctl_done.load(Ordering::Acquire)
@@ -472,18 +481,17 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
     // the last one exits.
     drop(audit_tx);
 
-    // The monitor: judges each completed window slice with the gray-failure
-    // detector while the run is live, and runs the shadow auditor over every
-    // completed trace the clients hand it. It only reads atomics the shard
-    // workers publish, so it never perturbs the dataplane; on an anomaly it
-    // journals the event and dumps its flight recorder to the artifact dir.
+    // The monitor: samples every shard's counters at each slice boundary and
+    // judges the replies each served in the slice with the gray-failure
+    // detector, and runs the shadow auditor over every completed trace the
+    // clients hand it. It only loads what the shard workers store, so it
+    // never perturbs the dataplane; on an anomaly it journals the event and
+    // writes its recent samples to a flight dump in the artifact dir.
     let monitor_stop = Arc::new(AtomicBool::new(false));
     let monitor = {
-        let windows = windows.clone();
+        let cells = Arc::clone(&cells);
         let stop = Arc::clone(&monitor_stop);
-        let num_shards = fabric.num_shards;
-        let slice_nanos = windows.slice_len().as_nanos().max(1) as u64;
-        let nap = (windows.slice_len() / 2).max(Duration::from_micros(500));
+        let slice_nanos = config.slice.as_nanos().max(1) as u64;
         // The transitions after a kill are consistency no-man's-land: reads
         // issued while failover or repair rules are landing may legitimately
         // observe either side. One window per kill, from the kill to the
@@ -503,13 +511,17 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
         std::thread::Builder::new()
             .name("livectl-monitor".to_string())
             .spawn(move || {
-                let mut detector = GrayFailureDetector::new(num_shards, DetectorConfig::default());
+                let mut detector = GrayFailureDetector::new(cells.len());
                 let mut shadow = ShadowAuditor::new(suppress);
                 let mut audited: Vec<PacketTrace> = Vec::new();
                 let mut journal = Journal::new();
-                let recorder = FlightRecorder::new(FLIGHT_CAPACITY);
                 let mut anomalies: Vec<LiveAnomaly> = Vec::new();
-                let mut next = 0u64;
+                // One cooldown's worth of `(at_ns, ops per shard)` samples,
+                // oldest first: a flight dump shows every slice since the
+                // detector could last have fired for the same shard.
+                let mut recent: VecDeque<(u64, Vec<u64>)> = VecDeque::new();
+                let mut last = vec![ShardStats::default(); cells.len()];
+                let mut filling = 0u64;
                 loop {
                     let stopping = stop.load(Ordering::Acquire);
                     // Shadow audit first: ingest whatever completed since the
@@ -522,66 +534,49 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
                     for violation in shadow.take_violations() {
                         let at_ns = violation.at_ns;
                         journal.instant(format!("audit:{}", violation.kind.label()), at_ns);
-                        recorder.record(
-                            at_ns,
-                            "audit.violation",
-                            vec![("violation", violation.to_json())],
-                        );
-                        if let Some(path) = recorder.dump("livectl_audit") {
-                            eprintln!(
-                                "livectl: {} — flight dump at {}",
-                                violation.describe(),
-                                path.display()
-                            );
-                        }
+                        let fields = vec![
+                            ("at_ns", Json::U64(at_ns)),
+                            ("violation", violation.to_json()),
+                        ];
+                        let what = violation.describe();
+                        flight_dump("livectl_audit", &recent, &what, "violation", fields);
                         anomalies.push(LiveAnomaly::Audit(violation));
                     }
-                    // Judge slices strictly before the current one — the
-                    // current slice is still filling and would read as a
-                    // universal dip. On shutdown, judge the last one too.
-                    let current = windows.slice_of(t0.elapsed());
-                    let upto = if stopping { current + 1 } else { current };
-                    while next < upto {
-                        let slice = next;
-                        next += 1;
-                        let across = windows.slice_across_shards(slice);
+                    // Once the slice being filled has ended, the replies each
+                    // shard served since the last sample are its ops in that
+                    // slice (a monitor woken late judges the slices it slept
+                    // through as one). On shutdown the last slice is judged
+                    // too.
+                    let current = t0.elapsed().as_nanos() as u64 / slice_nanos;
+                    if current > filling || stopping {
+                        let slice = if stopping { current } else { current - 1 };
+                        filling = current;
+                        let ops: Vec<u64> = (cells.iter().zip(&mut last))
+                            .map(|(cell, last)| cell.since_last(last).replies)
+                            .collect();
                         let at_ns = slice * slice_nanos;
-                        recorder.record(
-                            at_ns,
-                            "slice",
-                            vec![(
-                                "ops",
-                                Json::Arr(
-                                    across
-                                        .iter()
-                                        .map(|c| Json::U64(c[WindowChannel::Ops as usize]))
-                                        .collect(),
-                                ),
-                            )],
-                        );
-                        for anomaly in detector.observe_slice(slice, &across) {
+                        if recent.len() == COOLDOWN as usize {
+                            recent.pop_front();
+                        }
+                        recent.push_back((at_ns, ops.clone()));
+                        for anomaly in detector.observe_slice(slice, &ops) {
                             journal.instant(format!("gray-failure:shard{}", anomaly.shard), at_ns);
-                            recorder.record(
-                                at_ns,
-                                "anomaly",
-                                vec![("detail", Json::str(anomaly.describe()))],
-                            );
-                            if let Some(path) = recorder.dump("livectl_gray") {
-                                eprintln!(
-                                    "livectl: {} — flight dump at {}",
-                                    anomaly.describe(),
-                                    path.display()
-                                );
-                            }
+                            let fields = vec![
+                                ("at_ns", Json::U64(at_ns)),
+                                ("detail", Json::str(anomaly.describe())),
+                            ];
+                            let what = anomaly.describe();
+                            flight_dump("livectl_gray", &recent, &what, "anomaly", fields);
                             anomalies.push(LiveAnomaly::Gray(anomaly));
                         }
                     }
                     if stopping {
                         break;
                     }
-                    // Parked, not asleep: the run's end unparks the monitor
-                    // instead of waiting out whatever is left of the nap.
-                    std::thread::park_timeout(nap);
+                    // Parked until the next slice boundary, not asleep: the
+                    // run's end unparks the monitor instead of waiting it out.
+                    let boundary = t0 + Duration::from_nanos((filling + 1) * slice_nanos);
+                    std::thread::park_timeout(boundary.saturating_duration_since(Instant::now()));
                 }
                 (journal, anomalies, audited)
             })
@@ -617,8 +612,8 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
         shard_stats[id] = stats;
         trace_fragments.extend(traces);
     }
-    // All window writers have exited; let the monitor judge the final slice
-    // and hand back its journal.
+    // Every shard has stored its last counters; let the monitor judge the
+    // final slice and hand back its journal.
     monitor_stop.store(true, Ordering::Release);
     monitor.thread().unpark();
     let (mut ops_journal, anomalies, audited_traces) =

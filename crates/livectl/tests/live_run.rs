@@ -3,14 +3,14 @@
 //! retry path, and the slice accounting all real.
 
 use netchain_core::{FaultOp, Schedule};
-use netchain_fabric::{FabricConfig, WorkloadSpec};
+use netchain_fabric::{FabricConfig, ShardStats, ShardStatsCell, WorkloadSpec};
 use netchain_livectl::{
     run_live_controlled, run_live_observed, FaultScript, LiveAnomaly, LiveConfig, Reactions,
 };
-use netchain_telemetry::{
-    audit, AuditConfig, HopRole, HopStamp, TraceConfig, WindowChannel, WindowRegistry,
-};
+use netchain_telemetry::{audit, AuditConfig, HopRole, HopStamp, TraceConfig};
 use netchain_wire::Ipv4Addr;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn small_fabric() -> FabricConfig {
@@ -96,33 +96,55 @@ fn no_switch_stamps_a_trace_after_its_ack() {
 }
 
 #[test]
-fn observed_run_fills_the_shared_windows() {
+fn observed_run_publishes_every_reply_to_the_shared_cells() {
     let mut config = LiveConfig::new(
         small_fabric(),
         WorkloadSpec::mixed(128, 0, 60, 30),
         Duration::from_millis(300),
     );
     config.retry_timeout = Duration::from_millis(200);
-    let windows = WindowRegistry::new(2, 64, config.slice);
-    let report = run_live_observed(config, windows.clone());
+    let cells: Arc<[ShardStatsCell]> = (0..2).map(|_| ShardStatsCell::default()).collect();
+    // Sample the cells while the run goes, as a dashboard does, and once
+    // more after it returned.
+    let finished = AtomicBool::new(false);
+    let (report, samples) = std::thread::scope(|scope| {
+        let sampler = scope.spawn(|| {
+            let mut last = [ShardStats::default(); 2];
+            let mut samples = Vec::new();
+            loop {
+                let after_the_run = finished.load(Ordering::Acquire);
+                let deltas: Vec<ShardStats> = (cells.iter().zip(&mut last))
+                    .map(|(cell, last)| cell.since_last(last))
+                    .collect();
+                samples.push(deltas);
+                if after_the_run {
+                    break samples;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        });
+        let report = run_live_observed(config, Arc::clone(&cells));
+        finished.store(true, Ordering::Release);
+        (report, sampler.join().expect("sampler panicked"))
+    });
     assert!(report.completed_ops > 0);
     assert!(report.anomalies.is_empty());
-    // Every reply a shard produced was recorded into its rolling window
-    // (the run is far shorter than the 64-slice retention, so nothing has
-    // rotated out).
-    let mut window_ops = 0u64;
-    let mut peak_depth = 0u64;
-    for shard in 0..2 {
-        for slice in 0..64 {
-            if let Some(c) = windows.window(shard).read(slice) {
-                window_ops += c[WindowChannel::Ops as usize];
-                peak_depth = peak_depth.max(c[WindowChannel::QueueDepth as usize]);
-            }
-        }
+    for (s, stats) in report.shards.iter().enumerate() {
+        // Every reply a shard produced is counted in exactly one sample...
+        let sum =
+            |field: fn(&ShardStats) -> u64| -> u64 { samples.iter().map(|d| field(&d[s])).sum() };
+        assert_eq!(sum(|d| d.replies), stats.replies, "shard {s}");
+        // ...because the cell ends holding the shard's own counters.
+        assert_eq!(cells[s].load(), *stats, "shard {s}");
+        let (frames, bursts) = (sum(|d| d.frames_in), sum(|d| d.bursts));
+        assert!(
+            bursts > 0 && frames >= bursts,
+            "{frames} frames in {bursts} bursts"
+        );
     }
-    let shard_replies: u64 = report.shards.iter().map(|s| s.replies).sum();
-    assert_eq!(window_ops, shard_replies);
-    assert!(peak_depth > 0, "busy bursts must record a queue depth");
+    // The cells were live during the run, not filled at its end.
+    let busy = samples.iter().filter(|d| d.iter().any(|d| d.replies > 0));
+    assert!(busy.count() >= 2, "{samples:?}");
 }
 
 #[test]

@@ -27,7 +27,6 @@
 
 pub mod event;
 pub mod link;
-pub mod metrics;
 pub mod node;
 pub mod routing;
 pub mod simulator;
@@ -36,7 +35,6 @@ pub mod topology;
 
 pub use event::Event;
 pub use link::{LinkParams, LinkState, LinkStats};
-pub use metrics::ThroughputSeries;
 pub use node::{Context, Message, Node, NodeId, NodeKind, TimerToken};
 pub use routing::RoutingTables;
 pub use simulator::{SimConfig, SimStats, Simulator};

@@ -29,9 +29,10 @@
 //!    means an acked write's version vanished across the repair
 //!    ([`ViolationKind::LostKey`]).
 //!
-//! Violations are structured ([`Violation`]) and dump through the
-//! [`FlightRecorder`] so an offline `chain_audit` run leaves the same kind
-//! of artifact trail as a live anomaly.
+//! Violations are structured ([`Violation`]) and dump as `"violation"`
+//! records of a flight dump ([`crate::ArtifactWriter::flight`]), so an
+//! offline `chain_audit` run leaves the same kind of artifact trail as a
+//! live anomaly.
 //!
 //! [`ShadowAuditor`] is the online variant: a one-pass incremental checker
 //! over *client* evidence only (issue/ack stamps), fed completed traces on
@@ -42,7 +43,6 @@
 use std::collections::HashMap;
 
 use crate::export::Json;
-use crate::flight::FlightRecorder;
 use crate::journal::Journal;
 use crate::trace::{EvidenceOp, HopRole, PacketTrace};
 
@@ -60,7 +60,7 @@ pub enum ViolationKind {
 }
 
 impl ViolationKind {
-    /// Stable label used in reports and flight-recorder dumps.
+    /// Stable label used in reports and flight dumps.
     pub fn label(self) -> &'static str {
         match self {
             ViolationKind::VersionRegression => "version-regression",
@@ -93,7 +93,7 @@ pub struct Violation {
 }
 
 impl Violation {
-    /// The violation as a JSON object (flight-recorder / report shape).
+    /// The violation as a JSON object (flight dump / report shape).
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("kind", Json::str(self.kind.label())),
@@ -180,34 +180,6 @@ impl AuditReport {
     /// True when no invariant was broken.
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
-    }
-
-    /// Coverage and verdict as one JSON object.
-    pub fn summary_json(&self) -> Json {
-        Json::obj(vec![
-            ("traces", Json::U64(self.traces as u64)),
-            ("writes", Json::U64(self.writes as u64)),
-            ("reads", Json::U64(self.reads as u64)),
-            ("checked", Json::U64(self.checked as u64)),
-            ("suppressed", Json::U64(self.suppressed as u64)),
-            ("truncated", Json::U64(self.truncated as u64)),
-            ("violations", Json::U64(self.violations.len() as u64)),
-        ])
-    }
-
-    /// Records the verdict into a flight recorder: one `audit.violation`
-    /// event per violation (timestamped at the violating observation) plus a
-    /// closing `audit.summary` event.
-    pub fn record_into(&self, recorder: &FlightRecorder) {
-        for v in &self.violations {
-            recorder.record(v.at_ns, "audit.violation", vec![("violation", v.to_json())]);
-        }
-        let last = self.violations.iter().map(|v| v.at_ns).max().unwrap_or(0);
-        recorder.record(
-            last,
-            "audit.summary",
-            vec![("summary", self.summary_json())],
-        );
     }
 }
 
@@ -643,6 +615,7 @@ impl ShadowAuditor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::export::ArtifactWriter;
     use crate::trace::{Evidence, HopStamp};
 
     fn ev(op: EvidenceOp, role: HopRole, ok: bool, fp: u32, session: u64, seq: u64) -> Evidence {
@@ -819,8 +792,6 @@ mod tests {
         let report = audit(&[clipped], &Journal::new(), &AuditConfig::default());
         assert!(report.is_clean(), "{:?}", report.violations);
         assert_eq!((report.writes, report.checked, report.truncated), (1, 0, 1));
-        let summary = report.summary_json();
-        assert_eq!(summary.get("truncated").and_then(Json::as_f64), Some(1.0));
     }
 
     #[test]
@@ -884,12 +855,13 @@ mod tests {
     fn violations_dump_through_the_flight_recorder() {
         let traces = vec![write_trace(1, 7, 1000, 1, 2), read_trace(2, 7, 2000, 1)];
         let report = audit(&traces, &Journal::new(), &AuditConfig::default());
-        let recorder = FlightRecorder::new(16);
-        report.record_into(&recorder);
-        let text = recorder.to_jsonl();
-        assert!(text.contains("\"kind\":\"audit.violation\""));
+        let mut dump = ArtifactWriter::flight("audit");
+        for v in &report.violations {
+            dump.record("violation", vec![("violation", v.to_json())]);
+        }
+        let text = dump.to_jsonl();
+        assert!(text.starts_with("{\"record\":\"violation\""));
         assert!(text.contains("\"stale-read\""));
-        assert!(text.contains("\"kind\":\"audit.summary\""));
         let line = text.lines().next().unwrap();
         let parsed = Json::parse(line).unwrap();
         assert_eq!(

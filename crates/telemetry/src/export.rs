@@ -4,8 +4,9 @@
 //! Every experiment bin emits one `BENCH_<name>.jsonl` file — one JSON
 //! object per line, each line a self-describing record (`"record"` key names
 //! its kind) — so perf can be tracked and diffed across PRs with ordinary
-//! text tooling. The output directory is `$NETCHAIN_ARTIFACT_DIR` when set,
-//! else the current directory.
+//! text tooling. A flight dump, `FLIGHT_<name>.jsonl`, is the same format
+//! under another prefix. The output directory is `$NETCHAIN_ARTIFACT_DIR`
+//! when set, else the current directory.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -611,36 +612,29 @@ pub fn artifact_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("."))
 }
 
-/// Writes `contents` as `file_name` into [`artifact_dir`], creating the
-/// directory if it is not there yet (a failure's evidence must not depend on
-/// someone having run `mkdir` first), and returns the path. Errors are
-/// reported, not fatal: a read-only filesystem must not fail the run the
-/// artifact documents.
-pub(crate) fn write_artifact(file_name: &str, contents: &str) -> Option<PathBuf> {
-    let dir = artifact_dir();
-    let path = dir.join(file_name);
-    match fs::create_dir_all(&dir).and_then(|()| fs::write(&path, contents)) {
-        Ok(()) => Some(path),
-        Err(e) => {
-            eprintln!("warning: could not write {}: {e}", path.display());
-            None
-        }
-    }
-}
-
 /// Accumulates JSON-lines records for one run and writes them as
-/// `BENCH_<name>.jsonl`.
+/// `BENCH_<name>.jsonl`, or as `FLIGHT_<name>.jsonl` for a flight dump: the
+/// file name is the only difference, so one reader reads both.
 #[derive(Debug)]
 pub struct ArtifactWriter {
-    name: String,
+    file_name: String,
     records: Vec<Json>,
 }
 
 impl ArtifactWriter {
-    /// Starts an artifact named `name` (file: `BENCH_<name>.jsonl`).
+    /// Starts a run artifact named `name` (file: `BENCH_<name>.jsonl`).
     pub fn new(name: impl Into<String>) -> Self {
         ArtifactWriter {
-            name: name.into(),
+            file_name: format!("BENCH_{}.jsonl", name.into()),
+            records: Vec::new(),
+        }
+    }
+
+    /// Starts a flight dump named `name` (file: `FLIGHT_<name>.jsonl`): the
+    /// evidence a run leaves when something goes wrong in it.
+    pub fn flight(name: impl Into<String>) -> Self {
+        ArtifactWriter {
+            file_name: format!("FLIGHT_{}.jsonl", name.into()),
             records: Vec::new(),
         }
     }
@@ -672,21 +666,28 @@ impl ArtifactWriter {
         out
     }
 
-    /// Writes `BENCH_<name>.jsonl` into [`artifact_dir`] (created if missing),
-    /// returning the path. Errors are reported, not fatal.
+    /// Writes the file into [`artifact_dir`], creating the directory if it is
+    /// not there yet (a failure's evidence must not depend on someone having
+    /// run `mkdir` first), and returns the path. Errors are reported, not
+    /// fatal: a read-only filesystem must not fail the run the artifact
+    /// documents.
     pub fn write(&self) -> Option<PathBuf> {
-        write_artifact(&format!("BENCH_{}.jsonl", self.name), &self.to_jsonl())
+        let dir = artifact_dir();
+        let path = dir.join(&self.file_name);
+        match fs::create_dir_all(&dir).and_then(|()| fs::write(&path, self.to_jsonl())) {
+            Ok(()) => Some(path),
+            Err(e) => {
+                eprintln!("warning: could not write {}: {e}", path.display());
+                None
+            }
+        }
     }
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::hist::LatencyHistogram;
-
-    /// `NETCHAIN_ARTIFACT_DIR` is process-wide and tests run on parallel
-    /// threads: every test that sets it holds this lock meanwhile.
-    pub(crate) static ARTIFACT_ENV: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn json_rendering() {
@@ -873,7 +874,8 @@ pub(crate) mod tests {
 
     #[test]
     fn artifact_writes_to_env_dir() {
-        let _env = ARTIFACT_ENV.lock().unwrap_or_else(|e| e.into_inner());
+        // The one test in this crate that sets `NETCHAIN_ARTIFACT_DIR`, which
+        // is process-wide.
         let root =
             std::env::temp_dir().join(format!("netchain-telemetry-test-{}", std::process::id()));
         // A directory nobody has created yet, as on a fresh CI checkout.
@@ -888,6 +890,15 @@ pub(crate) mod tests {
         assert!(path.starts_with(&dir));
         let read = std::fs::read_to_string(&path).unwrap();
         assert_eq!(read, "{\"record\":\"summary\",\"x\":1}\n");
+        // A flight dump is the same file under another prefix.
+        std::env::set_var("NETCHAIN_ARTIFACT_DIR", &dir);
+        let mut dump = ArtifactWriter::flight("env-test");
+        dump.record("summary", vec![("x", Json::U64(1))]);
+        let flight = dump.write();
+        std::env::remove_var("NETCHAIN_ARTIFACT_DIR");
+        let flight = flight.expect("the dump lands beside the artifact");
+        assert_eq!(flight, dir.join("FLIGHT_env-test.jsonl"));
+        assert_eq!(std::fs::read_to_string(&flight).unwrap(), read);
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -18,12 +18,9 @@
 //! * [`journal`] — a general control-plane phase/span recorder
 //!   ([`Journal`]) generalising livectl's `FailoverTimeline`.
 //! * [`export`] — a dependency-free JSON tree ([`Json`]) and JSON-lines
-//!   [`ArtifactWriter`] producing `BENCH_<name>.jsonl` run artifacts.
-//! * [`window`] — per-shard rolling windows of slice-aligned counters
-//!   ([`RollingWindow`], [`WindowRegistry`]) feeding live dashboards and the
-//!   gray-failure detector.
-//! * [`flight`] — a bounded [`FlightRecorder`] ring of recent events, dumped
-//!   to the artifact dir (`FLIGHT_<name>.jsonl`) on anomaly or smoke failure.
+//!   [`ArtifactWriter`] producing `BENCH_<name>.jsonl` run artifacts, and
+//!   `FLIGHT_<name>.jsonl` dumps of the same records when something went
+//!   wrong.
 //! * [`audit`] — the chain auditor: reconstructs per-key version histories
 //!   from [`trace::Evidence`]-carrying traces plus the [`Journal`] and checks
 //!   chain-replication invariants (monotone replicas, head→tail order, read
@@ -32,26 +29,20 @@
 
 pub mod audit;
 pub mod export;
-pub mod flight;
 pub mod hist;
 pub mod journal;
 pub mod metrics;
 pub mod trace;
-pub mod window;
 
 pub use audit::{audit, AuditConfig, AuditReport, ShadowAuditor, Violation, ViolationKind};
 pub use export::{
     artifact_dir, journal_from_json, trace_from_json, trace_record_fields, ArtifactWriter, Json,
     TRACE_SCHEMA,
 };
-pub use flight::FlightRecorder;
 pub use hist::{HistBucket, HistSnapshot, LatencyHistogram, Quantiles};
 pub use journal::{Journal, Span, SpanHandle};
 pub use metrics::TimeSeries;
 pub use trace::{
     ip_to_string, key_fingerprint, merge_traces, path_to_string, trace_id, Evidence, EvidenceOp,
     HopRole, HopStamp, PacketTrace, TraceConfig, TraceSink, TraceSummary,
-};
-pub use window::{
-    RollingWindow, SliceCounters, WindowChannel, WindowRegistry, ALL_CHANNELS, WINDOW_CHANNELS,
 };

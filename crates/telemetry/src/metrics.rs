@@ -1,8 +1,8 @@
 //! A time-bucketed event series.
 
 /// Counts events into fixed-width time buckets (nanosecond timestamps) and
-/// reports per-bucket rates. This is the engine behind both the simulator's
-/// `ThroughputSeries` and livectl's live rate slices.
+/// reports per-bucket rates: the simulated clients' throughput series
+/// (Figure 10) and livectl's live rate slices.
 #[derive(Debug, Clone)]
 pub struct TimeSeries {
     bucket_ns: u64,
@@ -17,11 +17,6 @@ impl TimeSeries {
             bucket_ns,
             buckets: Vec::new(),
         }
-    }
-
-    /// Bucket width in nanoseconds.
-    pub fn bucket_ns(&self) -> u64 {
-        self.bucket_ns
     }
 
     /// Records `n` events at time `at_ns`.
@@ -40,11 +35,6 @@ impl TimeSeries {
         self.record_n(at_ns, 1);
     }
 
-    /// Total events recorded.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
     /// Raw per-bucket counts.
     pub fn counts(&self) -> &[u64] {
         &self.buckets
@@ -58,16 +48,6 @@ impl TimeSeries {
             .enumerate()
             .map(|(i, &c)| (i as f64 * width_s, c as f64 / width_s))
             .collect()
-    }
-
-    /// Average rate (events per second) over `[0, end_ns]`.
-    pub fn average_rate(&self, end_ns: u64) -> f64 {
-        let secs = end_ns as f64 / 1e9;
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.total() as f64 / secs
-        }
     }
 
     /// Merges another series (same bucket width) into this one.
@@ -96,13 +76,18 @@ mod tests {
         s.record(400_000_000);
         s.record(1_700_000_000);
         s.record_n(2_100_000_000, 10);
-        assert_eq!(s.total(), 13);
+        assert_eq!(s.counts().iter().sum::<u64>(), 13);
         let series = s.rate_series();
         assert_eq!(series.len(), 3);
         assert_eq!(series[0], (0.0, 2.0));
         assert_eq!(series[1], (1.0, 1.0));
         assert_eq!(series[2], (2.0, 10.0));
-        assert!((s.average_rate(13_000_000_000) - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-zero")]
+    fn zero_bucket_width_rejected() {
+        TimeSeries::new(0);
     }
 
     #[test]
