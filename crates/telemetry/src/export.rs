@@ -872,10 +872,13 @@ mod tests {
         assert!(lines[1].starts_with(r#"{"record":"latency""#));
     }
 
+    /// `NETCHAIN_ARTIFACT_DIR` is process-wide and tests run on parallel
+    /// threads: every test that sets it holds this lock meanwhile.
+    static ARTIFACT_ENV: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn artifact_writes_to_env_dir() {
-        // The one test in this crate that sets `NETCHAIN_ARTIFACT_DIR`, which
-        // is process-wide.
+        let _env = ARTIFACT_ENV.lock().unwrap_or_else(|e| e.into_inner());
         let root =
             std::env::temp_dir().join(format!("netchain-telemetry-test-{}", std::process::id()));
         // A directory nobody has created yet, as on a fresh CI checkout.
@@ -890,15 +893,28 @@ mod tests {
         assert!(path.starts_with(&dir));
         let read = std::fs::read_to_string(&path).unwrap();
         assert_eq!(read, "{\"record\":\"summary\",\"x\":1}\n");
-        // A flight dump is the same file under another prefix.
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn flight_dump_writes_to_artifact_dir() {
+        let _env = ARTIFACT_ENV.lock().unwrap_or_else(|e| e.into_inner());
+        let root =
+            std::env::temp_dir().join(format!("netchain-flight-test-{}", std::process::id()));
+        // The monitor dumps on the first anomaly of a run, before anything
+        // else has had a reason to create the directory.
+        let dir = root.join("not/yet");
+        assert!(!dir.exists());
         std::env::set_var("NETCHAIN_ARTIFACT_DIR", &dir);
-        let mut dump = ArtifactWriter::flight("env-test");
-        dump.record("summary", vec![("x", Json::U64(1))]);
-        let flight = dump.write();
+        let mut dump = ArtifactWriter::flight("test");
+        dump.record("anomaly", vec![("shard", Json::U64(2))]);
+        let path = dump.write();
         std::env::remove_var("NETCHAIN_ARTIFACT_DIR");
-        let flight = flight.expect("the dump lands beside the artifact");
-        assert_eq!(flight, dir.join("FLIGHT_env-test.jsonl"));
-        assert_eq!(std::fs::read_to_string(&flight).unwrap(), read);
+        let path = path.expect("the dump creates its directory");
+        assert_eq!(path, dir.join("FLIGHT_test.jsonl"));
+        // A flight dump is a run artifact under another prefix.
+        let read = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(read, "{\"record\":\"anomaly\",\"shard\":2}\n");
         let _ = std::fs::remove_dir_all(&root);
     }
 }
