@@ -195,7 +195,7 @@ pub fn run_live(config: FabricConfig, workload: WorkloadSpec) -> FabricReport {
                 loop {
                     // No client ever leaves with replies pending here, so a
                     // full reply ring is always worth waiting for.
-                    if port.pump(&mut shard, |_| false).frames > 0 {
+                    if port.pump(&mut shard, |_| false) > 0 {
                         continue;
                     }
                     if done.load(Ordering::Acquire) == num_clients && port.is_drained() {

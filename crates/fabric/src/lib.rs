@@ -32,9 +32,12 @@
 //!   written once per hop. The loops that do so ([`pump`]) are shared by
 //!   every live driver.
 //! * **Batching everywhere**: frames are pulled in bursts (default 32),
-//!   chains execute in waves, each packet stepped where it lies by
-//!   [`netchain_switch::NetChainSwitch::handle_hashed`], and replies are emitted through [`netchain_wire::BatchEncoder`] into one
-//!   contiguous buffer.
+//!   chains execute in waves, each owned packet stepped where it lies, in
+//!   its slot of the shard's packet slab, by
+//!   [`netchain_switch::NetChainSwitch::handle_hashed`], and replies are
+//!   emitted through [`netchain_wire::BatchEncoder`] into one contiguous
+//!   buffer. A hosted switch's address resolves through the shard's route
+//!   table in one load.
 //! * **Zero-copy parsing**: shards decode queries with
 //!   [`netchain_wire::PacketView`], which validates once and reads fields in
 //!   place; the read fast path allocates nothing on parse.
@@ -73,7 +76,7 @@ pub mod stats;
 pub use fabric::{build_shards, pin_thread, run_live, FabricConfig};
 pub use frame::{Frame, MAX_FRAME_LEN};
 pub use loadgen::{ClientState, DrawnOp, WorkloadSpec};
-pub use pump::{connect, ClientPass, ClientPort, ShardPort, ShardRound};
+pub use pump::{connect, ClientPass, ClientPort, ShardPort};
 pub use ring::{ring as spsc_ring, Consumer, Producer};
 pub use shard::{client_id_of, shard_of_group, shard_of_key, Shard};
 pub use stats::{ClientReport, FabricReport, ShardStats, ShardStatsCell};

@@ -73,31 +73,15 @@ pub struct ShardPort {
     burst: usize,
 }
 
-/// What one [`ShardPort::pump`] round moved.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShardRound {
-    /// Query frames taken off the ingress rings.
-    pub frames: u64,
-    /// Replies generated (all written to the egress rings unless their
-    /// reader was gone).
-    pub replies: u64,
-    /// The largest burst any one ingress ring yielded.
-    pub peak_burst: u64,
-}
-
 impl ShardPort {
     /// One round over every client: processes up to a burst of queries out
     /// of each ingress ring, in place, and writes the replies into the
     /// matching egress ring, published once per burst. While an egress ring
     /// is full the pump yields and retries, unless `reader_gone(client)`
     /// says nobody will drain it any more, in which case the rest of that
-    /// burst's replies are dropped.
-    pub fn pump(
-        &mut self,
-        shard: &mut Shard,
-        mut reader_gone: impl FnMut(usize) -> bool,
-    ) -> ShardRound {
-        let mut round = ShardRound::default();
+    /// burst's replies are dropped. Returns the query frames it took.
+    pub fn pump(&mut self, shard: &mut Shard, mut reader_gone: impl FnMut(usize) -> bool) -> u64 {
+        let mut frames = 0;
         for (c, (ingress, egress)) in self.ingress.iter_mut().zip(&mut self.egress).enumerate() {
             let queries = ingress.run(self.burst);
             let got = queries.len();
@@ -109,9 +93,7 @@ impl ShardPort {
             // The burst is fully executed: give the slots back before
             // (possibly) waiting on the reply ring.
             ingress.release(got);
-            round.frames += got as u64;
-            round.peak_burst = round.peak_burst.max(got as u64);
-            round.replies += self.replies.len() as u64;
+            frames += got as u64;
             'replies: for reply in self.replies.frames() {
                 let slot = loop {
                     if let Some(slot) = egress.reserve() {
@@ -131,7 +113,7 @@ impl ShardPort {
             }
             egress.publish();
         }
-        round
+        frames
     }
 
     /// True if every ingress ring is empty at the moment of the check.

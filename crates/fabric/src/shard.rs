@@ -19,14 +19,19 @@
 //! The first wave runs as an explicit **staged pipeline**
 //! ([`Shard::process_burst`]): validate+parse a chunk of up to
 //! [`BATCH_WIDTH`] frames branch-free into a structure-of-arrays scratch,
-//! batch-hash all keys, probe the destination switches' indexes with the
-//! precomputed hashes, then execute — read queries whose probe succeeded
-//! answer straight from the register arrays without ever materialising an
-//! owned packet. Every other packet is materialised once, out of the packet
-//! pool, and from then on is stepped where it lies: it **carries the stage-2
-//! hash of its key** through every hop of its chain, so the index match, the
-//! failover-rule scopes and the trace fingerprints of all three hops of a
-//! write consume one hash. The pre-staging scalar parse is kept as
+//! batch-hash all keys, probe each eligible read's slot in frame order with
+//! its precomputed hash, then execute — those reads answer straight from the
+//! register arrays without ever materialising an owned packet. A hosted
+//! address resolves to its replica through the shard's **route table** in
+//! one load (the software analogue of a Tofino's exact-match next hop),
+//! which also says whether the replica is live and whether it holds any
+//! failover rule, so neither the fast-lane test nor a wave group scans
+//! anything. Every other packet is materialised once, into a slot of the
+//! packet slab, and from then on is stepped where it lies: a wave moves its
+//! slot, its current destination and the **stage-2 hash of its key** through
+//! every hop of its chain, so the index match, the failover-rule scopes and
+//! the trace fingerprints of all three hops of a write consume one hash and
+//! the packet is never copied. The pre-staging scalar parse is kept as
 //! [`Shard::process_burst_scalar`], the semantic baseline the staged path is
 //! differentially tested against.
 //!
@@ -59,14 +64,15 @@
 //!   `ControlOp::Import` on the replacement, the same calls the simulator's
 //!   switch agent makes.
 //!
-//! ## The packet pool
+//! ## The packet slab
 //!
-//! Parsing recycles [`NetChainPacket`] buffers through a small pool
-//! ([`netchain_wire::PacketPool`]): the chain list and value vectors of a
-//! retired packet are refilled in place for the next frame, and the switch
-//! program rewrites them in place (a reply clears the chain list and reuses
-//! the value buffer), so the write path allocates nothing per packet (reads
-//! never did).
+//! Owned [`NetChainPacket`](netchain_wire::NetChainPacket)s live in a slab
+//! ([`netchain_wire::PacketPool`]): a packet is materialised into a slot and
+//! stays there for its whole chain, stepped in place by the switch program (a
+//! reply clears the chain list and reuses the value buffer), while the waves
+//! carry its `u32` slot. A retired slot goes on a free list, and the next
+//! frame refills its chain list and value vectors in place, so the write path
+//! allocates nothing per packet (reads never did).
 
 use crate::stats::ShardStats;
 use netchain_core::failplan::Target;
@@ -80,8 +86,7 @@ use netchain_telemetry::{
     key_fingerprint, trace_id, Evidence, EvidenceOp, HopRole, PacketTrace, TraceConfig, TraceSink,
 };
 use netchain_wire::{
-    BatchEncoder, BatchView, Ipv4Addr, Key, NetChainPacket, OpCode, PacketPool, PacketView, Value,
-    BATCH_WIDTH,
+    BatchEncoder, BatchView, Ipv4Addr, Key, OpCode, PacketPool, PacketView, Value, BATCH_WIDTH,
 };
 
 /// The steering rule, in one place: `key`'s virtual group modulo the shard
@@ -114,65 +119,58 @@ pub struct Shard {
     id: usize,
     num_shards: usize,
     ring: HashRing,
-    /// The hosted replicas as one small dense table (ring members, then
-    /// spares): `ips[i]` addresses `switches[i]`, resolved by comparing a
-    /// handful of addresses rather than hashing one.
-    ips: Vec<Ipv4Addr>,
+    /// The hosted replicas (ring members, then spares).
     switches: Vec<NetChainSwitch>,
     /// Switches the fault injector killed: no longer addressable; their
     /// replica state is frozen as of the kill (fail-stop).
     failed: Vec<bool>,
-    /// Index of the lowest-IP live, active switch; kept current by the
-    /// control-plane hooks that can change it.
+    /// Every hosted address's [`Route`], open-addressed from the address's
+    /// low byte: a power of two at least twice the hosted count, so most
+    /// lookups are one load and every probe run ends at an empty entry.
+    routes: Box<[Option<Route>]>,
+    /// Index of the lowest-IP live, active switch.
     gateway: Option<usize>,
     stats: ShardStats,
     /// Scratch: the wave being executed and the one its survivors form
     /// (reused across bursts).
     wave: Vec<Lane>,
     next_wave: Vec<Lane>,
-    /// Retired packets whose allocations the parse path reuses.
+    /// The owned packets in flight, and the retired slots the parse paths
+    /// refill.
     pool: PacketPool,
-    /// Staged-pipeline scratch: the stage-3 probe inputs gathered per
-    /// destination switch, and the per-lane probe results scattered back.
-    probe_keys: Vec<Key>,
-    probe_hashes: Vec<u64>,
-    probe_lanes: Vec<usize>,
-    probe_out: Vec<Option<usize>>,
     /// In-band per-hop trace stamping, when enabled. `None` keeps the data
     /// plane exactly as before: one branch per wave group and nothing else.
     tracer: Option<ShardTracer>,
 }
 
-/// One in-flight item of a wave.
+/// What the data path needs to know about one hosted address. Only the
+/// control-plane hooks change any of it, and they rebuild the whole table
+/// ([`Shard::refresh_routes`]).
+#[derive(Clone, Copy)]
+struct Route {
+    ip: Ipv4Addr,
+    /// The replica's index in `Shard::switches`.
+    index: u16,
+    /// Not killed and active: the replica executes what is addressed to it.
+    live: bool,
+    /// The replica holds at least one failover rule.
+    ruled: bool,
+}
+
+/// One in-flight item of a wave, with where it is addressed.
 enum Lane {
     /// A first-wave read riding the fast lane: just its lane index into the
-    /// chunk's parsed batch (the frame stays where it is) and where it is
-    /// addressed.
+    /// chunk's parsed batch (the frame stays where it is).
     Fast { lane: usize, dst: Ipv4Addr },
-    /// Anything else: a packet materialised through the pool, stepped in
-    /// place hop after hop together with its key's stable hash.
-    Owned {
-        pkt: NetChainPacket,
-        hash: u64,
-        /// Set when a hop forwards the packet on, i.e. it joins the next
-        /// wave; otherwise it retires into the pool when its wave ends.
-        forwarded: bool,
-    },
+    /// Anything else: the slab slot of a packet stepped in place hop after
+    /// hop, its current destination and its key's stable hash.
+    Owned { slot: u32, dst: Ipv4Addr, hash: u64 },
 }
 
 impl Lane {
-    fn owned(pkt: NetChainPacket, hash: u64) -> Self {
-        Lane::Owned {
-            pkt,
-            hash,
-            forwarded: false,
-        }
-    }
-
     fn dst(&self) -> Ipv4Addr {
-        match self {
-            Lane::Fast { dst, .. } => *dst,
-            Lane::Owned { pkt, .. } => pkt.ip.dst,
+        match *self {
+            Lane::Fast { dst, .. } | Lane::Owned { dst, .. } => dst,
         }
     }
 }
@@ -210,29 +208,28 @@ impl Shard {
         spares: &[Ipv4Addr],
     ) -> Self {
         assert!(num_shards > 0 && id < num_shards);
-        let ips: Vec<Ipv4Addr> = ring.switches().iter().chain(spares).copied().collect();
+        let switches: Vec<NetChainSwitch> = (ring.switches().iter().chain(spares))
+            .map(|&ip| NetChainSwitch::new(ip, pipeline))
+            .collect();
+        assert!(
+            switches.len() <= usize::from(u16::MAX),
+            "routes index switches by u16"
+        );
         let mut shard = Shard {
             id,
             num_shards,
             ring,
-            switches: ips
-                .iter()
-                .map(|&ip| NetChainSwitch::new(ip, pipeline))
-                .collect(),
-            failed: vec![false; ips.len()],
-            ips,
+            failed: vec![false; switches.len()],
+            routes: vec![None; (2 * switches.len()).next_power_of_two().max(256)].into(),
+            switches,
             gateway: None,
             stats: ShardStats::default(),
             wave: Vec::with_capacity(BATCH_WIDTH),
             next_wave: Vec::new(),
             pool: PacketPool::new(),
-            probe_keys: Vec::new(),
-            probe_hashes: Vec::new(),
-            probe_lanes: Vec::new(),
-            probe_out: Vec::new(),
             tracer: None,
         };
-        shard.refresh_gateway();
+        shard.refresh_routes();
         shard
     }
 
@@ -295,9 +292,22 @@ impl Shard {
         }
     }
 
-    /// Where `ip`'s replica sits in the dense table, dead or alive.
+    /// `ip`'s route, if this shard hosts it.
+    fn route(&self, ip: Ipv4Addr) -> Option<Route> {
+        let mask = self.routes.len() - 1;
+        let mut at = usize::from(ip.0[3]);
+        loop {
+            let route = self.routes[at & mask]?;
+            if route.ip == ip {
+                return Some(route);
+            }
+            at += 1;
+        }
+    }
+
+    /// Where `ip`'s replica sits in `switches`, dead or alive.
     fn index_of(&self, ip: Ipv4Addr) -> Option<usize> {
-        self.ips.iter().position(|&hosted| hosted == ip)
+        self.route(ip).map(|r| usize::from(r.index))
     }
 
     /// Read access to a switch replica (differential tests, experiments).
@@ -311,7 +321,7 @@ impl Shard {
 
     /// The switch IPs this shard hosts.
     pub fn switch_ips(&self) -> impl Iterator<Item = Ipv4Addr> + '_ {
-        self.ips.iter().copied()
+        self.switches.iter().map(NetChainSwitch::ip)
     }
 
     // ---- Control-plane hooks (the live controller's verbs) ----
@@ -334,7 +344,7 @@ impl Shard {
                 self.switches[i].wipe();
                 self.switches[i].set_active(false);
             }
-            self.refresh_gateway();
+            self.refresh_routes();
         }
     }
 
@@ -376,24 +386,53 @@ impl Shard {
                 }
             }
         }
-        self.refresh_gateway();
+        self.refresh_routes();
     }
 
-    /// Recomputes the shard's gateway: the lowest-IP live, active switch.
-    /// It plays the ToR switch's role for packets addressed to a dead device
-    /// — its rule table decides their fate. Only a kill or an (de)activation
-    /// can change it; control ops are rare enough to recompute after each.
-    fn refresh_gateway(&mut self) {
-        self.gateway = (0..self.ips.len())
-            .filter(|&i| !self.failed[i] && self.switches[i].is_active())
-            .min_by_key(|&i| self.ips[i]);
+    /// Rebuilds what the control plane can change about routing: the route
+    /// table (a kill, a revival, an (de)activation or a rule change) and the
+    /// gateway, the lowest-IP live, active switch, which plays the ToR
+    /// switch's role for packets addressed to a dead device — its rule table
+    /// decides their fate. This is the only writer of either; control ops
+    /// are rare enough to rebuild after each.
+    fn refresh_routes(&mut self) {
+        self.routes.fill(None);
+        let mask = self.routes.len() - 1;
+        for (i, (switch, &failed)) in self.switches.iter().zip(&self.failed).enumerate() {
+            let ip = switch.ip();
+            let mut at = usize::from(ip.0[3]);
+            while self.routes[at & mask].is_some() {
+                at += 1;
+            }
+            self.routes[at & mask] = Some(Route {
+                ip,
+                index: i as u16,
+                live: !failed && switch.is_active(),
+                ruled: !switch.forwarding().is_empty(),
+            });
+        }
+        self.gateway = (self.routes.iter().flatten())
+            .filter(|r| r.live)
+            .min_by_key(|r| r.ip)
+            .map(|r| usize::from(r.index));
     }
 
     /// The live, active replica addressed by `ip`, if this shard hosts one
     /// (a revived switch is neither until a repair activates it).
     fn live_index(&self, ip: Ipv4Addr) -> Option<usize> {
-        self.index_of(ip)
-            .filter(|&i| !self.failed[i] && self.switches[i].is_active())
+        (self.route(ip))
+            .filter(|r| r.live)
+            .map(|r| usize::from(r.index))
+    }
+
+    /// The replica that answers a read from `src` to `dst` on the fast lane,
+    /// if it may: `dst` is live and holds no rule for `src`, the address the
+    /// reply goes to. Rules for other destinations — the failed switch of a
+    /// failover, say — never see such a reply.
+    fn fast_lane(&self, dst: Ipv4Addr, src: Ipv4Addr) -> Option<usize> {
+        let route = self.route(dst).filter(|r| r.live)?;
+        let index = usize::from(route.index);
+        (!route.ruled || !self.switches[index].forwarding().targets(src)).then_some(index)
     }
 
     // ---- Data plane ----
@@ -409,17 +448,21 @@ impl Shard {
     ///    structure-of-arrays scratch with the fields the later stages need.
     /// 2. **Hash** — [`stable_hash_batch`] hashes every key of the chunk in
     ///    one lane-major pass. Nothing downstream hashes a key again.
-    /// 3. **Probe** — eligible read lanes are probed against their
-    ///    destination switch's index with the precomputed hashes
-    ///    (`SwitchKvStore::probe_slots`), touching the register slots so they
-    ///    are warm when stage 4 reads them. Mutations never touch the index
+    /// 3. **Probe** — in frame order, each pure read resolves its destination
+    ///    through the route table in one load; if it may take the fast lane,
+    ///    it is probed against that switch's index with its precomputed hash
+    ///    (`SwitchKvStore::probe_slot`), touching the register slot so it is
+    ///    warm when stage 4 reads it. Mutations never touch the index
     ///    (inserts/removes are control-plane only), so slots probed here stay
-    ///    correct for the whole burst.
+    ///    correct for the whole burst. Every other lane is materialised into
+    ///    a slab slot.
     /// 4. **Execute** — the wave groups run in frame order: probed reads ride
     ///    the fast lane ([`NetChainSwitch::read_reply_staged`]: the reply is
     ///    emitted straight from the query frame and the register arrays, no
-    ///    owned packet), everything else is stepped in place with its hash
-    ///    ([`NetChainSwitch::handle_hashed`]).
+    ///    owned packet), everything else is stepped in its slot with its hash
+    ///    ([`NetChainSwitch::handle_hashed`]); a wave carries only the slot,
+    ///    which joins the next wave if the hop forwards the packet and goes
+    ///    back on the slab's free list if the packet retires.
     ///
     /// Chain hops past the first wave continue through the same wave step as
     /// [`Shard::process_burst_scalar`]; semantics — per-key ordering within a
@@ -469,87 +512,38 @@ impl Shard {
             let mut hashes = [0u64; BATCH_WIDTH];
             stable_hash_batch(batch.keys(), &mut hashes);
 
-            // Stage 3: pick the fast-lane reads and probe their slots. A lane
-            // is eligible iff the switch would run exactly `process_read`
-            // followed by an unobstructed reply bounce: a pure read query
-            // (no carried value, so no recirculation accounting) addressed
-            // to a live, active switch holding no rule for the address the
-            // reply goes to (the querying client). Rules for other
-            // destinations — the failed switch of a failover, say — never
-            // see such a packet.
+            // Stage 3, and the chunk's wave-1 items in frame order. A read
+            // takes the fast lane iff the switch would run exactly
+            // `process_read` followed by an unobstructed reply bounce: a pure
+            // read query (no carried value, so no recirculation accounting)
+            // that `fast_lane` lets through. It is probed where it lies and
+            // stays in its frame. Everything else is materialised into the
+            // slab exactly like the scalar parse, and keeps its stage-2 hash
+            // from here on.
             let mut slots: [Option<usize>; BATCH_WIDTH] = [None; BATCH_WIDTH];
-            let mut fast: u32 = 0;
-            let mut last: Option<(u32, u32, bool)> = None;
-            for i in 0..n {
-                if !batch.is_netchain(i)
-                    || batch.op(i) != OpCode::Read.to_u8()
-                    || batch.value_len(i) != 0
-                {
-                    continue;
-                }
-                // Lanes repeating the previous (destination, client) pair
-                // reuse its verdict (bursts cluster by chain, so this
-                // collapses most lookups).
-                let (dst, src) = (batch.dst(i), batch.src(i));
-                let ok = match last {
-                    Some((d, s, ok)) if (d, s) == (dst, src) => ok,
-                    _ => self
-                        .live_index(Ipv4Addr(dst.to_be_bytes()))
-                        .map(|s| &self.switches[s])
-                        .is_some_and(|sw| !sw.forwarding().targets(Ipv4Addr(src.to_be_bytes()))),
-                };
-                last = Some((dst, src, ok));
-                if ok {
-                    fast |= 1 << i;
-                }
-            }
-            let mut pending = fast;
-            while pending != 0 {
-                let first = pending.trailing_zeros() as usize;
-                let dst_u32 = batch.dst(first);
-                self.probe_keys.clear();
-                self.probe_hashes.clear();
-                self.probe_lanes.clear();
-                self.probe_out.clear();
-                let mut rest = pending;
-                while rest != 0 {
-                    let i = rest.trailing_zeros() as usize;
-                    rest &= rest - 1;
-                    if batch.dst(i) == dst_u32 {
-                        self.probe_keys.push(batch.key(i));
-                        self.probe_hashes.push(hashes[i]);
-                        self.probe_lanes.push(i);
-                        pending &= !(1 << i);
-                    }
-                }
-                let s = self
-                    .index_of(Ipv4Addr(dst_u32.to_be_bytes()))
-                    .expect("eligibility checked above");
-                self.switches[s].kv().probe_slots(
-                    &self.probe_keys,
-                    &self.probe_hashes,
-                    &mut self.probe_out,
-                );
-                for (slot, &lane) in self.probe_out.iter().zip(&self.probe_lanes) {
-                    slots[lane] = *slot;
-                }
-            }
-
-            // Build the chunk's wave-1 items in frame order: fast-lane reads
-            // stay in their frame, everything else is materialised through
-            // the packet pool exactly like the scalar parse, and keeps its
-            // stage-2 hash from here on.
             for (i, &hash) in hashes.iter().enumerate().take(n) {
                 if !batch.is_valid(i) {
                     continue;
                 }
-                wave.push(if fast & (1 << i) != 0 {
-                    Lane::Fast {
-                        lane: i,
-                        dst: Ipv4Addr(batch.dst(i).to_be_bytes()),
-                    }
+                let dst = Ipv4Addr(batch.dst(i).to_be_bytes());
+                let read = batch.is_netchain(i)
+                    && batch.op(i) == OpCode::Read.to_u8()
+                    && batch.value_len(i) == 0;
+                let fast = if read {
+                    self.fast_lane(dst, Ipv4Addr(batch.src(i).to_be_bytes()))
                 } else {
-                    Lane::owned(self.pool.take(&bv.view(i)), hash)
+                    None
+                };
+                wave.push(match fast {
+                    Some(s) => {
+                        slots[i] = self.switches[s].kv().probe_slot(&batch.key(i), hash);
+                        Lane::Fast { lane: i, dst }
+                    }
+                    None => Lane::Owned {
+                        slot: self.pool.take(&bv.view(i)),
+                        dst,
+                        hash,
+                    },
                 });
             }
 
@@ -573,10 +567,10 @@ impl Shard {
     /// own, and runs the waves from the first hop with no fast lane. Kept as
     /// the semantic baseline the staged [`Shard::process_burst`] is
     /// differentially tested against; it lives here, not in test support,
-    /// because it needs the shard's private packet pool.
+    /// because it needs the shard's private packet slab.
     ///
-    /// Malformed frames are counted and skipped. The owned conversion reuses
-    /// pooled packet buffers ([`PacketView::to_owned_into`]), so in steady
+    /// Malformed frames are counted and skipped. The owned conversion refills
+    /// retired slab slots ([`PacketView::to_owned_into`]), so in steady
     /// state this path does not allocate at all — not even for writes.
     #[doc(hidden)]
     pub fn process_burst_scalar<'a>(
@@ -589,9 +583,10 @@ impl Shard {
             self.stats.frames_in += 1;
             match PacketView::parse(bytes) {
                 Ok(view) => {
-                    let pkt = self.pool.take(&view);
-                    let hash = pkt.netchain.key.stable_hash();
-                    self.next_wave.push(Lane::owned(pkt, hash));
+                    let slot = self.pool.take(&view);
+                    let hash = self.pool[slot].netchain.key.stable_hash();
+                    let dst = view.ip.dst;
+                    self.next_wave.push(Lane::Owned { slot, dst, hash });
                 }
                 Err(_) => self.stats.parse_errors += 1,
             }
@@ -618,8 +613,9 @@ impl Shard {
     /// Executes one wave (or one chunk's share of the first): groups the
     /// consecutive items addressed to the same switch and steps each group
     /// through that switch, where the items lie. Leaves `wave` empty:
-    /// forwarded packets move to `self.next_wave`, finished ones retire into
-    /// the pool. `chunk` is what the wave's fast lanes (if any) refer into.
+    /// forwarded packets' slots move to `self.next_wave` with their new
+    /// destination, finished ones go back to the slab. `chunk` is what the
+    /// wave's fast lanes (if any) refer into.
     fn run_wave(
         &mut self,
         wave: &mut Vec<Lane>,
@@ -633,16 +629,24 @@ impl Shard {
                 .iter()
                 .take_while(|lane| lane.dst() == dst)
                 .count();
-            let group = &mut wave[next..next + len];
+            let group = &wave[next..next + len];
             next += len;
             // A dead or absent destination hands the run to the gateway
             // switch, whose failover rules decide. No gateway (everything
             // failed) means the packets are unroutable.
-            let Some(hop) = self.live_index(dst).or(self.gateway) else {
-                self.stats.unroutable += len as u64;
-                continue;
+            let (hop, via_gateway) = match (self.live_index(dst), self.gateway) {
+                (Some(hop), _) => (hop, false),
+                (None, Some(gateway)) => (gateway, true),
+                (None, None) => {
+                    self.stats.unroutable += len as u64;
+                    for lane in group {
+                        if let Lane::Owned { slot, .. } = *lane {
+                            self.pool.put(slot);
+                        }
+                    }
+                    continue;
+                }
             };
-            let via_gateway = self.ips[hop] != dst;
             if let Some(tracer) = &mut self.tracer {
                 // One clock read per wave group, taken when its first sampled
                 // packet turns up (with uniform keys a group is a packet or
@@ -650,40 +654,41 @@ impl Shard {
                 // register read) is gathered only for packets the sink
                 // actually samples, so the common unsampled packet costs one
                 // hash + one branch.
-                let hop_ip = u32::from_be_bytes(self.ips[hop].0);
-                let mut group_at_ns = None;
                 let sw = &self.switches[hop];
-                for lane in group.iter() {
-                    let (id, evidence) = match lane {
+                let hop_ip = u32::from_be_bytes(sw.ip().0);
+                let mut group_at_ns = None;
+                for lane in group {
+                    let (id, evidence) = match *lane {
                         Lane::Fast { lane: i, .. } => {
                             let chunk = chunk.expect("fast lanes ride with their chunk");
                             let batch = chunk.frames.batch();
-                            let id = trace_id(batch.src(*i), batch.request_id(*i));
+                            let id = trace_id(batch.src(i), batch.request_id(i));
                             if !tracer.sink.samples(id) {
                                 continue;
                             }
                             // Fast-lane eligibility pinned hop == dst, so the
                             // stage-3 slot is this switch's.
                             let kv = sw.kv();
-                            let live = chunk.slots[*i].filter(|&s| kv.is_valid(s));
+                            let live = chunk.slots[i].filter(|&s| kv.is_valid(s));
                             let (session, seq) = live.map_or((0, 0), |s| kv.ordering(s));
                             let evidence = Evidence {
                                 op: EvidenceOp::Read,
                                 role: HopRole::Tail,
                                 ok: live.is_some(),
-                                key_fp: key_fingerprint(chunk.hashes[*i]),
+                                key_fp: key_fingerprint(chunk.hashes[i]),
                                 session,
                                 seq,
                             };
                             (id, Some(evidence))
                         }
-                        Lane::Owned { pkt, hash, .. } => {
+                        Lane::Owned { slot, hash, .. } => {
+                            let pkt = &self.pool[slot];
                             let id =
                                 trace_id(u32::from_be_bytes(pkt.ip.src.0), pkt.netchain.request_id);
                             if !tracer.sink.samples(id) {
                                 continue;
                             }
-                            (id, query_evidence_hashed(sw, &pkt.netchain, *hash))
+                            (id, query_evidence_hashed(sw, &pkt.netchain, hash))
                         }
                     };
                     let at_ns =
@@ -697,40 +702,43 @@ impl Shard {
             let sw = &mut self.switches[hop];
             for lane in group {
                 // The (client, request id) a reply produced here answers.
-                let replied_to = match lane {
+                let replied_to = match *lane {
                     Lane::Fast { lane: i, .. } => {
                         let chunk = chunk.expect("fast lanes ride with their chunk");
-                        sw.read_reply_staged(chunk.frames.frame(*i), chunk.slots[*i], replies);
+                        sw.read_reply_staged(chunk.frames.frame(i), chunk.slots[i], replies);
                         let batch = chunk.frames.batch();
-                        Some((batch.src(*i), batch.request_id(*i)))
+                        Some((batch.src(i), batch.request_id(i)))
                     }
-                    Lane::Owned {
-                        pkt,
-                        hash,
-                        forwarded,
-                    } => match sw.handle_hashed(pkt, *hash) {
-                        Ok(()) if pkt.netchain.op.is_reply() => {
-                            replies.push(pkt).expect("replies are bounded like queries");
-                            // Replies carry the client in `ip.dst`.
-                            Some((u32::from_be_bytes(pkt.ip.dst.0), pkt.netchain.request_id))
+                    Lane::Owned { slot, hash, .. } => {
+                        let pkt = &mut self.pool[slot];
+                        // Where the packet goes next, if anywhere.
+                        let (replied_to, onwards) = match sw.handle_hashed(pkt, hash) {
+                            Ok(()) if pkt.netchain.op.is_reply() => {
+                                replies.push(pkt).expect("replies are bounded like queries");
+                                // Replies carry the client in `ip.dst`.
+                                let client = u32::from_be_bytes(pkt.ip.dst.0);
+                                (Some((client, pkt.netchain.request_id)), None)
+                            }
+                            Ok(()) if via_gateway && pkt.ip.dst == dst => {
+                                // The gateway had no matching rule and passed
+                                // the packet through unchanged: it would sail
+                                // to the dead switch.
+                                self.stats.unroutable += 1;
+                                (None, None)
+                            }
+                            Ok(()) => (None, Some(pkt.ip.dst)),
+                            Err(reason) => {
+                                self.stats.drops += 1;
+                                self.stats.blocked += u64::from(reason == DropReason::Blocked);
+                                (None, None)
+                            }
+                        };
+                        match onwards {
+                            Some(dst) => self.next_wave.push(Lane::Owned { slot, dst, hash }),
+                            None => self.pool.put(slot),
                         }
-                        Ok(()) if via_gateway && pkt.ip.dst == dst => {
-                            // The gateway had no matching rule and passed the
-                            // packet through unchanged: it would sail to the
-                            // dead switch.
-                            self.stats.unroutable += 1;
-                            None
-                        }
-                        Ok(()) => {
-                            *forwarded = true;
-                            None
-                        }
-                        Err(reason) => {
-                            self.stats.drops += 1;
-                            self.stats.blocked += u64::from(reason == DropReason::Blocked);
-                            None
-                        }
-                    },
+                        replied_to
+                    }
                 };
                 if let Some((client, request_id)) = replied_to {
                     self.stats.replies += 1;
@@ -741,17 +749,7 @@ impl Shard {
                 }
             }
         }
-        for lane in wave.drain(..) {
-            match lane {
-                Lane::Owned {
-                    pkt,
-                    hash,
-                    forwarded: true,
-                } => self.next_wave.push(Lane::owned(pkt, hash)),
-                Lane::Owned { pkt, .. } => self.pool.put(pkt),
-                Lane::Fast { .. } => {}
-            }
-        }
+        wave.clear();
     }
 }
 
@@ -759,7 +757,7 @@ impl Shard {
 mod tests {
     use super::*;
     use netchain_switch::{FailoverAction, FailoverRule, RuleScope};
-    use netchain_wire::{OpCode, QueryStatus};
+    use netchain_wire::{NetChainPacket, OpCode, QueryStatus};
 
     fn test_ring() -> HashRing {
         HashRing::new((0..4).map(Ipv4Addr::for_switch).collect(), 8, 3, 7)
@@ -1217,5 +1215,75 @@ mod tests {
         assert_eq!(reply.netchain.value(), 5u64.to_be_bytes());
         // The spare, not the dead tail, answered.
         assert!(shard.switch(spare).unwrap().stats().reads > 0);
+    }
+
+    #[test]
+    fn routes_keep_addresses_sharing_a_low_byte_apart() {
+        // 10.0.0.1 is in the ring and 10.0.1.1 is a spare: both start their
+        // probe at the same entry of the route table.
+        let (ringed, spare) = (Ipv4Addr::for_switch(1), Ipv4Addr::for_switch(257));
+        let mut shard = Shard::with_spares(0, 1, test_ring(), PipelineConfig::tiny(64), &[spare]);
+        let live = |shard: &Shard, ip| shard.live_index(ip).map(|i| shard.switches[i].ip());
+        for ip in shard.switch_ips().collect::<Vec<_>>() {
+            assert_eq!(shard.switch(ip).map(NetChainSwitch::ip), Some(ip));
+            assert_eq!(live(&shard, ip), Some(ip));
+        }
+        // Not hosted, same low byte.
+        for stranger in [
+            Ipv4Addr::for_switch(513),
+            Ipv4Addr::for_host(1),
+            Ipv4Addr::for_shard(1),
+        ] {
+            assert!(
+                shard.switch(stranger).is_none(),
+                "{stranger:?} is not hosted"
+            );
+            assert!(!shard.named_by(stranger) && !shard.is_failed(stranger));
+        }
+        // A kill of either leaves the other addressable.
+        shard.fault(&FaultOp::Kill(ringed));
+        assert_eq!(
+            (live(&shard, ringed), live(&shard, spare)),
+            (None, Some(spare))
+        );
+        shard.fault(&FaultOp::Revive(ringed));
+        assert_eq!(
+            live(&shard, ringed),
+            None,
+            "revived switches start inactive"
+        );
+        shard.apply(Target::Switch(ringed), &ControlOp::SetActive(true));
+        shard.fault(&FaultOp::Kill(spare));
+        assert_eq!(
+            (live(&shard, ringed), live(&shard, spare)),
+            (Some(ringed), None)
+        );
+        assert!(shard.is_failed(spare) && !shard.is_failed(ringed));
+    }
+
+    #[test]
+    fn a_first_rule_for_the_reply_address_takes_reads_off_the_fast_lane() {
+        let ring = test_ring();
+        let mut shard = Shard::new(0, 1, ring.clone(), PipelineConfig::tiny(64));
+        let key = Key::from_name("redirected/reply");
+        shard.populate(key, &Value::from_u64(3));
+        // No replica held a rule before this one, and it matches the reply.
+        let elsewhere = Ipv4Addr::for_host(7);
+        install_rule(
+            &mut shard,
+            Ipv4Addr::for_host(0),
+            FailoverRule {
+                priority: 1,
+                scope: RuleScope::All,
+                action: FailoverAction::Redirect(elsewhere),
+            },
+        );
+        let mut replies = BatchEncoder::new();
+        let read = query_frame(&ring, key, OpCode::Read, Value::empty(), 1);
+        shard.process_burst(std::iter::once(read.as_slice()), &mut replies);
+        assert_eq!(replies.len(), 1);
+        let reply = PacketView::parse(replies.frame(0)).unwrap();
+        assert_eq!(reply.ip.dst, elsewhere);
+        assert_eq!(reply.netchain.value(), 3u64.to_be_bytes());
     }
 }

@@ -141,10 +141,10 @@ fn closed_loop(spec: WorkloadSpec, ops: u64, trace: Option<TraceConfig>) -> Stea
                 });
             }
         }
-        let (n, round) = allocations_in(|| shard_port.pump(&mut shard, |_| false));
+        let (n, frames) = allocations_in(|| shard_port.pump(&mut shard, |_| false));
         shard_allocs += if warm { n } else { 0 };
         assert!(
-            pass.progressed || round.frames > 0,
+            pass.progressed || frames > 0,
             "the closed loop wedged at {:?}",
             client.report()
         );
@@ -378,7 +378,7 @@ fn reads_keep_the_fast_lane_past_a_failover_rule() {
     for shard in [&mut staged, &mut scalar] {
         install(shard, client, FailoverAction::Redirect(elsewhere));
     }
-    round(&mut staged, &mut scalar); // warm-up: the packet pool fills once
+    round(&mut staged, &mut scalar); // warm-up: the packet slab grows once
     let (allocations, replies, to) = round(&mut staged, &mut scalar);
     assert_eq!(
         (allocations, replies, to),

@@ -3,15 +3,18 @@
 //! The staged path hashes a burst's keys once and lets every packet carry
 //! its hash through the index match and the rule scopes of each hop, keeps
 //! reads on the fast lane past rules that cannot touch their replies, and
-//! routes through a dense switch table with a cached gateway; the scalar
-//! path parses and hashes frame by frame and has no fast lane. Over the same
-//! seeded 50/40/10 burst stream the two must produce the same reply bytes,
-//! shard and switch counters and register state — with no rules, with a
-//! chain-failover rule, and mid-repair with a hundred group-scoped rules.
+//! routes through a route table (one load per hosted address, caching
+//! liveness and whether a switch holds rules) with a cached gateway; the
+//! scalar path parses and hashes frame by frame and has no fast lane. Over
+//! the same seeded 50/40/10 burst stream the two must produce the same reply
+//! bytes, shard and switch counters and register state — with no rules, with
+//! a chain-failover rule, mid-repair with a hundred group-scoped rules, and
+//! while a head dies, fails over, comes back and is repaired between bursts.
 //! (Debug builds also assert, at every hop, that the carried hash is the
 //! key's.)
 
 use netchain_core::failplan::{FailoverPlan, OpList, RecoveryPlan, Target};
+use netchain_core::FaultOp;
 use netchain_fabric::{build_shards, FabricConfig, Shard, WorkloadSpec};
 use netchain_switch::{cas_value, ControlOp};
 use netchain_wire::{BatchEncoder, ChainList, Ipv4Addr, Key, NetChainPacket, OpCode, Value};
@@ -118,6 +121,125 @@ fn burst_stream(config: &FabricConfig, bursts: usize, width: usize) -> Vec<Vec<V
                 .collect()
         })
         .collect()
+}
+
+/// Runs one burst through both paths and asserts that they agree: reply
+/// bytes, shard counters and every hosted switch's counters.
+fn assert_same_burst(staged: &mut Shard, scalar: &mut Shard, burst: &[Vec<u8>], context: &str) {
+    let (mut staged_replies, mut scalar_replies) = (BatchEncoder::new(), BatchEncoder::new());
+    staged.process_burst(burst.iter().map(|f| f.as_slice()), &mut staged_replies);
+    scalar.process_burst_scalar(burst.iter().map(|f| f.as_slice()), &mut scalar_replies);
+    assert!(
+        staged_replies.frames().eq(scalar_replies.frames()),
+        "{context}: reply bytes diverge"
+    );
+    assert_eq!(staged.stats(), scalar.stats(), "{context}");
+    for ip in staged.switch_ips().collect::<Vec<_>>() {
+        let (a, b) = (staged.switch(ip).unwrap(), scalar.switch(ip).unwrap());
+        assert_eq!(a.stats(), b.stats(), "{context}: switch {ip:?} counters");
+    }
+}
+
+/// What the control plane does to the victim between two phases of
+/// [`staged_matches_scalar_as_liveness_changes_between_bursts`].
+#[derive(Clone, Copy, Debug)]
+enum Change {
+    Kill,
+    Failover,
+    /// Back, empty and inactive: still not addressable.
+    Revive,
+    Block,
+    /// Import the blocked group's state, then `SetActive` and the redirect.
+    Activate,
+    Unblock,
+}
+
+#[test]
+fn staged_matches_scalar_as_liveness_changes_between_bursts() {
+    // The route table caches each replica's liveness and whether it holds a
+    // rule, and both paths route through it; so besides agreeing burst by
+    // burst, they must see each change land: the dead head frozen and its
+    // traffic unroutable until the failover rule, and the revived head
+    // serving once it is active again.
+    const PHASE: usize = 4;
+    let config = FabricConfig::new(1);
+    let spec = WorkloadSpec::mixed(KEYS, 0, 50, 40);
+    let ring = config.build_ring();
+    let victim = ring.switches()[1];
+    // The revived victim is repaired back into its own place.
+    let plan = RecoveryPlan::compute(&ring, victim, victim, Some(GROUPS), &HashSet::new());
+    let (group, donors) = (plan.steps[0].group, &plan.steps[0].donors);
+    // 48 frames: every burst crosses the staged path's 32-frame chunks.
+    let stream = burst_stream(&config, 7 * PHASE, 48);
+    let mut staged = build_shards(&config, &spec).pop().expect("one shard");
+    let mut scalar = build_shards(&config, &spec).pop().expect("one shard");
+    let (mut session, mut unblock) = (1, OpList::new());
+    let changes = [
+        Change::Kill,
+        Change::Failover,
+        Change::Revive,
+        Change::Block,
+        Change::Activate,
+        Change::Unblock,
+    ];
+    for (phase, bursts) in stream.chunks(PHASE).enumerate() {
+        let change = phase.checked_sub(1).map(|c| changes[c]);
+        let ops = match change {
+            Some(Change::Failover) => FailoverPlan::compute(&ring, victim).ops(&mut session),
+            Some(Change::Block) => plan.block_ops(0),
+            Some(Change::Activate) => {
+                // `SetActive`, the session and the redirect now; the last op
+                // lifts the block, one phase later.
+                let mut ops = plan.activate_ops(0, &mut session);
+                unblock = ops.split_off(3);
+                ops
+            }
+            Some(Change::Unblock) => std::mem::take(&mut unblock),
+            _ => OpList::new(),
+        };
+        for shard in [&mut staged, &mut scalar] {
+            match change {
+                Some(Change::Kill) => shard.fault(&FaultOp::Kill(victim)),
+                Some(Change::Revive) => shard.fault(&FaultOp::Revive(victim)),
+                Some(Change::Activate) => {
+                    for &donor in donors {
+                        let entries = shard
+                            .switch(donor)
+                            .unwrap()
+                            .kv()
+                            .export_group(group, GROUPS);
+                        shard.apply(Target::Switch(victim), &ControlOp::Import(entries));
+                    }
+                }
+                _ => {}
+            }
+            for (target, op) in &ops {
+                shard.apply(*target, op);
+            }
+        }
+        let before = (*staged.stats(), staged.switch(victim).unwrap().stats());
+        for (b, burst) in bursts.iter().enumerate() {
+            let context = format!("after {change:?}, burst {b}");
+            assert_same_burst(&mut staged, &mut scalar, burst, &context);
+        }
+        let stats = staged.stats();
+        let moved = staged.switch(victim).unwrap().stats() != before.1;
+        let down = matches!(
+            change,
+            Some(Change::Kill | Change::Failover | Change::Revive | Change::Block)
+        );
+        assert_eq!(moved, !down, "{change:?}: the victim serves iff it is live");
+        let unroutable = stats.unroutable - before.0.unroutable;
+        let unruled = matches!(change, Some(Change::Kill));
+        assert_eq!(
+            unroutable > 0,
+            unruled,
+            "{change:?}: {unroutable} unroutable"
+        );
+        if matches!(change, Some(Change::Block)) {
+            assert!(stats.blocked > before.0.blocked, "the group is blocked");
+        }
+    }
 }
 
 #[test]

@@ -372,8 +372,7 @@ pub fn run_live_observed(config: LiveConfig, cells: Arc<[ShardStatsCell]>) -> Li
                     }
                     // A client that gave up (hard stop) with its reply ring
                     // full has left its replies without a reader.
-                    let round = port.pump(&mut shard, |c| exited[c].load(Ordering::Acquire));
-                    if round.frames > 0 {
+                    if port.pump(&mut shard, |c| exited[c].load(Ordering::Acquire)) > 0 {
                         // Only a busy round moves a counter. Stores, no
                         // clock: readers time their own samples.
                         cells[s].store(shard.stats());

@@ -237,25 +237,30 @@ impl SwitchKvStore {
         copied
     }
 
-    /// Stage 3 of the staged batch pipeline: resolves the slot of every lane
-    /// through the index using **precomputed** stable hashes (see
-    /// `stable_hash_batch`), and touches each hit's ordering and length
+    /// Stage 3 of the staged batch pipeline, for one lane: resolves `key`'s
+    /// slot through the index with its **precomputed** stable hash (see
+    /// `stable_hash_batch`), and touches a hit's ordering and length
     /// registers so the slot state stage 4 executes against is cache-hot —
     /// the software analogue of a hardware prefetch. Stage 4 re-reads the
     /// registers at execution time, so interleaved mutations in the same
     /// burst observe and produce exactly the scalar path's state.
+    pub fn probe_slot(&self, key: &Key, hash: u64) -> Option<usize> {
+        let slot = self.index.lookup_with_hash(hash, key);
+        if let Some(s) = slot {
+            let meta = &self.meta[s];
+            std::hint::black_box(meta.seq ^ meta.session ^ u64::from(meta.len));
+        }
+        slot
+    }
+
+    /// [`Self::probe_slot`] for every lane of `keys`, appending to `out`.
     pub fn probe_slots(&self, keys: &[Key], hashes: &[u64], out: &mut Vec<Option<usize>>) {
         debug_assert_eq!(keys.len(), hashes.len());
-        let mut touch = 0u64;
-        for (key, &hash) in keys.iter().zip(hashes) {
-            let slot = self.index.lookup_with_hash(hash, key);
-            if let Some(s) = slot {
-                let meta = &self.meta[s];
-                touch ^= meta.seq ^ meta.session ^ u64::from(meta.len);
-            }
-            out.push(slot);
-        }
-        std::hint::black_box(touch);
+        out.extend(
+            keys.iter()
+                .zip(hashes)
+                .map(|(key, &hash)| self.probe_slot(key, hash)),
+        );
     }
 
     /// Writes a value into `slot`, splitting it across stages. Only the

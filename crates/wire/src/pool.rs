@@ -1,6 +1,6 @@
 //! Buffer-pool parse entry points: the frame-size bound every I/O buffer is
-//! sized from, and a recycling pool of owned packets for the parse paths
-//! that must materialise one.
+//! sized from, and a slab of owned packets for the parse paths that must
+//! materialise one.
 //!
 //! Both existed in spirit before — `MAX_FRAME_LEN` lived in the fabric's
 //! frame module and the recycling idiom was open-coded inside the shard —
@@ -15,6 +15,7 @@ use crate::netchain::{MAX_CHAIN_LEN, MAX_VALUE_LEN, NETCHAIN_FIXED_HEADER_LEN};
 use crate::packet::NetChainPacket;
 use crate::udp::UDP_HEADER_LEN;
 use crate::view::PacketView;
+use std::ops::{Index, IndexMut};
 
 /// Maximum serialized size of a NetChain packet: Ethernet + IPv4 + UDP + the
 /// fixed header + a full 16-hop chain + a maximum 128-byte value (273 bytes).
@@ -27,71 +28,76 @@ pub const MAX_FRAME_LEN: usize = ETHERNET_HEADER_LEN
     + MAX_CHAIN_LEN * 4
     + MAX_VALUE_LEN;
 
-/// A bounded pool of retired [`NetChainPacket`]s whose heap allocations (the
-/// chain list and value vectors) are refilled in place by the next parse.
+/// A slab of owned [`NetChainPacket`]s, addressed by a `u32` slot.
 ///
-/// [`PacketPool::take`] converts a [`PacketView`] into an owned packet,
-/// reusing a retired packet's buffers when one is available
-/// ([`PacketView::to_owned_into`]); [`PacketPool::put`] retires a packet back
-/// into the pool, silently dropping it once the pool is full. In steady state
-/// a parse-execute-retire loop allocates nothing — not even for writes.
-#[derive(Debug)]
+/// [`PacketPool::take`] materialises a [`PacketView`] into a slot, and the
+/// packet stays there, stepped in place through `pool[slot]`, until
+/// [`PacketPool::put`] retires the slot: whoever carries it moves four bytes,
+/// never the packet. A retired slot keeps its packet's heap allocations (the
+/// chain list and value vectors) and is the next one taken, refilled in place
+/// ([`PacketView::to_owned_into`]). The slab grows to the most packets ever
+/// held at once and no further, so in steady state a parse-execute-retire
+/// loop allocates nothing — not even for writes.
+#[derive(Debug, Default)]
 pub struct PacketPool {
-    pool: Vec<NetChainPacket>,
-    max: usize,
+    slots: Vec<NetChainPacket>,
+    /// Retired slots, the last retired on top.
+    free: Vec<u32>,
 }
 
 impl PacketPool {
-    /// Default retention bound: a burst in flight needs at most the burst
-    /// width of packets plus the replies being encoded, so this is generous.
-    pub const DEFAULT_MAX: usize = 256;
-
-    /// A pool retaining up to [`Self::DEFAULT_MAX`] retired packets.
+    /// An empty slab.
     pub fn new() -> Self {
-        Self::with_max(Self::DEFAULT_MAX)
+        Self::default()
     }
 
-    /// A pool retaining up to `max` retired packets.
-    pub fn with_max(max: usize) -> Self {
-        PacketPool {
-            pool: Vec::new(),
-            max,
-        }
-    }
-
-    /// Materialises `view` as an owned packet, recycling a retired packet's
-    /// allocations when one is pooled.
-    pub fn take(&mut self, view: &PacketView<'_>) -> NetChainPacket {
-        match self.pool.pop() {
-            Some(mut recycled) => {
-                view.to_owned_into(&mut recycled);
-                recycled
+    /// Materialises `view` into a slot, recycling the last retired one when
+    /// there is one, and returns the slot.
+    pub fn take(&mut self, view: &PacketView<'_>) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                view.to_owned_into(&mut self.slots[slot as usize]);
+                slot
             }
-            None => view.to_owned(),
+            None => {
+                self.slots.push(view.to_owned());
+                (self.slots.len() - 1) as u32
+            }
         }
     }
 
-    /// Retires `pkt` for reuse; dropped if the pool is already full.
-    pub fn put(&mut self, pkt: NetChainPacket) {
-        if self.pool.len() < self.max {
-            self.pool.push(pkt);
-        }
+    /// Retires `slot`: its packet is dead, its buffers wait for the next
+    /// [`Self::take`].
+    pub fn put(&mut self, slot: u32) {
+        debug_assert!(
+            (slot as usize) < self.slots.len(),
+            "slot {slot} never taken"
+        );
+        self.free.push(slot);
     }
 
-    /// Retired packets currently held.
+    /// Slots in the slab, held or retired.
     pub fn len(&self) -> usize {
-        self.pool.len()
+        self.slots.len()
     }
 
-    /// True if no retired packets are held.
+    /// True if nothing was ever taken.
     pub fn is_empty(&self) -> bool {
-        self.pool.is_empty()
+        self.slots.is_empty()
     }
 }
 
-impl Default for PacketPool {
-    fn default() -> Self {
-        Self::new()
+impl Index<u32> for PacketPool {
+    type Output = NetChainPacket;
+
+    fn index(&self, slot: u32) -> &NetChainPacket {
+        &self.slots[slot as usize]
+    }
+}
+
+impl IndexMut<u32> for PacketPool {
+    fn index_mut(&mut self, slot: u32) -> &mut NetChainPacket {
+        &mut self.slots[slot as usize]
     }
 }
 
@@ -136,27 +142,67 @@ mod tests {
 
     #[test]
     fn take_recycles_and_matches_to_owned() {
-        let mut pool = PacketPool::with_max(4);
+        let mut pool = PacketPool::new();
         let a = sample(64, 1).to_bytes();
-        let b = sample(8, 2).to_bytes();
+        // A read with no chain and no value: whatever `a` left in the slot's
+        // buffers must be gone.
+        let b = NetChainPacket::query(
+            Ipv4Addr::for_host(2),
+            40_001,
+            Ipv4Addr::for_switch(3),
+            OpCode::Read,
+            Key::from_u64(2),
+            Value::empty(),
+            ChainList::new(Vec::new()).unwrap(),
+            2,
+        )
+        .to_bytes();
         let view_a = PacketView::parse(&a).unwrap();
         let view_b = PacketView::parse(&b).unwrap();
-        let pkt_a = pool.take(&view_a);
-        assert_eq!(pkt_a, view_a.to_owned());
-        pool.put(pkt_a);
+        let slot_a = pool.take(&view_a);
+        assert_eq!(pool[slot_a], view_a.to_owned());
+        pool.put(slot_a);
+        let slot_b = pool.take(&view_b);
+        assert_eq!(slot_b, slot_a, "the retired slot is recycled");
         assert_eq!(pool.len(), 1);
-        // The recycled buffers must not leak the previous packet's contents.
-        let pkt_b = pool.take(&view_b);
-        assert!(pool.is_empty());
-        assert_eq!(pkt_b, view_b.to_owned());
+        assert_eq!(pool[slot_b], view_b.to_owned());
     }
 
     #[test]
-    fn put_beyond_max_drops() {
-        let mut pool = PacketPool::with_max(2);
-        for i in 0..5 {
-            pool.put(sample(0, i));
+    fn a_slot_put_back_is_the_next_taken() {
+        let mut pool = PacketPool::new();
+        let bytes: Vec<Vec<u8>> = (0..4).map(|i| sample(8, i).to_bytes()).collect();
+        let views: Vec<PacketView> = bytes
+            .iter()
+            .map(|b| PacketView::parse(b).unwrap())
+            .collect();
+        let slots: Vec<u32> = views[..3].iter().map(|v| pool.take(v)).collect();
+        assert_eq!(slots, [0, 1, 2]);
+        pool.put(slots[1]);
+        let again = pool.take(&views[3]);
+        assert_eq!(again, slots[1]);
+        assert_eq!(pool[again], views[3].to_owned());
+        // The untouched neighbours still hold their own packets.
+        assert_eq!(pool[slots[0]], views[0].to_owned());
+        assert_eq!(pool[slots[2]], views[2].to_owned());
+    }
+
+    #[test]
+    fn a_steady_take_put_loop_never_grows_the_slab() {
+        let mut pool = PacketPool::new();
+        let bytes: Vec<Vec<u8>> = (0..3)
+            .map(|i| sample(16 * i, i as u64).to_bytes())
+            .collect();
+        let views: Vec<PacketView> = bytes
+            .iter()
+            .map(|b| PacketView::parse(b).unwrap())
+            .collect();
+        for round in 0..1_000 {
+            let slots: Vec<u32> = views.iter().map(|v| pool.take(v)).collect();
+            for &slot in slots.iter().rev() {
+                pool.put(slot);
+            }
+            assert_eq!(pool.len(), views.len(), "round {round}");
         }
-        assert_eq!(pool.len(), 2);
     }
 }

@@ -178,7 +178,7 @@ impl<'a> NetChainView<'a> {
 
     /// Writes the view into an existing [`NetChainHeader`], reusing its chain
     /// and value allocations. Steady state allocates nothing at all, even for
-    /// writes — this is the arena fast path the fabric's packet pool uses.
+    /// writes — this is how the fabric's packet slab refills a retired slot.
     /// The result is identical to [`Self::to_owned`].
     pub fn write_into(&self, out: &mut NetChainHeader) {
         out.op = self.op();
