@@ -6,9 +6,10 @@
 //! slots are frames that live as long as the ring, each starting on a cache
 //! line: a producer encodes straight into the next free slot
 //! ([`Frame::encode_with`] / [`Frame::set_bytes`] touch only the bytes of the
-//! packet, never the whole 273), and the consumer parses straight out of it
-//! with the zero-copy [`netchain_wire::PacketView`] — the rings never touch
-//! the allocator and a packet's bytes are written once per hop.
+//! packet, never the whole 273), and the consumer reads straight out of it
+//! (a shard with [`netchain_wire::BatchView`], a client with
+//! [`netchain_wire::NetChainView::of_frame`]) — the rings never touch the
+//! allocator and a packet's bytes are written once per hop.
 
 use netchain_wire::{NetChainPacket, WireError, WireResult};
 

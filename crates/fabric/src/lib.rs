@@ -38,9 +38,10 @@
 //!   emitted through [`netchain_wire::BatchEncoder`] into one contiguous
 //!   buffer. A hosted switch's address resolves through the shard's route
 //!   table in one load.
-//! * **Zero-copy parsing**: shards decode queries with
-//!   [`netchain_wire::PacketView`], which validates once and reads fields in
-//!   place; the read fast path allocates nothing on parse.
+//! * **Zero-copy parsing**: after one [`netchain_wire::validate_frame`],
+//!   shards read queries in place through [`netchain_wire::BatchView`] and
+//!   clients replies through [`netchain_wire::NetChainView::of_frame`],
+//!   both pinned to the layered [`netchain_wire::PacketView::parse`].
 //! * **Closed-loop load generation** ([`loadgen`]): clients reuse
 //!   [`netchain_core::AgentCore`] — the same sans-IO agent the simulator and
 //!   UDP deployments use — for packet construction, reply matching and

@@ -6,7 +6,9 @@
 //! read/write/CAS op mix. Clients are *closed loop*: each keeps a bounded
 //! window of queries outstanding and only issues a new one when a reply
 //! retires an old one, the standard way to measure a service's sustainable
-//! rate without open-loop overload artefacts.
+//! rate without open-loop overload artefacts. A reply is read as a shard
+//! reads a query: one `validate_frame`, then only the NetChain header, where
+//! it lies ([`NetChainView::of_frame`]).
 
 use crate::stats::ClientReport;
 use netchain_core::{AgentConfig, AgentCore, ChainDirectory, HashRing, KeyLocus, KvOp, OpRef};
@@ -14,7 +16,7 @@ use netchain_sim::SimTime;
 use netchain_telemetry::{
     key_fingerprint, trace_id, Evidence, HistSnapshot, HopRole, PacketTrace, TraceConfig, TraceSink,
 };
-use netchain_wire::{Ipv4Addr, Key, NetChainPacket, OpCode, PacketView, QueryStatus};
+use netchain_wire::{Ipv4Addr, Key, NetChainPacket, NetChainView, OpCode, QueryStatus};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -371,11 +373,10 @@ impl ClientState {
     /// returns `true` if it matched an outstanding query. The reply is
     /// matched where it lies: nothing of it is copied.
     pub fn absorb_reply_at(&mut self, now: SimTime, frame: &[u8]) -> bool {
-        let Ok(view) = PacketView::parse(frame) else {
+        let Some(reply) = NetChainView::of_frame(frame) else {
             return false;
         };
-        let reply = &view.netchain;
-        let Some(done) = self.agent.on_reply_view(now, reply) else {
+        let Some(done) = self.agent.on_reply_view(now, &reply) else {
             return false;
         };
         self.report.completed += 1;
@@ -492,5 +493,30 @@ mod tests {
         assert_eq!(issued.len(), 4);
         assert_eq!(client.outstanding(), 4);
         assert!(!client.is_done());
+    }
+
+    #[test]
+    fn absorb_refuses_malformed_replies_and_counts_a_duplicate_once() {
+        let mut client = ClientState::new(2, &ring(), WorkloadSpec::uniform_read(16, 10));
+        let mut pkt = client.issue_at(SimTime::ZERO);
+        pkt.make_reply(pkt.ip.dst, QueryStatus::Ok);
+        let reply = pkt.to_bytes();
+
+        let mut bad_checksum = reply.clone();
+        bad_checksum[14 + 10] ^= 0x01; // the IPv4 header checksum
+        let truncated = &reply[..reply.len() - 1];
+        let mut query_op = reply.clone();
+        query_op[14 + 20 + 8] = OpCode::Read.to_u8(); // the NetChain opcode
+        for frame in [&bad_checksum[..], truncated, &query_op[..]] {
+            assert!(!client.absorb_reply_at(SimTime(1), frame));
+            assert_eq!(client.report().completed, 0);
+            assert_eq!(client.agent_stats().stale_replies, 0);
+        }
+
+        assert!(client.absorb_reply_at(SimTime(1), &reply));
+        assert_eq!(client.report().completed, 1);
+        assert!(!client.absorb_reply_at(SimTime(2), &reply));
+        assert_eq!(client.report().completed, 1);
+        assert_eq!(client.agent_stats().stale_replies, 1);
     }
 }

@@ -14,7 +14,9 @@
 //!   exactly the same validation as the owned parsers (including the IPv4
 //!   checksum), so `parse-view then to_owned` and `parse-owned` accept the
 //!   same byte strings and produce equal headers — a property pinned down by
-//!   `tests/proptest_view.rs`.
+//!   `tests/proptest_view.rs`. [`PacketView::parse`] decodes layer by layer
+//!   and is the reference for the readers that run one [`validate_frame`] and
+//!   then read at fixed offsets: [`BatchView`] and [`NetChainView::of_frame`].
 //! * [`BatchEncoder`] — appends whole packets back-to-back into one reusable
 //!   buffer, so a burst of replies costs at most one (amortised) allocation
 //!   instead of one `Vec` per packet.
@@ -80,6 +82,27 @@ impl<'a> NetChainView<'a> {
             },
             needed,
         ))
+    }
+
+    /// The NetChain header of a whole frame: one [`validate_frame`], then the
+    /// header where it lies, with no L2–L4 decode. Equal to
+    /// `PacketView::parse(frame).ok().map(|v| v.netchain)`.
+    #[inline]
+    pub fn of_frame(frame: &'a [u8]) -> Option<Self> {
+        validate_frame(frame).then(|| Self::in_valid_frame(frame))
+    }
+
+    /// The header of a frame [`validate_frame`] admitted, read unchecked.
+    #[inline]
+    fn in_valid_frame(frame: &'a [u8]) -> Self {
+        let chain_len = usize::from(frame[NC_OFF + 36]);
+        let value_len = usize::from(u16::from_be_bytes([frame[NC_OFF + 37], frame[NC_OFF + 38]]));
+        let needed = NETCHAIN_FIXED_HEADER_LEN + chain_len * 4 + value_len;
+        NetChainView {
+            buf: &frame[NC_OFF..NC_OFF + needed],
+            chain_len,
+            value_len,
+        }
     }
 
     /// The operation / reply code.
@@ -557,19 +580,11 @@ impl<'s, 'a> BatchView<'s, 'a> {
             length: u16::from_be_bytes([b[UDP_OFF + 4], b[UDP_OFF + 5]]),
             checksum: u16::from_be_bytes([b[UDP_OFF + 6], b[UDP_OFF + 7]]),
         };
-        let chain_len = usize::from(b[NC_OFF + 36]);
-        let value_len = usize::from(u16::from_be_bytes([b[NC_OFF + 37], b[NC_OFF + 38]]));
-        let needed = NETCHAIN_FIXED_HEADER_LEN + chain_len * 4 + value_len;
-        let netchain = NetChainView {
-            buf: &b[NC_OFF..NC_OFF + needed],
-            chain_len,
-            value_len,
-        };
         PacketView {
             eth,
             ip,
             udp,
-            netchain,
+            netchain: NetChainView::in_valid_frame(b),
         }
     }
 }

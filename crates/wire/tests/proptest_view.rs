@@ -5,7 +5,8 @@
 //! the owned parse exactly. The same equivalence is pinned for the staged
 //! batch parser ([`BatchView`] / [`validate_frame`]): its branch-free
 //! accept-set and its structure-of-arrays lanes must match the scalar
-//! [`PacketView`] on every frame, well-formed or not.
+//! [`PacketView`] on every frame, well-formed or not, and so must the
+//! client's reply reader, [`NetChainView::of_frame`].
 
 use netchain_wire::{
     validate_frame, BatchView, ChainList, Ipv4Addr, Key, NetChainHeader, NetChainPacket,
@@ -213,6 +214,28 @@ proptest! {
     #[test]
     fn validate_frame_matches_scalar_parse(frame in arb_frame()) {
         prop_assert_eq!(validate_frame(&frame), PacketView::parse(&frame).is_ok());
+    }
+
+    /// The client's reply reader is the layered parser's NetChain view:
+    /// `NetChainView::of_frame` accepts a frame iff `PacketView::parse`
+    /// does, and then every accessor agrees.
+    #[test]
+    fn of_frame_matches_scalar_parse(frame in arb_frame()) {
+        let fast = NetChainView::of_frame(&frame);
+        let layered = PacketView::parse(&frame);
+        prop_assert_eq!(fast.is_some(), layered.is_ok());
+        if let (Some(fast), Ok(layered)) = (fast, layered) {
+            let slow = layered.netchain;
+            prop_assert_eq!(fast.op(), slow.op());
+            prop_assert_eq!(fast.status(), slow.status());
+            prop_assert_eq!(fast.session(), slow.session());
+            prop_assert_eq!(fast.seq(), slow.seq());
+            prop_assert_eq!(fast.request_id(), slow.request_id());
+            prop_assert_eq!(fast.key(), slow.key());
+            prop_assert!(fast.hops().eq(slow.hops()));
+            prop_assert_eq!(fast.value(), slow.value());
+            prop_assert_eq!(fast.wire_len(), slow.wire_len());
+        }
     }
 
     /// The batch parser agrees with the scalar parser lane by lane on mixed
