@@ -112,10 +112,8 @@ pub fn audit_file(path: &Path, config: &AuditConfig) -> Result<FileAudit, String
                 doc.get("ops").and_then(Json::as_u64).unwrap_or(0);
         } else if record == "spans" {
             if let Some(j) = doc.get("journal") {
-                merge_journal(
-                    &mut runs.entry(label.to_string()).or_default().journal,
-                    &journal_from_json(j),
-                );
+                let journal = &mut runs.entry(label.to_string()).or_default().journal;
+                journal.extend(&journal_from_json(j));
             }
         }
     }
@@ -131,20 +129,6 @@ pub fn audit_file(path: &Path, config: &AuditConfig) -> Result<FileAudit, String
         malformed,
         runs,
     })
-}
-
-fn merge_journal(into: &mut Journal, from: &Journal) {
-    for i in from.instants() {
-        into.instant(&i.name, i.at_ns);
-    }
-    for s in from.spans() {
-        match s.end_ns {
-            Some(end) => into.span(&s.name, s.start_ns, end),
-            None => {
-                into.begin(&s.name, s.start_ns);
-            }
-        }
-    }
 }
 
 /// True for file names the auditor considers run artifacts.

@@ -11,7 +11,7 @@
 //! it lies ([`NetChainView::of_frame`]).
 
 use crate::stats::ClientReport;
-use netchain_core::{AgentConfig, AgentCore, ChainDirectory, HashRing, KeyLocus, KvOp, OpRef};
+use netchain_core::{AgentConfig, AgentCore, ChainDirectory, HashRing, KeyLocus, OpRef};
 use netchain_sim::SimTime;
 use netchain_telemetry::{
     key_fingerprint, trace_id, Evidence, HistSnapshot, HopRole, PacketTrace, TraceConfig, TraceSink,
@@ -40,11 +40,6 @@ pub struct WorkloadSpec {
     pub ops_per_client: u64,
     /// PRNG seed (each client derives its own stream from this).
     pub seed: u64,
-    /// Hot-key skew: key of rank `k` is drawn with probability
-    /// ∝ 1/(k+1)^s. `0.0` (the default) keeps exact uniform sampling —
-    /// same PRNG draws, bit-identical op streams to the pre-skew workloads;
-    /// `0.99` is the YCSB-style zipfian the paper's skewed experiments use.
-    pub zipf_exponent: f64,
 }
 
 impl WorkloadSpec {
@@ -57,7 +52,6 @@ impl WorkloadSpec {
             window: 64,
             ops_per_client,
             seed: 0x6661_6272_6963, // "fabric"
-            zipf_exponent: 0.0,
         }
     }
 
@@ -70,37 +64,6 @@ impl WorkloadSpec {
             ..Self::uniform_read(num_keys, ops_per_client)
         }
     }
-
-    /// Returns a copy with zipfian hot-key skew of exponent `s` (`0.0`
-    /// restores uniform sampling).
-    pub fn with_skew(mut self, s: f64) -> Self {
-        assert!(s >= 0.0 && s.is_finite(), "skew exponent must be finite");
-        self.zipf_exponent = s;
-        self
-    }
-}
-
-/// The cumulative distribution of zipfian key ranks, normalised to end at
-/// 1.0. Empty for uniform workloads, in which case sampling takes the exact
-/// pre-skew PRNG path.
-fn build_zipf_cdf(spec: &WorkloadSpec) -> Vec<f64> {
-    if spec.zipf_exponent == 0.0 {
-        return Vec::new();
-    }
-    assert!(
-        spec.num_keys <= (1 << 24),
-        "zipfian sampling tabulates the CDF; cap the keyspace"
-    );
-    let mut cdf = Vec::with_capacity(spec.num_keys as usize);
-    let mut acc = 0.0f64;
-    for k in 0..spec.num_keys {
-        acc += 1.0 / ((k + 1) as f64).powf(spec.zipf_exponent);
-        cdf.push(acc);
-    }
-    for c in &mut cdf {
-        *c /= acc;
-    }
-    cdf
 }
 
 /// One operation drawn from the workload mix ([`ClientState::draw`]): wire
@@ -139,8 +102,6 @@ pub struct ClientState {
     agent: AgentCore,
     rng: ChaCha8Rng,
     spec: WorkloadSpec,
-    /// Tabulated zipfian CDF (empty for uniform workloads).
-    zipf_cdf: Vec<f64>,
     /// Monotonically increasing write payloads, so every write is distinct.
     write_counter: u64,
     report: ClientReport,
@@ -169,7 +130,6 @@ impl ClientState {
             id,
             agent: AgentCore::new(config, directory),
             rng: ChaCha8Rng::seed_from_u64(spec.seed ^ (u64::from(id) << 32)),
-            zipf_cdf: build_zipf_cdf(&spec),
             spec,
             write_counter: 0,
             report: ClientReport::default(),
@@ -203,9 +163,9 @@ impl ClientState {
     }
 
     /// Takes only the traces *completed* since the last call, leaving open
-    /// ones accumulating. This is the live feed for the shadow auditor: a
-    /// completed client fragment carries the issue and ack evidence the
-    /// online freshness check needs.
+    /// ones accumulating. A live client drains these at its retry-poll
+    /// cadence, so its fragments (the issue and ack evidence the audit's
+    /// freshness check needs) outlast the sink's `max_traces` cap.
     pub fn take_finished_traces(&mut self) -> Vec<PacketTrace> {
         self.tracer
             .as_mut()
@@ -259,18 +219,11 @@ impl ClientState {
         self.agent.outstanding() < self.spec.window && self.report.issued < self.spec.ops_per_client
     }
 
-    /// Samples the next operation of the workload mix. Public so other
-    /// harnesses (the measured server baseline, the live failover runner)
-    /// can draw from the *same* op stream the fabric is driven with.
-    pub fn sample_op(&mut self) -> KvOp {
-        KvOp::from_wire(self.draw().wire())
-    }
-
     /// Draws the next operation of the workload mix without issuing it:
     /// nothing on the heap, and the key hashed once for everything
     /// downstream. Pair every draw with one [`Self::issue_drawn`].
     pub fn draw(&mut self) -> DrawnOp {
-        let key = Key::from_u64(self.sample_key_rank());
+        let key = Key::from_u64(self.rng.gen_range(0..self.spec.num_keys));
         let dice: u8 = self.rng.gen_range(0..100u8);
         let mut value = [0u8; 16];
         let (op, value_len) = if dice < self.spec.read_pct {
@@ -291,19 +244,6 @@ impl ClientState {
             value,
             value_len,
             locus: self.agent.directory().locate(&key),
-        }
-    }
-
-    /// Draws the next key rank: the exact pre-skew uniform path when the
-    /// workload is unskewed (bit-identical PRNG draw sequence), otherwise an
-    /// inverse-CDF zipfian draw where rank 0 is the hottest key.
-    fn sample_key_rank(&mut self) -> u64 {
-        if self.zipf_cdf.is_empty() {
-            self.rng.gen_range(0..self.spec.num_keys)
-        } else {
-            let u: f64 = self.rng.gen_range(0.0..1.0);
-            let rank = self.zipf_cdf.partition_point(|&c| c <= u) as u64;
-            rank.min(self.spec.num_keys - 1)
         }
     }
 
@@ -435,48 +375,16 @@ mod tests {
         let mut client = ClientState::new(0, &ring(), spec);
         let (mut reads, mut writes, mut cas) = (0u32, 0u32, 0u32);
         for _ in 0..1_000 {
-            match client.sample_op() {
-                KvOp::Read(_) => reads += 1,
-                KvOp::Write(..) => writes += 1,
-                KvOp::Cas { .. } => cas += 1,
-                KvOp::Delete(_) => unreachable!("workloads never delete"),
+            match client.draw().op {
+                OpCode::Read => reads += 1,
+                OpCode::Write => writes += 1,
+                OpCode::Cas => cas += 1,
+                op => unreachable!("workloads never draw {op:?}"),
             }
         }
         assert!((400..600).contains(&reads), "reads: {reads}");
         assert!((200..400).contains(&writes), "writes: {writes}");
         assert!((100..300).contains(&cas), "cas: {cas}");
-    }
-
-    #[test]
-    fn zipf_skew_concentrates_on_low_ranks() {
-        let uniform = WorkloadSpec::uniform_read(100, 1_000);
-        let skewed = uniform.with_skew(1.2);
-        let mut client = ClientState::new(0, &ring(), skewed);
-        let mut counts = vec![0u32; 100];
-        const DRAWS: u32 = 10_000;
-        for _ in 0..DRAWS {
-            let rank = client.sample_key_rank();
-            assert!(rank < 100, "rank out of range: {rank}");
-            counts[rank as usize] += 1;
-        }
-        // The hottest key of a zipf(1.2) over 100 keys carries ~26% of the
-        // mass; the top ten carry ~70%. Uniform would give 1% and 10%.
-        let top1 = counts[0];
-        let top10: u32 = counts[..10].iter().sum();
-        assert!(top1 > DRAWS / 8, "rank 0 drew only {top1}/{DRAWS}");
-        assert!(top10 > DRAWS / 2, "top-10 ranks drew only {top10}/{DRAWS}");
-        // And the tail is still reachable: some draw landed past rank 10.
-        assert!(top10 < DRAWS, "tail never sampled");
-    }
-
-    #[test]
-    fn zero_skew_keeps_exact_uniform_draw_sequence() {
-        let spec = WorkloadSpec::uniform_read(100, 1_000);
-        let mut plain = ClientState::new(3, &ring(), spec);
-        let mut via_skew = ClientState::new(3, &ring(), spec.with_skew(0.0));
-        for _ in 0..256 {
-            assert_eq!(plain.sample_key_rank(), via_skew.sample_key_rank());
-        }
     }
 
     #[test]

@@ -127,6 +127,7 @@ impl GrayFailureDetector {
 mod tests {
     use super::*;
     use crate::runner::flight_dump;
+    use crate::runner::tests::ARTIFACT_ENV;
     use netchain_telemetry::Json;
     use std::collections::VecDeque;
 
@@ -177,6 +178,7 @@ mod tests {
     /// flight dump carries the history leading up to the anomaly.
     #[test]
     fn slowed_shard_is_detected_within_three_slices_with_flight_dump() {
+        let _env = ARTIFACT_ENV.lock().unwrap_or_else(|e| e.into_inner());
         let dir = std::env::temp_dir().join(format!("netchain-gray-test-{}", std::process::id()));
         std::env::set_var("NETCHAIN_ARTIFACT_DIR", &dir);
 

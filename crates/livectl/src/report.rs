@@ -1,5 +1,7 @@
-//! Reports for live-controlled runs: the time-sliced throughput series and
-//! the controller's phase timeline.
+//! Reports for live-controlled runs: the time-sliced throughput series, the
+//! controller's phase timeline, and what the run was flagged for: gray
+//! failures by the monitor while it ran, consistency violations by the one
+//! audit when it ended.
 
 use crate::detector::Anomaly;
 use netchain_core::FailoverTimeline;
@@ -8,16 +10,17 @@ use netchain_telemetry::{HistSnapshot, Journal, PacketTrace, TraceSummary, Viola
 use netchain_wire::Ipv4Addr;
 use std::time::Duration;
 
-/// Anything the live monitor flagged during the run: a statistical gray
-/// failure (one shard quietly degrading) or a consistency violation the
-/// shadow auditor caught in the sampled trace stream. Both also produce
-/// flight dumps (`FLIGHT_*.jsonl`) in the artifact dir.
+/// Anything a live run was flagged for: a statistical gray failure (one
+/// shard quietly degrading), which the monitor finds while the run goes, or
+/// a consistency violation, which [`netchain_telemetry::audit`] finds in the
+/// run's sampled traces once it has ended. Both also produce flight dumps
+/// (`FLIGHT_*.jsonl`) in the artifact dir.
 #[derive(Debug, Clone)]
 pub enum LiveAnomaly {
     /// A gray-failure verdict from the [`crate::GrayFailureDetector`].
     Gray(Anomaly),
-    /// A chain-invariant violation from the online
-    /// [`netchain_telemetry::ShadowAuditor`].
+    /// A chain-invariant violation from the end-of-run
+    /// [`netchain_telemetry::audit`] over the report's traces and journal.
     Audit(Violation),
 }
 
@@ -60,11 +63,13 @@ pub struct LiveReport {
     pub timeline: Option<FailoverTimeline>,
     /// One phase timeline per killed ring switch, in kill order.
     pub timelines: Vec<(Ipv4Addr, FailoverTimeline)>,
-    /// Everything the live monitor flagged — gray failures and shadow-audit
-    /// consistency violations (empty in a healthy run; each one also
-    /// produced a flight dump in the artifact dir).
+    /// Everything the run was flagged for — the monitor's gray failures,
+    /// then the audit's violations, exactly
+    /// `audit(&traces, &ops_journal, &AuditConfig::default()).violations`
+    /// (empty in a healthy run; each kind also produced a flight dump in the
+    /// artifact dir).
     pub anomalies: Vec<LiveAnomaly>,
-    /// One instant per anomaly the monitor flagged, and the controller's
+    /// One instant per anomaly the run was flagged for, and the controller's
     /// record of every fault op delivered and every phase of its reactions
     /// (`kill <ip>`, `fast-failover:<ip>`, `repair:<ip>`,
     /// `activate-group:<ip>:<i>`, `repair-aborted:<ip>`).

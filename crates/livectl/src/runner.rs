@@ -1,7 +1,7 @@
 //! The live-controlled fabric runner: `run_live` plus a control plane.
 //!
 //! [`run_live_controlled`] spawns the same thread-per-shard / thread-per-
-//! client deployment shape as [`netchain_fabric::run_live`], with three
+//! client deployment shape as [`netchain_fabric::run_live`], with these
 //! additions:
 //!
 //! * every shard gets a **control channel** (one SPSC ring per direction) the
@@ -20,7 +20,10 @@
 //! * a **monitor** thread watches the run through each shard's own
 //!   [`ShardStats`], which the shard publishes into a [`ShardStatsCell`] once
 //!   per busy round: it samples every cell at each slice boundary and judges
-//!   the per-shard differences with the [`GrayFailureDetector`].
+//!   the per-shard differences with the [`GrayFailureDetector`];
+//! * when the run ends, its consistency is judged **once**, by
+//!   `netchain_telemetry::audit` over the run's merged traces and its final
+//!   journal: the same judge `chain_audit` runs over an artifact.
 
 use crate::control::{self, ControlCmd, ControlEvt, Tagged};
 use crate::detector::{GrayFailureDetector, COOLDOWN};
@@ -34,11 +37,11 @@ use netchain_fabric::{
 use netchain_sim::{SimDuration, SimTime};
 use netchain_switch::ControlOp;
 use netchain_telemetry::{
-    merge_traces, ArtifactWriter, HistSnapshot, Journal, Json, PacketTrace, ShadowAuditor,
-    TimeSeries,
+    audit, merge_traces, trace_record_fields, ArtifactWriter, AuditConfig, HistSnapshot, Journal,
+    Json, PacketTrace, TimeSeries,
 };
 use netchain_wire::Ipv4Addr;
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -165,6 +168,42 @@ pub(crate) fn flight_dump(
     Some(path)
 }
 
+/// Judges a finished run once, with [`audit`] over its merged `traces` and
+/// its `journal`. Each violation becomes a [`LiveAnomaly::Audit`] and an
+/// `audit:<kind>` instant at its `at_ns`. A run with any writes
+/// `FLIGHT_livectl_audit.jsonl`: the journal as one `spans` record, one
+/// `violation` record each, and the `trace` records they cite, which is all
+/// `chain_audit` needs to find the same verdicts again.
+fn judge(traces: &[PacketTrace], journal: &mut Journal, anomalies: &mut Vec<LiveAnomaly>) {
+    let violations = audit(traces, journal, &AuditConfig::default()).violations;
+    if violations.is_empty() {
+        return;
+    }
+    for violation in &violations {
+        journal.instant(format!("audit:{}", violation.kind.label()), violation.at_ns);
+    }
+    let mut dump = ArtifactWriter::flight("livectl_audit");
+    dump.record("spans", vec![("journal", Json::from(&*journal))]);
+    for violation in &violations {
+        dump.record("violation", vec![("violation", violation.to_json())]);
+    }
+    let cited: HashSet<u64> = violations
+        .iter()
+        .flat_map(|v| v.trace_ids.clone())
+        .collect();
+    for trace in traces.iter().filter(|t| cited.contains(&t.id)) {
+        dump.record("trace", trace_record_fields(trace));
+    }
+    if let Some(path) = dump.write() {
+        let n = violations.len();
+        eprintln!(
+            "livectl: {n} audit violation(s) — flight dump at {}",
+            path.display()
+        );
+    }
+    anomalies.extend(violations.into_iter().map(LiveAnomaly::Audit));
+}
+
 /// Pushes `item` into a control ring, yielding while it is full.
 fn push_blocking<T: Send>(tx: &mut Producer<T>, mut item: T) {
     while let Err(back) = tx.push(item) {
@@ -272,12 +311,12 @@ pub fn run_live_controlled(config: LiveConfig) -> LiveReport {
 /// [`run_live_controlled`] with caller-supplied cells: every shard worker
 /// publishes its [`ShardStats`] into its cell of `cells` once per busy
 /// round, and a monitor thread runs the [`GrayFailureDetector`] over the
-/// per-slice differences of those samples **and** a [`ShadowAuditor`] over
-/// every completed trace the clients hand it, journaling anomalies and
-/// writing a flight dump (`FLIGHT_livectl_gray.jsonl`,
-/// `FLIGHT_livectl_audit.jsonl`) to the artifact dir when one fires.
-/// Consistency violations surface as [`LiveAnomaly::Audit`] entries in
-/// `LiveReport::anomalies`.
+/// per-slice differences of those samples, journaling each anomaly and
+/// writing `FLIGHT_livectl_gray.jsonl` to the artifact dir when one fires.
+/// When the run ends, [`audit`] judges its merged traces against its final
+/// journal once: each violation is a [`LiveAnomaly::Audit`] entry in
+/// `LiveReport::anomalies`, and any at all write
+/// `FLIGHT_livectl_audit.jsonl`.
 pub fn run_live_observed(config: LiveConfig, cells: Arc<[ShardStatsCell]>) -> LiveReport {
     let fabric = config.fabric;
     assert_eq!(cells.len(), fabric.num_shards, "one stats cell per shard");
@@ -300,9 +339,8 @@ pub fn run_live_observed(config: LiveConfig, cells: Arc<[ShardStatsCell]>) -> Li
         |ip| hosted(ip) || shard(ip),
         |a, b| (client(a) && shard(b)) || (shard(a) && client(b)),
     );
-    let kills: Vec<Duration> = schedule.kills().map(|(at, _)| at).collect();
     let last = (schedule.ops.last().map(|&(at, _)| at).into_iter())
-        .chain(kills.iter().map(|&at| reactions.repair_ends_at(at)))
+        .chain(schedule.kills().map(|(at, _)| reactions.repair_ends_at(at)))
         .max();
     assert!(
         last.is_none_or(|last| last < config.duration),
@@ -392,18 +430,12 @@ pub fn run_live_observed(config: LiveConfig, cells: Arc<[ShardStatsCell]>) -> Li
         shard_handles.push(handle);
     }
 
-    // Completed traces stream from the clients to the monitor's shadow
-    // auditor over an unbounded channel: clients never block on it, and the
-    // monitor drains at its own slice cadence.
-    let (audit_tx, audit_rx) = std::sync::mpsc::channel::<PacketTrace>();
-
     // Duration-driven, retrying, slice-accounting clients.
     let mut client_handles = Vec::new();
     for (c, mut port) in client_ports.into_iter().enumerate() {
         let ring_clone = ring_def.clone();
         let done = Arc::clone(&done_clients);
         let exited = Arc::clone(&client_done);
-        let audit_feed = audit_tx.clone();
         let cfg = config.clone();
         port.impair(c as u32, &cfg.schedule);
         let handle = std::thread::Builder::new()
@@ -424,6 +456,7 @@ pub fn run_live_observed(config: LiveConfig, cells: Arc<[ShardStatsCell]>) -> Li
                 let slice_nanos = cfg.slice.as_nanos() as u64;
                 let mut slices = TimeSeries::new(slice_nanos);
                 let mut next_retry_poll = t0 + cfg.retry_timeout;
+                let mut traces = Vec::new();
                 loop {
                     let now = Instant::now();
                     let elapsed = now.duration_since(t0);
@@ -439,14 +472,11 @@ pub fn run_live_observed(config: LiveConfig, cells: Arc<[ShardStatsCell]>) -> Li
                         slices.record_n(elapsed.as_nanos() as u64, pass.completed);
                     }
                     let mut progressed = pass.progressed;
-                    // Retransmission timers, and a trace hand-off to the
-                    // shadow auditor at the same cadence (a closed channel
-                    // just means the monitor has already gone home).
+                    // Retransmission timers, and at the same cadence the
+                    // completed traces move out of the capped sink.
                     if now >= next_retry_poll {
                         next_retry_poll = now + cfg.retry_timeout / 2;
-                        for trace in client.take_finished_traces() {
-                            let _ = audit_feed.send(trace);
-                        }
+                        traces.append(&mut client.take_finished_traces());
                         progressed |= port.retransmit(&mut client, clock());
                     }
                     if now >= deadline && client.outstanding() == 0 && !port.has_parked() {
@@ -463,56 +493,29 @@ pub fn run_live_observed(config: LiveConfig, cells: Arc<[ShardStatsCell]>) -> Li
                 }
                 exited[c].store(true, Ordering::Release);
                 done.fetch_add(1, Ordering::Release);
-                // Final drain: everything that completed since the last poll
-                // still reaches the auditor; what's left in `take_traces` is
-                // the open (never-acked) remainder.
-                for trace in client.take_finished_traces() {
-                    let _ = audit_feed.send(trace);
-                }
-                let latency = client.latency_snapshot();
-                let traces = client.take_traces();
-                (client.report(), slices, latency, traces)
+                // What completed since the last poll, then the open
+                // (never-acked) remainder.
+                traces.append(&mut client.take_traces());
+                (client.report(), slices, client.latency_snapshot(), traces)
             })
             .expect("spawn client thread");
         client_handles.push(handle);
     }
-    // The clients hold the only senders now; the channel closes itself once
-    // the last one exits.
-    drop(audit_tx);
 
     // The monitor: samples every shard's counters at each slice boundary and
     // judges the replies each served in the slice with the gray-failure
-    // detector, and runs the shadow auditor over every completed trace the
-    // clients hand it. It only loads what the shard workers store, so it
-    // never perturbs the dataplane; on an anomaly it journals the event and
-    // writes its recent samples to a flight dump in the artifact dir.
+    // detector. It only loads what the shard workers store, so it never
+    // perturbs the dataplane; on an anomaly it journals the event and writes
+    // its recent samples to a flight dump in the artifact dir.
     let monitor_stop = Arc::new(AtomicBool::new(false));
     let monitor = {
         let cells = Arc::clone(&cells);
         let stop = Arc::clone(&monitor_stop);
         let slice_nanos = config.slice.as_nanos().max(1) as u64;
-        // The transitions after a kill are consistency no-man's-land: reads
-        // issued while failover or repair rules are landing may legitimately
-        // observe either side. One window per kill, from the kill to the
-        // paced end of its repair, widened by a few retry rounds plus one
-        // slice so ops straddling the edges fall inside too.
-        let slack = config.retry_timeout * 4 + config.slice;
-        let suppress: Vec<(u64, u64)> = kills
-            .iter()
-            .map(|&at| {
-                let end = reactions.repair_ends_at(at) + slack;
-                (
-                    at.saturating_sub(slack).as_nanos() as u64,
-                    end.as_nanos() as u64,
-                )
-            })
-            .collect();
         std::thread::Builder::new()
             .name("livectl-monitor".to_string())
             .spawn(move || {
                 let mut detector = GrayFailureDetector::new(cells.len());
-                let mut shadow = ShadowAuditor::new(suppress);
-                let mut audited: Vec<PacketTrace> = Vec::new();
                 let mut journal = Journal::new();
                 let mut anomalies: Vec<LiveAnomaly> = Vec::new();
                 // One cooldown's worth of `(at_ns, ops per shard)` samples,
@@ -523,24 +526,6 @@ pub fn run_live_observed(config: LiveConfig, cells: Arc<[ShardStatsCell]>) -> Li
                 let mut filling = 0u64;
                 loop {
                     let stopping = stop.load(Ordering::Acquire);
-                    // Shadow audit first: ingest whatever completed since the
-                    // last wake-up. The traces come back out of this thread
-                    // so the report's merged trace set stays whole.
-                    while let Ok(trace) = audit_rx.try_recv() {
-                        shadow.ingest(&trace);
-                        audited.push(trace);
-                    }
-                    for violation in shadow.take_violations() {
-                        let at_ns = violation.at_ns;
-                        journal.instant(format!("audit:{}", violation.kind.label()), at_ns);
-                        let fields = vec![
-                            ("at_ns", Json::U64(at_ns)),
-                            ("violation", violation.to_json()),
-                        ];
-                        let what = violation.describe();
-                        flight_dump("livectl_audit", &recent, &what, "violation", fields);
-                        anomalies.push(LiveAnomaly::Audit(violation));
-                    }
                     // Once the slice being filled has ended, the replies each
                     // shard served since the last sample are its ops in that
                     // slice (a monitor woken late judges the slices it slept
@@ -577,7 +562,7 @@ pub fn run_live_observed(config: LiveConfig, cells: Arc<[ShardStatsCell]>) -> Li
                     let boundary = t0 + Duration::from_nanos((filling + 1) * slice_nanos);
                     std::thread::park_timeout(boundary.saturating_duration_since(Instant::now()));
                 }
-                (journal, anomalies, audited)
+                (journal, anomalies)
             })
             .expect("spawn monitor thread")
     };
@@ -615,12 +600,10 @@ pub fn run_live_observed(config: LiveConfig, cells: Arc<[ShardStatsCell]>) -> Li
     // final slice and hand back its journal.
     monitor_stop.store(true, Ordering::Release);
     monitor.thread().unpark();
-    let (mut ops_journal, anomalies, audited_traces) =
-        monitor.join().expect("monitor thread panicked");
+    let (mut ops_journal, mut anomalies) = monitor.join().expect("monitor thread panicked");
     ops_journal.extend(reactor.journal());
-    // Completed traces detoured through the auditor; fold them back in so
-    // the merged trace set is exactly what an unaudited run would report.
-    trace_fragments.extend(audited_traces);
+    let traces = merge_traces(trace_fragments);
+    judge(&traces, &mut ops_journal, &mut anomalies);
     let completed_ops: u64 = clients.iter().map(|c| c.completed).sum();
     LiveReport {
         elapsed,
@@ -631,10 +614,107 @@ pub fn run_live_observed(config: LiveConfig, cells: Arc<[ShardStatsCell]>) -> Li
         clients,
         shards: shard_stats,
         latency,
-        traces: merge_traces(trace_fragments),
+        traces,
         timeline: reactor.timelines().first().map(|(_, t)| t.clone()),
         timelines: reactor.timelines().to_vec(),
         anomalies,
         ops_journal,
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use netchain_telemetry::{
+        journal_from_json, trace_from_json, Evidence, EvidenceOp, HopRole, HopStamp, Violation,
+        ViolationKind,
+    };
+    use std::sync::Mutex;
+
+    /// `NETCHAIN_ARTIFACT_DIR` is process-wide and tests run on parallel
+    /// threads: every test of this crate that sets it holds this lock
+    /// meanwhile.
+    pub(crate) static ARTIFACT_ENV: Mutex<()> = Mutex::new(());
+
+    /// One operation on key 7, issued by the client at `at` and acked 100 ns
+    /// later carrying `acked`; the tail (and for a write the head) saw `seen`
+    /// in between.
+    fn planted(id: u64, op: EvidenceOp, at: u64, seen: u64, acked: u64) -> PacketTrace {
+        let stamp = |hop_ip, at_ns, role, seq| HopStamp {
+            hop_ip,
+            at_ns,
+            evidence: Some(Evidence {
+                op,
+                role,
+                ok: true,
+                key_fp: 7,
+                session: 0,
+                seq,
+            }),
+        };
+        let mut hops = vec![stamp(1, at, HopRole::ClientIssue, 0)];
+        if op == EvidenceOp::Write {
+            hops.push(stamp(11, at + 30, HopRole::Head, seen));
+        }
+        hops.push(stamp(13, at + 60, HopRole::Tail, seen));
+        hops.push(stamp(1, at + 100, HopRole::ClientAck, acked));
+        PacketTrace { id, hops }
+    }
+
+    #[test]
+    fn the_end_of_run_judge_flags_a_stale_read_and_dumps_what_finds_it_again() {
+        let _env = ARTIFACT_ENV.lock().unwrap_or_else(|e| e.into_inner());
+        let dir = std::env::temp_dir().join(format!("netchain-judge-test-{}", std::process::id()));
+        let dump = dir.join("FLIGHT_livectl_audit.jsonl");
+        std::env::set_var("NETCHAIN_ARTIFACT_DIR", &dir);
+        // A write acked at 1 000 ns at (0,2); a read issued at 2 000 ns that
+        // returns (0,1).
+        let traces = [
+            planted(1, EvidenceOp::Write, 900, 1, 2),
+            planted(2, EvidenceOp::Read, 2_000, 1, 1),
+        ];
+        // Under a journal span the read is suppressed: nothing is flagged,
+        // and nothing is dumped.
+        let mut spanned = Journal::new();
+        spanned.span("repair:10.0.0.1", 1_500, 3_000);
+        let mut calm = Vec::new();
+        judge(&traces, &mut spanned, &mut calm);
+        assert!(calm.is_empty(), "{calm:?}");
+        assert!(spanned.instants().is_empty() && !dump.exists());
+        // Without one it is stale.
+        let (mut journal, mut anomalies) = (Journal::new(), Vec::new());
+        judge(&traces, &mut journal, &mut anomalies);
+        std::env::remove_var("NETCHAIN_ARTIFACT_DIR");
+
+        let flagged: Vec<&Violation> = (anomalies.iter())
+            .map(|a| match a {
+                LiveAnomaly::Audit(v) => v,
+                LiveAnomaly::Gray(g) => panic!("{g:?}"),
+            })
+            .collect();
+        assert_eq!(flagged.len(), 1, "{flagged:?}");
+        assert_eq!(flagged[0].kind, ViolationKind::StaleRead);
+        let instant = journal.find_instant("audit:stale-read").expect("journaled");
+        assert_eq!(instant.at_ns, flagged[0].at_ns);
+        // The dump alone holds the verdict: decoded and judged again, it
+        // yields the same violations.
+        let (mut dumped, mut dumped_journal) = (Vec::new(), Journal::new());
+        for line in std::fs::read_to_string(&dump)
+            .expect("dump readable")
+            .lines()
+        {
+            let record = Json::parse(line).expect("one JSON object per line");
+            match record.get("record").and_then(Json::as_str) {
+                Some("trace") => dumped.push(trace_from_json(&record).expect("a trace")),
+                Some("spans") => {
+                    dumped_journal.extend(&journal_from_json(record.get("journal").unwrap()))
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(dumped.len(), 2);
+        let again = audit(&dumped, &dumped_journal, &AuditConfig::default()).violations;
+        assert_eq!(again.iter().collect::<Vec<_>>(), flagged);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

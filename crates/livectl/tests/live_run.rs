@@ -226,6 +226,14 @@ fn scripted_failure_fails_over_and_repairs_live() {
     let journal = &report.ops_journal;
     // ...and the evidence those traces carry audits clean against it.
     let verdict = audit(&report.traces, journal, &AuditConfig::default());
+    // The run was judged once, by this same audit, when it ended.
+    let flagged: Vec<_> = (report.anomalies.iter())
+        .filter_map(|a| match a {
+            LiveAnomaly::Audit(violation) => Some(violation),
+            LiveAnomaly::Gray(_) => None,
+        })
+        .collect();
+    assert_eq!(flagged, verdict.violations.iter().collect::<Vec<_>>());
     assert!(verdict.is_clean(), "{:?}", verdict.violations);
     assert!(verdict.checked > 0, "nothing was judged: {verdict:?}");
     let failover = journal

@@ -34,11 +34,10 @@
 //! offline `chain_audit` run leaves the same kind of artifact trail as a
 //! live anomaly.
 //!
-//! [`ShadowAuditor`] is the online variant: a one-pass incremental checker
-//! over *client* evidence only (issue/ack stamps), fed completed traces on
-//! the live monitor thread. It checks freshness with bounded memory and a
-//! statically-known suppression window, trading the full offline
-//! reconstruction for zero-coordination liveness.
+//! [`audit`] is the one judge. A live run calls it once, when the run ends,
+//! over the run's own merged traces and journal; `chain_audit` calls it over
+//! an artifact's. Its blind spots are stated in its [`AuditReport`]: what a
+//! journal span suppressed, and what a full shard sink left truncated.
 
 use std::collections::HashMap;
 
@@ -503,115 +502,6 @@ pub fn audit(traces: &[PacketTrace], journal: &Journal, config: &AuditConfig) ->
     report
 }
 
-/// The online shadow auditor: incremental freshness checking over *client*
-/// evidence only, with bounded memory.
-///
-/// One acked write in a [`ShadowAuditor`]'s per-key history:
-/// `(acked_at_ns, version, trace_id)`.
-type AckedWrite = (u64, (u64, u64), u64);
-
-/// Fed completed traces (in roughly completion order) on the live monitor
-/// thread. Acked-ok mutations extend the per-key history; acked-ok reads are
-/// judged against the highest version acked before they issued. Reads and
-/// writes falling inside a suppression window (the statically-known fault
-/// script envelope) are counted but not judged. Per-key history is capped:
-/// evicted entries fold into a floor so later reads are still judged against
-/// a (conservative) lower bound without unbounded growth.
-#[derive(Debug)]
-pub struct ShadowAuditor {
-    /// Inclusive `(start_ns, end_ns)` windows where verdicts are withheld.
-    suppress: Vec<(u64, u64)>,
-    /// Per-key acked writes `(acked_at, version, trace_id)`, ack order.
-    history: HashMap<u32, Vec<AckedWrite>>,
-    /// Per-key folded floor for evicted entries.
-    floor: HashMap<u32, (u64, (u64, u64))>,
-    /// Reads judged.
-    pub checked: u64,
-    /// Operations withheld (suppression window).
-    pub suppressed: u64,
-    violations: Vec<Violation>,
-}
-
-/// Retained acked writes per key before folding into the floor.
-const SHADOW_HISTORY_CAP: usize = 64;
-
-impl ShadowAuditor {
-    /// An auditor suppressing verdicts inside the given windows.
-    pub fn new(suppress: Vec<(u64, u64)>) -> Self {
-        ShadowAuditor {
-            suppress,
-            history: HashMap::new(),
-            floor: HashMap::new(),
-            checked: 0,
-            suppressed: 0,
-            violations: Vec::new(),
-        }
-    }
-
-    /// Feeds one completed trace. Traces without client evidence are
-    /// ignored.
-    pub fn ingest(&mut self, trace: &PacketTrace) {
-        let Some(op) = client_op(trace) else { return };
-        if !op.ok {
-            return;
-        }
-        if op.op.is_mutation() && op.op != EvidenceOp::Delete {
-            let entries = self.history.entry(op.key_fp).or_default();
-            entries.push((op.acked_at, op.version, op.trace_id));
-            if entries.len() > SHADOW_HISTORY_CAP {
-                let (acked_at, version, _) = entries.remove(0);
-                let floor = self.floor.entry(op.key_fp).or_insert((0, (0, 0)));
-                // Conservative fold: the floor only applies to reads issued
-                // after the *newest* evicted ack.
-                floor.0 = floor.0.max(acked_at);
-                floor.1 = floor.1.max(version);
-            }
-        } else if op.op == EvidenceOp::Read {
-            if overlaps_any(&self.suppress, op.issued_at, op.acked_at) {
-                self.suppressed += 1;
-                return;
-            }
-            self.checked += 1;
-            let mut expect: Option<((u64, u64), u64)> = None;
-            if let Some(entries) = self.history.get(&op.key_fp) {
-                for &(acked_at, version, trace_id) in entries {
-                    if acked_at < op.issued_at && expect.map(|(v, _)| version > v).unwrap_or(true) {
-                        expect = Some((version, trace_id));
-                    }
-                }
-            }
-            if let Some(&(floor_at, floor_v)) = self.floor.get(&op.key_fp) {
-                if floor_at < op.issued_at && expect.map(|(v, _)| floor_v > v).unwrap_or(true) {
-                    expect = Some((floor_v, 0));
-                }
-            }
-            if let Some((version, witness)) = expect {
-                if op.version < version {
-                    self.violations.push(Violation {
-                        kind: ViolationKind::StaleRead,
-                        key_fp: op.key_fp,
-                        trace_ids: vec![op.trace_id, witness],
-                        expected: version,
-                        observed: op.version,
-                        at_ns: op.acked_at,
-                        detail: "shadow auditor: read below the acked version floor".to_string(),
-                    });
-                }
-            }
-        }
-    }
-
-    /// Takes the violations found so far.
-    pub fn take_violations(&mut self) -> Vec<Violation> {
-        std::mem::take(&mut self.violations)
-    }
-
-    /// Violations currently pending.
-    pub fn pending(&self) -> usize {
-        self.violations.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -817,38 +707,6 @@ mod tests {
         let report = audit(&traces, &journal, &AuditConfig { span_slack_ns: 100 });
         assert_eq!(report.violations.len(), 1);
         assert_eq!(report.violations[0].kind, ViolationKind::LostKey);
-    }
-
-    #[test]
-    fn shadow_auditor_matches_on_client_evidence() {
-        let mut shadow = ShadowAuditor::new(vec![]);
-        shadow.ingest(&write_trace(1, 7, 1000, 1, 2));
-        shadow.ingest(&read_trace(2, 7, 2000, 2));
-        assert_eq!(shadow.pending(), 0);
-        shadow.ingest(&read_trace(3, 7, 3000, 1));
-        let violations = shadow.take_violations();
-        assert_eq!(violations.len(), 1);
-        assert_eq!(violations[0].kind, ViolationKind::StaleRead);
-        assert_eq!(violations[0].trace_ids, vec![3, 1]);
-        // Suppression window withholds the verdict.
-        let mut quiet = ShadowAuditor::new(vec![(0, 10_000)]);
-        quiet.ingest(&write_trace(1, 7, 1000, 1, 2));
-        quiet.ingest(&read_trace(3, 7, 3000, 1));
-        assert_eq!(quiet.pending(), 0);
-        assert_eq!(quiet.suppressed, 1);
-    }
-
-    #[test]
-    fn shadow_history_cap_folds_into_a_floor() {
-        let mut shadow = ShadowAuditor::new(vec![]);
-        // Push far past the cap; versions keep rising.
-        for i in 0..200u64 {
-            shadow.ingest(&write_trace(i, 7, 1_000 * i, i, i + 1));
-        }
-        // A read issued after everything returning version 1 must still be
-        // caught, even though early history was evicted.
-        shadow.ingest(&read_trace(999, 7, 1_000_000, 1));
-        assert_eq!(shadow.take_violations().len(), 1);
     }
 
     #[test]

@@ -24,8 +24,9 @@
 //! * [`audit`] — the chain auditor: reconstructs per-key version histories
 //!   from [`trace::Evidence`]-carrying traces plus the [`Journal`] and checks
 //!   chain-replication invariants (monotone replicas, head→tail order, read
-//!   freshness, durability across repair), offline ([`audit::audit`]) and
-//!   online ([`ShadowAuditor`]).
+//!   freshness, durability across repair) in one function,
+//!   [`audit::audit`], which a live run calls once when it ends and
+//!   `chain_audit` calls over an artifact.
 
 pub mod audit;
 pub mod export;
@@ -34,7 +35,7 @@ pub mod journal;
 pub mod metrics;
 pub mod trace;
 
-pub use audit::{audit, AuditConfig, AuditReport, ShadowAuditor, Violation, ViolationKind};
+pub use audit::{audit, AuditConfig, AuditReport, Violation, ViolationKind};
 pub use export::{
     artifact_dir, journal_from_json, trace_from_json, trace_record_fields, ArtifactWriter, Json,
     TRACE_SCHEMA,

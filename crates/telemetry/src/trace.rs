@@ -415,9 +415,10 @@ impl TraceSink {
     }
 
     /// Takes only the *completed* traces, leaving still-open ones in place.
-    /// This is what a live shadow consumer (the online auditor) drains
-    /// periodically: completed traces are final and safe to judge, open ones
-    /// may still gain hops.
+    /// A long-running owner drains these periodically into a store of its
+    /// own, so the sink's `max_traces` cap bounds what is held between
+    /// drains, not the run: completed traces are final, open ones may still
+    /// gain hops.
     pub fn take_finished(&mut self) -> Vec<PacketTrace> {
         std::mem::take(&mut self.done)
     }
