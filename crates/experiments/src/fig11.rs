@@ -9,9 +9,8 @@
 //! latency, so simulating them adds nothing but runtime).
 
 use crate::series::Series;
-use crate::zk;
+use crate::zk::{self, ServerCostModel};
 use netchain_apps::{TxnClient, TxnWorkload};
-use netchain_baseline::ServerCostModel;
 use netchain_core::{ClusterConfig, NetChainCluster};
 use netchain_sim::SimDuration;
 use netchain_wire::Value;

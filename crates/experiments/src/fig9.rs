@@ -5,19 +5,20 @@
 //!   NetChain lines come from the capacity model (they are client-bound at
 //!   82 MQPS on the testbed, exactly as measured in the paper), the baseline
 //!   from the calibrated analytic model.
-//! * (d) throughput vs packet loss rate — both systems measured with the
-//!   packet-level simulator at a scaled offered load; the NetChain result is
-//!   reported as goodput fraction × the loss-free plateau.
-//! * (e) latency vs throughput — both systems measured with the packet-level
-//!   simulator.
+//! * (d) throughput vs packet loss rate — NetChain simulated packet by packet
+//!   at a scaled offered load and reported as goodput fraction × the
+//!   loss-free plateau; ZooKeeper modelled by [`zk::zk_loss_qps`] (the
+//!   retransmit stalls of an in-order transport).
+//! * (e) latency vs throughput — NetChain simulated packet by packet, plus the
+//!   calibrated client-stack delay; ZooKeeper modelled by
+//!   [`zk::zk_load_point`] (server queueing below and past saturation).
 //! * (f) scalability on spine–leaf fabrics — capacity model, the same method
 //!   the paper's own §8.3 simulator uses.
 
 use crate::calib;
 use crate::capacity::CapacityModel;
 use crate::series::{print_series, Series};
-use crate::zk;
-use netchain_baseline::{BaselineCluster, BaselineConfig, BaselineWorkload, ServerCostModel};
+use crate::zk::{self, ServerCostModel};
 use netchain_core::{ClusterConfig, NetChainCluster, WorkloadConfig};
 use netchain_sim::{LinkParams, SimDuration};
 use netchain_switch::PipelineConfig;
@@ -175,9 +176,10 @@ pub fn fig9c(write_ratios: &[f64]) -> Vec<Series> {
 
 /// Figure 9(d): throughput vs packet loss rate (fraction, e.g. 0.01 = 1 %).
 ///
-/// Both systems are measured with the packet-level simulator; `sim_duration`
+/// NetChain is measured with the packet-level simulator; `sim_duration`
 /// bounds the simulated time per point (the `fig9` subcommand uses 200 ms).
 pub fn fig9d(loss_rates: &[f64], sim_duration: SimDuration) -> Vec<Series> {
+    let cost = ServerCostModel::zookeeper_calibrated();
     let mut netchain_points = Vec::new();
     let mut zookeeper_points = Vec::new();
     for &loss in loss_rates {
@@ -220,26 +222,7 @@ pub fn fig9d(loss_rates: &[f64], sim_duration: SimDuration) -> Vec<Series> {
         let plateau = calib::CLIENT_INJECTION_QPS * 4.0;
         netchain_points.push((loss * 100.0, plateau * goodput_fraction));
 
-        // --- Baseline: measured saturation throughput under loss. ---
-        let mut baseline_config = BaselineConfig::default();
-        baseline_config.clients = 4;
-        baseline_config.link = baseline_config.link.with_loss(loss);
-        let workload = BaselineWorkload {
-            duration: sim_duration,
-            rate_qps: 0.0,
-            closed_loop: 32,
-            write_ratio: 0.01,
-            num_keys: 1_000,
-            throughput_bucket: sim_duration,
-            ..Default::default()
-        };
-        let mut baseline = BaselineCluster::new(baseline_config, workload);
-        baseline.populate_store(1_000, 64);
-        baseline
-            .sim
-            .run_for(sim_duration + SimDuration::from_millis(50));
-        let completed = baseline.total_completed();
-        zookeeper_points.push((loss * 100.0, completed as f64 / sim_duration.as_secs_f64()));
+        zookeeper_points.push((loss * 100.0, zk::zk_loss_qps(&cost, loss)));
     }
     vec![
         Series::new("NetChain(4)", netchain_points),
@@ -290,54 +273,14 @@ pub fn fig9e(sim_duration: SimDuration) -> Vec<Series> {
         netchain_points.push((completed as f64 / sim_duration.as_secs_f64(), latency));
     }
 
-    // --- Baseline: drive increasing offered load and record read/write
-    // latency separately. ---
+    // --- ZooKeeper: the queueing model at increasing offered load. ---
+    let cost = ServerCostModel::zookeeper_calibrated();
     let mut zk_read_points = Vec::new();
     let mut zk_write_points = Vec::new();
     for &rate in &[1_000.0, 5_000.0, 20_000.0, 80_000.0, 200_000.0] {
-        let workload = BaselineWorkload {
-            duration: sim_duration,
-            rate_qps: rate / 4.0,
-            write_ratio: 0.1,
-            num_keys: 1_000,
-            throughput_bucket: sim_duration,
-            ..Default::default()
-        };
-        let config = BaselineConfig {
-            clients: 4,
-            ..Default::default()
-        };
-        let mut baseline = BaselineCluster::new(config, workload);
-        baseline.populate_store(1_000, 64);
-        baseline
-            .sim
-            .run_for(sim_duration + SimDuration::from_millis(50));
-        let delivered = baseline.total_completed() as f64 / sim_duration.as_secs_f64();
-        let mut read_latency = Vec::new();
-        let mut write_latency = Vec::new();
-        for i in 0..4 {
-            let client = baseline.client(i);
-            for (hist, means) in [
-                (client.read_latency(), &mut read_latency),
-                (client.write_latency(), &mut write_latency),
-            ] {
-                if hist.count() > 0 {
-                    means.push(hist.mean() / 1e3);
-                }
-            }
-        }
-        if !read_latency.is_empty() {
-            zk_read_points.push((
-                delivered,
-                read_latency.iter().sum::<f64>() / read_latency.len() as f64,
-            ));
-        }
-        if !write_latency.is_empty() {
-            zk_write_points.push((
-                delivered,
-                write_latency.iter().sum::<f64>() / write_latency.len() as f64,
-            ));
-        }
+        let (delivered, read_us, write_us) = zk::zk_load_point(&cost, rate, sim_duration);
+        zk_read_points.push((delivered, read_us));
+        zk_write_points.push((delivered, write_us));
     }
     vec![
         Series::new("NetChain (read/write)", netchain_points),

@@ -10,7 +10,7 @@
 //! evaluated:
 //!
 //! * **Packet-level discrete-event simulation** (`netchain-sim` +
-//!   `netchain-core` + `netchain-baseline`) wherever protocol dynamics matter:
+//!   `netchain-core`) wherever NetChain's protocol dynamics matter:
 //!   latency, loss and retries, failover/recovery time series, lock
 //!   contention. Rates are scaled down where the paper's absolute rates
 //!   (tens of MQPS) would be computationally meaningless to simulate packet
@@ -20,6 +20,10 @@
 //!   throughput of the testbed): it counts how many times each switch must
 //!   process a packet per query and divides the per-switch packet budget by
 //!   that load.
+//!
+//! The ZooKeeper baseline, which the paper measures as a black box, is not
+//! simulated: [`zk`] derives every ZooKeeper line in closed form from those
+//! measurements and the figure's deployment.
 //!
 //! A third kind of run is *not* a reproduction: [`net_scale`] and
 //! [`failover_live`] measure the repo's own socket dataplane and live

@@ -1,28 +1,106 @@
-//! Analytic helpers for the ZooKeeper-like baseline, used where a closed-form
-//! bound is clearer (and cheaper) than a full simulation: saturation
-//! throughput versus write ratio, and the lock-server transaction model used
-//! for the ZooKeeper line of Figure 11. The packet-level baseline simulation
-//! (`netchain-baseline`) is used wherever transport dynamics matter (loss,
-//! latency-vs-load).
+//! The ZooKeeper baseline as a model. The paper's §8 measures Apache
+//! ZooKeeper 3.5.2 as a black box, and every ZooKeeper line of the figures is
+//! a closed form over those measurements ([`ServerCostModel`]) and the
+//! figure's deployment, not a simulation:
+//!
+//! * saturation throughput versus write ratio ([`zk_saturation_qps`]:
+//!   Figure 9(a)–(c));
+//! * goodput under packet loss over an in-order retransmitting transport
+//!   ([`zk_loss_qps`]: Figure 9(d));
+//! * latency versus delivered throughput under open-loop load
+//!   ([`zk_load_point`]: Figure 9(e));
+//! * the lock-server transaction rate ([`zk_txn_throughput`]: Figure 11).
+//!
+//! `tests::fig9_points_stay_near_the_simulation_they_replace` holds every (d)
+//! and (e) point within 10 % of the packet-level ZAB simulation (a leader,
+//! quorum commit and a TCP-like transport) these formulas replace.
+//!
+//! **Finding.** The calibration meets the paper's read-only and write-only
+//! saturation and its unloaded read and write latency (the anchor tests), but
+//! at 1 % writes it gives 214.6 KQPS where the paper measured 140 KQPS
+//! ([`crate::calib::zookeeper_reference::ONE_PERCENT_WRITE_QPS`]): 53 % high.
+//! That rate is the ZooKeeper line of Figure 9(a) and 9(b). It is left as is,
+//! because recalibrating would move those figures.
 
-use netchain_baseline::ServerCostModel;
+use netchain_sim::SimDuration;
+
+/// Per-request service times of a ZooKeeper server, calibrated to the
+/// paper's measurements of ZooKeeper 3.5.2 on three 16-core servers
+/// (§8.1–§8.2):
+///
+/// * read-only throughput ≈ 230 KQPS over three servers → ≈ 13 µs of
+///   per-server service time per read;
+/// * write-only throughput ≈ 27 KQPS → ≈ 37 µs of leader service time per
+///   write (plus the quorum round);
+/// * read latency ≈ 170 µs and write latency ≈ 2350 µs at low load → fixed
+///   client-stack plus commit overheads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ServerCostModel {
+    /// CPU/IO time a server spends serving one read locally.
+    pub read_service: SimDuration,
+    /// CPU/IO time the leader spends per write (proposal creation, logging,
+    /// commit bookkeeping, reply).
+    pub leader_write_service: SimDuration,
+    /// CPU/IO time a follower spends per write (logging + ack).
+    pub follower_write_service: SimDuration,
+    /// Fixed client-side stack overhead added to every request (kernel
+    /// socket path on the client machine; NetChain avoids this with DPDK).
+    pub client_overhead: SimDuration,
+    /// Fixed extra latency of the commit path (fsync/batching delays) added
+    /// to writes beyond the quorum round trips.
+    pub commit_overhead: SimDuration,
+}
+
+impl ServerCostModel {
+    /// The ZooKeeper-3.5.2 calibration described on the type.
+    pub fn zookeeper_calibrated() -> Self {
+        ServerCostModel {
+            read_service: SimDuration::from_micros(13),
+            leader_write_service: SimDuration::from_micros(37),
+            follower_write_service: SimDuration::from_micros(15),
+            client_overhead: SimDuration::from_micros(150),
+            commit_overhead: SimDuration::from_micros(2200),
+        }
+    }
+}
+
+/// Servers in Figure 9's ensemble: the paper's three ZooKeeper machines.
+const SERVERS: f64 = 3.0;
+/// Client machines in Figure 9(d) and 9(e): the testbed's four.
+const CLIENTS: f64 = 4.0;
+/// Clients whose reads the leader serves: client `i` reads from server
+/// `i mod 3`, and the leader is server 0, so clients 0 and 3 do.
+const LEADER_READERS: f64 = 2.0;
+/// Requests each client of Figure 9(d) keeps outstanding (closed loop).
+const WINDOW: f64 = 32.0;
+/// Write share of Figure 9(d)'s load.
+const LOSS_WRITE_RATIO: f64 = 0.01;
+/// Write share of Figure 9(e)'s load.
+const LOAD_WRITE_RATIO: f64 = 0.1;
+/// One-way latency of every host-to-host link (µs).
+const LINK_US: f64 = 5.0;
+/// The transport's retransmit rule, part one: a sender looks for segments to
+/// resend once per millisecond.
+const POLL_US: f64 = 1_000.0;
+/// The retransmit rule, part two: a poll resends every unacknowledged segment
+/// at least this old. A segment lost at a random instant is therefore resent
+/// 2–3 ms later, 2.5 ms on average; one sent just after a poll, 3 ms later.
+const RTO_US: f64 = 2_000.0;
+/// How long Figure 9(e) keeps counting replies after its load stops (µs):
+/// each point runs 50 ms past its load window and divides by the window.
+const DRAIN_US: f64 = 50_000.0;
 
 /// Saturation throughput of the baseline ensemble for a given write ratio.
 ///
 /// Writes all funnel through the leader (cost `leader_write_service` each);
 /// reads spread over the ensemble (cost `read_service` each, `servers`-way
-/// parallel). The leader is the bottleneck as soon as writes appear, giving
-/// the characteristic collapse from 230 KQPS to 27 KQPS (Figure 9(c)).
+/// parallel), the leader serving its `1/servers` share of them. The leader is
+/// the bottleneck as soon as writes appear, giving the characteristic
+/// collapse from 230 KQPS to 27 KQPS (Figure 9(c)).
 pub fn zk_saturation_qps(cost: &ServerCostModel, servers: usize, write_ratio: f64) -> f64 {
-    let read_cost = cost.read_service.as_secs_f64() / servers as f64;
-    let write_cost =
-        cost.leader_write_service.as_secs_f64() + cost.follower_write_service.as_secs_f64() * 0.0; // follower work is parallel
-    let per_query = (1.0 - write_ratio) * read_cost + write_ratio * write_cost;
-    // Each write additionally occupies the leader for the read share it would
-    // otherwise serve; the leader serves 1/servers of the reads.
     let leader_per_query = (1.0 - write_ratio) * cost.read_service.as_secs_f64() / servers as f64
         + write_ratio * cost.leader_write_service.as_secs_f64();
-    1.0 / per_query.max(leader_per_query)
+    1.0 / leader_per_query
 }
 
 /// Unloaded operation latency of the baseline: reads pay one RTT plus server
@@ -37,6 +115,128 @@ pub fn zk_unloaded_latency_us(cost: &ServerCostModel, is_write: bool, rtt_us: f6
     } else {
         base
     }
+}
+
+/// Figure 9(d)'s ZooKeeper point: the goodput (QPS) of the four closed-loop
+/// clients when every link drops a `loss` share of the segments.
+///
+/// Without loss the windows keep all three servers busy, so the ensemble
+/// completes `SERVERS` over the server time one operation costs in total, and
+/// each client gets what its read server has left: a follower's client the
+/// follower less the proposals, each leader client half the leader less the
+/// writes.
+///
+/// Under loss the transport delivers in order, so a lost segment holds back
+/// every segment behind it until it is resent. A window then travels in
+/// bursts that the polls release: a burst leaves just after a poll, and the
+/// part of it at or behind its first loss waits for the poll at which that
+/// loss is `RTO_US` old, `POLL_US + RTO_US` after the burst. Each round of a
+/// window pays that wait on the `stalled_share` of both its legs (request
+/// and reply) on top of its loss-free round. Two effects of a lost
+/// retransmission (a `loss` share of the stalls) are left out, and they pull
+/// opposite ways: the part behind it waits `RTO_US` more, and the stalled
+/// leg's polls change phase, which shortens the other leg's next wait by up
+/// to a poll.
+pub fn zk_loss_qps(cost: &ServerCostModel, loss: f64) -> f64 {
+    let [read, leader_write, follower_write] = [
+        cost.read_service,
+        cost.leader_write_service,
+        cost.follower_write_service,
+    ]
+    .map(SimDuration::as_secs_f64);
+    let writes = LOSS_WRITE_RATIO;
+    let reads = 1.0 - writes;
+    let ensemble =
+        SERVERS / (reads * read + writes * (leader_write + (SERVERS - 1.0) * follower_write));
+    let follower_client = (1.0 - writes * follower_write * ensemble) / (reads * read);
+    let leader_client = (1.0 - writes * leader_write * ensemble) / (LEADER_READERS * reads * read);
+    let stall_s = 2.0 * stalled_share(loss) * (POLL_US + RTO_US) / 1e6;
+    let goodput = |loss_free: f64| WINDOW / (stall_s + WINDOW / loss_free);
+    LEADER_READERS * goodput(leader_client) + (CLIENTS - LEADER_READERS) * goodput(follower_client)
+}
+
+/// The expected share of a burst of `WINDOW` segments that sits at or behind
+/// its first loss: `1 − (1 − p)(1 − (1 − p)^W) / (W p)`.
+fn stalled_share(loss: f64) -> f64 {
+    if loss <= 0.0 {
+        return 0.0;
+    }
+    let kept = 1.0 - loss;
+    1.0 - kept * (1.0 - kept.powf(WINDOW)) / (WINDOW * loss)
+}
+
+/// One point of Figure 9(e)'s ZooKeeper lines: `offered_qps` of open-loop
+/// Poisson load, spread over the four clients, for `window`. Returns the
+/// delivered QPS and the mean read and write latency (µs), each latency the
+/// mean of the four clients' means, as the figure plots them.
+///
+/// Latency is the unloaded path (two link hops for a read; four and the
+/// follower's proposal for a write) plus the queueing at each server it
+/// visits. Below saturation each server is an M/G/1 queue
+/// (Pollaczek–Khinchine). Past it the leader's backlog grows linearly: an
+/// operation arriving at `t` waits `(ρ − 1) t`, and counts only if its reply
+/// lands before the run ends, `DRAIN_US` after the load stops.
+pub fn zk_load_point(
+    cost: &ServerCostModel,
+    offered_qps: f64,
+    window: SimDuration,
+) -> (f64, f64, f64) {
+    let [read, leader_write, follower_write, client, commit] = [
+        cost.read_service,
+        cost.leader_write_service,
+        cost.follower_write_service,
+        cost.client_overhead,
+        cost.commit_overhead,
+    ]
+    .map(SimDuration::as_micros_f64);
+    let load_us = window.as_micros_f64();
+    // Each client's reads as a share of the offered load, and arrival rates
+    // per µs.
+    let read_share = (1.0 - LOAD_WRITE_RATIO) / CLIENTS;
+    let client_reads = offered_qps * read_share / 1e6;
+    let writes = offered_qps * LOAD_WRITE_RATIO / 1e6;
+    let read_path = 2.0 * LINK_US + read + client;
+    let write_path = 4.0 * LINK_US + leader_write + follower_write + commit + client;
+
+    let leader = [
+        (LEADER_READERS * client_reads, read),
+        (writes, leader_write),
+    ];
+    let rho: f64 = leader.iter().map(|(rate, service)| rate * service).sum();
+    // Per class: the leader's mean wait and the share of the class counted.
+    let [(read_wait, read_counted), (write_wait, write_counted)] = if rho < 1.0 {
+        [(mg1_wait(&leader), 1.0); 2]
+    } else {
+        [read_path, write_path].map(|path| {
+            let cutoff = ((load_us + DRAIN_US - path) / rho).min(load_us);
+            ((rho - 1.0) * cutoff / 2.0, cutoff / load_us)
+        })
+    };
+    // A follower serves one client's reads and a proposal per write the
+    // leader gets through.
+    let follower_wait = mg1_wait(&[
+        (client_reads, read),
+        (writes * write_counted, follower_write),
+    ]);
+
+    let delivered = offered_qps
+        * ((CLIENTS - LEADER_READERS + LEADER_READERS * read_counted) * read_share
+            + LOAD_WRITE_RATIO * write_counted);
+    let read_us = read_path
+        + (LEADER_READERS * read_wait + (CLIENTS - LEADER_READERS) * follower_wait) / CLIENTS;
+    let write_us = write_path + write_wait + follower_wait;
+    (delivered, read_us, write_us)
+}
+
+/// Mean wait of an M/G/1 queue fed by Poisson classes of `(rate, service)`,
+/// each with a fixed service time (Pollaczek–Khinchine).
+fn mg1_wait(classes: &[(f64, f64)]) -> f64 {
+    let load: f64 = classes.iter().map(|(rate, service)| rate * service).sum();
+    let second: f64 = classes
+        .iter()
+        .map(|(rate, service)| rate * service * service)
+        .sum();
+    second / (2.0 * (1.0 - load))
 }
 
 /// Transaction throughput of a 2PL workload using the baseline as the lock
@@ -83,14 +283,31 @@ pub fn success_probability(clients: usize, contention_index: f64, hold_fraction:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::calib::zookeeper_reference as paper;
+
+    /// `model` within `tolerance` (a share) of the paper's `measured`.
+    fn near(model: f64, measured: f64, tolerance: f64) -> bool {
+        ((model - measured) / measured).abs() <= tolerance
+    }
 
     #[test]
     fn saturation_matches_paper_anchors() {
         let cost = ServerCostModel::zookeeper_calibrated();
         let read_only = zk_saturation_qps(&cost, 3, 0.0);
         let write_only = zk_saturation_qps(&cost, 3, 1.0);
-        assert!((200_000.0..260_000.0).contains(&read_only), "{read_only}");
-        assert!((24_000.0..30_000.0).contains(&write_only), "{write_only}");
+        // 2 %: the service times are the paper's rates rounded to whole µs.
+        assert!(near(read_only, paper::READ_ONLY_QPS, 0.02), "{read_only}");
+        assert!(
+            near(write_only, paper::WRITE_ONLY_QPS, 0.02),
+            "{write_only}"
+        );
+        // The finding in the module docs: 1 % writes come out 53 % above the
+        // paper's 140 K. A recalibration that closes the gap updates both.
+        let one_percent = zk_saturation_qps(&cost, 3, 0.01);
+        assert!(
+            near(one_percent, paper::ONE_PERCENT_WRITE_QPS * 1.53, 0.01),
+            "{one_percent}"
+        );
         // Monotone decreasing in the write ratio.
         let mut prev = read_only;
         for w in [0.01, 0.1, 0.5, 1.0] {
@@ -105,8 +322,54 @@ mod tests {
         let cost = ServerCostModel::zookeeper_calibrated();
         let read = zk_unloaded_latency_us(&cost, false, 10.0);
         let write = zk_unloaded_latency_us(&cost, true, 10.0);
-        assert!((150.0..250.0).contains(&read), "{read}");
-        assert!((2_000.0..2_700.0).contains(&write), "{write}");
+        // 5 %: the model adds a 10 µs round trip the paper's figures fold
+        // into the client stack (173 against 170, 2 420 against 2 350).
+        assert!(near(read, paper::READ_LATENCY_US, 0.05), "{read}");
+        assert!(near(write, paper::WRITE_LATENCY_US, 0.05), "{write}");
+    }
+
+    /// Figure 9(d)'s ZooKeeper line as the packet-level simulation printed
+    /// it at commit 64453d8: `(loss %, QPS)`, each the median of five
+    /// `netchain fig9 --panel d` invocations, since that simulation's
+    /// retransmission order changed from run to run.
+    const SIMULATED_LOSS: [(f64, f64); 5] = [
+        (0.001, 222_455.0),
+        (0.01, 219_815.0),
+        (0.1, 184_195.0),
+        (1.0, 81_900.0),
+        (10.0, 26_790.0),
+    ];
+
+    /// Figure 9(e)'s ZooKeeper lines at commit 64453d8, one invocation
+    /// (without loss that simulation printed the same on every run):
+    /// `(offered QPS, delivered QPS, read µs, write µs)`.
+    const SIMULATED_LOAD: [(f64, f64, f64, f64); 5] = [
+        (1_000.0, 985.0, 173.138, 2_422.100),
+        (5_000.0, 5_050.0, 173.362, 2_423.206),
+        (20_000.0, 20_345.0, 174.667, 2_424.593),
+        (80_000.0, 79_480.0, 190.393, 2_452.696),
+        (200_000.0, 161_465.0, 29_471.524, 59_898.230),
+    ];
+
+    #[test]
+    fn fig9_points_stay_near_the_simulation_they_replace() {
+        let cost = ServerCostModel::zookeeper_calibrated();
+        let close = |model: f64, simulated: f64| near(model, simulated, 0.10);
+        for (percent, simulated) in SIMULATED_LOSS {
+            let model = zk_loss_qps(&cost, percent / 100.0);
+            assert!(
+                close(model, simulated),
+                "{percent} %: {model} vs {simulated}"
+            );
+        }
+        for (offered, delivered, read, write) in SIMULATED_LOAD {
+            let point = zk_load_point(&cost, offered, SimDuration::from_millis(200));
+            let simulated = (delivered, read, write);
+            assert!(
+                close(point.0, delivered) && close(point.1, read) && close(point.2, write),
+                "{offered} QPS offered: {point:?} vs {simulated:?}"
+            );
+        }
     }
 
     #[test]

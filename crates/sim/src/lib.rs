@@ -19,8 +19,8 @@
 //!
 //! The crate knows nothing about NetChain itself: nodes implement the
 //! [`Node`] trait for an arbitrary message type implementing [`Message`], so
-//! the same simulator hosts the NetChain switches, the server-based baseline,
-//! and any ad-hoc test harness.
+//! the same simulator hosts the NetChain switches, clients and controller, and
+//! any ad-hoc test harness.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -72,12 +72,6 @@ impl LinkParams {
         self
     }
 
-    /// Returns a copy with the given one-way latency.
-    pub fn with_latency(mut self, latency: SimDuration) -> Self {
-        self.latency = latency;
-        self
-    }
-
     /// Serialization delay for a packet of `bytes` bytes.
     pub fn serialization_delay(&self, bytes: usize) -> SimDuration {
         if self.bandwidth_bps == u64::MAX {

@@ -81,7 +81,7 @@ impl fmt::Display for Ipv4Addr {
 pub enum Protocol {
     /// UDP (17) — all NetChain queries.
     Udp,
-    /// TCP (6) — used by the server-based baseline's transport emulation.
+    /// TCP (6): recognised, but no NetChain mode sends it.
     Tcp,
     /// Anything else, preserved verbatim.
     Other(u8),

@@ -6,9 +6,8 @@
 //! Run with: `cargo run --release --example lock_service`
 
 use netchain::apps::TxnWorkload;
-use netchain::baseline::ServerCostModel;
 use netchain::experiments::fig11::{netchain_txn_throughput, Fig11Params};
-use netchain::experiments::zk::zk_txn_throughput;
+use netchain::experiments::zk::{zk_txn_throughput, ServerCostModel};
 use netchain::sim::SimDuration;
 
 fn main() {

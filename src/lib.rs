@@ -10,7 +10,6 @@
 //!   program (Algorithm 1, failover rules).
 //! * [`core`] — consistent hashing, the client agent, the controller
 //!   (fast failover + failure recovery) and cluster assembly.
-//! * [`baseline`] — the ZooKeeper-like server-based baseline.
 //! * [`apps`] — locks, 2PL transactions, configuration store, barriers.
 //! * [`model`] — the bounded model checker (TLA+ appendix port).
 //! * [`net`] — the real-socket (UDP loopback) mode.
@@ -20,7 +19,8 @@
 //!   fast failover, measured chain repair).
 //! * [`telemetry`] — the observability layer: metrics, latency histograms,
 //!   in-band per-hop tracing, event journal, JSON-lines export.
-//! * [`experiments`] — the per-figure reproduction harness and the table of
+//! * [`experiments`] — the per-figure reproduction harness, the ZooKeeper
+//!   baseline as a closed-form model (`experiments::zk`), and the table of
 //!   subcommands behind the `netchain` binary (`src/main.rs`).
 //!
 //! See `examples/` for runnable walkthroughs and the README for the system
@@ -31,7 +31,6 @@
 #![forbid(unsafe_code)]
 
 pub use netchain_apps as apps;
-pub use netchain_baseline as baseline;
 pub use netchain_core as core;
 pub use netchain_experiments as experiments;
 pub use netchain_fabric as fabric;

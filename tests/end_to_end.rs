@@ -226,7 +226,7 @@ fn loopback_udp_dataplane_round_trips() {
 
 #[test]
 fn netchain_outperforms_baseline_on_identical_workload() {
-    use netchain::baseline::{BaselineCluster, BaselineConfig, BaselineWorkload};
+    use netchain::experiments::zk::{zk_saturation_qps, ServerCostModel};
     let duration = SimDuration::from_millis(100);
 
     // NetChain: one open-loop client at 400 KQPS gets everything answered
@@ -247,32 +247,13 @@ fn netchain_outperforms_baseline_on_identical_workload() {
     cluster.sim.run_for(duration + SimDuration::from_millis(10));
     let netchain_completed = cluster.workload_client(0).unwrap().agent_stats().completed;
 
-    // Baseline: closed-loop clients saturate well below that.
-    // Baseline: enough closed-loop concurrency to saturate the servers.
-    let workload = BaselineWorkload {
-        duration,
-        rate_qps: 0.0,
-        closed_loop: 64,
-        write_ratio: 0.1,
-        num_keys: 1_000,
-        throughput_bucket: duration,
-        ..Default::default()
-    };
-    let mut baseline = BaselineCluster::new(
-        BaselineConfig {
-            clients: 1,
-            ..Default::default()
-        },
-        workload,
-    );
-    baseline.populate_store(1_000, 64);
-    baseline
-        .sim
-        .run_for(duration + SimDuration::from_millis(10));
-    let baseline_completed = baseline.total_completed();
+    // Baseline: at the same 10 % writes, three servers saturate well below
+    // that, however many clients keep them busy.
+    let cost = ServerCostModel::zookeeper_calibrated();
+    let baseline_completed = zk_saturation_qps(&cost, 3, 0.1) * duration.as_secs_f64();
 
     assert!(
-        netchain_completed > 2 * baseline_completed,
-        "NetChain ({netchain_completed}) should clearly outpace the baseline ({baseline_completed})"
+        netchain_completed as f64 > 2.0 * baseline_completed,
+        "NetChain ({netchain_completed}) should clearly outpace the baseline ({baseline_completed:.0})"
     );
 }
