@@ -1,14 +1,15 @@
-//! Simulator nodes that drive the client agent: an open-/closed-loop workload
-//! generator used by the throughput/latency experiments, and a scripted
-//! client used by integration tests and examples.
+//! Simulator nodes that drive the client agent: [`LoadHost`], which runs the
+//! one load client ([`ClientState`]) open loop for the throughput, latency
+//! and failure experiments, and a scripted client used by integration tests
+//! and examples.
 
 use crate::agent::{AgentConfig, AgentCore, AgentStats};
 use crate::directory::ChainDirectory;
+use crate::loadgen::ClientState;
 use crate::message::NetMsg;
 use crate::types::{CompletedQuery, KvOp};
 use netchain_sim::{Context, Node, NodeId, SimDuration, SimTime, TimerToken};
-use netchain_telemetry::{HistSnapshot, LatencyHistogram, TimeSeries};
-use netchain_wire::{Key, Value};
+use netchain_telemetry::TimeSeries;
 use std::any::Any;
 use std::collections::VecDeque;
 
@@ -16,91 +17,47 @@ const TIMER_ARRIVAL: TimerToken = 1;
 const TIMER_RETRY: TimerToken = 2;
 const TIMER_START: TimerToken = 3;
 
-/// Configuration of a synthetic key-value workload, mirroring the parameters
-/// the paper sweeps: value size, store size, write ratio, offered rate.
-#[derive(Debug, Clone, Copy)]
-pub struct WorkloadConfig {
-    /// When the client starts issuing queries.
-    pub start: SimDuration,
-    /// How long the client keeps issuing queries after `start`.
-    pub duration: SimDuration,
-    /// Offered load in queries per second for open-loop operation. Zero means
-    /// closed-loop operation with `closed_loop` outstanding queries.
-    pub rate_qps: f64,
-    /// Number of outstanding queries to maintain in closed-loop mode.
-    pub closed_loop: usize,
-    /// Fraction of queries that are writes (the rest are reads).
-    pub write_ratio: f64,
-    /// Size of written values, in bytes.
-    pub value_size: usize,
-    /// Number of distinct keys the client touches (`key_offset ..
-    /// key_offset + num_keys`, as [`Key::from_u64`]).
-    pub num_keys: u64,
-    /// First key index.
-    pub key_offset: u64,
-    /// Bucket width of the recorded throughput time series.
-    pub throughput_bucket: SimDuration,
-}
-
-impl Default for WorkloadConfig {
-    fn default() -> Self {
-        WorkloadConfig {
-            start: SimDuration::ZERO,
-            duration: SimDuration::from_secs(1),
-            rate_qps: 10_000.0,
-            closed_loop: 4,
-            write_ratio: 0.01,
-            value_size: 64,
-            num_keys: 20_000,
-            key_offset: 0,
-            throughput_bucket: SimDuration::from_secs(1),
-        }
-    }
-}
-
-impl WorkloadConfig {
-    /// End of the query-issuing window.
-    pub fn end(&self) -> SimTime {
-        SimTime::ZERO + self.start + self.duration
-    }
-}
-
-/// An open- or closed-loop workload client attached to one host.
-pub struct WorkloadClient {
-    agent: AgentCore,
+/// A host running the shipped load client: the simulation owns only time
+/// and the network. It issues [`ClientState`]'s ops on Poisson arrivals at
+/// `rate_qps` (gaps drawn from the simulator's seeded generator) until
+/// `duration`, polls for retransmissions every half timeout, and counts
+/// completions into a throughput series. A reply is absorbed from its wire
+/// bytes, the way the fabric and the net mode absorb it.
+pub struct LoadHost {
+    client: ClientState,
     gateway: NodeId,
-    config: WorkloadConfig,
+    retry_every: SimDuration,
+    mean_gap: SimDuration,
+    duration: SimDuration,
     throughput: TimeSeries,
-    read_latency: LatencyHistogram,
-    write_latency: LatencyHistogram,
-    issued_in_window: u64,
-    abandoned_ops: u64,
 }
 
-impl WorkloadClient {
-    /// Creates a workload client that sends through `gateway` (its ToR
-    /// switch).
+impl LoadHost {
+    /// A host that sends `client`'s queries through `gateway` (its ToR
+    /// switch); `timeout` is the client's retransmission timeout, `bucket`
+    /// the width of the throughput series.
     pub fn new(
-        agent_config: AgentConfig,
-        directory: ChainDirectory,
+        client: ClientState,
         gateway: NodeId,
-        config: WorkloadConfig,
+        timeout: SimDuration,
+        rate_qps: f64,
+        duration: SimDuration,
+        bucket: SimDuration,
     ) -> Self {
-        WorkloadClient {
-            agent: AgentCore::new(agent_config, directory),
+        assert!(rate_qps > 0.0, "a load host needs a positive rate");
+        LoadHost {
+            client,
             gateway,
-            config,
-            throughput: TimeSeries::new(config.throughput_bucket.as_nanos()),
-            read_latency: LatencyHistogram::new(),
-            write_latency: LatencyHistogram::new(),
-            issued_in_window: 0,
-            abandoned_ops: 0,
+            retry_every: SimDuration::from_nanos((timeout.as_nanos() / 2).max(1)),
+            mean_gap: SimDuration::from_secs_f64(1.0 / rate_qps),
+            duration,
+            throughput: TimeSeries::new(bucket.as_nanos()),
         }
     }
 
-    /// Agent-level statistics (issued/completed/retries/latency/regressions).
-    pub fn agent_stats(&self) -> &AgentStats {
-        self.agent.stats()
+    /// The load client: its report, agent statistics and latency.
+    pub fn client(&self) -> &ClientState {
+        &self.client
     }
 
     /// Completed-query throughput time series.
@@ -108,103 +65,36 @@ impl WorkloadClient {
         &self.throughput
     }
 
-    /// Latency of completed read queries.
-    pub fn read_latency(&self) -> HistSnapshot {
-        self.read_latency.snapshot()
-    }
-
-    /// Latency of completed write queries.
-    pub fn write_latency(&self) -> HistSnapshot {
-        self.write_latency.snapshot()
-    }
-
-    /// Queries abandoned after exhausting retries.
-    pub fn abandoned(&self) -> u64 {
-        self.abandoned_ops
-    }
-
-    /// Queries issued during the workload window.
-    pub fn issued(&self) -> u64 {
-        self.issued_in_window
-    }
-
     fn in_window(&self, now: SimTime) -> bool {
-        now >= SimTime::ZERO + self.config.start && now < self.config.end()
+        now < SimTime::ZERO + self.duration
     }
 
-    fn pick_op(&self, ctx: &mut Context<NetMsg>) -> KvOp {
-        let key =
-            Key::from_u64(self.config.key_offset + ctx.random_below(self.config.num_keys.max(1)));
-        if ctx.random_f64() < self.config.write_ratio {
-            let value = Value::filled(
-                0xab,
-                self.config.value_size.min(netchain_wire::MAX_VALUE_LEN),
-            )
-            .expect("bounded by MAX_VALUE_LEN");
-            KvOp::Write(key, value)
-        } else {
-            KvOp::Read(key)
-        }
-    }
-
-    fn issue_one(&mut self, ctx: &mut Context<NetMsg>) {
-        let op = self.pick_op(ctx);
-        let (_, pkt) = self.agent.begin(ctx.now(), op);
-        self.issued_in_window += 1;
-        ctx.send(self.gateway, NetMsg::Data(pkt));
-    }
-
-    fn schedule_next_arrival(&self, ctx: &mut Context<NetMsg>) {
-        if self.config.rate_qps <= 0.0 {
-            return;
-        }
-        let mean = SimDuration::from_secs_f64(1.0 / self.config.rate_qps);
-        let gap = ctx.random_exponential(mean);
+    fn schedule_arrival(&self, ctx: &mut Context<NetMsg>) {
+        let gap = ctx.random_exponential(self.mean_gap);
         ctx.set_timer(gap, TIMER_ARRIVAL);
-    }
-
-    fn schedule_retry_poll(&self, ctx: &mut Context<NetMsg>) {
-        let half = SimDuration::from_nanos((self.agent.config().timeout.as_nanos() / 2).max(1));
-        ctx.set_timer(half, TIMER_RETRY);
     }
 }
 
-impl Node<NetMsg> for WorkloadClient {
+impl Node<NetMsg> for LoadHost {
     fn on_start(&mut self, ctx: &mut Context<NetMsg>) {
-        ctx.set_timer(self.config.start, TIMER_ARRIVAL);
-        ctx.set_timer(self.config.start + self.agent.config().timeout, TIMER_RETRY);
+        self.schedule_arrival(ctx);
+        ctx.set_timer(self.retry_every, TIMER_RETRY);
     }
 
     fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<NetMsg>) {
+        let now = ctx.now();
         match token {
-            TIMER_ARRIVAL => {
-                if !self.in_window(ctx.now()) {
-                    return;
-                }
-                if self.config.rate_qps > 0.0 {
-                    self.issue_one(ctx);
-                    self.schedule_next_arrival(ctx);
-                } else {
-                    // Closed loop: bring the outstanding count up to target.
-                    while self.agent.outstanding() < self.config.closed_loop {
-                        self.issue_one(ctx);
-                    }
-                }
+            TIMER_ARRIVAL if self.in_window(now) => {
+                let pkt = self.client.issue_at(now);
+                ctx.send(self.gateway, NetMsg::Data(pkt));
+                self.schedule_arrival(ctx);
             }
             TIMER_RETRY => {
-                let outcome = self.agent.poll_retries(ctx.now());
-                for pkt in outcome.retransmit {
+                for pkt in self.client.poll_retries_at(now) {
                     ctx.send(self.gateway, NetMsg::Data(pkt));
                 }
-                self.abandoned_ops += outcome.abandoned.len() as u64;
-                // In closed-loop mode an abandoned query frees a slot.
-                if self.config.rate_qps <= 0.0 && self.in_window(ctx.now()) {
-                    while self.agent.outstanding() < self.config.closed_loop {
-                        self.issue_one(ctx);
-                    }
-                }
-                if self.in_window(ctx.now()) || self.agent.outstanding() > 0 {
-                    self.schedule_retry_poll(ctx);
+                if self.in_window(now) || self.client.outstanding() > 0 {
+                    ctx.set_timer(self.retry_every, TIMER_RETRY);
                 }
             }
             _ => {}
@@ -213,20 +103,13 @@ impl Node<NetMsg> for WorkloadClient {
 
     fn on_message(&mut self, _from: NodeId, msg: NetMsg, ctx: &mut Context<NetMsg>) {
         let NetMsg::Data(pkt) = msg else { return };
-        if let Some(done) = self.agent.on_reply(ctx.now(), &pkt) {
+        if self.client.absorb_reply_at(ctx.now(), &pkt.to_bytes()) {
             self.throughput.record(ctx.now().as_nanos());
-            match done.op {
-                KvOp::Read(_) => self.read_latency.record(done.latency.as_nanos()),
-                _ => self.write_latency.record(done.latency.as_nanos()),
-            }
-            if self.config.rate_qps <= 0.0 && self.in_window(ctx.now()) {
-                self.issue_one(ctx);
-            }
         }
     }
 
     fn name(&self) -> String {
-        format!("workload-client {}", self.agent.config().client_ip)
+        format!("load-host {}", self.client.id())
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -361,22 +244,54 @@ impl Node<NetMsg> for ScriptedClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::{ClusterConfig, NetChainCluster};
     use crate::hashring::HashRing;
-    use netchain_wire::Ipv4Addr;
+    use crate::loadgen::WorkloadSpec;
+    use crate::types::ClientReport;
+    use netchain_sim::LinkParams;
+    use netchain_wire::{Ipv4Addr, Key};
 
     fn directory() -> ChainDirectory {
         let switches: Vec<Ipv4Addr> = (0..3).map(Ipv4Addr::for_switch).collect();
         ChainDirectory::new(HashRing::new(switches, 4, 3, 1))
     }
 
-    #[test]
-    fn workload_config_window() {
-        let config = WorkloadConfig {
-            start: SimDuration::from_secs(1),
-            duration: SimDuration::from_secs(2),
-            ..Default::default()
+    /// A load host on the testbed at 20 kQPS for 50 ms, every link losing
+    /// 5 %: the report, what is still outstanding, what was issued up to the
+    /// last nanosecond before `duration`, and the completions per bucket.
+    fn lossy_load_run() -> (ClientReport, usize, u64, Vec<u64>) {
+        let config = ClusterConfig {
+            link: LinkParams::datacenter_40g().with_loss(0.05),
+            ..ClusterConfig::default()
         };
-        assert_eq!(config.end(), SimTime::ZERO + SimDuration::from_secs(3));
+        let mut cluster = NetChainCluster::testbed(config);
+        cluster.populate_store(100, 8);
+        let duration = SimDuration::from_millis(50);
+        let spec = WorkloadSpec::mixed(100, u64::MAX, 50, 50);
+        let bucket = SimDuration::from_millis(10);
+        cluster.install_workload_client(0, spec, 20_000.0, duration, bucket);
+        cluster.sim.run_until(SimTime(duration.as_nanos() - 1));
+        let before_end = cluster.workload_client(0).unwrap().client().report().issued;
+        cluster.sim.run_for(SimDuration::from_millis(30));
+        let host = cluster.workload_client(0).unwrap();
+        let counts = host.throughput().counts().to_vec();
+        let client = host.client();
+        (client.report(), client.outstanding(), before_end, counts)
+    }
+
+    #[test]
+    fn load_host_accounts_for_every_issue_under_loss() {
+        let (report, outstanding, before_end, counts) = lossy_load_run();
+        assert!(report.retries > 0, "5 % loss must cost retries: {report:?}");
+        assert!(report.completed > 500, "{report:?}");
+        assert_eq!(
+            report.issued,
+            report.completed + report.abandoned + outstanding as u64,
+            "{report:?}, {outstanding} outstanding"
+        );
+        assert_eq!(report.issued, before_end, "an issue at or after `duration`");
+        assert_eq!(counts.iter().sum::<u64>(), report.completed);
+        assert_eq!(lossy_load_run(), (report, outstanding, before_end, counts));
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! Figure 8 or an arbitrary spine–leaf fabric (§8.3).
 
 use crate::agent::AgentConfig;
-use crate::client::{ScriptedClient, WorkloadClient, WorkloadConfig};
+use crate::client::{LoadHost, ScriptedClient};
 use crate::controller::Controller;
 use crate::directory::{AddressMap, ChainDirectory};
 use crate::fault::{FaultOp, Schedule};
 use crate::hashring::HashRing;
+use crate::loadgen::{ClientState, WorkloadSpec};
 use crate::message::NetMsg;
 use crate::reactor::{Reactions, Reactor};
 use crate::switch_node::SwitchNode;
@@ -334,14 +335,29 @@ impl NetChainCluster {
         }
     }
 
-    /// Replaces the host at `host_index` with an open/closed-loop workload
-    /// client.
-    pub fn install_workload_client(&mut self, host_index: usize, workload: WorkloadConfig) {
+    /// Replaces the host at `host_index` with a [`LoadHost`]: client
+    /// `host_index` issuing `spec`'s op mix open loop (no window, no op
+    /// budget) on Poisson arrivals at `rate_qps` for `duration`, its
+    /// completions counted into `bucket`-wide throughput buckets.
+    pub fn install_workload_client(
+        &mut self,
+        host_index: usize,
+        spec: WorkloadSpec,
+        rate_qps: f64,
+        duration: SimDuration,
+        bucket: SimDuration,
+    ) {
         let host = self.layout.hosts[host_index];
         let gw = self.layout.gateways[&host];
         let agent = self.agent_config(host_index);
-        let client = WorkloadClient::new(agent, self.directory(), gw, workload);
-        self.sim.install_node(host, Box::new(client));
+        let spec = WorkloadSpec {
+            window: usize::MAX,
+            ops_per_client: u64::MAX,
+            ..spec
+        };
+        let client = ClientState::with_agent_config(host_index as u32, &self.ring, spec, agent);
+        let load = LoadHost::new(client, gw, agent.timeout, rate_qps, duration, bucket);
+        self.sim.install_node(host, Box::new(load));
     }
 
     /// Replaces the host at `host_index` with a scripted client executing the
@@ -419,10 +435,9 @@ impl NetChainCluster {
         controller.expect("a Controller").load(schedule);
     }
 
-    /// Borrow the workload client installed at `host_index`.
-    pub fn workload_client(&self, host_index: usize) -> Option<&WorkloadClient> {
-        self.sim
-            .node_as::<WorkloadClient>(self.layout.hosts[host_index])
+    /// Borrow the load host installed at `host_index`.
+    pub fn workload_client(&self, host_index: usize) -> Option<&LoadHost> {
+        self.sim.node_as::<LoadHost>(self.layout.hosts[host_index])
     }
 
     /// Borrow the scripted client installed at `host_index`.

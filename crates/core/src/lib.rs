@@ -11,8 +11,12 @@
 //! * [`agent`] — the client agent: a sans-IO core that builds query packets
 //!   (write queries carry the chain head-to-tail, read queries the reverse
 //!   order, §4.2), matches replies, and drives timeouts/retries (§4.3).
-//! * [`client`] — simulator nodes wrapping the agent: an open/closed-loop
-//!   workload generator and a scripted client for tests and examples.
+//! * [`loadgen`] — the one load client, [`ClientState`]: the agent plus a
+//!   seeded read/write/CAS op mix, driven closed loop by the fabric and open
+//!   loop by the net mode and the simulator.
+//! * [`client`] — simulator nodes wrapping the agent: [`LoadHost`], which
+//!   runs a [`ClientState`] on Poisson arrivals, and a scripted client for
+//!   tests and examples.
 //! * [`switch_node`] — the simulator adapter that hosts a
 //!   [`netchain_switch::NetChainSwitch`] on a topology node and performs
 //!   underlay L3 forwarding.
@@ -41,13 +45,14 @@ pub mod evidence;
 pub mod failplan;
 pub mod fault;
 pub mod hashring;
+pub mod loadgen;
 pub mod message;
 pub mod reactor;
 pub mod switch_node;
 pub mod types;
 
 pub use agent::{AgentConfig, AgentCore, AgentStats};
-pub use client::{ScriptedClient, WorkloadClient, WorkloadConfig};
+pub use client::{LoadHost, ScriptedClient};
 pub use cluster::{ClusterConfig, ClusterLayout, NetChainCluster};
 pub use controller::Controller;
 pub use directory::{AddressMap, ChainDirectory, KeyLocus, QueryRoute};
@@ -55,7 +60,8 @@ pub use evidence::{evidence_op, query_evidence, query_evidence_hashed};
 pub use failplan::{FailoverPlan, GroupRepair, RecoveryPlan};
 pub use fault::{FaultOp, LinkFilter, Schedule};
 pub use hashring::{ChainDescriptor, HashRing};
+pub use loadgen::{ClientState, DrawnOp, WorkloadSpec};
 pub use message::{ControlMsg, NetMsg};
 pub use reactor::{Action, FailoverTimeline, GroupCopy, Reactions, Reactor};
 pub use switch_node::SwitchNode;
-pub use types::{CompletedQuery, Completion, KvOp, NetChainError, OpRef};
+pub use types::{ClientReport, CompletedQuery, Completion, KvOp, NetChainError, OpRef};

@@ -1,17 +1,19 @@
-//! The closed-loop load generator.
+//! The one load client, shared by every execution mode.
 //!
 //! Each client owns a sans-IO [`AgentCore`] — the very same packet
-//! construction and reply-matching logic the simulator's clients and the UDP
+//! construction and reply-matching logic the scripted clients and the UDP
 //! loopback deployment use — plus a seeded PRNG that samples keys and a
-//! read/write/CAS op mix. Clients are *closed loop*: each keeps a bounded
-//! window of queries outstanding and only issues a new one when a reply
-//! retires an old one, the standard way to measure a service's sustainable
-//! rate without open-loop overload artefacts. A reply is read as a shard
-//! reads a query: one `validate_frame`, then only the NetChain header, where
-//! it lies ([`NetChainView::of_frame`]).
+//! read/write/CAS op mix. The fabric runs it *closed loop*: each client keeps
+//! a bounded window of queries outstanding and only issues a new one when a
+//! reply retires an old one, the standard way to measure a service's
+//! sustainable rate without open-loop overload artefacts. The net mode's
+//! generator and the simulator's [`LoadHost`](crate::client::LoadHost) run
+//! it *open loop*, with the window unbounded, issuing on their own arrival
+//! schedules. A reply is read as a shard reads a query: one
+//! `validate_frame`, then only the NetChain header, where it lies
+//! ([`NetChainView::of_frame`]).
 
-use crate::stats::ClientReport;
-use netchain_core::{AgentConfig, AgentCore, ChainDirectory, HashRing, KeyLocus, OpRef};
+use crate::{AgentConfig, AgentCore, ChainDirectory, ClientReport, HashRing, KeyLocus, OpRef};
 use netchain_sim::SimTime;
 use netchain_telemetry::{
     key_fingerprint, trace_id, Evidence, HistSnapshot, HopRole, PacketTrace, TraceConfig, TraceSink,
@@ -43,7 +45,8 @@ pub struct WorkloadSpec {
 }
 
 impl WorkloadSpec {
-    /// The uniform-read workload the scaling acceptance test uses.
+    /// A uniform-read workload: every op a read of one of `num_keys` keys,
+    /// 64 outstanding per client.
     pub fn uniform_read(num_keys: u64, ops_per_client: u64) -> Self {
         WorkloadSpec {
             num_keys,
@@ -96,7 +99,9 @@ impl DrawnOp {
     }
 }
 
-/// One closed-loop client: op sampling + the sans-IO agent.
+/// One load client: op sampling + the sans-IO agent. The loop that runs it
+/// decides when to issue: closed loop up to the window, or open loop on
+/// arrivals.
 pub struct ClientState {
     id: u32,
     agent: AgentCore,
@@ -198,7 +203,7 @@ impl ClientState {
 
     /// The underlying agent's full statistics (stale replies, abandonments —
     /// counters the condensed [`ClientReport`] does not carry).
-    pub fn agent_stats(&self) -> &netchain_core::AgentStats {
+    pub fn agent_stats(&self) -> &crate::AgentStats {
         self.agent.stats()
     }
 
@@ -289,7 +294,7 @@ impl ClientState {
         if let Some(tracer) = &mut self.tracer {
             let id = trace_id(ip, request_id);
             if tracer.samples(id) {
-                match netchain_core::evidence_op(op.op) {
+                match crate::evidence_op(op.op) {
                     Some(kind) => tracer.stamp_with(
                         id,
                         ip,
@@ -329,7 +334,7 @@ impl ClientState {
         if let Some(tracer) = &mut self.tracer {
             let id = trace_id(ip, done.request_id);
             if tracer.samples(id) {
-                match netchain_core::evidence_op(reply.op()) {
+                match crate::evidence_op(reply.op()) {
                     Some(op) => tracer.stamp_with(
                         id,
                         ip,

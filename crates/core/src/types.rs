@@ -156,6 +156,28 @@ impl CompletedQuery {
     }
 }
 
+/// Per-client load-generator counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ClientReport {
+    /// Queries issued.
+    pub issued: u64,
+    /// Replies matched to an outstanding query.
+    pub completed: u64,
+    /// Replies with `Ok` status.
+    pub ok: u64,
+    /// Replies with `CasFailed` status (expected under CAS contention).
+    pub cas_failed: u64,
+    /// Retransmissions sent (zero on the failure-free fabric, which never
+    /// drops).
+    pub retries: u64,
+    /// Queries abandoned after exhausting the retry budget (must stay zero
+    /// in any healthy run, including across failover and repair).
+    pub abandoned: u64,
+    /// Replies whose version regressed (must stay zero — the chain is
+    /// strongly consistent per key).
+    pub version_regressions: u64,
+}
+
 /// Errors surfaced by the NetChain client-side machinery.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetChainError {

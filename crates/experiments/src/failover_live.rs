@@ -13,8 +13,8 @@
 //! failed switch for the whole synchronisation window.
 
 use crate::series::Series;
-use netchain_core::{FaultOp, Schedule};
-use netchain_fabric::{FabricConfig, WorkloadSpec};
+use netchain_core::{FaultOp, Schedule, WorkloadSpec};
+use netchain_fabric::FabricConfig;
 use netchain_livectl::{run_live_controlled, LiveAnomaly, LiveConfig, LiveReport, Reactions};
 use netchain_telemetry::{trace_record_fields, ArtifactWriter, Json, Quantiles, TraceConfig};
 use netchain_wire::Ipv4Addr;

@@ -11,7 +11,7 @@
 //! pre-failure plateau — the *shape* is the reproduction target.
 
 use crate::series::Series;
-use netchain_core::{ClusterConfig, FaultOp, NetChainCluster, Reactions, Schedule, WorkloadConfig};
+use netchain_core::{ClusterConfig, FaultOp, NetChainCluster, Reactions, Schedule, WorkloadSpec};
 use netchain_sim::SimDuration;
 use netchain_wire::Ipv4Addr;
 use std::time::Duration;
@@ -92,14 +92,10 @@ pub fn fig10(params: &Fig10Params) -> Vec<Series> {
     cluster.populate_store(2_000, 64);
     cluster.install_workload_client(
         0,
-        WorkloadConfig {
-            duration: params.total,
-            rate_qps: params.offered_qps,
-            write_ratio: 0.5,
-            num_keys: 2_000,
-            throughput_bucket: SimDuration::from_secs(1),
-            ..Default::default()
-        },
+        WorkloadSpec::mixed(2_000, u64::MAX, 50, 50),
+        params.offered_qps,
+        params.total,
+        SimDuration::from_secs(1),
     );
     cluster.inject(&params.schedule);
     cluster

@@ -19,7 +19,7 @@ use crate::calib;
 use crate::capacity::CapacityModel;
 use crate::series::{print_series, Series};
 use crate::zk::{self, ServerCostModel};
-use netchain_core::{ClusterConfig, NetChainCluster, WorkloadConfig};
+use netchain_core::{ClusterConfig, NetChainCluster, WorkloadSpec};
 use netchain_sim::{LinkParams, SimDuration};
 use netchain_switch::PipelineConfig;
 
@@ -194,14 +194,10 @@ pub fn fig9d(loss_rates: &[f64], sim_duration: SimDuration) -> Vec<Series> {
         for host in 0..4 {
             cluster.install_workload_client(
                 host,
-                WorkloadConfig {
-                    duration: sim_duration,
-                    rate_qps: offered_per_client,
-                    write_ratio: 0.01,
-                    num_keys: 1_000,
-                    throughput_bucket: sim_duration,
-                    ..Default::default()
-                },
+                WorkloadSpec::mixed(1_000, u64::MAX, 99, 1),
+                offered_per_client,
+                sim_duration,
+                sim_duration,
             );
         }
         cluster
@@ -210,9 +206,13 @@ pub fn fig9d(loss_rates: &[f64], sim_duration: SimDuration) -> Vec<Series> {
         let mut issued = 0u64;
         let mut completed = 0u64;
         for host in 0..4 {
-            let client = cluster.workload_client(host).expect("installed");
-            issued += client.issued();
-            completed += client.agent_stats().completed;
+            let report = cluster
+                .workload_client(host)
+                .expect("installed")
+                .client()
+                .report();
+            issued += report.issued;
+            completed += report.completed;
         }
         let goodput_fraction = if issued == 0 {
             0.0
@@ -243,30 +243,17 @@ pub fn fig9e(sim_duration: SimDuration) -> Vec<Series> {
         cluster.populate_store(1_000, 64);
         cluster.install_workload_client(
             0,
-            WorkloadConfig {
-                duration: sim_duration,
-                rate_qps: rate,
-                write_ratio: 0.5,
-                num_keys: 1_000,
-                throughput_bucket: sim_duration,
-                ..Default::default()
-            },
+            WorkloadSpec::mixed(1_000, u64::MAX, 50, 50),
+            rate,
+            sim_duration,
+            sim_duration,
         );
         cluster
             .sim
             .run_for(sim_duration + SimDuration::from_millis(10));
-        let host = cluster.layout.hosts[0];
-        let client = cluster
-            .sim
-            .node_as::<netchain_core::WorkloadClient>(host)
-            .expect("installed");
-        let completed = client.agent_stats().completed;
-        let reads = client.read_latency();
-        let fabric_latency = if reads.count() > 0 {
-            reads.mean()
-        } else {
-            client.write_latency().mean()
-        } / 1e3;
+        let client = cluster.workload_client(0).expect("installed").client();
+        let completed = client.report().completed;
+        let fabric_latency = client.latency_snapshot().mean() / 1e3;
         let latency = fabric_latency + calib::NETCHAIN_CLIENT_LATENCY.as_micros_f64();
         // Report the x axis at the *unscaled* equivalent: the measured point
         // demonstrates flatness; the plateau comes from Figure 9(a-c).

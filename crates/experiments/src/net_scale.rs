@@ -20,7 +20,6 @@
 //! Results print as a table and land in the repo-top-level `BENCH_net.json`
 //! so the perf trajectory is machine-diffable across PRs.
 
-use netchain_fabric::WorkloadSpec;
 use netchain_net::{
     run_open_loop, syscall_microbench, IoMode, IoStats, NetConfig, NetDataplane, OpenLoopConfig,
     OpenLoopReport,
@@ -32,7 +31,7 @@ use netchain_telemetry::{
 use netchain_wire::{Ipv4Addr, Key, Value};
 use std::time::Duration;
 
-use netchain_core::HashRing;
+use netchain_core::{HashRing, WorkloadSpec};
 
 /// Trace sampling of the latency runs: sampled queries carry in-band
 /// evidence stamps end to end (client issue → shard register read → client

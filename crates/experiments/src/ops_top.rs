@@ -19,8 +19,8 @@
 //! they are unit-testable without sockets or threads; `--once`/`--ticks N`
 //! bound the dashboard for CI smoke use.
 
-use netchain_core::HashRing;
-use netchain_fabric::{FabricConfig, ShardStats, ShardStatsCell, WorkloadSpec};
+use netchain_core::{HashRing, WorkloadSpec};
+use netchain_fabric::{FabricConfig, ShardStats, ShardStatsCell};
 use netchain_livectl::{run_live_observed, LiveConfig};
 use netchain_net::{run_open_loop, NetConfig, NetDataplane, OpenLoopConfig};
 use netchain_switch::PipelineConfig;

@@ -6,11 +6,10 @@
 //! (`sched_setaffinity` via the vendored `affinity` shim; no-op off Linux or
 //! without the `pinning` feature), and shards share nothing.
 
-use crate::loadgen::{ClientState, WorkloadSpec};
 use crate::pump::connect;
 use crate::shard::Shard;
-use crate::stats::{ClientReport, FabricReport, ShardStats};
-use netchain_core::HashRing;
+use crate::stats::{FabricReport, ShardStats};
+use netchain_core::{ClientReport, ClientState, HashRing, WorkloadSpec};
 use netchain_sim::SimTime;
 use netchain_switch::PipelineConfig;
 use netchain_telemetry::{merge_traces, HistSnapshot, PacketTrace, TraceConfig};

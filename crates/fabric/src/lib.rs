@@ -42,10 +42,11 @@
 //!   shards read queries in place through [`netchain_wire::BatchView`] and
 //!   clients replies through [`netchain_wire::NetChainView::of_frame`],
 //!   both pinned to the layered [`netchain_wire::PacketView::parse`].
-//! * **Closed-loop load generation** ([`loadgen`]): clients reuse
-//!   [`netchain_core::AgentCore`] — the same sans-IO agent the simulator and
-//!   UDP deployments use — for packet construction, reply matching and
-//!   client-side consistency checking (version regressions must be zero).
+//! * **Closed-loop load generation**: each client thread drives a
+//!   [`netchain_core::ClientState`] — the one load client, which the
+//!   simulator and the UDP deployment drive too — for op sampling, packet
+//!   construction, reply matching and client-side consistency checking
+//!   (version regressions must be zero).
 //!
 //! ## Measuring
 //!
@@ -68,7 +69,6 @@
 
 pub mod fabric;
 pub mod frame;
-pub mod loadgen;
 pub mod pump;
 pub mod ring;
 pub mod shard;
@@ -76,8 +76,8 @@ pub mod stats;
 
 pub use fabric::{build_shards, pin_thread, run_live, FabricConfig};
 pub use frame::{Frame, MAX_FRAME_LEN};
-pub use loadgen::{ClientState, DrawnOp, WorkloadSpec};
+pub use netchain_core::{ClientReport, ClientState, DrawnOp, WorkloadSpec};
 pub use pump::{connect, ClientPass, ClientPort, ShardPort};
 pub use ring::{ring as spsc_ring, Consumer, Producer};
 pub use shard::{client_id_of, shard_of_group, shard_of_key, Shard};
-pub use stats::{ClientReport, FabricReport, ShardStats, ShardStatsCell};
+pub use stats::{FabricReport, ShardStats, ShardStatsCell};

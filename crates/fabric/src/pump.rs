@@ -21,10 +21,9 @@
 
 use crate::fabric::FabricConfig;
 use crate::frame::Frame;
-use crate::loadgen::ClientState;
 use crate::ring::{ring, Consumer, Producer};
 use crate::shard::{shard_of_group, Shard};
-use netchain_core::{LinkFilter, Schedule};
+use netchain_core::{ClientState, LinkFilter, Schedule};
 use netchain_sim::SimTime;
 use netchain_wire::{BatchEncoder, Ipv4Addr};
 use std::collections::VecDeque;

@@ -7,6 +7,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use netchain_core::ClientReport;
 use netchain_telemetry::{HistSnapshot, PacketTrace, TraceSummary};
 
 /// Per-shard dataplane counters.
@@ -111,28 +112,6 @@ impl ShardStatsCell {
         let now = self.load();
         now.since(&std::mem::replace(last, now))
     }
-}
-
-/// Per-client load-generator counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ClientReport {
-    /// Queries issued.
-    pub issued: u64,
-    /// Replies matched to an outstanding query.
-    pub completed: u64,
-    /// Replies with `Ok` status.
-    pub ok: u64,
-    /// Replies with `CasFailed` status (expected under CAS contention).
-    pub cas_failed: u64,
-    /// Retransmissions sent (live-controlled runs only; the failure-free
-    /// fabric never drops, so this stays zero there).
-    pub retries: u64,
-    /// Queries abandoned after exhausting the retry budget (must stay zero
-    /// in any healthy run, including across failover and repair).
-    pub abandoned: u64,
-    /// Replies whose version regressed (must stay zero — the fabric is
-    /// strongly consistent per key).
-    pub version_regressions: u64,
 }
 
 /// The result of a threaded (live) fabric run.

@@ -15,9 +15,8 @@
 //! allocations and none of the test harness's.
 
 use netchain_core::failplan::Target;
-use netchain_fabric::{
-    build_shards, connect, ClientState, FabricConfig, Frame, Shard, WorkloadSpec,
-};
+use netchain_core::{ClientState, WorkloadSpec};
+use netchain_fabric::{build_shards, connect, FabricConfig, Frame, Shard};
 use netchain_sim::SimTime;
 use netchain_switch::{ControlOp, FailoverAction, FailoverRule, RuleScope};
 use netchain_telemetry::{trace_id, HopRole, HopStamp, TraceConfig};

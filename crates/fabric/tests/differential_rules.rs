@@ -14,8 +14,8 @@
 //! key's.)
 
 use netchain_core::failplan::{FailoverPlan, OpList, RecoveryPlan, Target};
-use netchain_core::FaultOp;
-use netchain_fabric::{build_shards, FabricConfig, Shard, WorkloadSpec};
+use netchain_core::{FaultOp, WorkloadSpec};
+use netchain_fabric::{build_shards, FabricConfig, Shard};
 use netchain_switch::{cas_value, ControlOp};
 use netchain_wire::{BatchEncoder, ChainList, Ipv4Addr, Key, NetChainPacket, OpCode, Value};
 use std::collections::HashSet;

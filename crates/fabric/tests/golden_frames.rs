@@ -4,7 +4,8 @@
 //! issue path existed (PR 11's tree), through the owned-packet path and the
 //! in-place path alike.
 
-use netchain_fabric::{ClientState, FabricConfig, WorkloadSpec, MAX_FRAME_LEN};
+use netchain_core::{ClientState, WorkloadSpec};
+use netchain_fabric::{FabricConfig, MAX_FRAME_LEN};
 use netchain_sim::SimTime;
 
 const FRAMES: u64 = 10_000;

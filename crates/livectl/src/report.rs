@@ -4,8 +4,8 @@
 //! audit when it ended.
 
 use crate::detector::Anomaly;
-use netchain_core::FailoverTimeline;
-use netchain_fabric::{ClientReport, ShardStats};
+use netchain_core::{ClientReport, FailoverTimeline};
+use netchain_fabric::ShardStats;
 use netchain_telemetry::{HistSnapshot, Journal, PacketTrace, TraceSummary, Violation};
 use netchain_wire::Ipv4Addr;
 use std::time::Duration;

@@ -29,10 +29,11 @@ use crate::control::{self, ControlCmd, ControlEvt, Tagged};
 use crate::detector::{GrayFailureDetector, COOLDOWN};
 use crate::report::{LiveAnomaly, LiveReport};
 use netchain_core::failplan::Target;
-use netchain_core::{Action, AgentConfig, FaultOp, Reactions, Reactor, Schedule};
+use netchain_core::{
+    Action, AgentConfig, ClientState, FaultOp, Reactions, Reactor, Schedule, WorkloadSpec,
+};
 use netchain_fabric::{
-    build_shards, connect, spsc_ring, ClientState, Consumer, FabricConfig, Producer, ShardStats,
-    ShardStatsCell, WorkloadSpec,
+    build_shards, connect, spsc_ring, Consumer, FabricConfig, Producer, ShardStats, ShardStatsCell,
 };
 use netchain_sim::{SimDuration, SimTime};
 use netchain_switch::ControlOp;

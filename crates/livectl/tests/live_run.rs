@@ -2,8 +2,8 @@
 //! run and a full kill → failover → repair run, with the closed loop, the
 //! retry path, and the slice accounting all real.
 
-use netchain_core::{FaultOp, Schedule};
-use netchain_fabric::{FabricConfig, ShardStats, ShardStatsCell, WorkloadSpec};
+use netchain_core::{FaultOp, Schedule, WorkloadSpec};
+use netchain_fabric::{FabricConfig, ShardStats, ShardStatsCell};
 use netchain_livectl::{
     run_live_controlled, run_live_observed, FaultScript, LiveAnomaly, LiveConfig, Reactions,
 };

@@ -17,9 +17,9 @@
 //! breaks in some runs only.
 
 use netchain_core::{
-    ClusterConfig, FailoverTimeline, FaultOp, KvOp, NetChainCluster, Schedule, WorkloadConfig,
+    ClusterConfig, FailoverTimeline, FaultOp, KvOp, NetChainCluster, Schedule, WorkloadSpec,
 };
-use netchain_fabric::{FabricConfig, WorkloadSpec};
+use netchain_fabric::FabricConfig;
 use netchain_livectl::{
     replay_agent_config, run_live_controlled, LiveConfig, LiveReport, Reactions, ReplayFabric,
 };
@@ -150,26 +150,25 @@ fn run_sim(schedule: &Schedule, reactions: &Reactions) -> (Outcome, Journal) {
     // The client hangs off leaf S2, which no schedule kills.
     cluster.install_workload_client(
         0,
-        WorkloadConfig {
-            duration: SimDuration::from_millis(500),
-            rate_qps: 20_000.0,
-            write_ratio: 0.5,
-            num_keys: NUM_KEYS,
-            throughput_bucket: SimDuration::from_millis(10),
-            ..Default::default()
-        },
+        WorkloadSpec::mixed(NUM_KEYS, u64::MAX, 50, 50),
+        20_000.0,
+        SimDuration::from_millis(500),
+        SimDuration::from_millis(10),
     );
     cluster.inject(schedule);
     cluster.sim.run_for(SimDuration::from_millis(600));
-    let client = cluster.workload_client(0).expect("installed");
-    let stats = client.agent_stats();
+    let report = cluster
+        .workload_client(0)
+        .expect("installed")
+        .client()
+        .report();
     let traces = sink.borrow_mut().drain();
     let reactor = cluster.controller().reactor();
     let outcome = Outcome {
-        issued: client.issued(),
-        completed: stats.completed,
-        abandoned: stats.abandoned,
-        version_regressions: stats.version_regressions,
+        issued: report.issued,
+        completed: report.completed,
+        abandoned: report.abandoned,
+        version_regressions: report.version_regressions,
         repairs_finished: finished(reactor.timelines()),
         audit: Some(audit(&traces, reactor.journal(), &AuditConfig::default())),
     };

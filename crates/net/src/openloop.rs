@@ -27,8 +27,8 @@
 
 use crate::dataplane::NetDataplane;
 use mmsg::{RecvQueue, SendQueue, MAX_BURST};
-use netchain_core::AgentConfig;
-use netchain_fabric::{client_id_of, ClientState, WorkloadSpec};
+use netchain_core::{AgentConfig, ClientState, WorkloadSpec};
+use netchain_fabric::client_id_of;
 use netchain_sim::{SimDuration, SimTime};
 use netchain_telemetry::{HistSnapshot, LatencyHistogram, PacketTrace, TraceConfig};
 use netchain_wire::{Ipv4Addr, MAX_FRAME_LEN};

@@ -8,8 +8,7 @@
 
 use std::time::Duration;
 
-use netchain_core::{FaultOp, HashRing, Schedule};
-use netchain_fabric::WorkloadSpec;
+use netchain_core::{FaultOp, HashRing, Schedule, WorkloadSpec};
 use netchain_net::{run_open_loop, IoMode, IoStats, NetConfig, NetDataplane, OpenLoopConfig};
 use netchain_sim::SimDuration;
 use netchain_switch::PipelineConfig;

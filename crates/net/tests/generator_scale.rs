@@ -3,8 +3,7 @@
 //! passes over a fixed window, and a second polling test on the same cores
 //! would take passes away from one side or the other.
 
-use netchain_core::{FaultOp, HashRing, Schedule};
-use netchain_fabric::WorkloadSpec;
+use netchain_core::{FaultOp, HashRing, Schedule, WorkloadSpec};
 use netchain_net::{run_open_loop, NetConfig, NetDataplane, OpenLoopConfig};
 use netchain_sim::SimDuration;
 use netchain_switch::PipelineConfig;

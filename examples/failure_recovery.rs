@@ -5,9 +5,7 @@
 //!
 //! Run with: `cargo run --release --example failure_recovery`
 
-use netchain::core::{
-    ClusterConfig, FaultOp, NetChainCluster, Reactions, Schedule, WorkloadConfig,
-};
+use netchain::core::{ClusterConfig, FaultOp, NetChainCluster, Reactions, Schedule, WorkloadSpec};
 use netchain::sim::SimDuration;
 use netchain::wire::Ipv4Addr;
 use std::time::Duration;
@@ -29,14 +27,10 @@ fn main() {
     cluster.populate_store(5_000, 64);
     cluster.install_workload_client(
         0,
-        WorkloadConfig {
-            duration: SimDuration::from_secs(40),
-            rate_qps: 5_000.0,
-            write_ratio: 0.5,
-            num_keys: 5_000,
-            throughput_bucket: SimDuration::from_secs(1),
-            ..Default::default()
-        },
+        WorkloadSpec::mixed(5_000, u64::MAX, 50, 50),
+        5_000.0,
+        SimDuration::from_secs(40),
+        SimDuration::from_secs(1),
     );
     // The fault schedule: S1 fail-stops ten seconds in.
     let kill = FaultOp::Kill(Ipv4Addr::for_switch(1));
@@ -54,7 +48,7 @@ fn main() {
         };
         println!("{t:>6.0}  {rate:>10.0}{marker}");
     }
-    let stats = client.agent_stats();
+    let stats = client.client().agent_stats();
     println!(
         "\ncompleted {} of {} issued, {} retries, {} version regressions (must be 0)",
         stats.completed, stats.issued, stats.retries, stats.version_regressions

@@ -3,7 +3,7 @@
 //! version monotonicity under loss and reordering, and the model checker run
 //! at a slightly larger bound than its unit tests use.
 
-use netchain::core::{ClusterConfig, FaultOp, KvOp, NetChainCluster, Schedule, WorkloadConfig};
+use netchain::core::{ClusterConfig, FaultOp, KvOp, NetChainCluster, Schedule, WorkloadSpec};
 use netchain::model::{random_walk, ModelConfig, RandomWalkConfig};
 use netchain::sim::{LinkParams, SimConfig, SimDuration};
 use netchain::wire::{Ipv4Addr, Key, Value};
@@ -24,7 +24,7 @@ proptest! {
     fn lossy_reordered_network_preserves_consistency(
         seed in 0u64..1_000,
         loss in 0.0f64..0.05,
-        write_ratio in 0.0f64..1.0,
+        write_pct in 0u8..=100,
     ) {
         let config = ClusterConfig {
             sim: SimConfig::default().with_seed(seed),
@@ -44,19 +44,15 @@ proptest! {
         }
         cluster.inject(&faults);
         cluster.populate_store(50, 32);
-        cluster.install_workload_client(
-            0,
-            WorkloadConfig {
-                duration: SimDuration::from_millis(50),
-                rate_qps: 20_000.0,
-                write_ratio,
-                num_keys: 50,
-                throughput_bucket: SimDuration::from_millis(50),
-                ..Default::default()
-            },
-        );
+        // The op stream is the client's own draw: seed it with the case too.
+        let spec = WorkloadSpec {
+            seed,
+            ..WorkloadSpec::mixed(50, u64::MAX, 100 - write_pct, write_pct)
+        };
+        let window = SimDuration::from_millis(50);
+        cluster.install_workload_client(0, spec, 20_000.0, window, window);
         cluster.sim.run_for(SimDuration::from_millis(80));
-        let stats = cluster.workload_client(0).unwrap().agent_stats();
+        let stats = cluster.workload_client(0).unwrap().client().agent_stats();
         prop_assert_eq!(stats.version_regressions, 0);
 
         // Invariant 1: along every key's chain, sequence numbers are

@@ -3,7 +3,7 @@
 //! comparisons.
 
 use netchain::core::{
-    ClusterConfig, FaultOp, KvOp, NetChainCluster, Reactions, Schedule, WorkloadConfig,
+    ClusterConfig, FaultOp, KvOp, NetChainCluster, Reactions, Schedule, WorkloadSpec,
 };
 use netchain::sim::SimDuration;
 use netchain::wire::{Ipv4Addr, Key, QueryStatus, Value};
@@ -61,20 +61,20 @@ fn concurrent_clients_never_observe_version_regressions() {
     for host in 0..4 {
         cluster.install_workload_client(
             host,
-            WorkloadConfig {
-                duration: SimDuration::from_millis(200),
-                rate_qps: 5_000.0,
-                write_ratio: 0.5,
-                num_keys: 500,
-                throughput_bucket: SimDuration::from_millis(200),
-                ..Default::default()
-            },
+            WorkloadSpec::mixed(500, u64::MAX, 50, 50),
+            5_000.0,
+            SimDuration::from_millis(200),
+            SimDuration::from_millis(200),
         );
     }
     cluster.sim.run_for(SimDuration::from_millis(250));
     let mut total_completed = 0;
     for host in 0..4 {
-        let stats = cluster.workload_client(host).unwrap().agent_stats();
+        let stats = cluster
+            .workload_client(host)
+            .unwrap()
+            .client()
+            .agent_stats();
         assert_eq!(stats.version_regressions, 0, "host {host} saw a regression");
         total_completed += stats.completed;
     }
@@ -134,21 +134,17 @@ fn middle_switch_failure_heals_without_regressions() {
     cluster.populate_store(300, 64);
     cluster.install_workload_client(
         0,
-        WorkloadConfig {
-            duration: SimDuration::from_secs(12),
-            rate_qps: 2_000.0,
-            write_ratio: 0.5,
-            num_keys: 300,
-            throughput_bucket: SimDuration::from_secs(1),
-            ..Default::default()
-        },
+        WorkloadSpec::mixed(300, u64::MAX, 50, 50),
+        2_000.0,
+        SimDuration::from_secs(12),
+        SimDuration::from_secs(1),
     );
     let kill = FaultOp::Kill(Ipv4Addr::for_switch(1));
     cluster.inject(&Schedule::new(0).at(Duration::from_secs(3), kill));
     cluster.sim.run_for(SimDuration::from_secs(14));
 
     let client = cluster.workload_client(0).unwrap();
-    let stats = client.agent_stats();
+    let stats = client.client().agent_stats();
     assert_eq!(stats.version_regressions, 0);
     // The controller completed recovery onto S3.
     let reactor = cluster.controller().reactor();
@@ -235,17 +231,18 @@ fn netchain_outperforms_baseline_on_identical_workload() {
     cluster.populate_store(1_000, 64);
     cluster.install_workload_client(
         0,
-        WorkloadConfig {
-            duration,
-            rate_qps: 400_000.0,
-            write_ratio: 0.1,
-            num_keys: 1_000,
-            throughput_bucket: duration,
-            ..Default::default()
-        },
+        WorkloadSpec::mixed(1_000, u64::MAX, 90, 10),
+        400_000.0,
+        duration,
+        duration,
     );
     cluster.sim.run_for(duration + SimDuration::from_millis(10));
-    let netchain_completed = cluster.workload_client(0).unwrap().agent_stats().completed;
+    let netchain_completed = cluster
+        .workload_client(0)
+        .unwrap()
+        .client()
+        .report()
+        .completed;
 
     // Baseline: at the same 10 % writes, three servers saturate well below
     // that, however many clients keep them busy.
