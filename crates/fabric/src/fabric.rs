@@ -121,12 +121,6 @@ impl FabricConfig {
             sram_budget_bytes: usize::MAX / 2,
         }
     }
-
-    /// The shard owning `key` (the steering rule lives in
-    /// [`crate::shard::shard_of_key`]).
-    pub fn shard_of(&self, ring: &HashRing, key: &Key) -> usize {
-        crate::shard::shard_of_key(ring, key, self.num_shards)
-    }
 }
 
 /// Pins the calling thread to `cpu` when the `pinning` feature is compiled
@@ -145,7 +139,8 @@ pub fn pin_thread(cpu: usize) -> bool {
     }
 }
 
-/// Builds the shards and pre-populates every workload key on its owner.
+/// Builds the shards and pre-populates every workload key on its owner, in
+/// one batch a shard ([`Shard::populate_owned`]).
 pub fn build_shards(config: &FabricConfig, workload: &WorkloadSpec) -> Vec<Shard> {
     let ring = config.build_ring();
     let pipeline = FabricConfig::pipeline_for(workload.num_keys);
@@ -153,10 +148,9 @@ pub fn build_shards(config: &FabricConfig, workload: &WorkloadSpec) -> Vec<Shard
     let mut shards: Vec<Shard> = (0..config.num_shards)
         .map(|i| Shard::with_spares(i, config.num_shards, ring.clone(), pipeline, &spares))
         .collect();
-    for k in 0..workload.num_keys {
-        let key = Key::from_u64(k);
-        let shard = config.shard_of(&ring, &key);
-        shards[shard].populate(key, &Value::from_u64(0));
+    let zero = Value::from_u64(0);
+    for shard in &mut shards {
+        shard.populate_owned((0..workload.num_keys).map(|k| (Key::from_u64(k), &zero)));
     }
     shards
 }

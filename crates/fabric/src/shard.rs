@@ -279,15 +279,53 @@ impl Shard {
     }
 
     /// Inserts `key` on every switch of its chain (control-plane population,
-    /// the fabric equivalent of `NetChainCluster::populate_key`). Only keys
-    /// this shard [`owns`](Self::owns) may be inserted.
+    /// the fabric equivalent of `NetChainCluster::populate_key`), from one
+    /// hash. Only keys this shard [`owns`](Self::owns) may be inserted.
     pub fn populate(&mut self, key: Key, value: &Value) {
-        assert!(self.owns(&key), "key steered to the wrong shard");
-        for ip in self.ring.chain_for_key(&key).switches {
-            self.switch_mut(ip)
-                .expect("chain switches exist in the shard")
+        let hash = key.stable_hash();
+        let group = self.ring.group_of_hash(hash);
+        let owner = shard_of_group(group, self.num_shards);
+        assert_eq!(owner, self.id, "key steered to the wrong shard");
+        self.install(&self.ring.chain_for_group(group).switches, hash, key, value);
+    }
+
+    /// [`Self::populate`] for every key of `entries` this shard owns, as one
+    /// batch: each store is sized once, then the keys go in sorted by their
+    /// home cell in the largest index, so the probes walk forward.
+    pub fn populate_owned<'v>(&mut self, entries: impl IntoIterator<Item = (Key, &'v Value)>) {
+        let groups = 0..self.ring.num_virtual_nodes() as u32;
+        let chain = |group| self.ring.chain_for_group(group).switches;
+        let chains: Vec<_> = groups.map(chain).collect();
+        let mut batch = Vec::new();
+        for (key, value) in entries {
+            let hash = key.stable_hash();
+            let group = self.ring.group_of_hash(hash);
+            if shard_of_group(group, self.num_shards) == self.id {
+                batch.push((hash, &chains[group as usize], key, value));
+            }
+        }
+        let mut keys = vec![0; self.switches.len()];
+        for &ip in batch.iter().flat_map(|e| e.1) {
+            keys[self.index_of(ip).expect("ring switches are hosted")] += 1;
+        }
+        for (switch, &n) in self.switches.iter_mut().zip(&keys) {
+            switch.kv_mut().reserve(n);
+        }
+        let widest = self.switches.iter().zip(&keys).max_by_key(|&(_, n)| n);
+        let index = widest.expect("a shard hosts its ring's switches").0.kv();
+        batch.sort_unstable_by_key(|&(hash, ..)| index.home(hash));
+        for (hash, chain, key, value) in batch {
+            self.install(chain, hash, key, value);
+        }
+    }
+
+    /// Installs `key` on every replica of `chain`, for both population paths.
+    fn install(&mut self, chain: &[Ipv4Addr], hash: u64, key: Key, value: &Value) {
+        for &ip in chain {
+            let i = self.index_of(ip).expect("ring switches are hosted");
+            self.switches[i]
                 .kv_mut()
-                .insert(key, value)
+                .insert_hashed(hash, key, value)
                 .expect("shard store sized for the workload");
         }
     }
@@ -313,10 +351,6 @@ impl Shard {
     /// Read access to a switch replica (differential tests, experiments).
     pub fn switch(&self, ip: Ipv4Addr) -> Option<&NetChainSwitch> {
         self.index_of(ip).map(|i| &self.switches[i])
-    }
-
-    fn switch_mut(&mut self, ip: Ipv4Addr) -> Option<&mut NetChainSwitch> {
-        self.index_of(ip).map(|i| &mut self.switches[i])
     }
 
     /// The switch IPs this shard hosts.
@@ -381,8 +415,8 @@ impl Shard {
                 }
             }
             Target::Switch(ip) => {
-                if let Some(switch) = self.switch_mut(ip) {
-                    switch.apply(op);
+                if let Some(i) = self.index_of(ip) {
+                    self.switches[i].apply(op);
                 }
             }
         }

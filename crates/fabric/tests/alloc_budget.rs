@@ -4,7 +4,9 @@
 //! on either side, for reads and for the 50/40/10 write mix alike — nor does
 //! a read burst while failover rules are installed, nor an operation whose
 //! reply is held back while two windows of newer ones pass it (a straggler
-//! in the agent's outstanding table).
+//! in the agent's outstanding table), nor a maximum-length write to a key
+//! whose registers only ever held eight bytes (a store backs every stage of
+//! a slot when it hands the slot out, never on the data path).
 //!
 //! The same harness counts the client's clock readings: a pass reads the
 //! clock twice for all the queries it issues and once per reply run, and
@@ -22,6 +24,7 @@ use netchain_switch::{ControlOp, FailoverAction, FailoverRule, RuleScope};
 use netchain_telemetry::{trace_id, HopRole, HopStamp, TraceConfig};
 use netchain_wire::{
     BatchEncoder, ChainList, Ipv4Addr, Key, NetChainPacket, OpCode, PacketView, Value,
+    MAX_VALUE_LEN,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -383,4 +386,61 @@ fn reads_keep_the_fast_lane_past_a_failover_rule() {
         (allocations, replies, to),
         (0, frames.len(), Some(elsewhere))
     );
+}
+
+#[test]
+fn a_write_reaching_stages_never_written_allocates_nothing() {
+    // Every key went in with an 8-byte value, so only the first value stage
+    // of its slot ever held a byte; a maximum-length write reaches all eight.
+    const BURST: u64 = 32;
+    let config = FabricConfig::new(1);
+    let spec = WorkloadSpec::uniform_read(2 * BURST, 0);
+    let ring = config.build_ring();
+    let mut shard = build_shards(&config, &spec).pop().expect("one shard");
+    let long = Value::filled(0xa5, MAX_VALUE_LEN).unwrap();
+    let writes = |keys: std::ops::Range<u64>| -> Vec<Vec<u8>> {
+        keys.map(|k| {
+            let key = Key::from_u64(k);
+            let chain = ring.chain_for_key(&key).switches;
+            let rest = ChainList::new(chain[1..].to_vec()).unwrap();
+            let client = Ipv4Addr::for_host(0);
+            NetChainPacket::query(
+                client,
+                40_000,
+                chain[0],
+                OpCode::Write,
+                key,
+                long.clone(),
+                rest,
+                k,
+            )
+            .to_bytes()
+        })
+        .collect()
+    };
+    let mut replies = BatchEncoder::new();
+    let mut burst = |shard: &mut Shard, frames: &[Vec<u8>]| {
+        replies.clear();
+        let (n, ()) = allocations_in(|| {
+            shard.process_burst(frames.iter().map(|f| f.as_slice()), &mut replies)
+        });
+        assert_eq!(replies.len(), frames.len());
+        n
+    };
+    // Warm-up on the first half of the keys: the packet slab's value
+    // buffers and the reply encoder grow to a burst of long writes.
+    burst(&mut shard, &writes(0..BURST));
+    let fresh = writes(BURST..2 * BURST);
+    assert_eq!(
+        burst(&mut shard, &fresh),
+        0,
+        "allocations in {BURST} long writes"
+    );
+    for k in BURST..2 * BURST {
+        let key = Key::from_u64(k);
+        for ip in ring.chain_for_key(&key).switches {
+            let kv = shard.switch(ip).unwrap().kv();
+            assert_eq!(kv.read_value(kv.lookup(&key).unwrap()), long);
+        }
+    }
 }

@@ -205,8 +205,8 @@ pub struct NetDataplane {
 
 impl NetDataplane {
     /// Binds one socket per shard, pre-populates `populate` (each key lands
-    /// on the worker owning it, on every switch of its chain) and spawns the
-    /// worker threads.
+    /// on the worker owning it, on every switch of its chain, in one batch a
+    /// worker) and spawns the worker threads.
     pub fn start(config: NetConfig, populate: &[(Key, Value)]) -> std::io::Result<Self> {
         Self::start_under(config, populate, &Schedule::default())
     }
@@ -245,11 +245,7 @@ impl NetDataplane {
             if let Some(trace) = config.trace {
                 shard.enable_tracing(trace, t0);
             }
-            for (key, value) in populate {
-                if shard.owns(key) {
-                    shard.populate(*key, value);
-                }
-            }
+            shard.populate_owned(populate.iter().map(|(key, value)| (*key, value)));
             let routes = Arc::clone(&routes);
             let shutdown = Arc::clone(&shutdown);
             let io_mode = config.io_mode;

@@ -12,10 +12,13 @@
 //! length are zero. [`SwitchKvStore::write_value`] and garbage collection
 //! therefore touch only the stages the longer of the old and new value
 //! occupies, never all of them.
+//!
+//! Each stage is backed only up to the highest slot handed out, never by the
+//! data path; accounting and [`KvError::Full`] count the provisioned slots.
 
 use crate::pipeline::{PipelineConfig, ResourceUsage};
 use crate::register::RegisterArray;
-use crate::table::MatchTable;
+use crate::table::{MatchTable, Vacant};
 use netchain_wire::{Key, Value};
 
 /// Errors returned by control-plane operations on the store.
@@ -107,8 +110,18 @@ impl SwitchKvStore {
             config,
             index: MatchTable::new(slots),
             value_stages,
-            meta: Vec::with_capacity(slots),
+            meta: Vec::new(),
             free: Vec::new(),
+        }
+    }
+
+    /// Sizes the store once for `keys` more installs, backing their slots.
+    pub fn reserve(&mut self, keys: usize) {
+        self.index.reserve(keys);
+        let slots = self.meta.len() + keys.saturating_sub(self.free.len());
+        self.meta.reserve(slots - self.meta.len());
+        for stage in &mut self.value_stages {
+            stage.back(slots);
         }
     }
 
@@ -145,22 +158,37 @@ impl SwitchKvStore {
 
     /// Installs a new key with an initial value (control-plane `Insert`).
     pub fn insert(&mut self, key: Key, value: &Value) -> Result<usize, KvError> {
+        self.insert_hashed(key.stable_hash(), key, value)
+    }
+
+    /// [`Self::insert`] for a key whose stable hash the caller already has.
+    pub fn insert_hashed(&mut self, hash: u64, key: Key, value: &Value) -> Result<usize, KvError> {
+        match self.index.probe(hash, &key) {
+            Ok(_) => Err(KvError::KeyExists),
+            Err(vacant) => self.install(vacant, key, value),
+        }
+    }
+
+    /// The index cell a probe for `hash` starts at.
+    pub fn home(&self, hash: u64) -> usize {
+        self.index.home(hash)
+    }
+
+    /// Hands an absent `key` a slot and the index cell its probe found.
+    fn install(&mut self, vacant: Vacant, key: Key, value: &Value) -> Result<usize, KvError> {
         if value.len() > self.config.max_line_rate_value() {
             return Err(KvError::ValueTooLarge);
-        }
-        if self.index.lookup(&key).is_some() {
-            return Err(KvError::KeyExists);
         }
         let slot = match self.free.pop() {
             Some(slot) => slot,
             None if self.meta.len() < self.config.slots_per_stage => {
+                self.reserve(1);
                 self.meta.push(SlotMeta::default());
                 self.meta.len() - 1
             }
             None => return Err(KvError::Full),
         };
-        let inserted = self.index.insert(key, slot);
-        debug_assert!(inserted, "index capacity mirrors slot count");
+        self.index.fill(vacant, key, slot);
         // A never-used or collected slot's ordering registers are zero.
         self.write_value(slot, value);
         self.meta[slot].valid = true;
@@ -338,18 +366,15 @@ impl SwitchKvStore {
     /// is at least as new, preserving Invariant 1 when synchronisation races
     /// with live writes.
     pub fn import_entry(&mut self, entry: &ExportedEntry) -> Result<(), KvError> {
-        let slot = match self.index.lookup(&entry.key) {
-            Some(slot) => {
+        let slot = match self.index.probe(entry.key.stable_hash(), &entry.key) {
+            Ok(slot) => {
                 if (entry.session, entry.seq) < self.ordering(slot) {
                     return Ok(());
                 }
                 self.write_value(slot, &entry.value);
                 slot
             }
-            None => self.insert(entry.key, &entry.value).map_err(|e| match e {
-                KvError::KeyExists => unreachable!("lookup said the key is absent"),
-                other => other,
-            })?,
+            Err(vacant) => self.install(vacant, entry.key, &entry.value)?,
         };
         self.meta[slot] = SlotMeta {
             seq: entry.seq,
@@ -360,13 +385,10 @@ impl SwitchKvStore {
         Ok(())
     }
 
-    /// Wipes every entry (a recovered switch starts empty before being
-    /// resynchronised).
+    /// Wipes every entry (a recovered switch starts empty, with nothing
+    /// backed, before being resynchronised).
     pub fn clear_all(&mut self) {
-        let keys: Vec<Key> = self.index.entries().map(|(k, _)| *k).collect();
-        for key in keys {
-            let _ = self.garbage_collect(&key);
-        }
+        *self = SwitchKvStore::new(self.config);
     }
 
     /// SRAM consumption snapshot.

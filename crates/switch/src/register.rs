@@ -5,6 +5,8 @@
 //! each stage contributing up to 16 bytes of the value); the sequence,
 //! session and length registers share the same index space (§4.1, §4.3) and
 //! are modelled as one record per slot in [`crate::kv`].
+//! An array is *provisioned* for its whole geometry, which accounting reads,
+//! but *backed* only as far as the store has asked (`RegisterArray::back`).
 
 use std::fmt;
 
@@ -17,7 +19,7 @@ use std::fmt;
 #[derive(Clone)]
 pub struct RegisterArray {
     width: usize,
-    data: Vec<u8>,
+    backed: Vec<u8>,
     slots: usize,
 }
 
@@ -31,48 +33,44 @@ impl fmt::Debug for RegisterArray {
 }
 
 impl RegisterArray {
-    /// Creates an array of `slots` registers, each `width` bytes wide, zeroed.
+    /// Provisions `slots` registers, each `width` bytes wide, backing none.
     pub fn new(slots: usize, width: usize) -> Self {
         assert!(width > 0, "register width must be non-zero");
         RegisterArray {
             width,
-            data: vec![0; slots * width],
+            backed: Vec::new(),
             slots,
         }
     }
 
-    /// Number of registers.
-    pub fn slots(&self) -> usize {
-        self.slots
+    /// Backs registers `0..slots`, at most the provisioned ones, with zeroes.
+    pub(crate) fn back(&mut self, slots: usize) {
+        let len = slots.min(self.slots) * self.width;
+        self.backed.resize(len.max(self.backed.len()), 0);
     }
 
-    /// Width of each register in bytes.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Total SRAM footprint in bytes.
+    /// Total SRAM footprint in bytes, as provisioned.
     pub fn memory_bytes(&self) -> usize {
-        self.data.len()
+        self.slots * self.width
     }
 
     /// Reads the register at `index`.
     ///
     /// # Panics
-    /// Panics if `index` is out of range — the match table only ever produces
-    /// in-range indexes, so an out-of-range access is a logic bug.
+    /// Panics if `index` is out of range or not backed — the store backs a
+    /// slot before the match table can produce it, so either is a logic bug.
     pub fn read(&self, index: usize) -> &[u8] {
         assert!(index < self.slots, "register index {index} out of range");
-        &self.data[index * self.width..(index + 1) * self.width]
+        &self.backed[index * self.width..(index + 1) * self.width]
     }
 
     /// Writes `value` to the register at `index`, zero-padding or truncating
     /// to the register width (truncation cannot happen for NetChain because
-    /// the stage geometry is sized for the maximum value, but the model stays
-    /// total).
+    /// the stage geometry is sized for the maximum value). Panics as
+    /// [`Self::read`] does.
     pub fn write(&mut self, index: usize, value: &[u8]) {
         assert!(index < self.slots, "register index {index} out of range");
-        let slot = &mut self.data[index * self.width..(index + 1) * self.width];
+        let slot = &mut self.backed[index * self.width..(index + 1) * self.width];
         let n = value.len().min(slot.len());
         slot[..n].copy_from_slice(&value[..n]);
         for byte in slot[n..].iter_mut() {
@@ -88,14 +86,32 @@ mod tests {
     #[test]
     fn geometry_and_memory() {
         let arr = RegisterArray::new(64, 16);
-        assert_eq!(arr.slots(), 64);
-        assert_eq!(arr.width(), 16);
+        assert_eq!((arr.slots, arr.width), (64, 16));
         assert_eq!(arr.memory_bytes(), 1024);
+    }
+
+    #[test]
+    fn backing_is_zeroed_capped_and_never_shrinks() {
+        let mut arr = RegisterArray::new(4, 2);
+        assert!(arr.backed.is_empty(), "nothing is backed up front");
+        arr.back(2);
+        arr.write(1, &[7, 7]);
+        arr.back(1);
+        arr.back(9);
+        assert_eq!(arr.backed, [0, 0, 7, 7, 0, 0, 0, 0]);
+        assert_eq!(arr.memory_bytes(), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range for slice of length 0")]
+    fn unbacked_write_panics() {
+        RegisterArray::new(4, 2).write(0, &[1]);
     }
 
     #[test]
     fn write_pads_and_truncates() {
         let mut arr = RegisterArray::new(4, 4);
+        arr.back(4);
         arr.write(1, &[0xaa, 0xbb]);
         assert_eq!(arr.read(1), &[0xaa, 0xbb, 0, 0]);
         arr.write(1, &[1, 2, 3, 4, 5, 6]);

@@ -20,6 +20,9 @@ struct Cell {
 
 const VACANT: u32 = u32::MAX;
 
+/// The vacant cell a [`MatchTable::probe`] ended at, and the hash it probed.
+pub(crate) struct Vacant(usize, u64);
+
 const VACANT_CELL: Cell = Cell {
     hash: 0,
     key: Key([0; netchain_wire::KEY_LEN]),
@@ -103,34 +106,47 @@ impl MatchTable {
     /// Installs an entry (control-plane operation). Returns `false` if the
     /// table is full or the key already exists.
     pub fn insert(&mut self, key: Key, index: usize) -> bool {
-        let hash = key.stable_hash();
-        let mut i = self.find(hash, &key);
-        if self.cells[i].index != VACANT || self.is_full() {
-            return false;
-        }
-        if (self.len + 1) * 2 > self.cells.len() {
-            self.grow();
-            i = self.find(hash, &key);
-        }
-        self.cells[i] = Cell {
-            hash,
-            key,
-            index: u32::try_from(index).expect("register indexes are 32-bit"),
-        };
-        self.len += 1;
-        true
+        let vacant = self.probe(key.stable_hash(), &key).err();
+        let vacant = vacant.filter(|_| !self.is_full());
+        vacant.map(|vacant| self.fill(vacant, key, index)).is_some()
     }
 
-    /// Doubles the array and re-seats every entry by its stored hash.
-    fn grow(&mut self) {
-        let doubled = vec![VACANT_CELL; self.cells.len() * 2];
-        self.mask = doubled.len() - 1;
-        for cell in std::mem::replace(&mut self.cells, doubled) {
-            if cell.index != VACANT {
-                let i = self.find(cell.hash, &cell.key);
-                self.cells[i] = cell;
+    /// The one probe an install makes, after growing to fit one more entry:
+    /// `Ok` with an installed `key`'s index, else the cell to [`Self::fill`].
+    pub(crate) fn probe(&mut self, hash: u64, key: &Key) -> Result<usize, Vacant> {
+        self.reserve(1);
+        let cell = self.find(hash, key);
+        match self.cells[cell].index {
+            VACANT => Err(Vacant(cell, hash)),
+            index => Ok(index as usize),
+        }
+    }
+
+    /// Installs `key` where its probe ended, with nothing changed since.
+    pub(crate) fn fill(&mut self, Vacant(cell, hash): Vacant, key: Key, index: usize) {
+        let index = u32::try_from(index).expect("register indexes are 32-bit");
+        self.cells[cell] = Cell { hash, key, index };
+        self.len += 1;
+    }
+
+    /// Sizes the array once for `additional` more entries at half load,
+    /// re-seating every entry by its stored hash.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        let cells = (2 * (self.len + additional).min(self.capacity)).next_power_of_two();
+        if cells > self.cells.len() {
+            self.mask = cells - 1;
+            for cell in std::mem::replace(&mut self.cells, vec![VACANT_CELL; cells]) {
+                if cell.index != VACANT {
+                    let i = self.find(cell.hash, &cell.key);
+                    self.cells[i] = cell;
+                }
             }
         }
+    }
+
+    /// The cell a probe for `hash` starts at.
+    pub(crate) fn home(&self, hash: u64) -> usize {
+        hash as usize & self.mask
     }
 
     /// Removes an entry (control-plane operation), returning the index it
@@ -151,7 +167,7 @@ impl MatchTable {
             if cell.index == VACANT {
                 break;
             }
-            let home = (cell.hash as usize) & self.mask;
+            let home = self.home(cell.hash);
             if (i.wrapping_sub(home) & self.mask) >= (i.wrapping_sub(hole) & self.mask) {
                 self.cells[hole] = cell;
                 hole = i;

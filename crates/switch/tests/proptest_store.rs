@@ -7,11 +7,17 @@
 //! control-plane and data-plane sequences must leave both indistinguishable
 //! from the obvious models, and no byte of a longer previous value may
 //! survive a shrink — in particular across a stage boundary.
+//!
+//! The stages are backed only for the slots handed out, so the cases that
+//! hand slots out some other way than `insert` — an import of an absent key,
+//! a slot recycled after garbage collection, a store sized up front and
+//! filled in index order — each have a case of their own, as does a slot
+//! whose value grows from one stage to all eight and back.
 
 use netchain_switch::{ExportedEntry, KvError, MatchTable, PipelineConfig, SwitchKvStore};
 use netchain_wire::{Key, Value, MAX_VALUE_LEN};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 const SLOTS: usize = 12;
 const KEYS: u64 = 16;
@@ -237,5 +243,143 @@ proptest! {
                 );
             }
         }
+    }
+
+    #[test]
+    fn importing_absent_keys_installs_them(
+        entries in proptest::collection::vec(
+            (0..KEYS, 0..=MAX_VALUE_LEN, any::<u8>(), 0..3u64, 0..50u64, any::<bool>()),
+            1..30,
+        ),
+    ) {
+        let mut kv = SwitchKvStore::new(geometry());
+        let mut model: HashMap<Key, Entry> = HashMap::new();
+        for (k, len, salt, session, seq, valid) in entries {
+            let key = Key::from_u64(k);
+            if model.contains_key(&key) {
+                continue;
+            }
+            let incoming = Entry { value: value(len, salt), seq, session, valid };
+            let entry = exported(&HashMap::from([(key, incoming.clone())]), |_| true);
+            let full = model.len() == SLOTS;
+            prop_assert_eq!(kv.import_entry(&entry[0]).err(), full.then_some(KvError::Full));
+            if full {
+                prop_assert_eq!(kv.lookup(&key), None);
+                continue;
+            }
+            model.insert(key, incoming);
+            let slot = kv.lookup(&key).expect("the import installed the key");
+            prop_assert_eq!(kv.read_value(slot), entry[0].value.clone());
+            prop_assert_eq!(kv.ordering(slot), (session, seq));
+            prop_assert_eq!(kv.is_valid(slot), valid);
+            prop_assert_eq!(kv.free_slots(), SLOTS - model.len());
+        }
+        prop_assert_eq!(kv.export_entries(), exported(&model, |_| true));
+    }
+
+    #[test]
+    fn a_recycled_slot_reads_back_only_its_new_value(
+        old in 0..=MAX_VALUE_LEN,
+        new in 0..=MAX_VALUE_LEN,
+        salt in any::<u8>(),
+        victim in 0..SLOTS as u64,
+    ) {
+        let mut kv = SwitchKvStore::new(geometry());
+        for k in 0..SLOTS as u64 {
+            kv.insert(Key::from_u64(k), &value(old, salt)).unwrap();
+        }
+        let gone = Key::from_u64(victim);
+        let slot = kv.lookup(&gone).unwrap();
+        kv.set_seq(slot, 9);
+        kv.invalidate(slot);
+        kv.garbage_collect(&gone).unwrap();
+        prop_assert_eq!(kv.free_slots(), 1);
+        // The only slot left is the collected one: the new key must get it,
+        // with none of what the old key left in any stage.
+        let fresh = Key::from_u64(KEYS + victim);
+        let v = value(new, salt.wrapping_add(1));
+        prop_assert_eq!(kv.insert(fresh, &v), Ok(slot));
+        prop_assert_eq!(kv.free_slots(), 0);
+        prop_assert_eq!(kv.read_value(slot), v.clone());
+        prop_assert_eq!((kv.ordering(slot), kv.is_valid(slot)), ((0, 0), true));
+        let mut registers = [0xffu8; MAX_VALUE_LEN];
+        prop_assert_eq!(kv.copy_value_into(slot, &mut registers), MAX_VALUE_LEN);
+        prop_assert_eq!(&registers[..new], v.as_bytes());
+        prop_assert!(registers[new..].iter().all(|&b| b == 0), "the old value survives");
+        prop_assert_eq!(kv.insert(gone, &v), Err(KvError::Full));
+    }
+
+    #[test]
+    fn an_eight_byte_slot_grows_to_every_stage_and_shrinks_back(
+        salt in any::<u8>(),
+        back in 0..=8usize,
+    ) {
+        let mut kv = SwitchKvStore::new(geometry());
+        let key = Key::from_u64(3);
+        let slot = kv.insert(key, &Value::from_u64(7)).unwrap();
+        let stages = |kv: &SwitchKvStore| {
+            let mut registers = [0xffu8; MAX_VALUE_LEN];
+            assert_eq!(kv.copy_value_into(slot, &mut registers), MAX_VALUE_LEN);
+            registers
+        };
+        let long = value(MAX_VALUE_LEN, salt);
+        kv.write_value(slot, &long);
+        prop_assert_eq!(kv.read_value(slot), long.clone());
+        // Stages 2-8 hold exactly their sixteen bytes of the long value.
+        prop_assert_eq!(&stages(&kv)[16..], &long.as_bytes()[16..]);
+        let short = value(back, salt.wrapping_add(1));
+        kv.write_value(slot, &short);
+        prop_assert_eq!(kv.read_value(slot), short.clone());
+        let registers = stages(&kv);
+        prop_assert_eq!(&registers[..back], short.as_bytes());
+        prop_assert!(registers[back..].iter().all(|&b| b == 0), "the long value survives");
+    }
+
+    #[test]
+    fn a_batch_install_equals_one_by_one_installs(
+        before in proptest::collection::vec((0..KEYS, any::<bool>()), 0..10),
+        batch in proptest::collection::vec((0..KEYS, 0..=MAX_VALUE_LEN, any::<u8>()), 1..20),
+    ) {
+        // The same history on both sides: some keys installed, some of them
+        // collected again, so the batch takes recycled slots and fresh ones.
+        let (mut sized, mut single) = (SwitchKvStore::new(geometry()), SwitchKvStore::new(geometry()));
+        for kv in [&mut sized, &mut single] {
+            for &(k, collect) in &before {
+                let key = Key::from_u64(k);
+                let _ = kv.insert(key, &value(MAX_VALUE_LEN, k as u8));
+                if collect {
+                    kv.garbage_collect(&key).unwrap();
+                }
+            }
+        }
+        let mut seen = HashSet::new();
+        let mut batch: Vec<(u64, Key, Value)> = batch
+            .into_iter()
+            .filter(|&(k, ..)| seen.insert(k))
+            .map(|(k, len, salt)| (Key::from_u64(KEYS + k), value(len, salt)))
+            .map(|(key, v)| (key.stable_hash(), key, v))
+            .collect();
+        batch.truncate(single.free_slots());
+        for (_, key, v) in &batch {
+            single.insert(*key, v).unwrap();
+        }
+        sized.reserve(batch.len());
+        batch.sort_unstable_by_key(|&(hash, ..)| sized.home(hash));
+        for (hash, key, v) in &batch {
+            sized.insert_hashed(*hash, *key, v).unwrap();
+        }
+        prop_assert_eq!(sized.free_slots(), single.free_slots());
+        prop_assert_eq!(sized.store_size(), single.store_size());
+        for k in 0..2 * KEYS {
+            let key = Key::from_u64(k);
+            let (a, b) = (sized.lookup(&key), single.lookup(&key));
+            prop_assert_eq!(a.is_some(), b.is_some());
+            if let (Some(a), Some(b)) = (a, b) {
+                prop_assert_eq!(sized.read_value(a), single.read_value(b));
+                prop_assert_eq!(sized.ordering(a), single.ordering(b));
+                prop_assert_eq!(sized.is_valid(a), single.is_valid(b));
+            }
+        }
+        prop_assert_eq!(sized.export_entries(), single.export_entries());
     }
 }
