@@ -58,7 +58,10 @@
 //!   plays the role of the client's ToR switch in the testbed: its rule table
 //!   decides whether the packet fails over, blocks, or redirects. Without a
 //!   matching rule the packet is dropped and counted `unroutable`, exactly
-//!   like a packet sailing towards a dead device in the simulator.
+//!   like a packet sailing towards a dead device in the simulator. A dead
+//!   address the gateway redirects wholly to one live replica resolves to
+//!   it instead (no gateway wave; reads keep the fast lane), though the
+//!   control-plane verbs still address the dead replica.
 //! * Chain repair moves register state between replicas with
 //!   `SwitchKvStore::export_group` on the donor ([`Shard::switch`]) and a
 //!   `ControlOp::Import` on the replacement, the same calls the simulator's
@@ -149,11 +152,12 @@ pub struct Shard {
 #[derive(Clone, Copy)]
 struct Route {
     ip: Ipv4Addr,
-    /// The replica's index in `Shard::switches`.
+    /// The replica's index in `Shard::switches`, dead or alive.
     index: u16,
-    /// Not killed and active: the replica executes what is addressed to it.
-    live: bool,
-    /// The replica holds at least one failover rule.
+    /// The replica executing what is addressed to `ip`: `index` while live
+    /// (not killed, active), else a redirect's replacement or none.
+    hop: Option<u16>,
+    /// `hop` holds at least one failover rule.
     ruled: bool,
 }
 
@@ -426,47 +430,63 @@ impl Shard {
     /// Rebuilds what the control plane can change about routing: the route
     /// table (a kill, a revival, an (de)activation or a rule change) and the
     /// gateway, the lowest-IP live, active switch, which plays the ToR
-    /// switch's role for packets addressed to a dead device — its rule table
-    /// decides their fate. This is the only writer of either; control ops
-    /// are rare enough to rebuild after each.
+    /// switch's role for packets addressed to a dead device (its rules, or
+    /// the replacement they all redirect to, decide their fate). This is the
+    /// only writer of either; control ops are rare enough to rebuild after.
     fn refresh_routes(&mut self) {
         self.routes.fill(None);
         let mask = self.routes.len() - 1;
+        let (mut gateway, mut dead) = (None, Vec::new());
         for (i, (switch, &failed)) in self.switches.iter().zip(&self.failed).enumerate() {
             let ip = switch.ip();
             let mut at = usize::from(ip.0[3]);
             while self.routes[at & mask].is_some() {
                 at += 1;
             }
+            let live = !failed && switch.is_active();
+            if !live {
+                dead.push(at & mask);
+            } else if gateway.is_none_or(|(lowest, _)| ip < lowest) {
+                gateway = Some((ip, i));
+            }
             self.routes[at & mask] = Some(Route {
                 ip,
                 index: i as u16,
-                live: !failed && switch.is_active(),
+                hop: live.then_some(i as u16),
                 ruled: !switch.forwarding().is_empty(),
             });
         }
-        self.gateway = (self.routes.iter().flatten())
-            .filter(|r| r.live)
-            .min_by_key(|r| r.ip)
-            .map(|r| usize::from(r.index));
+        self.gateway = gateway.map(|(_, i)| i);
+        for at in dead {
+            let route = self.routes[at].expect("filled above");
+            let redirect = |i: usize| self.switches[i].forwarding().redirect_target(route.ip);
+            let to = self.gateway.and_then(redirect);
+            let hop = to.and_then(|to| self.live_index(to));
+            let hop = hop.filter(|&i| redirect(i) == to);
+            self.routes[at] = Some(Route {
+                hop: hop.map(|i| i as u16),
+                ruled: true,
+                ..route
+            });
+        }
     }
 
     /// The live, active replica addressed by `ip`, if this shard hosts one
     /// (a revived switch is neither until a repair activates it).
     fn live_index(&self, ip: Ipv4Addr) -> Option<usize> {
         (self.route(ip))
-            .filter(|r| r.live)
+            .filter(|r| r.hop == Some(r.index))
             .map(|r| usize::from(r.index))
     }
 
     /// The replica that answers a read from `src` to `dst` on the fast lane,
-    /// if it may: `dst` is live and holds no rule for `src`, the address the
-    /// reply goes to. Rules for other destinations — the failed switch of a
-    /// failover, say — never see such a reply.
+    /// if it may: `dst` resolves to a replica that holds no rule for `src`,
+    /// the address the reply goes to. Rules for other destinations — the
+    /// failed switch of a failover, say — never see such a reply.
     fn fast_lane(&self, dst: Ipv4Addr, src: Ipv4Addr) -> Option<usize> {
-        let route = self.route(dst).filter(|r| r.live)?;
-        let index = usize::from(route.index);
-        (!route.ruled || !self.switches[index].forwarding().targets(src)).then_some(index)
+        let route = self.route(dst)?;
+        let hop = usize::from(route.hop?);
+        (!route.ruled || !self.switches[hop].forwarding().targets(src)).then_some(hop)
     }
 
     // ---- Data plane ----
@@ -665,11 +685,11 @@ impl Shard {
                 .count();
             let group = &wave[next..next + len];
             next += len;
-            // A dead or absent destination hands the run to the gateway
-            // switch, whose failover rules decide. No gateway (everything
-            // failed) means the packets are unroutable.
-            let (hop, via_gateway) = match (self.live_index(dst), self.gateway) {
-                (Some(hop), _) => (hop, false),
+            // An address the route table resolves to no replica hands the
+            // run to the gateway switch, whose failover rules decide. No
+            // gateway (everything failed) means the packets are unroutable.
+            let (hop, via_gateway) = match (self.route(dst).and_then(|r| r.hop), self.gateway) {
+                (Some(hop), _) => (usize::from(hop), false),
                 (None, Some(gateway)) => (gateway, true),
                 (None, None) => {
                     self.stats.unroutable += len as u64;
@@ -700,8 +720,8 @@ impl Shard {
                             if !tracer.sink.samples(id) {
                                 continue;
                             }
-                            // Fast-lane eligibility pinned hop == dst, so the
-                            // stage-3 slot is this switch's.
+                            // Fast-lane eligibility pinned the hop `dst`
+                            // resolves to, so the stage-3 slot is its.
                             let kv = sw.kv();
                             let live = chunk.slots[i].filter(|&s| kv.is_valid(s));
                             let (session, seq) = live.map_or((0, 0), |s| kv.ordering(s));
@@ -1293,6 +1313,132 @@ mod tests {
             (Some(ringed), None)
         );
         assert!(shard.is_failed(spare) && !shard.is_failed(ringed));
+    }
+
+    #[test]
+    fn a_repaired_address_resolves_to_its_replacement() {
+        use netchain_core::failplan::{FailoverPlan, RecoveryPlan};
+        const GROUPS: u32 = 10;
+        let ring = test_ring();
+        let (victim, spare) = (ring.switches()[1], Ipv4Addr::for_switch(9));
+        let keys: Vec<Key> = (0..64).map(Key::from_u64).collect();
+        let chain = |key: &Key| ring.chain_for_key(key);
+        let tail_key = *keys.iter().find(|k| chain(k).tail() == victim).unwrap();
+        let head_key = *keys.iter().find(|k| chain(k).head() == victim).unwrap();
+        let plan = RecoveryPlan::compute(&ring, victim, spare, Some(GROUPS), &[victim].into());
+        // Populated, the victim killed, fast failover, then every group
+        // moved to the spare; `groups` of them activated.
+        let repaired = |groups: usize| {
+            let mut shard =
+                Shard::with_spares(0, 1, ring.clone(), PipelineConfig::tiny(128), &[spare]);
+            for key in &keys {
+                shard.populate(*key, &Value::from_u64(1));
+            }
+            shard.fault(&FaultOp::Kill(victim));
+            let mut session = 1;
+            let deliver = |shard: &mut Shard, ops: Vec<(Target, ControlOp)>| {
+                for (target, op) in &ops {
+                    shard.apply(*target, op);
+                }
+            };
+            deliver(
+                &mut shard,
+                FailoverPlan::compute(&ring, victim).ops(&mut session),
+            );
+            for (i, step) in plan.steps.iter().enumerate().take(groups) {
+                deliver(&mut shard, plan.block_ops(i));
+                for &donor in &step.donors {
+                    let entries = shard.export_group(donor, step.group, GROUPS);
+                    shard.apply(Target::Switch(spare), &ControlOp::Import(entries));
+                }
+                deliver(&mut shard, plan.activate_ops(i, &mut session));
+            }
+            shard
+        };
+        let hop_ip = |shard: &Shard| {
+            let hop = shard.route(victim).and_then(|r| r.hop);
+            hop.map(|i| shard.switches[usize::from(i)].ip())
+        };
+        // Until the last group moves, the gateway's rules decide.
+        assert_eq!(hop_ip(&repaired(GROUPS as usize - 1)), None);
+        // So they do while the replica they redirect to does not agree.
+        let mut lone = repaired(0);
+        let rule = FailoverRule {
+            priority: 3,
+            scope: RuleScope::All,
+            action: FailoverAction::Redirect(ring.switches()[2]),
+        };
+        let failed_ip = victim;
+        lone.apply(
+            Target::Switch(ring.switches()[0]),
+            &ControlOp::InstallRule { failed_ip, rule },
+        );
+        assert_eq!(lone.gateway, lone.index_of(ring.switches()[0]));
+        assert_eq!(hop_ip(&lone), None);
+        let (mut staged, mut scalar) = (repaired(GROUPS as usize), repaired(GROUPS as usize));
+        assert_eq!(hop_ip(&staged), Some(spare));
+        let client = Ipv4Addr::for_host(0);
+        assert_eq!(staged.fast_lane(victim, client), staged.index_of(spare));
+        // The control plane still addresses the frozen victim.
+        let frozen = staged.switch(victim).unwrap();
+        assert_eq!(frozen.ip(), victim);
+        assert!(staged.is_failed(victim) && frozen.stats().processed() == 0);
+
+        // A write whose head is the victim takes its chain's three waves and
+        // no gateway wave.
+        let mut replies = BatchEncoder::new();
+        let write = query_frame(&ring, head_key, OpCode::Write, Value::from_u64(5), 1);
+        let before = *staged.stats();
+        staged.process_burst(std::iter::once(write.as_slice()), &mut replies);
+        assert_eq!(staged.stats().since(&before).waves, 3);
+        let mut scalar_replies = BatchEncoder::new();
+        scalar.process_burst_scalar(std::iter::once(write.as_slice()), &mut scalar_replies);
+
+        // Reads to the victim are answered by the spare on the fast lane;
+        // staged and scalar agree on every byte, counter and register.
+        let frames: Vec<Vec<u8>> = (keys.iter().enumerate())
+            .map(|(i, &key)| {
+                let (op, value) = match i % 3 {
+                    0 => (OpCode::Write, Value::from_u64(i as u64)),
+                    _ => (OpCode::Read, Value::empty()),
+                };
+                query_frame(&ring, key, op, value, 10 + i as u64)
+            })
+            .chain([query_frame(
+                &ring,
+                tail_key,
+                OpCode::Read,
+                Value::empty(),
+                99,
+            )])
+            .collect();
+        replies.clear();
+        scalar_replies.clear();
+        staged.process_burst(frames.iter().map(|f| f.as_slice()), &mut replies);
+        scalar.process_burst_scalar(frames.iter().map(|f| f.as_slice()), &mut scalar_replies);
+        assert_eq!(replies.len(), frames.len());
+        assert!(replies.frames().eq(scalar_replies.frames()));
+        assert_eq!(staged.stats(), scalar.stats());
+        for ip in staged.switch_ips().collect::<Vec<_>>() {
+            let (a, b) = (staged.switch(ip).unwrap(), scalar.switch(ip).unwrap());
+            assert_eq!(a.stats(), b.stats(), "switch {ip:?} counters");
+            assert_eq!(a.kv().export_entries(), b.kv().export_entries());
+        }
+        let answered_by = (replies.frames().map(|f| PacketView::parse(f).unwrap()))
+            .find(|reply| reply.netchain.request_id() == 99)
+            .map(|reply| reply.ip.src);
+        assert_eq!(answered_by, Some(spare));
+        assert_eq!(staged.stats().unroutable, 0);
+
+        // With the spare dead too, the victim's traffic is the gateway's
+        // again: redirected to a dead switch, so unroutable.
+        staged.fault(&FaultOp::Kill(spare));
+        assert_eq!(hop_ip(&staged), None);
+        replies.clear();
+        let read = query_frame(&ring, tail_key, OpCode::Read, Value::empty(), 100);
+        staged.process_burst(std::iter::once(read.as_slice()), &mut replies);
+        assert!(replies.is_empty());
+        assert_eq!(staged.stats().unroutable, 1);
     }
 
     #[test]

@@ -61,6 +61,7 @@ impl NetChainSwitch {
             ControlOp::SetSession(session) => self.set_session(*session),
             ControlOp::SetActive(active) => self.set_active(*active),
             ControlOp::Import(entries) => {
+                self.kv_mut().reserve(entries.len());
                 for entry in entries {
                     let _ = self.kv_mut().import_entry(entry);
                 }

@@ -81,15 +81,69 @@ pub struct FailoverRule {
     pub action: FailoverAction,
 }
 
+const NO_RULE: u32 = u32::MAX;
+
 /// The per-switch table of failover rules, keyed by the failed switch's IP.
 ///
 /// Every packet a switch forwards onwards is matched against this table, so
 /// the destinations are a short list compared by value (a handful of failed
-/// switches at most), not a hash map.
+/// switches at most), not a hash map; within one, an index finds the rule
+/// that applies without walking the rules.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ForwardingTable {
-    /// Per failed IP, its rules in descending priority; never empty.
-    rules: Vec<(Ipv4Addr, Vec<FailoverRule>)>,
+    destinations: Vec<(Ipv4Addr, Rules)>,
+}
+
+/// One failed IP's rules and their index.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Rules {
+    /// In lookup order: descending priority, ties in install order.
+    list: Vec<FailoverRule>,
+    /// Per modulus in use, ascending: each group's first rule in `list`, or
+    /// `NO_RULE` (`All` is group 0 of modulus 1; a scope matching nothing is
+    /// not indexed). A function of `list`, so tables compare by rules.
+    moduli: Vec<(u32, Vec<u32>)>,
+}
+
+impl Rules {
+    /// `scope`'s index entry, if it can match a key (adding its modulus).
+    fn first_mut(&mut self, scope: RuleScope) -> Option<&mut u32> {
+        let (group, modulus) = match scope {
+            RuleScope::All => (0, 1),
+            RuleScope::Group { group, modulus } if group < modulus => (group, modulus),
+            RuleScope::Group { .. } => return None,
+        };
+        let at = self.moduli.partition_point(|m| m.0 < modulus);
+        if self.moduli.get(at).is_none_or(|m| m.0 != modulus) {
+            (self.moduli).insert(at, (modulus, vec![NO_RULE; modulus as usize]));
+        }
+        Some(&mut self.moduli[at].1[group as usize])
+    }
+
+    /// Adds `delta` (wrapping) to every indexed position from `from` on: the
+    /// fix-up in place after `list` gains or loses a rule there.
+    fn shift(&mut self, from: usize, delta: u32) {
+        for (_, firsts) in &mut self.moduli {
+            for first in firsts.iter_mut() {
+                if *first >= from as u32 && *first != NO_RULE {
+                    *first = first.wrapping_add(delta);
+                }
+            }
+        }
+    }
+
+    /// Where the rule of `priority` and `scope` sits, among its priority's.
+    fn find(&self, priority: u8, scope: RuleScope) -> Option<usize> {
+        let from = self.list.partition_point(|r| r.priority > priority);
+        let to = self.list.partition_point(|r| r.priority >= priority);
+        Some(from + self.list[from..to].iter().position(|r| r.scope == scope)?)
+    }
+
+    /// The rule for a key of stable hash `hash`: the first of its scopes'.
+    fn first_for(&self, hash: u64) -> Option<&FailoverRule> {
+        let first = |(m, firsts): &(u32, Vec<u32>)| firsts[(hash % u64::from(*m)) as usize];
+        self.list.get(self.moduli.iter().map(first).min()? as usize)
+    }
 }
 
 impl ForwardingTable {
@@ -103,19 +157,20 @@ impl ForwardingTable {
     /// re-programs a rule slot); otherwise rules coexist and priority decides.
     pub fn install(&mut self, failed_ip: Ipv4Addr, rule: FailoverRule) {
         let at = self.position(failed_ip).unwrap_or_else(|| {
-            self.rules.push((failed_ip, Vec::new()));
-            self.rules.len() - 1
+            self.destinations.push((failed_ip, Rules::default()));
+            self.destinations.len() - 1
         });
-        let slot = &mut self.rules[at].1;
-        if let Some(existing) = slot
-            .iter_mut()
-            .find(|r| r.priority == rule.priority && r.scope == rule.scope)
-        {
-            *existing = rule;
-        } else {
-            slot.push(rule);
+        let rules = &mut self.destinations[at].1;
+        if let Some(at) = rules.find(rule.priority, rule.scope) {
+            rules.list[at] = rule;
+            return;
         }
-        slot.sort_by_key(|r| std::cmp::Reverse(r.priority));
+        let at = rules.list.partition_point(|r| r.priority >= rule.priority);
+        rules.list.insert(at, rule);
+        rules.shift(at, 1);
+        if let Some(first) = rules.first_mut(rule.scope) {
+            *first = (*first).min(at as u32);
+        }
     }
 
     /// Convenience: installs the fast-failover rule (priority 1, all keys).
@@ -133,21 +188,29 @@ impl ForwardingTable {
     /// Removes every rule matching `failed_ip` with the given priority and
     /// scope. Returns the number of rules removed.
     pub fn remove(&mut self, failed_ip: Ipv4Addr, priority: u8, scope: RuleScope) -> usize {
-        let Some(at) = self.position(failed_ip) else {
+        let Some(d) = self.position(failed_ip) else {
             return 0;
         };
-        let slot = &mut self.rules[at].1;
-        let before = slot.len();
-        slot.retain(|r| !(r.priority == priority && r.scope == scope));
-        let removed = before - slot.len();
-        if slot.is_empty() {
-            self.rules.remove(at);
+        let rules = &mut self.destinations[d].1;
+        let Some(at) = rules.find(priority, scope) else {
+            return 0;
+        };
+        rules.list.remove(at);
+        rules.shift(at + 1, u32::MAX);
+        // If it was its scope's first rule, the scope's next one follows it.
+        let next = rules.list[at..].iter().position(|r| r.scope == scope);
+        if let Some(first) = rules.first_mut(scope).filter(|first| **first == at as u32) {
+            *first = next.map_or(NO_RULE, |n| (at + n) as u32);
         }
-        removed
+        (rules.moduli).retain(|(_, firsts)| firsts.iter().any(|&p| p != NO_RULE));
+        if rules.list.is_empty() {
+            self.destinations.remove(d);
+        }
+        1
     }
 
     fn position(&self, dst: Ipv4Addr) -> Option<usize> {
-        self.rules.iter().position(|(ip, _)| *ip == dst)
+        self.destinations.iter().position(|(ip, _)| *ip == dst)
     }
 
     /// True if any rule, of any scope, targets packets destined to `dst`.
@@ -161,36 +224,39 @@ impl ForwardingTable {
         self.action_for_hash(dst, key.stable_hash())
     }
 
-    /// [`Self::action_for`] for a key whose stable hash is already known.
-    /// Group scopes compare that hash's residue, computed once per distinct
-    /// modulus rather than once per rule (a repair in progress holds a block
-    /// or redirect rule for each of its groups).
+    /// [`Self::action_for`] for a key whose stable hash is already known:
+    /// the first of its scopes' first rules.
     pub fn action_for_hash(&self, dst: Ipv4Addr, hash: u64) -> Option<FailoverAction> {
-        let rules = &self.rules[self.position(dst)?].1;
-        let (mut modulus_seen, mut residue) = (0, 0);
-        rules
-            .iter()
-            .find(|rule| match rule.scope {
-                RuleScope::All => true,
-                RuleScope::Group { group, modulus } => {
-                    if modulus != modulus_seen && modulus > 0 {
-                        modulus_seen = modulus;
-                        residue = (hash % u64::from(modulus)) as u32;
-                    }
-                    modulus > 0 && residue == group
-                }
-            })
-            .map(|rule| rule.action)
+        let rules = &self.destinations[self.position(dst)?].1;
+        Some(rules.first_for(hash)?.action)
+    }
+
+    /// The one address every query to `dst` is redirected to, whatever its
+    /// key (every group of a repaired switch moved to one replacement);
+    /// `None` otherwise, and under a modulus that does not divide the largest.
+    pub fn redirect_target(&self, dst: Ipv4Addr) -> Option<Ipv4Addr> {
+        let rules = &self.destinations[self.position(dst)?].1;
+        let span = rules.moduli.last()?.0;
+        let redirect = |hash| match rules.first_for(hash)?.action {
+            FailoverAction::Redirect(ip) => Some(ip),
+            _ => None,
+        };
+        // The last group first: a repair moves groups in ascending order, so
+        // until its last group moves this answers at once.
+        let target = redirect(u64::from(span) - 1)?;
+        let divides = rules.moduli.iter().all(|&(m, _)| span.is_multiple_of(m));
+        let everywhere = (0..u64::from(span)).all(|hash| redirect(hash) == Some(target));
+        (divides && everywhere).then_some(target)
     }
 
     /// Number of installed rules (across all destinations).
     pub fn len(&self) -> usize {
-        self.rules.iter().map(|(_, rules)| rules.len()).sum()
+        self.destinations.iter().map(|(_, d)| d.list.len()).sum()
     }
 
     /// True if no rules are installed.
     pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
+        self.destinations.is_empty()
     }
 }
 

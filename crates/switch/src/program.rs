@@ -16,6 +16,7 @@ use crate::pipeline::PipelineConfig;
 use crate::stats::{ProbeGauges, SwitchStats};
 use netchain_wire::{
     BatchEncoder, Ipv4Addr, NetChainPacket, OpCode, QueryStatus, StatSnapshot, Value,
+    ETHERNET_HEADER_LEN,
 };
 
 /// Why a switch dropped a packet.
@@ -175,7 +176,7 @@ impl NetChainSwitch {
     /// ever materialising a [`NetChainPacket`]. Stats and reply bytes are
     /// exactly what [`Self::handle`] produces for the same query at a switch
     /// no rule diverts the reply of (pinned by tests); the caller checks that
-    /// eligibility.
+    /// eligibility (a query whose IPv4 destination is elsewhere came by a redirect).
     pub fn read_reply_staged(
         &mut self,
         frame: &[u8],
@@ -183,6 +184,7 @@ impl NetChainSwitch {
         replies: &mut BatchEncoder,
     ) {
         self.stats.packets_seen += 1;
+        self.stats.failover_hits += u64::from(frame[ETHERNET_HEADER_LEN + 16..][..4] != self.ip.0);
         self.stats.reads += 1;
         let live = slot.filter(|&s| self.kv.is_valid(s));
         let (status, session, seq, value_len) = match live {
