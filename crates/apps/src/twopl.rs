@@ -13,7 +13,6 @@
 use crate::lock::{lock_key, LockClient};
 use netchain_core::{AgentConfig, AgentCore, ChainDirectory, KvOp, NetMsg};
 use netchain_sim::{Context, Node, NodeId, SimDuration, SimTime, TimerToken};
-use netchain_telemetry::TimeSeries;
 use netchain_wire::{Key, QueryStatus};
 use std::any::Any;
 
@@ -36,8 +35,6 @@ pub struct TxnWorkload {
     pub start: SimDuration,
     /// For how long it keeps issuing transactions.
     pub duration: SimDuration,
-    /// Bucket width for the committed-transaction throughput series.
-    pub throughput_bucket: SimDuration,
 }
 
 impl Default for TxnWorkload {
@@ -49,7 +46,6 @@ impl Default for TxnWorkload {
             cold_items: 100_000,
             start: SimDuration::ZERO,
             duration: SimDuration::from_secs(1),
-            throughput_bucket: SimDuration::from_secs(1),
         }
     }
 }
@@ -111,7 +107,6 @@ pub struct TxnClient {
     workload: TxnWorkload,
     state: TxnState,
     stats: TxnStats,
-    throughput: TimeSeries,
 }
 
 impl TxnClient {
@@ -130,18 +125,12 @@ impl TxnClient {
             workload,
             state: TxnState::Idle,
             stats: TxnStats::default(),
-            throughput: TimeSeries::new(workload.throughput_bucket.as_nanos()),
         }
     }
 
     /// Transaction statistics.
     pub fn stats(&self) -> TxnStats {
         self.stats
-    }
-
-    /// Committed-transaction throughput series.
-    pub fn throughput(&self) -> &TimeSeries {
-        &self.throughput
     }
 
     fn in_window(&self, now: SimTime) -> bool {
@@ -208,7 +197,6 @@ impl TxnClient {
             self.stats.aborted += 1;
         } else {
             self.stats.committed += 1;
-            self.throughput.record(ctx.now().as_nanos());
         }
         self.start_txn(ctx);
     }

@@ -9,7 +9,7 @@
 //! file is audited **independently** — trace ids and key fingerprints are
 //! only unique within one run, so merging files would manufacture
 //! collisions. Within a file, records are further partitioned by their
-//! optional `"run"` label (`failover_live` emits one run per group count,
+//! optional `"run"` label (`fig10` emits one run per group count,
 //! `net_scale` one per I/O mode — each with its own timebase and version
 //! history) and each labelled run is audited against its own journal.
 //!
@@ -449,7 +449,7 @@ mod tests {
     #[test]
     fn run_labels_partition_one_file_into_independent_audits() {
         let dir = tmp_dir("runs");
-        // Two runs in one artifact, as failover_live emits: each restarts
+        // Two runs in one artifact, as fig10 emits: each restarts
         // versions from scratch on the same keys and hop IPs. Mixed together
         // the second run's low versions look like regressions/stale reads;
         // partitioned by label both are clean.

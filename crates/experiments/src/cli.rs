@@ -5,16 +5,14 @@
 //! are entries like any other and walk the same table, so neither can drift
 //! from what the single subcommands do.
 
-use crate::{
-    bench_gate, chain_audit, failover_live, fig10, fig11, fig9, net_scale, ops_top, table1,
-};
+use crate::{bench_gate, chain_audit, fig10, fig11, fig9, net_scale, ops_top, table1};
 
 /// One subcommand: its name, a one-line description, and its entry point
 /// (the arguments after the name → the process exit code).
 pub type Command = (&'static str, &'static str, fn(&[String]) -> i32);
 
 /// Every subcommand, in the order `help` lists them.
-pub static COMMANDS: [Command; 11] = [
+pub static COMMANDS: [Command; 10] = [
     (
         "table1",
         "Table 1: server vs switch packet processing",
@@ -27,18 +25,13 @@ pub static COMMANDS: [Command; 11] = [
     ),
     (
         "fig10",
-        "Figure 10: failure handling time series [--vgroups N]",
+        "Figure 10: failure handling, measured on the live fabric [--smoke]",
         fig10::run_cli,
     ),
     (
         "fig11",
         "Figure 11: transaction throughput vs contention",
         fig11::run_cli,
-    ),
-    (
-        "failover_live",
-        "kill, failover and chain repair in the running fabric [--smoke]",
-        failover_live::run_cli,
     ),
     (
         "net_scale",
@@ -68,9 +61,9 @@ pub static COMMANDS: [Command; 11] = [
     ("help", "this list", help),
 ];
 
-/// What `all` runs, by name: the reproductions and the live-fabric failover
-/// run, each exactly as its own subcommand runs with no arguments.
-const ALL: [&str; 5] = ["table1", "fig9", "fig10", "fig11", "failover_live"];
+/// What `all` runs, by name: the reproductions, each exactly as its own
+/// subcommand runs with no arguments.
+const ALL: [&str; 4] = ["table1", "fig9", "fig10", "fig11"];
 
 fn find(name: &str) -> Option<&'static Command> {
     COMMANDS.iter().find(|(n, ..)| *n == name)
@@ -136,7 +129,6 @@ mod tests {
             "fig9",
             "fig10",
             "fig11",
-            "failover_live",
             "net_scale",
             "ops_top",
             "chain_audit",
@@ -148,9 +140,10 @@ mod tests {
         for name in ALL {
             assert!(find(name).is_some(), "`all` names {name}");
         }
-        // The two harnesses `benchmark/` replaced are unknown names now:
-        // exit 2 and the table, like any other.
-        for name in ["fabric_scale", "telemetry_overhead"] {
+        // The two harnesses `benchmark/` replaced, and `failover_live`, which
+        // `fig10` became, are unknown names now: exit 2 and the table, like
+        // any other.
+        for name in ["fabric_scale", "telemetry_overhead", "failover_live"] {
             assert!(find(name).is_none(), "{name} is still a subcommand");
             assert_eq!(run(&[name.to_string()]), 2);
         }

@@ -1,244 +1,541 @@
-//! Figure 10: failure handling — the throughput time series of one client
-//! while a chain switch fails, fast failover kicks in, and failure recovery
-//! copies state to a replacement switch, with 1 vs 100 virtual groups.
-//!
-//! The experiment mirrors §8.4: a three-switch chain over S0–S2 with S3 held
-//! out of the ring as the replacement, a 50 % write workload from H0, failure
-//! injected at t = 20 s, recovery starting ~20 s later and taking
-//! `sync_duration` in total. The offered load is scaled down (the paper
-//! drives 20.5 MQPS; simulating that packet by packet is pointless), so the
-//! series is reported both in absolute scaled QPS and normalised to the
-//! pre-failure plateau — the *shape* is the reproduction target.
+//! Figure 10: failure handling, *measured*. One client's throughput over
+//! time on the multi-core fabric while a chain switch is killed, fast
+//! failover reroutes, and chain repair (Algorithm 3) copies state to a spare
+//! in 1 or 100 virtual groups (§8.4), driven by `netchain-livectl`: real
+//! threads, rings, retries and controller, reported in wall-clock slices.
+//! The claim it checks: with the key space repaired in **many** groups only
+//! a small fraction of traffic is blocked at any instant, while **one**
+//! group blocks every write to the failed switch for the whole copy.
 
 use crate::series::Series;
-use netchain_core::{ClusterConfig, FaultOp, NetChainCluster, Reactions, Schedule, WorkloadSpec};
-use netchain_sim::SimDuration;
+use netchain_core::{FaultOp, Schedule, WorkloadSpec};
+use netchain_fabric::FabricConfig;
+use netchain_livectl::{run_live_controlled, LiveAnomaly, LiveConfig, LiveReport, Reactions};
+use netchain_telemetry::{trace_record_fields, ArtifactWriter, Json, Quantiles, TraceConfig};
 use netchain_wire::Ipv4Addr;
 use std::time::Duration;
 
-/// Parameters of the failure-handling experiment.
+/// Trace sampling of a live failover run: a shard's sink is capped at 4096
+/// traces, and the shift is the one at which that outlasts `duration` at more
+/// than a shard has been seen to serve (8 M ops/s). At a fixed 1 in 64 the
+/// sinks were full 80 ms in, and `chain_audit` judged nothing after the kill.
+fn trace_sampling(duration: Duration) -> TraceConfig {
+    TraceConfig::lasting((duration.as_secs_f64() * 8e6) as u64, 4096)
+}
+
+/// Parameters of one live failover run (shared by every `groups` setting).
 #[derive(Debug, Clone)]
 pub struct Fig10Params {
-    /// What fails, and when: by default S1 (a middle switch for most chains)
-    /// at t = 20 s.
+    /// Worker shards.
+    pub shards: usize,
+    /// Switches on the ring (one spare is always added as the replacement).
+    pub switches: usize,
+    /// Distinct keys.
+    pub num_keys: u64,
+    /// Percentage of reads (the rest are writes — writes are what blocking
+    /// hits).
+    pub read_pct: u8,
+    /// Total run length.
+    pub duration: Duration,
+    /// Throughput slice width.
+    pub slice: Duration,
+    /// What breaks, and when: S1 dies.
     pub schedule: Schedule,
-    /// How the controller reacts: the paper's 10 ms detection, the delay
-    /// before recovery starts after failover, the total state-synchronisation
-    /// time across all groups, the replacement (S3) and the number of
-    /// virtual groups recovery uses (1 for Figure 10(a), 100 for 10(b)).
+    /// How the controller reacts: detection time before Algorithm 2, pause
+    /// before repair, total sync budget (the spare replaces; the group count
+    /// is each run's own).
     pub reactions: Reactions,
-    /// Offered load from the observed client, queries per second (scaled).
-    pub offered_qps: f64,
-    /// Total simulated time.
-    pub total: SimDuration,
+}
+
+impl Default for Fig10Params {
+    fn default() -> Self {
+        Self::timed(600, 50, 350, 600)
+    }
 }
 
 impl Fig10Params {
-    /// The paper's timings (failure at 20 s, recovery 20 s later, 150 s of
-    /// synchronisation) with recovery in `virtual_groups` groups.
-    pub fn paper(virtual_groups: u32) -> Self {
-        Self::scaled(virtual_groups, 20, 20, 150, 230)
+    /// A tiny configuration for CI smoke runs (finishes in under a second).
+    pub fn smoke() -> Self {
+        Self::smoke_timed(150, 30, 70, 150)
     }
 
-    /// S1 killed at `fail_at` s, recovery `recovery_delay` s later taking
-    /// `sync` s, `total` s in all.
-    fn scaled(
-        virtual_groups: u32,
-        fail_at: u64,
-        recovery_delay: u64,
-        sync: u64,
-        total: u64,
-    ) -> Self {
-        let kill = FaultOp::Kill(Ipv4Addr::for_switch(1));
+    /// The smoke run's shape with the timings of [`Self::timed`].
+    fn smoke_timed(kill_at: u64, failover_delay: u64, recovery_delay: u64, sync: u64) -> Self {
         Fig10Params {
-            schedule: Schedule::new(0).at(Duration::from_secs(fail_at), kill),
+            shards: 1,
+            num_keys: 128,
+            duration: Duration::from_millis(700),
+            slice: Duration::from_millis(10),
+            ..Self::timed(kill_at, failover_delay, recovery_delay, sync)
+        }
+    }
+
+    /// The default run with S1 killed at `kill_at` ms and the controller's
+    /// three delays (detection, pause, sync budget), in milliseconds.
+    fn timed(kill_at: u64, failover_delay: u64, recovery_delay: u64, sync: u64) -> Self {
+        let ms = Duration::from_millis;
+        Fig10Params {
+            shards: 2,
+            switches: 4,
+            num_keys: 512,
+            read_pct: 50,
+            duration: ms(3_000),
+            slice: ms(20),
+            schedule: Schedule::new(0).at(ms(kill_at), FaultOp::Kill(Ipv4Addr::for_switch(1))),
             reactions: Reactions {
-                recovery_delay: Duration::from_secs(recovery_delay),
-                sync_duration: Duration::from_secs(sync),
-                replacement: Some(Ipv4Addr::for_switch(3)),
-                recovery_groups: Some(virtual_groups),
-                ..ClusterConfig::default().reactions
+                failover_delay: ms(failover_delay),
+                recovery_delay: ms(recovery_delay),
+                sync_duration: ms(sync),
+                ..Reactions::default()
             },
-            offered_qps: 10_000.0,
-            total: SimDuration::from_secs(total),
         }
     }
 
-    /// When the first failure is injected, in seconds.
-    fn fail_s(&self) -> f64 {
-        self.schedule
-            .kills()
-            .next()
-            .map_or(0.0, |(at, _)| at.as_secs_f64())
-    }
-
-    fn virtual_groups(&self) -> u32 {
-        self.reactions.recovery_groups.unwrap_or(0)
-    }
-}
-
-/// Runs the experiment and returns the client's completed-query throughput
-/// time series: one absolute series ("throughput (QPS)") and one normalised
-/// to the pre-failure plateau ("normalised").
-pub fn fig10(params: &Fig10Params) -> Vec<Series> {
-    let config = ClusterConfig {
-        // S0–S2 form the ring; S3 is the spare that replaces the failed
-        // switch.
-        ring_switches: Some(3),
-        reactions: params.reactions,
-        ..Default::default()
-    };
-    let mut cluster = NetChainCluster::testbed(config);
-    cluster.populate_store(2_000, 64);
-    cluster.install_workload_client(
-        0,
-        WorkloadSpec::mixed(2_000, u64::MAX, 50, 50),
-        params.offered_qps,
-        params.total,
-        SimDuration::from_secs(1),
-    );
-    cluster.inject(&params.schedule);
-    cluster
-        .sim
-        .run_for(params.total + SimDuration::from_secs(2));
-
-    let client = cluster.workload_client(0).expect("installed");
-    let series = client.throughput().rate_series();
-    // Plateau = average rate over the seconds strictly before the failure.
-    let fail_s = params.fail_s();
-    let plateau: f64 = {
-        let before: Vec<f64> = series
-            .iter()
-            .filter(|(t, _)| *t + 1.0 < fail_s)
-            .map(|&(_, r)| r)
-            .collect();
-        if before.is_empty() {
-            1.0
-        } else {
-            before.iter().sum::<f64>() / before.len() as f64
+    /// The window means of `report`; `bounce_wait` is what one bounced write
+    /// costs the client, in window-seconds: one retransmission timeout in
+    /// one of the window's slots.
+    fn window_means(&self, report: &LiveReport, bounce_wait: Duration) -> Fig10Summary {
+        let timeline = report.timeline.as_ref().expect("a fault script ran");
+        let margin = Duration::from_millis(40);
+        let kill_at = self.schedule.kills().next().expect("a kill is scheduled").0;
+        let pre_failure = report.mean_rate(self.slice, kill_at);
+        let failover_mean = report.mean_rate(
+            timeline.failover_installed_at + margin,
+            timeline.repair_started_at,
+        );
+        let repair_mean = report.mean_rate(timeline.repair_started_at, timeline.repair_finished_at);
+        let post_repair = report.mean_rate(timeline.repair_finished_at + margin, self.duration);
+        let repair_time = timeline
+            .repair_finished_at
+            .saturating_sub(timeline.repair_started_at);
+        Fig10Summary {
+            groups: timeline.groups_repaired as u32,
+            pre_failure,
+            failover_mean,
+            repair_mean,
+            post_repair,
+            blocked_fraction: if pre_failure > 0.0 {
+                (1.0 - repair_mean / pre_failure).max(0.0)
+            } else {
+                0.0
+            },
+            repair_time,
+            bounce_wait_share: report.total_blocked() as f64 * bounce_wait.as_secs_f64()
+                / repair_time.as_secs_f64().max(1e-9),
+            failover_install_time: timeline.failover_install_time,
+            retries: report.total_retries(),
+            abandoned: report.total_abandoned(),
+            version_regressions: report.total_version_regressions(),
+            unroutable: report.total_unroutable(),
+            blocked: report.total_blocked(),
+            latency: report.latency.quantiles(),
         }
-    };
-    let absolute = Series::new(
-        format!("throughput (QPS), {} vgroup(s)", params.virtual_groups()),
-        series.clone(),
-    );
-    let normalised = Series::new(
-        format!("normalised, {} vgroup(s)", params.virtual_groups()),
-        series
-            .iter()
-            .map(|&(t, r)| (t, if plateau > 0.0 { r / plateau } else { 0.0 }))
-            .collect(),
-    );
-    vec![absolute, normalised]
+    }
 }
 
-/// Summary statistics extracted from a normalised Figure 10 series, printed
-/// by the subcommand and asserted by the tests.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Window means extracted from one run's slice series.
+#[derive(Debug, Clone, Copy)]
 pub struct Fig10Summary {
-    /// Mean normalised throughput during the recovery window.
-    pub recovery_mean: f64,
-    /// Minimum normalised throughput right after the failure (before
-    /// failover completes).
-    pub failover_dip: f64,
-    /// Mean normalised throughput after recovery completes.
-    pub post_recovery_mean: f64,
+    /// Groups the repair was staged in.
+    pub groups: u32,
+    /// Mean ops/sec before the kill.
+    pub pre_failure: f64,
+    /// Mean ops/sec between failover completion and repair start (chains
+    /// one switch short).
+    pub failover_mean: f64,
+    /// Mean ops/sec during the repair window.
+    pub repair_mean: f64,
+    /// Mean ops/sec after the last group activated.
+    pub post_repair: f64,
+    /// `1 - repair_mean / pre_failure`: the throughput fraction blocking
+    /// cost during repair (the Figure 10 claim: many groups ⇒ small
+    /// fraction).
+    pub blocked_fraction: f64,
+    /// Measured time from repair start to the last group's activation.
+    pub repair_time: Duration,
+    /// The mean share of the client's window held by bounced writes during
+    /// repair, each waiting out one retransmission timeout:
+    /// `blocked × timeout / (repair_time × window)`: what bouncing costs a
+    /// closed loop whose other slots keep their pace. Compare
+    /// `blocked_fraction`.
+    pub bounce_wait_share: f64,
+    /// Measured time to install the failover rules on every shard.
+    pub failover_install_time: Duration,
+    /// Client retransmissions over the whole run.
+    pub retries: u64,
+    /// Abandoned queries (must be zero).
+    pub abandoned: u64,
+    /// Replies that travelled backwards in chain version (must be zero).
+    pub version_regressions: u64,
+    /// Queries the dataplane dropped for lack of a live route (nonzero only
+    /// inside the kill→failover window).
+    pub unroutable: u64,
+    /// Writes bounced off blocked groups during repair.
+    pub blocked: u64,
+    /// Issue→reply wall-clock latency quantiles over the whole run.
+    pub latency: Quantiles,
 }
 
-/// Extracts summary statistics from the normalised series produced by
-/// [`fig10`].
-pub fn summarise(params: &Fig10Params, normalised: &Series) -> Fig10Summary {
-    let fail_s = params.fail_s();
-    let recovery_start = fail_s + params.reactions.recovery_delay.as_secs_f64();
-    let recovery_end = recovery_start + params.reactions.sync_duration.as_secs_f64();
-    let window_mean = |from: f64, to: f64| {
-        let values: Vec<f64> = normalised
-            .points
-            .iter()
-            .filter(|(t, _)| *t >= from && *t < to)
-            .map(|&(_, v)| v)
-            .collect();
-        if values.is_empty() {
-            0.0
-        } else {
-            values.iter().sum::<f64>() / values.len() as f64
-        }
+/// Runs one live failover experiment with the key space repaired in
+/// `groups` virtual groups. Returns the absolute and normalised series, the
+/// window summary, and the full report (latency, traces, timeline) for
+/// artifact export.
+pub fn fig10(params: &Fig10Params, groups: u32) -> (Vec<Series>, Fig10Summary, LiveReport) {
+    let fabric = FabricConfig {
+        num_switches: params.switches,
+        vnodes_per_switch: 16,
+        ring_capacity: 256,
+        ..FabricConfig::new(params.shards)
+    }
+    .with_spares(1)
+    .with_trace(trace_sampling(params.duration))
+    // Pin shard threads to distinct cores (no-op on unsupported platforms)
+    // so failover timings measure the protocol, not scheduler placement.
+    .with_pinning(true);
+    let workload = WorkloadSpec::mixed(params.num_keys, 0, params.read_pct, 100 - params.read_pct);
+    let reactions = Reactions {
+        recovery_groups: Some(groups),
+        ..params.reactions
     };
-    let failover_dip = normalised
-        .points
-        .iter()
-        .filter(|(t, _)| *t >= fail_s && *t < recovery_start)
-        .map(|&(_, v)| v)
-        .fold(f64::INFINITY, f64::min);
-    Fig10Summary {
-        recovery_mean: window_mean(recovery_start + 5.0, recovery_end - 5.0),
-        failover_dip: if failover_dip.is_finite() {
-            failover_dip
-        } else {
-            0.0
-        },
-        post_recovery_mean: window_mean(recovery_end + 2.0, params.total.as_secs_f64()),
+    let mut config = LiveConfig::new(fabric, workload, params.duration)
+        .with_schedule(params.schedule.clone(), reactions);
+    config.slice = params.slice;
+    let bounce_wait = config.retry_timeout / config.workload.window as u32;
+    let report = run_live_controlled(config);
+    let summary = params.window_means(&report, bounce_wait);
+    let points = report.rate_series();
+    let plateau = summary.pre_failure.max(1e-9);
+    let absolute = Series::new(format!("ops/sec, {groups} vgroup(s)"), points.clone());
+    let normalised = Series::new(
+        format!("normalised, {groups} vgroup(s)"),
+        points.iter().map(|&(t, r)| (t, r / plateau)).collect(),
+    );
+    (vec![absolute, normalised], summary, report)
+}
+
+/// Appends one run's records (summary, latency, control-plane spans, hop
+/// traces) to the JSON-lines artifact.
+fn export_run(
+    artifact: &mut ArtifactWriter,
+    groups: u32,
+    summary: &Fig10Summary,
+    report: &LiveReport,
+) {
+    artifact.record(
+        "summary",
+        vec![
+            ("groups", Json::U64(u64::from(groups))),
+            ("completed_ops", Json::U64(report.completed_ops)),
+            ("ops_per_sec", Json::F64(report.ops_per_sec)),
+            ("pre_failure", Json::F64(summary.pre_failure)),
+            ("failover_mean", Json::F64(summary.failover_mean)),
+            ("repair_mean", Json::F64(summary.repair_mean)),
+            ("post_repair", Json::F64(summary.post_repair)),
+            ("blocked_fraction", Json::F64(summary.blocked_fraction)),
+            (
+                "failover_install_ns",
+                Json::U64(summary.failover_install_time.as_nanos() as u64),
+            ),
+            ("retries", Json::U64(summary.retries)),
+            ("abandoned", Json::U64(summary.abandoned)),
+            (
+                "version_regressions",
+                Json::U64(summary.version_regressions),
+            ),
+            ("unroutable", Json::U64(summary.unroutable)),
+            ("blocked", Json::U64(summary.blocked)),
+        ],
+    );
+    artifact.record(
+        "latency",
+        vec![
+            ("groups", Json::U64(u64::from(groups))),
+            ("quantiles", Json::from(summary.latency)),
+        ],
+    );
+    // One artifact file holds several runs (one per group count), each with
+    // its own timebase and version history; the `run` label on spans and
+    // trace records lets `chain_audit` keep them apart.
+    let run_label = format!("{groups}-vgroups");
+    artifact.record(
+        "spans",
+        vec![
+            ("groups", Json::U64(u64::from(groups))),
+            ("run", Json::str(&run_label)),
+            ("journal", Json::from(&report.ops_journal)),
+        ],
+    );
+    artifact.record(
+        "hops",
+        vec![
+            ("groups", Json::U64(u64::from(groups))),
+            ("summary", Json::from(&report.trace_summary())),
+        ],
+    );
+    // What the traces below are a sample of.
+    let ops = ("ops", Json::U64(report.completed_ops));
+    artifact.record("sampling", vec![("run", Json::str(&run_label)), ops]);
+    // Full per-trace evidence records, so `chain_audit` can replay the run's
+    // consistency story offline from the artifact alone.
+    for trace in &report.traces {
+        let mut fields = trace_record_fields(trace);
+        fields.push(("run", Json::str(&run_label)));
+        artifact.record("trace", fields);
     }
 }
 
-/// CLI entry: `fig10 [--vgroups N]`; without `--vgroups`, 1 then 100.
+/// Checks one smoke/structural invariant; on violation, writes a flight dump
+/// of the offending run (control-plane and monitor journal, throughput
+/// slices, anomalies, trace summary) to the artifact dir before panicking,
+/// so a failed CI smoke leaves its evidence behind instead of just a
+/// backtrace.
+fn check_or_dump(ok: bool, msg: &str, groups: u32, report: &LiveReport) {
+    if ok {
+        return;
+    }
+    let mut dump = ArtifactWriter::flight(format!("fig10_{groups}"));
+    dump.record("spans", vec![("journal", Json::from(&report.ops_journal))]);
+    let slice_ns = report.slice.as_nanos() as u64;
+    for (i, &n) in report.slices.iter().enumerate() {
+        let at_ns = Json::U64(i as u64 * slice_ns);
+        dump.record("slice", vec![("at_ns", at_ns), ("ops", Json::U64(n))]);
+    }
+    for anomaly in &report.anomalies {
+        let at_ns = match anomaly {
+            LiveAnomaly::Gray(gray) => gray.slice * slice_ns,
+            LiveAnomaly::Audit(violation) => violation.at_ns,
+        };
+        dump.record(
+            "anomaly",
+            vec![
+                ("at_ns", Json::U64(at_ns)),
+                ("detail", Json::str(anomaly.describe())),
+            ],
+        );
+    }
+    dump.record(
+        "hops",
+        vec![("summary", Json::from(&report.trace_summary()))],
+    );
+    if let Some(path) = dump.write() {
+        eprintln!("fig10: failure evidence dumped to {}", path.display());
+    }
+    panic!("{msg}");
+}
+
+/// The `fig10` command-line entry point: runs the coarse and fine
+/// granularity settings, prints the measured series and summaries, and
+/// checks the run (no abandoned op, no version regression, no audit
+/// violation) and the Figure 10 claim; a failed check panics after dumping
+/// its evidence. `--smoke` runs a sub-second configuration (CI).
 pub fn run_cli(args: &[String]) -> i32 {
-    let vgroups = crate::cli::flag_value(args, "--vgroups").and_then(|v| v.parse::<u32>().ok());
-    let runs = match vgroups {
-        None | Some(0) => vec![1, 100],
-        Some(groups) => vec![groups],
+    use crate::print_series;
+    let smoke = args.iter().any(|a| a == "--smoke");
+    let params = if smoke {
+        Fig10Params::smoke()
+    } else {
+        Fig10Params::default()
     };
-    for groups in runs {
-        let params = Fig10Params::paper(groups);
-        let series = fig10(&params);
-        let summary = summarise(&params, &series[1]);
-        crate::print_series(
-            &format!("Figure 10: failure handling, {groups} virtual group(s)"),
+    let group_settings: &[u32] = if smoke { &[1, 16] } else { &[1, 100] };
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!(
+        "Figure 10, measured: live fabric, {} shard(s), {cores} available core(s); \
+         no number below is simulated\n",
+        params.shards
+    );
+
+    let mut artifact = ArtifactWriter::new("fig10");
+    let mut summaries = Vec::new();
+    let mut reports = Vec::new();
+    for &groups in group_settings {
+        let (series, summary, report) = fig10(&params, groups);
+        print_series(
+            &format!("Figure 10 (measured), {groups} vgroup(s)"),
             "time (s)",
-            "client throughput",
+            "ops/sec",
             &series,
         );
-        println!("summary: {summary:?}\n");
+        println!(
+            "summary ({groups} vgroups): pre-failure {:.0} ops/s | failover plateau {:.0} | \
+             repair {:.0} (blocked fraction {:.2}) | post-repair {:.0} | \
+             failover rules installed in {:?} | {} retries, {} abandoned\n",
+            summary.pre_failure,
+            summary.failover_mean,
+            summary.repair_mean,
+            summary.blocked_fraction,
+            summary.post_repair,
+            summary.failover_install_time,
+            summary.retries,
+            summary.abandoned,
+        );
+        println!("latency ({groups} vgroups): {}", summary.latency.to_line());
+        println!(
+            "dataplane ({groups} vgroups): {} unroutable drops (kill -> failover window), \
+             {} writes bounced off blocked groups in {:?} of repair (waiting out the \
+             retransmission timeout, they hold {:.0}% of the client window), \
+             {} version regressions",
+            summary.unroutable,
+            summary.blocked,
+            summary.repair_time,
+            summary.bounce_wait_share * 100.0,
+            summary.version_regressions,
+        );
+        let hops = report.trace_summary();
+        if let Some(path) = hops.dominant_path() {
+            println!(
+                "traces ({groups} vgroups): {} sampled; dominant path {}\n",
+                hops.traces,
+                netchain_telemetry::path_to_string(path),
+            );
+        }
+        check_or_dump(
+            summary.abandoned == 0,
+            "every op must survive the failure",
+            groups,
+            &report,
+        );
+        check_or_dump(
+            summary.version_regressions == 0,
+            "replies must never travel backwards in chain version",
+            groups,
+            &report,
+        );
+        check_or_dump(
+            !report
+                .anomalies
+                .iter()
+                .any(|a| matches!(a, LiveAnomaly::Audit(_))),
+            "the end-of-run audit must find no chain violation",
+            groups,
+            &report,
+        );
+        export_run(&mut artifact, groups, &summary, &report);
+        summaries.push(summary);
+        reports.push(report);
     }
+    if let Some(path) = artifact.write() {
+        println!("artifact: {}", path.display());
+    }
+    let coarse = summaries[0];
+    let fine = summaries[summaries.len() - 1];
+    println!(
+        "repair granularity: {} vgroups block {:.0}% of throughput, {} vgroups block {:.0}% \
+         (fine-grained repair must block strictly less)",
+        coarse.groups,
+        coarse.blocked_fraction * 100.0,
+        fine.groups,
+        fine.blocked_fraction * 100.0,
+    );
+    check_or_dump(
+        fine.blocked_fraction < coarse.blocked_fraction,
+        "fine-grained repair must block a strictly smaller throughput fraction",
+        fine.groups,
+        reports.last().expect("at least one run"),
+    );
     0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netchain_telemetry::{audit, AuditConfig, HopRole, PacketTrace};
 
-    fn small_params(vgroups: u32) -> Fig10Params {
-        Fig10Params {
-            offered_qps: 2_000.0,
-            ..Fig10Params::scaled(vgroups, 3, 3, 12, 24)
+    #[test]
+    fn the_audit_judges_mutations_after_the_repair() {
+        // Long enough that 1 in 64 of its operations overfills a shard's
+        // 4096-trace sink before the repair ends, even at a debug build's
+        // 160 k ops/s (an optimised one gets there in 70 ms): at that fixed
+        // shift the sink stopped recording, every later mutation reached the
+        // auditor as a client fragment with no switch stamp (truncated), and
+        // a clean audit said nothing about failover or repair.
+        let params = Fig10Params {
+            duration: Duration::from_millis(3_000),
+            ..Fig10Params::smoke_timed(1_800, 30, 70, 200)
+        };
+        let (_, _, report) = fig10(&params, 16);
+        let timeline = report.timeline.as_ref().expect("a fault script ran");
+        let journal = &report.ops_journal;
+        assert!(
+            timeline.repair_finished_at < params.duration,
+            "{timeline:?}"
+        );
+
+        let whole = audit(&report.traces, journal, &AuditConfig::default());
+        assert!(whole.is_clean(), "{:?}", whole.violations);
+        let acked = whole.writes + whole.reads;
+        assert!(
+            whole.checked > 0 && whole.truncated * 20 < acked,
+            "{whole:?}"
+        );
+
+        // Judged past the repair, not only before the kill: the traces
+        // issued once it was over (and the auditor's slack around it),
+        // audited on their own.
+        let repaired_ns = timeline.repair_finished_at.as_nanos() as u64 + 2_000_000;
+        let issued_after_repair = |t: &&PacketTrace| {
+            let issue = t
+                .hops
+                .iter()
+                .find(|h| h.evidence.is_some_and(|e| e.role == HopRole::ClientIssue));
+            issue.is_some_and(|h| h.at_ns > repaired_ns)
+        };
+        let after: Vec<PacketTrace> = report
+            .traces
+            .iter()
+            .filter(issued_after_repair)
+            .cloned()
+            .collect();
+        let late = audit(&after, journal, &AuditConfig::default());
+        assert!(late.is_clean(), "{:?}", late.violations);
+        assert!(late.writes > 0 && late.checked > 0, "{late:?}");
+        assert!(late.truncated * 20 < late.writes + late.reads, "{late:?}");
+    }
+
+    #[test]
+    fn coarse_repair_blocks_a_strictly_larger_fraction_than_fine_repair() {
+        // Repair is scripted to end at 900 ms; the rest is headroom for a
+        // contended box, where the control-channel round trips were seen to
+        // stretch it past 1.6 s.
+        let params = Fig10Params {
+            duration: Duration::from_millis(2_500),
+            num_keys: 256,
+            ..Fig10Params::timed(300, 40, 160, 400)
+        };
+        let (_, one, one_report) = fig10(&params, 1);
+        let (_, many, many_report) = fig10(&params, 16);
+        // What a run must show whatever the box: nothing lost, nothing
+        // reordered, every scripted group repaired, and service resumed for
+        // good: from the end of repair to the end of the run no five slices
+        // in a row (100 ms) pass without a completion, and a series that
+        // stops short of the end counts as stalled. Not one slice: with a
+        // second test suite on the same two cores a pinned shard thread was
+        // seen parked for four.
+        for (summary, report, groups) in [(&one, &one_report, 1), (&many, &many_report, 16)] {
+            assert_eq!(summary.abandoned, 0, "{summary:?}");
+            assert_eq!(summary.version_regressions, 0, "{summary:?}");
+            assert_eq!(summary.groups, groups, "{summary:?}");
+            let step = Duration::from_millis(100);
+            let repaired = report.timeline.as_ref().unwrap().repair_finished_at;
+            assert!(repaired + step <= params.duration, "{summary:?}");
+            let stall = report.longest_stall(repaired, params.duration);
+            assert!(
+                stall < step,
+                "{groups} group(s): nothing completed for {stall:?} after repair: {:?}",
+                report.slices
+            );
         }
-    }
-
-    #[test]
-    fn one_virtual_group_halves_throughput_during_recovery() {
-        let params = small_params(1);
-        let series = fig10(&params);
-        let summary = summarise(&params, &series[1]);
-        // 50 % writes all blocked during the single group's sync: the mean
-        // normalised throughput during recovery should sit near 0.5.
+        assert!(one.pre_failure > 0.0 && many.pre_failure > 0.0);
+        // Telemetry rides along: real latency quantiles and sampled traces.
+        assert!(one.latency.count > 0 && one.latency.p999_ns >= one.latency.p50_ns);
         assert!(
-            summary.recovery_mean < 0.75,
-            "expected a large drop, got {summary:?}"
+            !one_report.traces.is_empty(),
+            "sampling 1/64 must catch some"
         );
+        // The structural claim (Figure 10): fine-grained repair blocks a
+        // strictly smaller throughput fraction than one big group.
         assert!(
-            summary.post_recovery_mean > 0.8,
-            "throughput must recover, got {summary:?}"
-        );
-    }
-
-    #[test]
-    fn many_virtual_groups_barely_dent_throughput() {
-        let params = small_params(50);
-        let series = fig10(&params);
-        let summary = summarise(&params, &series[1]);
-        assert!(
-            summary.recovery_mean > 0.9,
-            "with many virtual groups recovery should be almost invisible, got {summary:?}"
+            many.blocked_fraction < one.blocked_fraction,
+            "16 groups must block less than 1 group: {many:?} vs {one:?}"
         );
     }
 }

@@ -54,7 +54,6 @@ pub fn netchain_txn_throughput(clients: usize, contention_index: f64, params: Fi
         cold_items: params.cold_items,
         start: SimDuration::ZERO,
         duration: params.duration,
-        throughput_bucket: params.duration,
     };
     // Install every lock key on its chain.
     for key in workload.all_lock_keys() {

@@ -11,10 +11,10 @@
 //!
 //! * **Packet-level discrete-event simulation** (`netchain-sim` +
 //!   `netchain-core`) wherever NetChain's protocol dynamics matter:
-//!   latency, loss and retries, failover/recovery time series, lock
-//!   contention. Rates are scaled down where the paper's absolute rates
-//!   (tens of MQPS) would be computationally meaningless to simulate packet
-//!   by packet; scaling factors are reported alongside the results.
+//!   latency, loss and retries, lock contention. Rates are scaled down
+//!   where the paper's absolute rates (tens of MQPS) would be
+//!   computationally meaningless to simulate packet by packet; scaling
+//!   factors are reported alongside the results.
 //! * **A flow-level capacity model** ([`capacity`]) wherever the paper itself
 //!   reasons analytically (the §8.3 scalability simulation and the saturation
 //!   throughput of the testbed): it counts how many times each switch must
@@ -25,10 +25,11 @@
 //! simulated: [`zk`] derives every ZooKeeper line in closed form from those
 //! measurements and the figure's deployment.
 //!
-//! A third kind of run is *not* a reproduction: [`net_scale`] and
-//! [`failover_live`] measure the repo's own socket dataplane and live
-//! control plane on the machine at hand. The fabric's throughput and
-//! latency are measured by the separate `benchmark/` crate only.
+//! Figure 10 is neither: [`fig10`] measures failure handling on the live
+//! fabric (`netchain-livectl`) on the machine at hand, so its time series
+//! are measured, not simulated. [`net_scale`] measures the socket dataplane
+//! the same way. The fabric's throughput and latency are measured by the
+//! separate `benchmark/` crate only.
 //!
 //! Calibration constants taken from the paper's own measurements (server
 //! rates, client stack delays, ZooKeeper reference points) are concentrated
@@ -42,7 +43,6 @@ pub mod calib;
 pub mod capacity;
 pub mod chain_audit;
 pub mod cli;
-pub mod failover_live;
 pub mod fig10;
 pub mod fig11;
 pub mod fig9;

@@ -26,7 +26,7 @@ pub struct ShardStats {
     /// Packets dropped by the switch program.
     pub drops: u64,
     /// Subset of `drops` caused by a recovery *block* rule (Algorithm 3
-    /// phase 1) — the per-group write blocking the Figure 10 analogue
+    /// phase 1) — the per-group write blocking Figure 10 (`fig10`)
     /// measures.
     pub blocked: u64,
     /// Packets addressed to a switch this shard does not host (or a failed

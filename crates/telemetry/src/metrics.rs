@@ -1,8 +1,8 @@
 //! A time-bucketed event series.
 
 /// Counts events into fixed-width time buckets (nanosecond timestamps) and
-/// reports per-bucket rates: the simulated clients' throughput series
-/// (Figure 10) and livectl's live rate slices.
+/// reports per-bucket rates: the simulated clients' throughput series and
+/// livectl's live rate slices (the series Figure 10 plots).
 #[derive(Debug, Clone)]
 pub struct TimeSeries {
     bucket_ns: u64,

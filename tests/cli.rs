@@ -21,7 +21,7 @@ fn table() -> Vec<String> {
         .map(String::from)
         .collect();
     assert_eq!(rows.len(), netchain::experiments::cli::COMMANDS.len());
-    assert_eq!(rows.len(), 11);
+    assert_eq!(rows.len(), 10);
     rows
 }
 
@@ -34,6 +34,7 @@ fn mistakes_exit_two_and_print_the_table() {
         &["all_experiments"],
         &["fabric_scale"],
         &["telemetry_overhead"],
+        &["failover_live"],
         &["fig9", "--panel", "g"],
         &["fig9", "--panel"],
     ] {

@@ -117,32 +117,48 @@ fn chain_replicas_converge_after_writes() {
     );
 }
 
-#[test]
-fn middle_switch_failure_heals_without_regressions() {
+/// The §8.4 failure on the simulated testbed: S0–S2 form the ring and S3 is
+/// the spare. S1, a middle switch for most chains, is killed at 3 s under
+/// H0's 2 kQPS of 50 % writes over `keys` keys, issued for `issue` s.
+/// Recovery onto S3 starts `delay` s after failover and synchronises for
+/// `sync` s in `groups` virtual groups; the run lasts `run` s.
+fn middle_switch_failure(
+    keys: u64,
+    groups: u32,
+    delay: u64,
+    sync: u64,
+    issue: u64,
+    run: u64,
+) -> NetChainCluster {
     let config = ClusterConfig {
         ring_switches: Some(3),
         reactions: Reactions {
-            recovery_delay: Duration::from_secs(2),
-            sync_duration: Duration::from_secs(4),
+            recovery_delay: Duration::from_secs(delay),
+            sync_duration: Duration::from_secs(sync),
             replacement: Some(Ipv4Addr::for_switch(3)),
-            recovery_groups: Some(10),
+            recovery_groups: Some(groups),
             ..ClusterConfig::default().reactions
         },
         ..Default::default()
     };
     let mut cluster = NetChainCluster::testbed(config);
-    cluster.populate_store(300, 64);
+    cluster.populate_store(keys, 64);
     cluster.install_workload_client(
         0,
-        WorkloadSpec::mixed(300, u64::MAX, 50, 50),
+        WorkloadSpec::mixed(keys, u64::MAX, 50, 50),
         2_000.0,
-        SimDuration::from_secs(12),
+        SimDuration::from_secs(issue),
         SimDuration::from_secs(1),
     );
     let kill = FaultOp::Kill(Ipv4Addr::for_switch(1));
     cluster.inject(&Schedule::new(0).at(Duration::from_secs(3), kill));
-    cluster.sim.run_for(SimDuration::from_secs(14));
+    cluster.sim.run_for(SimDuration::from_secs(run));
+    cluster
+}
 
+#[test]
+fn middle_switch_failure_heals_without_regressions() {
+    let cluster = middle_switch_failure(300, 10, 2, 4, 12, 14);
     let client = cluster.workload_client(0).unwrap();
     let stats = client.client().agent_stats();
     assert_eq!(stats.version_regressions, 0);
@@ -162,6 +178,62 @@ fn middle_switch_failure_heals_without_regressions() {
     );
     // The replacement switch now holds data.
     assert!(cluster.switch(3).switch().kv().store_size() > 0);
+}
+
+/// Figure 10's shape in virtual time, scaled down from the paper's timings:
+/// recovery starts 3 s after the kill and synchronises for 12 s, in 24 s of
+/// load. Returns the client's throughput, normalised to the seconds before
+/// the kill, averaged over the middle of the recovery window and over the
+/// seconds after it.
+fn recovery_and_post_recovery_means(groups: u32) -> (f64, f64) {
+    let cluster = middle_switch_failure(2_000, groups, 3, 12, 24, 26);
+    let series = cluster
+        .workload_client(0)
+        .unwrap()
+        .throughput()
+        .rate_series();
+    // The mean rate of the one-second buckets starting in [from, to).
+    let window_mean = |from: f64, to: f64| {
+        let rates: Vec<f64> = series
+            .iter()
+            .filter(|(t, _)| *t >= from && *t < to)
+            .map(|&(_, r)| r)
+            .collect();
+        if rates.is_empty() {
+            0.0
+        } else {
+            rates.iter().sum::<f64>() / rates.len() as f64
+        }
+    };
+    let plateau = window_mean(0.0, 2.0);
+    (
+        window_mean(11.0, 13.0) / plateau,
+        window_mean(20.0, 24.0) / plateau,
+    )
+}
+
+#[test]
+fn one_virtual_group_halves_throughput_during_recovery() {
+    let (recovery_mean, post_recovery_mean) = recovery_and_post_recovery_means(1);
+    // 50 % writes all blocked during the single group's sync: the mean
+    // normalised throughput during recovery should sit near 0.5.
+    assert!(
+        recovery_mean < 0.75,
+        "expected a large drop, got {recovery_mean}"
+    );
+    assert!(
+        post_recovery_mean > 0.8,
+        "throughput must recover, got {post_recovery_mean}"
+    );
+}
+
+#[test]
+fn many_virtual_groups_barely_dent_throughput() {
+    let (recovery_mean, _) = recovery_and_post_recovery_means(50);
+    assert!(
+        recovery_mean > 0.9,
+        "with many virtual groups recovery should be almost invisible, got {recovery_mean}"
+    );
 }
 
 #[test]
