@@ -1,32 +1,23 @@
 //! # netchain-apps
 //!
-//! Coordination applications built on the NetChain key-value API — the use
-//! cases the paper motivates in §1 and evaluates in §8.5:
+//! The coordination application the paper evaluates in §8.5, built on the
+//! NetChain key-value API:
 //!
-//! * [`lock`] — exclusive locks built from the switch compare-and-swap
-//!   primitive: a lock is a key whose value is the holder's client id
-//!   (0 = free), acquired and released with CAS.
+//! * [`lock`] — exclusive locks: a lock is a key whose value is the
+//!   holder's client id (0 = free), and its acquire and release are the
+//!   switch compare-and-swap primitive.
 //! * [`twopl`] — the distributed-transaction benchmark of Figure 11: each
 //!   transaction acquires ten locks under two-phase locking, one drawn from a
 //!   small hot set controlled by the *contention index* and nine from a large
-//!   cold set (a generalisation of TPC-C new-order).
-//! * [`config_store`] — a small typed configuration store (named parameters
-//!   mapped onto keys), the "configuration management" use case.
-//! * [`barrier`] — distributed barriers built from a CAS-incremented counter.
-//! * [`workload`] — key-popularity distributions and op-mix helpers shared by
-//!   the experiment harness.
+//!   cold set (a generalisation of TPC-C new-order). [`TxnClient`] is a
+//!   [`netchain_core::client::Script`]: the simulator's sequential client,
+//!   `ScriptedClient`, runs it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod barrier;
-pub mod config_store;
 pub mod lock;
 pub mod twopl;
-pub mod workload;
 
-pub use barrier::Barrier;
-pub use config_store::ConfigStore;
-pub use lock::{lock_key, LockClient, LockOutcome};
+pub use lock::lock_key;
 pub use twopl::{TxnClient, TxnStats, TxnWorkload};
-pub use workload::{KeyDistribution, OpMix};

@@ -4,10 +4,11 @@
 //! with 0 meaning "free". Acquiring is `CAS(expected = 0, new = client_id)`;
 //! releasing is `CAS(expected = client_id, new = 0)`, so a lock can only be
 //! released by the client that owns it — exactly the semantics the paper
-//! implements with the Tofino CAS primitive.
+//! implements with the Tofino CAS primitive. [`crate::TxnClient`] issues
+//! both.
 
 use netchain_core::KvOp;
-use netchain_wire::{Key, QueryStatus};
+use netchain_wire::Key;
 
 /// The key used for lock number `lock_id` in namespace `namespace`.
 ///
@@ -21,72 +22,25 @@ pub fn lock_key(namespace: u32, lock_id: u64) -> Key {
     Key::from_bytes(bytes)
 }
 
-/// The result of a lock operation, decoded from a CAS reply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockOutcome {
-    /// The lock was acquired (or released).
-    Acquired,
-    /// The lock is held by the returned owner.
-    Busy {
-        /// Client id of the current holder (0 if unknown).
-        holder: u64,
-    },
-    /// The lock key does not exist (not pre-installed).
-    Missing,
+/// The CAS that acquires `key` for `holder`: free (0) to `holder`.
+///
+/// # Panics
+/// Panics if `holder` is zero (zero encodes "free").
+pub fn acquire(key: Key, holder: u64) -> KvOp {
+    assert!(holder != 0, "client id 0 is reserved for the free state");
+    KvOp::Cas {
+        key,
+        expected: 0,
+        new: holder,
+    }
 }
 
-/// A small sans-IO helper that builds lock operations for one client and
-/// interprets the replies. The actual transport is whatever issues the
-/// [`KvOp`]s — the simulated agent, the UDP loopback agent, or a test.
-#[derive(Debug, Clone, Copy)]
-pub struct LockClient {
-    client_id: u64,
-}
-
-impl LockClient {
-    /// Creates a lock client with a non-zero client id.
-    ///
-    /// # Panics
-    /// Panics if `client_id` is zero (zero encodes "free").
-    pub fn new(client_id: u64) -> Self {
-        assert!(client_id != 0, "client id 0 is reserved for the free state");
-        LockClient { client_id }
-    }
-
-    /// This client's id.
-    pub fn client_id(&self) -> u64 {
-        self.client_id
-    }
-
-    /// The operation that tries to acquire `key`.
-    pub fn acquire(&self, key: Key) -> KvOp {
-        KvOp::Cas {
-            key,
-            expected: 0,
-            new: self.client_id,
-        }
-    }
-
-    /// The operation that releases `key` (only succeeds if this client holds
-    /// it).
-    pub fn release(&self, key: Key) -> KvOp {
-        KvOp::Cas {
-            key,
-            expected: self.client_id,
-            new: 0,
-        }
-    }
-
-    /// Decodes the reply to an acquire/release CAS.
-    pub fn decode(&self, status: QueryStatus, value: Option<u64>) -> LockOutcome {
-        match status {
-            QueryStatus::Ok => LockOutcome::Acquired,
-            QueryStatus::CasFailed => LockOutcome::Busy {
-                holder: value.unwrap_or(0),
-            },
-            QueryStatus::NotFound => LockOutcome::Missing,
-            _ => LockOutcome::Busy { holder: 0 },
-        }
+/// The CAS that releases `key`; it only succeeds if `holder` holds it.
+pub fn release(key: Key, holder: u64) -> KvOp {
+    KvOp::Cas {
+        key,
+        expected: holder,
+        new: 0,
     }
 }
 
@@ -103,9 +57,8 @@ mod tests {
 
     #[test]
     fn acquire_and_release_build_the_right_cas() {
-        let client = LockClient::new(42);
         let key = lock_key(0, 5);
-        match client.acquire(key) {
+        match acquire(key, 42) {
             KvOp::Cas {
                 expected,
                 new,
@@ -116,29 +69,15 @@ mod tests {
             }
             other => panic!("unexpected op {other:?}"),
         }
-        match client.release(key) {
+        match release(key, 42) {
             KvOp::Cas { expected, new, .. } => assert_eq!((expected, new), (42, 0)),
             other => panic!("unexpected op {other:?}"),
         }
     }
 
     #[test]
-    fn decode_outcomes() {
-        let client = LockClient::new(7);
-        assert_eq!(client.decode(QueryStatus::Ok, None), LockOutcome::Acquired);
-        assert_eq!(
-            client.decode(QueryStatus::CasFailed, Some(9)),
-            LockOutcome::Busy { holder: 9 }
-        );
-        assert_eq!(
-            client.decode(QueryStatus::NotFound, None),
-            LockOutcome::Missing
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "reserved")]
     fn zero_client_id_rejected() {
-        LockClient::new(0);
+        acquire(lock_key(0, 1), 0);
     }
 }

@@ -10,14 +10,11 @@
 //! all locks" behaviour the paper describes as the server-killer under high
 //! contention.
 
-use crate::lock::{lock_key, LockClient};
-use netchain_core::{AgentConfig, AgentCore, ChainDirectory, KvOp, NetMsg};
-use netchain_sim::{Context, Node, NodeId, SimDuration, SimTime, TimerToken};
-use netchain_wire::{Key, QueryStatus};
-use std::any::Any;
-
-const TIMER_RETRY: TimerToken = 1;
-const TIMER_START: TimerToken = 2;
+use crate::lock::{self, lock_key};
+use netchain_core::client::Script;
+use netchain_core::{CompletedQuery, KvOp};
+use netchain_sim::{SimDuration, SimTime};
+use netchain_wire::Key;
 
 /// Parameters of the transaction workload.
 #[derive(Debug, Clone, Copy)]
@@ -31,9 +28,8 @@ pub struct TxnWorkload {
     pub contention_index: f64,
     /// Size of the cold item set the other nine locks come from.
     pub cold_items: u64,
-    /// When the client starts issuing transactions.
-    pub start: SimDuration,
-    /// For how long it keeps issuing transactions.
+    /// A client begins transactions until this much simulated time has
+    /// passed.
     pub duration: SimDuration,
 }
 
@@ -44,7 +40,6 @@ impl Default for TxnWorkload {
             locks_per_txn: 10,
             contention_index: 0.001,
             cold_items: 100_000,
-            start: SimDuration::ZERO,
             duration: SimDuration::from_secs(1),
         }
     }
@@ -64,14 +59,10 @@ impl TxnWorkload {
             .map(|i| lock_key(self.namespace, i))
             .collect()
     }
-
-    fn end(&self) -> SimTime {
-        SimTime::ZERO + self.start + self.duration
-    }
 }
 
 /// Counters kept by a transaction client.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TxnStats {
     /// Transactions that acquired all their locks and released them.
     pub committed: u64,
@@ -79,51 +70,38 @@ pub struct TxnStats {
     pub aborted: u64,
     /// Individual lock acquisitions attempted.
     pub lock_attempts: u64,
-    /// Lock acquisitions that found the lock held.
+    /// Lock acquisitions that failed: the lock was held, or the CAS was
+    /// abandoned.
     pub lock_conflicts: u64,
 }
 
-#[derive(Debug)]
-enum TxnState {
-    Idle,
-    Acquiring {
-        locks: Vec<Key>,
-        next: usize,
-        held: Vec<Key>,
-    },
-    Releasing {
-        to_release: Vec<Key>,
-        next: usize,
-        aborted: bool,
-    },
-}
-
 /// A closed-loop two-phase-locking transaction client using NetChain as its
-/// lock server.
+/// lock server: the [`Script`] a `ScriptedClient` runs, one lock op at a
+/// time.
+#[derive(Debug)]
 pub struct TxnClient {
-    agent: AgentCore,
-    gateway: NodeId,
-    lock_client: LockClient,
+    client_id: u64,
     workload: TxnWorkload,
-    state: TxnState,
+    /// The running transaction's locks, acquired in this order.
+    locks: Vec<Key>,
+    /// How many of `locks` are held.
+    held: usize,
+    /// While shrinking: the index of the lock being released, and whether
+    /// the transaction aborted.
+    releasing: Option<(usize, bool)>,
     stats: TxnStats,
 }
 
 impl TxnClient {
-    /// Creates a transaction client.
-    pub fn new(
-        agent_config: AgentConfig,
-        directory: ChainDirectory,
-        gateway: NodeId,
-        client_id: u64,
-        workload: TxnWorkload,
-    ) -> Self {
+    /// Creates a transaction client; `client_id` must be non-zero (zero
+    /// encodes "free").
+    pub fn new(client_id: u64, workload: TxnWorkload) -> Self {
         TxnClient {
-            agent: AgentCore::new(agent_config, directory),
-            gateway,
-            lock_client: LockClient::new(client_id),
+            client_id,
             workload,
-            state: TxnState::Idle,
+            locks: Vec::new(),
+            held: 0,
+            releasing: None,
             stats: TxnStats::default(),
         }
     }
@@ -133,186 +111,79 @@ impl TxnClient {
         self.stats
     }
 
-    fn in_window(&self, now: SimTime) -> bool {
-        now >= SimTime::ZERO + self.workload.start && now < self.workload.end()
-    }
-
-    fn pick_lock_set(&self, ctx: &mut Context<NetMsg>) -> Vec<Key> {
+    /// Starts a transaction while the workload runs: draws its lock set
+    /// (one hot lock, the rest distinct cold ones) and returns the first
+    /// acquire.
+    fn begin(&mut self, now: SimTime, draw: &mut dyn FnMut(u64) -> u64) -> Option<KvOp> {
+        if now >= SimTime::ZERO + self.workload.duration {
+            return None;
+        }
         let hot_items = self.workload.hot_items();
-        let mut ids = Vec::with_capacity(self.workload.locks_per_txn);
-        // One hot lock...
-        ids.push(ctx.random_below(hot_items));
-        // ...and the rest from the cold set (offset past the hot ids).
+        let mut ids = vec![draw(hot_items)];
         while ids.len() < self.workload.locks_per_txn {
-            let cold = hot_items + ctx.random_below(self.workload.cold_items.max(1));
+            let cold = hot_items + draw(self.workload.cold_items.max(1));
             if !ids.contains(&cold) {
                 ids.push(cold);
             }
         }
-        ids.into_iter()
+        self.locks = ids
+            .into_iter()
             .map(|id| lock_key(self.workload.namespace, id))
-            .collect()
+            .collect();
+        self.held = 0;
+        self.releasing = None;
+        Some(self.acquire())
     }
 
-    fn send_op(&mut self, op: KvOp, ctx: &mut Context<NetMsg>) {
-        let (_, pkt) = self.agent.begin(ctx.now(), op);
-        ctx.send(self.gateway, NetMsg::Data(pkt));
-        ctx.set_timer(self.agent.config().timeout, TIMER_RETRY);
-    }
-
-    fn start_txn(&mut self, ctx: &mut Context<NetMsg>) {
-        if !self.in_window(ctx.now()) {
-            self.state = TxnState::Idle;
-            return;
-        }
-        let locks = self.pick_lock_set(ctx);
-        let first = locks[0];
-        self.state = TxnState::Acquiring {
-            locks,
-            next: 0,
-            held: Vec::new(),
-        };
+    fn acquire(&mut self) -> KvOp {
         self.stats.lock_attempts += 1;
-        let op = self.lock_client.acquire(first);
-        self.send_op(op, ctx);
+        lock::acquire(self.locks[self.held], self.client_id)
     }
+}
 
-    fn begin_release(&mut self, held: Vec<Key>, aborted: bool, ctx: &mut Context<NetMsg>) {
-        if held.is_empty() {
-            self.finish_txn(aborted, ctx);
-            return;
-        }
-        let first = held[0];
-        self.state = TxnState::Releasing {
-            to_release: held,
-            next: 0,
-            aborted,
+impl Script for TxnClient {
+    fn next_op(
+        &mut self,
+        done: Option<CompletedQuery>,
+        now: SimTime,
+        draw: &mut dyn FnMut(u64) -> u64,
+    ) -> Option<KvOp> {
+        let Some(done) = done else {
+            return self.begin(now, draw);
         };
-        let op = self.lock_client.release(first);
-        self.send_op(op, ctx);
-    }
-
-    fn finish_txn(&mut self, aborted: bool, ctx: &mut Context<NetMsg>) {
+        let (next, aborted) = match self.releasing {
+            None if done.is_ok() => {
+                self.held += 1;
+                if self.held < self.locks.len() {
+                    return Some(self.acquire());
+                }
+                // Growing phase complete: the transaction's work would
+                // happen here; shrink immediately, as in the paper.
+                (0, false)
+            }
+            None => {
+                self.stats.lock_conflicts += 1;
+                (0, true)
+            }
+            Some((released, aborted)) => (released + 1, aborted),
+        };
+        if next < self.held {
+            self.releasing = Some((next, aborted));
+            return Some(lock::release(self.locks[next], self.client_id));
+        }
         if aborted {
             self.stats.aborted += 1;
         } else {
             self.stats.committed += 1;
         }
-        self.start_txn(ctx);
-    }
-
-    fn on_lock_reply(&mut self, status: QueryStatus, ctx: &mut Context<NetMsg>) {
-        let state = std::mem::replace(&mut self.state, TxnState::Idle);
-        match state {
-            TxnState::Acquiring {
-                locks,
-                next,
-                mut held,
-            } => {
-                if status == QueryStatus::Ok {
-                    held.push(locks[next]);
-                    let next = next + 1;
-                    if next == locks.len() {
-                        // Growing phase complete: the transaction's work would
-                        // happen here; shrink immediately, as in the paper.
-                        self.begin_release(held, false, ctx);
-                    } else {
-                        self.state = TxnState::Acquiring {
-                            locks: locks.clone(),
-                            next,
-                            held,
-                        };
-                        self.stats.lock_attempts += 1;
-                        let op = self.lock_client.acquire(locks[next]);
-                        self.send_op(op, ctx);
-                    }
-                } else {
-                    // Conflict (or missing lock key): abort and release.
-                    self.stats.lock_conflicts += 1;
-                    self.begin_release(held, true, ctx);
-                }
-            }
-            TxnState::Releasing {
-                to_release,
-                next,
-                aborted,
-            } => {
-                let next = next + 1;
-                if next >= to_release.len() {
-                    self.finish_txn(aborted, ctx);
-                } else {
-                    let key = to_release[next];
-                    self.state = TxnState::Releasing {
-                        to_release,
-                        next,
-                        aborted,
-                    };
-                    let op = self.lock_client.release(key);
-                    self.send_op(op, ctx);
-                }
-            }
-            TxnState::Idle => {}
-        }
-    }
-}
-
-impl Node<NetMsg> for TxnClient {
-    fn on_start(&mut self, ctx: &mut Context<NetMsg>) {
-        ctx.set_timer(self.workload.start, TIMER_START);
-    }
-
-    fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<NetMsg>) {
-        match token {
-            TIMER_START => {
-                if matches!(self.state, TxnState::Idle) {
-                    self.start_txn(ctx);
-                }
-            }
-            TIMER_RETRY => {
-                let outcome = self.agent.poll_retries(ctx.now());
-                for pkt in outcome.retransmit {
-                    ctx.send(self.gateway, NetMsg::Data(pkt));
-                }
-                // Abandoned lock operations abort the transaction outright.
-                if !outcome.abandoned.is_empty() {
-                    let held = match std::mem::replace(&mut self.state, TxnState::Idle) {
-                        TxnState::Acquiring { held, .. } => held,
-                        TxnState::Releasing { .. } | TxnState::Idle => Vec::new(),
-                    };
-                    self.begin_release(held, true, ctx);
-                }
-                if self.agent.outstanding() > 0 {
-                    ctx.set_timer(self.agent.config().timeout, TIMER_RETRY);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn on_message(&mut self, _from: NodeId, msg: NetMsg, ctx: &mut Context<NetMsg>) {
-        let NetMsg::Data(pkt) = msg else { return };
-        if let Some(done) = self.agent.on_reply(ctx.now(), &pkt) {
-            let status = done.status.unwrap_or(QueryStatus::Declined);
-            self.on_lock_reply(status, ctx);
-        }
-    }
-
-    fn name(&self) -> String {
-        format!("txn-client {}", self.lock_client.client_id())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+        self.begin(now, draw)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netchain_wire::{QueryStatus, Value};
 
     #[test]
     fn hot_item_count_follows_contention_index() {
@@ -341,5 +212,64 @@ mod tests {
         sorted.sort();
         sorted.dedup();
         assert_eq!(sorted.len(), keys.len());
+    }
+
+    fn completion(op: KvOp, status: QueryStatus) -> CompletedQuery {
+        CompletedQuery {
+            request_id: 0,
+            op,
+            status: Some(status),
+            value: Value::from_u64(0),
+            seq: 0,
+            session: 0,
+            latency: SimDuration::ZERO,
+            retries: 0,
+        }
+    }
+
+    /// One hot lock (id 0) and two distinct cold ones (1 + draw): an abort
+    /// releases only what it holds, a commit releases all three, both in
+    /// acquisition order, and no transaction begins once `duration` is up.
+    #[test]
+    fn acquires_by_cas_and_releases_in_order() {
+        use QueryStatus::{CasFailed, Ok};
+        let workload = TxnWorkload {
+            locks_per_txn: 3,
+            contention_index: 1.0,
+            cold_items: 10,
+            duration: SimDuration::from_millis(1),
+            ..Default::default()
+        };
+        let mut draws = [0, 4, 6, 0, 2, 2, 3].into_iter();
+        let mut draw = move |bound: u64| draws.next().expect("drawn too often") % bound;
+        let acquire = |id| lock::acquire(lock_key(1, id), 7);
+        let release = |id| lock::release(lock_key(1, id), 7);
+        let mut txn = TxnClient::new(7, workload);
+        let (t, late) = (SimTime::ZERO, SimTime::ZERO + workload.duration);
+        let mut op = txn.next_op(None, t, &mut draw);
+        assert_eq!(op, Some(acquire(0)));
+        let mut expect = |txn: &mut TxnClient, status, now, next: Option<KvOp>| {
+            let done = completion(op.take().expect("an op is outstanding"), status);
+            op = txn.next_op(Some(done), now, &mut draw);
+            assert_eq!(op, next);
+        };
+        // Locks 0, 5, 7; the second is held elsewhere: abort.
+        expect(&mut txn, Ok, t, Some(acquire(5)));
+        expect(&mut txn, CasFailed, t, Some(release(0)));
+        // Locks 0, 3, 4 (the second 3 is drawn again); commit.
+        expect(&mut txn, Ok, t, Some(acquire(0)));
+        expect(&mut txn, Ok, t, Some(acquire(3)));
+        expect(&mut txn, Ok, t, Some(acquire(4)));
+        expect(&mut txn, Ok, t, Some(release(0)));
+        expect(&mut txn, Ok, t, Some(release(3)));
+        expect(&mut txn, Ok, t, Some(release(4)));
+        expect(&mut txn, Ok, late, None);
+        let stats = TxnStats {
+            committed: 1,
+            aborted: 1,
+            lock_attempts: 5,
+            lock_conflicts: 1,
+        };
+        assert_eq!(txn.stats(), stats);
     }
 }

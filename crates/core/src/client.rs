@@ -1,7 +1,8 @@
 //! Simulator nodes that drive the client agent: [`LoadHost`], which runs the
 //! one load client ([`ClientState`]) open loop for the throughput, latency
-//! and failure experiments, and a scripted client used by integration tests
-//! and examples.
+//! and failure experiments, and [`ScriptedClient`], the one sequential
+//! client, which runs a [`Script`]: a fixed op list for integration tests
+//! and examples, or an application such as Figure 11's 2PL transactions.
 
 use crate::agent::{AgentConfig, AgentCore, AgentStats};
 use crate::directory::ChainDirectory;
@@ -121,34 +122,101 @@ impl Node<NetMsg> for LoadHost {
     }
 }
 
-/// A client that executes a fixed script of operations sequentially (one
-/// outstanding at a time), recording every completion. Used by integration
-/// tests, examples, and the quickstart.
-pub struct ScriptedClient {
+/// What a [`ScriptedClient`] runs: the source of its next op. The client
+/// asks at start and after every completion, one op outstanding at a time.
+pub trait Script {
+    /// The op to issue next, or `None` to stop. `done` is the completion
+    /// that freed the client (`None` at start; an abandoned op completes
+    /// with no status); `draw(bound)` is uniform in `[0, bound)`, from the
+    /// simulator's seeded generator.
+    fn next_op(
+        &mut self,
+        done: Option<CompletedQuery>,
+        now: SimTime,
+        draw: &mut dyn FnMut(u64) -> u64,
+    ) -> Option<KvOp>;
+}
+
+/// The default script: a fixed list of ops, issued in order, every
+/// completion recorded.
+#[derive(Debug)]
+pub struct OpList {
+    ops: VecDeque<KvOp>,
+    results: Vec<CompletedQuery>,
+}
+
+impl Script for OpList {
+    fn next_op(
+        &mut self,
+        done: Option<CompletedQuery>,
+        _now: SimTime,
+        _draw: &mut dyn FnMut(u64) -> u64,
+    ) -> Option<KvOp> {
+        self.results.extend(done);
+        self.ops.pop_front()
+    }
+}
+
+/// A sequential client: it runs a [`Script`] (by default a fixed list of
+/// ops) with one op outstanding at a time. Used by integration tests,
+/// examples, the quickstart and Figure 11's transaction clients. It keeps at
+/// most one retry timer, set for the oldest outstanding op's deadline.
+pub struct ScriptedClient<S = OpList> {
     agent: AgentCore,
     gateway: NodeId,
-    script: VecDeque<KvOp>,
-    results: Vec<CompletedQuery>,
+    script: S,
     started: bool,
+    retry_armed: bool,
     /// How long after simulation start the script begins (phased experiments
     /// install several scripted clients up front and stagger them).
     start_delay: SimDuration,
 }
 
 impl ScriptedClient {
-    /// Creates a scripted client.
+    /// Creates a client that issues `script` in order.
     pub fn new(
         agent_config: AgentConfig,
         directory: ChainDirectory,
         gateway: NodeId,
         script: Vec<KvOp>,
     ) -> Self {
+        let ops = OpList {
+            ops: script.into(),
+            results: Vec::new(),
+        };
+        Self::with_script(agent_config, directory, gateway, ops)
+    }
+
+    /// A client with nothing to do (placeholder for unused hosts).
+    pub fn idle(agent_config: AgentConfig, directory: ChainDirectory, gateway: NodeId) -> Self {
+        Self::new(agent_config, directory, gateway, Vec::new())
+    }
+
+    /// Completed operations, in script order.
+    pub fn results(&self) -> &[CompletedQuery] {
+        &self.script.results
+    }
+
+    /// True if the whole script has completed (or was abandoned).
+    pub fn is_done(&self) -> bool {
+        self.script.ops.is_empty() && self.agent.outstanding() == 0 && self.started
+    }
+}
+
+impl<S: Script> ScriptedClient<S> {
+    /// Creates a client that runs `script`.
+    pub fn with_script(
+        agent_config: AgentConfig,
+        directory: ChainDirectory,
+        gateway: NodeId,
+        script: S,
+    ) -> Self {
         ScriptedClient {
             agent: AgentCore::new(agent_config, directory),
             gateway,
-            script: script.into(),
-            results: Vec::new(),
+            script,
             started: false,
+            retry_armed: false,
             start_delay: SimDuration::ZERO,
         }
     }
@@ -159,14 +227,9 @@ impl ScriptedClient {
         self
     }
 
-    /// A client with nothing to do (placeholder for unused hosts).
-    pub fn idle(agent_config: AgentConfig, directory: ChainDirectory, gateway: NodeId) -> Self {
-        Self::new(agent_config, directory, gateway, Vec::new())
-    }
-
-    /// Completed operations, in script order.
-    pub fn results(&self) -> &[CompletedQuery] {
-        &self.results
+    /// The script this client runs.
+    pub fn script(&self) -> &S {
+        &self.script
     }
 
     /// Agent-level statistics.
@@ -174,57 +237,65 @@ impl ScriptedClient {
         self.agent.stats()
     }
 
-    /// True if the whole script has completed (or was abandoned).
-    pub fn is_done(&self) -> bool {
-        self.script.is_empty() && self.agent.outstanding() == 0 && self.started
+    fn advance(&mut self, done: Option<CompletedQuery>, ctx: &mut Context<NetMsg>) {
+        let now = ctx.now();
+        let op = self
+            .script
+            .next_op(done, now, &mut |bound| ctx.random_below(bound));
+        if let Some(op) = op {
+            let (_, pkt) = self.agent.begin(now, op);
+            ctx.send(self.gateway, NetMsg::Data(pkt));
+            self.arm_retry(ctx);
+        }
     }
 
-    fn issue_next(&mut self, ctx: &mut Context<NetMsg>) {
-        if let Some(op) = self.script.pop_front() {
-            let (_, pkt) = self.agent.begin(ctx.now(), op);
-            ctx.send(self.gateway, NetMsg::Data(pkt));
-            ctx.set_timer(self.agent.config().timeout, TIMER_RETRY);
+    fn arm_retry(&mut self, ctx: &mut Context<NetMsg>) {
+        if self.retry_armed {
+            return;
         }
+        if let Some(due) = self.agent.next_retry_deadline() {
+            ctx.set_timer(due - ctx.now(), TIMER_RETRY);
+            self.retry_armed = true;
+        }
+    }
+
+    fn start(&mut self, ctx: &mut Context<NetMsg>) {
+        self.started = true;
+        self.advance(None, ctx);
     }
 }
 
-impl Node<NetMsg> for ScriptedClient {
+impl<S: Script + 'static> Node<NetMsg> for ScriptedClient<S> {
     fn on_start(&mut self, ctx: &mut Context<NetMsg>) {
         if self.start_delay == SimDuration::ZERO {
-            self.started = true;
-            self.issue_next(ctx);
+            self.start(ctx);
         } else {
             ctx.set_timer(self.start_delay, TIMER_START);
         }
     }
 
     fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<NetMsg>) {
-        if token == TIMER_START && !self.started {
-            self.started = true;
-            self.issue_next(ctx);
-            return;
-        }
-        if token != TIMER_RETRY {
-            return;
-        }
-        let outcome = self.agent.poll_retries(ctx.now());
-        for pkt in outcome.retransmit {
-            ctx.send(self.gateway, NetMsg::Data(pkt));
-        }
-        for done in outcome.abandoned {
-            self.results.push(done);
-            self.issue_next(ctx);
-        }
-        if self.agent.outstanding() > 0 {
-            ctx.set_timer(self.agent.config().timeout, TIMER_RETRY);
+        match token {
+            TIMER_START if !self.started => self.start(ctx),
+            TIMER_RETRY => {
+                self.retry_armed = false;
+                let outcome = self.agent.poll_retries(ctx.now());
+                for pkt in outcome.retransmit {
+                    ctx.send(self.gateway, NetMsg::Data(pkt));
+                }
+                for done in outcome.abandoned {
+                    self.advance(Some(done), ctx);
+                }
+                self.arm_retry(ctx);
+            }
+            _ => {}
         }
     }
 
     fn on_message(&mut self, _from: NodeId, msg: NetMsg, ctx: &mut Context<NetMsg>) {
         let NetMsg::Data(pkt) = msg else { return };
         if let Some(done) = self.agent.on_reply(ctx.now(), &pkt) {
-            self.results.push(done);
-            self.issue_next(ctx);
+            self.advance(Some(done), ctx);
         }
     }
 
@@ -309,6 +380,29 @@ mod tests {
             directory(),
             NodeId(0),
         );
-        assert!(idle.script.is_empty());
+        assert!(idle.script.ops.is_empty());
+    }
+
+    /// A 2 000-op list on the testbed: the client keeps one retry timer, so
+    /// at most about one fires per timeout of the run, not one per op.
+    #[test]
+    fn a_scripted_client_keeps_one_retry_timer() {
+        let config = ClusterConfig::default();
+        let timeout = config.agent_timeout.as_nanos();
+        let mut cluster = NetChainCluster::testbed(config);
+        cluster.populate_store(100, 8);
+        let script = (0..2_000).map(|i| KvOp::Read(Key::from_u64(i % 100)));
+        cluster.install_scripted_client(0, script.collect());
+        cluster.sim.run_for(SimDuration::from_millis(200));
+        let client = cluster.scripted_client(0).expect("installed");
+        assert!(client.is_done());
+        assert!(client.results().iter().all(CompletedQuery::is_ok));
+        // Sequential from t = 0: the run ends when the last op completes.
+        let run: u64 = client.results().iter().map(|r| r.latency.as_nanos()).sum();
+        let fired = cluster.sim.stats().timers_fired;
+        assert!(
+            fired <= 2 * (run / timeout) + 2,
+            "{fired} timers in a {run} ns run"
+        );
     }
 }

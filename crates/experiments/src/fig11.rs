@@ -1,17 +1,18 @@
 //! Figure 11: distributed-transaction throughput vs contention index, with
 //! NetChain or the server-based baseline as the lock server.
 //!
-//! The NetChain line is *measured*: closed-loop 2PL transaction clients
-//! (`netchain_apps::TxnClient`) run against a simulated NetChain deployment,
-//! acquiring ten CAS locks per transaction and aborting on conflict. The
-//! baseline line uses the calibrated analytic lock-server model of
-//! [`crate::zk`] (its lock operations are leader writes at millisecond
-//! latency, so simulating them adds nothing but runtime).
+//! The NetChain line is *simulated*: closed-loop 2PL transaction clients
+//! (the `netchain_apps::TxnClient` script, run by the simulator's sequential
+//! `ScriptedClient`) run against a simulated 2 × 4 spine-leaf NetChain
+//! fabric, acquiring ten CAS locks per transaction and aborting on conflict.
+//! The baseline line is *modelled*: the calibrated analytic lock-server
+//! model of [`crate::zk`] (its lock operations are leader writes at
+//! millisecond latency, so simulating them adds nothing but runtime).
 
 use crate::series::Series;
 use crate::zk::{self, ServerCostModel};
 use netchain_apps::{TxnClient, TxnWorkload};
-use netchain_core::{ClusterConfig, NetChainCluster};
+use netchain_core::{ClusterConfig, NetChainCluster, ScriptedClient};
 use netchain_sim::SimDuration;
 use netchain_wire::Value;
 
@@ -39,6 +40,18 @@ impl Default for Fig11Params {
 /// Measures NetChain transaction throughput (committed transactions per
 /// second) for the given client count and contention index.
 pub fn netchain_txn_throughput(clients: usize, contention_index: f64, params: Fig11Params) -> f64 {
+    let cluster = run_txn_clients(clients, contention_index, params);
+    let committed: u64 = cluster.layout.hosts[..clients]
+        .iter()
+        .filter_map(|&host| cluster.sim.node_as::<ScriptedClient<TxnClient>>(host))
+        .map(|client| client.script().stats().committed)
+        .sum();
+    committed as f64 / params.duration.as_secs_f64()
+}
+
+/// Runs `clients` transaction clients, one per host, for the measured
+/// duration plus 20 ms to drain.
+fn run_txn_clients(clients: usize, contention_index: f64, params: Fig11Params) -> NetChainCluster {
     // A fabric with enough hosts for the requested client count.
     let hosts_per_leaf = clients.div_ceil(4).max(1);
     let config = ClusterConfig {
@@ -52,39 +65,25 @@ pub fn netchain_txn_throughput(clients: usize, contention_index: f64, params: Fi
         locks_per_txn: params.locks_per_txn,
         contention_index,
         cold_items: params.cold_items,
-        start: SimDuration::ZERO,
         duration: params.duration,
     };
     // Install every lock key on its chain.
     for key in workload.all_lock_keys() {
         cluster.populate_key(key, &Value::from_u64(0));
     }
-    // Install the transaction clients on distinct hosts.
     let directory = cluster.directory();
     for client_idx in 0..clients {
-        let host = cluster.layout.hosts[client_idx % cluster.layout.hosts.len()];
+        let host = cluster.layout.hosts[client_idx];
         let gw = cluster.layout.gateways[&host];
-        let agent = cluster.agent_config(client_idx % cluster.layout.hosts.len());
-        let txn_client = TxnClient::new(
-            agent,
-            directory.clone(),
-            gw,
-            client_idx as u64 + 1,
-            workload,
-        );
-        cluster.sim.install_node(host, Box::new(txn_client));
+        let agent = cluster.agent_config(client_idx);
+        let txn = TxnClient::new(client_idx as u64 + 1, workload);
+        let client = ScriptedClient::with_script(agent, directory.clone(), gw, txn);
+        cluster.sim.install_node(host, Box::new(client));
     }
     cluster
         .sim
         .run_for(params.duration + SimDuration::from_millis(20));
-    let mut committed = 0u64;
-    for client_idx in 0..clients.min(cluster.layout.hosts.len()) {
-        let host = cluster.layout.hosts[client_idx];
-        if let Some(client) = cluster.sim.node_as::<TxnClient>(host) {
-            committed += client.stats().committed;
-        }
-    }
-    committed as f64 / params.duration.as_secs_f64()
+    cluster
 }
 
 /// Produces the Figure 11 series: one NetChain and one ZooKeeper line per
@@ -162,6 +161,21 @@ mod tests {
             0.01,
         );
         assert!(nc > 10.0 * zk, "NetChain {nc} vs ZooKeeper {zk}");
+    }
+
+    /// One client over 40 ms keeps one retry timer: at most about one fires
+    /// per timeout, not one per lock op.
+    #[test]
+    fn a_transaction_client_keeps_one_retry_timer() {
+        let params = quick_params();
+        let cluster = run_txn_clients(1, 0.01, params);
+        let run = params.duration.as_nanos();
+        let timeout = ClusterConfig::default().agent_timeout.as_nanos();
+        let fired = cluster.sim.stats().timers_fired;
+        assert!(
+            fired <= 2 * (run / timeout) + 2,
+            "{fired} timers in a {run} ns run"
+        );
     }
 
     #[test]
