@@ -158,19 +158,18 @@ impl ClientState {
         self.tracer = Some(TraceSink::new(config));
     }
 
-    /// Drains the traces recorded so far (fragments; merge with the shard
-    /// sinks' fragments via `netchain_telemetry::merge_traces`).
-    pub fn take_traces(&mut self) -> Vec<PacketTrace> {
+    /// Drains the traces recorded so far, with the shift the sink ended at.
+    pub fn take_traces(&mut self) -> (u32, Vec<PacketTrace>) {
         self.tracer
             .as_mut()
-            .map(TraceSink::drain)
+            .map(|sink| (sink.shift(), sink.drain()))
             .unwrap_or_default()
     }
 
     /// Takes only the traces *completed* since the last call, leaving open
     /// ones accumulating. A live client drains these at its retry-poll
-    /// cadence, so its fragments (the issue and ack evidence the audit's
-    /// freshness check needs) outlast the sink's `max_traces` cap.
+    /// cadence, so only what is open or completed since the last poll counts
+    /// towards the sink's `max_traces`.
     pub fn take_finished_traces(&mut self) -> Vec<PacketTrace> {
         self.tracer
             .as_mut()

@@ -55,9 +55,9 @@ impl FileAudit {
 }
 
 /// How much of a run the auditor judged: checked / suppressed / truncated as
-/// shares of the acked operations it reconstructed, so "clean" can be told
-/// from "judged the first 80 ms and nothing after the sinks filled"; and of
-/// the `ops` the run completed (if it says), the share sampling left out.
+/// shares of the acked operations it reconstructed, so "clean" says how much
+/// it judged; and of the `ops` the run completed (if it says), the share
+/// sampling left out.
 fn coverage_line(report: &AuditReport, ops: u64) -> String {
     let acked = report.writes + report.reads;
     let share = |n: usize| 100.0 * n as f64 / acked.max(1) as f64;

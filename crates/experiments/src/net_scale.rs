@@ -26,7 +26,7 @@ use netchain_net::{
 };
 use netchain_switch::PipelineConfig;
 use netchain_telemetry::{
-    merge_traces, trace_record_fields, ArtifactWriter, Json, PacketTrace, Quantiles, TraceConfig,
+    merge_thinned, trace_record_fields, ArtifactWriter, Json, PacketTrace, Quantiles, TraceConfig,
 };
 use netchain_wire::{Ipv4Addr, Key, Value};
 use std::time::Duration;
@@ -35,14 +35,10 @@ use netchain_core::{HashRing, WorkloadSpec};
 
 /// Trace sampling of the latency runs: sampled queries carry in-band
 /// evidence stamps end to end (client issue → shard register read → client
-/// ack), enough for `chain_audit` to replay the run offline, at the shift
-/// whose 4096-trace cap outlasts what the run offers (1 in 64 at 20 k ops/s
-/// for a second). Saturation runs stay untraced — they measure capacity, not
-/// consistency.
-fn trace_sampling(params: &NetScaleParams) -> TraceConfig {
-    let offered = params.latency_rate * params.duration.as_secs_f64();
-    TraceConfig::lasting(offered as u64, 4096)
-}
+/// ack), enough for `chain_audit` to replay the run offline; 1 in 64 to start
+/// with, and a sink that fills at 4096 traces thins itself. Saturation runs
+/// stay untraced — they measure capacity, not consistency.
+const TRACE_SAMPLING: TraceConfig = TraceConfig::sampled(6, 4096);
 
 /// Shape of one net-scale measurement.
 #[derive(Debug, Clone, Copy)]
@@ -175,9 +171,8 @@ pub fn run_mode_traced(
     let batch_factor = io.batch_factor();
     // Client fragments (issue/ack) and worker fragments (switch hops) carry
     // the same trace ids; merging yields whole per-query paths.
-    let mut fragments = std::mem::take(&mut open.traces);
-    fragments.extend(report.traces);
-    let traces = merge_traces(fragments);
+    let client = (open.trace_shift, std::mem::take(&mut open.traces));
+    let (_, traces) = merge_thinned([client, (report.trace_shift, report.traces)]);
     ModeRun {
         io_mode,
         open,
@@ -332,14 +327,14 @@ pub fn run_cli(args: &[String]) -> i32 {
         params,
         IoMode::Burst,
         params.latency_rate,
-        Some(trace_sampling(&params)),
+        Some(TRACE_SAMPLING),
     );
     print_run("burst (mmsg on a backlog)", &lat_burst);
     let lat_single = run_mode_traced(
         params,
         IoMode::Single,
         params.latency_rate,
-        Some(trace_sampling(&params)),
+        Some(TRACE_SAMPLING),
     );
     print_run("single (recv_from/send_to)", &lat_single);
 
@@ -492,7 +487,7 @@ mod tests {
             params,
             IoMode::Burst,
             params.latency_rate,
-            Some(trace_sampling(&params)),
+            Some(TRACE_SAMPLING),
         );
         assert!(!run.traces.is_empty(), "sampled traces were recorded");
         // The merged traces must pass the full offline audit: no fault was

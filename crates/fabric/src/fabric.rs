@@ -12,7 +12,7 @@ use crate::stats::{FabricReport, ShardStats};
 use netchain_core::{ClientReport, ClientState, HashRing, WorkloadSpec};
 use netchain_sim::SimTime;
 use netchain_switch::PipelineConfig;
-use netchain_telemetry::{merge_traces, HistSnapshot, PacketTrace, TraceConfig};
+use netchain_telemetry::{merge_thinned, HistSnapshot, PacketTrace, TraceConfig};
 use netchain_wire::{Ipv4Addr, Key, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -256,19 +256,19 @@ pub fn run_live(config: FabricConfig, workload: WorkloadSpec) -> FabricReport {
 
     let mut clients: Vec<ClientReport> = Vec::with_capacity(config.num_clients);
     let mut latency = HistSnapshot::empty();
-    let mut trace_fragments: Vec<PacketTrace> = Vec::new();
+    let mut trace_fragments: Vec<(u32, Vec<PacketTrace>)> = Vec::new();
     for handle in client_handles {
         let (report, lat, traces) = handle.join().expect("client thread panicked");
         clients.push(report);
         latency.merge(&lat);
-        trace_fragments.extend(traces);
+        trace_fragments.push(traces);
     }
     let elapsed = start.elapsed();
     let mut shard_stats = vec![ShardStats::default(); config.num_shards];
     for handle in shard_handles {
         let (id, stats, traces) = handle.join().expect("shard thread panicked");
         shard_stats[id] = stats;
-        trace_fragments.extend(traces);
+        trace_fragments.push(traces);
     }
     let completed_ops: u64 = clients.iter().map(|c| c.completed).sum();
     FabricReport {
@@ -278,7 +278,7 @@ pub fn run_live(config: FabricConfig, workload: WorkloadSpec) -> FabricReport {
         shards: shard_stats,
         clients,
         latency,
-        traces: merge_traces(trace_fragments),
+        traces: merge_thinned(trace_fragments).1,
     }
 }
 

@@ -248,11 +248,11 @@ impl Shard {
         });
     }
 
-    /// Drains the trace fragments recorded by this shard.
-    pub fn take_traces(&mut self) -> Vec<PacketTrace> {
+    /// Drains this shard's trace fragments, with the shift its sink ended at.
+    pub fn take_traces(&mut self) -> (u32, Vec<PacketTrace>) {
         self.tracer
             .as_mut()
-            .map(|t| t.sink.drain())
+            .map(|t| (t.sink.shift(), t.sink.drain()))
             .unwrap_or_default()
     }
 

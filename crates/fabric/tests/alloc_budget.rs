@@ -204,6 +204,7 @@ fn a_pass_spreads_its_issue_stamps_between_its_two_readings() {
     );
     let issued_at: HashMap<u64, HopStamp> = client
         .take_traces()
+        .1
         .into_iter()
         .map(|t| (t.id, t.hops[0]))
         .collect();

@@ -11,7 +11,7 @@ use netchain_core::{AgentCore, ClusterConfig, KvOp, NetChainCluster};
 use netchain_fabric::{shard_of_key, Shard};
 use netchain_sim::{SimDuration, SimTime};
 use netchain_switch::PipelineConfig;
-use netchain_telemetry::{merge_traces, trace_id, PacketTrace, TraceConfig};
+use netchain_telemetry::{merge_thinned, merge_traces, trace_id, PacketTrace, TraceConfig};
 use netchain_wire::{BatchEncoder, Ipv4Addr, Key, PacketView, Value};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -125,7 +125,7 @@ fn sim_and_fabric_traces_agree_on_chain_hop_order() {
             .on_reply(SimTime(clock), &reply)
             .expect("reply matches the outstanding op");
     }
-    let fabric_traces = merge_traces(shards.iter_mut().flat_map(|s| s.take_traces()));
+    let (_, fabric_traces) = merge_thinned(shards.iter_mut().map(Shard::take_traces));
     let fabric_paths = switch_paths(&fabric_traces);
 
     // ---- Comparison ----

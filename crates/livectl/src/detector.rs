@@ -128,8 +128,12 @@ mod tests {
     use super::*;
     use crate::runner::flight_dump;
     use crate::runner::tests::ARTIFACT_ENV;
+    use netchain_core::{ClusterConfig, FaultOp, NetChainCluster, Schedule, WorkloadSpec};
+    use netchain_sim::SimDuration;
     use netchain_telemetry::Json;
+    use netchain_wire::Ipv4Addr;
     use std::collections::VecDeque;
+    use std::time::Duration;
 
     #[test]
     fn healthy_symmetric_shards_never_fire() {
@@ -226,5 +230,44 @@ mod tests {
         // the verdict.
         assert!(dump.matches("\"record\":\"slice\"").count() >= 2);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_stalled_switch_is_flagged_in_virtual_time() {
+        // `live_run`'s stalled shard on the simulator's clock: one switch of five
+        // stalls for 150 ms from 150 ms, and every 10 ms slice the detector is
+        // fed each switch's replies in it, what the live monitor feeds it. The
+        // switch is a leaf whose host issues nothing (one spine, so no chain hop
+        // crosses a leaf), so the stall touches no other switch's traffic.
+        let mut cluster = NetChainCluster::spine_leaf(1, 4, 1, ClusterConfig::default());
+        cluster.populate_store(256, 8);
+        for host in 0..3 {
+            cluster.install_workload_client(
+                host,
+                WorkloadSpec::uniform_read(256, 0),
+                20_000.0,
+                SimDuration::from_millis(500),
+                SimDuration::from_millis(10),
+            );
+        }
+        let leaf = Ipv4Addr::for_switch(4);
+        let stall = FaultOp::Stall(leaf, Duration::from_millis(150));
+        cluster.inject(&Schedule::new(0).at(Duration::from_millis(150), stall));
+        let switches = cluster.layout.switches.len();
+        let mut detector = GrayFailureDetector::new(switches);
+        let mut last = vec![0; switches];
+        let mut gray = Vec::new();
+        for slice in 0..50 {
+            cluster.sim.run_for(SimDuration::from_millis(10));
+            let ops: Vec<u64> = (0..switches)
+                .map(|s| {
+                    let replies = cluster.switch(s).switch().stats().replies_generated;
+                    replies - std::mem::replace(&mut last[s], replies)
+                })
+                .collect();
+            gray.extend(detector.observe_slice(slice, &ops));
+        }
+        let verdicts: Vec<_> = gray.iter().map(|a| (a.shard, a.ops, a.slice)).collect();
+        assert_eq!(verdicts, [(4, 0, 16)], "{gray:?}");
     }
 }

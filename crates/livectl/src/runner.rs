@@ -19,8 +19,8 @@
 //!   ([`netchain_fabric::ClientPort::impair`]), by the same clock;
 //! * a **monitor** thread watches the run through each shard's own
 //!   [`ShardStats`], which the shard publishes into a [`ShardStatsCell`] once
-//!   per busy round: it samples every cell at each slice boundary and judges
-//!   the per-shard differences with the [`GrayFailureDetector`];
+//!   per busy round: it samples every cell at each slice boundary to the
+//!   deadline and judges the differences with the [`GrayFailureDetector`];
 //! * when the run ends, its consistency is judged **once**, by
 //!   `netchain_telemetry::audit` over the run's merged traces and its final
 //!   journal: the same judge `chain_audit` runs over an artifact.
@@ -38,7 +38,7 @@ use netchain_fabric::{
 use netchain_sim::{SimDuration, SimTime};
 use netchain_switch::ControlOp;
 use netchain_telemetry::{
-    audit, merge_traces, trace_record_fields, ArtifactWriter, AuditConfig, HistSnapshot, Journal,
+    audit, merge_thinned, trace_record_fields, ArtifactWriter, AuditConfig, HistSnapshot, Journal,
     Json, PacketTrace, TimeSeries,
 };
 use netchain_wire::Ipv4Addr;
@@ -167,6 +167,47 @@ pub(crate) fn flight_dump(
     let path = dump.write()?;
     eprintln!("livectl: {what} — flight dump at {}", path.display());
     Some(path)
+}
+
+/// The live monitor over the `slices` that end by the run's deadline (past
+/// it the clients have stopped issuing, and a shard draining its backlog is
+/// not slow). `wait(at_ns)` returns the run's time once it is `at_ns` in,
+/// and `sample()` each shard's replies since the last sample, which the
+/// detector judges as the slice just ended (or the ones slept through).
+fn monitor(
+    shards: usize,
+    slice_nanos: u64,
+    slices: u64,
+    mut wait: impl FnMut(u64) -> u64,
+    mut sample: impl FnMut() -> Vec<u64>,
+) -> (Journal, Vec<LiveAnomaly>) {
+    let mut detector = GrayFailureDetector::new(shards);
+    let mut journal = Journal::new();
+    let mut anomalies = Vec::new();
+    // A verdict's flight dump: one cooldown of `(at_ns, ops per shard)`.
+    let mut recent: VecDeque<(u64, Vec<u64>)> = VecDeque::new();
+    let mut ended = 0;
+    while ended < slices {
+        let now = wait((ended + 1) * slice_nanos);
+        ended = (now / slice_nanos).clamp(ended + 1, slices);
+        let ops = sample();
+        let at_ns = (ended - 1) * slice_nanos;
+        if recent.len() == COOLDOWN as usize {
+            recent.pop_front();
+        }
+        recent.push_back((at_ns, ops.clone()));
+        for anomaly in detector.observe_slice(ended - 1, &ops) {
+            journal.instant(format!("gray-failure:shard{}", anomaly.shard), at_ns);
+            let fields = vec![
+                ("at_ns", Json::U64(at_ns)),
+                ("detail", Json::str(anomaly.describe())),
+            ];
+            let what = anomaly.describe();
+            flight_dump("livectl_gray", &recent, &what, "anomaly", fields);
+            anomalies.push(LiveAnomaly::Gray(anomaly));
+        }
+    }
+    (journal, anomalies)
 }
 
 /// Judges a finished run once, with [`audit`] over its merged `traces` and
@@ -474,7 +515,8 @@ pub fn run_live_observed(config: LiveConfig, cells: Arc<[ShardStatsCell]>) -> Li
                     }
                     let mut progressed = pass.progressed;
                     // Retransmission timers, and at the same cadence the
-                    // completed traces move out of the capped sink.
+                    // completed traces move out of the sink, which then holds
+                    // only what is open.
                     if now >= next_retry_poll {
                         next_retry_poll = now + cfg.retry_timeout / 2;
                         traces.append(&mut client.take_finished_traces());
@@ -495,9 +537,11 @@ pub fn run_live_observed(config: LiveConfig, cells: Arc<[ShardStatsCell]>) -> Li
                 exited[c].store(true, Ordering::Release);
                 done.fetch_add(1, Ordering::Release);
                 // What completed since the last poll, then the open
-                // (never-acked) remainder.
-                traces.append(&mut client.take_traces());
-                (client.report(), slices, client.latency_snapshot(), traces)
+                // (never-acked) remainder, under the sink's last shift.
+                let (shift, open) = client.take_traces();
+                traces.extend(open);
+                let report = client.report();
+                (report, slices, client.latency_snapshot(), (shift, traces))
             })
             .expect("spawn client thread");
         client_handles.push(handle);
@@ -506,64 +550,26 @@ pub fn run_live_observed(config: LiveConfig, cells: Arc<[ShardStatsCell]>) -> Li
     // The monitor: samples every shard's counters at each slice boundary and
     // judges the replies each served in the slice with the gray-failure
     // detector. It only loads what the shard workers store, so it never
-    // perturbs the dataplane; on an anomaly it journals the event and writes
-    // its recent samples to a flight dump in the artifact dir.
-    let monitor_stop = Arc::new(AtomicBool::new(false));
+    // perturbs the dataplane.
     let monitor = {
         let cells = Arc::clone(&cells);
-        let stop = Arc::clone(&monitor_stop);
         let slice_nanos = config.slice.as_nanos().max(1) as u64;
+        let slices = config.duration.as_nanos() as u64 / slice_nanos;
         std::thread::Builder::new()
             .name("livectl-monitor".to_string())
             .spawn(move || {
-                let mut detector = GrayFailureDetector::new(cells.len());
-                let mut journal = Journal::new();
-                let mut anomalies: Vec<LiveAnomaly> = Vec::new();
-                // One cooldown's worth of `(at_ns, ops per shard)` samples,
-                // oldest first: a flight dump shows every slice since the
-                // detector could last have fired for the same shard.
-                let mut recent: VecDeque<(u64, Vec<u64>)> = VecDeque::new();
                 let mut last = vec![ShardStats::default(); cells.len()];
-                let mut filling = 0u64;
-                loop {
-                    let stopping = stop.load(Ordering::Acquire);
-                    // Once the slice being filled has ended, the replies each
-                    // shard served since the last sample are its ops in that
-                    // slice (a monitor woken late judges the slices it slept
-                    // through as one). On shutdown the last slice is judged
-                    // too.
-                    let current = t0.elapsed().as_nanos() as u64 / slice_nanos;
-                    if current > filling || stopping {
-                        let slice = if stopping { current } else { current - 1 };
-                        filling = current;
-                        let ops: Vec<u64> = (cells.iter().zip(&mut last))
-                            .map(|(cell, last)| cell.since_last(last).replies)
-                            .collect();
-                        let at_ns = slice * slice_nanos;
-                        if recent.len() == COOLDOWN as usize {
-                            recent.pop_front();
-                        }
-                        recent.push_back((at_ns, ops.clone()));
-                        for anomaly in detector.observe_slice(slice, &ops) {
-                            journal.instant(format!("gray-failure:shard{}", anomaly.shard), at_ns);
-                            let fields = vec![
-                                ("at_ns", Json::U64(at_ns)),
-                                ("detail", Json::str(anomaly.describe())),
-                            ];
-                            let what = anomaly.describe();
-                            flight_dump("livectl_gray", &recent, &what, "anomaly", fields);
-                            anomalies.push(LiveAnomaly::Gray(anomaly));
-                        }
-                    }
-                    if stopping {
-                        break;
-                    }
-                    // Parked until the next slice boundary, not asleep: the
-                    // run's end unparks the monitor instead of waiting it out.
-                    let boundary = t0 + Duration::from_nanos((filling + 1) * slice_nanos);
-                    std::thread::park_timeout(boundary.saturating_duration_since(Instant::now()));
-                }
-                (journal, anomalies)
+                let wait = |boundary_ns| {
+                    let boundary = t0 + Duration::from_nanos(boundary_ns);
+                    std::thread::sleep(boundary.saturating_duration_since(Instant::now()));
+                    t0.elapsed().as_nanos() as u64
+                };
+                let sample = || {
+                    (cells.iter().zip(&mut last))
+                        .map(|(cell, last)| cell.since_last(last).replies)
+                        .collect()
+                };
+                monitor(cells.len(), slice_nanos, slices, wait, sample)
             })
             .expect("spawn monitor thread")
     };
@@ -588,22 +594,18 @@ pub fn run_live_observed(config: LiveConfig, cells: Arc<[ShardStatsCell]>) -> Li
         clients.push(report);
         slices.merge(&client_slices);
         latency.merge(&client_latency);
-        trace_fragments.extend(traces);
+        trace_fragments.push(traces);
     }
     let elapsed = t0.elapsed();
     let mut shard_stats = vec![Default::default(); fabric.num_shards];
     for handle in shard_handles {
         let (id, stats, traces) = handle.join().expect("shard thread panicked");
         shard_stats[id] = stats;
-        trace_fragments.extend(traces);
+        trace_fragments.push(traces);
     }
-    // Every shard has stored its last counters; let the monitor judge the
-    // final slice and hand back its journal.
-    monitor_stop.store(true, Ordering::Release);
-    monitor.thread().unpark();
     let (mut ops_journal, mut anomalies) = monitor.join().expect("monitor thread panicked");
     ops_journal.extend(reactor.journal());
-    let traces = merge_traces(trace_fragments);
+    let (_, traces) = merge_thinned(trace_fragments);
     judge(&traces, &mut ops_journal, &mut anomalies);
     let completed_ops: u64 = clients.iter().map(|c| c.completed).sum();
     LiveReport {
@@ -660,6 +662,47 @@ pub(crate) mod tests {
         hops.push(stamp(13, at + 60, HopRole::Tail, seen));
         hops.push(stamp(1, at + 100, HopRole::ClientAck, acked));
         PacketTrace { id, hops }
+    }
+
+    #[test]
+    fn the_monitor_judges_no_slice_past_the_deadline() {
+        let _env = ARTIFACT_ENV.lock().unwrap_or_else(|e| e.into_inner());
+        let dir = std::env::temp_dir().join(format!("netchain-drain-test-{}", std::process::id()));
+        std::env::set_var("NETCHAIN_ARTIFACT_DIR", &dir);
+        // Five 10 ms slices. The monitor wakes 15 ms late at 20 ms, and
+        // 25 ms late at the deadline, in the drain. Shard 1 serves nothing
+        // from slice 3 on.
+        let ms = 1_000_000;
+        let wait = |at_ns: u64| match at_ns / ms {
+            20 => 35 * ms,
+            50 => 75 * ms,
+            _ => at_ns,
+        };
+        let mut samples = 0;
+        let sample = || {
+            samples += 1;
+            let stalled = if samples >= 3 { 0 } else { 100 };
+            vec![100, stalled, 100]
+        };
+        let (journal, anomalies) = monitor(3, 10 * ms, 5, wait, sample);
+        std::env::remove_var("NETCHAIN_ARTIFACT_DIR");
+        let _ = std::fs::remove_dir_all(&dir);
+        // Slices 1 and 2 were judged as one, and the late wake at the end
+        // judged the last slice, 4, not one of the drain's: shard 1 is
+        // flagged there, on its second slice at 0, and nothing past it is
+        // sampled.
+        let flagged: Vec<(usize, u64, u64)> = (anomalies.iter())
+            .map(|a| match a {
+                LiveAnomaly::Gray(g) => (g.shard, g.slice, g.ops),
+                LiveAnomaly::Audit(v) => panic!("{v:?}"),
+            })
+            .collect();
+        assert_eq!(flagged, [(1, 4, 0)]);
+        assert_eq!(
+            journal.find_instant("gray-failure:shard1").unwrap().at_ns,
+            40 * ms
+        );
+        assert_eq!(samples, 4);
     }
 
     #[test]

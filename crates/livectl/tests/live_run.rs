@@ -59,6 +59,28 @@ fn live_run_without_faults_completes_cleanly() {
 }
 
 #[test]
+fn thinned_shard_sinks_leave_no_mutation_unjudged() {
+    // Every query traced, and sinks of 1024: a shard's fills several times
+    // over and thins itself, while a client's, drained every half timeout,
+    // holds only what is open. Cut to the coarsest shift any sink reached,
+    // every acked mutation still carries its switch stamps.
+    let config = LiveConfig::new(
+        small_fabric().with_trace(TraceConfig::sampled(0, 1024)),
+        WorkloadSpec::mixed(128, 0, 50, 50),
+        Duration::from_millis(300),
+    );
+    let report = run_live_controlled(config);
+    assert!(
+        (report.traces.iter()).all(|t| t.id.trailing_zeros() >= 1),
+        "no sink thinned"
+    );
+    let verdict = audit(&report.traces, &report.ops_journal, &AuditConfig::default());
+    assert!(verdict.is_clean(), "{:?}", verdict.violations);
+    assert!(verdict.writes > 0 && verdict.checked > 0, "{verdict:?}");
+    assert_eq!(verdict.truncated, 0, "{verdict:?}");
+}
+
+#[test]
 fn no_switch_stamps_a_trace_after_its_ack() {
     // Client and shards stamp off one clock (`t0`), and a reply exists only
     // once its tail has stamped it, so an ack can never predate a switch
@@ -288,25 +310,25 @@ fn a_stalled_shard_is_a_gray_failure() {
             LiveAnomaly::Audit(_) => None,
         })
         .collect();
-    // It fires for the stalled shard two slices into the stall (slices
-    // 15–29, a little later on a loaded box). Once the shard wakes and
-    // answers its backlog in a burst, its *peers* are the ones far below the
-    // median for a moment; nothing else fires.
-    let first = gray.first().expect("the stall went unnoticed");
-    assert_eq!((first.shard, first.ops), (1, 0), "{gray:?}");
-    assert!((16..=24).contains(&first.slice), "{gray:?}");
-    for later in &gray[1..] {
-        assert!(
-            later.shard != 1 && later.slice >= first.slice + 10,
-            "{gray:?}"
-        );
-    }
-    // Delivered, journaled, and no op unaccounted for; what the stalled
-    // shard held was served when it woke up, or given up by then.
-    assert!(report
-        .ops_journal
-        .find_instant("stall 10.2.0.1 150ms")
-        .is_some());
+    // Anchored to the stall as delivered (its journaled instant), the
+    // stalled shard is first named within the stall's 15 slices, or before
+    // them: the detector is right to name a shard that serves under half
+    // its peers for two slices, which a descheduled one did in warm-up in
+    // about one run in four on a 2-core box beside a CPU hog (shard 1 in one
+    // in ten), and a verdict mutes its shard for 32 slices, the stall's
+    // among them. The exact verdicts, none before the stall, are
+    // `detector::tests::a_stalled_switch_is_flagged_in_virtual_time`'s.
+    let stalled_at = (report.ops_journal.find_instant("stall 10.2.0.1 150ms"))
+        .expect("the stall was delivered and journaled")
+        .at_ns;
+    let stall_slice = stalled_at / report.slice.as_nanos() as u64;
+    let named = gray.iter().find(|a| a.shard == 1);
+    assert!(
+        named.is_some_and(|a| a.slice <= stall_slice + 15),
+        "stall delivered in slice {stall_slice}: {gray:?}"
+    );
+    // Delivered, and no op unaccounted for; what the stalled shard held was
+    // served when it woke up, or given up by then.
     assert!(report.timeline.is_none(), "nothing was killed");
     let issued: u64 = report.clients.iter().map(|c| c.issued).sum();
     assert_eq!(report.completed_ops + report.total_abandoned(), issued);

@@ -94,6 +94,8 @@ struct Outcome {
     version_regressions: u64,
     /// Repairs that ran to their last group: finished timelines.
     repairs_finished: usize,
+    /// The first kill's timeline, in the executor's clock.
+    timeline: Option<FailoverTimeline>,
     audit: Option<AuditReport>,
 }
 
@@ -124,6 +126,34 @@ impl Outcome {
             eprintln!("{what}: invariants broken: {self:?}");
         }
     }
+}
+
+/// A timeline's phases: the kill, failover started and installed, repair
+/// started and finished.
+fn phases(t: &FailoverTimeline) -> [Duration; 5] {
+    [
+        t.killed_at,
+        t.failover_started_at,
+        t.failover_installed_at,
+        t.repair_started_at,
+        t.repair_finished_at,
+    ]
+}
+
+/// What a wall clock can promise of a live timeline: no phase starts before
+/// the reactor paces it (the kill at `kill_at`, failover `failover_delay`
+/// after that, repair `recovery_delay` after failover), nor before the phase
+/// ahead of it has landed. How much later is the scheduler's; the exact
+/// times are the simulator's and the replay fabric's.
+fn assert_paced(t: &FailoverTimeline, kill_at: Duration, r: &Reactions) {
+    let failover_at = kill_at + r.failover_delay;
+    assert!(t.killed_at >= kill_at, "{t:?}");
+    assert!(
+        t.failover_started_at >= failover_at.max(t.killed_at),
+        "{t:?}"
+    );
+    let repair_at = (failover_at + r.recovery_delay).max(t.failover_installed_at);
+    assert!(t.repair_started_at >= repair_at, "{t:?}");
 }
 
 /// How many of an executor's timelines reached the end of their repair.
@@ -170,6 +200,7 @@ fn run_sim(schedule: &Schedule, reactions: &Reactions) -> (Outcome, Journal) {
         abandoned: report.abandoned,
         version_regressions: report.version_regressions,
         repairs_finished: finished(reactor.timelines()),
+        timeline: reactor.timelines().first().map(|(_, t)| t.clone()),
         audit: Some(audit(&traces, reactor.journal(), &AuditConfig::default())),
     };
     (outcome, reactor.journal().clone())
@@ -233,6 +264,7 @@ fn run_replay(schedule: &Schedule, reactions: &Reactions) -> (Outcome, Vec<Strin
         abandoned: stats.abandoned,
         version_regressions: stats.version_regressions,
         repairs_finished: finished(replay.reactor().timelines()),
+        timeline: (replay.reactor().timelines().first()).map(|(_, t)| t.clone()),
         audit: None,
     };
     (outcome, stale_reads)
@@ -266,6 +298,7 @@ fn run_live(schedule: &Schedule, reactions: &Reactions) -> (Outcome, LiveReport)
         abandoned: report.total_abandoned(),
         version_regressions: report.total_version_regressions(),
         repairs_finished: finished(&report.timelines),
+        timeline: report.timeline.clone(),
         audit: Some(audit(
             &report.traces,
             &report.ops_journal,
@@ -288,6 +321,17 @@ fn two_victims_with_overlapping_repairs() {
     replay.assert_clean("replay");
     assert_eq!(replay.repairs_finished, 2, "{replay:?}");
     assert!(stale.is_empty(), "{stale:?}");
+    // The first kill's phases to the tick, in schedule time: the simulated
+    // controller's installs land one control round trip (1 ms) after they
+    // start, the replay fabric's at once.
+    assert_eq!(
+        phases(sim.timeline.as_ref().unwrap()),
+        [100, 120, 121, 150, 231].map(ms)
+    );
+    assert_eq!(
+        phases(replay.timeline.as_ref().unwrap()),
+        [100, 120, 120, 150, 230].map(ms)
+    );
 
     // Live, S3's death makes heads of switches that stamp their old session
     // until the bump lands, one control round trip after the rule: in one
@@ -297,7 +341,7 @@ fn two_victims_with_overlapping_repairs() {
     assert_eq!(live.repairs_finished, 2, "{:?}", report.ops_journal);
     // The timeline is the first kill's; the journal holds both.
     let timeline = report.timeline.as_ref().expect("kills ran");
-    assert!(timeline.killed_at >= ms(100) && timeline.killed_at < ms(130));
+    assert_paced(timeline, ms(100), &reactions);
     assert_eq!(timeline.groups_repaired, GROUPS as usize);
     for name in ["kill 10.0.0.1", "kill 10.0.0.3"] {
         assert!(report.ops_journal.find_instant(name).is_some(), "{name}");
@@ -323,6 +367,15 @@ fn the_replacement_dies_mid_repair() {
     replay.assert_clean("replay");
     assert_eq!(replay.repairs_finished, 1, "{replay:?}");
     assert!(stale.is_empty(), "{stale:?}");
+    // S1's timeline through the aborted attempt, to the tick.
+    assert_eq!(
+        phases(sim.timeline.as_ref().unwrap()),
+        [100, 120, 121, 150, 321].map(ms)
+    );
+    assert_eq!(
+        phases(replay.timeline.as_ref().unwrap()),
+        [100, 120, 120, 150, 320].map(ms)
+    );
 
     // Live, from Algorithm 2 for the dead spare (210 ms) until the second
     // repair re-points them, two groups' redirects lead to a dead switch:
@@ -339,8 +392,8 @@ fn the_replacement_dies_mid_repair() {
     // started with the first attempt, finished with the second, and counts
     // the two groups that went onto S4 as well as the four onto S5.
     let timeline = report.timeline.as_ref().expect("a kill ran");
+    assert_paced(timeline, ms(100), &reactions);
     assert!(timeline.failover_installed_at >= ms(120), "{timeline:?}");
-    assert!(timeline.repair_started_at >= ms(150) && timeline.repair_started_at < ms(190));
     assert!(timeline.repair_finished_at >= ms(320), "{timeline:?}");
     assert_eq!(timeline.groups_repaired, 2 + GROUPS as usize);
     assert_eq!(timeline.group_activations.len(), timeline.groups_repaired);

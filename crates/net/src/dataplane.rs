@@ -36,7 +36,7 @@ use mmsg::{RecvQueue, SendQueue, MAX_BURST};
 use netchain_core::{HashRing, LinkFilter, Schedule};
 use netchain_fabric::{client_id_of, shard_of_group, shard_of_key, Shard};
 use netchain_switch::{PipelineConfig, ProbeGauges};
-use netchain_telemetry::{merge_traces, PacketTrace, TraceConfig};
+use netchain_telemetry::{merge_thinned, PacketTrace, TraceConfig};
 use netchain_wire::{BatchEncoder, Ipv4Addr, Key, Value, MAX_FRAME_LEN};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -185,6 +185,8 @@ pub struct NetReport {
     /// Merged per-hop traces from every worker (empty unless
     /// [`NetConfig::trace`] was set).
     pub traces: Vec<PacketTrace>,
+    /// The coarsest shift a worker's trace sink thinned to.
+    pub trace_shift: u32,
 }
 
 struct Worker {
@@ -325,8 +327,13 @@ impl NetDataplane {
             shards.push(shard);
             io.push(stats);
         }
-        let traces = merge_traces(shards.iter_mut().flat_map(|s| s.take_traces()));
-        NetReport { shards, io, traces }
+        let (trace_shift, traces) = merge_thinned(shards.iter_mut().map(Shard::take_traces));
+        NetReport {
+            shards,
+            io,
+            traces,
+            trace_shift,
+        }
     }
 }
 

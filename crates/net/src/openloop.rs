@@ -30,7 +30,7 @@ use mmsg::{RecvQueue, SendQueue, MAX_BURST};
 use netchain_core::{AgentConfig, ClientState, WorkloadSpec};
 use netchain_fabric::client_id_of;
 use netchain_sim::{SimDuration, SimTime};
-use netchain_telemetry::{HistSnapshot, LatencyHistogram, PacketTrace, TraceConfig};
+use netchain_telemetry::{merge_thinned, HistSnapshot, LatencyHistogram, PacketTrace, TraceConfig};
 use netchain_wire::{Ipv4Addr, MAX_FRAME_LEN};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -131,6 +131,8 @@ pub struct OpenLoopReport {
     /// [`OpenLoopConfig::trace`] was set. Merge with the dataplane's
     /// `NetReport::traces` for full per-hop paths.
     pub traces: Vec<PacketTrace>,
+    /// The coarsest shift a client's trace sink thinned to.
+    pub trace_shift: u32,
 }
 
 /// Runs an open-loop workload against `plane` and returns the merged report.
@@ -191,6 +193,7 @@ impl OpenLoopReport {
         self.send_errors += thread.send_errors;
         self.passes += thread.passes;
         self.traces.extend(thread.traces);
+        self.trace_shift = self.trace_shift.max(thread.trace_shift);
     }
 }
 
@@ -425,9 +428,10 @@ fn generator_thread(
         outcome.stale_replies += client.agent_stats().stale_replies;
         outcome.version_regressions += report.version_regressions;
         outcome.latency.merge(&client.latency_snapshot());
-        outcome.traces.extend(client.take_traces());
         plane.deregister_client(Ipv4Addr::for_host(client.id()));
     }
+    (outcome.trace_shift, outcome.traces) =
+        merge_thinned(clients.iter_mut().map(ClientState::take_traces));
     outcome
 }
 

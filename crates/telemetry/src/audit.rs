@@ -37,7 +37,8 @@
 //! [`audit`] is the one judge. A live run calls it once, when the run ends,
 //! over the run's own merged traces and journal; `chain_audit` calls it over
 //! an artifact's. Its blind spots are stated in its [`AuditReport`]: what a
-//! journal span suppressed, and what a full shard sink left truncated.
+//! journal span suppressed, and what reached it without a switch stamp
+//! (truncated).
 
 use std::collections::HashMap;
 
@@ -168,8 +169,8 @@ pub struct AuditReport {
     /// failover/repair span.
     pub suppressed: usize,
     /// Acked mutations that could not be judged because their trace holds no
-    /// switch-side stamp: the shard's sink had reached its cap, so only the
-    /// client's fragment survives.
+    /// switch-side stamp: only the client's fragment survives (fragments
+    /// merged without [`crate::merge_thinned`]'s cut after a sink thinned).
     pub truncated: usize,
     /// Every violation found, in detection order.
     pub violations: Vec<Violation>,
@@ -388,8 +389,9 @@ pub fn audit(traces: &[PacketTrace], journal: &Journal, config: &AuditConfig) ->
                 })
                 .collect();
             if chain.is_empty() {
-                // The switch-side fragment was lost (sink cap); nothing to
-                // judge, but say how much went unjudged.
+                // No switch-side fragment (merged without the cut after a
+                // sink thinned); nothing to judge, but say how much went
+                // unjudged.
                 report.truncated += 1;
                 continue;
             }

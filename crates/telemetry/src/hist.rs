@@ -237,21 +237,6 @@ impl HistSnapshot {
             })
     }
 
-    /// Folds the full-resolution buckets into `n` coarse bins by index range
-    /// (bin `k` covers buckets `[k*BUCKETS/n, (k+1)*BUCKETS/n)`), returning
-    /// the per-bin counts. The binning is fixed — independent of the data —
-    /// so successive snapshots of the same histogram can be diffed bin-wise,
-    /// which is what the in-band stat probes and `ops_top` sparklines rely
-    /// on.
-    pub fn coarse_counts(&self, n: usize) -> Vec<u64> {
-        assert!(n > 0 && n <= BUCKETS, "bin count must be in 1..=BUCKETS");
-        let mut out = vec![0u64; n];
-        for (idx, &c) in self.counts.iter().enumerate() {
-            out[idx * n / BUCKETS] += c;
-        }
-        out
-    }
-
     /// The standard summary tuple used by every exporter.
     pub fn quantiles(&self) -> Quantiles {
         Quantiles {
@@ -492,26 +477,6 @@ mod tests {
         // And the occupied bucket found by iteration is the last one.
         let occupied: Vec<HistBucket> = s.buckets().filter(|b| b.count > 0).collect();
         assert_eq!(occupied, vec![last]);
-    }
-
-    #[test]
-    fn coarse_counts_preserve_totals_and_are_diffable() {
-        let mut h = LatencyHistogram::new();
-        for v in [1u64, 5, 40, 1_000, 50_000, 2_000_000, u64::MAX] {
-            h.record(v);
-        }
-        let a = h.snapshot().coarse_counts(8);
-        assert_eq!(a.len(), 8);
-        assert_eq!(a.iter().sum::<u64>(), 7);
-        // Recording more samples only grows bins: cumulative snapshots of
-        // the same histogram are bin-wise diffable.
-        h.record(2);
-        h.record(u64::MAX - 1);
-        let b = h.snapshot().coarse_counts(8);
-        for (x, y) in a.iter().zip(&b) {
-            assert!(y >= x);
-        }
-        assert_eq!(b.iter().sum::<u64>(), 9);
     }
 
     #[test]

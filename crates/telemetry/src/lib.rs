@@ -44,6 +44,6 @@ pub use hist::{HistBucket, HistSnapshot, LatencyHistogram, Quantiles};
 pub use journal::{Journal, Span, SpanHandle};
 pub use metrics::TimeSeries;
 pub use trace::{
-    ip_to_string, key_fingerprint, merge_traces, path_to_string, trace_id, Evidence, EvidenceOp,
-    HopRole, HopStamp, PacketTrace, TraceConfig, TraceSink, TraceSummary,
+    ip_to_string, key_fingerprint, merge_thinned, merge_traces, path_to_string, trace_id, Evidence,
+    EvidenceOp, HopRole, HopStamp, PacketTrace, TraceConfig, TraceSink, TraceSummary,
 };

@@ -11,10 +11,11 @@
 //! merged after the run and summarised into per-hop-transition latency
 //! breakdowns.
 //!
-//! Sampling is deterministic: a packet is traced iff the low `sample_shift`
-//! bits of its trace ID hash to zero, so independent observers (sim client,
-//! sim switches, fabric shards) agree on which packets are sampled without
-//! coordination.
+//! Sampling is deterministic: a packet is traced iff the low `shift` bits of
+//! its trace ID are zero, so independent observers (sim client, sim
+//! switches, fabric shards) agree on which packets are sampled without
+//! coordination. A sink that fills thins itself; [`merge_thinned`] cuts a
+//! run's fragments to the coarsest shift its sinks reached.
 
 use std::collections::HashMap;
 
@@ -26,10 +27,10 @@ use crate::hist::{HistSnapshot, LatencyHistogram, Quantiles};
 pub struct TraceConfig {
     /// Master switch; when false no tracing code runs at all.
     pub enabled: bool,
-    /// Sample 1 in `2^sample_shift` trace IDs. 0 means every packet.
+    /// A sink starts at 1 in `2^sample_shift` trace IDs (0: every packet).
     pub sample_shift: u32,
-    /// Cap on completed traces retained per sink (oldest kept); bounds
-    /// memory on long runs.
+    /// Traces held (finished and open) at which a sink halves its sampling
+    /// and drops what no longer matches; bounds memory on long runs.
     pub max_traces: usize,
 }
 
@@ -41,33 +42,20 @@ impl TraceConfig {
         max_traces: 0,
     };
 
-    /// Trace 1 in `2^shift` queries, keeping at most `max_traces` of them.
-    pub fn sampled(shift: u32, max_traces: usize) -> Self {
+    /// Trace 1 in `2^shift` queries, thinning at `max_traces` held.
+    pub const fn sampled(shift: u32, max_traces: usize) -> Self {
         TraceConfig {
             enabled: true,
             sample_shift: shift,
             max_traces,
         }
     }
+}
 
-    /// Sampling whose cap outlasts a run of about `expected_ops` operations
-    /// through one sink: the densest shift, from 1 in 64 (the density the
-    /// tracing-on cost of the hot paths is measured at), that selects at
-    /// most `max_traces` of them. A sink that fills stops recording while
-    /// the others go on, and what they record after that cannot be judged.
-    pub fn lasting(expected_ops: u64, max_traces: usize) -> Self {
-        let mut shift = 6;
-        while expected_ops >> shift > max_traces as u64 {
-            shift += 1;
-        }
-        TraceConfig::sampled(shift, max_traces)
-    }
-
-    /// Whether a given trace ID is selected by this config.
-    #[inline]
-    pub fn samples(&self, trace_id: u64) -> bool {
-        self.enabled && trace_id & ((1u64 << self.sample_shift) - 1) == 0
-    }
+/// The bits of an id that must be zero for `shift` to sample it.
+#[inline]
+fn low_bits(shift: u32) -> u64 {
+    (1u64 << shift) - 1
 }
 
 impl Default for TraceConfig {
@@ -304,10 +292,12 @@ impl PacketTrace {
 
 /// A per-owner (client, shard, or switch) trace recorder. Stamping a trace
 /// ID that has not been seen yet begins it implicitly, so every observer can
-/// stamp unconditionally for sampled IDs.
+/// stamp unconditionally for sampled IDs. It holds at most `max_traces`.
 #[derive(Debug)]
 pub struct TraceSink {
     config: TraceConfig,
+    /// The shift the sink samples at: the config's until it first fills.
+    shift: u32,
     active: HashMap<u64, PacketTrace>,
     done: Vec<PacketTrace>,
 }
@@ -317,20 +307,21 @@ impl TraceSink {
     pub fn new(config: TraceConfig) -> Self {
         TraceSink {
             config,
+            shift: config.sample_shift,
             active: HashMap::new(),
             done: Vec::new(),
         }
     }
 
-    /// The sampling config this sink was built with.
-    pub fn config(&self) -> TraceConfig {
-        self.config
+    /// The shift the sink samples at now, which every trace it holds matches.
+    pub fn shift(&self) -> u32 {
+        self.shift
     }
 
     /// Whether `id` should be stamped at all.
     #[inline]
     pub fn samples(&self, id: u64) -> bool {
-        self.config.samples(id)
+        self.config.enabled && id & low_bits(self.shift) == 0
     }
 
     /// Records a hop visit for `id` (no-op if the ID is not sampled).
@@ -358,7 +349,7 @@ impl TraceSink {
     /// Moves the first stamp of open trace `id` to `at_ns`, for an observer
     /// that stamped a provisional time and learned the exact one later.
     pub fn retime_first(&mut self, id: u64, at_ns: u64) {
-        if !self.config.samples(id) {
+        if !self.samples(id) {
             return;
         }
         if let Some(first) = self.active.get_mut(&id).and_then(|t| t.hops.first_mut()) {
@@ -368,7 +359,20 @@ impl TraceSink {
 
     #[inline]
     fn push(&mut self, id: u64, stamp: HopStamp) {
-        if !self.config.samples(id) {
+        // Beginning one more trace in a full sink thins it first: one more
+        // bit of shift, dropping every held trace it no longer selects, `id`
+        // perhaps among them.
+        while self.samples(id)
+            && self.shift < 63
+            && self.active.len() + self.done.len() >= self.config.max_traces
+            && !self.active.contains_key(&id)
+        {
+            self.shift += 1;
+            let mask = low_bits(self.shift);
+            self.done.retain(|t| t.id & mask == 0);
+            self.active.retain(|id, _| id & mask == 0);
+        }
+        if !self.samples(id) {
             return;
         }
         self.active
@@ -384,13 +388,11 @@ impl TraceSink {
     /// Marks `id` complete, moving it to the finished set. Free for an
     /// unsampled id, which `active` can never hold.
     pub fn finish(&mut self, id: u64) {
-        if !self.config.samples(id) {
+        if !self.samples(id) {
             return;
         }
         if let Some(trace) = self.active.remove(&id) {
-            if self.done.len() < self.config.max_traces {
-                self.done.push(trace);
-            }
+            self.done.push(trace);
         }
     }
 
@@ -400,25 +402,15 @@ impl TraceSink {
         let mut out = std::mem::take(&mut self.done);
         let mut open: Vec<PacketTrace> = self.active.drain().map(|(_, t)| t).collect();
         open.sort_by_key(|t| t.id);
-        for t in open {
-            if out.len() >= self.config.max_traces {
-                break;
-            }
-            out.push(t);
-        }
+        out.extend(open);
         out
-    }
-
-    /// Number of completed traces currently held.
-    pub fn finished(&self) -> usize {
-        self.done.len()
     }
 
     /// Takes only the *completed* traces, leaving still-open ones in place.
     /// A long-running owner drains these periodically into a store of its
-    /// own, so the sink's `max_traces` cap bounds what is held between
-    /// drains, not the run: completed traces are final, open ones may still
-    /// gain hops.
+    /// own, so only what is open between drains counts towards
+    /// `max_traces`: completed traces are final, open ones may still gain
+    /// hops.
     pub fn take_finished(&mut self) -> Vec<PacketTrace> {
         std::mem::take(&mut self.done)
     }
@@ -441,6 +433,23 @@ pub fn merge_traces<I: IntoIterator<Item = PacketTrace>>(parts: I) -> Vec<Packet
     }
     out.sort_by_key(|t| t.id);
     out
+}
+
+/// Merges one run's fragments, each sink's given with the shift it ended at
+/// ([`TraceSink::shift`]), keeping only the ids sampled at the coarsest of
+/// those shifts: every sink recorded each such id that crossed it, so one
+/// that thinned leaves no one-sided fragment. Returns that shift with the
+/// traces, a part another merge can take.
+pub fn merge_thinned(
+    parts: impl IntoIterator<Item = (u32, Vec<PacketTrace>)>,
+) -> (u32, Vec<PacketTrace>) {
+    let parts: Vec<(u32, Vec<PacketTrace>)> = parts.into_iter().collect();
+    let shift = parts.iter().map(|&(shift, _)| shift).max().unwrap_or(0);
+    let kept = parts.into_iter().flat_map(|(_, traces)| traces);
+    (
+        shift,
+        merge_traces(kept.filter(|t| t.id & low_bits(shift) == 0)),
+    )
 }
 
 /// Latency breakdown for one hop-to-hop transition (e.g. head → mid).
@@ -477,11 +486,11 @@ pub struct TraceSummary {
 impl TraceSummary {
     /// Builds a summary from merged traces.
     ///
-    /// A trace whose stamps all carry one IP is a one-sided fragment: the
-    /// other observers' sinks, each capped at `max_traces` ids of its own
-    /// choosing, kept nothing for it. Fragments count towards `traces` but
-    /// are neither paths nor transitions — they all share one "path" and
-    /// would outvote the complete paths, which split over the chains.
+    /// A trace whose stamps all carry one IP is a one-sided fragment (a
+    /// dropped query, or sinks merged without [`merge_thinned`]'s cut).
+    /// Fragments count towards `traces` but are neither paths nor
+    /// transitions — they all share one "path" and would outvote the
+    /// complete paths, which split over the chains.
     pub fn from_traces(traces: &[PacketTrace]) -> Self {
         let mut path_counts: Vec<(Vec<u32>, usize)> = Vec::new();
         let mut transitions: Vec<(u32, u32, LatencyHistogram)> = Vec::new();
@@ -551,7 +560,7 @@ mod tests {
 
     #[test]
     fn sampling_is_deterministic_and_ratioed() {
-        let cfg = TraceConfig::sampled(4, 1024);
+        let cfg = TraceSink::new(TraceConfig::sampled(4, 1024));
         let mut hits = 0;
         for rid in 0..4096u64 {
             let id = trace_id(0x0a000001, rid);
@@ -566,26 +575,12 @@ mod tests {
     }
 
     #[test]
-    fn a_lasting_config_selects_no_more_than_the_cap_and_never_under_one_in_64() {
-        for (ops, shift) in [
-            (0, 6),
-            (4096 * 64, 6),
-            (4096 * 64 + 64, 7),
-            (24_000_000, 13),
-        ] {
-            let cfg = TraceConfig::lasting(ops, 4096);
-            assert_eq!((cfg.sample_shift, cfg.max_traces), (shift, 4096), "{ops}");
-            assert!(cfg.enabled && ops >> shift <= 4096);
-        }
-    }
-
-    #[test]
     fn shift_zero_samples_everything() {
-        let cfg = TraceConfig::sampled(0, 16);
+        let cfg = TraceSink::new(TraceConfig::sampled(0, 16));
         for rid in 0..100u64 {
             assert!(cfg.samples(trace_id(1, rid)));
         }
-        assert!(!TraceConfig::OFF.samples(0));
+        assert!(!TraceSink::new(TraceConfig::OFF).samples(0));
     }
 
     #[test]
@@ -691,8 +686,53 @@ mod tests {
             sink.stamp(id, 1, id);
             sink.finish(id);
         }
-        assert_eq!(sink.finished(), 2);
-        assert_eq!(sink.drain().len(), 2);
+        // Id 2 thinned the sink to even ids, id 4 to multiples of 4.
+        assert_eq!(sink.shift(), 2);
+        let ids: Vec<u64> = sink.drain().iter().map(|t| t.id).collect();
+        assert_eq!(ids, [0, 4]);
+    }
+
+    #[test]
+    fn a_full_sink_thins_to_the_traffic_it_sees() {
+        let (cap, n) = (64, 1u64 << 16);
+        let mut sink = TraceSink::new(TraceConfig::sampled(0, cap));
+        for rid in 0..n {
+            let id = trace_id(0x0a000001, rid);
+            sink.stamp(id, 1, rid);
+            // Every fourth query stays open: thinning drops those too.
+            if rid % 4 != 0 {
+                sink.finish(id);
+            }
+        }
+        let shift = sink.shift();
+        let held: Vec<u64> = sink.drain().iter().map(|t| t.id).collect();
+        assert!(!held.is_empty() && held.len() <= cap, "{}", held.len());
+        assert!(held.iter().all(|id| id & low_bits(shift) == 0), "{shift}");
+        // The kept ids span the stream, not its first `cap` sampled ids.
+        let kept = |rids: std::ops::Range<u64>| {
+            rids.into_iter()
+                .any(|rid| held.contains(&trace_id(0x0a000001, rid)))
+        };
+        assert!(kept(0..n / 4) && kept(3 * n / 4..n), "shift {shift}");
+    }
+
+    #[test]
+    fn the_cut_keeps_only_what_every_sink_still_samples() {
+        let frag = |id: u64, ip: u32| PacketTrace {
+            id,
+            hops: vec![HopStamp::plain(ip, id)],
+        };
+        // A client sink that never filled (shift 0) and a shard sink that
+        // thinned to shift 1, which dropped its half of id 1.
+        let client = (0, vec![frag(1, 10), frag(2, 10), frag(4, 10)]);
+        let shard = (1, vec![frag(2, 20), frag(4, 20)]);
+        let (shift, merged) = merge_thinned([client, shard]);
+        let paths: Vec<(u64, Vec<u32>)> = merged.iter().map(|t| (t.id, t.path())).collect();
+        assert_eq!(
+            (shift, paths),
+            (1, vec![(2, vec![10, 20]), (4, vec![10, 20])])
+        );
+        assert_eq!(merge_thinned(std::iter::empty()), (0, vec![]));
     }
 
     #[test]
