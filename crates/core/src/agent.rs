@@ -389,13 +389,14 @@ impl AgentCore {
     /// Stamps the last `n` queries issued from two clock readings: in issue
     /// order, the `i`-th gets `from + (to − from)·i / n`, and retransmission
     /// deadlines and latencies follow. Queries already answered or
-    /// retransmitted keep theirs; `restamped` sees each `(id, stamp)` written.
+    /// retransmitted keep theirs; `restamped` sees each `(id, key hash,
+    /// stamp)` written.
     pub fn restamp_last(
         &mut self,
         n: usize,
         from: SimTime,
         to: SimTime,
-        mut restamped: impl FnMut(u64, SimTime),
+        mut restamped: impl FnMut(u64, u64, SimTime),
     ) {
         let n = n as u64;
         assert!(n < self.next_request_id, "only {n} queries were issued");
@@ -408,7 +409,7 @@ impl AgentCore {
             if let Some(entry) = self.outstanding.get_mut(id).filter(|e| e.retries == 0) {
                 entry.first_sent = at;
                 entry.last_sent = at;
-                restamped(id, at);
+                restamped(id, entry.key_hash, at);
             }
             at.0 += step;
             carry += rem;
@@ -536,6 +537,7 @@ impl AgentCore {
             entry,
             Completion {
                 request_id: reply.request_id,
+                key_hash: entry.key_hash,
                 op: entry.op,
                 status: reply.status,
                 seq: reply.seq,

@@ -60,16 +60,21 @@ pub fn query_evidence_hashed(
 
 /// True when every remaining chain hop is one this switch will strip via a
 /// [`FailoverAction::ChainFailover`] rule, i.e. the query will not reach
-/// another live replica after executing here. A hop with no rule (the
-/// packet really forwards there), a `Redirect` (it continues on a
-/// replacement), or a `Block` (it never acks, so the role is moot) stops
-/// the walk: the chain is effectively non-empty.
+/// another live replica after executing here. A `Redirect` is followed to
+/// its replacement, as forwarding follows it (bounded alike). A hop with no
+/// rule (the packet really forwards there) or a `Block` (it never acks, so
+/// the role is moot) stops the walk: the chain is effectively non-empty.
 fn effective_chain_is_empty(switch: &NetChainSwitch, header: &NetChainHeader, hash: u64) -> bool {
     header.chain.hops().iter().all(|&hop| {
-        matches!(
-            switch.forwarding().action_for_hash(hop, hash),
-            Some(FailoverAction::ChainFailover)
-        )
+        let mut hop = hop;
+        for _ in 0..8 {
+            match switch.forwarding().action_for_hash(hop, hash) {
+                Some(FailoverAction::ChainFailover) => return true,
+                Some(FailoverAction::Redirect(to)) => hop = to,
+                _ => return false,
+            }
+        }
+        false
     })
 }
 
@@ -90,7 +95,7 @@ pub fn evidence_op(op: OpCode) -> Option<EvidenceOp> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netchain_switch::PipelineConfig;
+    use netchain_switch::{ControlOp, FailoverRule, PipelineConfig, RuleScope};
     use netchain_wire::{ChainList, Ipv4Addr, Key, QueryStatus, Value};
 
     fn header(op: OpCode, key: Key, seq: u64, chain: Vec<Ipv4Addr>) -> NetChainHeader {
@@ -143,6 +148,33 @@ mod tests {
         let ev = query_evidence(&sw, &header(OpCode::Read, key, 0, vec![])).unwrap();
         assert_eq!(ev.op, EvidenceOp::Read);
         assert_eq!(ev.role, HopRole::Tail);
+    }
+
+    #[test]
+    fn a_hop_redirected_to_a_failed_over_switch_leaves_this_one_the_tail() {
+        // S1 was repaired onto S4, and S4 has since failed over: a write
+        // whose only remaining hop is S1 gets its reply here.
+        let mut sw = NetChainSwitch::new(Ipv4Addr::for_switch(0), PipelineConfig::tiny(8));
+        let key = Key::from_name("k");
+        sw.kv_mut().insert(key, &Value::from_u64(7)).unwrap();
+        let (s1, s4) = (Ipv4Addr::for_switch(1), Ipv4Addr::for_switch(4));
+        let install = |sw: &mut NetChainSwitch, failed_ip, action| {
+            let rule = FailoverRule {
+                priority: 3,
+                scope: RuleScope::All,
+                action,
+            };
+            sw.apply(&ControlOp::InstallRule { failed_ip, rule });
+        };
+        install(&mut sw, s1, FailoverAction::Redirect(s4));
+        let write = header(OpCode::Write, key, 9, vec![s1]);
+        assert_eq!(query_evidence(&sw, &write).unwrap().role, HopRole::Replica);
+        install(&mut sw, s4, FailoverAction::ChainFailover);
+        assert_eq!(query_evidence(&sw, &write).unwrap().role, HopRole::Tail);
+        // A redirect loop is no tail.
+        install(&mut sw, s4, FailoverAction::Redirect(s1));
+        let looped = header(OpCode::Write, key, 9, vec![s4]);
+        assert_eq!(query_evidence(&sw, &looped).unwrap().role, HopRole::Replica);
     }
 
     #[test]

@@ -278,11 +278,12 @@ impl ClientState {
     pub fn restamp_issued(&mut self, n: usize, from: SimTime, to: SimTime) {
         let ip = self.ip_u32();
         let tracer = &mut self.tracer;
-        self.agent.restamp_last(n, from, to, |request_id, at| {
-            if let Some(tracer) = tracer {
-                tracer.retime_first(trace_id(ip, request_id), at.as_nanos());
-            }
-        });
+        self.agent
+            .restamp_last(n, from, to, |request_id, key_hash, at| {
+                if let Some(tracer) = tracer {
+                    tracer.retime_first(trace_id(ip, request_id, key_hash), at.as_nanos());
+                }
+            });
     }
 
     /// Counts an issued query and stamps its client-side issue evidence if
@@ -291,7 +292,7 @@ impl ClientState {
         self.report.issued += 1;
         let ip = self.ip_u32();
         if let Some(tracer) = &mut self.tracer {
-            let id = trace_id(ip, request_id);
+            let id = trace_id(ip, request_id, op.locus.hash);
             if tracer.samples(id) {
                 match crate::evidence_op(op.op) {
                     Some(kind) => tracer.stamp_with(
@@ -331,7 +332,7 @@ impl ClientState {
         }
         let ip = self.ip_u32();
         if let Some(tracer) = &mut self.tracer {
-            let id = trace_id(ip, done.request_id);
+            let id = trace_id(ip, done.request_id, done.key_hash);
             if tracer.samples(id) {
                 match crate::evidence_op(reply.op()) {
                     Some(op) => tracer.stamp_with(
@@ -342,7 +343,7 @@ impl ClientState {
                             op,
                             role: HopRole::ClientAck,
                             ok: done.status == QueryStatus::Ok,
-                            key_fp: key_fingerprint(reply.key().stable_hash()),
+                            key_fp: key_fingerprint(done.key_hash),
                             session: done.session,
                             seq: done.seq,
                         },

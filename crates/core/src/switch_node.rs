@@ -109,13 +109,18 @@ impl Node<NetMsg> for SwitchNode {
             NetMsg::Data(pkt) => {
                 if let Some(tracer) = &self.tracer {
                     if pkt.ip.dst == self.switch.ip() && pkt.netchain.op.is_query() {
-                        let id =
-                            trace_id(u32::from_be_bytes(pkt.ip.src.0), pkt.netchain.request_id);
+                        let src = u32::from_be_bytes(pkt.ip.src.0);
+                        let hash = pkt.netchain.key.stable_hash();
+                        let id = trace_id(src, pkt.netchain.request_id, hash);
                         let mut sink = tracer.borrow_mut();
                         if sink.samples(id) {
                             let hop_ip = u32::from_be_bytes(self.switch.ip().0);
                             let at_ns = ctx.now().as_nanos();
-                            match crate::evidence::query_evidence(&self.switch, &pkt.netchain) {
+                            match crate::evidence::query_evidence_hashed(
+                                &self.switch,
+                                &pkt.netchain,
+                                hash,
+                            ) {
                                 Some(ev) => sink.stamp_with(id, hop_ip, at_ns, ev),
                                 None => sink.stamp(id, hop_ip, at_ns),
                             }

@@ -107,6 +107,8 @@ impl KvOp {
 pub struct Completion {
     /// The request id the agent assigned.
     pub request_id: u64,
+    /// `key.stable_hash()` of the query's key.
+    pub key_hash: u64,
     /// Opcode of the query that completed.
     pub op: OpCode,
     /// Status returned by the chain.

@@ -367,7 +367,7 @@ proptest! {
                     let to = if holding { now } else { now + SimDuration::from_nanos(span) };
                     let expected = model.restamp(next_id - n as u64..next_id, now, to);
                     let mut restamped = Vec::new();
-                    agent.restamp_last(n, now, to, |id, at| restamped.push((id, at)));
+                    agent.restamp_last(n, now, to, |id, _, at| restamped.push((id, at)));
                     prop_assert_eq!(restamped, expected);
                     now = to;
                 }

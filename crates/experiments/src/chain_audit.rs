@@ -4,7 +4,8 @@
 //! run from its JSON-lines artifacts alone: `"trace"` records (the in-band
 //! evidence stamps clients and switches left on sampled queries) plus the
 //! control-plane journal (`"spans"` records), fed through
-//! [`netchain_telemetry::audit`]. A `FLIGHT_*.jsonl` dump is read exactly
+//! [`netchain_telemetry::audit`], which judges the traces and lets the
+//! journal annotate its verdict. A `FLIGHT_*.jsonl` dump is read exactly
 //! like a `BENCH_*.jsonl` artifact: one schema, one reader. Every matching
 //! file is audited **independently** — trace ids and key fingerprints are
 //! only unique within one run, so merging files would manufacture
@@ -18,8 +19,8 @@
 //! usage error or no traces found anywhere.
 
 use netchain_telemetry::{
-    audit, journal_from_json, trace_from_json, ArtifactWriter, AuditConfig, AuditReport, Journal,
-    Json, PacketTrace, Violation,
+    audit, journal_from_json, trace_from_json, ArtifactWriter, AuditReport, Journal, Json,
+    PacketTrace, Violation,
 };
 use std::path::{Path, PathBuf};
 
@@ -54,17 +55,16 @@ impl FileAudit {
     }
 }
 
-/// How much of a run the auditor judged: checked / suppressed / truncated as
-/// shares of the acked operations it reconstructed, so "clean" says how much
-/// it judged; and of the `ops` the run completed (if it says), the share
+/// How much of a run the auditor judged: checked / truncated as shares of
+/// the acked operations it reconstructed, so "clean" says how much it
+/// judged; and of the `ops` the run completed (if it says), the share
 /// sampling left out.
 fn coverage_line(report: &AuditReport, ops: u64) -> String {
     let acked = report.writes + report.reads;
     let share = |n: usize| 100.0 * n as f64 / acked.max(1) as f64;
     let mut line = format!(
-        "checked {:.1}% suppressed {:.1}% truncated {:.1}% of {acked} acked ops",
+        "checked {:.1}% truncated {:.1}% of {acked} acked ops",
         share(report.checked),
-        share(report.suppressed),
         share(report.truncated),
     );
     if ops > 0 {
@@ -85,7 +85,7 @@ struct RunRecords {
 
 /// Parses one JSONL artifact and audits each labelled run inside it against
 /// that run's own journal.
-pub fn audit_file(path: &Path, config: &AuditConfig) -> Result<FileAudit, String> {
+pub fn audit_file(path: &Path) -> Result<FileAudit, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let mut runs: std::collections::BTreeMap<String, RunRecords> =
         std::collections::BTreeMap::new();
@@ -120,7 +120,7 @@ pub fn audit_file(path: &Path, config: &AuditConfig) -> Result<FileAudit, String
     let traces = runs.values().map(|run| run.traces.len()).sum();
     let runs = runs
         .into_iter()
-        .map(|(label, run)| (label, audit(&run.traces, &run.journal, config), run.ops))
+        .map(|(label, run)| (label, audit(&run.traces, &run.journal, &()), run.ops))
         .collect();
     Ok(FileAudit {
         path: path.to_path_buf(),
@@ -178,12 +178,11 @@ pub fn run_cli(args: &[String]) -> i32 {
         );
         return 2;
     }
-    let config = AuditConfig::default();
     let mut audited_traces = 0usize;
     let mut all_violations = 0usize;
     let mut dump = ArtifactWriter::flight("chain_audit");
     for file in &files {
-        let audit = match audit_file(file, &config) {
+        let audit = match audit_file(file) {
             Ok(a) => a,
             Err(e) => {
                 eprintln!("chain_audit: {e}");
@@ -197,12 +196,11 @@ pub fn run_cli(args: &[String]) -> i32 {
             .unwrap_or("?");
         let violations = audit.violations();
         println!(
-            "{name}: {} traces ({} writes, {} reads), {} checked, {} suppressed, {} truncated, {} violations{}",
+            "{name}: {} traces ({} writes, {} reads), {} checked, {} truncated, {} violations{}",
             audit.traces,
             audit.total(|r| r.writes),
             audit.total(|r| r.reads),
             audit.total(|r| r.checked),
-            audit.total(|r| r.suppressed),
             audit.total(|r| r.truncated),
             violations.len(),
             if audit.rejected > 0 {
@@ -352,7 +350,7 @@ mod tests {
         ));
         let clean = dir.join("BENCH_clean.jsonl");
         std::fs::write(&clean, lines.join("\n") + "\n").unwrap();
-        let audit = audit_file(&clean, &AuditConfig::default()).unwrap();
+        let audit = audit_file(&clean).unwrap();
         assert_eq!(audit.traces, 2);
         assert_eq!(audit.violations(), Vec::<&Violation>::new());
         assert_eq!(run_cli(&[dir.to_string_lossy().into_owned()]), 0);
@@ -363,7 +361,7 @@ mod tests {
             trace_record_fields(&read_trace(3, 7, 5_000, 1)),
         ));
         std::fs::write(&clean, lines.join("\n") + "\n").unwrap();
-        let audit = audit_file(&clean, &AuditConfig::default()).unwrap();
+        let audit = audit_file(&clean).unwrap();
         // The seeded fault trips the freshness check (and, because the same
         // tail register had already served version 2, the per-replica
         // monotonicity check too — both are real).
@@ -385,9 +383,10 @@ mod tests {
     }
 
     #[test]
-    fn journal_spans_suppress_and_future_schemas_are_counted() {
+    fn journal_spans_annotate_and_future_schemas_are_counted() {
         let dir = tmp_dir("journal");
-        // Same stale read as above, but a repair span covering it: suppressed.
+        // Same stale read as above, with a repair span covering it: judged
+        // all the same, and named in the verdict.
         let mut journal = Journal::new();
         journal.span("repair", 2_000, 6_000);
         let lines = [
@@ -408,9 +407,11 @@ mod tests {
         ];
         let path = dir.join("BENCH_spans.jsonl");
         std::fs::write(&path, lines.join("\n") + "\n").unwrap();
-        let audit = audit_file(&path, &AuditConfig::default()).unwrap();
-        assert_eq!(audit.violations(), Vec::<&Violation>::new());
-        assert!(audit.total(|r| r.suppressed) > 0);
+        let audit = audit_file(&path).unwrap();
+        let violations = audit.violations();
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert_eq!(violations[0].kind, ViolationKind::StaleRead);
+        assert!(violations[0].detail.ends_with("(during repair)"));
         assert_eq!(audit.rejected, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -438,11 +439,13 @@ mod tests {
         std::env::remove_var("NETCHAIN_ARTIFACT_DIR");
         let path = path.expect("dump written");
         assert_eq!(path, dir.join("FLIGHT_run.jsonl"));
-        let audit = audit_file(&path, &AuditConfig::default()).unwrap();
+        let audit = audit_file(&path).unwrap();
         assert_eq!((audit.malformed, audit.rejected, audit.traces), (0, 0, 2));
-        // The journal's `spans` record was read back: it suppresses the read.
-        assert_eq!(audit.violations(), Vec::<&Violation>::new());
-        assert!(audit.total(|r| r.suppressed) > 0);
+        // The journal's `spans` record was read back: it names the span the
+        // stale read fell in.
+        let violations = audit.violations();
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].detail.ends_with("(during repair)"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -469,7 +472,7 @@ mod tests {
         labelled.push(record_line("sampling", sampling));
         let path = dir.join("BENCH_runs.jsonl");
         std::fs::write(&path, labelled.join("\n") + "\n").unwrap();
-        let audit = audit_file(&path, &AuditConfig::default()).unwrap();
+        let audit = audit_file(&path).unwrap();
         assert_eq!(audit.traces, 4);
         assert_eq!(audit.violations(), Vec::<&Violation>::new());
         // Each run reports its own coverage: one write and one read, both
@@ -479,7 +482,7 @@ mod tests {
             .iter()
             .map(|(label, run, ops)| (label.as_str(), coverage_line(run, *ops)))
             .collect();
-        let judged = "checked 100.0% suppressed 0.0% truncated 0.0% of 2 acked ops";
+        let judged = "checked 100.0% truncated 0.0% of 2 acked ops";
         let sampled = format!("{judged}; sampled out 99.75% of 800 ops");
         assert_eq!(lines, [("a", judged.to_string()), ("b", sampled)]);
 
@@ -496,7 +499,7 @@ mod tests {
         .map(|fields| record_line("trace", fields))
         .collect();
         std::fs::write(&path, unlabelled.join("\n") + "\n").unwrap();
-        let audit = audit_file(&path, &AuditConfig::default()).unwrap();
+        let audit = audit_file(&path).unwrap();
         assert!(!audit.violations().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -35,8 +35,8 @@ use netchain_core::{HashRing, WorkloadSpec};
 
 /// Trace sampling of the latency runs: sampled queries carry in-band
 /// evidence stamps end to end (client issue → shard register read → client
-/// ack), enough for `chain_audit` to replay the run offline; 1 in 64 to start
-/// with, and a sink that fills at 4096 traces thins itself. Saturation runs
+/// ack), enough for `chain_audit` to replay the run offline; 1 key in 64 to
+/// start with, and a sink that fills at 4096 traces thins itself. Saturation runs
 /// stay untraced — they measure capacity, not consistency.
 const TRACE_SAMPLING: TraceConfig = TraceConfig::sampled(6, 4096);
 
@@ -494,7 +494,7 @@ mod tests {
         // injected, so any violation here is a bug in the stamps, the merge,
         // or the dataplane itself.
         let journal = netchain_telemetry::Journal::new();
-        let report = netchain_telemetry::audit(&run.traces, &journal, &Default::default());
+        let report = netchain_telemetry::audit(&run.traces, &journal, &());
         assert!(report.checked > 0, "the auditor judged real operations");
         assert!(report.is_clean(), "violations: {:?}", report.violations);
     }

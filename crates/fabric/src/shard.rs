@@ -716,7 +716,7 @@ impl Shard {
                         Lane::Fast { lane: i, .. } => {
                             let chunk = chunk.expect("fast lanes ride with their chunk");
                             let batch = chunk.frames.batch();
-                            let id = trace_id(batch.src(i), batch.request_id(i));
+                            let id = trace_id(batch.src(i), batch.request_id(i), chunk.hashes[i]);
                             if !tracer.sink.samples(id) {
                                 continue;
                             }
@@ -737,8 +737,8 @@ impl Shard {
                         }
                         Lane::Owned { slot, hash, .. } => {
                             let pkt = &self.pool[slot];
-                            let id =
-                                trace_id(u32::from_be_bytes(pkt.ip.src.0), pkt.netchain.request_id);
+                            let src = u32::from_be_bytes(pkt.ip.src.0);
+                            let id = trace_id(src, pkt.netchain.request_id, hash);
                             if !tracer.sink.samples(id) {
                                 continue;
                             }
@@ -755,13 +755,14 @@ impl Shard {
             }
             let sw = &mut self.switches[hop];
             for lane in group {
-                // The (client, request id) a reply produced here answers.
+                // The (client, request id, key hash) a reply produced here
+                // answers.
                 let replied_to = match *lane {
                     Lane::Fast { lane: i, .. } => {
                         let chunk = chunk.expect("fast lanes ride with their chunk");
                         sw.read_reply_staged(chunk.frames.frame(i), chunk.slots[i], replies);
                         let batch = chunk.frames.batch();
-                        Some((batch.src(i), batch.request_id(i)))
+                        Some((batch.src(i), batch.request_id(i), chunk.hashes[i]))
                     }
                     Lane::Owned { slot, hash, .. } => {
                         let pkt = &mut self.pool[slot];
@@ -771,7 +772,7 @@ impl Shard {
                                 replies.push(pkt).expect("replies are bounded like queries");
                                 // Replies carry the client in `ip.dst`.
                                 let client = u32::from_be_bytes(pkt.ip.dst.0);
-                                (Some((client, pkt.netchain.request_id)), None)
+                                (Some((client, pkt.netchain.request_id, hash)), None)
                             }
                             Ok(()) if via_gateway && pkt.ip.dst == dst => {
                                 // The gateway had no matching rule and passed
@@ -794,11 +795,11 @@ impl Shard {
                         replied_to
                     }
                 };
-                if let Some((client, request_id)) = replied_to {
+                if let Some((client, request_id, hash)) = replied_to {
                     self.stats.replies += 1;
                     if let Some(tracer) = &mut self.tracer {
                         // Close the shard-side fragment.
-                        tracer.sink.finish(trace_id(client, request_id));
+                        tracer.sink.finish(trace_id(client, request_id, hash));
                     }
                 }
             }

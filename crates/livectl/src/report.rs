@@ -65,7 +65,7 @@ pub struct LiveReport {
     pub timelines: Vec<(Ipv4Addr, FailoverTimeline)>,
     /// Everything the run was flagged for — the monitor's gray failures,
     /// then the audit's violations, exactly
-    /// `audit(&traces, &ops_journal, &AuditConfig::default()).violations`
+    /// `audit(&traces, &ops_journal, &()).violations`
     /// (empty in a healthy run; each kind also produced a flight dump in the
     /// artifact dir).
     pub anomalies: Vec<LiveAnomaly>,

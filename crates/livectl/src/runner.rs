@@ -38,8 +38,8 @@ use netchain_fabric::{
 use netchain_sim::{SimDuration, SimTime};
 use netchain_switch::ControlOp;
 use netchain_telemetry::{
-    audit, merge_thinned, trace_record_fields, ArtifactWriter, AuditConfig, HistSnapshot, Journal,
-    Json, PacketTrace, TimeSeries,
+    audit, merge_thinned, trace_record_fields, ArtifactWriter, HistSnapshot, Journal, Json,
+    PacketTrace, TimeSeries,
 };
 use netchain_wire::Ipv4Addr;
 use std::collections::{HashSet, VecDeque};
@@ -217,7 +217,7 @@ fn monitor(
 /// `violation` record each, and the `trace` records they cite, which is all
 /// `chain_audit` needs to find the same verdicts again.
 fn judge(traces: &[PacketTrace], journal: &mut Journal, anomalies: &mut Vec<LiveAnomaly>) {
-    let violations = audit(traces, journal, &AuditConfig::default()).violations;
+    let violations = audit(traces, journal, &()).violations;
     if violations.is_empty() {
         return;
     }
@@ -717,16 +717,10 @@ pub(crate) mod tests {
             planted(1, EvidenceOp::Write, 900, 1, 2),
             planted(2, EvidenceOp::Read, 2_000, 1, 1),
         ];
-        // Under a journal span the read is suppressed: nothing is flagged,
-        // and nothing is dumped.
-        let mut spanned = Journal::new();
-        spanned.span("repair:10.0.0.1", 1_500, 3_000);
-        let mut calm = Vec::new();
-        judge(&traces, &mut spanned, &mut calm);
-        assert!(calm.is_empty(), "{calm:?}");
-        assert!(spanned.instants().is_empty() && !dump.exists());
-        // Without one it is stale.
+        // A journal span around the read does not excuse it: it is stale,
+        // and the verdict names the span.
         let (mut journal, mut anomalies) = (Journal::new(), Vec::new());
+        journal.span("repair:10.0.0.1", 1_500, 3_000);
         judge(&traces, &mut journal, &mut anomalies);
         std::env::remove_var("NETCHAIN_ARTIFACT_DIR");
 
@@ -738,6 +732,7 @@ pub(crate) mod tests {
             .collect();
         assert_eq!(flagged.len(), 1, "{flagged:?}");
         assert_eq!(flagged[0].kind, ViolationKind::StaleRead);
+        assert!(flagged[0].detail.ends_with("(during repair:10.0.0.1)"));
         let instant = journal.find_instant("audit:stale-read").expect("journaled");
         assert_eq!(instant.at_ns, flagged[0].at_ns);
         // The dump alone holds the verdict: decoded and judged again, it
@@ -757,7 +752,7 @@ pub(crate) mod tests {
             }
         }
         assert_eq!(dumped.len(), 2);
-        let again = audit(&dumped, &dumped_journal, &AuditConfig::default()).violations;
+        let again = audit(&dumped, &dumped_journal, &()).violations;
         assert_eq!(again.iter().collect::<Vec<_>>(), flagged);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -11,7 +11,7 @@
 //! (`completed + abandoned = issued`), no client sees a version regress, and
 //! the audit of the traces is clean. Where a schedule breaks one of these the
 //! test says which, asserts the rest and prints what it saw, and ROADMAP item
-//! 3 carries the seed, the schedule and the violation. The simulator and the
+//! 2 carries the seed, the schedule and the violation. The simulator and the
 //! replay fabric are deterministic, so what they show they always show; the
 //! live runs race the controller against real traffic, and what breaks there
 //! breaks in some runs only.
@@ -26,8 +26,8 @@ use netchain_livectl::{
 use netchain_sim::SimDuration;
 use netchain_switch::PipelineConfig;
 use netchain_telemetry::{
-    audit, AuditConfig, AuditReport, Evidence, EvidenceOp, HopRole, HopStamp, Journal, PacketTrace,
-    TraceConfig, ViolationKind,
+    audit, AuditReport, Evidence, EvidenceOp, HopRole, HopStamp, Journal, PacketTrace, TraceConfig,
+    ViolationKind,
 };
 use netchain_wire::{Ipv4Addr, Key, QueryStatus, Value};
 use std::collections::HashMap;
@@ -118,7 +118,7 @@ impl Outcome {
     }
 
     /// For a run known to break the invariants now and then: the accounting
-    /// must hold, what else it broke is printed (ROADMAP item 3 has it).
+    /// must hold, what else it broke is printed (ROADMAP item 2 has it).
     fn assert_accounted_and_report(&self, what: &str) {
         self.assert_accounted(what);
         let violations = self.audit.as_ref().map_or(0, |a| a.violations.len());
@@ -201,7 +201,7 @@ fn run_sim(schedule: &Schedule, reactions: &Reactions) -> (Outcome, Journal) {
         version_regressions: report.version_regressions,
         repairs_finished: finished(reactor.timelines()),
         timeline: reactor.timelines().first().map(|(_, t)| t.clone()),
-        audit: Some(audit(&traces, reactor.journal(), &AuditConfig::default())),
+        audit: Some(audit(&traces, reactor.journal(), &())),
     };
     (outcome, reactor.journal().clone())
 }
@@ -299,11 +299,7 @@ fn run_live(schedule: &Schedule, reactions: &Reactions) -> (Outcome, LiveReport)
         version_regressions: report.total_version_regressions(),
         repairs_finished: finished(&report.timelines),
         timeline: report.timeline.clone(),
-        audit: Some(audit(
-            &report.traces,
-            &report.ops_journal,
-            &AuditConfig::default(),
-        )),
+        audit: Some(audit(&report.traces, &report.ops_journal, &())),
     };
     (outcome, report)
 }
@@ -335,7 +331,7 @@ fn two_victims_with_overlapping_repairs() {
 
     // Live, S3's death makes heads of switches that stamp their old session
     // until the bump lands, one control round trip after the rule: in one
-    // run of a few, clients see versions regress (ROADMAP item 3).
+    // run of a few, clients see versions regress (ROADMAP item 2).
     let (live, report) = run_live(&schedule, &reactions);
     live.assert_accounted_and_report("live");
     assert_eq!(live.repairs_finished, 2, "{:?}", report.ops_journal);
@@ -381,7 +377,7 @@ fn the_replacement_dies_mid_repair() {
     // repair re-points them, two groups' redirects lead to a dead switch:
     // the hop before it acts as the tail without saying so in its trace
     // stamp, and in one run of a few the audit finds an acked write with no
-    // tail evidence (ROADMAP item 3).
+    // tail evidence (ROADMAP item 2).
     let (live, report) = run_live(&schedule, &reactions);
     live.assert_accounted_and_report("live");
     assert_eq!(live.repairs_finished, 1, "{:?}", report.ops_journal);
@@ -491,7 +487,7 @@ fn a_simulated_repair_that_loses_a_key_is_reported_as_a_lost_key() {
     // that sees version 1.
     let write = planted(1, EvidenceOp::Write, 1_000_000, 1, 2);
     let read = planted(2, EvidenceOp::Read, after, 1, 1);
-    let verdict = audit(&[write, read], &journal, &AuditConfig::default());
+    let verdict = audit(&[write, read], &journal, &());
     let kinds: Vec<ViolationKind> = verdict.violations.iter().map(|v| v.kind).collect();
     assert_eq!(kinds, [ViolationKind::LostKey], "{verdict:?}");
 }
@@ -591,7 +587,7 @@ fn lossy_rings_are_absorbed_by_retries_live() {
     assert_eq!(report.total_version_regressions(), 0);
     assert!(report.total_retries() > 100, "nothing was lost?");
     assert!(report.timeline.is_none() && report.anomalies.is_empty());
-    let verdict = audit(&report.traces, &report.ops_journal, &AuditConfig::default());
+    let verdict = audit(&report.traces, &report.ops_journal, &());
     assert!(verdict.is_clean(), "{:?}", verdict.violations);
     assert!(verdict.checked > 0, "{verdict:?}");
     let journaled = |name: &str| {

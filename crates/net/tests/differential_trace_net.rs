@@ -123,8 +123,8 @@ fn net_and_sim_traces_agree_on_chain_hop_order() {
         assert_eq!(sim_paths.len(), ops, "sim must trace every scripted op");
         assert_eq!(net_paths.len(), ops, "net must trace every scripted op");
         let client_ip = u32::from_be_bytes(Ipv4Addr::for_host(0).0);
-        for request_id in 1..=ops as u64 {
-            let id = trace_id(client_ip, request_id);
+        for (request_id, op) in (1..).zip(script()) {
+            let id = trace_id(client_ip, request_id, op.key().stable_hash());
             let sim = sim_paths
                 .get(&id)
                 .unwrap_or_else(|| panic!("sim lacks a trace for request {request_id}"));

@@ -1,46 +1,45 @@
 //! The chain auditor: certifying NetChain's consistency claims from in-band
 //! trace evidence instead of trusting them.
 //!
-//! The telemetry layer can already say *where* a sampled packet went (hop
-//! traces) and *when* control-plane phases ran (the [`Journal`]). With
-//! [`Evidence`]-carrying stamps it also knows *what each hop observed*: the
-//! op, a key fingerprint, and the per-key version register `(session, seq)`
-//! at the hop. [`audit`] reconstructs per-key version histories from merged
-//! traces and checks the invariants chain replication promises:
+//! Every acked write carries a unique per-key version `(session, seq)`, and
+//! every read names the version it returned, so per-key linearizability of
+//! the client histories is checkable in polynomial time (Gibbons & Korach,
+//! 1997). [`audit`] reconstructs each key's history from the clients' issue
+//! and ack stamps and checks four conditions, through failover and repair
+//! alike:
 //!
-//! 1. **Version monotonicity per replica** — the version register a given
-//!    switch holds for a given key never goes backwards. Sequence checks
-//!    (Algorithm 1 line 13) drop stale writes, and repair imports only move
-//!    versions forward, so any strictly-later, strictly-lower observation is
-//!    a real violation ([`ViolationKind::VersionRegression`]).
-//! 2. **Chain order** — an acknowledged mutation must show head and tail
-//!    evidence, in chain order: the head (sequence assigner) stamps no later
-//!    than the tail (reply generator). An ack without tail evidence means a
-//!    client was told "committed" by something other than the commit point
-//!    ([`ViolationKind::ChainOrder`]).
-//! 3. **Read freshness** — a read must return at least the highest version
-//!    whose write was acknowledged before the read issued
-//!    ([`ViolationKind::StaleRead`]). Reads or writes whose windows overlap
-//!    a journal failover/repair span are suppressed rather than judged:
-//!    Algorithms 2/3 intentionally shrink and rebuild chains there, and the
-//!    per-op evidence is not enough to adjudicate mid-transition races.
-//! 4. **Durability across repair** — a read issued *after* repair finished
-//!    returning less than the highest version acked *before* repair started
-//!    means an acked write's version vanished across the repair
-//!    ([`ViolationKind::LostKey`]).
+//! 1. **Freshness** — a read returns at least every version acked before it
+//!    issued ([`ViolationKind::StaleRead`]).
+//! 2. **Read–read order** — a read returns at least what a read that
+//!    completed before it issued returned ([`ViolationKind::ReadInversion`]).
+//! 3. **No phantom** — a read's version comes from a write issued before the
+//!    read completed ([`ViolationKind::PhantomVersion`]). A write that was
+//!    never acked, or was retried, counts as issued with an open end.
+//! 4. **Write–write order** — a write acked before another was issued holds
+//!    the lower version ([`ViolationKind::WriteOrder`]).
+//!
+//! A successful CAS is a write; a failed one is a read of the version its
+//! head saw. Two hop checks then say *which replica and hop* broke:
+//! a replica's register never goes backwards
+//! ([`ViolationKind::VersionRegression`]), and an acked mutation shows head
+//! and tail evidence in chain order ([`ViolationKind::ChainOrder`]).
+//!
+//! The verdict reads the traces only. The control-plane [`Journal`]
+//! annotates it: each violation names the spans it fell in, and a stale
+//! read issued after repair ended, of a write acked before repair began, is
+//! relabelled [`ViolationKind::LostKey`]. No span adds or removes a verdict.
+//! Traces sample whole keys ([`crate::trace_id`]), so a judged key's
+//! history is complete; what reached the auditor without a switch stamp is
+//! counted as truncated.
 //!
 //! Violations are structured ([`Violation`]) and dump as `"violation"`
 //! records of a flight dump ([`crate::ArtifactWriter::flight`]), so an
 //! offline `chain_audit` run leaves the same kind of artifact trail as a
-//! live anomaly.
-//!
-//! [`audit`] is the one judge. A live run calls it once, when the run ends,
-//! over the run's own merged traces and journal; `chain_audit` calls it over
-//! an artifact's. Its blind spots are stated in its [`AuditReport`]: what a
-//! journal span suppressed, and what reached it without a switch stamp
-//! (truncated).
+//! live anomaly. A live run calls [`audit`] once, when the run ends, over
+//! its own merged traces and journal; `chain_audit` calls it over an
+//! artifact's.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::export::Json;
 use crate::journal::Journal;
@@ -57,6 +56,13 @@ pub enum ViolationKind {
     StaleRead,
     /// A post-repair read lost a version acked before the repair started.
     LostKey,
+    /// A read returned an older version than a read completed before it
+    /// issued.
+    ReadInversion,
+    /// A read returned a version no write issued before it completed holds.
+    PhantomVersion,
+    /// A write holds a version no newer than a write acked before it issued.
+    WriteOrder,
 }
 
 impl ViolationKind {
@@ -67,10 +73,12 @@ impl ViolationKind {
             ViolationKind::ChainOrder => "chain-order",
             ViolationKind::StaleRead => "stale-read",
             ViolationKind::LostKey => "lost-key",
+            ViolationKind::ReadInversion => "read-inversion",
+            ViolationKind::PhantomVersion => "phantom-version",
+            ViolationKind::WriteOrder => "write-order",
         }
     }
 }
-
 /// One structured invariant violation: which check failed, on which key,
 /// supported by which traces, and the version mismatch.
 #[derive(Debug, Clone, PartialEq)]
@@ -136,23 +144,6 @@ impl Violation {
     }
 }
 
-/// Tuning knobs of the offline auditor.
-#[derive(Debug, Clone, Copy)]
-pub struct AuditConfig {
-    /// Journal spans are widened by this much on both sides before overlap
-    /// tests, absorbing clock jitter between the control plane's timestamps
-    /// and the dataplane's stamps.
-    pub span_slack_ns: u64,
-}
-
-impl Default for AuditConfig {
-    fn default() -> Self {
-        AuditConfig {
-            span_slack_ns: 1_000_000, // 1 ms
-        }
-    }
-}
-
 /// The auditor's verdict plus coverage accounting, so "no violations" can be
 /// told apart from "nothing was judgeable".
 #[derive(Debug, Clone, Default)]
@@ -161,16 +152,13 @@ pub struct AuditReport {
     pub traces: usize,
     /// Acked-ok mutations reconstructed.
     pub writes: usize,
-    /// Acked-ok reads reconstructed.
+    /// Acked-ok reads and failed CASes reconstructed.
     pub reads: usize,
-    /// Reads/mutations actually judged (not suppressed, evidence complete).
+    /// Operations judged: every read, and every mutation with switch stamps.
     pub checked: usize,
-    /// Operations skipped because their window overlapped a widened
-    /// failover/repair span.
-    pub suppressed: usize,
-    /// Acked mutations that could not be judged because their trace holds no
-    /// switch-side stamp: only the client's fragment survives (fragments
-    /// merged without [`crate::merge_thinned`]'s cut after a sink thinned).
+    /// Acked mutations and failed CASes whose trace holds no switch-side
+    /// stamp: only the client's fragment survives (fragments merged without
+    /// [`crate::merge_thinned`]'s cut after a sink thinned).
     pub truncated: usize,
     /// Every violation found, in detection order.
     pub violations: Vec<Violation>,
@@ -190,317 +178,326 @@ struct ClientOp {
     op: EvidenceOp,
     key_fp: u32,
     issued_at: u64,
-    acked_at: u64,
-    /// Version the ack carried.
-    version: (u64, u64),
-    /// Ack status was `Ok`.
-    ok: bool,
+    /// When it was acked, the version the ack carried and whether its status
+    /// was `Ok`; `None` for an op never acked.
+    ack: Option<(u64, (u64, u64), bool)>,
 }
 
 fn client_op(trace: &PacketTrace) -> Option<ClientOp> {
-    let issue = trace.hops.iter().find_map(|h| {
-        h.evidence
-            .filter(|e| e.role == HopRole::ClientIssue)
-            .map(|e| (h.at_ns, e))
-    });
-    let ack = trace.hops.iter().find_map(|h| {
-        h.evidence
-            .filter(|e| e.role == HopRole::ClientAck)
-            .map(|e| (h.at_ns, e))
-    })?;
-    let (issued_at, op, key_fp) = match issue {
-        Some((at, e)) => (at, e.op, e.key_fp),
-        // No issue stamp (fragment loss): fall back to the ack's own fields
-        // and the earliest stamp time.
-        None => (
-            trace.hops.first().map(|h| h.at_ns).unwrap_or(ack.0),
-            ack.1.op,
-            ack.1.key_fp,
-        ),
+    let stamp = |role| {
+        (trace.hops.iter())
+            .find_map(|h| h.evidence.filter(|e| e.role == role).map(|e| (h.at_ns, e)))
     };
+    let (issue, ack) = (stamp(HopRole::ClientIssue), stamp(HopRole::ClientAck));
+    let (_, e) = issue.or(ack)?;
     Some(ClientOp {
         trace_id: trace.id,
-        op,
-        key_fp,
-        issued_at,
-        acked_at: ack.0,
-        version: ack.1.version(),
-        ok: ack.1.ok,
+        op: e.op,
+        key_fp: e.key_fp,
+        // No issue stamp (fragment loss): the earliest stamp.
+        issued_at: issue.map_or(trace.hops[0].at_ns, |(at, _)| at),
+        ack: ack.map(|(at, e)| (at, e.version(), e.ok)),
     })
 }
 
-/// Inclusive interval overlap against a widened set of spans.
-fn overlaps_any(windows: &[(u64, u64)], start: u64, end: u64) -> bool {
-    windows.iter().any(|&(s, e)| start <= e && s <= end)
+/// A completed operation in a key's history.
+#[derive(Debug, Clone, Copy)]
+struct Done {
+    trace_id: u64,
+    issued_at: u64,
+    acked_at: u64,
+    version: (u64, u64),
 }
 
-fn widened_spans(journal: &Journal, slack: u64) -> Vec<(u64, u64)> {
-    journal
-        .spans()
-        .iter()
-        .map(|s| {
-            (
-                s.start_ns.saturating_sub(slack),
-                s.end_ns.unwrap_or(u64::MAX).saturating_add(slack),
-            )
-        })
-        .collect()
+/// One key's history: what completed, and since when a write of unknown
+/// version (never acked, or retried) may have been applied.
+#[derive(Default)]
+struct History {
+    writes: Vec<Done>,
+    reads: Vec<Done>,
+    open_since: Option<u64>,
 }
 
-/// Audits merged evidence traces against the control-plane journal. See the
-/// module docs for the four invariants checked.
-pub fn audit(traces: &[PacketTrace], journal: &Journal, config: &AuditConfig) -> AuditReport {
-    let mut report = AuditReport {
-        traces: traces.len(),
-        ..AuditReport::default()
-    };
-    let suppress = widened_spans(journal, config.span_slack_ns);
-    let repair_spans: Vec<(u64, u64)> = journal
-        .spans()
-        .iter()
-        .filter(|s| s.name.contains("repair"))
-        .map(|s| (s.start_ns, s.end_ns.unwrap_or(u64::MAX)))
-        .collect();
-    let repair_start = repair_spans.iter().map(|&(s, _)| s).min();
-    let repair_end = repair_spans.iter().map(|&(_, e)| e).max();
+/// Ops sorted by ack time, with the newest version among each prefix: the
+/// newest version completed before any instant, in one binary search.
+struct Floor(Vec<Done>, Vec<Done>);
 
-    // ---- Invariant 1: versions monotone per (key, replica). -------------
-    // Running maximum per (key_fp, hop_ip) over switch-hop observations in
-    // time order; a strictly-later observation strictly below the maximum is
-    // a regression. Ties in at_ns (stage-sliced wave groups share one clock
-    // read) are never judged against each other.
-    #[derive(Clone, Copy)]
-    struct SeenMax {
-        version: (u64, u64),
-        at_ns: u64,
-        trace_id: u64,
+impl Floor {
+    fn new(mut ops: Vec<Done>) -> Self {
+        ops.sort_by_key(|o| o.acked_at);
+        let newest = ops.iter().scan(None, |max: &mut Option<Done>, &o| {
+            *max = Some(max.filter(|m| m.version >= o.version).unwrap_or(o));
+            *max
+        });
+        let newest = newest.collect();
+        Floor(ops, newest)
     }
+
+    /// The newest op acked strictly before `at`.
+    fn before(&self, at: u64) -> Option<Done> {
+        let n = self.0.partition_point(|o| o.acked_at < at);
+        n.checked_sub(1).map(|i| self.1[i])
+    }
+}
+
+fn violation(kind: ViolationKind, key_fp: u32, op: &Done, witness: Option<Done>) -> Violation {
+    let (expected, ids) = match witness {
+        Some(w) => (w.version, vec![op.trace_id, w.trace_id]),
+        None => (op.version, vec![op.trace_id]),
+    };
+    let detail = match kind {
+        ViolationKind::StaleRead => "read returned an older version than write trace",
+        ViolationKind::ReadInversion => "read returned an older version than read trace",
+        ViolationKind::WriteOrder => "write holds a version no newer than write trace",
+        _ => "no write issued before the read completed holds its version",
+    };
+    let detail = match witness {
+        Some(w) => format!(
+            "{detail} {} acked {}ns before it issued",
+            w.trace_id,
+            op.issued_at - w.acked_at
+        ),
+        None => detail.to_string(),
+    };
+    Violation {
+        kind,
+        key_fp,
+        trace_ids: ids,
+        expected,
+        observed: op.version,
+        at_ns: op.acked_at,
+        detail,
+    }
+}
+
+impl History {
+    /// Checks conditions 1–4 of the module docs.
+    fn judge(self, key_fp: u32, report: &mut AuditReport) {
+        let mut versions: HashMap<(u64, u64), u64> = HashMap::new();
+        for w in &self.writes {
+            let issued = versions.entry(w.version).or_insert(w.issued_at);
+            *issued = (*issued).min(w.issued_at);
+        }
+        // What is older than every write the history holds predates it: a
+        // dump or a window of a run, or the store's initial (0,0).
+        let oldest = versions.keys().min().copied();
+        let (writes, reads) = (Floor::new(self.writes), Floor::new(self.reads));
+        for w in &writes.0 {
+            if let Some(prior) = writes
+                .before(w.issued_at)
+                .filter(|p| p.version >= w.version)
+            {
+                let found = violation(ViolationKind::WriteOrder, key_fp, w, Some(prior));
+                report.violations.push(found);
+            }
+        }
+        for r in &reads.0 {
+            report.checked += 1;
+            let older = |floor: &Floor| floor.before(r.issued_at).filter(|p| r.version < p.version);
+            let written = match versions.get(&r.version) {
+                Some(&issued) => issued < r.acked_at,
+                None => self.open_since.is_some_and(|open| open < r.acked_at),
+            };
+            let found = match (older(&writes), older(&reads)) {
+                (Some(w), _) => violation(ViolationKind::StaleRead, key_fp, r, Some(w)),
+                (None, Some(p)) => violation(ViolationKind::ReadInversion, key_fp, r, Some(p)),
+                _ if written || oldest.is_none_or(|o| r.version < o) => continue,
+                _ => violation(ViolationKind::PhantomVersion, key_fp, r, None),
+            };
+            report.violations.push(found);
+        }
+    }
+}
+
+/// Hop check 1: a replica's version register for a key never goes
+/// backwards. Running maximum per (key, replica) over switch observations in
+/// time order; a strictly-later observation strictly below it is a
+/// regression. Ties in `at_ns` (stage-sliced wave groups share one clock
+/// read) are never judged against each other.
+fn regressions(traces: &[PacketTrace], violations: &mut Vec<Violation>) {
     // (key_fp, hop_ip, at_ns, version, trace_id) per switch-hop observation.
     type Observation = (u32, u32, u64, (u64, u64), u64);
     let mut observations: Vec<Observation> = Vec::new();
     for t in traces {
         for h in &t.hops {
-            if let Some(ev) = &h.evidence {
-                let switch_role = matches!(
-                    ev.role,
-                    HopRole::Head | HopRole::Replica | HopRole::Tail | HopRole::Solo
-                );
-                // Only observations that actually saw the key: misses and
-                // tombstones read as (0,0) and say nothing about ordering.
-                if switch_role && ev.ok {
-                    observations.push((ev.key_fp, h.hop_ip, h.at_ns, ev.version(), t.id));
-                }
+            // Only observations that actually saw the key: misses and
+            // tombstones read as (0,0) and say nothing about ordering.
+            if let Some(ev) = h.evidence.filter(|e| e.ok && e.role.on_switch()) {
+                observations.push((ev.key_fp, h.hop_ip, h.at_ns, ev.version(), t.id));
             }
         }
     }
     observations.sort_by_key(|&(fp, ip, at, ..)| (fp, ip, at));
-    let mut max_seen: HashMap<(u32, u32), SeenMax> = HashMap::new();
-    for (key_fp, hop_ip, at_ns, version, trace_id) in observations {
-        match max_seen.get_mut(&(key_fp, hop_ip)) {
-            Some(seen) => {
-                if at_ns > seen.at_ns && version < seen.version {
-                    report.violations.push(Violation {
-                        kind: ViolationKind::VersionRegression,
-                        key_fp,
-                        trace_ids: vec![trace_id, seen.trace_id],
-                        expected: seen.version,
-                        observed: version,
-                        at_ns,
-                        detail: format!(
-                            "replica {} observed the register going backwards",
-                            crate::trace::ip_to_string(hop_ip)
-                        ),
-                    });
-                } else if version > seen.version {
-                    *seen = SeenMax {
-                        version,
-                        at_ns,
-                        trace_id,
-                    };
+    // The newest observation per (key, replica) so far.
+    let mut max_seen: HashMap<(u32, u32), Observation> = HashMap::new();
+    for o @ (key_fp, hop_ip, at_ns, version, trace_id) in observations {
+        let seen = max_seen.entry((key_fp, hop_ip)).or_insert(o);
+        if at_ns > seen.2 && version < seen.3 {
+            violations.push(Violation {
+                kind: ViolationKind::VersionRegression,
+                key_fp,
+                trace_ids: vec![trace_id, seen.4],
+                expected: seen.3,
+                observed: version,
+                at_ns,
+                detail: format!(
+                    "replica {} observed the register going backwards",
+                    crate::trace::ip_to_string(hop_ip)
+                ),
+            });
+        } else if version > seen.3 {
+            *seen = o;
+        }
+    }
+}
+
+/// Hop check 2: an acked mutation shows head and tail evidence (`chain`, its
+/// switch stamps up to the ack), the head stamping no later than the tail.
+/// Without any switch stamp it is counted truncated instead.
+fn chain_order(done: &Done, key_fp: u32, chain: &[(u64, HopRole)], report: &mut AuditReport) {
+    if chain.is_empty() {
+        report.truncated += 1;
+        return;
+    }
+    report.checked += 1;
+    let at = |role: fn(HopRole) -> bool| chain.iter().filter(move |s| role(s.1)).map(|s| s.0);
+    let (at_ns, detail) = match (
+        at(HopRole::acts_as_head).min(),
+        at(HopRole::acts_as_tail).max(),
+    ) {
+        (Some(head_at), Some(tail_at)) if head_at <= tail_at => return,
+        (Some(head_at), Some(tail_at)) => (
+            tail_at,
+            format!(
+                "tail stamped {}ns before the head — hops out of chain order",
+                head_at - tail_at
+            ),
+        ),
+        (head_at, tail_at) => {
+            let missing = match (head_at, tail_at) {
+                (None, None) => "head and tail",
+                (None, _) => "head",
+                _ => "tail (ack without commit point)",
+            };
+            let what = format!("acked mutation missing {missing} evidence");
+            (done.acked_at, what)
+        }
+    };
+    report.violations.push(Violation {
+        kind: ViolationKind::ChainOrder,
+        key_fp,
+        trace_ids: vec![done.trace_id],
+        expected: done.version,
+        observed: done.version,
+        at_ns,
+        detail,
+    });
+}
+
+/// The verdict, from the traces alone: the two hop checks, then conditions
+/// 1–4 over each key's client history.
+fn verdict(traces: &[PacketTrace]) -> AuditReport {
+    let mut report = AuditReport {
+        traces: traces.len(),
+        ..AuditReport::default()
+    };
+    regressions(traces, &mut report.violations);
+    // By key, so that violations come out in one order run after run.
+    let mut keys: BTreeMap<u32, History> = BTreeMap::new();
+    for trace in traces {
+        let Some(op) = client_op(trace) else {
+            continue;
+        };
+        let history = keys.entry(op.key_fp).or_default();
+        // Switch stamps, in time order: (at, role, version observed, ok).
+        let switch: Vec<(u64, HopRole, (u64, u64), bool)> = (trace.hops.iter())
+            .filter_map(|h| h.evidence.filter(|e| e.role.on_switch()).map(|e| (h, e)))
+            .map(|(h, e)| (h.at_ns, e.role, e.version(), e.ok))
+            .collect();
+        let mut heads = switch.iter().filter(|s| s.1.acts_as_head());
+        // A mutation sent twice, or never acked, may have applied a version
+        // no ack names.
+        if op.op.is_mutation() && (heads.clone().count() > 1 || op.ack.is_none()) {
+            let open = history.open_since.get_or_insert(op.issued_at);
+            *open = (*open).min(op.issued_at);
+        }
+        let Some((acked_at, version, ok)) = op.ack else {
+            continue;
+        };
+        let done = |version| Done {
+            trace_id: op.trace_id,
+            issued_at: op.issued_at,
+            acked_at,
+            version,
+        };
+        match op.op {
+            EvidenceOp::Read if ok => {
+                report.reads += 1;
+                history.reads.push(done(version));
+            }
+            // A failed CAS reads the version its head compared against.
+            EvidenceOp::Cas if !ok => {
+                report.reads += 1;
+                match heads.rfind(|s| s.0 <= acked_at) {
+                    Some(&(_, _, seen, true)) => history.reads.push(done(seen)),
+                    Some(_) => {} // the key was missing: nothing was read
+                    None => report.truncated += 1,
                 }
             }
-            None => {
-                max_seen.insert(
-                    (key_fp, hop_ip),
-                    SeenMax {
-                        version,
-                        at_ns,
-                        trace_id,
-                    },
+            mutation if ok && mutation.is_mutation() => {
+                report.writes += 1;
+                let chain: Vec<(u64, HopRole)> = (switch.iter())
+                    .filter(|s| s.0 <= acked_at)
+                    .map(|s| (s.0, s.1))
+                    .collect();
+                chain_order(&done(version), op.key_fp, &chain, &mut report);
+                history.writes.push(done(version));
+            }
+            _ => {}
+        }
+    }
+    for (key_fp, history) in keys {
+        history.judge(key_fp, &mut report);
+    }
+    report
+}
+
+/// Audits merged evidence traces, then annotates the verdict with the
+/// control-plane `journal` (see the module docs). The `()` has one value:
+/// the auditor has no knobs.
+pub fn audit(traces: &[PacketTrace], journal: &Journal, _: &()) -> AuditReport {
+    let mut report = verdict(traces);
+    let spans = journal.spans();
+    let repairs = spans.iter().filter(|s| s.name.contains("repair"));
+    let repair_start = repairs.clone().map(|s| s.start_ns).min();
+    let repair_end = repairs.map(|s| s.end_ns.unwrap_or(u64::MAX)).max();
+    let ops: HashMap<u64, ClientOp> = (traces.iter().filter_map(client_op))
+        .map(|op| (op.trace_id, op))
+        .collect();
+    for v in &mut report.violations {
+        if let (ViolationKind::StaleRead, &[read, write]) = (v.kind, &v.trace_ids[..]) {
+            let issued_after = repair_end.is_some_and(|end| ops[&read].issued_at > end);
+            let acked = ops[&write].ack.map(|(at, ..)| at);
+            if issued_after
+                && acked
+                    .zip(repair_start)
+                    .is_some_and(|(at, start)| at < start)
+            {
+                v.kind = ViolationKind::LostKey;
+                v.detail = format!(
+                    "read issued after repair returned less than the pre-repair acked \
+                     version (write trace {write})"
                 );
             }
         }
-    }
-
-    // ---- Reconstruct client-visible operations. -------------------------
-    let mut ops: Vec<(&PacketTrace, ClientOp)> = traces
-        .iter()
-        .filter_map(|t| client_op(t).map(|op| (t, op)))
-        .collect();
-    ops.sort_by_key(|(_, op)| op.acked_at);
-
-    // Acked-ok mutation history per key, in ack order.
-    #[derive(Clone, Copy)]
-    struct AckedWrite {
-        acked_at: u64,
-        version: (u64, u64),
-        trace_id: u64,
-        deleted: bool,
-    }
-    let mut writes: HashMap<u32, Vec<AckedWrite>> = HashMap::new();
-    for (_, op) in &ops {
-        if op.op.is_mutation() && op.ok {
-            report.writes += 1;
-            writes.entry(op.key_fp).or_default().push(AckedWrite {
-                acked_at: op.acked_at,
-                version: op.version,
-                trace_id: op.trace_id,
-                deleted: op.op == EvidenceOp::Delete,
-            });
+        let during: Vec<&str> = (spans.iter())
+            .filter(|s| s.start_ns <= v.at_ns && v.at_ns <= s.end_ns.unwrap_or(u64::MAX))
+            .map(|s| s.name.as_str())
+            .collect();
+        if !during.is_empty() {
+            v.detail += &format!(" (during {})", during.join(", "));
         }
     }
-
-    for (trace, op) in &ops {
-        if !op.ok {
-            continue;
-        }
-        let in_transition = overlaps_any(&suppress, op.issued_at, op.acked_at);
-
-        if op.op.is_mutation() {
-            // ---- Invariant 2: head→tail coverage and order. -------------
-            if in_transition {
-                report.suppressed += 1;
-                continue;
-            }
-            let chain: Vec<(u64, HopRole)> = trace
-                .hops
-                .iter()
-                .filter(|h| h.at_ns <= op.acked_at)
-                .filter_map(|h| {
-                    h.evidence
-                        .as_ref()
-                        .map(|e| (h.at_ns, e.role))
-                        .filter(|(_, r)| {
-                            matches!(
-                                r,
-                                HopRole::Head | HopRole::Replica | HopRole::Tail | HopRole::Solo
-                            )
-                        })
-                })
-                .collect();
-            if chain.is_empty() {
-                // No switch-side fragment (merged without the cut after a
-                // sink thinned); nothing to judge, but say how much went
-                // unjudged.
-                report.truncated += 1;
-                continue;
-            }
-            report.checked += 1;
-            let first_head = chain
-                .iter()
-                .filter(|(_, r)| r.acts_as_head())
-                .map(|&(at, _)| at)
-                .min();
-            let last_tail = chain
-                .iter()
-                .filter(|(_, r)| r.acts_as_tail())
-                .map(|&(at, _)| at)
-                .max();
-            match (first_head, last_tail) {
-                (Some(head_at), Some(tail_at)) => {
-                    if head_at > tail_at {
-                        report.violations.push(Violation {
-                            kind: ViolationKind::ChainOrder,
-                            key_fp: op.key_fp,
-                            trace_ids: vec![op.trace_id],
-                            expected: op.version,
-                            observed: op.version,
-                            at_ns: tail_at,
-                            detail: format!(
-                                "tail stamped {}ns before the head — hops out of chain order",
-                                head_at - tail_at
-                            ),
-                        });
-                    }
-                }
-                _ => {
-                    report.violations.push(Violation {
-                        kind: ViolationKind::ChainOrder,
-                        key_fp: op.key_fp,
-                        trace_ids: vec![op.trace_id],
-                        expected: op.version,
-                        observed: op.version,
-                        at_ns: op.acked_at,
-                        detail: format!(
-                            "acked mutation missing {} evidence",
-                            match (first_head, last_tail) {
-                                (None, None) => "head and tail",
-                                (None, _) => "head",
-                                _ => "tail (ack without commit point)",
-                            }
-                        ),
-                    });
-                }
-            }
-        } else if op.op == EvidenceOp::Read {
-            // ---- Invariants 3 and 4: freshness and durability. ----------
-            report.reads += 1;
-            if in_transition {
-                report.suppressed += 1;
-                continue;
-            }
-            let history = writes.get(&op.key_fp).map(Vec::as_slice).unwrap_or(&[]);
-            let acked_before: Vec<&AckedWrite> = history
-                .iter()
-                .filter(|w| w.acked_at < op.issued_at)
-                .collect();
-            // A tombstone newer than every surviving write makes any read
-            // result legal for this simple model; skip.
-            if let Some(latest) = acked_before.iter().max_by_key(|w| w.acked_at) {
-                if latest.deleted {
-                    continue;
-                }
-            }
-            report.checked += 1;
-            let floor = acked_before
-                .iter()
-                .filter(|w| !w.deleted)
-                .max_by_key(|w| w.version);
-            if let Some(expect) = floor {
-                if op.version < expect.version {
-                    let post_repair = matches!(repair_end, Some(end) if op.issued_at > end.saturating_add(config.span_slack_ns));
-                    let pre_repair_write = matches!(repair_start, Some(start) if expect.acked_at < start.saturating_sub(config.span_slack_ns));
-                    let kind = if post_repair && pre_repair_write {
-                        ViolationKind::LostKey
-                    } else {
-                        ViolationKind::StaleRead
-                    };
-                    report.violations.push(Violation {
-                        kind,
-                        key_fp: op.key_fp,
-                        trace_ids: vec![op.trace_id, expect.trace_id],
-                        expected: expect.version,
-                        observed: op.version,
-                        at_ns: op.acked_at,
-                        detail: match kind {
-                            ViolationKind::LostKey => format!(
-                                "read issued after repair returned less than the \
-                                 pre-repair acked version (write trace {})",
-                                expect.trace_id
-                            ),
-                            _ => format!(
-                                "read returned an older version than write trace {} \
-                                 acked {}ns before the read issued",
-                                expect.trace_id,
-                                op.issued_at.saturating_sub(expect.acked_at)
-                            ),
-                        },
-                    });
-                }
-            }
-        }
-    }
-
     report
 }
 
@@ -595,7 +592,7 @@ mod tests {
             write_trace(3, 7, 3000, 1, 2),
             read_trace(4, 7, 4000, 2),
         ];
-        let report = audit(&traces, &Journal::new(), &AuditConfig::default());
+        let report = audit(&traces, &Journal::new(), &());
         assert!(report.is_clean(), "{:?}", report.violations);
         assert_eq!(report.writes, 2);
         assert_eq!(report.reads, 2);
@@ -609,7 +606,7 @@ mod tests {
         let w = write_trace(1, 7, 1000, 1, 2);
         for seen in [1u64, 2] {
             let r = read_trace(2, 7, 1020, seen); // issued before ack at 1040
-            let report = audit(&[w.clone(), r], &Journal::new(), &AuditConfig::default());
+            let report = audit(&[w.clone(), r], &Journal::new(), &());
             assert!(report.is_clean(), "seen={seen}: {:?}", report.violations);
         }
     }
@@ -620,7 +617,7 @@ mod tests {
             write_trace(1, 7, 1000, 1, 2),
             read_trace(2, 7, 2000, 1), // write acked at 1040, read issued 2000
         ];
-        let report = audit(&traces, &Journal::new(), &AuditConfig::default());
+        let report = audit(&traces, &Journal::new(), &());
         assert_eq!(report.violations.len(), 1);
         let v = &report.violations[0];
         assert_eq!(v.kind, ViolationKind::StaleRead);
@@ -631,11 +628,17 @@ mod tests {
 
     #[test]
     fn version_regression_per_replica_is_flagged() {
-        // Two reads against the same tail: the register goes 5 then 3.
-        let traces = vec![read_trace(1, 9, 1000, 5), read_trace(2, 9, 2000, 3)];
-        let report = audit(&traces, &Journal::new(), &AuditConfig::default());
-        // The read-freshness checker has no acked writes to hold these
-        // against, so only the replica invariant fires.
+        // Two reads against the same tail after a write of 5: the register
+        // goes 5 then 3, while both acks return 5.
+        let mut late = read_trace(3, 9, 2000, 3);
+        late.hops[2].evidence.as_mut().unwrap().seq = 5;
+        let traces = vec![
+            write_trace(1, 9, 100, 0, 5),
+            read_trace(2, 9, 1000, 5),
+            late,
+        ];
+        let report = audit(&traces, &Journal::new(), &());
+        // The client history is clean, so only the replica invariant fires.
         assert_eq!(report.violations.len(), 1);
         assert_eq!(report.violations[0].kind, ViolationKind::VersionRegression);
     }
@@ -659,21 +662,41 @@ mod tests {
                 ev(EvidenceOp::Read, HopRole::Tail, true, 9, 0, 3),
             )],
         };
-        let report = audit(&[a, b], &Journal::new(), &AuditConfig::default());
+        let report = audit(&[a, b], &Journal::new(), &());
         assert!(report.is_clean(), "{:?}", report.violations);
     }
 
     #[test]
-    fn transitions_suppress_rather_than_judge() {
+    fn transitions_annotate_rather_than_suppress() {
         let mut journal = Journal::new();
         journal.span("repair", 1_500, 3_000);
         let traces = vec![
             write_trace(1, 7, 1000, 1, 2),
             read_trace(2, 7, 2000, 1), // issued inside the repair span
         ];
-        let report = audit(&traces, &journal, &AuditConfig { span_slack_ns: 0 });
-        assert!(report.is_clean(), "{:?}", report.violations);
-        assert_eq!(report.suppressed, 1);
+        let report = audit(&traces, &journal, &());
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        let v = &report.violations[0];
+        assert_eq!(v.kind, ViolationKind::StaleRead);
+        assert!(v.detail.ends_with("(during repair)"), "{}", v.detail);
+        // The journal named the span; the verdict is the journal-free one.
+        let bare = audit(&traces, &Journal::new(), &()).violations;
+        assert_eq!(bare.len(), 1);
+        assert_eq!(
+            (bare[0].kind, bare[0].trace_ids.clone()),
+            (v.kind, v.trace_ids.clone())
+        );
+    }
+
+    #[test]
+    fn a_write_ordered_below_an_earlier_ack_is_flagged() {
+        // The second write issued after the first was acked, yet holds the
+        // lower version.
+        let traces = vec![write_trace(1, 7, 1000, 0, 2), write_trace(2, 7, 2000, 0, 1)];
+        let report = audit(&traces, &Journal::new(), &());
+        let kinds: Vec<ViolationKind> = report.violations.iter().map(|v| v.kind).collect();
+        assert_eq!(kinds, [ViolationKind::WriteOrder]);
+        assert_eq!(report.violations[0].trace_ids, vec![2, 1]);
     }
 
     #[test]
@@ -681,7 +704,7 @@ mod tests {
         // What a full shard sink leaves: the client's issue and ack only.
         let mut clipped = write_trace(1, 7, 1000, 1, 2);
         clipped.hops.retain(|h| h.hop_ip == 1);
-        let report = audit(&[clipped], &Journal::new(), &AuditConfig::default());
+        let report = audit(&[clipped], &Journal::new(), &());
         assert!(report.is_clean(), "{:?}", report.violations);
         assert_eq!((report.writes, report.checked, report.truncated), (1, 0, 1));
     }
@@ -692,7 +715,7 @@ mod tests {
         // stamp later than the ack is not evidence for that ack.
         let mut early_ack = write_trace(1, 7, 1000, 1, 2);
         early_ack.hops[4].at_ns = 1025; // tail stamped at 1030
-        let report = audit(&[early_ack], &Journal::new(), &AuditConfig::default());
+        let report = audit(&[early_ack], &Journal::new(), &());
         assert_eq!(report.violations.len(), 1);
         assert_eq!(report.violations[0].kind, ViolationKind::ChainOrder);
         assert!(report.violations[0].detail.contains("missing tail"));
@@ -706,7 +729,7 @@ mod tests {
             write_trace(1, 7, 1000, 1, 2), // acked well before repair
             read_trace(2, 7, 8_000, 1),    // issued well after repair end
         ];
-        let report = audit(&traces, &journal, &AuditConfig { span_slack_ns: 100 });
+        let report = audit(&traces, &journal, &());
         assert_eq!(report.violations.len(), 1);
         assert_eq!(report.violations[0].kind, ViolationKind::LostKey);
     }
@@ -714,7 +737,7 @@ mod tests {
     #[test]
     fn violations_dump_through_the_flight_recorder() {
         let traces = vec![write_trace(1, 7, 1000, 1, 2), read_trace(2, 7, 2000, 1)];
-        let report = audit(&traces, &Journal::new(), &AuditConfig::default());
+        let report = audit(&traces, &Journal::new(), &());
         let mut dump = ArtifactWriter::flight("audit");
         for v in &report.violations {
             dump.record("violation", vec![("violation", v.to_json())]);

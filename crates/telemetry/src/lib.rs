@@ -35,7 +35,7 @@ pub mod journal;
 pub mod metrics;
 pub mod trace;
 
-pub use audit::{audit, AuditConfig, AuditReport, Violation, ViolationKind};
+pub use audit::{audit, AuditReport, Violation, ViolationKind};
 pub use export::{
     artifact_dir, journal_from_json, trace_from_json, trace_record_fields, ArtifactWriter, Json,
     TRACE_SCHEMA,

@@ -2,10 +2,10 @@
 //! telemetry).
 //!
 //! Real INT switches append per-hop metadata to the packet itself. This repo
-//! keeps the wire format untouched by exploiting two fields every NetChain
-//! packet already carries end-to-end: the client's source IP and the query
-//! `request_id`. Mixing the two yields a stable trace ID that the client and
-//! every switch/shard compute independently — the packet *is* the trace
+//! keeps the wire format untouched by exploiting what every NetChain packet
+//! already carries end-to-end: the key, the client's source IP and the query
+//! `request_id`. From those the client and every switch/shard compute the
+//! same trace ID independently ([`trace_id`]) — the packet *is* the trace
 //! carrier, no extra header bytes needed. Each hop that handles a sampled
 //! packet stamps `(hop ip, timestamp)` into a local [`TraceSink`]; sinks are
 //! merged after the run and summarised into per-hop-transition latency
@@ -14,8 +14,10 @@
 //! Sampling is deterministic: a packet is traced iff the low `shift` bits of
 //! its trace ID are zero, so independent observers (sim client, sim
 //! switches, fabric shards) agree on which packets are sampled without
-//! coordination. A sink that fills thins itself; [`merge_thinned`] cuts a
-//! run's fragments to the coarsest shift its sinks reached.
+//! coordination. Those low bits are the key's, so a sink keeps or drops a
+//! key's every op together, and the auditor gets whole per-key histories. A
+//! sink that fills thins itself; [`merge_thinned`] cuts a run's fragments to
+//! the coarsest shift its sinks reached.
 
 use std::collections::HashMap;
 
@@ -27,10 +29,12 @@ use crate::hist::{HistSnapshot, LatencyHistogram, Quantiles};
 pub struct TraceConfig {
     /// Master switch; when false no tracing code runs at all.
     pub enabled: bool,
-    /// A sink starts at 1 in `2^sample_shift` trace IDs (0: every packet).
+    /// A sink starts at 1 key in `2^sample_shift`, and every query on it
+    /// (0: every packet).
     pub sample_shift: u32,
     /// Traces held (finished and open) at which a sink halves its sampling
-    /// and drops what no longer matches; bounds memory on long runs.
+    /// and drops what no longer matches; bounds memory on long runs, short
+    /// of the history of the last keys a sink holds, which it keeps whole.
     pub max_traces: usize,
 }
 
@@ -42,7 +46,7 @@ impl TraceConfig {
         max_traces: 0,
     };
 
-    /// Trace 1 in `2^shift` queries, thinning at `max_traces` held.
+    /// Trace 1 key in `2^shift`, thinning at `max_traces` held.
     pub const fn sampled(shift: u32, max_traces: usize) -> Self {
         TraceConfig {
             enabled: true,
@@ -64,15 +68,22 @@ impl Default for TraceConfig {
     }
 }
 
-/// Derives the trace ID from the two in-band fields. splitmix64-style mixing
-/// so sampling on low bits is unbiased even for sequential request IDs.
+/// Trace-ID bits taken from the key: a sampling shift up to this many keeps
+/// or drops keys, not ops.
+const KEY_BITS: u32 = 16;
+
+/// Derives the trace ID of the query `(src_ip, request_id)` on the key whose
+/// stable hash is `key_hash`. The low [`KEY_BITS`] bits are the key's
+/// fingerprint's, so sampling on low bits picks whole keys; the high bits
+/// mix the two in-band fields (splitmix64) to tell the key's queries apart.
 #[inline]
-pub fn trace_id(src_ip: u32, request_id: u64) -> u64 {
+pub fn trace_id(src_ip: u32, request_id: u64, key_hash: u64) -> u64 {
     let mut z = (u64::from(src_ip) << 32) ^ request_id;
     z = z.wrapping_add(0x9e3779b97f4a7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
+    z = z ^ (z >> 31);
+    (z << KEY_BITS) | u64::from(key_fingerprint(key_hash)) & low_bits(KEY_BITS)
 }
 
 /// The operation class a hop observed, as recorded in [`Evidence`]. Coarser
@@ -197,6 +208,11 @@ impl HopRole {
     pub fn acts_as_tail(self) -> bool {
         matches!(self, HopRole::Tail | HopRole::Solo)
     }
+
+    /// True for a switch's stamp, false for the client's.
+    pub fn on_switch(self) -> bool {
+        !matches!(self, HopRole::ClientIssue | HopRole::ClientAck)
+    }
 }
 
 /// Reduces a 64-bit stable key hash to the 32-bit fingerprint carried in
@@ -292,7 +308,8 @@ impl PacketTrace {
 
 /// A per-owner (client, shard, or switch) trace recorder. Stamping a trace
 /// ID that has not been seen yet begins it implicitly, so every observer can
-/// stamp unconditionally for sampled IDs. It holds at most `max_traces`.
+/// stamp unconditionally for sampled IDs. It holds at most `max_traces`, or
+/// whole the keys one more bit of shift would all drop.
 #[derive(Debug)]
 pub struct TraceSink {
     config: TraceConfig,
@@ -360,17 +377,25 @@ impl TraceSink {
     #[inline]
     fn push(&mut self, id: u64, stamp: HopStamp) {
         // Beginning one more trace in a full sink thins it first: one more
-        // bit of shift, dropping every held trace it no longer selects, `id`
-        // perhaps among them.
+        // key bit of shift, dropping every held trace it no longer selects,
+        // `id` perhaps among them. A bit that would drop every key held, or
+        // one past the key's, stops the thinning instead: a key's history is
+        // kept whole or not at all.
         while self.samples(id)
-            && self.shift < 63
             && self.active.len() + self.done.len() >= self.config.max_traces
             && !self.active.contains_key(&id)
         {
+            let mask = low_bits(self.shift + 1);
+            let kept = |id: &u64| id & mask == 0;
+            if self.shift == KEY_BITS
+                || !(self.done.iter().any(|t| kept(&t.id)) || self.active.keys().any(kept))
+            {
+                self.config.max_traces = usize::MAX;
+                break;
+            }
             self.shift += 1;
-            let mask = low_bits(self.shift);
-            self.done.retain(|t| t.id & mask == 0);
-            self.active.retain(|id, _| id & mask == 0);
+            self.done.retain(|t| kept(&t.id));
+            self.active.retain(|id, _| kept(id));
         }
         if !self.samples(id) {
             return;
@@ -563,12 +588,13 @@ mod tests {
         let cfg = TraceSink::new(TraceConfig::sampled(4, 1024));
         let mut hits = 0;
         for rid in 0..4096u64 {
-            let id = trace_id(0x0a000001, rid);
+            // One key per query: sampling picks keys.
+            let id = trace_id(0x0a000001, rid, rid);
             if cfg.samples(id) {
                 hits += 1;
             }
             // Same inputs, same decision.
-            assert_eq!(cfg.samples(id), cfg.samples(trace_id(0x0a000001, rid)));
+            assert_eq!(cfg.samples(id), cfg.samples(trace_id(0x0a000001, rid, rid)));
         }
         // Expect roughly 4096/16 = 256; allow generous slack.
         assert!((128..=512).contains(&hits), "hits={hits}");
@@ -578,7 +604,7 @@ mod tests {
     fn shift_zero_samples_everything() {
         let cfg = TraceSink::new(TraceConfig::sampled(0, 16));
         for rid in 0..100u64 {
-            assert!(cfg.samples(trace_id(1, rid)));
+            assert!(cfg.samples(trace_id(1, rid, rid)));
         }
         assert!(!TraceSink::new(TraceConfig::OFF).samples(0));
     }
@@ -693,11 +719,24 @@ mod tests {
     }
 
     #[test]
+    fn a_sink_keeps_its_last_key_whole() {
+        // One key, 4096 queries, a sink of 64: no bit of shift keeps part of
+        // its history, so the sink keeps all of it.
+        let mut sink = TraceSink::new(TraceConfig::sampled(0, 64));
+        for rid in 0..4096 {
+            let id = trace_id(0x0a000001, rid, 7);
+            sink.stamp(id, 1, rid);
+            sink.finish(id);
+        }
+        assert_eq!(sink.drain().len(), 4096);
+    }
+
+    #[test]
     fn a_full_sink_thins_to_the_traffic_it_sees() {
         let (cap, n) = (64, 1u64 << 16);
         let mut sink = TraceSink::new(TraceConfig::sampled(0, cap));
         for rid in 0..n {
-            let id = trace_id(0x0a000001, rid);
+            let id = trace_id(0x0a000001, rid, rid);
             sink.stamp(id, 1, rid);
             // Every fourth query stays open: thinning drops those too.
             if rid % 4 != 0 {
@@ -711,7 +750,7 @@ mod tests {
         // The kept ids span the stream, not its first `cap` sampled ids.
         let kept = |rids: std::ops::Range<u64>| {
             rids.into_iter()
-                .any(|rid| held.contains(&trace_id(0x0a000001, rid)))
+                .any(|rid| held.contains(&trace_id(0x0a000001, rid, rid)))
         };
         assert!(kept(0..n / 4) && kept(3 * n / 4..n), "shift {shift}");
     }
@@ -733,6 +772,39 @@ mod tests {
             (1, vec![(2, vec![10, 20]), (4, vec![10, 20])])
         );
         assert_eq!(merge_thinned(std::iter::empty()), (0, vec![]));
+    }
+
+    #[test]
+    fn a_kept_key_keeps_every_op_through_the_cut() {
+        // 64 keys, 64 queries each, interleaved. The client sink holds them
+        // all; the shard sink of 256 thins several times over.
+        let (keys, per_key) = (64u64, 64u64);
+        let key_hash = |k: u64| k.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let mut client = TraceSink::new(TraceConfig::sampled(0, 1 << 16));
+        let mut shard = TraceSink::new(TraceConfig::sampled(0, 256));
+        for rid in 0..keys * per_key {
+            let id = trace_id(0x0a000001, rid, key_hash(rid % keys));
+            client.stamp(id, 1, 2 * rid);
+            shard.stamp(id, 2, 2 * rid + 1);
+            shard.finish(id);
+            client.finish(id);
+        }
+        assert!(shard.shift() > 0, "the shard sink never thinned");
+        let (_, merged) = merge_thinned([
+            (client.shift(), client.drain()),
+            (shard.shift(), shard.drain()),
+        ]);
+        // Every trace kept is whole, and a key kept has all its queries.
+        assert!(merged.iter().all(|t| t.path() == [1, 2]));
+        // A trace id's low 16 bits are its key's fingerprint's.
+        let key_of =
+            |id: u64| (0..keys).find(|&k| key_fingerprint(key_hash(k)) as u16 == id as u16);
+        let mut per: HashMap<u64, u64> = HashMap::new();
+        for t in &merged {
+            *per.entry(key_of(t.id).expect("a known key")).or_default() += 1;
+        }
+        assert!(!per.is_empty() && per.len() < keys as usize, "{per:?}");
+        assert!(per.values().all(|&n| n == per_key), "{per:?}");
     }
 
     #[test]

@@ -6,14 +6,13 @@
 //!   chain-replication model — serial per key, writes stamped head→mid→tail,
 //!   reads answered at the tail with the current version — audit clean for
 //!   *any* schedule proptest can dream up;
-//! * a **seeded mutation corpus**: four hand-broken histories, one per
+//! * a **seeded mutation corpus**: six hand-broken histories, one per
 //!   checker, each provably tripping *exactly* the checker built to catch
-//!   it — dropped commit evidence, reordered hops, a regressed register,
-//!   and a key lost across repair.
+//!   it — dropped commit evidence, reordered hops, a regressed register, a
+//!   key lost across repair, a read–read inversion and a phantom version.
 
 use netchain_telemetry::{
-    audit, AuditConfig, Evidence, EvidenceOp, HopRole, HopStamp, Journal, PacketTrace,
-    ViolationKind,
+    audit, Evidence, EvidenceOp, HopRole, HopStamp, Journal, PacketTrace, ViolationKind,
 };
 use proptest::prelude::*;
 
@@ -91,16 +90,75 @@ fn read_trace(id: u64, fp: u32, t: u64, seen: u64, ok: bool) -> PacketTrace {
     }
 }
 
-/// One op in a generated history: true = write (5% of those are deletes via
-/// the `del` flag), false = read.
+/// A write that was sent twice: the first attempt applied `pre + 1` along
+/// the whole chain but its ack was lost, and the retry applied `pre + 2`,
+/// which the ack carries.
+fn retried_write_trace(id: u64, fp: u32, t: u64, pre: u64) -> PacketTrace {
+    let w = EvidenceOp::Write;
+    let mut hops = vec![stamp(
+        CLIENT_IP,
+        t,
+        ev(w, HopRole::ClientIssue, true, fp, 0),
+    )];
+    for (attempt, seen) in [(0, pre), (30, pre + 1)] {
+        let ok = seen > 0;
+        hops.push(stamp(
+            HEAD_IP,
+            t + attempt + 10,
+            ev(w, HopRole::Head, ok, fp, seen),
+        ));
+        hops.push(stamp(
+            MID_IP,
+            t + attempt + 20,
+            ev(w, HopRole::Replica, ok, fp, seen),
+        ));
+        hops.push(stamp(
+            TAIL_IP,
+            t + attempt + 30,
+            ev(w, HopRole::Tail, ok, fp, seen),
+        ));
+    }
+    hops.push(stamp(
+        CLIENT_IP,
+        t + 70,
+        ev(w, HopRole::ClientAck, true, fp, pre + 2),
+    ));
+    PacketTrace { id, hops }
+}
+
+/// A CAS whose head found another value: the head observes `seen` (`live`
+/// when the key is present) and the reply carries no version.
+fn failed_cas_trace(id: u64, fp: u32, t: u64, seen: u64, live: bool) -> PacketTrace {
+    let cas = EvidenceOp::Cas;
+    PacketTrace {
+        id,
+        hops: vec![
+            stamp(CLIENT_IP, t, ev(cas, HopRole::ClientIssue, true, fp, 0)),
+            stamp(HEAD_IP, t + 10, ev(cas, HopRole::Head, live, fp, seen)),
+            stamp(CLIENT_IP, t + 20, ev(cas, HopRole::ClientAck, false, fp, 0)),
+        ],
+    }
+}
+
+/// One op in a generated history.
 #[derive(Debug, Clone, Copy)]
-struct OpSpec {
-    write: bool,
-    del: bool,
+enum OpSpec {
+    Read,
+    Write,
+    Delete,
+    FailedCas,
+    /// A retried write, with a read that saw its first attempt land.
+    RetriedWrite,
 }
 
 fn op_spec() -> impl Strategy<Value = OpSpec> {
-    (any::<bool>(), 0u8..20).prop_map(|(write, d)| OpSpec { write, del: d == 0 })
+    (0u8..19).prop_map(|n| match n {
+        0..=7 => OpSpec::Read,
+        8..=13 => OpSpec::Write,
+        14 => OpSpec::Delete,
+        15 | 16 => OpSpec::FailedCas,
+        _ => OpSpec::RetriedWrite,
+    })
 }
 
 /// Plays the per-key op sequences through the model chain, interleaving
@@ -116,14 +174,26 @@ fn model_history(per_key: &[Vec<OpSpec>]) -> Vec<PacketTrace> {
         let mut t = 1_000 + k as u64 * 7;
         let mut version = 0u64; // 0 = never written (register miss)
         let mut live = false;
-        for op in ops {
-            if op.write {
-                let next = version + 1;
-                traces.push(write_trace(id, fp, t, version, next, op.del));
-                version = next;
-                live = !op.del;
-            } else {
-                traces.push(read_trace(id, fp, t, version, live));
+        for &op in ops {
+            match op {
+                OpSpec::Read => traces.push(read_trace(id, fp, t, version, live)),
+                OpSpec::Write | OpSpec::Delete => {
+                    let deleted = matches!(op, OpSpec::Delete);
+                    traces.push(write_trace(id, fp, t, version, version + 1, deleted));
+                    version += 1;
+                    live = !deleted;
+                }
+                OpSpec::FailedCas => traces.push(failed_cas_trace(id, fp, t, version, live)),
+                OpSpec::RetriedWrite => {
+                    traces.push(retried_write_trace(id, fp, t, version));
+                    // Between the attempts, another client read the first.
+                    id += 1;
+                    let mut read = read_trace(id, fp, t + 32, version + 1, true);
+                    read.hops[2].at_ns = t + 38;
+                    traces.push(read);
+                    version += 2;
+                    live = true;
+                }
             }
             id += 1;
             // Ops are serial per key: the next issues after this one acked.
@@ -135,7 +205,8 @@ fn model_history(per_key: &[Vec<OpSpec>]) -> Vec<PacketTrace> {
 
 proptest! {
     /// Any history the faithful model generates — any interleaving of keys,
-    /// any mix of writes, deletes and reads — must audit clean. A violation
+    /// any mix of writes, deletes, reads, failed CASes and retried writes —
+    /// must audit clean. A violation
     /// here is a false positive: the auditor accusing a correct execution.
     #[test]
     fn clean_model_histories_always_audit_clean(
@@ -145,7 +216,7 @@ proptest! {
         ),
     ) {
         let traces = model_history(&per_key);
-        let report = audit(&traces, &Journal::new(), &AuditConfig::default());
+        let report = audit(&traces, &Journal::new(), &());
         prop_assert!(
             report.violations.is_empty(),
             "false positives on a clean history: {:?}",
@@ -170,7 +241,7 @@ fn kinds(violations: &[netchain_telemetry::Violation]) -> Vec<ViolationKind> {
 
 #[test]
 fn the_base_history_is_clean() {
-    let report = audit(&clean_base(), &Journal::new(), &AuditConfig::default());
+    let report = audit(&clean_base(), &Journal::new(), &());
     assert!(report.is_clean(), "{:?}", report.violations);
     assert!(report.checked > 0);
 }
@@ -184,7 +255,7 @@ fn dropped_tail_stamp_on_an_acked_write_trips_chain_order_only() {
     traces[1]
         .hops
         .retain(|h| h.evidence.map(|e| e.role != HopRole::Tail).unwrap_or(true));
-    let report = audit(&traces, &Journal::new(), &AuditConfig::default());
+    let report = audit(&traces, &Journal::new(), &());
     assert_eq!(kinds(&report.violations), vec![ViolationKind::ChainOrder]);
     assert_eq!(report.violations[0].trace_ids, vec![2]);
 }
@@ -201,7 +272,7 @@ fn reordered_head_tail_stamps_trip_chain_order_only() {
     let tail_at = traces[1].hops[3].at_ns;
     traces[1].hops[1].at_ns = tail_at;
     traces[1].hops[3].at_ns = head_at;
-    let report = audit(&traces, &Journal::new(), &AuditConfig::default());
+    let report = audit(&traces, &Journal::new(), &());
     assert_eq!(kinds(&report.violations), vec![ViolationKind::ChainOrder]);
     assert_eq!(report.violations[0].trace_ids, vec![2]);
 }
@@ -220,7 +291,7 @@ fn regressed_register_observation_trips_version_regression_only() {
         e.seq = 2;
     }
     traces.push(late);
-    let report = audit(&traces, &Journal::new(), &AuditConfig::default());
+    let report = audit(&traces, &Journal::new(), &());
     assert_eq!(
         kinds(&report.violations),
         vec![ViolationKind::VersionRegression]
@@ -243,21 +314,58 @@ fn post_repair_version_loss_trips_lost_key_only() {
         // Post-repair read: the key's register lost version 2.
         read_trace(3, 7, 8_000, 1, true),
     ];
-    let config = AuditConfig { span_slack_ns: 100 };
-    let report = audit(&traces, &journal, &config);
+    let report = audit(&traces, &journal, &());
     assert_eq!(kinds(&report.violations), vec![ViolationKind::LostKey]);
     let v = &report.violations[0];
     assert_eq!(v.expected, (0, 2));
     assert_eq!(v.observed, (0, 1));
-    // The same read *inside* the repair span is suppressed, not judged:
-    // transitions are no-man's-land, and suppression is what separates a
-    // mid-repair race from a durability loss.
+    // The same read *inside* the repair span is judged all the same: a stale
+    // read, which the journal annotates with the span it fell in.
     let mid_repair = vec![
         write_trace(1, 7, 1_000, 0, 1, false),
         write_trace(2, 7, 2_000, 1, 2, false),
         read_trace(3, 7, 5_500, 1, true),
     ];
-    let report = audit(&mid_repair, &journal, &config);
-    assert!(report.is_clean(), "{:?}", report.violations);
-    assert!(report.suppressed > 0);
+    let report = audit(&mid_repair, &journal, &());
+    assert_eq!(kinds(&report.violations), vec![ViolationKind::StaleRead]);
+    assert!(report.violations[0].detail.ends_with("(during repair)"));
+}
+
+/// Corpus entry 5 — a read–read inversion: a second write is still in
+/// flight when one read sees it, and a later read, answered by a replica
+/// the write has not reached, returns the version before it. No write was
+/// acked in between, so only the read–read order checker may fire.
+#[test]
+fn a_read_after_a_fresher_read_trips_read_inversion_only() {
+    let mut in_flight = write_trace(2, 7, 2_000, 1, 2, false);
+    in_flight.hops[4].at_ns = 2_900;
+    let mut behind = read_trace(4, 7, 2_300, 1, true);
+    behind.hops[1].hop_ip = TAIL_IP + 1;
+    let traces = vec![
+        write_trace(1, 7, 1_000, 0, 1, false),
+        in_flight,
+        read_trace(3, 7, 2_100, 2, true),
+        behind,
+    ];
+    let report = audit(&traces, &Journal::new(), &());
+    assert_eq!(
+        kinds(&report.violations),
+        vec![ViolationKind::ReadInversion]
+    );
+    assert_eq!(report.violations[0].trace_ids, vec![4, 3]);
+}
+
+/// Corpus entry 6 — a phantom version: a read returns a version no write
+/// produced. It is newer than anything acked, so only the phantom checker
+/// may fire.
+#[test]
+fn a_version_no_write_produced_trips_phantom_version_only() {
+    let mut traces = clean_base();
+    traces.push(read_trace(4, 7, 4_000, 9, true));
+    let report = audit(&traces, &Journal::new(), &());
+    assert_eq!(
+        kinds(&report.violations),
+        vec![ViolationKind::PhantomVersion]
+    );
+    assert_eq!(report.violations[0].observed, (0, 9));
 }
