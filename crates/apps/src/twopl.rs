@@ -9,12 +9,17 @@
 //! client starts over — exactly the "abort transactions that cannot acquire
 //! all locks" behaviour the paper describes as the server-killer under high
 //! contention.
+//!
+//! Under loss, an acquire's outcome is not always its reply's. A retried
+//! acquire whose first copy was applied fails, returning the client's own
+//! id: it holds the lock. An abandoned acquire may have been applied: the
+//! abort releases it too, which is harmless if it was not.
 
 use crate::lock::{self, lock_key};
 use netchain_core::client::Script;
 use netchain_core::{CompletedQuery, KvOp};
 use netchain_sim::{SimDuration, SimTime};
-use netchain_wire::Key;
+use netchain_wire::{Key, QueryStatus};
 
 /// Parameters of the transaction workload.
 #[derive(Debug, Clone, Copy)]
@@ -84,7 +89,8 @@ pub struct TxnClient {
     workload: TxnWorkload,
     /// The running transaction's locks, acquired in this order.
     locks: Vec<Key>,
-    /// How many of `locks` are held.
+    /// How many of `locks` are held (the last perhaps, after an abandoned
+    /// acquire).
     held: usize,
     /// While shrinking: the index of the lock being released, and whether
     /// the transaction aborted.
@@ -139,6 +145,12 @@ impl TxnClient {
         self.stats.lock_attempts += 1;
         lock::acquire(self.locks[self.held], self.client_id)
     }
+
+    /// True if a failed acquire found the lock already ours: a retry of an
+    /// acquire whose first copy was applied.
+    fn holds_after(&self, done: &CompletedQuery) -> bool {
+        done.status == Some(QueryStatus::CasFailed) && done.value.as_u64() == Some(self.client_id)
+    }
 }
 
 impl Script for TxnClient {
@@ -152,7 +164,7 @@ impl Script for TxnClient {
             return self.begin(now, draw);
         };
         let (next, aborted) = match self.releasing {
-            None if done.is_ok() => {
+            None if done.is_ok() || self.holds_after(&done) => {
                 self.held += 1;
                 if self.held < self.locks.len() {
                     return Some(self.acquire());
@@ -163,6 +175,7 @@ impl Script for TxnClient {
             }
             None => {
                 self.stats.lock_conflicts += 1;
+                self.held += usize::from(done.is_abandoned());
                 (0, true)
             }
             Some((released, aborted)) => (released + 1, aborted),
@@ -183,7 +196,7 @@ impl Script for TxnClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netchain_wire::{QueryStatus, Value};
+    use netchain_wire::Value;
 
     #[test]
     fn hot_item_count_follows_contention_index() {
@@ -214,12 +227,12 @@ mod tests {
         assert_eq!(sorted.len(), keys.len());
     }
 
-    fn completion(op: KvOp, status: QueryStatus) -> CompletedQuery {
+    fn completion(op: KvOp, status: Option<QueryStatus>, value: u64) -> CompletedQuery {
         CompletedQuery {
             request_id: 0,
             op,
-            status: Some(status),
-            value: Value::from_u64(0),
+            status,
+            value: Value::from_u64(value),
             seq: 0,
             session: 0,
             latency: SimDuration::ZERO,
@@ -249,7 +262,7 @@ mod tests {
         let mut op = txn.next_op(None, t, &mut draw);
         assert_eq!(op, Some(acquire(0)));
         let mut expect = |txn: &mut TxnClient, status, now, next: Option<KvOp>| {
-            let done = completion(op.take().expect("an op is outstanding"), status);
+            let done = completion(op.take().expect("an op is outstanding"), Some(status), 0);
             op = txn.next_op(Some(done), now, &mut draw);
             assert_eq!(op, next);
         };
@@ -271,5 +284,41 @@ mod tests {
             lock_conflicts: 1,
         };
         assert_eq!(txn.stats(), stats);
+    }
+
+    /// Under loss: an acquire retried after its first copy was applied
+    /// fails with the client's own id and counts as held; an abandoned one
+    /// is released on abort with the locks before it.
+    #[test]
+    fn a_retried_acquire_holds_and_an_abandoned_one_is_released() {
+        use QueryStatus::{CasFailed, Ok};
+        let workload = TxnWorkload {
+            locks_per_txn: 3,
+            contention_index: 1.0,
+            cold_items: 10,
+            ..Default::default()
+        };
+        let mut draws = [0, 4, 6, 0, 1, 2].into_iter();
+        let mut draw = move |bound: u64| draws.next().expect("drawn too often") % bound;
+        let acquire = |id| lock::acquire(lock_key(1, id), 7);
+        let release = |id| lock::release(lock_key(1, id), 7);
+        let mut txn = TxnClient::new(7, workload);
+        let t = SimTime::ZERO;
+        let mut op = txn.next_op(None, t, &mut draw);
+        let mut expect = |txn: &mut TxnClient, status, value, next: KvOp| {
+            let done = completion(op.take().expect("an op is outstanding"), status, value);
+            op = txn.next_op(Some(done), t, &mut draw);
+            assert_eq!(op, Some(next));
+        };
+        // Locks 0, 5, 7: the second acquire's retry finds lock 5 already 7's.
+        expect(&mut txn, Some(Ok), 7, acquire(5));
+        expect(&mut txn, Some(CasFailed), 7, acquire(7));
+        // The third is abandoned: all three are released.
+        expect(&mut txn, None, 0, release(0));
+        expect(&mut txn, Some(Ok), 0, release(5));
+        expect(&mut txn, Some(Ok), 0, release(7));
+        expect(&mut txn, Some(Ok), 0, acquire(0));
+        let stats = txn.stats();
+        assert_eq!((stats.aborted, stats.lock_conflicts), (1, 1));
     }
 }

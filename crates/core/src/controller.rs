@@ -26,7 +26,7 @@ pub struct Controller {
     /// Neighbours of every switch node in the data-plane topology.
     switch_neighbors: HashMap<NodeId, Vec<NodeId>>,
     control_latency: SimDuration,
-    /// Killed and not revived: an export request to one is never answered.
+    /// Killed: an export request to one is never answered.
     down: HashSet<Ipv4Addr>,
     /// Group copies in flight, each with the donors not yet heard from.
     copies: Vec<GroupCopy>,
@@ -103,7 +103,6 @@ impl Controller {
                 }
                 self.settle();
             }
-            Action::Fault(FaultOp::Revive(ip)) => drop(self.down.remove(&ip)),
             Action::Fault(_) => {}
             Action::Deliver(ops) => {
                 for (target, op) in ops {

@@ -54,8 +54,8 @@ fn install(failed_ip: Ipv4Addr, rule: FailoverRule) -> (Target, ControlOp) {
 }
 
 /// Algorithm 2 (fast failover), as data: the rule every neighbour of the
-/// failed switch installs, plus the switches that just became chain heads
-/// and therefore need a session bump (§5.2, NOPaxos-style ordering).
+/// failed switch installs, plus the switches that just became acting chain
+/// heads and therefore need a session bump (§5.2, NOPaxos-style ordering).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FailoverPlan {
     /// The failed switch the plan handles.
@@ -64,28 +64,29 @@ pub struct FailoverPlan {
     /// fabric, at every live switch — each shard sees all traffic for its
     /// keys, so "all live switches" is exactly "every neighbour programmed").
     pub rule: FailoverRule,
-    /// Switches that became the head of at least one affected chain, in
-    /// deterministic (sorted) order: [`Self::ops`] assigns `new_heads[i]`
+    /// Switches that became the acting head of at least one affected chain,
+    /// in deterministic (sorted) order: [`Self::ops`] assigns `new_heads[i]`
     /// session `base + i`.
     pub new_heads: Vec<Ipv4Addr>,
 }
 
 impl FailoverPlan {
-    /// Plans fast failover for `failed_ip` over `ring`.
-    pub fn compute(ring: &HashRing, failed_ip: Ipv4Addr) -> Self {
+    /// Plans fast failover for `failed_ip` over `ring`, `failed` holding the
+    /// switches already down. A chain's acting head is its first live switch,
+    /// after a dead prefix; where `failed_ip` was in that prefix, the acting
+    /// head is new. No dead switch is bumped.
+    pub fn compute(ring: &HashRing, failed_ip: Ipv4Addr, failed: &HashSet<Ipv4Addr>) -> Self {
+        let live = |ip: &Ipv4Addr| *ip != failed_ip && !failed.contains(ip);
         let mut new_heads: Vec<Ipv4Addr> = Vec::new();
-        let mut seen: HashSet<Ipv4Addr> = HashSet::new();
         for &group in &ring.groups_involving(failed_ip) {
-            let chain = ring.chain_for_group(group);
-            if chain.head() == failed_ip {
-                if let Some(successor) = chain.successor(failed_ip) {
-                    if seen.insert(successor) {
-                        new_heads.push(successor);
-                    }
-                }
+            let chain = ring.chain_for_group(group).switches;
+            let acting = chain.iter().position(live).unwrap_or(chain.len());
+            if chain[..acting].contains(&failed_ip) {
+                new_heads.extend(chain.get(acting));
             }
         }
         new_heads.sort();
+        new_heads.dedup();
         FailoverPlan {
             failed_ip,
             rule: FailoverRule {
@@ -97,15 +98,18 @@ impl FailoverPlan {
         }
     }
 
-    /// Algorithm 2 as an op list: the rule to every neighbour, then one
-    /// session bump per new head, numbered from `*next_session` (advanced
-    /// past the last one used).
+    /// Algorithm 2 as an op list: one session bump per new head, numbered
+    /// from `*next_session` (advanced past the last one used), then the rule
+    /// to every neighbour. The bumps go first because a switch that is not
+    /// yet a head stamps nothing: once the rule reroutes writes to a new
+    /// head, it already stamps its new session.
     pub fn ops(&self, next_session: &mut u64) -> OpList {
-        let mut ops = vec![install(self.failed_ip, self.rule)];
+        let mut ops = OpList::new();
         for &head in &self.new_heads {
             let bump = ControlOp::SetSession(next(next_session));
             ops.push((Target::Switch(head), bump));
         }
+        ops.push(install(self.failed_ip, self.rule));
         ops
     }
 }
@@ -250,9 +254,9 @@ impl RecoveryPlan {
 }
 
 /// Picks the replacement switch for `failed_ip`: the explicit choice while it
-/// is alive, else the first live switch of `pool` (spares, then revived
-/// switches; the pick leaves the pool), else a live ring switch not already
-/// in the affected chains (to spread load), else any live ring switch.
+/// is alive, else the first live spare of `pool` (the pick leaves the pool),
+/// else a live ring switch not already in the affected chains (to spread
+/// load), else any live ring switch. A switch in `failed` is never picked.
 pub fn pick_replacement(
     ring: &HashRing,
     failed_ip: Ipv4Addr,
@@ -284,14 +288,17 @@ pub fn pick_replacement(
 
 /// What a controller knows beyond the static ring, and the decisions that
 /// follow from it. The one [`crate::Reactor`] every controller runs keeps
-/// it, so a second kill, a dead replacement or a revived switch is handled
-/// alike by the simulated controller, the live one and the replay fabric.
+/// it, so a second kill or a dead replacement is handled alike by the
+/// simulated controller, the live one and the replay fabric.
 #[derive(Debug, Clone, Default)]
 pub struct View {
-    /// Switches believed down: they neither donate state nor replace anyone.
+    /// Switches that have failed: they neither donate state nor replace
+    /// anyone, ever. A revived switch stays here, because rules keyed on its
+    /// address (its failover rule, redirects away from it) still steer its
+    /// traffic elsewhere.
     pub failed: HashSet<Ipv4Addr>,
-    /// Switches free to take over a failed one's groups, in order of
-    /// preference: the spares, then whatever a `Revive` brought back.
+    /// Spares free to take over a failed switch's groups, in order of
+    /// preference.
     pub pool: Vec<Ipv4Addr>,
     /// `replacement → the ring switch whose groups it took over`.
     pub stands_for: Vec<(Ipv4Addr, Ipv4Addr)>,
@@ -313,30 +320,24 @@ impl View {
     /// and the ring switch whose chains now need Algorithm 3: `ip` itself,
     /// or, if `ip` was a replacement, the switch it stood in for (whose new
     /// heads need their sessions bumped again). `None` if `ip` held no chain
-    /// role: a spare never used, or a revived switch not yet re-activated.
+    /// role (a spare never used) or had already failed.
     pub fn kill(&mut self, ring: &HashRing, ip: Ipv4Addr) -> Option<(OpList, Ipv4Addr)> {
-        self.failed.insert(ip);
+        if !self.failed.insert(ip) {
+            return None;
+        }
         self.pool.retain(|p| *p != ip);
         let stood_for = self.stands_for.iter().position(|&(r, _)| r == ip);
         let stood_for = stood_for.map(|i| self.stands_for.swap_remove(i).1);
-        let replaced = self.stands_for.iter().any(|&(_, v)| v == ip);
-        let role = if ring.switches().contains(&ip) && !replaced {
+        let role = if ring.switches().contains(&ip) {
             ip
         } else {
             stood_for?
         };
         let plan = FailoverPlan {
             failed_ip: ip,
-            ..FailoverPlan::compute(ring, role)
+            ..FailoverPlan::compute(ring, role, &self.failed)
         };
         Some((plan.ops(&mut self.next_session), role))
-    }
-
-    /// `ip` came back, empty and inactive: free to replace someone.
-    pub fn revive(&mut self, ip: Ipv4Addr) {
-        if self.failed.remove(&ip) {
-            self.pool.push(ip);
-        }
     }
 
     /// Plans Algorithm 3 for the chains of ring switch `victim`, onto the
@@ -373,8 +374,8 @@ mod tests {
     fn failover_plan_is_deterministic_and_sorted() {
         let ring = ring();
         let failed = Ipv4Addr::for_switch(1);
-        let a = FailoverPlan::compute(&ring, failed);
-        let b = FailoverPlan::compute(&ring, failed);
+        let a = FailoverPlan::compute(&ring, failed, &HashSet::new());
+        let b = FailoverPlan::compute(&ring, failed, &HashSet::from([failed]));
         assert_eq!(a, b);
         let mut sorted = a.new_heads.clone();
         sorted.sort();
@@ -382,6 +383,30 @@ mod tests {
         assert!(!a.new_heads.contains(&failed));
         assert_eq!(a.rule.priority, 1);
         assert_eq!(a.rule.action, FailoverAction::ChainFailover);
+    }
+
+    #[test]
+    fn the_acting_head_behind_a_dead_prefix_is_bumped_and_no_dead_switch_is() {
+        let ring = ring();
+        let [x, y, z] = ring.chain_for_group(0).switches[..] else {
+            panic!("chains are three long");
+        };
+        let mut view = View::new(vec![]);
+        view.kill(&ring, x).expect("a ring switch");
+        // Chain [x, y, z] runs from z now that x and y are dead; every chain
+        // y acted as head for gets its first live switch bumped, and no other.
+        let (ops, _) = view.kill(&ring, y).expect("a ring switch");
+        let bumped: Vec<Ipv4Addr> = (ops.iter())
+            .filter_map(|op| match op {
+                (Target::Switch(ip), ControlOp::SetSession(_)) => Some(*ip),
+                _ => None,
+            })
+            .collect();
+        assert!(bumped.contains(&z), "{bumped:?}");
+        assert!(
+            !bumped.iter().any(|ip| view.failed.contains(ip)),
+            "{bumped:?}"
+        );
     }
 
     #[test]
@@ -438,20 +463,21 @@ mod tests {
     fn op_lists_keep_the_golden_order_and_number_sessions_inside() {
         let ring = ring();
         let failed = Ipv4Addr::for_switch(1);
-        let plan = FailoverPlan::compute(&ring, failed);
+        let plan = FailoverPlan::compute(&ring, failed, &HashSet::from([failed]));
         assert!(!plan.new_heads.is_empty(), "the ring makes S1 a head");
         let install = |rule| ControlOp::InstallRule {
             failed_ip: failed,
             rule,
         };
 
-        // Algorithm 2: the rule to the neighbours, then `new_heads[i]` gets
-        // session `base + i`.
+        // Algorithm 2: `new_heads[i]` gets session `base + i`, then the rule
+        // goes to the neighbours. The bumps lead, so that no write rerouted
+        // to a new head is stamped with its old session.
         let mut session = 7;
-        let mut golden = vec![(Target::Neighbours, install(plan.rule))];
-        for (i, &head) in plan.new_heads.iter().enumerate() {
-            golden.push((Target::Switch(head), ControlOp::SetSession(7 + i as u64)));
-        }
+        let mut golden: OpList = (plan.new_heads.iter().enumerate())
+            .map(|(i, &head)| (Target::Switch(head), ControlOp::SetSession(7 + i as u64)))
+            .collect();
+        golden.push((Target::Neighbours, install(plan.rule)));
         assert_eq!(plan.ops(&mut session), golden);
         assert_eq!(session, 7 + plan.new_heads.len() as u64);
 
@@ -518,7 +544,10 @@ mod tests {
 
         let (ops, role) = view.kill(&ring, a).expect("a ring switch has chains");
         assert_eq!(role, a);
-        assert_eq!(ops, FailoverPlan::compute(&ring, a).ops(&mut 1));
+        assert_eq!(
+            ops,
+            FailoverPlan::compute(&ring, a, &view.failed).ops(&mut 1)
+        );
         let plan = view
             .plan_recovery(&ring, a, None, Some(4))
             .expect("a spare is free");
@@ -531,7 +560,7 @@ mod tests {
         assert_eq!(role, a);
         let again = FailoverPlan {
             failed_ip: s1,
-            ..FailoverPlan::compute(&ring, a)
+            ..FailoverPlan::compute(&ring, a, &view.failed)
         };
         assert_eq!(ops, again.ops(&mut { before }));
         let plan = view
@@ -540,15 +569,18 @@ mod tests {
         assert_eq!(plan.replacement_ip, s2);
         assert!(plan.steps.iter().all(|s| !s.donors.contains(&s1)));
 
-        // A revived switch is free, and stands for whom it replaces; killed
-        // again before that it would have had no role (s2 holds its groups).
-        view.revive(a);
-        assert!(view.clone().kill(&ring, a).is_none());
+        // `a` is revived. Rules keyed on its address still steer its traffic
+        // to s2, so it stays failed: named as the replacement, and with the
+        // spares used up, it is passed over for a live ring switch. Killed
+        // again, it has no role, and nothing is sent.
         let (_, role) = view.kill(&ring, b).expect("a ring switch");
         let plan = view
-            .plan_recovery(&ring, role, None, None)
-            .expect("the revived switch");
-        assert_eq!((plan.failed_ip, plan.replacement_ip), (b, a));
-        assert_eq!(view.kill(&ring, a).map(|(_, role)| role), Some(b));
+            .plan_recovery(&ring, role, Some(a), None)
+            .expect("a live ring switch");
+        assert_eq!(plan.failed_ip, b);
+        assert!(!view.failed.contains(&plan.replacement_ip));
+        assert!(ring.switches().contains(&plan.replacement_ip));
+        assert!(view.kill(&ring, a).is_none());
+        assert!(view.kill(&ring, b).is_none());
     }
 }

@@ -60,8 +60,8 @@ pub struct Reactions {
     /// `None` repairs the ring's own virtual groups, `Some(g)` the key space
     /// in `g` equal hash groups (Figure 10).
     pub recovery_groups: Option<u32>,
-    /// Replacement switch while alive; else a spare, a revived switch, a
-    /// live ring switch, in that order.
+    /// Replacement switch while alive and never failed; else a spare, else a
+    /// live ring switch.
     pub replacement: Option<Ipv4Addr>,
 }
 
@@ -341,11 +341,9 @@ impl Reactor {
 
     // ---- The reactions ----
 
-    /// A schedule op is delivered; a revived switch is free to replace.
+    /// A schedule op is delivered. A revived switch stays failed in the
+    /// view: it is never a replacement (see [`View::failed`]).
     pub fn fault(&mut self, op: FaultOp) {
-        if let FaultOp::Revive(ip) = op {
-            self.view.revive(ip);
-        }
         self.landing = Some((Duration::ZERO, Due::Fault(op)));
     }
 
@@ -598,7 +596,8 @@ mod tests {
         let mut reactor = reactor(None);
         let schedule = Schedule::new(10).at(ms(100), FaultOp::Kill(switch(1)));
         let lines = run(&mut reactor, &schedule, slow);
-        // S1 heads chains S0, S2 and S3 take over (sessions 1–3); each
+        // S1 heads chains S0, S2 and S3 take over: they are bumped
+        // (sessions 1–3) before the rule reroutes writes to them. Each
         // activation bumps the spare S4 (4–7). Group 1's copy ends at 200 ms,
         // so its activation, due at 190 ms, waits for it; group 2 is still
         // blocked at once, and activated on time at 210 ms.
@@ -606,7 +605,7 @@ mod tests {
             &lines,
             "
             100 kill 10.0.0.1
-            120 S1 p1 failover all; S0 session 1; S2 session 2; S3 session 3
+            120 S0 session 1; S2 session 2; S3 session 3; S1 p1 failover all
             150 S1 p2 block g0/4
             150 copy #0 g0/4 S0,S2,S3 -> S4
             152 copied #0 g0
@@ -669,9 +668,10 @@ mod tests {
     #[test]
     fn two_victims_repair_interleaved_on_one_agenda() {
         // S3 dies while S1 is between failover and repair: its Algorithm 2
-        // comes due at 150 ms with S1's repair, and bumps on from session 4
-        // (S1, dead, among them: `FailoverPlan::compute` does not see the
-        // failed set). The two repairs interleave onto S4 and S5.
+        // comes due at 150 ms with S1's repair, and bumps the acting heads
+        // behind S3 (and dead S1) from session 4, before the rule. Dead S1 is
+        // not bumped: `FailoverPlan::compute` sees the failed set. The two
+        // repairs interleave onto S4 and S5.
         let mut reactor = reactor(None);
         let schedule = Schedule::new(11)
             .at(ms(100), FaultOp::Kill(switch(1)))
@@ -680,41 +680,41 @@ mod tests {
             &run(&mut reactor, &schedule, slow),
             "
             100 kill 10.0.0.1
-            120 S1 p1 failover all; S0 session 1; S2 session 2; S3 session 3
+            120 S0 session 1; S2 session 2; S3 session 3; S1 p1 failover all
             130 kill 10.0.0.3
-            150 S3 p1 failover all; S0 session 4; S1 session 5; S2 session 6
+            150 S0 session 4; S2 session 5; S3 p1 failover all
             150 S1 p2 block g0/4
             150 copy #0 g0/4 S0,S2,S3 -> S4
             152 copied #0 g0
-            170 S4 active true; S4 session 7; S1 p3 redirect S4 g0/4; S1 p2 removed g0/4
+            170 S4 active true; S4 session 6; S1 p3 redirect S4 g0/4; S1 p2 removed g0/4
             170 S1 p2 block g1/4
             170 copy #0 g1/4 S0,S2,S3 -> S4
             180 S3 p2 block g0/4
             180 copy #1 g0/4 S0,S2 -> S5
             182 copied #1 g0
             200 copied #0 g1
-            200 S4 active true; S4 session 8; S1 p3 redirect S4 g1/4; S1 p2 removed g1/4
+            200 S4 active true; S4 session 7; S1 p3 redirect S4 g1/4; S1 p2 removed g1/4
             200 S1 p2 block g2/4
             200 copy #0 g2/4 S0,S2,S3 -> S4
-            200 S5 active true; S5 session 9; S3 p3 redirect S5 g0/4; S3 p2 removed g0/4
+            200 S5 active true; S5 session 8; S3 p3 redirect S5 g0/4; S3 p2 removed g0/4
             200 S3 p2 block g1/4
             200 copy #1 g1/4 S0,S2 -> S5
             202 copied #0 g2
-            210 S4 active true; S4 session 10; S1 p3 redirect S4 g2/4; S1 p2 removed g2/4
+            210 S4 active true; S4 session 9; S1 p3 redirect S4 g2/4; S1 p2 removed g2/4
             210 S1 p2 block g3/4
             210 copy #0 g3/4 S0,S2,S3 -> S4
             212 copied #0 g3
             230 copied #1 g1
-            230 S5 active true; S5 session 11; S3 p3 redirect S5 g1/4; S3 p2 removed g1/4
+            230 S5 active true; S5 session 10; S3 p3 redirect S5 g1/4; S3 p2 removed g1/4
             230 S3 p2 block g2/4
             230 copy #1 g2/4 S0,S2 -> S5
-            230 S4 active true; S4 session 12; S1 p3 redirect S4 g3/4; S1 p2 removed g3/4
+            230 S4 active true; S4 session 11; S1 p3 redirect S4 g3/4; S1 p2 removed g3/4
             232 copied #1 g2
-            240 S5 active true; S5 session 13; S3 p3 redirect S5 g2/4; S3 p2 removed g2/4
+            240 S5 active true; S5 session 12; S3 p3 redirect S5 g2/4; S3 p2 removed g2/4
             240 S3 p2 block g3/4
             240 copy #1 g3/4 S0,S2 -> S5
             242 copied #1 g3
-            260 S5 active true; S5 session 14; S3 p3 redirect S5 g3/4; S3 p2 removed g3/4
+            260 S5 active true; S5 session 13; S3 p3 redirect S5 g3/4; S3 p2 removed g3/4
             ",
         );
         let repaired = reactor.timelines().iter().filter(|(_, t)| t.repaired());
@@ -725,8 +725,8 @@ mod tests {
     fn a_repair_whose_replacement_dies_is_abandoned_and_planned_again() {
         // S4 dies at 190 ms with group 1 copied onto it no further: the copy
         // never completes, the activation due at 190 ms is held, and at
-        // 210 ms Algorithm 2 for S4 bumps S1's heads again, withdraws the one
-        // redirect to S4 and abandons the repair. S1 is repaired again from
+        // 210 ms Algorithm 2 for S4 bumps S1's heads again (before the rule),
+        // withdraws the one redirect to S4 and abandons the repair. S1 is repaired again from
         // 240 ms, onto S5.
         let mut reactor = reactor(None);
         let schedule = Schedule::new(12)
@@ -736,7 +736,7 @@ mod tests {
             &run(&mut reactor, &schedule, slow),
             "
             100 kill 10.0.0.1
-            120 S1 p1 failover all; S0 session 1; S2 session 2; S3 session 3
+            120 S0 session 1; S2 session 2; S3 session 3; S1 p1 failover all
             150 S1 p2 block g0/4
             150 copy #0 g0/4 S0,S2,S3 -> S4
             152 copied #0 g0
@@ -744,7 +744,7 @@ mod tests {
             170 S1 p2 block g1/4
             170 copy #0 g1/4 S0,S2,S3 -> S4
             190 kill 10.0.0.4
-            210 S4 p1 failover all; S0 session 5; S2 session 6; S3 session 7; S1 p3 removed g0/4
+            210 S0 session 5; S2 session 6; S3 session 7; S4 p1 failover all; S1 p3 removed g0/4
             240 S1 p2 block g0/4
             240 copy #1 g0/4 S0,S2,S3 -> S5
             242 copied #1 g0
@@ -784,9 +784,11 @@ mod tests {
     }
 
     #[test]
-    fn a_revived_switch_named_as_replacement_takes_the_next_repair() {
-        // Named S1 is dead for its own repair (S4 takes it) and, revived at
-        // 260 ms, free for S3's.
+    fn a_revived_switch_named_as_replacement_is_passed_over() {
+        // Named S1 is dead for its own repair (S4 takes it). Revived at
+        // 260 ms, it stays failed, because S1's failover rule and redirects
+        // still steer its traffic to S4: S3's repair goes onto the spare S5,
+        // and S3's failover bumps no S1.
         let mut reactor = reactor(Some(switch(1)));
         let schedule = Schedule::new(13)
             .at(ms(100), FaultOp::Kill(switch(1)))
@@ -796,7 +798,7 @@ mod tests {
             &run(&mut reactor, &schedule, slow),
             "
             100 kill 10.0.0.1
-            120 S1 p1 failover all; S0 session 1; S2 session 2; S3 session 3
+            120 S0 session 1; S2 session 2; S3 session 3; S1 p1 failover all
             150 S1 p2 block g0/4
             150 copy #0 g0/4 S0,S2,S3 -> S4
             152 copied #0 g0
@@ -815,26 +817,28 @@ mod tests {
             230 S4 active true; S4 session 7; S1 p3 redirect S4 g3/4; S1 p2 removed g3/4
             260 revive 10.0.0.1
             300 kill 10.0.0.3
-            320 S3 p1 failover all; S0 session 8; S1 session 9; S2 session 10
+            320 S0 session 8; S2 session 9; S3 p1 failover all
             350 S3 p2 block g0/4
-            350 copy #1 g0/4 S0,S2 -> S1
+            350 copy #1 g0/4 S0,S2 -> S5
             352 copied #1 g0
-            370 S1 active true; S1 session 11; S3 p3 redirect S1 g0/4; S3 p2 removed g0/4
+            370 S5 active true; S5 session 10; S3 p3 redirect S5 g0/4; S3 p2 removed g0/4
             370 S3 p2 block g1/4
-            370 copy #1 g1/4 S0,S2 -> S1
+            370 copy #1 g1/4 S0,S2 -> S5
             400 copied #1 g1
-            400 S1 active true; S1 session 12; S3 p3 redirect S1 g1/4; S3 p2 removed g1/4
+            400 S5 active true; S5 session 11; S3 p3 redirect S5 g1/4; S3 p2 removed g1/4
             400 S3 p2 block g2/4
-            400 copy #1 g2/4 S0,S2 -> S1
+            400 copy #1 g2/4 S0,S2 -> S5
             402 copied #1 g2
-            410 S1 active true; S1 session 13; S3 p3 redirect S1 g2/4; S3 p2 removed g2/4
+            410 S5 active true; S5 session 12; S3 p3 redirect S5 g2/4; S3 p2 removed g2/4
             410 S3 p2 block g3/4
-            410 copy #1 g3/4 S0,S2 -> S1
+            410 copy #1 g3/4 S0,S2 -> S5
             412 copied #1 g3
-            430 S1 active true; S1 session 14; S3 p3 redirect S1 g3/4; S3 p2 removed g3/4
+            430 S5 active true; S5 session 13; S3 p3 redirect S5 g3/4; S3 p2 removed g3/4
             ",
         );
         let repaired = reactor.timelines().iter().filter(|(_, t)| t.repaired());
         assert_eq!(repaired.count(), 2);
+        let stands_for = [(switch(4), switch(1)), (switch(5), switch(3))];
+        assert_eq!(reactor.view().stands_for, stands_for);
     }
 }

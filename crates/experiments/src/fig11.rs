@@ -40,24 +40,37 @@ impl Default for Fig11Params {
 /// Measures NetChain transaction throughput (committed transactions per
 /// second) for the given client count and contention index.
 pub fn netchain_txn_throughput(clients: usize, contention_index: f64, params: Fig11Params) -> f64 {
-    let cluster = run_txn_clients(clients, contention_index, params);
-    let committed: u64 = cluster.layout.hosts[..clients]
+    let cluster = run_txn_clients(clients, contention_index, params, cluster_config());
+    committed(&cluster, clients) as f64 / params.duration.as_secs_f64()
+}
+
+/// Transactions the first `clients` hosts' clients committed.
+fn committed(cluster: &NetChainCluster, clients: usize) -> u64 {
+    cluster.layout.hosts[..clients]
         .iter()
         .filter_map(|&host| cluster.sim.node_as::<ScriptedClient<TxnClient>>(host))
         .map(|client| client.script().stats().committed)
-        .sum();
-    committed as f64 / params.duration.as_secs_f64()
+        .sum()
+}
+
+/// The simulated fabric's settings: lossless links, 8 virtual nodes a switch.
+fn cluster_config() -> ClusterConfig {
+    ClusterConfig {
+        vnodes_per_switch: 8,
+        ..Default::default()
+    }
 }
 
 /// Runs `clients` transaction clients, one per host, for the measured
 /// duration plus 20 ms to drain.
-fn run_txn_clients(clients: usize, contention_index: f64, params: Fig11Params) -> NetChainCluster {
+fn run_txn_clients(
+    clients: usize,
+    contention_index: f64,
+    params: Fig11Params,
+    config: ClusterConfig,
+) -> NetChainCluster {
     // A fabric with enough hosts for the requested client count.
     let hosts_per_leaf = clients.div_ceil(4).max(1);
-    let config = ClusterConfig {
-        vnodes_per_switch: 8,
-        ..Default::default()
-    };
     let mut cluster = NetChainCluster::spine_leaf(2, 4, hosts_per_leaf, config);
 
     let workload = TxnWorkload {
@@ -140,6 +153,8 @@ pub fn run_cli(_args: &[String]) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netchain_sim::LinkParams;
+    use netchain_wire::{Ipv4Addr, Key};
 
     fn quick_params() -> Fig11Params {
         Fig11Params {
@@ -168,7 +183,7 @@ mod tests {
     #[test]
     fn a_transaction_client_keeps_one_retry_timer() {
         let params = quick_params();
-        let cluster = run_txn_clients(1, 0.01, params);
+        let cluster = run_txn_clients(1, 0.01, params, cluster_config());
         let run = params.duration.as_nanos();
         let timeout = ClusterConfig::default().agent_timeout.as_nanos();
         let fired = cluster.sim.stats().timers_fired;
@@ -187,5 +202,61 @@ mod tests {
             high < low,
             "a single hot lock must reduce throughput: low-contention {low} vs high-contention {high}"
         );
+    }
+
+    /// Locks still held once every client has stopped, by the replica of
+    /// each lock key with the highest `(session, seq)`.
+    fn leaked_locks(cluster: &NetChainCluster, workload: &TxnWorkload) -> usize {
+        let switches = cluster.layout.switches.len() as u32;
+        let replica = |ip| (0..switches).position(|i| Ipv4Addr::for_switch(i) == ip);
+        let owner = |key: &Key| {
+            let chain = cluster.ring().chain_for_key(key).switches;
+            let replicas = chain.into_iter().filter_map(|ip| {
+                let kv = cluster.switch(replica(ip)?).switch().kv();
+                let slot = kv.lookup(key)?;
+                Some((kv.ordering(slot), kv.value_u64(slot).unwrap_or(0)))
+            });
+            replicas.max().map_or(0, |(_, owner)| owner)
+        };
+        let keys = workload.all_lock_keys();
+        keys.iter().filter(|key| owner(key) != 0).count()
+    }
+
+    /// Figure 11's shape under packet loss on every link: 10 clients, 50 ms
+    /// of transactions, then 350 ms idle. A retried acquire that finds the
+    /// lock already its own holds it, and an abandoned acquire is released
+    /// on abort, so no lock is left held. (Whether every replica agrees once
+    /// idle is the switch's half: a failed CAS is answered by the head.)
+    #[test]
+    fn no_lock_leaks_under_loss() {
+        let params = Fig11Params {
+            duration: SimDuration::from_millis(50),
+            locks_per_txn: 10,
+            cold_items: 1_000,
+        };
+        let workload = TxnWorkload {
+            namespace: 1,
+            locks_per_txn: params.locks_per_txn,
+            contention_index: 0.01,
+            cold_items: params.cold_items,
+            duration: params.duration,
+        };
+        for loss_rate in [0.001, 0.01] {
+            let base = cluster_config();
+            let config = ClusterConfig {
+                link: LinkParams {
+                    loss_rate,
+                    ..base.link
+                },
+                ..base
+            };
+            let mut cluster = run_txn_clients(10, workload.contention_index, params, config);
+            cluster.sim.run_for(SimDuration::from_millis(330));
+            assert!(
+                committed(&cluster, 10) > 0,
+                "loss {loss_rate}: nothing committed"
+            );
+            assert_eq!(leaked_locks(&cluster, &workload), 0, "loss {loss_rate}");
+        }
     }
 }

@@ -1344,7 +1344,7 @@ mod tests {
             };
             deliver(
                 &mut shard,
-                FailoverPlan::compute(&ring, victim).ops(&mut session),
+                FailoverPlan::compute(&ring, victim, &[victim].into()).ops(&mut session),
             );
             for (i, step) in plan.steps.iter().enumerate().take(groups) {
                 deliver(&mut shard, plan.block_ops(i));

@@ -46,7 +46,7 @@ fn program(shard: &mut Shard, config: &FabricConfig, rules: Rules) {
         }
     };
     shard.fault(&netchain_core::FaultOp::Kill(victim));
-    let failover = FailoverPlan::compute(&ring, victim).ops(&mut session);
+    let failover = FailoverPlan::compute(&ring, victim, &[victim].into()).ops(&mut session);
     deliver(shard, failover);
     if matches!(rules, Rules::MidRepair) {
         let down = HashSet::from([victim]);
@@ -185,7 +185,9 @@ fn staged_matches_scalar_as_liveness_changes_between_bursts() {
     for (phase, bursts) in stream.chunks(PHASE).enumerate() {
         let change = phase.checked_sub(1).map(|c| changes[c]);
         let ops = match change {
-            Some(Change::Failover) => FailoverPlan::compute(&ring, victim).ops(&mut session),
+            Some(Change::Failover) => {
+                FailoverPlan::compute(&ring, victim, &[victim].into()).ops(&mut session)
+            }
             Some(Change::Block) => plan.block_ops(0),
             Some(Change::Activate) => {
                 // `SetActive`, the session and the redirect now; the last op

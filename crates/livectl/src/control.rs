@@ -115,7 +115,8 @@ mod tests {
         // Algorithm 2's list, one command per op: every live replica gets the
         // rule, the dead one is left as it froze.
         let mut session = 5;
-        for (target, op) in FailoverPlan::compute(&ring, victim).ops(&mut session) {
+        let failover = FailoverPlan::compute(&ring, victim, &[victim].into());
+        for (target, op) in failover.ops(&mut session) {
             let evt = apply(&mut shard, ControlCmd::Op(target, op));
             assert!(matches!(evt, ControlEvt::Ack));
         }

@@ -221,9 +221,9 @@ impl ReplayFabric {
 
     /// Delivers one fault op, now: a kill or revive to every shard, a stall
     /// (in replay-clock nanoseconds) to the shards it names, a link fault to
-    /// the client's edges; a revived switch is free to replace someone. The
-    /// controller's reaction to a kill is the caller's to sequence
-    /// ([`Self::fast_failover`], [`Self::start_recovery`]).
+    /// the client's edges. The controller's reaction to a kill is the
+    /// caller's to sequence ([`Self::fast_failover`],
+    /// [`Self::start_recovery`]).
     pub fn apply(&mut self, op: &FaultOp) {
         self.reactor.fault(*op);
         self.reactor.landed(self.now());

@@ -274,7 +274,7 @@ fn one_plan_programs_sim_shard_and_replay_alike() {
         }
     };
     let mut session = 1;
-    deliver(FailoverPlan::compute(&ring, victim).ops(&mut session));
+    deliver(FailoverPlan::compute(&ring, victim, &[victim].into()).ops(&mut session));
     let plan = RecoveryPlan::compute(
         &ring,
         victim,
@@ -311,7 +311,7 @@ fn one_plan_programs_sim_shard_and_replay_alike() {
         }
     }
     // The sessions were numbered once, inside the lists.
-    let heads = FailoverPlan::compute(cluster.ring(), victim).new_heads;
+    let heads = FailoverPlan::compute(cluster.ring(), victim, &[victim].into()).new_heads;
     assert_eq!(session, 1 + (heads.len() + plan.steps.len()) as u64);
     assert_eq!(
         cluster.switch(REPLACEMENT as usize).switch().session(),

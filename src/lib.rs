@@ -10,8 +10,7 @@
 //!   program (Algorithm 1, failover rules).
 //! * [`core`] — consistent hashing, the client agent, the controller
 //!   (fast failover + failure recovery) and cluster assembly.
-//! * [`apps`] — locks, 2PL transactions, configuration store, barriers.
-//! * [`model`] — the bounded model checker (TLA+ appendix port).
+//! * [`apps`] — exclusive locks and the 2PL transactions of Figure 11.
 //! * [`net`] — the real-socket (UDP loopback) mode.
 //! * [`fabric`] — the in-process multi-core switch fabric (real throughput:
 //!   lock-free SPSC rings, batched zero-copy processing).
@@ -35,7 +34,6 @@ pub use netchain_core as core;
 pub use netchain_experiments as experiments;
 pub use netchain_fabric as fabric;
 pub use netchain_livectl as livectl;
-pub use netchain_model as model;
 pub use netchain_net as net;
 pub use netchain_sim as sim;
 pub use netchain_switch as switch;

@@ -1,10 +1,11 @@
-//! Property-based cross-crate tests of the protocol's consistency machinery:
-//! Invariant 1 (per-key sequence monotonicity along the chain), client-visible
-//! version monotonicity under loss and reordering, and the model checker run
-//! at a slightly larger bound than its unit tests use.
+//! Property-based tests of the protocol's consistency on the simulator that
+//! runs it: Invariant 1 (per-key sequence monotonicity along the chain) and
+//! client-visible version monotonicity under loss, duplication and
+//! reordering, and read-your-writes. Consistency across overlapping
+//! failures is argued by the executed fault schedules
+//! (`crates/livectl/tests/schedules.rs`), not by a model of the protocol.
 
 use netchain::core::{ClusterConfig, FaultOp, KvOp, NetChainCluster, Schedule, WorkloadSpec};
-use netchain::model::{random_walk, ModelConfig, RandomWalkConfig};
 use netchain::sim::{LinkParams, SimConfig, SimDuration};
 use netchain::wire::{Ipv4Addr, Key, Value};
 use proptest::prelude::*;
@@ -105,24 +106,4 @@ proptest! {
         prop_assert_eq!(client.results()[2].value.as_u64(), Some(final_value));
     }
 
-    /// The abstract protocol model stays safe on long random walks with
-    /// failures, recoveries and channel mischief.
-    #[test]
-    fn model_random_walks_stay_safe(seed in 0u64..500) {
-        let result = random_walk(RandomWalkConfig {
-            model: ModelConfig {
-                chain_len: 3,
-                spares: 1,
-                keys: 2,
-                values: 3,
-                max_queue: 3,
-                max_failures: 1,
-                max_version: 10,
-                max_channel_ops: 8,
-            },
-            steps: 600,
-            seed,
-        });
-        prop_assert!(result.is_clean(), "violation: {:?}", result.violation);
-    }
 }
