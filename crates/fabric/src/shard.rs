@@ -90,6 +90,7 @@ use netchain_telemetry::{
 };
 use netchain_wire::{
     BatchEncoder, BatchView, Ipv4Addr, Key, OpCode, PacketPool, PacketView, Value, BATCH_WIDTH,
+    KEY_LEN,
 };
 
 /// The steering rule, in one place: `key`'s virtual group modulo the shard
@@ -290,47 +291,75 @@ impl Shard {
         let group = self.ring.group_of_hash(hash);
         let owner = shard_of_group(group, self.num_shards);
         assert_eq!(owner, self.id, "key steered to the wrong shard");
-        self.install(&self.ring.chain_for_group(group).switches, hash, key, value);
-    }
-
-    /// [`Self::populate`] for every key of `entries` this shard owns, as one
-    /// batch: each store is sized once, then the keys go in sorted by their
-    /// home cell in the largest index, so the probes walk forward.
-    pub fn populate_owned<'v>(&mut self, entries: impl IntoIterator<Item = (Key, &'v Value)>) {
-        let groups = 0..self.ring.num_virtual_nodes() as u32;
-        let chain = |group| self.ring.chain_for_group(group).switches;
-        let chains: Vec<_> = groups.map(chain).collect();
-        let mut batch = Vec::new();
-        for (key, value) in entries {
-            let hash = key.stable_hash();
-            let group = self.ring.group_of_hash(hash);
-            if shard_of_group(group, self.num_shards) == self.id {
-                batch.push((hash, &chains[group as usize], key, value));
-            }
-        }
-        let mut keys = vec![0; self.switches.len()];
-        for &ip in batch.iter().flat_map(|e| e.1) {
-            keys[self.index_of(ip).expect("ring switches are hosted")] += 1;
-        }
-        for (switch, &n) in self.switches.iter_mut().zip(&keys) {
-            switch.kv_mut().reserve(n);
-        }
-        let widest = self.switches.iter().zip(&keys).max_by_key(|&(_, n)| n);
-        let index = widest.expect("a shard hosts its ring's switches").0.kv();
-        batch.sort_unstable_by_key(|&(hash, ..)| index.home(hash));
-        for (hash, chain, key, value) in batch {
-            self.install(chain, hash, key, value);
-        }
-    }
-
-    /// Installs `key` on every replica of `chain`, for both population paths.
-    fn install(&mut self, chain: &[Ipv4Addr], hash: u64, key: Key, value: &Value) {
-        for &ip in chain {
-            let i = self.index_of(ip).expect("ring switches are hosted");
+        for ip in self.ring.chain_for_group(group).switches {
+            let i = self.replica(ip);
             self.switches[i]
                 .kv_mut()
                 .insert_hashed(hash, key, value)
                 .expect("shard store sized for the workload");
+        }
+    }
+
+    /// [`Self::populate`] for every key of `entries` this shard owns, as one
+    /// batch: the keys are hashed a chunk at a time, every store is sized
+    /// once for the keys its groups hold, then each store takes all of its
+    /// keys before the next, so its index, slot records and value stage stay
+    /// in cache while it fills.
+    pub fn populate_owned<'v>(&mut self, entries: impl IntoIterator<Item = (Key, &'v Value)>) {
+        let mut held = vec![0; self.ring.num_virtual_nodes()];
+        let mut batch = Vec::new();
+        let mut entries = entries.into_iter();
+        let mut chunk = Vec::with_capacity(BATCH_WIDTH);
+        let (mut keys, mut hashes) = ([[0; KEY_LEN]; BATCH_WIDTH], [0; BATCH_WIDTH]);
+        loop {
+            chunk.clear();
+            chunk.extend(entries.by_ref().take(BATCH_WIDTH));
+            if chunk.is_empty() {
+                break;
+            }
+            for (lane, (key, _)) in keys.iter_mut().zip(&chunk) {
+                *lane = key.0;
+            }
+            stable_hash_batch(&keys[..chunk.len()], &mut hashes);
+            for (&hash, &(key, value)) in hashes.iter().zip(&chunk) {
+                let group = self.ring.group_of_hash(hash);
+                if shard_of_group(group, self.num_shards) == self.id {
+                    held[group as usize] += 1;
+                    batch.push((hash, key, value));
+                }
+            }
+        }
+        // Each group's replicas, and how many keys each replica takes.
+        let mut taken = vec![0; self.switches.len()];
+        let mut chains = Vec::with_capacity(held.len());
+        for (group, &n) in held.iter().enumerate() {
+            let chain = self.ring.chain_for_group(group as u32).switches;
+            let replicas: Vec<usize> = chain.iter().map(|&ip| self.replica(ip)).collect();
+            for &i in &replicas {
+                taken[i] += n;
+            }
+            chains.push(replicas);
+        }
+        // Every store is sized before the first install: sizing each one
+        // just before it fills measured a third slower once glibc had
+        // trimmed the heap.
+        for (switch, &n) in self.switches.iter_mut().zip(&taken) {
+            switch.kv_mut().reserve(n);
+        }
+        // Each replica's keys, as indexes into `batch`.
+        let mut takes: Vec<Vec<u32>> = taken.iter().map(|&n| Vec::with_capacity(n)).collect();
+        for (i, &(hash, ..)) in batch.iter().enumerate() {
+            for &replica in &chains[self.ring.group_of_hash(hash) as usize] {
+                takes[replica].push(i as u32);
+            }
+        }
+        for (switch, take) in self.switches.iter_mut().zip(takes) {
+            let kv = switch.kv_mut();
+            for i in take {
+                let (hash, key, value) = batch[i as usize];
+                kv.insert_hashed(hash, key, value)
+                    .expect("shard store sized for the workload");
+            }
         }
     }
 
@@ -350,6 +379,11 @@ impl Shard {
     /// Where `ip`'s replica sits in `switches`, dead or alive.
     fn index_of(&self, ip: Ipv4Addr) -> Option<usize> {
         self.route(ip).map(|r| usize::from(r.index))
+    }
+
+    /// [`Self::index_of`] a ring member, which every shard hosts.
+    fn replica(&self, ip: Ipv4Addr) -> usize {
+        self.index_of(ip).expect("ring switches are hosted")
     }
 
     /// Read access to a switch replica (differential tests, experiments).
@@ -811,6 +845,8 @@ impl Shard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{build_shards, FabricConfig};
+    use netchain_core::WorkloadSpec;
     use netchain_switch::{FailoverAction, FailoverRule, RuleScope};
     use netchain_wire::{NetChainPacket, OpCode, QueryStatus};
 
@@ -1466,5 +1502,62 @@ mod tests {
         let reply = PacketView::parse(replies.frame(0)).unwrap();
         assert_eq!(reply.ip.dst, elsewhere);
         assert_eq!(reply.netchain.value(), 3u64.to_be_bytes());
+    }
+
+    /// Every hosted switch's entries, by address.
+    fn exports(shard: &Shard) -> Vec<(Ipv4Addr, Vec<ExportedEntry>)> {
+        let kv = |ip| shard.switch(ip).expect("hosted").kv().export_entries();
+        shard.switch_ips().map(|ip| (ip, kv(ip))).collect()
+    }
+
+    /// A fresh shard `id` of `config`, sized as `build_shards` sizes it for
+    /// `entries`, given the keys of `entries` it owns one at a time.
+    fn populated_one_by_one(config: &FabricConfig, id: usize, entries: &[(Key, Value)]) -> Shard {
+        let mut shard = empty_shard(config, id, entries.len());
+        for (key, value) in entries {
+            if shard.owns(key) {
+                shard.populate(*key, value);
+            }
+        }
+        shard
+    }
+
+    fn empty_shard(config: &FabricConfig, id: usize, keys: usize) -> Shard {
+        let pipeline = FabricConfig::pipeline_for(keys as u64);
+        let (ring, spares) = (config.build_ring(), config.spare_ips());
+        Shard::with_spares(id, config.num_shards, ring, pipeline, &spares)
+    }
+
+    #[test]
+    fn a_batch_populate_equals_one_key_at_a_time() {
+        let config = FabricConfig {
+            num_spares: 1,
+            ..FabricConfig::new(2)
+        };
+        // The fabric as a run builds it: every key, zero-valued.
+        let spec = WorkloadSpec::uniform_read(1000, 0);
+        let zeroed: Vec<(Key, Value)> = (0..spec.num_keys)
+            .map(|k| (Key::from_u64(k), Value::from_u64(0)))
+            .collect();
+        for (id, built) in build_shards(&config, &spec).iter().enumerate() {
+            let single = populated_one_by_one(&config, id, &zeroed);
+            assert_eq!(exports(built), exports(&single), "shard {id}");
+            let held: usize = exports(built).iter().map(|(_, e)| e.len()).sum();
+            assert!(
+                held > spec.num_keys as usize,
+                "shard {id} holds its replicas"
+            );
+        }
+        // Values of every length a stage split can give, some past stage 0.
+        let varied: Vec<(Key, Value)> = (0..1000u64)
+            .map(|k| (Key::from_name(&format!("batch/{k}")), (k % 41) as usize))
+            .map(|(key, len)| (key, Value::filled(len as u8 | 1, len).unwrap()))
+            .collect();
+        for id in 0..config.num_shards {
+            let mut batch = empty_shard(&config, id, varied.len());
+            batch.populate_owned(varied.iter().map(|(key, value)| (*key, value)));
+            let single = populated_one_by_one(&config, id, &varied);
+            assert_eq!(exports(&batch), exports(&single), "shard {id}");
+        }
     }
 }

@@ -5,8 +5,9 @@
 //! a read burst while failover rules are installed, nor an operation whose
 //! reply is held back while two windows of newer ones pass it (a straggler
 //! in the agent's outstanding table), nor a maximum-length write to a key
-//! whose registers only ever held eight bytes (a store backs every stage of
-//! a slot when it hands the slot out, never on the data path).
+//! whose registers only ever held eight bytes once another write has reached
+//! every stage (a store backs a stage for all its slots once, when the first
+//! value reaches it).
 //!
 //! The same harness counts the client's clock readings: a pass reads the
 //! clock twice for all the queries it issues and once per reply run, and
@@ -430,7 +431,8 @@ fn a_write_reaching_stages_never_written_allocates_nothing() {
         n
     };
     // Warm-up on the first half of the keys: the packet slab's value
-    // buffers and the reply encoder grow to a burst of long writes.
+    // buffers and the reply encoder grow to a burst of long writes, and
+    // every store backs the stages a long value reaches.
     burst(&mut shard, &writes(0..BURST));
     let fresh = writes(BURST..2 * BURST);
     assert_eq!(

@@ -13,8 +13,14 @@
 //! therefore touch only the stages the longer of the old and new value
 //! occupies, never all of them.
 //!
-//! Each stage is backed only up to the highest slot handed out, never by the
-//! data path; accounting and [`KvError::Full`] count the provisioned slots.
+//! A store backs memory for what its values reach, not for its geometry:
+//! the stages are backed as a prefix, and a stage is backed — for every slot
+//! the store has backed so far — once per store, by the first value to reach
+//! it, on install or in [`SwitchKvStore::write_value`]. Slots are backed in
+//! batches ([`SwitchKvStore::reserve`], or a doubling when an install runs
+//! past them), so an install walks no stage it does not write. A stage not
+//! yet backed holds no value byte and reads as zeroes. Accounting and
+//! [`KvError::Full`] count the provisioned slots.
 
 use crate::pipeline::{PipelineConfig, ResourceUsage};
 use crate::register::RegisterArray;
@@ -92,6 +98,12 @@ pub struct SwitchKvStore {
     index: MatchTable,
     /// One register array per value stage.
     value_stages: Vec<RegisterArray>,
+    /// How many of `value_stages`, from the first, are backed: one past the
+    /// last stage any value has reached.
+    stages_backed: usize,
+    /// Slots backed in every backed stage, with room for their records in
+    /// `meta`; never fewer than `meta.len()`.
+    slots_backed: usize,
     /// The records of the slots handed out so far: slots are first used in
     /// index order, so the next never-used slot is `meta.len()`.
     meta: Vec<SlotMeta>,
@@ -110,18 +122,31 @@ impl SwitchKvStore {
             config,
             index: MatchTable::new(slots),
             value_stages,
+            stages_backed: 0,
+            slots_backed: 0,
             meta: Vec::new(),
             free: Vec::new(),
         }
     }
 
-    /// Sizes the store once for `keys` more installs, backing their slots.
+    /// Sizes the store once for `keys` more installs, backing their slots in
+    /// the stages values have reached so far.
     pub fn reserve(&mut self, keys: usize) {
         self.index.reserve(keys);
-        let slots = self.meta.len() + keys.saturating_sub(self.free.len());
-        self.meta.reserve(slots - self.meta.len());
-        for stage in &mut self.value_stages {
-            stage.back(slots);
+        self.back(self.meta.len() + keys.saturating_sub(self.free.len()), 0);
+    }
+
+    /// Backs slots `0..slots` (at most the provisioned ones) in stages
+    /// `0..stages`, keeping every slot and stage backed before: a batch of
+    /// slots, or a stage the first value to reach it backs, once per store.
+    #[cold]
+    fn back(&mut self, slots: usize, stages: usize) {
+        let slots = slots.min(self.config.slots_per_stage);
+        self.slots_backed = self.slots_backed.max(slots);
+        self.stages_backed = self.stages_backed.max(stages);
+        self.meta.reserve(self.slots_backed - self.meta.len());
+        for stage in &mut self.value_stages[..self.stages_backed] {
+            stage.back(self.slots_backed);
         }
     }
 
@@ -169,11 +194,6 @@ impl SwitchKvStore {
         }
     }
 
-    /// The index cell a probe for `hash` starts at.
-    pub fn home(&self, hash: u64) -> usize {
-        self.index.home(hash)
-    }
-
     /// Hands an absent `key` a slot and the index cell its probe found.
     fn install(&mut self, vacant: Vacant, key: Key, value: &Value) -> Result<usize, KvError> {
         if value.len() > self.config.max_line_rate_value() {
@@ -182,7 +202,9 @@ impl SwitchKvStore {
         let slot = match self.free.pop() {
             Some(slot) => slot,
             None if self.meta.len() < self.config.slots_per_stage => {
-                self.reserve(1);
+                if self.meta.len() == self.slots_backed {
+                    self.back(2 * self.slots_backed.max(1), 0);
+                }
                 self.meta.push(SlotMeta::default());
                 self.meta.len() - 1
             }
@@ -249,20 +271,19 @@ impl SwitchKvStore {
         self.meta[slot].len as usize
     }
 
-    /// Copies the value stored in `slot` into `out` (at most
-    /// [`Self::value_len`] bytes), reassembling across stages without the
-    /// `Vec` allocation [`Self::read_value`] pays. Returns the bytes copied.
+    /// Copies the registers of `slot` into `out` (at most
+    /// [`Self::value_len`] bytes to read the value), reassembling across
+    /// stages without the `Vec` allocation [`Self::read_value`] pays; a stage
+    /// no value has reached reads as zeroes. Returns the bytes copied.
     pub fn copy_value_into(&self, slot: usize, out: &mut [u8]) -> usize {
-        let mut copied = 0;
-        for (stage, chunk) in self
-            .value_stages
-            .iter()
-            .zip(out.chunks_mut(self.config.bytes_per_stage))
-        {
+        let width = self.config.bytes_per_stage;
+        let len = out.len().min(self.config.max_line_rate_value());
+        let (backed, unbacked) = out[..len].split_at_mut(len.min(self.stages_backed * width));
+        for (stage, chunk) in self.value_stages.iter().zip(backed.chunks_mut(width)) {
             chunk.copy_from_slice(&stage.read(slot)[..chunk.len()]);
-            copied += chunk.len();
         }
-        copied
+        unbacked.fill(0);
+        len
     }
 
     /// Stage 3 of the staged batch pipeline, for one lane: resolves `key`'s
@@ -293,14 +314,19 @@ impl SwitchKvStore {
 
     /// Writes a value into `slot`, splitting it across stages. Only the
     /// stages the old or the new value reaches are written (see the module
-    /// invariant); bytes the stages cannot hold are dropped, the length
-    /// register still records what was asked.
+    /// invariant), after backing any of them no value reached before; bytes
+    /// the stages cannot hold are dropped, the length register still records
+    /// what was asked.
     pub fn write_value(&mut self, slot: usize, value: &Value) {
         let bytes = value.as_bytes();
         let width = self.config.bytes_per_stage;
         let old_len = std::mem::replace(&mut self.meta[slot].len, bytes.len() as u32) as usize;
-        let touched = old_len.max(bytes.len()).div_ceil(width);
-        for (i, stage) in self.value_stages.iter_mut().take(touched).enumerate() {
+        let stages = self.value_stages.len();
+        let touched = old_len.max(bytes.len()).div_ceil(width).min(stages);
+        if touched > self.stages_backed {
+            self.back(0, touched);
+        }
+        for (i, stage) in self.value_stages[..touched].iter_mut().enumerate() {
             let end = bytes.len().min((i + 1) * width);
             // A stage wholly past the new value gets the empty slice, which
             // zeroes what the old value left there.
@@ -408,6 +434,14 @@ impl SwitchKvStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SwitchKvStore {
+        /// The registers backed in each value stage.
+        fn backed_per_stage(&self) -> Vec<usize> {
+            let stages = self.value_stages.iter();
+            stages.map(RegisterArray::backed_slots).collect()
+        }
+    }
 
     fn store() -> SwitchKvStore {
         SwitchKvStore::new(PipelineConfig::tiny(8))
@@ -532,6 +566,60 @@ mod tests {
         kv.clear_all();
         assert_eq!(kv.store_size(), 0);
         assert_eq!(kv.free_slots(), 8);
+    }
+
+    #[test]
+    fn eight_byte_values_back_one_stage() {
+        let mut kv = SwitchKvStore::new(PipelineConfig::tofino_prototype());
+        kv.reserve(100);
+        for i in 0..100u64 {
+            kv.insert(Key::from_u64(i), &Value::from_u64(i)).unwrap();
+        }
+        assert_eq!(kv.backed_per_stage(), [100, 0, 0, 0, 0, 0, 0, 0]);
+        // Past the reservation an install doubles the slots backed.
+        kv.insert(Key::from_u64(100), &Value::from_u64(0)).unwrap();
+        assert_eq!(kv.backed_per_stage(), [200, 0, 0, 0, 0, 0, 0, 0]);
+        let mut registers = [0xffu8; 128];
+        assert_eq!(kv.copy_value_into(7, &mut registers), 128);
+        assert_eq!(registers[..8], 7u64.to_be_bytes());
+        assert!(registers[8..].iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn the_first_value_to_reach_a_stage_backs_it_for_every_backed_slot() {
+        let mut kv = SwitchKvStore::new(PipelineConfig::tiny(8));
+        kv.reserve(4);
+        let short = Value::from_u64(5);
+        let a = kv.insert(Key::from_u64(0), &short).unwrap();
+        kv.insert(Key::from_u64(1), &short).unwrap();
+        assert_eq!(kv.backed_per_stage(), [4, 0]);
+        // A data-path write of 17 bytes reaches stage 1: it is backed for
+        // all four reserved slots, not just the two handed out.
+        let long = Value::filled(0x5a, 17).unwrap();
+        kv.write_value(a, &long);
+        assert_eq!(kv.backed_per_stage(), [4, 4]);
+        // Two more installs take the reserved slots without re-reserving,
+        // and one of them is written past stage 0 too.
+        kv.insert(Key::from_u64(2), &short).unwrap();
+        let d = kv.insert(Key::from_u64(3), &short).unwrap();
+        assert_eq!(kv.backed_per_stage(), [4, 4]);
+        kv.write_value(d, &long);
+        for k in 0..4u64 {
+            let slot = kv.lookup(&Key::from_u64(k)).unwrap();
+            let expect = if slot == a || slot == d {
+                &long
+            } else {
+                &short
+            };
+            assert_eq!(&kv.read_value(slot), expect);
+            let mut registers = [0xffu8; 32];
+            assert_eq!(kv.copy_value_into(slot, &mut registers), 32);
+            assert_eq!(&registers[..expect.len()], expect.as_bytes());
+            assert!(registers[expect.len()..].iter().all(|&b| b == 0));
+        }
+        // A fifth install backs both stages for the slots it doubles to.
+        kv.insert(Key::from_u64(4), &short).unwrap();
+        assert_eq!(kv.backed_per_stage(), [8, 8]);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! session and length registers share the same index space (§4.1, §4.3) and
 //! are modelled as one record per slot in [`crate::kv`].
 //! An array is *provisioned* for its whole geometry, which accounting reads,
-//! but *backed* only as far as the store has asked (`RegisterArray::back`).
+//! but *backed* only as far as the store has asked (`RegisterArray::back`):
+//! a value stage not at all until the first value reaches it.
 
 use std::fmt;
 
@@ -49,6 +50,12 @@ impl RegisterArray {
         self.backed.resize(len.max(self.backed.len()), 0);
     }
 
+    /// How many registers are backed.
+    #[cfg(test)]
+    pub(crate) fn backed_slots(&self) -> usize {
+        self.backed.len() / self.width
+    }
+
     /// Total SRAM footprint in bytes, as provisioned.
     pub fn memory_bytes(&self) -> usize {
         self.slots * self.width
@@ -58,7 +65,9 @@ impl RegisterArray {
     ///
     /// # Panics
     /// Panics if `index` is out of range or not backed — the store backs a
-    /// slot before the match table can produce it, so either is a logic bug.
+    /// slot in every backed stage before the match table can produce it, and
+    /// reads a stage no value has reached as zeroes without calling this, so
+    /// either is a logic bug.
     pub fn read(&self, index: usize) -> &[u8] {
         assert!(index < self.slots, "register index {index} out of range");
         &self.backed[index * self.width..(index + 1) * self.width]

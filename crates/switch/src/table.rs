@@ -111,10 +111,13 @@ impl MatchTable {
         vacant.map(|vacant| self.fill(vacant, key, index)).is_some()
     }
 
-    /// The one probe an install makes, after growing to fit one more entry:
-    /// `Ok` with an installed `key`'s index, else the cell to [`Self::fill`].
+    /// The one probe an install makes, after growing if one more entry would
+    /// pass half load: `Ok` with an installed `key`'s index, else the cell
+    /// to [`Self::fill`].
     pub(crate) fn probe(&mut self, hash: u64, key: &Key) -> Result<usize, Vacant> {
-        self.reserve(1);
+        if 2 * (self.len + 1) > self.cells.len() {
+            self.reserve(1);
+        }
         let cell = self.find(hash, key);
         match self.cells[cell].index {
             VACANT => Err(Vacant(cell, hash)),

@@ -8,11 +8,13 @@
 //! from the obvious models, and no byte of a longer previous value may
 //! survive a shrink — in particular across a stage boundary.
 //!
-//! The stages are backed only for the slots handed out, so the cases that
-//! hand slots out some other way than `insert` — an import of an absent key,
-//! a slot recycled after garbage collection, a store sized up front and
-//! filled in index order — each have a case of their own, as does a slot
-//! whose value grows from one stage to all eight and back.
+//! A stage is backed only once a value reaches it, for the slots backed so
+//! far, and every read of all 128 register bytes must see zeroes past the
+//! value whether or not the stage is backed. So the cases that hand slots out
+//! some other way than `insert` — an import of an absent key, a slot recycled
+//! after garbage collection, a store sized up front and filled in index
+//! order — each have a case of their own, as does a slot whose value grows
+//! from one stage to all eight and back.
 
 use netchain_switch::{ExportedEntry, KvError, MatchTable, PipelineConfig, SwitchKvStore};
 use netchain_wire::{Key, Value, MAX_VALUE_LEN};
@@ -364,7 +366,6 @@ proptest! {
             single.insert(*key, v).unwrap();
         }
         sized.reserve(batch.len());
-        batch.sort_unstable_by_key(|&(hash, ..)| sized.home(hash));
         for (hash, key, v) in &batch {
             sized.insert_hashed(*hash, *key, v).unwrap();
         }
